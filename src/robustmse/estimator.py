@@ -9,9 +9,15 @@ over the generator simplex. phi is an infimum of functions linear in lam, so
 it is concave; its supergradient at lam is the vector r with
 r_k = E_{g_k}[(xi - eta_lam)^2] where eta_lam = E_{P_lam}[xi|C] is frozen.
 The quantity max_k r_k - lam @ r is simultaneously the Frank-Wolfe gap of the
-dual ascent and the primal-dual saddle gap, which makes every iterate
-auditable. A first-order ascent localizes the optimal face, then a Newton
-polish on the active generators equalizes the r_k to machine precision.
+dual and the primal-dual saddle gap, which makes every iterate auditable.
+
+The dual is solved by simplicial decomposition (fully-corrective Frank-Wolfe;
+Holloway 1974, Lacoste-Julien & Jaggi 2015): keep a small set of active
+generators, add the one with the largest r_k, and re-maximize phi over their
+hull by Newton steps on the face, dropping generators whose weight reaches
+zero. By Caratheodory the optimal mixture needs at most one generator more
+than there are blocks, and the P_hat returned for a non-measurable xi has no
+more (a measurable xi is its own estimator, with the uniform mixture).
 
 The remaining operations certify or characterize a candidate estimator:
 saddle verification, kernel membership and interval, the product-form
@@ -42,9 +48,16 @@ from .sublinear import ess_inf_conditional, ess_sup_conditional, rho
 SOLVER_SADDLE = "saddle_iteration"
 SOLVER_BRUTE = "brute_force"
 
+_FACE_STEPS = 50  # Newton steps and drops per face; quadratic convergence needs few
+_LINE_STEPS = 30  # step halvings before a face counts as solved
+_VANISH = 1e-15  # a weight this small is rounding residue of a dropped generator
+
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """tol bounds the saddle gap relative to 1 + alpha; max_iter caps the
+    generator additions of the dual solve."""
+
     tol: float = 1e-8
     max_iter: int = 10_000
 
@@ -89,204 +102,140 @@ class _Quadratics:
         # mixture leaves uncharged
         self.reference_cond = self.first.mean(axis=0) / self.mass.mean(axis=0)
 
-    def eta_of(self, lam: np.ndarray) -> np.ndarray:
-        d = lam @ self.mass
-        nu = lam @ self.first
+    def eta_of(self, lam: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """E_{P_lam}[xi | C] per block, lam weighing the generators in rows."""
+        d = lam @ self.mass[rows]
+        nu = lam @ self.first[rows]
         eta = self.reference_cond.copy()
         live = d > 0.0
         eta[live] = nu[live] / d[live]
         return eta
 
-    def residuals(self, eta: np.ndarray) -> np.ndarray:
+    def residuals(self, eta: np.ndarray, rows=slice(None)) -> np.ndarray:
         """r_k = E_{g_k}[(xi - eta)^2] for a blockwise-constant eta."""
-        return self.second_total - 2.0 * (self.first @ eta) + self.mass @ (eta ** 2)
+        return (
+            self.second_total[rows]
+            - 2.0 * (self.first[rows] @ eta)
+            + self.mass[rows] @ (eta ** 2)
+        )
 
-    def centered(self, eta: np.ndarray) -> np.ndarray:
+    def centered(self, eta: np.ndarray, rows=slice(None)) -> np.ndarray:
         """u[k, B] = E_{g_k}[(xi - eta) 1_B]."""
-        return self.first - eta[None, :] * self.mass
+        return self.first[rows] - eta[None, :] * self.mass[rows]
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, len(v) + 1)
-    cond = u + (1.0 - css) / idx > 0
-    k = int(idx[cond][-1])
-    tau = (1.0 - css[k - 1]) / k
-    return np.clip(v + tau, 0.0, None)
+def _face_ascent(quad, s, w, shift):
+    """Maximize phi over the hull of generators s, starting from weights w.
 
+    Newton steps on the face solve the KKT system of the quadratic model with
+    the Hessian -2 sum_B u_B u_B^T / d_B shifted by -shift*I. Flat directions
+    (a block no active generator informs, affinely dependent generators) then
+    still give a finite step; the ratio test clips it where a weight reaches
+    zero and that generator leaves the face. Near the optimum the gain in phi
+    falls below rounding while the face gap max_s r - phi still shrinks, so a
+    step is accepted when it does either. Returns the surviving generators
+    and their weights, at most one more than the charged blocks.
+    """
 
-def _gap_state(quad: _Quadratics, lam: np.ndarray):
-    eta = quad.eta_of(lam)
-    r = quad.residuals(eta)
-    return eta, r, float(np.max(r) - lam @ r)
+    def state(s, w):
+        eta = quad.eta_of(w, s)
+        r = quad.residuals(eta, s)
+        return eta, r, float(w @ r)
 
-
-def _segment_search(quad, lam, target, phi):
-    """Golden-ish exact line search toward a vertex; phi is concave on segments."""
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        p1 = (1 - m1) * lam + m1 * target
-        p2 = (1 - m2) * lam + m2 * target
-        f1 = float(p1 @ quad.residuals(quad.eta_of(p1)))
-        f2 = float(p2 @ quad.residuals(quad.eta_of(p2)))
-        if f1 >= f2:
-            hi = m2
-        else:
-            lo = m1
-    t = 0.5 * (lo + hi)
-    cand = (1 - t) * lam + t * target
-    _, r_c, gap_c = _gap_state(quad, cand)
-    if float(cand @ r_c) > phi:
-        return cand, r_c, gap_c
-    return None
-
-
-def _ascend(quad, lam, tol, max_iter):
-    """Projected supergradient ascent with backtracking on the projection arc;
-    falls back to a conditional-gradient step toward the worst vertex when the
-    arc search stalls."""
-    _, r, gap = _gap_state(quad, lam)
-    best = (gap, lam, r)
-    step = 1.0
-    iters = 0
-    while iters < max_iter and gap > tol:
-        iters += 1
-        phi = float(lam @ r)
-        moved = False
-        for _ in range(60):
-            cand = _project_simplex(lam + step * r)
-            delta = cand - lam
-            advance = float(r @ delta)
-            if advance <= 0.0:
-                break
-            _, r_c, gap_c = _gap_state(quad, cand)
-            if float(cand @ r_c) >= phi + 0.25 * advance:
-                lam, r, gap = cand, r_c, gap_c
-                step *= 1.3
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            vertex = np.zeros_like(lam)
-            vertex[int(np.argmax(r))] = 1.0
-            took = _segment_search(quad, lam, vertex, phi)
-            if took is None:
-                break
-            lam, r, gap = took
-            step = 1.0
-            moved = True
-        if gap < best[0]:
-            best = (gap, lam, r)
-    return best, iters
-
-
-def _newton_face(quad, lam, support, max_newton=40):
-    """Equalize the active residuals on a fixed face; None if it cannot."""
-    s = np.array(sorted(support))
-    if len(s) == 0:
-        return None
-    if len(s) == 1:
-        out = np.zeros(quad.num_gen)
-        out[s[0]] = 1.0
-        return out
-    lam_s = np.clip(lam[s], 0.0, None)
-    if lam_s.sum() <= 0:
-        lam_s = np.full(len(s), 1.0 / len(s))
-    else:
-        lam_s = lam_s / lam_s.sum()
-    mass_s, first_s = quad.mass[s], quad.first[s]
-
-    def system(ls):
-        full = np.zeros(quad.num_gen)
-        full[s] = ls
-        eta = quad.eta_of(full)
-        r = quad.residuals(eta)[s]
-        res = np.empty(len(s))
-        res[:-1] = r[1:] - r[0]
-        res[-1] = ls.sum() - 1.0
-        d = ls @ mass_s
-        u = first_s - eta[None, :] * mass_s
-        live = d > 0.0
-        grad = -2.0 * (u[:, live] / d[live][None, :]) @ u[:, live].T  # d r_k / d lam_j
-        J = np.empty((len(s), len(s)))
-        J[:-1] = grad[1:] - grad[0]
-        J[-1] = 1.0
-        return res, J
-
-    scale = 1.0 + float(np.max(np.abs(quad.second_total)))
-    for _ in range(max_newton):
-        res, J = system(lam_s)
-        err = float(np.max(np.abs(res)))
-        if err <= 1e-15 * scale:
+    eta, r, phi = state(s, w)
+    # records of phi and of the gap: a step must beat one of them, so
+    # rounding-level steps cannot cycle
+    top_phi, low_gap = phi, math.inf
+    for _ in range(_FACE_STEPS):
+        gap = float(np.max(r)) - phi
+        low_gap = min(low_gap, gap)
+        if len(s) == 1 or gap <= 0.0:
             break
-        # duplicate generators make J rank-deficient; least squares still
-        # yields a valid step along the equalization manifold
-        delta = np.linalg.lstsq(J, -res, rcond=None)[0]
-        t = 1.0
-        for _ in range(30):
-            cand = lam_s + t * delta
-            res_c, _ = system(cand)
-            if float(np.max(np.abs(res_c))) < err:
-                lam_s = cand
+        n = len(s)
+        d = w @ quad.mass[s]
+        live = d > 0.0
+        u = quad.centered(eta, s)[:, live]
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = -2.0 * (u / d[live]) @ u.T - shift * np.eye(n)
+        kkt[n, n] = 0.0
+        dw = np.linalg.solve(kkt, np.append(-r, 0.0))[:n]
+        # a weight rounding left at ~0 blocks every step that lowers it;
+        # drop it without stepping
+        stuck = (w <= _VANISH) & (dw < 0.0)
+        if np.any(stuck):
+            s, w = s[~stuck], w[~stuck] / w[~stuck].sum()
+            eta, r, phi = state(s, w)
+            continue
+        down = np.flatnonzero(dw < 0.0)
+        ratios = w[down] / -dw[down]
+        t = t_max = min(1.0, float(np.min(ratios))) if len(down) else 1.0
+        for _ in range(_LINE_STEPS):
+            cand = np.clip(w + t * dw, 0.0, None)
+            if t == t_max < 1.0:
+                cand[down[int(np.argmin(ratios))]] = 0.0
+            cand /= cand.sum()
+            eta_c, r_c, phi_c = state(s, cand)
+            if phi_c > top_phi or float(np.max(r_c)) - phi_c < low_gap:
                 break
             t *= 0.5
         else:
             break
-    if np.any(lam_s < -1e-9):
-        return None
-    out = np.zeros(quad.num_gen)
-    out[s] = np.clip(lam_s, 0.0, None)
-    total = out.sum()
-    if total <= 0:
-        return None
-    return out / total
+        on = cand > 0.0
+        s, w, eta, r, phi = s[on], cand[on], eta_c, r_c[on], phi_c
+        top_phi = max(top_phi, phi)
+    # Caratheodory: beyond one more generator than charged blocks, some
+    # direction v with v @ u = 0 and sum(v) = 0 moves no conditional mean,
+    # so eta and r stay put; follow it (uphill in phi) until a weight is 0
+    while True:
+        live = w @ quad.mass[s] > 0.0
+        m = np.vstack([quad.centered(eta, s)[:, live].T, np.ones(len(s))])
+        if len(s) <= len(m):
+            return s, w
+        v = np.linalg.svd(m)[2][-1]
+        if v @ r < 0.0:
+            v = -v
+        down = np.flatnonzero(v < 0.0)
+        j = down[int(np.argmin(w[down] / -v[down]))]
+        w = np.clip(w + (w[j] / -v[j]) * v, 0.0, None)
+        w[j] = 0.0
+        on = w > 0.0
+        s, w = s[on], w[on] / w[on].sum()
+        eta, r, phi = state(s, w)
 
 
-def _polish(quad, lam, gap):
-    """Refine by Newton on candidate active sets; keep whatever reduces the gap.
+def _simplicial_decomposition(quad, lam0, max_iter):
+    """Fully-corrective Frank-Wolfe on the dual: add the generator argmax r,
+    re-maximize phi over the hull of the active generators, repeat.
 
-    Supports are re-derived from each accepted iterate, so a first imprecise
-    face estimate gets corrected on the following round.
+    Starts from the single generator argmax r at lam0. Stops when the saddle
+    gap max r - phi closes or when an addition improves neither phi nor the
+    gap. Returns the mixture and the number of additions.
     """
-    best_lam, best_gap = lam, gap
-    tried = set()
-    for _ in range(4):
-        lam_cur = best_lam
-        _, r_cur, _ = _gap_state(quad, lam_cur)
-        top = float(np.max(r_cur))
-        spread = max(1.0, abs(top))
-        candidates = []
-        for thresh in (1e-6, 1e-4, 1e-2):
-            support = set(np.flatnonzero(lam_cur > thresh))
-            support.add(int(np.argmax(r_cur)))
-            support |= set(
-                np.flatnonzero(r_cur >= top - max(best_gap * 10.0, 1e-12 * spread))
-            )
-            candidates.append(frozenset(support))
-        improved = False
-        for support in candidates:
-            work = set(support)
-            while work:
-                key = frozenset(work)
-                if key in tried:
-                    break
-                tried.add(key)
-                cand = _newton_face(quad, lam_cur, work)
-                if cand is None:
-                    if len(work) <= 1:
-                        break
-                    work.discard(min(work, key=lambda k: lam_cur[k]))
-                    continue
-                _, _, cand_gap = _gap_state(quad, cand)
-                if cand_gap < best_gap:
-                    best_lam, best_gap, improved = cand, cand_gap, True
-                break
-        if not improved:
+
+    def evaluate(s, w):
+        r = quad.residuals(quad.eta_of(w, s))
+        phi = float(w @ r[s])
+        return r, phi, float(np.max(r)) - phi
+
+    shift = 1e-12 * float(np.max(np.abs(quad.second_total)))
+    s = np.array([int(np.argmax(quad.residuals(quad.eta_of(lam0))))])
+    w = np.ones(1)
+    r, phi, gap = evaluate(s, w)
+    top_phi, low_gap = phi, gap
+    iters = 0
+    while iters < max_iter and gap > 0.0:
+        iters += 1
+        k = int(np.argmax(r))
+        s_new, w_new = (s, w) if k in s else (np.append(s, k), np.append(w, 0.0))
+        s_new, w_new = _face_ascent(quad, s_new, w_new, shift)
+        r_new, phi_new, gap_new = evaluate(s_new, w_new)
+        if not (phi_new > top_phi or gap_new < low_gap):
             break
-    return best_lam, best_gap
+        s, w, r, phi, gap = s_new, w_new, r_new, phi_new, gap_new
+        top_phi, low_gap = max(top_phi, phi), min(low_gap, gap)
+    lam = np.zeros(quad.num_gen)
+    lam[s] = w
+    return lam, iters
 
 
 def _coordinate_refine_dead_blocks(quad, lam, eta, bound):
@@ -320,11 +269,17 @@ def solve_mmse(
 ) -> EstimatorResult:
     """Minimize the worst-case mean square error over C-measurable estimators.
 
-    Dual saddle iteration: ascend phi over the generator simplex, polish by
-    Newton on the identified face, and read the estimator off the optimal
-    mixture as eta_hat = E_{P_hat}[xi | C]. Nonconvergence is reported as an
-    explicit status (converged=False, best iterate and gap retained), never
-    as a silent best effort.
+    Maximize the dual phi by simplicial decomposition, starting from the
+    generator with the largest residual at init_weights (uniform by default),
+    and read the estimator off the optimal mixture as
+    eta_hat = E_{P_hat}[xi | C]. Each iteration adds one generator and
+    re-solves on the hull of the active ones; cfg.max_iter caps these
+    additions, and EstimatorResult.iterations counts them. The run has
+    converged when the saddle gap is at most cfg.tol * (1 + alpha), the same
+    relative test verify_saddle applies, so the status does not depend on the
+    units of xi. Nonconvergence is reported as an explicit status
+    (converged=False, last iterate and gap retained), never as a silent best
+    effort.
     """
     cfg = cfg or SolverConfig()
     quad = _Quadratics(ms, xi, c)
@@ -353,20 +308,7 @@ def solve_mmse(
             raise ArgumentError("init_weights must be nonnegative with positive sum")
         lam0 = lam0 / lam0.sum()
 
-    # aim well below cfg.tol so the polished estimator itself (not only the
-    # value) is accurate; downstream property checks compare eta_hat at 1e-8
-    scale = 1.0 + float(np.max(np.abs(quad.second_total)))
-    inner_tol = min(cfg.tol, 1e-10)
-    target = max(64.0 * np.finfo(float).eps * scale, 1e-14)
-    iters = 0
-    lam = lam0
-    gap = math.inf
-    for _ in range(3):
-        (gap, lam, r), took = _ascend(quad, lam, inner_tol, cfg.max_iter - iters)
-        iters += took
-        lam, gap = _polish(quad, lam, gap)
-        if gap <= target or iters >= cfg.max_iter:
-            break
+    lam, iters = _simplicial_decomposition(quad, lam0, cfg.max_iter)
 
     eta = quad.eta_of(lam)
     eta = _coordinate_refine_dead_blocks(quad, lam, eta, xi.bound)
@@ -375,7 +317,7 @@ def solve_mmse(
     # the mathematical gap is nonnegative; the dot product may round a hair
     # above the max when the residuals are all but equal
     gap = max(0.0, alpha - float(lam @ r))
-    converged = gap <= cfg.tol
+    converged = gap <= cfg.tol * (1.0 + alpha)
     if not converged:
         warn.append(
             f"saddle iteration stopped at gap {gap:.3e} > tol {cfg.tol:.1e} "

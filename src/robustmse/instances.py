@@ -26,15 +26,10 @@ FORMAT_VERSION = "1"
 _KNOWN_OPTIONS = {
     "tol",
     "max_iter",
-    "seed",
-    "trials",
     "grid_step",
-    "solver",
     "level",
     "ns_tol",
 }
-
-_SOLVER_NAMES = ("saddle_iteration", "brute_force")
 
 
 def _validate_options(options):
@@ -43,19 +38,13 @@ def _validate_options(options):
     for key in ("tol", "grid_step", "ns_tol"):
         if key in options:
             _num(options[key], f"options.{key}")
-    for key in ("max_iter", "seed", "trials", "level"):
+    for key in ("max_iter", "level"):
         if key in options:
             _require(
                 isinstance(options[key], int) and not isinstance(options[key], bool),
                 f"options.{key}",
                 "expected an integer",
             )
-    if "solver" in options:
-        _require(
-            options["solver"] in _SOLVER_NAMES,
-            "options.solver",
-            f"expected one of {_SOLVER_NAMES}",
-        )
 
 
 def _require(cond, path, message):

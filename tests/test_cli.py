@@ -111,8 +111,8 @@ class TestSolveCommand:
         assert "generators[0]" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, tmp_path):
-        # interior saddle whose residuals never equalize exactly in floats;
-        # an unreachable tolerance must be reported, not papered over
+        # interior saddle that needs both generators; a solve stopped by the
+        # iteration cap before it gets there must be reported, not papered over
         doc = {
             "version": "1",
             "omega": ["a", "b", "c", "d"],
@@ -122,7 +122,7 @@ class TestSolveCommand:
             ],
             "xi": [-0.875, -1.9375, -0.8125, -1.875],
             "partition": [[0, 1, 2, 3]],
-            "options": {"tol": 1e-30},
+            "options": {"max_iter": 0},
         }
         path = tmp_path / "hard.json"
         path.write_text(json.dumps(doc))
@@ -156,11 +156,14 @@ class TestSolveCommand:
         assert out["result"]["ns_condition"]["holds"] is False
 
     def test_unknown_option_rejected(self, tmp_path, capsys):
-        doc = dict(EXAMPLE, options={"tolerance": 1e-8})
-        path = tmp_path / "opt.json"
-        path.write_text(json.dumps(doc))
-        code = main(["solve", str(path)])
-        assert code == 2
+        # no command reads solver, seed or trials, so they are not accepted
+        unknown = ({"tolerance": 1e-8}, {"solver": "brute_force"}, {"seed": 7}, {"trials": 10})
+        for options in unknown:
+            doc = dict(EXAMPLE, options=options)
+            path = tmp_path / "opt.json"
+            path.write_text(json.dumps(doc))
+            code = main(["solve", str(path)])
+            assert code == 2, options
 
 
 class TestRhoCommand:

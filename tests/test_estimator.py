@@ -84,6 +84,24 @@ class TestSolveMmse:
             res = solve_mmse(ms, xi, c)
             cond = conditional_expectation(mix(ms, res.p_hat), xi, c)
             assert np.max(np.abs(res.eta_hat.values - cond.values)) < 1e-7
+            if not is_measurable(xi, c):
+                # Caratheodory: a vertex mixture of at most B + 1 generators
+                assert np.count_nonzero(res.p_hat.lam) <= c.num_blocks + 1
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    def test_scale_equivariance(self, s):
+        rng = rng_from_seed(36)
+        for _ in range(20):
+            ms, xi, c = random_instance(rng)
+            base = solve_mmse(ms, xi, c)
+            scaled_xi = xi * s
+            res = solve_mmse(ms, scaled_xi, c)
+            assert res.converged
+            assert res.alpha == pytest.approx(s * s * base.alpha, rel=1e-9, abs=0.0)
+            assert np.max(np.abs(res.eta_hat.values - s * base.eta_hat.values)) <= (
+                1e-9 * s * xi.bound
+            )
+            assert verify_saddle(ms, scaled_xi, c, res).passed
 
     def test_alpha_matches_worst_case_of_eta_hat(self):
         from robustmse import rho
@@ -96,8 +114,8 @@ class TestSolveMmse:
             assert res.alpha == pytest.approx(rho(ms, diff * diff).value, abs=1e-10)
 
     def test_nonconvergence_is_reported(self):
-        # interior saddle: the residual dot products never equalize exactly,
-        # so an unreachable tolerance yields an explicit status
+        # interior saddle: it needs both generators, so a solve capped before
+        # its first generator addition must end in an explicit status
         space = SampleSpace.of_size(4)
         ms = MeasureSet(
             [
@@ -106,7 +124,7 @@ class TestSolveMmse:
             ]
         )
         xi = RandomVariable(space, [-0.875, -1.9375, -0.8125, -1.875])
-        res = solve_mmse(ms, xi, PartitionAlgebra.trivial(space), SolverConfig(tol=1e-30))
+        res = solve_mmse(ms, xi, PartitionAlgebra.trivial(space), SolverConfig(max_iter=0))
         assert not res.converged
         assert res.saddle_gap > 0
         assert any("gap" in w for w in res.warnings)
