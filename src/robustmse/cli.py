@@ -26,7 +26,7 @@ from .estimator import (
     solve_mmse,
     verify_saddle,
 )
-from .gexp import compare_gexp_mmse, g_expectation, tree_measure_set
+from .gexp import compare_gexp_mmse, g_expectation
 from .instances import (
     Instance,
     _json_inf,
@@ -210,7 +210,7 @@ def cmd_gexp(inst: Instance, args) -> tuple[dict, int]:
     res = g_expectation(tm, xi.values)
     level = int(inst.options.get("level", 0))
     cmp_report = compare_gexp_mmse(tm, xi.values, level, _solver_config(inst, args))
-    root_rho = rho(tree_measure_set(tm), xi).value
+    root_rho = cmp_report.rho_root
     payload = {
         "root": res.root_value,
         "y_by_level": [

@@ -15,7 +15,6 @@ which is how the tree plugs into the estimator machinery for comparison.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,10 +22,13 @@ import numpy as np
 
 from .errors import ArgumentError, GuardRefusalError
 from .estimator import EstimatorResult, SolverConfig, solve_mmse
-from .measures import Measure, MeasureSet
+from .measures import MeasureSet
 from .spaces import PartitionAlgebra, RandomVariable, SampleSpace
+from .sublinear import rho
 
-MAX_TREE_DEPTH = 6
+# corner matrix of tree_measure_set: 2^24 float64 entries = 128 MiB; building
+# it takes about five times that at its peak
+MAX_CORNER_ENTRIES = 2 ** 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,30 +105,35 @@ class TreeModel:
 def tree_measure_set(tm: TreeModel) -> MeasureSet:
     """All corner measures: each node independently at q_lo or q_hi.
 
-    Refuses beyond depth 6 rather than subsample corners, which would silently
-    change the represented set. Degenerate intervals contribute one choice, so
-    a fully degenerate tree yields a single generator.
+    A node with q_lo == q_hi contributes one choice, so a tree with m
+    non-degenerate nodes has 2^m corners (a fully degenerate tree yields a
+    single generator), in itertools.product order over the nodes: the bits of
+    a corner's index, read from the highest, choose q_hi at the non-degenerate
+    nodes in id order. The (2^m, 2^T) corner matrix is filled level by level
+    and refused, before anything is allocated, when it would exceed
+    MAX_CORNER_ENTRIES float64 entries; corners are never subsampled, which
+    would silently change the represented set. With every node non-degenerate
+    that admits depth 4 (2^15 corners) and refuses depth 5 (2^31 corners).
     """
-    if tm.depth > MAX_TREE_DEPTH:
+    free = tm.q_lo != tm.q_hi
+    num_corners = 2 ** int(free.sum())
+    if num_corners * tm.num_leaves > MAX_CORNER_ENTRIES:
         raise GuardRefusalError(
-            f"corner enumeration limited to depth {MAX_TREE_DEPTH}, got {tm.depth}"
+            f"{num_corners} corners x {tm.num_leaves} leaves exceed the limit of "
+            f"{MAX_CORNER_ENTRIES} corner-matrix entries (128 MiB)"
         )
-    space = tm.sample_space()
-    choices = [
-        (tm.q_lo[v],) if tm.q_lo[v] == tm.q_hi[v] else (tm.q_lo[v], tm.q_hi[v])
-        for v in range(tm.num_internal)
-    ]
-    generators = []
-    for corner in itertools.product(*choices):
-        probs = np.ones(1)
-        for d in range(tm.depth):
-            q = np.array(corner[2 ** d - 1 : 2 ** (d + 1) - 1])
-            nxt = np.empty(2 ** (d + 1))
-            nxt[0::2] = probs * q
-            nxt[1::2] = probs * (1.0 - q)
-            probs = nxt
-        generators.append(Measure(space, probs))
-    return MeasureSet(generators)
+    # bit of the corner index read by each node: the number of later free nodes
+    shift = np.cumsum(free[::-1])[::-1] - free
+    high = ((np.arange(num_corners)[:, None] >> shift) & 1).astype(bool) & free
+    q = np.where(high, tm.q_hi, tm.q_lo)
+    probs = np.ones((num_corners, 1))
+    for d in range(tm.depth):
+        q_d = q[:, 2 ** d - 1 : 2 ** (d + 1) - 1]
+        nxt = np.empty((num_corners, 2 ** (d + 1)))
+        nxt[:, 0::2] = probs * q_d
+        nxt[:, 1::2] = probs * (1.0 - q_d)
+        probs = nxt
+    return MeasureSet.from_matrix(tm.sample_space(), probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +192,7 @@ class GexpCompareReport:
     mmse: RandomVariable
     sup_diff: float
     estimator: EstimatorResult
+    rho_root: float
 
 
 def compare_gexp_mmse(
@@ -196,7 +204,8 @@ def compare_gexp_mmse(
     """Recursion values at a level versus the worst-case estimator there.
 
     The two disagree in general; the report carries the sup-norm difference
-    and the full estimator result for auditing.
+    and the full estimator result for auditing, and rho_root, the worst-case
+    expectation of xi over the corner set, which equals the recursion's root.
     """
     if not 0 <= level < tm.depth:
         raise ArgumentError(f"comparison level must lie in 0..{tm.depth - 1}")
@@ -209,5 +218,9 @@ def compare_gexp_mmse(
     est = solve_mmse(ms, xi, part, cfg)
     sup_diff = float(np.max(np.abs(gexp_cond.values - est.eta_hat.values)))
     return GexpCompareReport(
-        gexp_cond=gexp_cond, mmse=est.eta_hat, sup_diff=sup_diff, estimator=est
+        gexp_cond=gexp_cond,
+        mmse=est.eta_hat,
+        sup_diff=sup_diff,
+        estimator=est,
+        rho_root=rho(ms, xi).value,
     )

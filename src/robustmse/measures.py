@@ -30,6 +30,28 @@ from .spaces import (
 SIMPLEX_TOL = 1e-12
 
 
+def _checked_rows(space: SampleSpace, rows: np.ndarray) -> np.ndarray:
+    """Validate a float (K, n) array as K probability vectors on space.
+
+    Every row sum must lie within SIMPLEX_TOL of 1; rows are then divided by
+    their sum in place, which leaves rows summing to exactly 1 unchanged. The
+    array is returned read-only.
+    """
+    if rows.ndim != 2 or rows.shape[1] != space.n:
+        raise StructuralError(f"expected rows of {space.n} weights, got shape {rows.shape}")
+    if len(rows) == 0:
+        raise ArgumentError("expected at least one row of weights")
+    if not rows.min() >= 0:  # also catches NaN
+        raise ArgumentError("measure weights must be nonnegative numbers")
+    totals = rows.sum(axis=1, keepdims=True)
+    if abs(totals - 1.0).max() > SIMPLEX_TOL:
+        worst = totals.flat[abs(totals - 1.0).argmax()]
+        raise ArgumentError(f"weights sum to {worst!r}, not 1")
+    rows /= totals  # exact, bit for bit, on rows that sum to 1
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class Measure:
     """A probability vector; weights are renormalized exactly after validation."""
@@ -39,18 +61,18 @@ class Measure:
 
     def __init__(self, space, weights):
         w = np.array(weights, dtype=float)
-        if w.ndim != 1 or len(w) != space.n:
+        if w.ndim != 1:
             raise StructuralError(f"expected {space.n} weights, got shape {w.shape}")
-        if np.any(w < 0):
-            raise ArgumentError("measure weights must be nonnegative")
-        total = w.sum()
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ArgumentError(f"weights sum to {total!r}, not 1")
-        if total != 1.0:
-            w = w / total
-        w = _frozen_array(w)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _checked_rows(space, w[None, :])[0])
+
+    @classmethod
+    def _of_row(cls, space: SampleSpace, row: np.ndarray) -> "Measure":
+        """Wrap an already validated read-only row without copying it."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "space", space)
+        object.__setattr__(m, "weights", row)
+        return m
 
     def __eq__(self, other):
         if not isinstance(other, Measure):
@@ -66,39 +88,62 @@ class Measure:
 
 @dataclass(frozen=True, eq=False)
 class MeasureSet:
-    """A nonempty generator list whose convex hull is the represented set."""
+    """A nonempty generator list whose convex hull is the represented set.
+
+    The generators are stored as the rows of one read-only (K, n) array;
+    `generators` wraps those rows as Measure objects on first use.
+    """
 
     space: SampleSpace
-    generators: tuple[Measure, ...]
+    weights_matrix: np.ndarray = field(repr=False)
 
     def __init__(self, generators):
         generators = tuple(generators)
         if not generators:
             raise ArgumentError("a measure set needs at least one generator")
         space = check_same_space(*generators)
-        if len(set(generators)) != len(generators):
+        # Measure rows are already validated and renormalized; a second
+        # division by their sum could move their last bit
+        rows = np.stack([g.weights for g in generators])
+        rows.flags.writeable = False
+        self._store(space, rows)
+        self.__dict__["generators"] = generators
+
+    @classmethod
+    def from_matrix(cls, space: SampleSpace, weights) -> "MeasureSet":
+        """The set whose generators are the rows of a (K, n) weight array.
+
+        Each row is validated like a Measure; the array is copied.
+        """
+        rows = _checked_rows(space, np.array(weights, dtype=float, order="C"))
+        ms = object.__new__(cls)
+        ms._store(space, rows)
+        return ms
+
+    def _store(self, space, rows):
+        row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+        if len(set(row_bytes.ravel().tolist())) != len(rows):
             # duplicates do not change the hull but make mixture weights ambiguous
-            warnings.warn("measure set contains duplicate generators", stacklevel=2)
+            warnings.warn("measure set contains duplicate generators", stacklevel=3)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "weights_matrix", rows)
+
+    @cached_property
+    def generators(self) -> tuple[Measure, ...]:
+        return tuple(Measure._of_row(self.space, row) for row in self.weights_matrix)
 
     def __eq__(self, other):
         if not isinstance(other, MeasureSet):
             return NotImplemented
-        return self.generators == other.generators
+        return self.space == other.space and np.array_equal(
+            self.weights_matrix, other.weights_matrix
+        )
 
     def __hash__(self):
-        return hash(self.generators)
+        return hash((self.space, self.weights_matrix.tobytes()))
 
     def __len__(self):
-        return len(self.generators)
-
-    @cached_property
-    def weights_matrix(self) -> np.ndarray:
-        """Generators stacked as a (K, n) array; cached for vectorized loops."""
-        m = np.stack([g.weights for g in self.generators])
-        m.flags.writeable = False
-        return m
+        return len(self.weights_matrix)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import robustmse.gexp
 from robustmse.cli import main
 from robustmse.instances import (
     canonical_dict,
@@ -293,3 +294,37 @@ class TestGexpCommand:
         path.write_text(json.dumps(self.tree_doc(7)))
         code = main(["gexp", str(path)])
         assert code == 4
+
+    def test_builds_corner_set_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = robustmse.gexp.tree_measure_set
+
+        def counted(tm):
+            calls.append(tm.depth)
+            return build(tm)
+
+        monkeypatch.setattr(robustmse.gexp, "tree_measure_set", counted)
+        path = tmp_path / "t2.json"
+        path.write_text(json.dumps(self.tree_doc(2, leaves=[1, 0, 0, 0])))
+        code, doc = run(["gexp", str(path)], tmp_path)
+        assert code == 0
+        assert calls == [2]
+        assert doc["result"]["representation"]["abs_gap"] < 1e-10
+
+    def test_depth_four_rho_and_gexp(self, tmp_path):
+        leaves = [((7 * i) % 11 - 5) / 4 for i in range(16)]
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(dict(self.tree_doc(4, leaves=leaves), options={"level": 0})))
+        code, doc = run(["rho", str(path)], tmp_path, "rho.json")
+        assert code == 0
+        assert len(doc["result"]["envelopes"]) == 5
+        code, doc = run(["gexp", str(path)], tmp_path, "gexp.json")
+        assert code == 0
+        assert doc["result"]["comparison"]["level"] == 0
+        assert doc["result"]["representation"]["abs_gap"] <= 1e-9
+
+    def test_full_depth_five_rho_refused(self, tmp_path, capsys):
+        path = tmp_path / "d5.json"
+        path.write_text(json.dumps(self.tree_doc(5)))
+        assert main(["rho", str(path)]) == 4
+        assert "corner-matrix entries" in capsys.readouterr().err

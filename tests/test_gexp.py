@@ -7,6 +7,7 @@ import pytest
 from robustmse import (
     ArgumentError,
     GuardRefusalError,
+    RandomVariable,
     TreeModel,
     compare_gexp_mmse,
     g_expectation,
@@ -14,7 +15,55 @@ from robustmse import (
     solve_mmse,
     tree_measure_set,
 )
+from robustmse import gexp
 from robustmse.randgen import rng_from_seed, random_variable
+
+
+def reference_corners(tm):
+    """Corner matrix built one corner at a time, in itertools.product order.
+
+    Each corner row is renormalized the way a Measure is: divided by its sum
+    unless that sum is exactly 1.
+    """
+    choices = [
+        (tm.q_lo[v],) if tm.q_lo[v] == tm.q_hi[v] else (tm.q_lo[v], tm.q_hi[v])
+        for v in range(tm.num_internal)
+    ]
+    rows = []
+    for corner in itertools.product(*choices):
+        probs = np.ones(1)
+        for d in range(tm.depth):
+            q = np.array(corner[2 ** d - 1 : 2 ** (d + 1) - 1])
+            nxt = np.empty(2 ** (d + 1))
+            nxt[0::2] = probs * q
+            nxt[1::2] = probs * (1.0 - q)
+            probs = nxt
+        total = probs.sum()
+        rows.append(probs / total if total != 1.0 else probs)
+    return np.stack(rows)
+
+
+def per_node_tree(depth, seed, degenerate_frac=0.0):
+    """Seeded per-node intervals; about degenerate_frac of the nodes get q_lo == q_hi."""
+    rng = rng_from_seed(seed)
+    nodes = 2 ** depth - 1
+    q_lo = rng.uniform(0.05, 0.5, nodes)
+    q_hi = q_lo + rng.uniform(0.01, 0.45, nodes)
+    q_hi = np.where(rng.random(nodes) < degenerate_frac, q_lo, q_hi)
+    return TreeModel(depth, q_lo, q_hi, dt=0.3)
+
+
+CORNER_TREES = [
+    pytest.param(lambda d=d, dt=dt: TreeModel.drift_bound(d, dt), id=f"drift-d{d}-dt{dt}")
+    for d in (1, 2, 3, 4)
+    for dt in (0.25, 0.3)
+] + [
+    pytest.param(lambda d=d: per_node_tree(d, 60 + d), id=f"per-node-d{d}")
+    for d in (1, 2, 3, 4)
+] + [
+    pytest.param(lambda d=d: per_node_tree(d, 70 + d, 0.4), id=f"degenerate-d{d}")
+    for d in (2, 3, 4)
+]
 
 
 class TestTreeModel:
@@ -70,6 +119,41 @@ class TestTreeMeasureSet:
     def test_depth_guard(self):
         with pytest.raises(GuardRefusalError):
             tree_measure_set(TreeModel(7, 0.25, 0.75))
+
+    @pytest.mark.parametrize("make_tree", CORNER_TREES)
+    def test_matches_reference_bit_for_bit(self, make_tree):
+        tm = make_tree()
+        got = tree_measure_set(tm).weights_matrix
+        want = reference_corners(tm)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_full_depth_five_refused(self):
+        # 2^31 corners x 32 leaves: refused before anything is allocated
+        with pytest.raises(GuardRefusalError):
+            tree_measure_set(TreeModel.drift_bound(5))
+
+    def test_depth_five_with_fifteen_free_nodes(self):
+        rng = rng_from_seed(47)
+        q_lo = np.full(31, 0.5)
+        q_hi = np.full(31, 0.5)
+        q_lo[:15], q_hi[:15] = 0.25, 0.75  # levels 0-3 free, level 4 degenerate
+        q_lo[15:] = q_hi[15:] = rng.integers(2, 15, size=16) / 16
+        tm = TreeModel(5, q_lo, q_hi)
+        ms = tree_measure_set(tm)
+        assert len(ms) == 2 ** 15
+        for _ in range(3):
+            xi = random_variable(rng, ms.space)
+            root = g_expectation(tm, xi.values).root_value
+            assert rho(ms, xi).value == pytest.approx(root, abs=1e-10)
+
+    def test_guard_counts_matrix_entries(self, monkeypatch):
+        tm = TreeModel.drift_bound(2)  # 8 corners x 4 leaves
+        monkeypatch.setattr(gexp, "MAX_CORNER_ENTRIES", 32)
+        assert len(tree_measure_set(tm)) == 8
+        monkeypatch.setattr(gexp, "MAX_CORNER_ENTRIES", 31)
+        with pytest.raises(GuardRefusalError):
+            tree_measure_set(tm)
 
 
 class TestGExpectation:
@@ -171,6 +255,14 @@ class TestCompare:
     def test_top_leaf_indicator_differs(self):
         rep = compare_gexp_mmse(TreeModel.drift_bound(2), [1.0, 0.0, 0.0, 0.0], 1)
         assert rep.sup_diff > 1e-6
+
+    def test_reports_rho_over_its_corner_set(self):
+        tm = TreeModel.drift_bound(3)
+        xi = np.arange(8.0) % 3
+        rep = compare_gexp_mmse(tm, xi, 1)
+        ms = tree_measure_set(tm)
+        assert rep.rho_root == rho(ms, RandomVariable(ms.space, xi)).value
+        assert rep.rho_root == pytest.approx(g_expectation(tm, xi).root_value, abs=1e-12)
 
     def test_level_range(self):
         with pytest.raises(ArgumentError):

@@ -10,6 +10,7 @@ from robustmse import (
     PartitionAlgebra,
     RandomVariable,
     SampleSpace,
+    StructuralError,
     ZeroMassBlockError,
     conditional_expectation,
     density,
@@ -40,6 +41,78 @@ class TestMeasure:
         g = Measure(s, [0.5, 0.5])
         with pytest.warns(UserWarning):
             MeasureSet([g, g])
+
+
+class TestMeasureSetMatrix:
+    # the last two rows sum to 1 within SIMPLEX_TOL but not exactly, so renormalization acts
+    DRIFT = np.array([[0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3 + 1e-13], [0.6, 0.3, 0.1]])
+
+    def test_generators_wrap_the_stored_rows(self):
+        ms = MeasureSet.from_matrix(SampleSpace.of_size(3), self.DRIFT)
+        assert len(ms.generators) == len(ms) == 3
+        for k, g in enumerate(ms.generators):
+            assert g.weights.tobytes() == ms.weights_matrix[k].tobytes()
+            assert not g.weights.flags.writeable
+
+    def test_rows_renormalized_like_measures(self):
+        s = SampleSpace.of_size(3)
+        ms = MeasureSet.from_matrix(s, self.DRIFT)
+        for row, stored in zip(self.DRIFT, ms.weights_matrix):
+            assert stored.tobytes() == Measure(s, row).weights.tobytes()
+
+    def test_set_of_measures_keeps_their_bits(self):
+        rng = rng_from_seed(105)
+        s = SampleSpace.of_size(9)
+        gens = [Measure(s, rng.dirichlet(np.ones(9))) for _ in range(40)]
+        ms = MeasureSet(gens)
+        for k, g in enumerate(gens):
+            assert ms.weights_matrix[k].tobytes() == g.weights.tobytes()
+            assert ms.generators[k] == g
+
+    def test_matrix_and_measures_give_equal_sets(self):
+        s = SampleSpace.of_size(3)
+        from_rows = MeasureSet.from_matrix(s, self.DRIFT)
+        from_measures = MeasureSet([Measure(s, row) for row in self.DRIFT])
+        assert from_rows == from_measures
+        assert hash(from_rows) == hash(from_measures)
+        assert from_rows != MeasureSet.from_matrix(s, self.DRIFT[:2])
+        assert from_rows != MeasureSet.from_matrix(s, self.DRIFT[::-1])
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ([-0.1, 1.1], ArgumentError),
+            ([float("nan"), 0.5], ArgumentError),
+            ([0.4, 0.5], ArgumentError),
+            ([0.5, 0.25, 0.25], StructuralError),
+        ],
+    )
+    def test_bad_rows_raise_like_measure(self, row, error):
+        s = SampleSpace.of_size(2)
+        with pytest.raises(error):
+            Measure(s, row)
+        with pytest.raises(error):
+            MeasureSet.from_matrix(s, [row])
+        if len(row) == s.n:
+            with pytest.raises(error):
+                MeasureSet.from_matrix(s, [[0.5, 0.5], row])
+
+    def test_matrix_shape_checked(self):
+        s = SampleSpace.of_size(2)
+        with pytest.raises(StructuralError):
+            MeasureSet.from_matrix(s, [0.5, 0.5])
+        with pytest.raises(ArgumentError):
+            MeasureSet.from_matrix(s, np.empty((0, 2)))
+
+    def test_duplicate_rows_warn(self):
+        with pytest.warns(UserWarning):
+            MeasureSet.from_matrix(SampleSpace.of_size(2), [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]])
+
+    def test_input_array_not_aliased(self):
+        rows = self.DRIFT.copy()
+        ms = MeasureSet.from_matrix(SampleSpace.of_size(3), rows)
+        assert rows.tobytes() == self.DRIFT.tobytes()
+        assert not ms.weights_matrix.flags.writeable
 
 
 class TestExpectation:
