@@ -89,10 +89,9 @@ class _Quadratics:
         check_same_space(ms, xi, c)
         W = ms.weights_matrix
         x = xi.values
-        blocks = [list(b) for b in c.blocks]
-        self.mass = np.stack([W[:, b].sum(axis=1) for b in blocks], axis=1)
-        self.first = np.stack([W[:, b] @ x[b] for b in blocks], axis=1)
-        self.second = np.stack([W[:, b] @ (x[b] ** 2) for b in blocks], axis=1)
+        self.mass = c.block_sums(W)
+        self.first = c.block_sums(W * x)
+        self.second = c.block_sums(W * x**2)
         self.second_total = self.second.sum(axis=1)
         self.num_gen, self.num_blocks = self.mass.shape
         if np.any(self.mass.sum(axis=0) <= 0.0):
@@ -630,7 +629,7 @@ def kernel_member(
     if not is_measurable(eta_tilde, c):
         raise ArgumentError("eta_tilde must be measurable w.r.t. the partition")
     quad = _Quadratics(ms, xi, c)
-    eta = np.array([eta_tilde.values[b[0]] for b in c.blocks])
+    eta = eta_tilde.values[c.first]
     u = quad.centered(eta)
     member, _, _ = hull_membership(u, np.zeros(quad.num_blocks), tol)
     return member
@@ -692,7 +691,7 @@ def ns_condition(
     if not is_measurable(eta_hat, c):
         raise ArgumentError("eta_hat must be measurable w.r.t. the partition")
     quad = _Quadratics(ms, xi, c)
-    eta = np.array([eta_hat.values[b[0]] for b in c.blocks])
+    eta = eta_hat.values[c.first]
     b_vec = quad.centered(eta)  # E_{g_k}[(xi - eta_hat) 1_B]
     a_vec = quad.second_total - eta @ quad.first.T  # E_{g_k}[(xi - eta_hat) xi]
     resid = xi - eta_hat
@@ -772,8 +771,8 @@ def penalized_value(
     if not is_measurable(eta, c):
         raise ArgumentError("eta must be measurable w.r.t. the partition")
     upper = ess_sup_conditional(ms, xi, c)
-    eta_blocks = np.array([eta.values[b[0]] for b in c.blocks])
-    upper_blocks = np.array([upper.values[b[0]] for b in c.blocks])
+    eta_blocks = eta.values[c.first]
+    upper_blocks = upper.values[c.first]
     if np.all(eta_blocks >= upper_blocks - tol):
         diff = xi - eta
         return rho(ms, diff * diff).value

@@ -40,16 +40,17 @@ def _validate_options(options):
             _num(options[key], f"options.{key}")
     for key in ("max_iter", "level"):
         if key in options:
-            _require(
-                isinstance(options[key], int) and not isinstance(options[key], bool),
-                f"options.{key}",
-                "expected an integer",
-            )
+            _require(_is_int(options[key]), f"options.{key}", "expected an integer")
 
 
 def _require(cond, path, message):
     if not cond:
         raise ValidationError(path, message)
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _num(value, path) -> float:
@@ -201,7 +202,7 @@ def _parse_partition(doc, space, path) -> PartitionAlgebra:
     blocks = []
     for i, blk in enumerate(doc):
         _require(
-            isinstance(blk, list) and all(isinstance(j, int) for j in blk),
+            isinstance(blk, list) and all(_is_int(j) for j in blk),
             f"{path}[{i}]",
             "expected an array of integer indices",
         )
@@ -219,7 +220,7 @@ def _parse_tree_instance(doc, options) -> Instance:
     _require(not unknown, "tree", f"unknown fields {sorted(unknown)}")
     _require("depth" in tree_doc, "tree.depth", "required")
     depth = tree_doc["depth"]
-    _require(isinstance(depth, int) and depth >= 1, "tree.depth", "expected an integer >= 1")
+    _require(_is_int(depth) and depth >= 1, "tree.depth", "expected an integer >= 1")
     nodes = 2 ** depth - 1
 
     def interval(key):

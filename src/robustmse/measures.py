@@ -181,30 +181,18 @@ def expectation(p: Measure, x: RandomVariable) -> float:
 
 
 def conditional_expectation(
-    p: Measure,
-    x: RandomVariable,
-    c: PartitionAlgebra,
-    zero_block_policy: str = "error",
+    p: Measure, x: RandomVariable, c: PartitionAlgebra
 ) -> RandomVariable:
     """Blockwise average of x under p, broadcast back to the sample points.
 
-    zero_block_policy: "error" raises on a zero-mass block;
-    "fill_with_unconditional" writes E_p[x] there instead (exploratory use only).
+    Raises ZeroMassBlockError on the first block p does not charge.
     """
     check_same_space(p, x, c)
-    if zero_block_policy not in ("error", "fill_with_unconditional"):
-        raise ArgumentError(f"unknown zero_block_policy {zero_block_policy!r}")
-    out = np.empty(c.num_blocks)
-    for j, b in enumerate(c.blocks):
-        idx = list(b)
-        mass = float(np.sum(p.weights[idx]))
-        if mass <= 0.0:
-            if zero_block_policy == "error":
-                raise ZeroMassBlockError(b)
-            out[j] = expectation(p, x)
-        else:
-            out[j] = float(np.dot(p.weights[idx], x.values[idx])) / mass
-    return c.broadcast(out)
+    mass = c.block_sums(p.weights)
+    dead = mass <= 0.0
+    if np.any(dead):
+        raise ZeroMassBlockError(c.blocks[int(np.argmax(dead))])
+    return c.broadcast(c.block_sums(p.weights * x.values) / mass)
 
 
 def mix(ms: MeasureSet, w: MixtureWeights) -> Measure:

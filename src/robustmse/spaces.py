@@ -8,6 +8,7 @@ constructed, not measured, so there is no tolerance anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,10 +116,15 @@ class PartitionAlgebra:
 
     Blocks are canonicalized on construction (indices sorted within a block,
     blocks sorted by smallest member) so equality of algebras is structural.
+    Every blockwise operation goes through the read-only layout computed
+    here: labels[i] is the block containing sample point i, first[j] the
+    smallest index of block j, and block_sums adds along the sample axis.
     """
 
     space: SampleSpace
     blocks: tuple[tuple[int, ...], ...]
+    labels: np.ndarray = field(repr=False, compare=False)
+    first: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, space, blocks):
         canon = []
@@ -138,8 +144,13 @@ class PartitionAlgebra:
         if seen != set(range(space.n)):
             raise ArgumentError("blocks must cover every sample index")
         canon.sort(key=lambda b: b[0])
+        labels = np.empty(space.n, dtype=np.intp)
+        labels[np.concatenate(canon)] = np.repeat(np.arange(len(canon)), [len(b) for b in canon])
+        labels.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "blocks", tuple(canon))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "first", _frozen_array([b[0] for b in canon], dtype=np.intp))
 
     @property
     def num_blocks(self) -> int:
@@ -153,24 +164,23 @@ class PartitionAlgebra:
     def discrete(cls, space) -> "PartitionAlgebra":
         return cls(space, [(i,) for i in range(space.n)])
 
-    def block_of(self, i: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise StructuralError(f"index {i} not covered")
+    @cached_property
+    def _incidence(self) -> np.ndarray:
+        # n x B, 1.0 where point i lies in block j: 8*n*B bytes, kept while
+        # the partition lives since every blockwise sum multiplies by it
+        inc = np.zeros((self.space.n, self.num_blocks))
+        inc[np.arange(self.space.n), self.labels] = 1.0
+        return inc
 
-    def block_index(self) -> np.ndarray:
-        """Index of the containing block, per sample point."""
-        out = np.empty(self.space.n, dtype=int)
-        for j, b in enumerate(self.blocks):
-            out[list(b)] = j
-        return out
+    def block_sums(self, a) -> np.ndarray:
+        """Sum of a finite (..., n) array over each block: shape (..., B)."""
+        return np.asarray(a, dtype=float) @ self._incidence
 
     def refines(self, coarser: "PartitionAlgebra") -> bool:
         if self.space != coarser.space:
             raise StructuralError("partitions live on different sample spaces")
-        coarse_sets = [set(b) for b in coarser.blocks]
-        return all(any(set(b) <= cb for cb in coarse_sets) for b in self.blocks)
+        outer = coarser.labels
+        return bool(np.array_equal(outer, outer[self.first][self.labels]))
 
     def broadcast(self, block_values) -> RandomVariable:
         """Write one value per block identically at every index of the block."""
@@ -179,10 +189,7 @@ class PartitionAlgebra:
             raise StructuralError(
                 f"expected {self.num_blocks} block values, got {len(block_values)}"
             )
-        out = np.empty(self.space.n)
-        for j, b in enumerate(self.blocks):
-            out[list(b)] = block_values[j]
-        return RandomVariable(self.space, out)
+        return RandomVariable(self.space, block_values[self.labels])
 
 
 @dataclass(frozen=True)
@@ -218,7 +225,7 @@ def is_measurable(x: RandomVariable, c: PartitionAlgebra) -> bool:
     if x.space != c.space:
         raise StructuralError("variable and algebra live on different spaces")
     v = x.values
-    return all(np.all(v[list(b)] == v[b[0]]) for b in c.blocks)
+    return bool(np.array_equal(v, v[c.first][c.labels]))
 
 
 def refine_check(f: Filtration) -> bool:
@@ -239,7 +246,7 @@ def block_project(x: RandomVariable, c: PartitionAlgebra) -> RandomVariable:
     """Plain (unweighted) blockwise average; measurable w.r.t. c by construction."""
     if x.space != c.space:
         raise StructuralError("variable and algebra live on different spaces")
-    return c.broadcast([float(np.mean(x.values[list(b)])) for b in c.blocks])
+    return c.broadcast(c.block_sums(x.values) / np.bincount(c.labels))
 
 
 def check_same_space(*objs) -> SampleSpace:

@@ -47,16 +47,14 @@ def paste(q0: Measure, q: Measure, f: Filtration, level: int) -> PastedMeasure:
     if not 0 <= level < len(f.levels):
         raise ArgumentError(f"level {level} out of range 0..{len(f.levels) - 1}")
     algebra = f.levels[level]
-    out = np.zeros(q0.space.n)
-    for b in algebra.blocks:
-        idx = list(b)
-        base_mass = q0.mass(idx)
-        if base_mass == 0.0:
-            continue
-        tail_mass = q.mass(idx)
-        if tail_mass == 0.0:
-            raise PastingDegeneracyError(b)
-        out[idx] = (base_mass / tail_mass) * q.weights[idx]
+    base = algebra.block_sums(q0.weights)
+    tail = algebra.block_sums(q.weights)
+    charged = base > 0.0
+    degenerate = charged & (tail == 0.0)
+    if np.any(degenerate):
+        raise PastingDegeneracyError(algebra.blocks[int(np.argmax(degenerate))])
+    scale = np.divide(base, tail, out=np.zeros_like(base), where=charged)
+    out = scale[algebra.labels] * q.weights
     return PastedMeasure(base=q0, tail=q, switch_level=level, result=Measure(q0.space, out))
 
 

@@ -40,17 +40,18 @@ def rho(ms: MeasureSet, x: RandomVariable, tie_tol: float = TIE_TOL) -> RhoValue
 
 
 def _conditional_envelope(ms, x, c, reduce_fn) -> RandomVariable:
+    """Reduce the (K, B) table of generator conditional means over K; a
+    generator that gives a block zero mass is NaN there and skipped."""
     check_same_space(ms, x, c)
-    out = np.empty(c.num_blocks)
-    for j, b in enumerate(c.blocks):
-        idx = list(b)
-        masses = ms.weights_matrix[:, idx].sum(axis=1)
-        live = masses > 0.0
-        if not np.any(live):
-            raise ZeroMassBlockError(b, f"no generator charges block {tuple(b)}")
-        conds = (ms.weights_matrix[live][:, idx] @ x.values[idx]) / masses[live]
-        out[j] = float(reduce_fn(conds))
-    return c.broadcast(out)
+    mass = c.block_sums(ms.weights_matrix)
+    live = mass > 0.0
+    dead = ~live.any(axis=0)
+    if np.any(dead):
+        b = c.blocks[int(np.argmax(dead))]
+        raise ZeroMassBlockError(b, f"no generator charges block {b}")
+    weighted = c.block_sums(ms.weights_matrix * x.values)
+    means = np.divide(weighted, mass, out=np.full_like(mass, np.nan), where=live)
+    return c.broadcast(reduce_fn(means, axis=0))
 
 
 def ess_sup_conditional(
@@ -63,14 +64,14 @@ def ess_sup_conditional(
     the extremes are attained at generators (zero-mass generators contribute
     no conditional value there and are excluded exactly, not approximately).
     """
-    return _conditional_envelope(ms, x, c, np.max)
+    return _conditional_envelope(ms, x, c, np.nanmax)
 
 
 def ess_inf_conditional(
     ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra
 ) -> RandomVariable:
     """Mirror of ess_sup_conditional with min."""
-    return _conditional_envelope(ms, x, c, np.min)
+    return _conditional_envelope(ms, x, c, np.nanmin)
 
 
 def holder_bound(

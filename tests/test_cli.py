@@ -166,6 +166,22 @@ class TestSolveCommand:
             code = main(["solve", str(path)])
             assert code == 2, options
 
+    def test_boolean_partition_index_rejected(self, tmp_path, capsys):
+        # JSON booleans load as Python bools, which are ints; [[false], [true, 2]]
+        # must not parse as the partition [[0], [1, 2]]
+        doc = dict(
+            EXAMPLE,
+            omega=["a", "b", "c"],
+            generators=[[0.25, 0.25, 0.5], [0.5, 0.25, 0.25]],
+            xi=[1, 2, 3],
+            partition=[[False], [True, 2]],
+        )
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path)])
+        assert code == 2
+        assert "partition[0]" in capsys.readouterr().err
+
 
 class TestRhoCommand:
     def test_example(self, example_file, tmp_path):
@@ -294,6 +310,15 @@ class TestGexpCommand:
         path.write_text(json.dumps(self.tree_doc(7)))
         code = main(["gexp", str(path)])
         assert code == 4
+
+    def test_boolean_depth_rejected(self, tmp_path, capsys):
+        doc = self.tree_doc(1, leaves=[2, 8])
+        doc["tree"]["depth"] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        code = main(["gexp", str(path)])
+        assert code == 2
+        assert "tree.depth" in capsys.readouterr().err
 
     def test_builds_corner_set_once(self, tmp_path, monkeypatch):
         calls = []

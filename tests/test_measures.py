@@ -156,14 +156,6 @@ class TestConditionalExpectation:
             conditional_expectation(p, x, c)
         assert err.value.block == (2,)
 
-    def test_fill_policy(self):
-        space = SampleSpace.of_size(3)
-        p = Measure(space, [0.5, 0.5, 0.0])
-        c = PartitionAlgebra(space, [(0, 1), (2,)])
-        x = RandomVariable(space, [1.0, 2.0, 3.0])
-        out = conditional_expectation(p, x, c, zero_block_policy="fill_with_unconditional")
-        assert out.values[2] == pytest.approx(1.5)
-
 
 class TestMixAndReference:
     def test_even_mixture(self, two_point):
