@@ -335,230 +335,100 @@ def solve_mmse(
     )
 
 
-def _line_min_max_quadratics(quad, eta, d, t_lo, t_hi):
-    """Exact minimum over t in [t_lo, t_hi] of max_k r_k(eta + t*d).
-
-    Each r_k restricted to the line is a quadratic; the pointwise max attains
-    its minimum at a vertex of one piece, a crossing of two pieces, or an
-    endpoint, so evaluating that finite candidate list is exact.
-    """
-    a = quad.mass @ (d ** 2)
-    b = -2.0 * (quad.centered(eta) @ d)
-    c = quad.residuals(eta)
-    cands = [t_lo, t_hi]
-    for k in range(len(a)):
-        if a[k] > 0:
-            cands.append(-b[k] / (2.0 * a[k]))
-        for l in range(k + 1, len(a)):
-            da, db, dc = a[k] - a[l], b[k] - b[l], c[k] - c[l]
-            if abs(da) > 1e-300:
-                disc = db * db - 4.0 * da * dc
-                if disc >= 0.0:
-                    root = math.sqrt(disc)
-                    cands.append((-db + root) / (2.0 * da))
-                    cands.append((-db - root) / (2.0 * da))
-            elif abs(db) > 1e-300:
-                cands.append(-dc / db)
-    ts = np.clip(np.array(cands), t_lo, t_hi)
-    vals = np.max(a[None, :] * ts[:, None] ** 2 + b[None, :] * ts[:, None] + c[None, :], axis=1)
-    i = int(np.argmin(vals))
-    return float(ts[i]), float(vals[i])
-
-
-def _min_norm_in_hull(G):
-    """Min-norm point of conv(rows of G) by support enumeration (few rows).
-
-    For each support the equality-constrained minimizer of |mu @ G|^2 with
-    sum(mu) = 1 solves the bordered KKT system; supports whose solution
-    leaves the simplex are discarded, and the best feasible one wins.
-    """
-    k = G.shape[0]
-    best_g, best_n = None, np.inf
-    for mask in range(1, 1 << k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        a = len(idx)
-        Gs = G[idx]
-        kkt = np.zeros((a + 1, a + 1))
-        kkt[:a, :a] = Gs @ Gs.T
-        kkt[:a, a] = 1.0
-        kkt[a, :a] = 1.0
-        rhs = np.zeros(a + 1)
-        rhs[a] = 1.0
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        mu = sol[:a]
-        if np.any(mu < -1e-10) or abs(mu.sum() - 1.0) > 1e-8:
-            continue
-        g = np.clip(mu, 0.0, None) @ Gs / np.clip(mu, 0.0, None).sum()
-        n = float(g @ g)
-        if n < best_n:
-            best_g, best_n = g, n
-    return best_g if best_g is not None else G.mean(axis=0)
-
-
-def _min_max_descent(quad, eta, box, max_steps=300):
-    """Minimize max_k r_k by steepest descent on the min-norm subgradient with
-    exact line search; follows kinked valleys an axis-aligned grid cannot."""
-    eta = np.asarray(eta, dtype=float).copy()
-    r = quad.residuals(eta)
-    val = float(np.max(r))
-    scale = 1.0 + abs(val)
-    for _ in range(max_steps):
-        improved = False
-        for act_tol in (1e-7, 1e-9, 1e-12):
-            active = np.flatnonzero(r >= val - act_tol * scale)
-            grads = 2.0 * (eta[None, :] * quad.mass[active] - quad.first[active])
-            d = -_min_norm_in_hull(grads)
-            norm = float(np.max(np.abs(d)))
-            if norm <= 1e-16 * scale:
-                continue
-            d = d / norm
-            t_hi = np.inf
-            t_lo = -np.inf
-            for j in range(quad.num_blocks):
-                if d[j] > 0:
-                    t_hi = min(t_hi, (box - eta[j]) / d[j])
-                    t_lo = max(t_lo, (-box - eta[j]) / d[j])
-                elif d[j] < 0:
-                    t_hi = min(t_hi, (-box - eta[j]) / d[j])
-                    t_lo = max(t_lo, (box - eta[j]) / d[j])
-            if not t_hi > 0:
-                continue
-            t, new_val = _line_min_max_quadratics(quad, eta, d, max(t_lo, 0.0), t_hi)
-            if new_val < val - 1e-18 * scale and t != 0.0:
-                eta = eta + t * d
-                r = quad.residuals(eta)
-                val = float(np.max(r))
-                improved = True
-                break
-        if not improved:
-            break
-    return eta, val
-
-
-MAX_BRUTE_BLOCKS = 4
+MAX_BRUTE_BLOCKS = 16  # steps grow as B^2: 16 blocks take 7,000-8,500 (0.3 s at K = 300)
+MAX_ELLIPSOID_STEPS = 50_000
+_ELLIPSOID_TOL = 1e-13  # certified suboptimality, relative to bound(xi)^2
 
 
 def brute_force_mmse(
     ms: MeasureSet,
     xi: RandomVariable,
     c: PartitionAlgebra,
-    grid_step: float = 1e-3,
 ) -> EstimatorResult:
-    """Independent grid oracle for solve_mmse on instances with few blocks.
+    """Independent oracle for solve_mmse: a dual-free primal minimization.
 
-    F is a maximum of convex quadratics, hence convex with a single basin, so
-    the full-box grid is walked coarse-to-fine (a generous window around the
-    incumbent is re-gridded at each halving) down to grid_step, followed by
-    one coordinate-descent pass at grid_step/100. No dual information is used;
-    the worst-case mixture is recovered afterwards by a small LP.
+    Minimizes F(eta) = max_k E_{g_k}[(xi - eta)^2] over the B block values of
+    eta by the central-cut ellipsoid method (Yudin & Nemirovski 1976; Shor
+    1977) from the ball of radius sqrt(B) * bound(xi) around 0. The ball holds
+    a minimizer: clipping eta into the range of xi on each block raises no
+    r_k. Each step cuts through the centre c with the gradient g of the
+    largest r_k; F* >= F(c) - sqrt(g' P g), so the run stops once the best
+    centre is certified within 1e-13 * bound(xi)^2 of F*. iterations counts
+    the cuts; a run that reaches MAX_ELLIPSOID_STEPS is converged=False. The
+    worst-case mixture is recovered afterwards by a small LP.
     """
-    if grid_step <= 0:
-        raise ArgumentError("grid_step must be positive")
     if c.num_blocks > MAX_BRUTE_BLOCKS:
         raise GuardRefusalError(
             f"brute force limited to {MAX_BRUTE_BLOCKS} blocks, got {c.num_blocks}"
         )
-    quad = _Quadratics(ms, xi, c)
-    m = quad.num_blocks
-    M = max(xi.bound, grid_step)
+    check_same_space(ms, xi, c)
+    W, x, labels, n = ms.weights_matrix, xi.values, c.labels, c.num_blocks
+    mass = c.block_sums(W).sum(axis=0)
+    if np.any(mass <= 0.0):
+        raise ZeroMassBlockError(c.blocks[int(np.argmax(mass <= 0.0))])
+    M = xi.bound
+    tol = _ELLIPSOID_TOL * M**2
+    centre = np.zeros(n)
+    P = n * M**2 * np.eye(n)
+    best, best_val, lower = centre, math.inf, -math.inf
+    steps = 0
+    while True:
+        dev = x - centre[labels]
+        r = W @ dev**2
+        k = int(np.argmax(r))
+        if r[k] < best_val:
+            best, best_val = centre, float(r[k])
+        g = -2.0 * c.block_sums(W[k] * dev)
+        Pg = P @ g
+        gPg = float(g @ Pg)
+        # a rounding-indefinite P gives no bound; g = 0 certifies the centre
+        if gPg >= 0.0:
+            lower = max(lower, float(r[k]) - math.sqrt(gPg))
+        if best_val - lower <= tol or gPg <= 0.0 or steps == MAX_ELLIPSOID_STEPS:
+            break
+        steps += 1
+        b = Pg / math.sqrt(gPg)
+        centre = centre - b / (n + 1)
+        if n == 1:  # the general update divides by n^2 - 1; bisect instead
+            P = P / 4.0
+        else:
+            P = n * n / (n * n - 1.0) * (P - 2.0 / (n + 1) * np.outer(b, b))
 
-    def value(points):
-        # points: (P, m) -> worst-case mean square error per point
-        r = (
-            quad.second_total[None, :]
-            - 2.0 * points @ quad.first.T
-            + (points ** 2) @ quad.mass.T
+    warn = []
+    converged = best_val - lower <= tol
+    if not converged:
+        warn.append(
+            f"ellipsoid method stopped at bound gap {best_val - lower:.3e} > "
+            f"{tol:.1e} after {steps} steps"
         )
-        return r.max(axis=1)
-
-    def axis(lo, hi, h):
-        lo = max(lo, -M)
-        hi = min(hi, M)
-        j0 = math.ceil((lo + M) / h - 1e-12)
-        j1 = math.floor((hi + M) / h + 1e-12)
-        return -M + h * np.arange(j0, j1 + 1)
-
-    def sweep(axes, chunk=1 << 20):
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        best_i, best_v = -1, np.inf
-        for lo in range(0, len(pts), chunk):
-            vals = value(pts[lo : lo + chunk])
-            i = int(np.argmin(vals))
-            if vals[i] < best_v:
-                best_i, best_v = lo + i, float(vals[i])
-        return pts[best_i], best_v
-
-    # walk the single basin coarse-to-fine; at each resolution, re-center
-    # ("hop") until the window argmin is interior, so the search can travel
-    # down a narrow valley arbitrarily far before the window shrinks. The
-    # walk continues below grid_step to the refinement resolution: near-flat
-    # kinked valleys leave the best grid_step-lattice point several cells
-    # from the minimizer, and a single axis-aligned pass cannot recover that,
-    # whereas pattern search at the fine scale tracks the minimizer itself.
-    margin = 6
-    fine = grid_step / 100.0
-
-    def track(h_from, h_to, start, start_val):
-        best, best_val = start, start_val
-        h = h_from
-        while h > h_to:
-            h = max(h / 2.0, h_to)
-            for _ in range(200):
-                width = 2 * margin * h
-                axes = [axis(best[j] - width, best[j] + width, h) for j in range(m)]
-                cand, cand_val = sweep(axes)
-                hit_edge = any(
-                    abs(cand[j] - best[j]) > width - h / 2.0
-                    and -M + h / 2.0 < cand[j] < M - h / 2.0
-                    for j in range(m)
-                )
-                if cand_val < best_val:
-                    best, best_val = cand, cand_val
-                else:
-                    break
-                if not hit_edge:
-                    break
-        return best, best_val
-
-    h0 = max(2.0 * M / 20.0, grid_step)
-    best, best_val = sweep([axis(-M, M, h0)] * m)
-    best, best_val = track(h0, grid_step, best, best_val)
-    best, best_val = _min_max_descent(quad, best, M)
-    for j in range(m):
-        cand = np.arange(best[j] - grid_step, best[j] + grid_step + fine / 2, fine)
-        cand = np.clip(cand, -M, M)
-        pts = np.repeat(best[None, :], len(cand), axis=0)
-        pts[:, j] = cand
-        vals = value(pts)
-        i = int(np.argmin(vals))
-        best, best_val = pts[i], float(vals[i])
-
-    r = quad.residuals(best)
-    lam = _recover_mixture(quad, best, r)
-    alpha = float(np.max(r))
+    dev = x - best[labels]
+    r = W @ dev**2
+    unit = M or 1.0  # xi = 0 leaves u = r = 0
+    lam = _recover_mixture(c.block_sums(W * dev) / unit, r / unit**2)
     return EstimatorResult(
         eta_hat=c.broadcast(best),
         p_hat=MixtureWeights(lam),
-        alpha=alpha,
-        saddle_gap=alpha - float(lam @ r),
-        iterations=0,
+        alpha=best_val,
+        saddle_gap=max(0.0, best_val - float(lam @ r)),  # lam @ r <= max r but for rounding
+        iterations=steps,
         solver=SOLVER_BRUTE,
-        converged=True,
-        warnings=(),
+        converged=converged,
+        warnings=tuple(warn),
     )
 
 
-def _recover_mixture(quad, eta, r):
+def _recover_mixture(u, r):
     """Best certificate mixture at a fixed eta: maximize lam @ r over simplex
-    weights whose mixture (nearly) reproduces eta as its conditional mean.
+    weights with lam @ u = 0, u[k, B] = E_{g_k}[(xi - eta) 1_B], so that the
+    mixture reproduces eta as its conditional mean. u and r come in units of
+    bound(xi) and its square.
 
-    A grid point satisfies the mean equations only approximately, so they are
-    imposed through heavily penalized elastic slacks rather than hard
-    equalities; the LP is then always feasible and bounded.
+    eta is a minimizer only to within the oracle's tolerance, so the mean
+    equations get elastic slacks with a light penalty: a slack s lowers the
+    mixture's dual value by O(s^2), weight on a generator whose r_k is below
+    the maximum lowers it at first order.
     """
-    u = quad.centered(eta)  # (K, m); want lam @ u = 0
-    K, m = quad.num_gen, quad.num_blocks
+    K, m = u.shape
     # variables: lam (K), slack+ (m), slack- (m)
     A = np.zeros((m + 1, K + 2 * m))
     A[:m, :K] = u.T
@@ -566,8 +436,7 @@ def _recover_mixture(quad, eta, r):
     A[:m, K + m :] = -np.eye(m)
     A[m, :K] = 1.0
     b = np.concatenate([np.zeros(m), [1.0]])
-    scale = 1.0 + float(np.max(np.abs(r)))
-    c = np.concatenate([-r / scale, np.full(2 * m, 1e6)])
+    c = np.concatenate([-r, np.full(2 * m, 1e-3)])
     res = solve_lp(c, A, b)
     lam = np.clip(res.x[:K], 0.0, None)
     if res.status != "optimal" or lam.sum() <= 0:

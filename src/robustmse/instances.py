@@ -26,7 +26,6 @@ FORMAT_VERSION = "1"
 _KNOWN_OPTIONS = {
     "tol",
     "max_iter",
-    "grid_step",
     "level",
     "ns_tol",
 }
@@ -35,7 +34,7 @@ _KNOWN_OPTIONS = {
 def _validate_options(options):
     bad = set(options) - _KNOWN_OPTIONS
     _require(not bad, "options", f"unknown option(s) {sorted(bad)}")
-    for key in ("tol", "grid_step", "ns_tol"):
+    for key in ("tol", "ns_tol"):
         if key in options:
             _num(options[key], f"options.{key}")
     for key in ("max_iter", "level"):

@@ -95,7 +95,7 @@ def oracle_instances():
 @lru_cache(maxsize=1)
 def oracle_solutions():
     return [
-        (ms, xi, c, solve_mmse(ms, xi, c), brute_force_mmse(ms, xi, c, GRID_STEP))
+        (ms, xi, c, solve_mmse(ms, xi, c), brute_force_mmse(ms, xi, c))
         for ms, xi, c in oracle_instances()
     ]
 
@@ -114,7 +114,7 @@ def test_criterion_01_example_reproduction():
 
 
 def test_criterion_02_oracle_equivalence():
-    with criterion(2, "200 seeded instances: grid oracle agrees with the saddle solver"):
+    with criterion(2, "200 seeded instances: ellipsoid oracle agrees with the saddle solver"):
         start = time.perf_counter()
         for ms, xi, c, solved, brute in oracle_solutions():
             assert solved.converged
@@ -306,7 +306,7 @@ def test_criterion_11_gexp_contrast():
         assert rep2.sup_diff > 1e-9
         ms2 = tree_measure_set(tm2)
         xi2 = RandomVariable(ms2.space, indicator)
-        brute = brute_force_mmse(ms2, xi2, tm2.level_partition(1), GRID_STEP)
+        brute = brute_force_mmse(ms2, xi2, tm2.level_partition(1))
         assert np.max(np.abs(brute.eta_hat.values - rep2.mmse.values)) <= 2 * GRID_STEP
         assert float(np.max(np.abs(rep2.gexp_cond.values - brute.eta_hat.values))) > 1e-6
         rng = rng_from_seed(SEED_STABLE_TREES + 1)

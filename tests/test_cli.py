@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import robustmse.estimator
 import robustmse.gexp
 from robustmse.cli import main
 from robustmse.instances import (
@@ -157,8 +158,14 @@ class TestSolveCommand:
         assert out["result"]["ns_condition"]["holds"] is False
 
     def test_unknown_option_rejected(self, tmp_path, capsys):
-        # no command reads solver, seed or trials, so they are not accepted
-        unknown = ({"tolerance": 1e-8}, {"solver": "brute_force"}, {"seed": 7}, {"trials": 10})
+        # no command reads solver, seed, trials or grid_step, so they are not accepted
+        unknown = (
+            {"tolerance": 1e-8},
+            {"solver": "brute_force"},
+            {"seed": 7},
+            {"trials": 10},
+            {"grid_step": 1e-3},
+        )
         for options in unknown:
             doc = dict(EXAMPLE, options=options)
             path = tmp_path / "opt.json"
@@ -229,10 +236,37 @@ class TestRhoCommand:
 
 class TestOracleCommand:
     def test_example_agrees(self, example_file, tmp_path):
-        code, doc = run(["oracle", example_file, "--grid-step", "1e-3"], tmp_path)
+        code, doc = run(["oracle", example_file], tmp_path)
         assert code == 0
         assert doc["result"]["agree"] is True
         assert doc["result"]["alpha_diff"] <= 1e-4
+
+    @pytest.mark.parametrize("s", [1e-6, 1e6])
+    def test_agreement_does_not_depend_on_units(self, tmp_path, s):
+        # at xi * 1e6 the second instance's alpha_diff (0.04) and eta_sup_diff
+        # (0.2) are rounding relative to bound(xi), far above any fixed cut-off
+        interior = {
+            "version": "1",
+            "omega": ["a", "b", "c", "d"],
+            "generators": [
+                [0.3125, 0.1875, 0.1875, 0.3125],
+                [0.1875, 0.375, 0.1875, 0.25],
+            ],
+            "xi": [-0.875, -1.9375, -0.8125, -1.875],
+            "partition": [[0, 1], [2, 3]],
+        }
+        for doc in (EXAMPLE, interior):
+            path = tmp_path / "scaled.json"
+            path.write_text(json.dumps(dict(doc, xi=[v * s for v in doc["xi"]])))
+            code, out = run(["oracle", str(path)], tmp_path)
+            assert code == 0
+            assert out["result"]["agree"] is True
+
+    def test_oracle_step_cap_exit_code(self, example_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(robustmse.estimator, "MAX_ELLIPSOID_STEPS", 1)
+        code, doc = run(["oracle", example_file], tmp_path)
+        assert code == 3
+        assert doc["result"]["brute_force"]["converged"] is False
 
 
 class TestStabilityCommand:

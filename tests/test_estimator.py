@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import robustmse.estimator
 from robustmse import (
     ArgumentError,
     EstimatorResult,
@@ -29,7 +30,13 @@ from robustmse import (
     solve_mmse,
     verify_saddle,
 )
-from robustmse.randgen import rng_from_seed, random_instance
+from robustmse.randgen import (
+    random_instance,
+    random_measure_set,
+    random_partition,
+    random_variable,
+    rng_from_seed,
+)
 
 
 def blocks_of(res, c):
@@ -145,7 +152,9 @@ class TestSolveMmse:
 class TestBruteForce:
     def test_example_instance(self, two_point):
         _, ms, xi, triv = two_point
-        res = brute_force_mmse(ms, xi, triv, 1e-3)
+        res = brute_force_mmse(ms, xi, triv)
+        assert res.converged
+        assert res.iterations > 0
         assert res.eta_hat.values == pytest.approx([5.0, 5.0], abs=1e-3)
         assert res.alpha == pytest.approx(9.0, abs=1e-5)
         assert res.solver == "brute_force"
@@ -154,29 +163,84 @@ class TestBruteForce:
         rng = rng_from_seed(24)
         ms, xi, c = random_instance(rng, max_blocks=3)
         single = MeasureSet([ms.generators[0]])
-        res = brute_force_mmse(single, xi, c, 1e-3)
+        res = brute_force_mmse(single, xi, c)
         cond = conditional_expectation(ms.generators[0], xi, c)
         assert np.max(np.abs(res.eta_hat.values - cond.values)) < 1e-3
 
     def test_constant_input(self, two_point):
         space, ms, _, triv = two_point
         const = RandomVariable(space, [1.5, 1.5])
-        res = brute_force_mmse(ms, const, triv, 1e-3)
+        res = brute_force_mmse(ms, const, triv)
         assert res.eta_hat.values == pytest.approx([1.5, 1.5], abs=1e-5)
         assert res.alpha == pytest.approx(0.0, abs=1e-9)
 
+    def test_zero_variable(self):
+        # bound(xi) = 0: the start ball is a point, and F there is exactly 0
+        rng = rng_from_seed(37)
+        ms, xi, c = random_instance(rng)
+        res = brute_force_mmse(ms, xi * 0.0, c)
+        assert res.converged
+        assert res.alpha == 0.0
+        assert np.all(res.eta_hat.values == 0.0)
+
     def test_block_guard(self):
-        space = SampleSpace.of_size(5)
-        ms = MeasureSet([Measure(space, [0.2] * 5)])
-        xi = RandomVariable(space, [1.0, 2.0, 3.0, 4.0, 5.0])
+        space = SampleSpace.of_size(17)
+        ms = MeasureSet([Measure(space, [1.0 / 17] * 17)])
+        xi = RandomVariable(space, [float(i) for i in range(17)])
         c = PartitionAlgebra.discrete(space)
         with pytest.raises(GuardRefusalError):
-            brute_force_mmse(ms, xi, c, 1e-3)
+            brute_force_mmse(ms, xi, c)
 
-    def test_grid_step_positive(self, two_point):
+    @pytest.mark.parametrize("blocks", [8, 16])
+    def test_agrees_with_solver_at_many_blocks(self, blocks):
+        rng = rng_from_seed(38 + blocks)
+        space = SampleSpace.of_size(2 * blocks)
+        for _ in range(2):
+            ms = random_measure_set(rng, space, 12, denominator=64)
+            xi = random_variable(rng, space)
+            c = random_partition(rng, space, blocks)
+            res = brute_force_mmse(ms, xi, c)
+            solved = solve_mmse(ms, xi, c)
+            assert res.converged
+            assert abs(res.alpha - solved.alpha) <= 1e-12 * xi.bound**2
+            assert np.max(np.abs(res.eta_hat.values - solved.eta_hat.values)) <= (
+                1e-5 * xi.bound
+            )
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    def test_scale_equivariance(self, s):
+        rng = rng_from_seed(39)
+        for _ in range(10):
+            ms, xi, c = random_instance(rng)
+            base = brute_force_mmse(ms, xi, c)
+            res = brute_force_mmse(ms, xi * s, c)
+            assert res.converged
+            assert abs(res.alpha - s * s * base.alpha) <= 1e-10 * (s * xi.bound) ** 2
+            assert np.max(np.abs(res.eta_hat.values - s * base.eta_hat.values)) <= (
+                1e-5 * s * xi.bound
+            )
+
+    def test_certified_minimum(self):
+        # alpha is certified within 1e-13 bound^2 of min F, so no point of
+        # the box may beat it by more; the recovered mixture closes the gap
+        rng = rng_from_seed(40)
+        for _ in range(10):
+            ms, xi, c = random_instance(rng)
+            res = brute_force_mmse(ms, xi, c)
+            M = xi.bound
+            assert abs(res.saddle_gap) <= 1e-12 * M * M
+            points = rng.uniform(-M, M, size=(200, c.num_blocks))
+            dev = xi.values[None, :] - points[:, c.labels]
+            F = np.max(dev**2 @ ms.weights_matrix.T, axis=1)
+            assert np.min(F) >= res.alpha - 1e-13 * M * M
+
+    def test_step_cap_reports_nonconvergence(self, two_point, monkeypatch):
         _, ms, xi, triv = two_point
-        with pytest.raises(ArgumentError):
-            brute_force_mmse(ms, xi, triv, 0.0)
+        monkeypatch.setattr(robustmse.estimator, "MAX_ELLIPSOID_STEPS", 1)
+        res = brute_force_mmse(ms, xi, triv)
+        assert not res.converged
+        assert res.iterations == 1
+        assert any("ellipsoid" in w for w in res.warnings)
 
 
 class TestVerifySaddle:
