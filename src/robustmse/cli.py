@@ -103,9 +103,10 @@ def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
     payload["saddle_certificate"] = certificate_dict(cert)
     payload["kernel_member"] = member
     payload["ns_condition"] = {
-        "inf_value": _json_inf(ns.inf_value),
+        "lower_bound": _json_inf(ns.lower_bound),
         "rho_sq": ns.rho_sq,
         "holds": ns.holds,
+        "active": ns.active,
     }
     ok = cert.passed and member and ns.holds
     return payload, EXIT_OK if ok else EXIT_CERTIFICATE

@@ -41,7 +41,7 @@ from .measures import (
     is_proper,
     mix,
 )
-from .simplexlp import box_epigraph_min, hull_membership, solve_lp
+from .simplexlp import hull_membership, solve_lp
 from .spaces import PartitionAlgebra, RandomVariable, check_same_space, is_measurable
 from .sublinear import ess_inf_conditional, ess_sup_conditional, rho
 
@@ -480,6 +480,16 @@ def verify_saddle(
     )
 
 
+def _centered_moments(ms, xi, c, eta_tilde, name):
+    """d = xi - eta_tilde and u[k, B] = E_{g_k}[d 1_B] / M, M = bound(xi) (1 for
+    xi = 0): the unit-free linear coefficients of rho[(xi - eta_tilde) eta]."""
+    if not is_measurable(eta_tilde, c):
+        raise ArgumentError(f"{name} must be measurable w.r.t. the partition")
+    check_same_space(ms, xi, c)
+    d = xi.values - eta_tilde.values
+    return d, c.block_sums(ms.weights_matrix * d) / (xi.bound or 1.0)
+
+
 def kernel_member(
     ms: MeasureSet,
     xi: RandomVariable,
@@ -492,15 +502,12 @@ def kernel_member(
     The inner expectations are linear in eta with coefficient vectors
     u_k[B] = E_{g_k}[(xi - eta_tilde) 1_B]; by positive homogeneity the infimum
     is 0 exactly when 0 lies in the convex hull of the u_k and -infinity
-    otherwise, so membership is one linear feasibility problem decided by the
-    in-repo simplex.
+    otherwise. Membership is one linear feasibility problem, decided by the
+    in-repo simplex on u_k / bound(xi), so that tol (the phase-1 residual)
+    does not depend on the units of xi.
     """
-    if not is_measurable(eta_tilde, c):
-        raise ArgumentError("eta_tilde must be measurable w.r.t. the partition")
-    quad = _Quadratics(ms, xi, c)
-    eta = eta_tilde.values[c.first]
-    u = quad.centered(eta)
-    member, _, _ = hull_membership(u, np.zeros(quad.num_blocks), tol)
+    _, u = _centered_moments(ms, xi, c, eta_tilde, "eta_tilde")
+    member, _, _ = hull_membership(u, np.zeros(c.num_blocks), tol)
     return member
 
 
@@ -537,9 +544,10 @@ def kernel_interval(
 
 @dataclass(frozen=True)
 class NsReport:
-    inf_value: float  # -inf when the inner problem is unbounded below
+    lower_bound: float  # certified bound on the infimum; -inf when the hull test fails
     rho_sq: float
     holds: bool
+    active: int  # generators with r_k within tol * bound(xi)^2 of rho_sq
 
 
 def ns_condition(
@@ -552,26 +560,33 @@ def ns_condition(
 ) -> NsReport:
     """Check inf over C-measurable eta of rho[(xi - eta_hat)(xi - eta)] == rho(xi - eta_hat)^2.
 
-    The infimum is a piecewise-linear convex program solved in epigraph form
-    over the box |eta| <= bound(xi); the 0-or-minus-infinity dichotomy of the
-    unrestricted problem is decided first by a hull test on the linear
-    coefficients.
+    With d = xi - eta_hat, r_k = E_{g_k}[d^2], u_k[B] = E_{g_k}[d 1_B] and
+    a_k = E_{g_k}[d xi], the inner function is h(eta) = max_k (a_k - u_k @ eta)
+    and h(eta_hat) = max_k r_k = rho_sq, since a_k - u_k @ eta_hat = r_k. For
+    simplex weights mu, h >= mu @ a - M * |mu @ u|_1 on the box |eta| <= M =
+    bound(xi) (1 for xi = 0). So the check is a hull test on the active
+    generators, those with r_k >= rho_sq - tol * M^2 (Rockafellar 1970, sec.
+    23): it looks for mu on them with mu @ u / M = 0 within hull_tol, and
+    holds when the certified lower bound is within tol * M^2 of rho_sq. The
+    box needs no normal-cone term: where eta_hat touches +-M, |xi| <= M makes
+    every u_k one-signed on that block.
     """
-    if not is_measurable(eta_hat, c):
-        raise ArgumentError("eta_hat must be measurable w.r.t. the partition")
-    quad = _Quadratics(ms, xi, c)
-    eta = eta_hat.values[c.first]
-    b_vec = quad.centered(eta)  # E_{g_k}[(xi - eta_hat) 1_B]
-    a_vec = quad.second_total - eta @ quad.first.T  # E_{g_k}[(xi - eta_hat) xi]
-    resid = xi - eta_hat
-    rho_sq = rho(ms, resid * resid).value
-
-    member, _, _ = hull_membership(b_vec, np.zeros(quad.num_blocks), hull_tol)
+    d, u = _centered_moments(ms, xi, c, eta_hat, "eta_hat")
+    W = ms.weights_matrix
+    M = xi.bound or 1.0
+    r = W @ (d * d)
+    rho_sq = float(np.max(r))
+    active = np.flatnonzero(r >= rho_sq - tol * M * M)
+    member, mu, _ = hull_membership(u[active], np.zeros(c.num_blocks), hull_tol)
     if not member:
-        return NsReport(inf_value=-math.inf, rho_sq=rho_sq, holds=False)
-    inf_value, _ = box_epigraph_min(a_vec, b_vec, xi.bound)
+        return NsReport(lower_bound=-math.inf, rho_sq=rho_sq, holds=False, active=len(active))
+    # mu @ a - M |mu @ u|_1, with u in units of M
+    lower = float(mu @ (W[active] @ (d * xi.values)) - M * M * np.abs(mu @ u[active]).sum())
     return NsReport(
-        inf_value=inf_value, rho_sq=rho_sq, holds=abs(inf_value - rho_sq) <= tol
+        lower_bound=lower,
+        rho_sq=rho_sq,
+        holds=rho_sq - lower <= tol * M * M,
+        active=len(active),
     )
 
 

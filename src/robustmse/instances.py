@@ -65,8 +65,14 @@ def _num(value, path) -> float:
     raise ValidationError(path, f"expected a number, got {type(value).__name__}")
 
 
+_PLAIN_NUMBERS = frozenset((int, float))  # exact types: a bool's type is not int
+
+
 def _num_list(values, path) -> list[float]:
     _require(isinstance(values, list), path, "expected an array")
+    if set(map(type, values)) <= _PLAIN_NUMBERS:
+        return list(map(float, values))
+    # anything else takes the per-value walk, which names the offending entry
     return [_num(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
@@ -291,14 +297,12 @@ def canonical_dict(inst: Instance) -> dict:
             "q_lo": [float(v) for v in inst.tree.q_lo],
             "q_hi": [float(v) for v in inst.tree.q_hi],
             "dt": inst.tree.dt,
-            "leaf_values": [float(v) for v in inst.xi.values],
+            "leaf_values": inst.xi.values.tolist(),
         }
     else:
         out["omega"] = list(inst.space.labels)
-        out["generators"] = [
-            [float(w) for w in g.weights] for g in inst.measure_set.generators
-        ]
-        out["xi"] = [float(v) for v in inst.xi.values]
+        out["generators"] = inst.measure_set.weights_matrix.tolist()
+        out["xi"] = inst.xi.values.tolist()
         if inst.partition is not None:
             out["partition"] = [list(b) for b in inst.partition.blocks]
         else:

@@ -1,11 +1,13 @@
-"""Dense two-phase simplex with Bland's rule, plus the two wrappers this
-package actually needs: convex-hull membership and a box-constrained
-epigraph minimization.
+"""Dense two-phase simplex with Bland's rule, plus two wrappers: convex-hull
+membership, and a box-constrained epigraph minimization. The package calls
+only the first (the NS check is a hull test on the active generators); the
+tests use the second as the exact reference for the NS lower bound.
 
-Problem sizes here are tiny (a handful of generators times at most a few
-dozen partition blocks), so a dense tableau is the simplest thing that is
-bit-reproducible: Bland's anti-cycling pivot makes the pivot sequence, and
-therefore the result, deterministic.
+The problems here have few rows (one per block or sample point), though
+kernel membership on a depth-4 tree has 32,768 columns, so a dense tableau is
+the simplest thing that is bit-reproducible: Bland's anti-cycling pivot makes
+the pivot sequence, and therefore the result, deterministic. The tolerances
+(PIVOT_EPS, feas_tol) are absolute, so callers pass data scaled to order one.
 """
 
 from __future__ import annotations
@@ -158,7 +160,9 @@ def box_epigraph_min(a, B, box_radius):
     """min over t, eta of t subject to t >= a_k - B[k] @ eta and |eta| <= box_radius.
 
     Epigraph LP for the lower envelope of finitely many affine functions over
-    a sup-norm box. Always feasible and bounded. Returns (value, eta).
+    a sup-norm box. Always feasible and bounded. Returns (value, eta). Its
+    constraint matrix alone has (k + m) x (k + 2m + 2) float64 cells, 8 GiB at
+    k = 32768, so it serves only as an exact reference on small problems.
     """
     a = np.asarray(a, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))

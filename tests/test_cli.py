@@ -1,10 +1,13 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import robustmse.estimator
 import robustmse.gexp
 from robustmse.cli import main
+from robustmse.errors import ValidationError
 from robustmse.instances import (
     canonical_dict,
     instance_digest,
@@ -94,6 +97,101 @@ class TestParsing:
         assert list(inst.xi.values) == [2.0, 8.0]
 
 
+README_EXAMPLE = dict(EXAMPLE, options={"tol": 1e-8})
+README_DIGEST = "bc749a6b539166cae7c00aef4254548bc48a7cb431c38353bd5b612acb999850"
+
+
+def reference_digest(inst):
+    """The digest built value by value from the parsed objects."""
+    out = {"version": "1"}
+    if inst.tree is not None:
+        out["tree"] = {
+            "depth": inst.tree.depth,
+            "q_lo": [float(v) for v in inst.tree.q_lo],
+            "q_hi": [float(v) for v in inst.tree.q_hi],
+            "dt": inst.tree.dt,
+            "leaf_values": [float(v) for v in inst.xi.values],
+        }
+    else:
+        out["omega"] = list(inst.space.labels)
+        out["generators"] = [[float(w) for w in g.weights] for g in inst.measure_set.generators]
+        out["xi"] = [float(v) for v in inst.xi.values]
+        out["partition"] = [list(b) for b in inst.partition.blocks]
+    if inst.options:
+        out["options"] = dict(sorted(inst.options.items()))
+    blob = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class TestNumberArrays:
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("generators", True, "generators[1][2]: expected a number, got a boolean"),
+            ("generators", "x1", "generators[1][2]: not a number: 'x1'"),
+            ("generators", None, "generators[1][2]: expected a number, got NoneType"),
+            ("xi", False, "xi[2]: expected a number, got a boolean"),
+            ("xi", "1/2", "xi[2]: not a number: '1/2'"),
+            ("xi", [1], "xi[2]: expected a number, got list"),
+        ],
+    )
+    def test_error_names_the_entry(self, field, bad, message):
+        doc = {
+            "version": "1",
+            "omega": ["a", "b", "c", "d"],
+            "generators": [[0.25, 0.25, 0.25, 0.25], [0.125, 0.375, 0.25, 0.25]],
+            "xi": [1, 2.5, 3, 4],
+            "partition": [[0, 1], [2, 3]],
+        }
+        if field == "xi":
+            doc["xi"][2] = bad
+        else:
+            doc["generators"][1][2] = bad
+        with pytest.raises(ValidationError) as err:
+            parse_instance(doc)
+        assert str(err.value) == message
+
+    def test_decimal_string_among_plain_numbers(self):
+        doc = dict(EXAMPLE, generators=[[0.25, "0.75"], [0.75, 0.25]], xi=[2, "8.5"])
+        inst = parse_instance(doc)
+        assert inst.measure_set.weights_matrix.tolist() == [[0.25, 0.75], [0.75, 0.25]]
+        assert inst.xi.values.tolist() == [2.0, 8.5]
+
+    def test_digest_matches_per_value_build(self):
+        trees = [
+            {"version": "1", "tree": {"depth": 2, "q_lo": 0.25, "q_hi": 0.75, "dt": 0.25,
+                                      "leaf_values": [1, "0.5", -2, 0]}, "options": {"level": 1}},
+            {"version": "1", "tree": {"depth": 2, "q_lo": [0.125, 0.25, 0.375],
+                                      "q_hi": [0.5, 0.875, 0.75], "leaf_values": [3, 1, 4, 1]}},
+        ]
+        docs = [EXAMPLE, README_EXAMPLE, *seeded_partition_docs(2702, 8), *trees]
+        for doc in docs:
+            inst = parse_instance(json.loads(json.dumps(doc)))
+            assert instance_digest(inst) == reference_digest(inst)
+        # pinned: the README example's digest
+        assert instance_digest(parse_instance(README_EXAMPLE)) == README_DIGEST
+
+
+def seeded_partition_docs(seed, count):
+    """Dyadic partition instances: K 2-50 strictly positive generators on 6-40
+    points, 1-6 blocks."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(6, 41))
+        K = int(rng.choice([2, 5, 12, 50]))
+        B = int(rng.integers(1, 7))
+        weights = (rng.multinomial(1024 - n, np.full(n, 1.0 / n), size=K) + 1) / 1024
+        cuts = np.sort(rng.choice(np.arange(1, n), size=B - 1, replace=False))
+        blocks = [sorted(int(i) for i in b) for b in np.split(rng.permutation(n), cuts)]
+        yield {
+            "version": "1",
+            "omega": [f"w{i}" for i in range(n)],
+            "generators": weights.tolist(),
+            "xi": (rng.integers(-32, 33, size=n) / 16).tolist(),
+            "partition": blocks,
+        }
+
+
 class TestSolveCommand:
     def test_example(self, example_file, tmp_path):
         code, doc = run(["solve", example_file], tmp_path)
@@ -156,6 +254,34 @@ class TestSolveCommand:
         code, out = run(["solve", str(path)], tmp_path)
         assert code == 1
         assert out["result"]["ns_condition"]["holds"] is False
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    def test_certificates_do_not_depend_on_units(self, tmp_path, s):
+        for i, doc in enumerate(seeded_partition_docs(2701, 12)):
+            path = tmp_path / f"scaled{i}.json"
+            path.write_text(json.dumps(dict(doc, xi=[v * s for v in doc["xi"]])))
+            code, out = run(["solve", str(path)], tmp_path)
+            assert code == 0, (i, out["result"])
+            assert out["result"]["saddle_certificate"]["passed"]
+            assert out["result"]["kernel_member"] is True
+            assert out["result"]["ns_condition"]["holds"] is True
+
+    def test_depth_four_tree(self, tmp_path):
+        # the corner set has 32,768 generators; only the active ones enter the NS test
+        leaves = [((7 * i) % 11 - 5) / 4 for i in range(16)]
+        doc = {
+            "version": "1",
+            "tree": {"depth": 4, "q_lo": 0.25, "q_hi": 0.75, "dt": 0.25, "leaf_values": leaves},
+            "options": {"level": 3},
+        }
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["solve", str(path)], tmp_path)
+        assert code == 0
+        ns = out["result"]["ns_condition"]
+        assert ns["holds"] is True
+        assert 1 <= ns["active"] < 2**15
+        assert out["result"]["kernel_member"] is True
 
     def test_unknown_option_rejected(self, tmp_path, capsys):
         # no command reads solver, seed, trials or grid_step, so they are not accepted

@@ -19,6 +19,7 @@ from robustmse import (
     brute_force_mmse,
     conditional_expectation,
     ess_sup_conditional,
+    expectation,
     is_measurable,
     kernel_interval,
     kernel_member,
@@ -37,6 +38,7 @@ from robustmse.randgen import (
     random_variable,
     rng_from_seed,
 )
+from robustmse.simplexlp import box_epigraph_min
 
 
 def blocks_of(res, c):
@@ -291,6 +293,17 @@ class TestKernel:
         for g in ms.generators:
             assert kernel_member(ms, xi, triv, conditional_expectation(g, xi, triv))
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_membership_does_not_depend_on_units(self, scale):
+        # eta_hat is a member; a quarter of bound(xi) above the upper envelope is not
+        for _, ms, xi, c in ns_instances(2604, 40):
+            eta_hat = solve_mmse(ms, xi, c).eta_hat
+            shifted = ess_sup_conditional(ms, xi, c) + 0.25 * xi.bound
+            assert kernel_member(ms, xi, c, eta_hat)
+            assert not kernel_member(ms, xi, c, shifted)
+            assert kernel_member(ms, xi * scale, c, eta_hat * scale)
+            assert not kernel_member(ms, xi * scale, c, shifted * scale)
+
     def test_non_measurable_rejected(self, two_point):
         space, ms, xi, triv = two_point
         with pytest.raises(ArgumentError):
@@ -327,20 +340,79 @@ class TestKernel:
         assert band.lower == xi and band.upper == xi
 
 
+def exact_box_infimum(ms, xi, c, eta):
+    """min over |eta'| <= bound(xi) of rho[(xi - eta)(xi - eta')], by the epigraph LP."""
+    resid = xi - eta
+    a = [expectation(g, resid * xi) for g in ms.generators]
+    u = [
+        [expectation(g, resid * c.broadcast(np.eye(c.num_blocks)[j])) for j in range(c.num_blocks)]
+        for g in ms.generators
+    ]
+    value, _ = box_epigraph_min(np.array(a), np.array(u), xi.bound)
+    return value
+
+
+def ns_instances(seed, count):
+    rng = rng_from_seed(seed)
+    for _ in range(count):
+        n = int(rng.integers(4, 12))
+        space = SampleSpace.of_size(n)
+        ms = random_measure_set(rng, space, int(rng.integers(2, 8)))
+        xi = random_variable(rng, space)
+        c = random_partition(rng, space, int(rng.integers(1, min(4, n) + 1)))
+        yield rng, ms, xi, c
+
+
 class TestNsCondition:
     def test_holds_at_solution(self, two_point):
         _, ms, xi, triv = two_point
         rep = ns_condition(ms, xi, triv, triv.broadcast([5.0]))
         assert rep.holds
-        assert rep.inf_value == pytest.approx(9.0, abs=1e-9)
+        assert rep.lower_bound == pytest.approx(9.0, abs=1e-9)
         assert rep.rho_sq == pytest.approx(9.0, abs=1e-12)
+        assert rep.active == 2
 
     def test_fails_off_solution(self, two_point):
         _, ms, xi, triv = two_point
-        rep = ns_condition(ms, xi, triv, triv.broadcast([6.5]))
+        eta = triv.broadcast([6.5])
+        rep = ns_condition(ms, xi, triv, eta)
         assert not rep.holds
         assert rep.rho_sq == pytest.approx(15.75, abs=1e-12)
-        assert rep.inf_value == pytest.approx(6.75, abs=1e-8)
+        # only a bound is certified; the exact infimum comes from the LP
+        assert rep.lower_bound <= 6.75
+        assert exact_box_infimum(ms, xi, triv, eta) == pytest.approx(6.75, abs=1e-8)
+
+    def test_lower_bound_is_valid(self):
+        # a wide active set makes the hull test pass away from eta_hat too
+        finite_off_solution = 0
+        for rng, ms, xi, c in ns_instances(2601, 30):
+            eta_hat = solve_mmse(ms, xi, c).eta_hat
+            shift = c.broadcast(rng.normal(size=c.num_blocks) * 0.1 * xi.bound)
+            for eta in (eta_hat, eta_hat + shift):
+                exact = exact_box_infimum(ms, xi, c, eta)
+                for tol in (1e-6, 0.5):
+                    rep = ns_condition(ms, xi, c, eta, tol=tol)
+                    assert rep.lower_bound <= exact + 1e-12 * xi.bound**2
+                    if eta is not eta_hat:
+                        finite_off_solution += rep.lower_bound > -math.inf
+        assert finite_off_solution >= 5
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_tight_at_solution(self, scale):
+        for _, ms, xi, c in ns_instances(2602, 30):
+            xi = xi * scale
+            rep = ns_condition(ms, xi, c, solve_mmse(ms, xi, c).eta_hat)
+            assert rep.holds
+            assert 1 <= rep.active <= len(ms)
+            assert abs(rep.rho_sq - rep.lower_bound) <= 1e-6 * xi.bound**2
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_rejects_perturbed_solution(self, scale):
+        for rng, ms, xi, c in ns_instances(2603, 60):
+            xi = xi * scale
+            eta_hat = solve_mmse(ms, xi, c).eta_hat
+            noise = c.broadcast(rng.normal(size=c.num_blocks) * 1e-3 * xi.bound)
+            assert not ns_condition(ms, xi, c, eta_hat + noise).holds
 
     def test_single_generator_at_conditional(self):
         rng = rng_from_seed(26)
@@ -354,7 +426,7 @@ class TestNsCondition:
         # shifting by a constant pushes every coefficient one-signed
         space, ms, xi, triv = two_point
         rep = ns_condition(ms, xi + 0.0, triv, triv.broadcast([-2.0]))
-        assert rep.inf_value == -math.inf
+        assert rep.lower_bound == -math.inf
         assert not rep.holds
 
 
