@@ -44,7 +44,7 @@ from .stability import (
     mmse_time_consistency_search,
     recursivity_check,
 )
-from .sublinear import ess_inf_conditional, ess_sup_conditional, rho
+from .sublinear import conditional_envelopes, rho
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -60,10 +60,11 @@ def _solver_config(inst: Instance, args) -> SolverConfig:
 
 
 def _envelopes(ms, xi, algebra):
+    lower, upper = conditional_envelopes(ms, xi, algebra)
     return {
         "blocks": [list(b) for b in algebra.blocks],
-        "ess_sup": rv_values(ess_sup_conditional(ms, xi, algebra)),
-        "ess_inf": rv_values(ess_inf_conditional(ms, xi, algebra)),
+        "ess_sup": rv_values(upper),
+        "ess_inf": rv_values(lower),
     }
 
 
@@ -156,6 +157,7 @@ def cmd_stability(inst: Instance, args) -> tuple[dict, int]:
         "stable": report.stable,
         "scope": report.scope,
         "pastings_checked": report.pastings_checked,
+        "hull_tests": report.hull_tests,
         "witness": None
         if report.witness is None
         else {

@@ -43,7 +43,7 @@ from .measures import (
 )
 from .simplexlp import hull_membership, solve_lp
 from .spaces import PartitionAlgebra, RandomVariable, check_same_space, is_measurable
-from .sublinear import ess_inf_conditional, ess_sup_conditional, rho
+from .sublinear import conditional_envelopes, ess_sup_conditional, rho
 
 SOLVER_SADDLE = "saddle_iteration"
 SOLVER_BRUTE = "brute_force"
@@ -530,8 +530,7 @@ def kernel_interval(
     filtration containing c; otherwise it is only an outer description and
     exact is None (or False when stability was checked and failed).
     """
-    lower = ess_inf_conditional(ms, xi, c)
-    upper = ess_sup_conditional(ms, xi, c)
+    lower, upper = conditional_envelopes(ms, xi, c)
     exact = None
     if filtration is not None:
         from .stability import is_stable  # local import; stability builds on this module

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ._version import __version__
-from .errors import ValidationError
+from .errors import RobustMseError, ValidationError
 from .gexp import TreeModel
 from .measures import Measure, MeasureSet
 from .spaces import Filtration, PartitionAlgebra, RandomVariable, SampleSpace
@@ -157,19 +157,7 @@ def parse_instance(doc: Any) -> Instance:
     _require("generators" in doc, "generators", "required")
     gens_doc = doc["generators"]
     _require(isinstance(gens_doc, list) and gens_doc, "generators", "expected a nonempty array")
-    gens = []
-    for i, row in enumerate(gens_doc):
-        weights = _num_list(row, f"generators[{i}]")
-        _require(
-            len(weights) == space.n,
-            f"generators[{i}]",
-            f"expected {space.n} weights, got {len(weights)}",
-        )
-        try:
-            gens.append(Measure(space, weights))
-        except Exception as exc:
-            raise ValidationError(f"generators[{i}]", str(exc)) from None
-    ms = MeasureSet(gens)
+    ms = _parse_generators(gens_doc, space)
 
     _require("xi" in doc, "xi", "required")
     xi_vals = _num_list(doc["xi"], "xi")
@@ -200,6 +188,32 @@ def parse_instance(doc: Any) -> Instance:
         tree=None,
         options=dict(options),
     )
+
+
+def _generator_row(row, i, space) -> list[float]:
+    weights = _num_list(row, f"generators[{i}]")
+    _require(
+        len(weights) == space.n,
+        f"generators[{i}]",
+        f"expected {space.n} weights, got {len(weights)}",
+    )
+    return weights
+
+
+def _parse_generators(gens_doc, space) -> MeasureSet:
+    """Validate the whole matrix at once; on failure, walk the rows in order
+    so the error names the first faulty row as a per-row check would."""
+    try:
+        rows = [_generator_row(row, i, space) for i, row in enumerate(gens_doc)]
+        return MeasureSet.from_matrix(space, rows)
+    except RobustMseError:
+        for i, row in enumerate(gens_doc):
+            weights = _generator_row(row, i, space)
+            try:
+                Measure(space, weights)
+            except Exception as exc:
+                raise ValidationError(f"generators[{i}]", str(exc)) from None
+        raise
 
 
 def _parse_partition(doc, space, path) -> PartitionAlgebra:

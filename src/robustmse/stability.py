@@ -64,37 +64,72 @@ class StabilityReport:
     witness: PastedMeasure | None
     witness_residual: float
     pastings_checked: int
+    hull_tests: int  # pastings sent to the hull LP; the rest were screened
     scope: str = "generator-pasting"
 
 
 def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityReport:
     """Paste every ordered generator pair at every level and test hull membership.
 
-    The witness, when present, is the first failing pasting in (base index,
-    tail index, level) order, together with how far outside the hull the
-    feasibility LP left it.
+    One base generator at a time, all its pastings (every tail, every level)
+    are formed as one array, bit for bit as `paste` forms them, and screened:
+    a pasting p is a member, without an LP, when some generator g_k certifies
+    it. With lam = min(1, min_i p_i / g_k,i), the point lam * e_k is feasible
+    for the hull LP's phase 1 at objective (sum_i p_i - lam) + (1 - lam); when
+    that is at most tol, so is the phase-1 optimum, and the LP would answer
+    "member". The candidate g_k comes from sorting the generators along a
+    fixed direction; a poor candidate only sends the pasting on to the LP.
+    Every pasting not screened is rebuilt by `paste` and decided by
+    `hull_membership`, in (base index, tail index, level) order; hull_tests
+    counts them. The witness, when present, is the first failing pasting in
+    that order, together with how far outside the hull the feasibility LP
+    left it, and pastings_checked counts the pastings up to it.
     """
     check_same_space(ms, f.levels[0])
     if np.any(ms.weights_matrix <= 0.0):
         raise PropernessError("stability check requires strictly positive generators")
     points = ms.weights_matrix
-    checked = 0
-    for a, ga in enumerate(ms.generators):
-        for b, gb in enumerate(ms.generators):
-            if a == b:
-                continue  # pasting a measure with itself is the identity
-            for level in range(len(f.levels)):
-                pasted = paste(ga, gb, f, level)
-                checked += 1
-                member, _, residual = hull_membership(points, pasted.result.weights, tol)
-                if not member:
-                    return StabilityReport(
-                        stable=False,
-                        witness=pasted,
-                        witness_residual=residual,
-                        pastings_checked=checked,
-                    )
-    return StabilityReport(stable=True, witness=None, witness_residual=0.0, pastings_checked=checked)
+    gens = ms.generators
+    k, n_levels = len(points), len(f.levels)
+    # masses[b, l, i]: generator b's mass of the level-l block containing
+    # point i, summed one row at a time exactly as paste sums it
+    masses = np.array([[lev.block_sums(row)[lev.labels] for lev in f.levels] for row in points])
+    # a pasting equal to a generator has its key along a fixed generic
+    # direction, so it lands next to that generator in the sorted keys
+    direction = 1.0 / np.sqrt(np.arange(2.0, points.shape[1] + 2.0))
+    keys = points @ direction
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    hull_tests = 0
+    for a in range(k):
+        tails = np.delete(np.arange(k), a)  # pasting a measure with itself is the identity
+        pasted = masses[a] / masses[tails] * points[tails, None, :]
+        pasted /= pasted.sum(axis=-1, keepdims=True)  # Measure's renormalization
+        totals = pasted.sum(axis=-1)
+        right = np.searchsorted(sorted_keys, pasted @ direction)
+        screened = np.zeros(totals.shape, dtype=bool)
+        for pos in (np.maximum(right - 1, 0), np.minimum(right, k - 1)):
+            lam = np.minimum(1.0, (pasted / points[order[pos]]).min(axis=-1))
+            screened |= (totals - lam) + (1.0 - lam) <= tol
+        for t, level in np.argwhere(~screened).tolist():
+            p = paste(gens[a], gens[tails[t]], f, level)
+            hull_tests += 1
+            member, _, residual = hull_membership(points, p.result.weights, tol)
+            if not member:
+                return StabilityReport(
+                    stable=False,
+                    witness=p,
+                    witness_residual=residual,
+                    pastings_checked=(a * (k - 1) + t) * n_levels + level + 1,
+                    hull_tests=hull_tests,
+                )
+    return StabilityReport(
+        stable=True,
+        witness=None,
+        witness_residual=0.0,
+        pastings_checked=k * (k - 1) * n_levels,
+        hull_tests=hull_tests,
+    )
 
 
 @dataclass(frozen=True)

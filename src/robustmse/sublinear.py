@@ -39,9 +39,9 @@ def rho(ms: MeasureSet, x: RandomVariable, tie_tol: float = TIE_TOL) -> RhoValue
     return RhoValue(value=value, argmax_generator=best, ties=ties)
 
 
-def _conditional_envelope(ms, x, c, reduce_fn) -> RandomVariable:
-    """Reduce the (K, B) table of generator conditional means over K; a
-    generator that gives a block zero mass is NaN there and skipped."""
+def _conditional_means(ms, x, c) -> np.ndarray:
+    """The (K, B) table of generator conditional means; a generator that
+    gives a block zero mass is NaN there, so the reductions skip it."""
     check_same_space(ms, x, c)
     mass = c.block_sums(ms.weights_matrix)
     live = mass > 0.0
@@ -50,8 +50,7 @@ def _conditional_envelope(ms, x, c, reduce_fn) -> RandomVariable:
         b = c.blocks[int(np.argmax(dead))]
         raise ZeroMassBlockError(b, f"no generator charges block {b}")
     weighted = c.block_sums(ms.weights_matrix * x.values)
-    means = np.divide(weighted, mass, out=np.full_like(mass, np.nan), where=live)
-    return c.broadcast(reduce_fn(means, axis=0))
+    return np.divide(weighted, mass, out=np.full_like(mass, np.nan), where=live)
 
 
 def ess_sup_conditional(
@@ -64,14 +63,22 @@ def ess_sup_conditional(
     the extremes are attained at generators (zero-mass generators contribute
     no conditional value there and are excluded exactly, not approximately).
     """
-    return _conditional_envelope(ms, x, c, np.nanmax)
+    return c.broadcast(np.nanmax(_conditional_means(ms, x, c), axis=0))
 
 
 def ess_inf_conditional(
     ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra
 ) -> RandomVariable:
     """Mirror of ess_sup_conditional with min."""
-    return _conditional_envelope(ms, x, c, np.nanmin)
+    return c.broadcast(np.nanmin(_conditional_means(ms, x, c), axis=0))
+
+
+def conditional_envelopes(
+    ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra
+) -> tuple[RandomVariable, RandomVariable]:
+    """(ess_inf_conditional, ess_sup_conditional) from one table of means."""
+    means = _conditional_means(ms, x, c)
+    return c.broadcast(np.nanmin(means, axis=0)), c.broadcast(np.nanmax(means, axis=0))
 
 
 def holder_bound(

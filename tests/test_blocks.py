@@ -21,6 +21,7 @@ from robustmse import (
     SampleSpace,
     ZeroMassBlockError,
     block_project,
+    conditional_envelopes,
     conditional_expectation,
     ess_inf_conditional,
     ess_sup_conditional,
@@ -232,6 +233,10 @@ class TestBlockwiseSums:
         ms = MeasureSet.from_matrix(c.space, weights_with_dead_blocks(rng, c, 7))
         assert_close(ess_sup_conditional(ms, x, c).values, ref_envelope(ms, x, c, np.max))
         assert_close(ess_inf_conditional(ms, x, c).values, ref_envelope(ms, x, c, np.min))
+        # both envelopes from one table of means, bit for bit
+        lower, upper = conditional_envelopes(ms, x, c)
+        assert np.array_equal(lower.values, ess_inf_conditional(ms, x, c).values)
+        assert np.array_equal(upper.values, ess_sup_conditional(ms, x, c).values)
 
     def test_moment_tables(self, c):
         rng = rng_from_seed(2414)
@@ -255,7 +260,11 @@ def test_envelope_uncharged_block_errors(c):
     dead = rng.choice(c.num_blocks, size=int(rng.integers(1, c.num_blocks)), replace=False)
     W[:, np.isin(c.labels, dead)] = 0.0
     ms = MeasureSet.from_matrix(c.space, W / W.sum(axis=1, keepdims=True))
-    for fn, reduce_fn in ((ess_sup_conditional, np.max), (ess_inf_conditional, np.min)):
+    for fn, reduce_fn in (
+        (ess_sup_conditional, np.max),
+        (ess_inf_conditional, np.min),
+        (conditional_envelopes, np.min),
+    ):
         with pytest.raises(ZeroMassBlockError) as err:
             fn(ms, x, c)
         with pytest.raises(ZeroMassBlockError) as ref:

@@ -6,6 +6,7 @@ import pytest
 
 import robustmse.estimator
 import robustmse.gexp
+from robustmse import Measure
 from robustmse.cli import main
 from robustmse.errors import ValidationError
 from robustmse.instances import (
@@ -170,6 +171,58 @@ class TestNumberArrays:
             assert instance_digest(inst) == reference_digest(inst)
         # pinned: the README example's digest
         assert instance_digest(parse_instance(README_EXAMPLE)) == README_DIGEST
+
+    def test_large_matrix_digest_pinned(self):
+        # K = 350 rows that do not sum to exactly 1, so every row is
+        # renormalized: the matrix must match a build one Measure at a time
+        rng = np.random.default_rng(2750)
+        K, n, B = 350, 115, 14
+        counts = rng.integers(1, 1000, size=(K, n))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=B - 1, replace=False))
+        doc = {
+            "version": "1",
+            "omega": [f"w{i}" for i in range(n)],
+            "generators": (counts / counts.sum(axis=1, keepdims=True)).tolist(),
+            "xi": (rng.integers(-32, 33, size=n) / 16).tolist(),
+            "partition": [sorted(int(i) for i in b) for b in np.split(rng.permutation(n), cuts)],
+        }
+        inst = parse_instance(json.loads(json.dumps(doc)))
+        rows = [Measure(inst.space, row).weights for row in doc["generators"]]
+        assert np.array_equal(inst.measure_set.weights_matrix, np.stack(rows))
+        assert instance_digest(inst) == (
+            "b6c0d8139bba863a794d08d7844624f3a57e73f55e7670ec72088afecc8ff383"
+        )
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({1: [0.25, 0.375, 0.25, 0.25]}, "generators[1]: weights sum to np.float64(1.125), not 1"),
+            ({2: [0.5, 0.5, 0.125, -0.125]}, "generators[2]: measure weights must be nonnegative numbers"),
+            ({0: [float("nan"), 0.5, 0.25, 0.25]}, "generators[0]: measure weights must be nonnegative numbers"),
+            ({1: [0.5, 0.5]}, "generators[1]: expected 4 weights, got 2"),
+            ({2: []}, "generators[2]: expected 4 weights, got 0"),
+            ({1: 7}, "generators[1]: expected an array"),
+            # two faulty rows: the first one is named, whatever its fault
+            ({0: [0.5] * 4, 1: [0.125, "x", 0.25, 0.25]}, "generators[0]: weights sum to np.float64(2.0), not 1"),
+            ({0: [0.25, None, 0.25, 0.25], 1: [1, 1, 1, 1]}, "generators[0][1]: expected a number, got NoneType"),
+        ],
+    )
+    def test_first_faulty_row_named(self, rows, message):
+        gens = [[0.25] * 4, [0.125, 0.375, 0.25, 0.25], [0.5, 0.25, 0.125, 0.125]]
+        for i, row in rows.items():
+            gens[i] = row
+        doc = dict(EXAMPLE_4, generators=gens)
+        with pytest.raises(ValidationError) as err:
+            parse_instance(doc)
+        assert str(err.value) == message
+
+
+EXAMPLE_4 = {
+    "version": "1",
+    "omega": ["a", "b", "c", "d"],
+    "xi": [1, 2, 3, 4],
+    "partition": [[0, 1], [2, 3]],
+}
 
 
 def seeded_partition_docs(seed, count):
@@ -413,6 +466,8 @@ class TestStabilityCommand:
         assert code == 0
         assert out["result"]["stable"] is False
         assert out["result"]["witness"]["hull_residual"] > 1e-3
+        # the failing pasting matches no generator, so it went to the hull LP
+        assert 1 <= out["result"]["hull_tests"] <= out["result"]["pastings_checked"]
         gaps = [row["max_abs_gap"] for row in out["result"]["recursivity"]]
         assert max(gaps) > 1e-3
 

@@ -19,7 +19,14 @@ from robustmse import (
     replay_counterexample,
     tree_measure_set,
 )
-from robustmse.randgen import rng_from_seed, random_variable
+import robustmse.stability as stability
+from robustmse.randgen import (
+    random_measure_set,
+    random_two_level_filtration,
+    random_variable,
+    rng_from_seed,
+)
+from robustmse.simplexlp import hull_membership
 
 
 @pytest.fixture
@@ -116,6 +123,149 @@ class TestIsStable:
         )
         with pytest.raises(PropernessError):
             is_stable(ms, f)
+
+
+def reference_is_stable(ms, f, tol=1e-9):
+    """The unscreened check: one hull LP per pasting, in (base, tail, level)
+    order. Returns (stable, witness, witness_residual, pastings_checked)."""
+    points = ms.weights_matrix
+    checked = 0
+    for a, ga in enumerate(ms.generators):
+        for b, gb in enumerate(ms.generators):
+            if a == b:
+                continue
+            for level in range(len(f.levels)):
+                pasted = paste(ga, gb, f, level)
+                checked += 1
+                member, _, residual = hull_membership(points, pasted.result.weights, tol)
+                if not member:
+                    return False, pasted, residual, checked
+    return True, None, 0.0, checked
+
+
+@pytest.fixture
+def counted_hull_tests(monkeypatch):
+    """Counts the hull LPs is_stable runs, through the name it calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return hull_membership(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "hull_membership", counting)
+    return calls
+
+
+def tree_filtration(tm):
+    return Filtration([tm.level_partition(d) for d in range(tm.depth + 1)])
+
+
+def filtration_set(rng, live_nodes, mixtures):
+    """A depth-3 rectangular tree with `live_nodes` non-degenerate nodes, its
+    corners as explicit generators, plus dyadic midpoints of corner pairs:
+    stable along the tree's level filtration."""
+    lo = rng.integers(2, 8, size=7) / 16
+    hi = lo.copy()
+    live = rng.choice(7, size=live_nodes, replace=False)
+    hi[live] = lo[live] + rng.integers(1, 6, size=live_nodes) / 16
+    tm = TreeModel(3, lo, hi)
+    corners = tree_measure_set(tm).weights_matrix
+    pairs = [rng.choice(len(corners), size=2, replace=False) for _ in range(mixtures)]
+    rows = [*corners, *((corners[a] + corners[b]) / 2 for a, b in pairs)]
+    return MeasureSet.from_matrix(tm.sample_space(), rows), tree_filtration(tm)
+
+
+def near_boundary_set(eps):
+    """The depth-2 drift-bound corners with the last one pulled toward their
+    mean by eps: the last corner is still a pasting of the others, and it now
+    lies about 6 * eps outside the hull."""
+    tm = TreeModel.drift_bound(2, 0.25)
+    corners = tree_measure_set(tm).weights_matrix
+    rows = corners.copy()
+    rows[-1] = (1 - eps) * corners[-1] + eps * corners.mean(axis=0)
+    return MeasureSet.from_matrix(tm.sample_space(), rows), tree_filtration(tm)
+
+
+def assert_matches_reference(ms, f, hull_calls, tol=1e-9):
+    del hull_calls[:]
+    report = is_stable(ms, f, tol)
+    stable, witness, residual, checked = reference_is_stable(ms, f, tol)
+    assert report.stable == stable
+    assert report.pastings_checked == checked
+    assert report.hull_tests == len(hull_calls)
+    assert report.witness_residual == residual  # bit for bit: the same LP ran
+    if witness is None:
+        assert report.witness is None
+    else:
+        assert report.witness.switch_level == witness.switch_level
+        assert report.witness.base == witness.base
+        assert report.witness.tail == witness.tail
+        assert report.witness.result == witness.result
+    return report
+
+
+class TestScreen:
+    """The screen may only skip LPs that would have answered "member"."""
+
+    @pytest.mark.parametrize("live_nodes", [3, 4])
+    @pytest.mark.parametrize("mixtures", [0, 4])
+    @pytest.mark.parametrize("seed", [3001, 3002])
+    def test_stable_filtration_sets(self, counted_hull_tests, live_nodes, mixtures, seed):
+        # mixtures make pastings that lie strictly inside the hull: some of
+        # them match no generator and are decided by the LP
+        ms, f = filtration_set(rng_from_seed(seed * 10 + live_nodes), live_nodes, mixtures)
+        report = assert_matches_reference(ms, f, counted_hull_tests)
+        assert report.stable
+        if mixtures == 0:
+            assert report.hull_tests == 0  # every pasting is a corner
+
+    @pytest.mark.parametrize("seed", [3003, 3004, 3005])
+    def test_set_missing_a_corner(self, counted_hull_tests, seed):
+        rng = rng_from_seed(seed)
+        ms, f = filtration_set(rng, 4, 4 * (seed % 2))
+        keep = np.delete(np.arange(len(ms)), rng.integers(0, 16))
+        smaller = MeasureSet.from_matrix(ms.space, ms.weights_matrix[keep])
+        report = assert_matches_reference(smaller, f, counted_hull_tests)
+        assert not report.stable
+
+    def test_diagonal_pair(self, counted_hull_tests, diagonal_pair):
+        _, f, ms = diagonal_pair
+        assert not assert_matches_reference(ms, f, counted_hull_tests).stable
+
+    @pytest.mark.parametrize("seed", range(40, 52))
+    def test_random_sets(self, counted_hull_tests, seed):
+        rng = rng_from_seed(seed)
+        space = SampleSpace.of_size(int(rng.integers(4, 9)))
+        f = random_two_level_filtration(rng, space)
+        ms = random_measure_set(rng, space, int(rng.integers(2, 6)))
+        assert_matches_reference(ms, f, counted_hull_tests)
+        tm = TreeModel.drift_bound(3, 0.25)
+        rows = rng.integers(1, 64, size=(int(rng.integers(2, 6)), 8)).astype(float)
+        ms = MeasureSet.from_matrix(tm.sample_space(), rows / rows.sum(axis=1, keepdims=True))
+        assert_matches_reference(ms, tree_filtration(tm), counted_hull_tests)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7])
+    def test_pasting_just_outside_the_hull(self, counted_hull_tests, eps):
+        ms, f = near_boundary_set(eps)
+        report = assert_matches_reference(ms, f, counted_hull_tests)
+        assert not report.stable
+        residual = report.witness_residual
+        assert 1e-9 < residual < 1e-5
+        # the certificate against the nearest generator is within a factor
+        # two of the LP residual, so a tolerance between them still sends
+        # the pasting to the LP; above the residual the set passes
+        for tol in (0.75 * residual, 0.95 * residual, 1.5 * residual):
+            report = assert_matches_reference(ms, f, counted_hull_tests, tol)
+            assert report.stable == (tol > residual)
+
+    def test_depth_three_tree_needs_no_lp(self, counted_hull_tests):
+        ms = tree_measure_set(TreeModel.drift_bound(3, 0.25))
+        assert len(ms) == 128
+        report = is_stable(ms, tree_filtration(TreeModel.drift_bound(3, 0.25)))
+        assert report.stable
+        assert report.pastings_checked == 128 * 127 * 4
+        assert report.hull_tests == 0
+        assert counted_hull_tests == []
 
 
 class TestRecursivity:
