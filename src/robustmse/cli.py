@@ -25,7 +25,7 @@ from .estimator import (
     solve_mmse,
     verify_saddle,
 )
-from .gexp import compare_gexp_mmse, g_expectation
+from .gexp import compare_gexp_mmse, tree_envelopes, tree_rho
 from .instances import (
     Instance,
     _json_inf,
@@ -59,34 +59,32 @@ def _solver_config(inst: Instance, args) -> SolverConfig:
     return SolverConfig(tol=float(tol), max_iter=max_iter)
 
 
-def _envelopes(ms, xi, algebra):
-    lower, upper = conditional_envelopes(ms, xi, algebra)
-    return {
-        "blocks": [list(b) for b in algebra.blocks],
-        "ess_sup": rv_values(upper),
-        "ess_inf": rv_values(lower),
-    }
-
-
 def cmd_rho(inst: Instance, args) -> tuple[dict, int]:
-    ms, xi = inst.generators(), inst.xi
-    value = rho(ms, xi)
+    xi = inst.xi
+    if inst.kind == "tree":
+        # the tree's recursions answer for its corner set, which is never built
+        value = tree_rho(inst.tree, xi.values)
+        envelopes = tree_envelopes(inst.tree, xi.values)
+    else:
+        ms = inst.generators()
+        value = rho(ms, xi)
+        levels = [inst.partition] if inst.kind == "partition" else inst.filtration.levels
+        envelopes = [(lev, *conditional_envelopes(ms, xi, lev)) for lev in levels]
     payload = {
         "rho": {
             "value": value.value,
             "argmax_generator": value.argmax_generator,
             "ties": list(value.ties),
-        }
+        },
+        "envelopes": [
+            {
+                "blocks": [list(b) for b in algebra.blocks],
+                "ess_sup": rv_values(upper),
+                "ess_inf": rv_values(lower),
+            }
+            for algebra, lower, upper in envelopes
+        ],
     }
-    if inst.kind == "partition":
-        payload["envelopes"] = [_envelopes(ms, xi, inst.partition)]
-    elif inst.kind == "filtration":
-        payload["envelopes"] = [_envelopes(ms, xi, lev) for lev in inst.filtration.levels]
-    else:
-        payload["envelopes"] = [
-            _envelopes(ms, xi, inst.tree.level_partition(lev))
-            for lev in range(inst.tree.depth + 1)
-        ]
     return payload, EXIT_OK
 
 
@@ -208,10 +206,11 @@ def cmd_gexp(inst: Instance, args) -> tuple[dict, int]:
     if inst.kind != "tree":
         raise ValidationError("tree", "gexp command needs a tree instance")
     tm, xi = inst.tree, inst.xi
-    res = g_expectation(tm, xi.values)
     level = int(inst.options.get("level", 0))
     cmp_report = compare_gexp_mmse(tm, xi.values, level, _solver_config(inst, args))
+    res = cmp_report.recursion
     root_rho = cmp_report.rho_root
+    est = cmp_report.estimator
     payload = {
         "root": res.root_value,
         "y_by_level": [
@@ -230,9 +229,12 @@ def cmd_gexp(inst: Instance, args) -> tuple[dict, int]:
             "gexp_cond": rv_values(cmp_report.gexp_cond),
             "mmse": rv_values(cmp_report.mmse),
             "sup_diff": cmp_report.sup_diff,
+            "converged": est.converged,
+            "saddle_gap": est.saddle_gap,
+            "iterations": est.iterations,
         },
     }
-    if not cmp_report.estimator.converged:
+    if not est.converged:
         return payload, EXIT_NONCONVERGENCE
     return payload, EXIT_OK
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,12 +46,14 @@ from .simplexlp import hull_membership, solve_lp
 from .spaces import PartitionAlgebra, RandomVariable, check_same_space, is_measurable
 from .sublinear import conditional_envelopes, ess_sup_conditional, rho
 
+if TYPE_CHECKING:
+    from .gexp import TreeModel
+
 SOLVER_SADDLE = "saddle_iteration"
 SOLVER_BRUTE = "brute_force"
 
 _FACE_STEPS = 50  # Newton steps and drops per face; quadratic convergence needs few
 _LINE_STEPS = 30  # step halvings before a face counts as solved
-_VANISH = 1e-15  # a weight this small is rounding residue of a dropped generator
 
 
 @dataclass(frozen=True)
@@ -82,24 +85,39 @@ class Certificate:
     passed: bool
 
 
+def _moments(W, x, c):
+    """Per-row block tables of the mass, E[xi 1_B] and E[xi^2 1_B]."""
+    return c.block_sums(W), c.block_sums(W * x), c.block_sums(W * x**2)
+
+
 class _Quadratics:
-    """Per-generator, per-block moment tables for F and the dual."""
+    """Per-generator, per-block moment tables for F and the dual.
+
+    The dual solver asks a measure set for two things only: these tables for
+    the generators it keeps active (rows), and worst(), the generator with
+    the largest residual at a blockwise-constant eta. An explicit set
+    answers both from the tables of all its generators.
+    """
 
     def __init__(self, ms: MeasureSet, xi: RandomVariable, c: PartitionAlgebra):
         check_same_space(ms, xi, c)
-        W = ms.weights_matrix
-        x = xi.values
-        self.mass = c.block_sums(W)
-        self.first = c.block_sums(W * x)
-        self.second = c.block_sums(W * x**2)
+        self.mass, self.first, self.second = _moments(ms.weights_matrix, xi.values, c)
         self.second_total = self.second.sum(axis=1)
-        self.num_gen, self.num_blocks = self.mass.shape
+        self.num_blocks = c.num_blocks
+        self.size = len(ms)
         if np.any(self.mass.sum(axis=0) <= 0.0):
             j = int(np.argmax(self.mass.sum(axis=0) <= 0.0))
             raise ZeroMassBlockError(c.blocks[j])
         # conditional mean under the uniform mixture; fills blocks a boundary
         # mixture leaves uncharged
         self.reference_cond = self.first.mean(axis=0) / self.mass.mean(axis=0)
+        # scale of the residuals, for the Hessian shift of the face steps
+        self.scale = float(np.max(np.abs(self.second_total)))
+
+    @property
+    def num_gen(self) -> int:
+        """Rows of the tables."""
+        return len(self.mass)
 
     def eta_of(self, lam: np.ndarray, rows=slice(None)) -> np.ndarray:
         """E_{P_lam}[xi | C] per block, lam weighing the generators in rows."""
@@ -122,6 +140,65 @@ class _Quadratics:
         """u[k, B] = E_{g_k}[(xi - eta) 1_B]."""
         return self.first[rows] - eta[None, :] * self.mass[rows]
 
+    def worst(self, eta: np.ndarray, rows=slice(0)) -> tuple[np.ndarray, int, float]:
+        """(residuals of rows, generator k with the largest residual, r_k) at eta."""
+        r = self.residuals(eta)
+        k = int(np.argmax(r))
+        return r[rows], k, float(r[k])
+
+    def row_of(self, k: int) -> int:
+        """The table row of generator k."""
+        return k
+
+    def mixture(self, lam: np.ndarray) -> np.ndarray:
+        """Weights on the table rows as weights on all generators."""
+        return lam
+
+
+class _TreeQuadratics(_Quadratics):
+    """The moment tables of a tree's corner set, for the corners the solver
+    has added so far (a pool that only grows); worst() is the tree's sup
+    recursion on (xi - eta)^2, TreeModel.support, not a scan of all 2^m
+    corners.
+    """
+
+    def __init__(self, tm: TreeModel, xi: RandomVariable, c: PartitionAlgebra):
+        check_same_space(tm, xi, c)
+        self.size = tm.check_corner_count()  # p_hat is dense over the corners
+        self.tree, self.x, self.c = tm, xi.values, c
+        self.num_blocks = c.num_blocks
+        self.corners: list[int] = []  # corner of each table row
+        self._rows: dict[int, int] = {}
+        self.mass = self.first = np.empty((0, c.num_blocks))
+        self.second_total = np.empty(0)
+        mass, first, _ = _moments(tm.mean_corner_row(), self.x, c)
+        self.reference_cond = first / mass
+        self.scale = tm.support(self.x ** 2)[0]
+
+    def worst(self, eta, rows=slice(0)):
+        r = self.residuals(eta)
+        top, k = self.tree.support((self.x - eta[self.c.labels]) ** 2)
+        row = self._rows.get(k)
+        # a corner already in the pool is valued from the tables, like the
+        # residuals it is compared with
+        return r[rows], k, top if row is None else float(r[row])
+
+    def row_of(self, k):
+        row = self._rows.get(k)
+        if row is None:
+            row = self._rows[k] = len(self.corners)
+            self.corners.append(k)
+            mass, first, second = _moments(self.tree.corner_row(k)[None, :], self.x, self.c)
+            self.mass = np.concatenate([self.mass, mass])
+            self.first = np.concatenate([self.first, first])
+            self.second_total = np.concatenate([self.second_total, second.sum(axis=1)])
+        return row
+
+    def mixture(self, lam):
+        dense = np.zeros(self.size)
+        dense[self.corners] = lam
+        return dense
+
 
 def _face_ascent(quad, s, w, shift):
     """Maximize phi over the hull of generators s, starting from weights w.
@@ -132,8 +209,13 @@ def _face_ascent(quad, s, w, shift):
     still give a finite step; the ratio test clips it where a weight reaches
     zero and that generator leaves the face. Near the optimum the gain in phi
     falls below rounding while the face gap max_s r - phi still shrinks, so a
-    step is accepted when it does either. Returns the surviving generators
-    and their weights, at most one more than the charged blocks.
+    step is accepted when it does either. When no step along a clipped
+    direction does, the weight that clips it is rounding residue of a
+    generator that has left (a Newton step that should zero a weight can
+    leave ~1e-15 of it, which clips the next step to nothing): that
+    generator is dropped without stepping and the face goes on without it.
+    Returns the surviving generators and their weights, at most one more
+    than the charged blocks.
     """
 
     def state(s, w):
@@ -158,9 +240,9 @@ def _face_ascent(quad, s, w, shift):
         kkt[:n, :n] = -2.0 * (u / d[live]) @ u.T - shift * np.eye(n)
         kkt[n, n] = 0.0
         dw = np.linalg.solve(kkt, np.append(-r, 0.0))[:n]
-        # a weight rounding left at ~0 blocks every step that lowers it;
-        # drop it without stepping
-        stuck = (w <= _VANISH) & (dw < 0.0)
+        # a generator at weight 0 (just added) that the step would lower
+        # blocks every step; drop it without stepping
+        stuck = (w == 0.0) & (dw < 0.0)
         if np.any(stuck):
             s, w = s[~stuck], w[~stuck] / w[~stuck].sum()
             eta, r, phi = state(s, w)
@@ -178,7 +260,14 @@ def _face_ascent(quad, s, w, shift):
                 break
             t *= 0.5
         else:
-            break
+            if t_max == 1.0:
+                break
+            # nothing along the clipped direction counts: its blocking weight
+            # is residue; drop that generator without stepping
+            on = np.arange(n) != down[int(np.argmin(ratios))]
+            s, w = s[on], w[on] / w[on].sum()
+            eta, r, phi = state(s, w)
+            continue
         on = cand > 0.0
         s, w, eta, r, phi = s[on], cand[on], eta_c, r_c[on], phi_c
         top_phi = max(top_phi, phi)
@@ -202,39 +291,38 @@ def _face_ascent(quad, s, w, shift):
         eta, r, phi = state(s, w)
 
 
-def _simplicial_decomposition(quad, lam0, max_iter):
+def _simplicial_decomposition(quad, eta0, max_iter):
     """Fully-corrective Frank-Wolfe on the dual: add the generator argmax r,
     re-maximize phi over the hull of the active generators, repeat.
 
-    Starts from the single generator argmax r at lam0. Stops when the saddle
+    Starts from the single generator argmax r at eta0. Stops when the saddle
     gap max r - phi closes or when an addition improves neither phi nor the
-    gap. Returns the mixture and the number of additions.
+    gap. Returns the active table rows, their weights and the number of
+    additions.
     """
 
     def evaluate(s, w):
-        r = quad.residuals(quad.eta_of(w, s))
-        phi = float(w @ r[s])
-        return r, phi, float(np.max(r)) - phi
+        r, k, top = quad.worst(quad.eta_of(w, s), s)
+        phi = float(w @ r)
+        return k, phi, top - phi
 
-    shift = 1e-12 * float(np.max(np.abs(quad.second_total)))
-    s = np.array([int(np.argmax(quad.residuals(quad.eta_of(lam0))))])
+    shift = 1e-12 * quad.scale
+    s = np.array([quad.row_of(quad.worst(eta0)[1])])
     w = np.ones(1)
-    r, phi, gap = evaluate(s, w)
+    k, phi, gap = evaluate(s, w)
     top_phi, low_gap = phi, gap
     iters = 0
     while iters < max_iter and gap > 0.0:
         iters += 1
-        k = int(np.argmax(r))
-        s_new, w_new = (s, w) if k in s else (np.append(s, k), np.append(w, 0.0))
+        row = quad.row_of(k)
+        s_new, w_new = (s, w) if row in s else (np.append(s, row), np.append(w, 0.0))
         s_new, w_new = _face_ascent(quad, s_new, w_new, shift)
-        r_new, phi_new, gap_new = evaluate(s_new, w_new)
+        k_new, phi_new, gap_new = evaluate(s_new, w_new)
         if not (phi_new > top_phi or gap_new < low_gap):
             break
-        s, w, r, phi, gap = s_new, w_new, r_new, phi_new, gap_new
+        s, w, k, phi, gap = s_new, w_new, k_new, phi_new, gap_new
         top_phi, low_gap = max(top_phi, phi), min(low_gap, gap)
-    lam = np.zeros(quad.num_gen)
-    lam[s] = w
-    return lam, iters
+    return s, w, iters
 
 
 def _coordinate_refine_dead_blocks(quad, lam, eta, bound):
@@ -251,7 +339,7 @@ def _coordinate_refine_dead_blocks(quad, lam, eta, bound):
             m2 = hi - (hi - lo) / 3.0
             e1, e2 = eta.copy(), eta.copy()
             e1[j], e2[j] = m1, m2
-            if np.max(quad.residuals(e1)) <= np.max(quad.residuals(e2)):
+            if quad.worst(e1)[2] <= quad.worst(e2)[2]:
                 hi = m2
             else:
                 lo = m1
@@ -260,7 +348,7 @@ def _coordinate_refine_dead_blocks(quad, lam, eta, bound):
 
 
 def solve_mmse(
-    ms: MeasureSet,
+    ms: MeasureSet | TreeModel,
     xi: RandomVariable,
     c: PartitionAlgebra,
     cfg: SolverConfig | None = None,
@@ -268,9 +356,13 @@ def solve_mmse(
 ) -> EstimatorResult:
     """Minimize the worst-case mean square error over C-measurable estimators.
 
-    Maximize the dual phi by simplicial decomposition, starting from the
-    generator with the largest residual at init_weights (uniform by default),
-    and read the estimator off the optimal mixture as
+    ms is a MeasureSet or a TreeModel, which stands for its corner set
+    (tree_measure_set) without enumerating it: the solver keeps moment rows
+    for the corners it adds and finds the worst corner by the tree's sup
+    recursion. Maximize the dual phi by simplicial decomposition, starting
+    from the generator with the largest residual at init_weights (uniform by
+    default; a tree starts from the uniform mixture of its corners and takes
+    no init_weights), and read the estimator off the optimal mixture as
     eta_hat = E_{P_hat}[xi | C]. Each iteration adds one generator and
     re-solves on the hull of the active ones; cfg.max_iter caps these
     additions, and EstimatorResult.iterations counts them. The run has
@@ -278,16 +370,21 @@ def solve_mmse(
     relative test verify_saddle applies, so the status does not depend on the
     units of xi. Nonconvergence is reported as an explicit status
     (converged=False, last iterate and gap retained), never as a silent best
-    effort.
+    effort. p_hat has one weight per generator (per corner for a tree).
     """
     cfg = cfg or SolverConfig()
-    quad = _Quadratics(ms, xi, c)
     warn: list[str] = []
-    if not is_proper(ms):
-        warn.append("measure set is not proper; solution may be non-unique")
+    if isinstance(ms, MeasureSet):
+        quad = _Quadratics(ms, xi, c)
+        if not is_proper(ms):
+            warn.append("measure set is not proper; solution may be non-unique")
+    else:
+        if init_weights is not None:
+            raise ArgumentError("a tree's corner set takes no init_weights")
+        quad = _TreeQuadratics(ms, xi, c)  # 0 < q < 1 at every node: proper
 
     if is_measurable(xi, c):
-        lam = np.full(len(ms), 1.0 / len(ms))
+        lam = np.full(quad.size, 1.0 / quad.size)
         return EstimatorResult(
             eta_hat=xi,
             p_hat=MixtureWeights(lam),
@@ -299,20 +396,23 @@ def solve_mmse(
             warnings=tuple(warn),
         )
 
-    if init_weights is None:
-        lam0 = np.full(len(ms), 1.0 / len(ms))
+    if isinstance(quad, _TreeQuadratics):
+        eta0 = quad.reference_cond
+    elif init_weights is None:
+        eta0 = quad.eta_of(np.full(len(ms), 1.0 / len(ms)))
     else:
         lam0 = np.asarray(init_weights, dtype=float)
         if lam0.shape != (len(ms),) or np.any(lam0 < 0) or lam0.sum() <= 0:
             raise ArgumentError("init_weights must be nonnegative with positive sum")
-        lam0 = lam0 / lam0.sum()
+        eta0 = quad.eta_of(lam0 / lam0.sum())
 
-    lam, iters = _simplicial_decomposition(quad, lam0, cfg.max_iter)
+    s, w, iters = _simplicial_decomposition(quad, eta0, cfg.max_iter)
 
+    lam = np.zeros(quad.num_gen)
+    lam[s] = w
     eta = quad.eta_of(lam)
     eta = _coordinate_refine_dead_blocks(quad, lam, eta, xi.bound)
-    r = quad.residuals(eta)
-    alpha = float(np.max(r))
+    r, _, alpha = quad.worst(eta, slice(None))
     # the mathematical gap is nonnegative; the dot product may round a hair
     # above the max when the residuals are all but equal
     gap = max(0.0, alpha - float(lam @ r))
@@ -325,7 +425,7 @@ def solve_mmse(
 
     return EstimatorResult(
         eta_hat=c.broadcast(eta),
-        p_hat=MixtureWeights(lam),
+        p_hat=MixtureWeights(quad.mixture(lam)),
         alpha=alpha,
         saddle_gap=gap,
         iterations=iters,

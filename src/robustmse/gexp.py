@@ -9,14 +9,20 @@ attained at an endpoint because the objective is linear in q, and equals
 (y_up+y_down)/2 + sqrt(dt)*|y_up-y_down|/2 for the symmetric interval
 produced by the discrete drift bound |mu| <= 1 (q = (1 +/- sqrt(dt))/2).
 The same tree induces a rectangular measure set (all corner choices of the
-node probabilities) whose worst-case expectation reproduces the recursion,
-which is how the tree plugs into the estimator machinery for comparison.
+node probabilities). A rectangular set is a recursive multiple-prior set
+(Epstein & Schneider 2003), so the largest expectation over its 2^m corners
+is the recursion's root, attained at the corner that takes the maximizing
+endpoint at every node. TreeModel answers the corner set's queries that way
+(support, corner_row, near_ties), in O(2^T) per query, and rho and the
+estimator comparison never enumerate the corners; tree_measure_set builds
+the explicit corner matrix for the commands that still need every generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,10 +30,11 @@ from .errors import ArgumentError, GuardRefusalError
 from .estimator import EstimatorResult, SolverConfig, solve_mmse
 from .measures import MeasureSet
 from .spaces import PartitionAlgebra, RandomVariable, SampleSpace
-from .sublinear import rho
+from .sublinear import TIE_TOL, RhoValue
 
 # corner matrix of tree_measure_set: 2^24 float64 entries = 128 MiB; building
-# it takes about five times that at its peak
+# it takes about five times that at its peak. The same bound caps every tree
+# request, since the estimator's p_hat is dense over the corners
 MAX_CORNER_ENTRIES = 2 ** 24
 
 
@@ -90,16 +97,156 @@ class TreeModel:
             labels.append(bits.replace("0", "u").replace("1", "d"))
         return SampleSpace(tuple(labels))
 
+    @cached_property
+    def space(self) -> SampleSpace:
+        return self.sample_space()
+
     def level_partition(self, level: int) -> PartitionAlgebra:
         """Leaves grouped by their first `level` moves."""
         if not 0 <= level <= self.depth:
             raise ArgumentError(f"level must lie in 0..{self.depth}")
-        space = self.sample_space()
+        space = self.space
         shift = self.depth - level
         blocks = {}
         for leaf in range(self.num_leaves):
             blocks.setdefault(leaf >> shift, []).append(leaf)
         return PartitionAlgebra(space, [tuple(b) for b in blocks.values()])
+
+    # --- the corner set, queried without enumerating it -------------------
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """Nodes with q_lo < q_hi; each doubles the number of corners."""
+        return self.q_lo != self.q_hi
+
+    @cached_property
+    def _shift(self) -> np.ndarray:
+        """The bit of a corner index each node reads: the number of later free nodes."""
+        return np.cumsum(self.free[::-1])[::-1] - self.free
+
+    @property
+    def num_corners(self) -> int:
+        return 2 ** int(self.free.sum())
+
+    def check_corner_count(self) -> int:
+        """The number of corners; GuardRefusalError, before anything is
+        allocated, when the corner matrix would exceed MAX_CORNER_ENTRIES
+        float64 entries. With every node free that admits depth 4 (2^15
+        corners) and refuses depth 5 (2^31 corners)."""
+        num_corners = self.num_corners
+        if num_corners * self.num_leaves > MAX_CORNER_ENTRIES:
+            raise GuardRefusalError(
+                f"{num_corners} corners x {self.num_leaves} leaves exceed the limit of "
+                f"{MAX_CORNER_ENTRIES} corner-matrix entries (128 MiB)"
+            )
+        return num_corners
+
+    def _leaf_products(self, corners) -> np.ndarray:
+        """Leaf probabilities of the given corners, one row each.
+
+        The bits of a corner's index, read from the highest, choose q_hi at
+        the free nodes in id order.
+        """
+        bits = (np.asarray(corners, dtype=np.int64)[:, None] >> self._shift) & 1
+        high = bits.astype(bool) & self.free
+        return self._path_products(np.where(high, self.q_hi, self.q_lo))
+
+    def _path_products(self, q: np.ndarray) -> np.ndarray:
+        """Leaf probabilities for rows of up-move probabilities per node: the
+        products along each path, filled in level by level."""
+        probs = np.ones((len(q), 1))
+        for d in range(self.depth):
+            q_d = q[:, 2 ** d - 1 : 2 ** (d + 1) - 1]
+            nxt = np.empty((len(q), 2 ** (d + 1)))
+            nxt[:, 0::2] = probs * q_d
+            nxt[:, 1::2] = probs * (1.0 - q_d)
+            probs = nxt
+        return probs
+
+    def corner_row(self, k: int) -> np.ndarray:
+        """Leaf law of corner k: row k of tree_measure_set(self).weights_matrix,
+        bit for bit (the same products, divided by their sum as a Measure is)."""
+        probs = self._leaf_products([k])[0]
+        return probs / probs.sum()
+
+    def mean_corner_row(self) -> np.ndarray:
+        """Leaf law of the uniform mixture of the corners: the midpoint tree,
+        since under it each node is at q_lo or q_hi with probability 1/2,
+        independently of the others."""
+        probs = self._path_products(((self.q_lo + self.q_hi) / 2.0)[None, :])[0]
+        return probs / probs.sum()
+
+    @cached_property
+    def _levels(self) -> list[tuple]:
+        """Per level, deepest first: node ids lo:hi, the end of the children's
+        ids, and the two endpoints q_lo, q_hi (rows) with their down
+        probabilities."""
+        out = []
+        for d in range(self.depth - 1, -1, -1):
+            lo, hi = 2 ** d - 1, 2 ** (d + 1) - 1
+            q = np.stack([self.q_lo[lo:hi], self.q_hi[lo:hi]])
+            out.append((lo, hi, 2 ** (d + 2) - 1, q, 1 - q))
+        return out
+
+    def _sweep(self, v, pick):
+        """Backward recursion on leaf values v: the value y of every node,
+        and at each internal node the values of its two endpoints over the
+        children's y, row 0 for q_lo and row 1 for q_hi; y = pick(row 0, row 1)."""
+        nodes = self.num_internal
+        y = np.empty(2 * nodes + 1)
+        ends = np.empty((2, nodes))
+        y[nodes:] = v
+        for lo, hi, end, q, down in self._levels:
+            e = ends[:, lo:hi] = q * y[hi:end:2] + down * y[hi + 1 : end : 2]
+            y[lo:hi] = pick(e[0], e[1])
+        return y, ends
+
+    def support(self, v) -> tuple[float, int]:
+        """max over corners c of E_c[v], and the smallest corner attaining it.
+
+        The sup recursion is that maximum: the choices below a node do not
+        depend on those elsewhere. Each node takes q_hi only where it is
+        strictly better, so ties go to q_lo, the 0 bit, and the corner read
+        off the choices is the smallest maximizing index.
+        """
+        y, (a, b) = self._sweep(v, np.maximum)
+        k = 0
+        for bit in (b > a)[self.free]:
+            k = 2 * k + int(bit)
+        return float(y[0]), k
+
+    def near_ties(self, v, tie_tol: float = TIE_TOL) -> tuple[int, ...]:
+        """Every corner c with max_c' E_c'[v] - E_c[v] <= tie_tol, in index order.
+
+        With y the recursion's values and Q(u, c_u) the value of c's endpoint
+        at node u over the children's y, the shortfall of c is
+        sum over nodes u of reach_c(u) * (y(u) - Q(u, c_u)), reach_c(u) being
+        the probability under c of passing through u. Every term is >= 0, so
+        the walk extends partial corners node by node in id order, the bit
+        order of the index with q_lo first, and drops one as soon as its
+        partial sum exceeds tie_tol.
+        """
+        y, ends = self._sweep(v, np.maximum)
+        nodes = self.num_internal
+        shortfall = (y[:nodes] - ends).T
+        q = np.stack([self.q_lo, self.q_hi], axis=1)
+        free = self.free
+        index = np.zeros(1, dtype=np.int64)
+        total = np.zeros(1)
+        reach = np.ones((1, nodes))
+        for u in range(nodes):
+            choices = np.arange(2 if free[u] else 1)
+            grown = (total[:, None] + reach[:, u, None] * shortfall[u, choices]).ravel()
+            keep = grown <= tie_tol
+            parent = np.repeat(np.arange(len(index)), len(choices))[keep]
+            choice = np.tile(choices, len(index))[keep]
+            index = index[parent] * len(choices) + choice
+            total, reach = grown[keep], reach[parent]
+            if 2 * u + 1 < nodes:
+                p = q[u, choice]
+                reach[:, 2 * u + 1] = reach[:, u] * p
+                reach[:, 2 * u + 2] = reach[:, u] * (1.0 - p)
+        return tuple(int(k) for k in index)
 
 
 def tree_measure_set(tm: TreeModel) -> MeasureSet:
@@ -110,30 +257,13 @@ def tree_measure_set(tm: TreeModel) -> MeasureSet:
     single generator), in itertools.product order over the nodes: the bits of
     a corner's index, read from the highest, choose q_hi at the non-degenerate
     nodes in id order. The (2^m, 2^T) corner matrix is filled level by level
-    and refused, before anything is allocated, when it would exceed
-    MAX_CORNER_ENTRIES float64 entries; corners are never subsampled, which
-    would silently change the represented set. With every node non-degenerate
-    that admits depth 4 (2^15 corners) and refuses depth 5 (2^31 corners).
+    and refused by TreeModel.check_corner_count before anything is allocated;
+    corners are never subsampled, which would silently change the represented
+    set. Only the commands that need every generator build it; the corner
+    set's other queries are TreeModel's.
     """
-    free = tm.q_lo != tm.q_hi
-    num_corners = 2 ** int(free.sum())
-    if num_corners * tm.num_leaves > MAX_CORNER_ENTRIES:
-        raise GuardRefusalError(
-            f"{num_corners} corners x {tm.num_leaves} leaves exceed the limit of "
-            f"{MAX_CORNER_ENTRIES} corner-matrix entries (128 MiB)"
-        )
-    # bit of the corner index read by each node: the number of later free nodes
-    shift = np.cumsum(free[::-1])[::-1] - free
-    high = ((np.arange(num_corners)[:, None] >> shift) & 1).astype(bool) & free
-    q = np.where(high, tm.q_hi, tm.q_lo)
-    probs = np.ones((num_corners, 1))
-    for d in range(tm.depth):
-        q_d = q[:, 2 ** d - 1 : 2 ** (d + 1) - 1]
-        nxt = np.empty((num_corners, 2 ** (d + 1)))
-        nxt[:, 0::2] = probs * q_d
-        nxt[:, 1::2] = probs * (1.0 - q_d)
-        probs = nxt
-    return MeasureSet.from_matrix(tm.sample_space(), probs)
+    num_corners = tm.check_corner_count()
+    return MeasureSet.from_matrix(tm.space, tm._leaf_products(np.arange(num_corners)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,34 +290,64 @@ class GExpResult:
         return part.broadcast(self.level_values(level))
 
 
-def g_expectation(tm: TreeModel, xi_leaf, direction: str = "sup") -> GExpResult:
-    """Backward recursion from the leaf values; direction "inf" flips the
-    endpoint selection (used for the negation identity)."""
+def _leaf_array(tm: TreeModel, xi_leaf) -> np.ndarray:
     xi_leaf = np.asarray(xi_leaf, dtype=float)
     if xi_leaf.shape != (tm.num_leaves,):
         raise ArgumentError(f"expected {tm.num_leaves} leaf values")
     if not np.all(np.isfinite(xi_leaf)):
         raise ArgumentError("leaf values must be finite")
+    return xi_leaf
+
+
+def g_expectation(tm: TreeModel, xi_leaf, direction: str = "sup") -> GExpResult:
+    """Backward recursion from the leaf values; direction "inf" flips the
+    endpoint selection (used for the negation identity)."""
+    xi_leaf = _leaf_array(tm, xi_leaf)
     if direction not in ("sup", "inf"):
         raise ArgumentError("direction must be 'sup' or 'inf'")
-    pick = np.maximum if direction == "sup" else np.minimum
-    total = 2 ** (tm.depth + 1) - 1
-    y = np.empty(total)
-    z = np.empty(tm.num_internal)
-    y[2 ** tm.depth - 1 :] = xi_leaf
-    half_width = 2.0 * math.sqrt(tm.dt)
-    for d in range(tm.depth - 1, -1, -1):
-        lo, hi = 2 ** d - 1, 2 ** (d + 1) - 1
-        child = y[hi : 2 ** (d + 2) - 1]
-        y_up, y_dn = child[0::2], child[1::2]
-        qlo, qhi = tm.q_lo[lo:hi], tm.q_hi[lo:hi]
-        y[lo:hi] = pick(qlo * y_up + (1 - qlo) * y_dn, qhi * y_up + (1 - qhi) * y_dn)
-        z[lo:hi] = (y_up - y_dn) / half_width
+    y, _ = tm._sweep(xi_leaf, np.maximum if direction == "sup" else np.minimum)
+    z = (y[1::2] - y[2::2]) / (2.0 * math.sqrt(tm.dt))
     return GExpResult(tree=tm, y=y, z=z)
+
+
+def tree_rho(tm: TreeModel, xi_leaf, tie_tol: float = TIE_TOL) -> RhoValue:
+    """sublinear.rho over the tree's corner set, without building it.
+
+    The value is the sup recursion's root, argmax_generator the smallest
+    maximizing corner and ties every corner within tie_tol of the maximum,
+    indexed as in tree_measure_set. The corner count is checked first, so a
+    tree whose corner set tree_measure_set refuses is refused here too.
+    """
+    tm.check_corner_count()
+    xi_leaf = _leaf_array(tm, xi_leaf)
+    value, best = tm.support(xi_leaf)
+    return RhoValue(value=value, argmax_generator=best, ties=tm.near_ties(xi_leaf, tie_tol))
+
+
+def tree_envelopes(
+    tm: TreeModel, xi_leaf
+) -> list[tuple[PartitionAlgebra, RandomVariable, RandomVariable]]:
+    """(level partition, ess_inf, ess_sup) over the corner set, at every level 0..T.
+
+    The corners' choices inside a node's subtree do not depend on those
+    outside it, so the largest conditional mean of xi on a level-l block is
+    the sup recursion's value at the block's node, and the smallest is the
+    inf recursion's: conditional_envelopes over tree_measure_set(tm), from
+    two recursions.
+    """
+    upper = g_expectation(tm, xi_leaf, "sup")
+    lower = g_expectation(tm, xi_leaf, "inf")
+    out = []
+    for level in range(tm.depth + 1):
+        part = tm.level_partition(level)
+        ess_inf = part.broadcast(lower.level_values(level))
+        out.append((part, ess_inf, part.broadcast(upper.level_values(level))))
+    return out
 
 
 @dataclass(frozen=True)
 class GexpCompareReport:
+    recursion: GExpResult
     gexp_cond: RandomVariable
     mmse: RandomVariable
     sup_diff: float
@@ -203,24 +363,29 @@ def compare_gexp_mmse(
 ) -> GexpCompareReport:
     """Recursion values at a level versus the worst-case estimator there.
 
-    The two disagree in general; the report carries the sup-norm difference
-    and the full estimator result for auditing, and rho_root, the worst-case
-    expectation of xi over the corner set, which equals the recursion's root.
+    The two disagree in general; the report carries the recursion, the
+    sup-norm difference and the full estimator result for auditing. The
+    estimator is solve_mmse on the tree's corner set, which it queries
+    through the tree's support oracle instead of a corner matrix. rho_root
+    is E_c[xi] at the corner c that TreeModel.support(xi) returns, read off
+    that corner's leaf law: it must equal the recursion's root, by a
+    separate computation.
     """
     if not 0 <= level < tm.depth:
         raise ArgumentError(f"comparison level must lie in 0..{tm.depth - 1}")
-    ms = tree_measure_set(tm)
-    space = tm.sample_space()
-    xi = RandomVariable(space, xi_leaf)
+    tm.check_corner_count()
+    xi = RandomVariable(tm.space, xi_leaf)
     part = tm.level_partition(level)
     gres = g_expectation(tm, xi_leaf)
-    gexp_cond = gres.level_variable(level)
-    est = solve_mmse(ms, xi, part, cfg)
+    gexp_cond = part.broadcast(gres.level_values(level))
+    est = solve_mmse(tm, xi, part, cfg)
     sup_diff = float(np.max(np.abs(gexp_cond.values - est.eta_hat.values)))
+    _, best = tm.support(xi.values)
     return GexpCompareReport(
+        recursion=gres,
         gexp_cond=gexp_cond,
         mmse=est.eta_hat,
         sup_diff=sup_diff,
         estimator=est,
-        rho_root=rho(ms, xi).value,
+        rho_root=float(tm.corner_row(best) @ xi.values),
     )

@@ -412,6 +412,41 @@ class TestRhoCommand:
         assert out["result"]["rho"]["value"] == 6.5
         assert len(out["result"]["envelopes"]) == 2
 
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_tree_matches_its_explicit_corner_set(self, tmp_path, depth):
+        # the recursions answer exactly what the corner matrix answers on
+        # dyadic trees: same value, argmax, ties and envelopes
+        rng = np.random.default_rng(3100 + depth)
+        nodes, leaves = 2**depth - 1, 2**depth
+        lo = rng.integers(2, 8, size=nodes)
+        hi = lo + rng.integers(1, 8, size=nodes)
+        values = rng.integers(-32, 33, size=leaves) / 16
+        values[3] = values[2]  # a tie at one parent: two maximizing corners
+        tree = {
+            "depth": depth,
+            "q_lo": (lo / 16).tolist(),
+            "q_hi": (hi / 16).tolist(),
+            "dt": 0.25,
+            "leaf_values": values.tolist(),
+        }
+        tm = robustmse.gexp.TreeModel(depth, lo / 16, hi / 16)
+        levels = [tm.level_partition(lev) for lev in range(depth + 1)]
+        explicit = {
+            "version": "1",
+            "omega": list(tm.space.labels),
+            "generators": robustmse.gexp.tree_measure_set(tm).weights_matrix.tolist(),
+            "xi": values.tolist(),
+            "filtration": [[list(b) for b in part.blocks] for part in levels],
+        }
+        paths = []
+        for name, doc in (("tree", {"version": "1", "tree": tree}), ("explicit", explicit)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        (code_t, got), (code_e, want) = (run(["rho", str(p)], tmp_path, p.name) for p in paths)
+        assert code_t == code_e == 0
+        assert len(got["result"]["rho"]["ties"]) >= 2
+        assert got["result"] == want["result"]
+
 
 class TestOracleCommand:
     def test_example_agrees(self, example_file, tmp_path):
@@ -512,6 +547,22 @@ class TestGexpCommand:
         assert code == 0
         assert doc["result"]["comparison"]["sup_diff"] == pytest.approx(1.5, abs=1e-6)
         assert doc["result"]["representation"]["abs_gap"] < 1e-10
+        # the estimator's status, so that an exit 3 explains itself
+        cmp = doc["result"]["comparison"]
+        assert cmp["converged"] is True
+        assert 0.0 <= cmp["saddle_gap"] <= 1e-8 * (1 + 9.0)
+        assert cmp["iterations"] >= 1
+
+    def test_nonconvergence_reported_in_comparison(self, tmp_path):
+        doc = dict(self.tree_doc(2, leaves=[1, 0, 0, 0]), options={"level": 1, "max_iter": 0})
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["gexp", str(path)], tmp_path)
+        assert code == 3
+        cmp = out["result"]["comparison"]
+        assert cmp["converged"] is False
+        assert cmp["saddle_gap"] > 0.0
+        assert cmp["iterations"] == 0
 
     def test_degenerate_interval_no_difference(self, tmp_path):
         path = tmp_path / "deg.json"
@@ -535,7 +586,9 @@ class TestGexpCommand:
         assert code == 2
         assert "tree.depth" in capsys.readouterr().err
 
-    def test_builds_corner_set_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["gexp", "rho"])
+    def test_builds_no_corner_set(self, tmp_path, monkeypatch, command):
+        # both commands query the tree's corner set through its support oracle
         calls = []
         build = robustmse.gexp.tree_measure_set
 
@@ -546,10 +599,13 @@ class TestGexpCommand:
         monkeypatch.setattr(robustmse.gexp, "tree_measure_set", counted)
         path = tmp_path / "t2.json"
         path.write_text(json.dumps(self.tree_doc(2, leaves=[1, 0, 0, 0])))
-        code, doc = run(["gexp", str(path)], tmp_path)
+        code, doc = run([command, str(path)], tmp_path)
         assert code == 0
-        assert calls == [2]
-        assert doc["result"]["representation"]["abs_gap"] < 1e-10
+        assert calls == []
+        if command == "gexp":
+            assert doc["result"]["representation"]["abs_gap"] < 1e-10
+        else:
+            assert doc["result"]["rho"]["value"] == 0.5625
 
     def test_depth_four_rho_and_gexp(self, tmp_path):
         leaves = [((7 * i) % 11 - 5) / 4 for i in range(16)]

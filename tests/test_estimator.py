@@ -534,3 +534,31 @@ class TestUniqueness:
             ]
             rep = optimality_ineq(ms, xi, c, res.eta_hat, etas, tol=1e-9)
             assert rep.all_ok
+
+
+def test_face_ascent_drops_residue_weight():
+    # the state at which the dual solve on this tree's corner set used to
+    # stop: corner 66 left the face in an earlier Newton step but kept
+    # 1.2e-15 of weight, which clips every step that lowers it to nothing
+    from robustmse import TreeModel, tree_measure_set
+
+    tm = TreeModel(
+        3,
+        [0.3125, 0.25, 0.125, 0.375, 0.4375, 0.375, 0.3125],
+        [0.625, 0.4375, 0.625, 0.5625, 0.6875, 0.6875, 0.5],
+    )
+    x = RandomVariable(tm.space, [0, 0.3125, -1.9375, 2, -1, -0.875, 1.5625, -1.5])
+    quad = robustmse.estimator._Quadratics(tree_measure_set(tm), x, tm.level_partition(2))
+    s = np.array([73, 71, 66, 67, 74])
+    w = np.array([float.fromhex(h) for h in (
+        "0x1.51515151514c5p-1", "0x1.0000000000007p-2", "0x1.5f038f9f95001p-50",
+        "0x1.757575757596cp-4", "0x0.0p+0",
+    )])
+    shift = 1e-12 * quad.scale
+
+    def phi(s, w):
+        return float(w @ quad.residuals(quad.eta_of(w, s), s))
+
+    s_out, w_out = robustmse.estimator._face_ascent(quad, s, w, shift)
+    assert 66 not in s_out
+    assert phi(s_out, w_out) > phi(s, w) + 1e-10

@@ -8,14 +8,18 @@ from robustmse import (
     ArgumentError,
     GuardRefusalError,
     RandomVariable,
+    SolverConfig,
     TreeModel,
     compare_gexp_mmse,
+    conditional_envelopes,
     g_expectation,
+    mix,
     rho,
     solve_mmse,
     tree_measure_set,
 )
 from robustmse import gexp
+from robustmse.gexp import tree_envelopes, tree_rho
 from robustmse.randgen import rng_from_seed, random_variable
 
 
@@ -53,6 +57,24 @@ def per_node_tree(depth, seed, degenerate_frac=0.0):
     return TreeModel(depth, q_lo, q_hi, dt=0.3)
 
 
+def dyadic_tree(depth, seed, degenerate_frac=0.0):
+    """Per-node intervals of sixteenths, as the benchmark draws them."""
+    rng = rng_from_seed(seed)
+    nodes = 2 ** depth - 1
+    lo = rng.integers(2, 8, size=nodes)
+    hi = np.where(rng.random(nodes) < degenerate_frac, lo, lo + rng.integers(1, 8, size=nodes))
+    return TreeModel(depth, lo / 16, hi / 16)
+
+
+def dyadic_leaves(rng, tm):
+    """Sixteenths in [-2, 2], with the two leaves below some parents equal, so
+    that both endpoints tie there and several corners attain the maximum."""
+    v = rng.integers(-32, 33, size=tm.num_leaves) / 16
+    pairs = rng.random(tm.num_leaves // 2) < 0.4
+    v[1::2] = np.where(pairs, v[0::2], v[1::2])
+    return v
+
+
 CORNER_TREES = [
     pytest.param(lambda d=d, dt=dt: TreeModel.drift_bound(d, dt), id=f"drift-d{d}-dt{dt}")
     for d in (1, 2, 3, 4)
@@ -63,6 +85,11 @@ CORNER_TREES = [
 ] + [
     pytest.param(lambda d=d: per_node_tree(d, 70 + d, 0.4), id=f"degenerate-d{d}")
     for d in (2, 3, 4)
+]
+# the oracle's trees add dyadic ones, on which every expectation is exact
+ORACLE_TREES = CORNER_TREES + [
+    pytest.param(lambda d=d: dyadic_tree(d, 80 + d, 0.2), id=f"dyadic-d{d}")
+    for d in (1, 2, 3, 4)
 ]
 
 
@@ -285,3 +312,201 @@ def test_corner_attainment():
         )
         corner_values.append(float(probs @ xi.values))
     assert best.value == pytest.approx(max(corner_values), abs=1e-12)
+
+
+def is_exact(tm, v):
+    """Dyadic intervals and leaf values: every expectation below is exact."""
+    q = np.concatenate([tm.q_lo, tm.q_hi, v]) * 16
+    return bool(np.all(q == np.round(q)))
+
+
+def leaf_samples(tm, seed):
+    rng = rng_from_seed(seed)
+    out = [dyadic_leaves(rng, tm) for _ in range(3)]
+    out.append(np.full(tm.num_leaves, 0.75))  # every corner attains the maximum
+    out += [rng.normal(size=tm.num_leaves) * 3.0 for _ in range(3)]
+    return out
+
+
+class TestCornerOracle:
+    """TreeModel's queries against the explicit corner matrix."""
+
+    @pytest.mark.parametrize("make_tree", ORACLE_TREES)
+    def test_support_against_corner_matrix(self, make_tree):
+        tm = make_tree()
+        W = tree_measure_set(tm).weights_matrix
+        for v in leaf_samples(tm, 90 + tm.depth):
+            vals = W @ v
+            M = np.max(np.abs(v))
+            value, k = tm.support(v)
+            assert value == pytest.approx(vals.max(), abs=1e-12 * M)
+            assert vals[k] >= vals.max() - 1e-12 * M
+            if is_exact(tm, v):
+                # ties go to q_lo: the smallest maximizing corner
+                assert value == vals.max()
+                assert k == int(np.flatnonzero(vals == vals.max())[0])
+
+    @pytest.mark.parametrize("make_tree", ORACLE_TREES)
+    def test_corner_row_is_bit_identical(self, make_tree):
+        tm = make_tree()
+        W = tree_measure_set(tm).weights_matrix
+        ks = np.arange(len(W))
+        if len(W) > 256:
+            sample = rng_from_seed(91).integers(0, len(W), 300)
+            ks = np.unique(np.concatenate([[0, len(W) - 1], sample]))
+        for k in ks:
+            assert tm.corner_row(int(k)).tobytes() == W[k].tobytes()
+
+    @pytest.mark.parametrize("make_tree", ORACLE_TREES)
+    def test_rho_against_corner_matrix(self, make_tree):
+        tm = make_tree()
+        ms = tree_measure_set(tm)
+        for v in leaf_samples(tm, 92 + tm.depth):
+            x = RandomVariable(ms.space, v)
+            M = x.bound
+            # wide tolerances reach corners whose shortfall sits deep in the tree
+            for tol in (1e-9, 1e-3 * M, 0.05 * M, 0.3 * M):
+                want = rho(ms, x, tol)
+                got = tree_rho(tm, v, tol)
+                assert got.ties == want.ties
+                assert got.value == pytest.approx(want.value, abs=1e-12 * M)
+                if is_exact(tm, v):
+                    assert got == want
+
+    def test_every_corner_ties_on_a_constant(self):
+        tm = TreeModel.drift_bound(4)
+        got = tree_rho(tm, np.full(16, -1.5))
+        assert got.ties == tuple(range(2 ** 15))
+        assert got.argmax_generator == 0 and got.value == -1.5
+
+    def test_refused_like_the_corner_set(self):
+        with pytest.raises(GuardRefusalError, match="corner-matrix entries"):
+            tree_rho(TreeModel.drift_bound(5), np.zeros(32))
+
+    @pytest.mark.parametrize("make_tree", ORACLE_TREES)
+    def test_envelopes_against_corner_matrix(self, make_tree):
+        tm = make_tree()
+        ms = tree_measure_set(tm)
+        for v in leaf_samples(tm, 93 + tm.depth):
+            x = RandomVariable(ms.space, v)
+            envelopes = tree_envelopes(tm, v)
+            assert len(envelopes) == tm.depth + 1
+            for level, (part, lower, upper) in enumerate(envelopes):
+                assert part == tm.level_partition(level)
+                want_lower, want_upper = conditional_envelopes(ms, x, part)
+                if is_exact(tm, v):
+                    assert np.array_equal(lower.values, want_lower.values)
+                    assert np.array_equal(upper.values, want_upper.values)
+                else:
+                    assert lower.values == pytest.approx(want_lower.values, abs=1e-12 * x.bound)
+                    assert upper.values == pytest.approx(want_upper.values, abs=1e-12 * x.bound)
+
+
+class TestTreeSolve:
+    """solve_mmse on a TreeModel against solve_mmse on its corner set."""
+
+    @pytest.mark.parametrize("make_tree", ORACLE_TREES)
+    def test_matches_corner_set(self, make_tree):
+        tm = make_tree()
+        ms = tree_measure_set(tm)
+        rng = rng_from_seed(94 + tm.depth)
+        for level in range(tm.depth):
+            part = tm.level_partition(level)
+            for v in (dyadic_leaves(rng, tm), rng.normal(size=tm.num_leaves) * 3.0):
+                x = RandomVariable(ms.space, v)
+                M = x.bound
+                want = solve_mmse(ms, x, part)
+                got = solve_mmse(tm, x, part)
+                assert got.converged and want.converged
+                assert np.max(np.abs(got.eta_hat.values - want.eta_hat.values)) <= 1e-9 * M
+                assert abs(got.alpha - want.alpha) <= 1e-9 * M * M
+                # a dense mixture over the corners that reproduces eta_hat
+                assert len(got.p_hat) == len(ms)
+                assert np.count_nonzero(got.p_hat.lam) <= part.num_blocks + 1
+                p = mix(ms, got.p_hat)
+                cond = part.block_sums(p.weights * v) / part.block_sums(p.weights)
+                assert np.max(np.abs(part.broadcast(cond).values - got.eta_hat.values)) <= 1e-9 * M
+                assert np.max(ms.weights_matrix @ (v - got.eta_hat.values) ** 2) == pytest.approx(
+                    got.alpha, abs=1e-12 * M * M
+                )
+
+    def test_measurable_input(self):
+        tm = TreeModel.drift_bound(3)
+        part = tm.level_partition(2)
+        x = part.broadcast([1.0, -2.0, 0.5, 3.0])
+        res = solve_mmse(tm, x, part)
+        assert res.eta_hat == x and res.alpha == 0.0
+        assert np.array_equal(res.p_hat.lam, np.full(2 ** 7, 2.0 ** -7))
+
+    def test_init_weights_refused(self):
+        tm = TreeModel.drift_bound(2)
+        x = RandomVariable(tm.space, [1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ArgumentError, match="init_weights"):
+            solve_mmse(tm, x, tm.level_partition(1), init_weights=np.ones(8))
+
+    def test_refused_like_the_corner_set(self):
+        tm = TreeModel.drift_bound(5)
+        x = RandomVariable(tm.space, np.arange(32.0))
+        with pytest.raises(GuardRefusalError, match="corner-matrix entries"):
+            solve_mmse(tm, x, tm.level_partition(4))
+
+    @pytest.mark.parametrize("as_tree", [False, True], ids=["corner-set", "tree"])
+    def test_residue_weight_does_not_stop_the_solve(self, as_tree):
+        # a Newton step left a dropped corner at weight 1.2e-15, which clipped
+        # every later step to nothing; the solve stopped at gap 8.4e-6
+        tm = TreeModel(
+            3,
+            [0.3125, 0.25, 0.125, 0.375, 0.4375, 0.375, 0.3125],
+            [0.625, 0.4375, 0.625, 0.5625, 0.6875, 0.6875, 0.5],
+        )
+        x = RandomVariable(tm.space, [0, 0.3125, -1.9375, 2, -1, -0.875, 1.5625, -1.5])
+        res = solve_mmse(tm if as_tree else tree_measure_set(tm), x, tm.level_partition(2))
+        assert res.converged
+        assert res.saddle_gap <= 1e-12
+        assert res.alpha == pytest.approx(2.590225219726563, abs=1e-12)
+
+
+class TestCompareAgainstCornerSet:
+    @pytest.mark.parametrize("make_tree", ORACLE_TREES)
+    def test_gexp_estimator_matches_corner_set(self, make_tree):
+        tm = make_tree()
+        ms = tree_measure_set(tm)
+        v = dyadic_leaves(rng_from_seed(95 + tm.depth), tm)
+        x = RandomVariable(ms.space, v)
+        root = g_expectation(tm, v).root_value
+        for level in range(tm.depth):
+            rep = compare_gexp_mmse(tm, v, level)
+            want = solve_mmse(ms, x, tm.level_partition(level))
+            assert np.max(np.abs(rep.mmse.values - want.eta_hat.values)) <= 1e-9 * x.bound
+            assert abs(rep.estimator.alpha - want.alpha) <= 1e-9 * x.bound ** 2
+            assert rep.rho_root == pytest.approx(root, abs=1e-12 * x.bound)
+            if is_exact(tm, v):
+                assert rep.rho_root == rho(ms, x).value == root
+
+    def test_rho_root_is_a_separate_computation(self):
+        # rho_root is E_c[xi] read off corner c's leaf law, not the recursion's
+        # root, so the representation gap compares two computations
+        rng = rng_from_seed(96)
+        differs = 0
+        for i in range(12):
+            tm = per_node_tree(3, 200 + i)
+            v = rng.normal(size=tm.num_leaves) * 3.0
+            rep = compare_gexp_mmse(tm, v, 1)
+            root, best = tm.support(v)
+            assert rep.rho_root == float(tm.corner_row(best) @ v)
+            assert rep.rho_root == pytest.approx(root, abs=1e-12 * np.max(np.abs(v)))
+            differs += rep.rho_root != root
+        assert differs > 0
+
+    def test_traced_solve_is_the_estimators(self, monkeypatch):
+        # gexp's solve goes through estimator.solve_mmse, by module attribute
+        calls = []
+        solve = gexp.solve_mmse
+
+        def counted(ms, *args, **kwargs):
+            calls.append(type(ms).__name__)
+            return solve(ms, *args, **kwargs)
+
+        monkeypatch.setattr(gexp, "solve_mmse", counted)
+        compare_gexp_mmse(TreeModel.drift_bound(2), [1.0, 0.0, 0.0, 0.0], 1)
+        assert calls == ["TreeModel"]
