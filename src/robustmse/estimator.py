@@ -37,7 +37,6 @@ from .errors import ArgumentError, GuardRefusalError, PropernessError, ZeroMassB
 from .measures import (
     MeasureSet,
     MixtureWeights,
-    conditional_expectation,
     expectation,
     is_proper,
     mix,
@@ -325,28 +324,6 @@ def _simplicial_decomposition(quad, eta0, max_iter):
     return s, w, iters
 
 
-def _coordinate_refine_dead_blocks(quad, lam, eta, bound):
-    """Exact 1-D minimax over blocks the chosen mixture leaves uncharged."""
-    d = lam @ quad.mass
-    dead = np.flatnonzero(d <= 0.0)
-    if len(dead) == 0:
-        return eta
-    eta = eta.copy()
-    for j in dead:
-        lo, hi = -bound, bound
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            e1, e2 = eta.copy(), eta.copy()
-            e1[j], e2[j] = m1, m2
-            if quad.worst(e1)[2] <= quad.worst(e2)[2]:
-                hi = m2
-            else:
-                lo = m1
-        eta[j] = 0.5 * (lo + hi)
-    return eta
-
-
 def solve_mmse(
     ms: MeasureSet | TreeModel,
     xi: RandomVariable,
@@ -410,8 +387,10 @@ def solve_mmse(
 
     lam = np.zeros(quad.num_gen)
     lam[s] = w
+    # P_hat charges every block of a proper set; on a set that is not, a
+    # block it leaves uncharged keeps reference_cond, one of the values that
+    # minimize there (eta_hat need not be unique)
     eta = quad.eta_of(lam)
-    eta = _coordinate_refine_dead_blocks(quad, lam, eta, xi.bound)
     r, _, alpha = quad.worst(eta, slice(None))
     # the mathematical gap is nonnegative; the dot product may round a hair
     # above the max when the residuals are all but equal
@@ -557,8 +536,9 @@ def verify_saddle(
 
     max_over_P <= value_at_saddle certifies P_hat is worst-case at eta_hat;
     value_at_saddle <= min_over_eta certifies eta_hat minimizes under P_hat
-    (the exact inner minimum is the conditional expectation). Tolerance scales
-    with 1 + alpha.
+    (the exact inner minimum is the conditional expectation). A block P_hat
+    leaves uncharged adds 0 to the inner minimum whatever eta is there, so it
+    is skipped. Tolerance scales with 1 + alpha.
     """
     cfg = cfg or SolverConfig()
     eta = result.eta_hat
@@ -566,7 +546,11 @@ def verify_saddle(
     max_over_p = rho(ms, sq).value
     p_hat = mix(ms, result.p_hat)
     value_at_saddle = expectation(p_hat, sq)
-    inner = conditional_expectation(p_hat, xi, c)
+    mass = c.block_sums(p_hat.weights)
+    live = mass > 0.0
+    cond = np.zeros(c.num_blocks)
+    cond[live] = c.block_sums(p_hat.weights * xi.values)[live] / mass[live]
+    inner = c.broadcast(cond)
     min_over_eta = expectation(p_hat, (xi - inner) * (xi - inner))
     tol = cfg.tol * (1.0 + abs(result.alpha))
     passed = (max_over_p <= value_at_saddle + tol) and (
@@ -596,17 +580,34 @@ def kernel_member(
     c: PartitionAlgebra,
     eta_tilde: RandomVariable,
     tol: float = 1e-9,
+    witness=None,
 ) -> bool:
     """Does inf over C-measurable eta of rho[(xi - eta_tilde) eta] equal zero?
 
     The inner expectations are linear in eta with coefficient vectors
     u_k[B] = E_{g_k}[(xi - eta_tilde) 1_B]; by positive homogeneity the infimum
     is 0 exactly when 0 lies in the convex hull of the u_k and -infinity
-    otherwise. Membership is one linear feasibility problem, decided by the
-    in-repo simplex on u_k / bound(xi), so that tol (the phase-1 residual)
-    does not depend on the units of xi.
+    otherwise. Membership is tested on u_k / bound(xi), so that tol does not
+    depend on the units of xi.
+
+    witness, optional, is a mixture lam over the generators, such as the
+    solver's P_hat (for eta_tilde = eta_hat, the conditional mean under P_hat,
+    lam @ u = 0). It proves membership without an LP when lam has one entry
+    per generator, lam >= 0, and sum_B |lam @ u_B| + |sum lam - 1| <= tol:
+    the residual the simplex's phase 1 would leave at lam, with u rebuilt here
+    from the weight rows. Without a witness, or when it fails, membership is
+    one linear feasibility problem, decided by the in-repo simplex with tol as
+    its phase-1 residual.
     """
     _, u = _centered_moments(ms, xi, c, eta_tilde, "eta_tilde")
+    if witness is not None:
+        lam = np.asarray(witness, dtype=float)
+        if (
+            lam.shape == (len(u),)
+            and np.all(lam >= 0.0)
+            and np.abs(lam @ u).sum() + abs(lam.sum() - 1.0) <= tol
+        ):
+            return True
     member, _, _ = hull_membership(u, np.zeros(c.num_blocks), tol)
     return member
 

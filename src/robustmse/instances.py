@@ -11,6 +11,7 @@ SHA-256 digest pairs results with their instances.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -200,10 +201,21 @@ def _generator_row(row, i, space) -> list[float]:
     return weights
 
 
+def _plain_matrix(gens_doc, n) -> bool:
+    """Is every row a list of n entries, each an int or a float (exact types)?"""
+    return all(type(row) is list and len(row) == n for row in gens_doc) and set(
+        map(type, itertools.chain.from_iterable(gens_doc))
+    ) <= _PLAIN_NUMBERS
+
+
 def _parse_generators(gens_doc, space) -> MeasureSet:
     """Validate the whole matrix at once; on failure, walk the rows in order
-    so the error names the first faulty row as a per-row check would."""
+    so the error names the first faulty row as a per-row check would. Rows of
+    plain numbers go to numpy in one conversion; any other row (decimal
+    strings, a wrong length) takes the per-row walk first."""
     try:
+        if _plain_matrix(gens_doc, space.n):
+            return MeasureSet.from_matrix(space, gens_doc)
         rows = [_generator_row(row, i, space) for i, row in enumerate(gens_doc)]
         return MeasureSet.from_matrix(space, rows)
     except RobustMseError:

@@ -1,13 +1,18 @@
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import robustmse.cli
 import robustmse.estimator
 import robustmse.gexp
-from robustmse import Measure
-from robustmse.cli import main
+from robustmse import Measure, RandomVariable
+from robustmse.cli import build_parser, main
 from robustmse.errors import ValidationError
 from robustmse.instances import (
     canonical_dict,
@@ -483,6 +488,60 @@ class TestOracleCommand:
         assert doc["result"]["brute_force"]["converged"] is False
 
 
+UNCHARGED = {
+    "version": "1",
+    "omega": ["a", "b", "c"],
+    "generators": [[0.5, 0.5, 0], [0.5, 0.49, 0.01]],
+    "xi": [1, -1, 0],
+    "partition": [[0, 1], [2]],
+}
+
+
+class TestUnchargedBlock:
+    """A valid set that is not proper: P_hat = (1, 0) leaves block {c}
+    uncharged, and F is 1 for every eta_c in [-1, 1]."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "uncharged.json"
+        path.write_text(json.dumps(UNCHARGED))
+        return str(path)
+
+    def test_solve_certifies(self, path, tmp_path):
+        code, doc = run(["solve", path], tmp_path)
+        assert code == 0
+        res = doc["result"]
+        assert res["estimator"]["p_hat"] == [1.0, 0.0]
+        # the uncharged block keeps the uniform mixture's conditional mean
+        assert res["estimator"]["eta_hat"] == [0.0, 0.0, 0.0]
+        assert res["estimator"]["alpha"] == 1.0
+        assert res["saddle_certificate"]["passed"] is True
+        assert res["kernel_member"] is True
+        assert res["ns_condition"]["holds"] is True
+
+    def test_oracle_agrees(self, path, tmp_path):
+        code, doc = run(["oracle", path], tmp_path)
+        assert code == 0
+        assert doc["result"]["agree"] is True
+
+    @pytest.mark.parametrize("eta_c, agree", [(-0.5, True), (1.0, True), (2.0, False)])
+    def test_oracle_judges_by_value(self, path, tmp_path, monkeypatch, eta_c, agree):
+        # moving eta on the uncharged block keeps F = 1 while |eta_c| <= 1
+        solve = robustmse.cli.solve_mmse
+
+        def moved(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            values = res.eta_hat.values.copy()
+            values[2] = eta_c
+            return dataclasses.replace(res, eta_hat=RandomVariable(res.eta_hat.space, values))
+
+        monkeypatch.setattr(robustmse.cli, "solve_mmse", moved)
+        code, doc = run(["oracle", path], tmp_path)
+        assert doc["result"]["eta_sup_diff"] == abs(eta_c)
+        assert doc["result"]["agree"] is agree
+        assert code == (0 if agree else 1)
+
+
 class TestStabilityCommand:
     def test_witness_instance(self, tmp_path):
         doc = {
@@ -624,3 +683,56 @@ class TestGexpCommand:
         path.write_text(json.dumps(self.tree_doc(5)))
         assert main(["rho", str(path)]) == 4
         assert "corner-matrix entries" in capsys.readouterr().err
+
+
+def fresh_process_result(args, tmp_path, name):
+    """The result file of the same command from a new interpreter."""
+    out = tmp_path / name
+    src = os.path.dirname(os.path.dirname(robustmse.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "robustmse.cli", *args, "--out", str(out)], env=env
+    )
+    doc = json.loads(out.read_text())
+    doc.pop("wall_time_s")
+    return proc.returncode, doc
+
+
+class TestParserReuse:
+    """main() reuses one parser; no option of one call may reach the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_match_fresh_processes(self, tmp_path):
+        interior = dict(
+            EXAMPLE_4,
+            generators=[[0.3125, 0.1875, 0.1875, 0.3125], [0.1875, 0.375, 0.1875, 0.25]],
+            xi=[-0.875, -1.9375, -0.8125, -1.875],
+        )
+        path = tmp_path / "interior.json"
+        path.write_text(json.dumps(interior))
+        calls = [
+            # tol 0 fails the saddle certificate, so a tol left over from
+            # the first call would change the second
+            ["solve", str(path), "--tol", "0"],
+            ["solve", str(path)],
+            None,  # a usage error between two valid calls
+            ["tcsearch", "--seed", "20250801", "--trials", "50"],
+            ["tcsearch"],
+        ]
+        results = []
+        for i, args in enumerate(calls):
+            if args is None:
+                with pytest.raises(SystemExit) as err:
+                    main(["solve", "--trials", "3"])
+                assert err.value.code == 2
+                continue
+            code, doc = run(args, tmp_path, f"in-process-{i}.json")
+            doc.pop("wall_time_s")
+            assert (code, doc) == fresh_process_result(args, tmp_path, f"fresh-{i}.json")
+            results.append((code, doc))
+        assert [code for code, _ in results] == [1, 0, 0, 0]
+        assert results[0][1] != results[1][1]
+        assert results[2][1]["result"]["trials"] == 50
+        assert results[3][1]["result"]["trials"] == 1000

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from robustmse import (
     RandomVariable,
     SampleSpace,
     SolverConfig,
+    TreeModel,
     brute_force_mmse,
     conditional_expectation,
     ess_sup_conditional,
@@ -31,6 +33,8 @@ from robustmse import (
     solve_mmse,
     verify_saddle,
 )
+from robustmse.cli import main as cli_main
+from robustmse.gexp import tree_measure_set
 from robustmse.randgen import (
     random_instance,
     random_measure_set,
@@ -338,6 +342,89 @@ class TestKernel:
         space, ms, xi, _ = two_point
         band = kernel_interval(ms, xi, PartitionAlgebra.discrete(space))
         assert band.lower == xi and band.upper == xi
+
+
+class TestKernelWitness:
+    """kernel_member certifies from the solver's mixture before any LP."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        hull = robustmse.estimator.hull_membership
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return hull(*args, **kwargs)
+
+        monkeypatch.setattr(robustmse.estimator, "hull_membership", counted)
+        return calls
+
+    def test_matches_lp_on_random_corpus(self, lp_calls):
+        rng = rng_from_seed(77)
+        for _ in range(400):
+            ms, xi, c = random_instance(rng, max_points=12, max_blocks=5, max_generators=10)
+            res = solve_mmse(ms, xi, c)
+            assert res.converged
+            assert kernel_member(ms, xi, c, res.eta_hat, witness=res.p_hat.lam)
+            assert lp_calls == []  # P_hat certified it
+            assert kernel_member(ms, xi, c, res.eta_hat)
+            lp_calls.clear()
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_matches_lp_on_tree_solves(self, lp_calls, depth):
+        rng = rng_from_seed(78 + depth)
+        nodes = 2**depth - 1
+        lo = rng.integers(2, 8, size=nodes)
+        trees = [TreeModel.drift_bound(depth), TreeModel(depth, lo / 16, (lo + 4) / 16)]
+        for tm in trees:
+            ms = tree_measure_set(tm)
+            for level in range(depth):
+                xi = RandomVariable(ms.space, rng.integers(-32, 33, size=2**depth) / 16)
+                c = tm.level_partition(level)
+                res = solve_mmse(tm, xi, c)
+                assert kernel_member(ms, xi, c, res.eta_hat, witness=res.p_hat.lam)
+                assert lp_calls == []
+                assert kernel_member(ms, xi, c, res.eta_hat)
+                lp_calls.clear()
+
+    def test_solve_command_runs_one_lp(self, lp_calls, tmp_path):
+        # the one hull LP of a converged solve is the NS test's
+        doc = {
+            "omega": ["a", "b", "c", "d"],
+            "generators": [[0.3125, 0.1875, 0.1875, 0.3125], [0.1875, 0.375, 0.1875, 0.25]],
+            "xi": [-0.875, -1.9375, -0.8125, -1.875],
+            "partition": [[0, 1], [2, 3]],
+        }
+        path = tmp_path / "interior.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["solve", str(path), "--out", str(tmp_path / "out.json")]) == 0
+        assert len(lp_calls) == 1
+
+    def fallback_cases(self, two_point):
+        """(eta_tilde, witness) pairs the witness test must reject."""
+        triv = two_point[3]
+        center, half = triv.broadcast([5.0]), np.array([0.5, 0.5])  # u = (1.5, -1.5)
+        tol = 1e-9
+        return {
+            "wrong length": (center, np.array([0.5, 0.5, 0.0])),
+            # at eta = 7, u = (-0.5, -3.5): (7/6, -1/6) balances u and sums to 1
+            "negative entry": (triv.broadcast([7.0]), np.array([7.0, -1.0]) / 6.0),
+            "sum off by 2 tol": (center, half * (1.0 + 2.0 * tol)),
+            "zero weights": (triv.broadcast([7.0]), np.zeros(2)),
+            # eta = 5.5 is in the kernel [3.5, 6.5], but P_hat does not prove it
+            "perturbed eta": (triv.broadcast([5.5]), half),
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["wrong length", "negative entry", "sum off by 2 tol", "zero weights", "perturbed eta"]
+    )
+    def test_failed_witness_falls_back_to_lp(self, two_point, lp_calls, case):
+        _, ms, xi, triv = two_point
+        eta, lam = self.fallback_cases(two_point)[case]
+        verdict = kernel_member(ms, xi, triv, eta, witness=lam)
+        assert len(lp_calls) == 1
+        assert verdict == kernel_member(ms, xi, triv, eta)
+        assert verdict == (case not in ("negative entry", "zero weights"))
 
 
 def exact_box_infimum(ms, xi, c, eta):
