@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .errors import GuardRefusalError, RobustMseError, ValidationError
+from .errors import GuardRefusalError, NonconvergenceError, RobustMseError, ValidationError
 from .estimator import (
     SolverConfig,
     brute_force_mmse,
@@ -301,6 +301,9 @@ def main(argv=None) -> int:
     except GuardRefusalError as exc:
         print(f"robustmse: refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except NonconvergenceError as exc:
+        print(f"robustmse: nonconvergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     except RobustMseError as exc:
         print(f"robustmse: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -42,6 +42,11 @@ class PropernessError(RobustMseError):
     """An operation requires mutually equivalent (strictly positive) generators."""
 
 
+class NonconvergenceError(RobustMseError):
+    """A numerical routine stopped before it could decide, such as the simplex
+    at its pivot limit."""
+
+
 class GuardRefusalError(RobustMseError):
     """A size guard refused the computation rather than degrade silently."""
 

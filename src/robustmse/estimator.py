@@ -84,122 +84,82 @@ class Certificate:
     passed: bool
 
 
-def _moments(W, x, c):
-    """Per-row block tables of the mass, E[xi 1_B] and E[xi^2 1_B]."""
-    return c.block_sums(W), c.block_sums(W * x), c.block_sums(W * x**2)
+class _Pool:
+    """The generators the dual solver has added, each with its weight row and
+    its rows of block masses and first moments E_g[xi 1_B], and the three
+    queries it puts to the measure set (solve_mmse). Residuals are taken over
+    the weight rows at xi - eta: expanded second moments cancel once xi has a
+    large offset."""
 
-
-class _Quadratics:
-    """Per-generator, per-block moment tables for F and the dual.
-
-    The dual solver asks a measure set for two things only: these tables for
-    the generators it keeps active (rows), and worst(), the generator with
-    the largest residual at a blockwise-constant eta. An explicit set
-    answers both from the tables of all its generators.
-    """
-
-    def __init__(self, ms: MeasureSet, xi: RandomVariable, c: PartitionAlgebra):
+    def __init__(self, ms: MeasureSet | TreeModel, xi: RandomVariable, c: PartitionAlgebra):
         check_same_space(ms, xi, c)
-        self.mass, self.first, self.second = _moments(ms.weights_matrix, xi.values, c)
-        self.second_total = self.second.sum(axis=1)
-        self.num_blocks = c.num_blocks
-        self.size = len(ms)
-        if np.any(self.mass.sum(axis=0) <= 0.0):
-            j = int(np.argmax(self.mass.sum(axis=0) <= 0.0))
-            raise ZeroMassBlockError(c.blocks[j])
-        # conditional mean under the uniform mixture; fills blocks a boundary
-        # mixture leaves uncharged
-        self.reference_cond = self.first.mean(axis=0) / self.mass.mean(axis=0)
-        # scale of the residuals, for the Hessian shift of the face steps
-        self.scale = float(np.max(np.abs(self.second_total)))
+        if isinstance(ms, MeasureSet):
+            W = ms.weights_matrix
+            self.size, self.row, mean = len(W), W.__getitem__, W.mean(axis=0)
 
-    @property
-    def num_gen(self) -> int:
-        """Rows of the tables."""
-        return len(self.mass)
+            def support(v):
+                top = W @ v
+                k = int(np.argmax(top))
+                return float(top[k]), k
+
+            self.support = support
+        else:
+            self.size = ms.check_corner_count()  # p_hat is dense over the corners
+            self.support, self.row, mean = ms.support, ms.corner_row, ms.mean_corner_row()
+        self.x, self.c = xi.values, c
+        mass = c.block_sums(mean)
+        if np.any(mass <= 0.0):
+            raise ZeroMassBlockError(c.blocks[int(np.argmax(mass <= 0.0))])
+        self.reference_cond = c.block_sums(mean * self.x) / mass
+        self.ids: list[int] = []  # generator of each pooled row
+        self._index: dict[int, int] = {}
+        self.weights = np.empty((0, len(self.x)))
+        self.mass = self.first = np.empty((0, c.num_blocks))
+
+    def add(self, k: int) -> int:
+        """The pool row of generator k, pooled on first use."""
+        row = self._index.get(k)
+        if row is None:
+            row = self._index[k] = len(self.ids)
+            self.ids.append(k)
+            w = self.row(k)[None, :]
+            self.weights = np.concatenate([self.weights, w])
+            self.mass = np.concatenate([self.mass, self.c.block_sums(w)])
+            self.first = np.concatenate([self.first, self.c.block_sums(w * self.x)])
+        return row
+
+    def cond(self, mass: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """first / mass per block; reference_cond where mass is 0."""
+        eta = self.reference_cond.copy()
+        live = mass > 0.0
+        eta[live] = first[live] / mass[live]
+        return eta
 
     def eta_of(self, lam: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """E_{P_lam}[xi | C] per block, lam weighing the generators in rows."""
-        d = lam @ self.mass[rows]
-        nu = lam @ self.first[rows]
-        eta = self.reference_cond.copy()
-        live = d > 0.0
-        eta[live] = nu[live] / d[live]
-        return eta
+        """E_{P_lam}[xi | C] per block, lam weighing the pooled rows in rows."""
+        return self.cond(lam @ self.mass[rows], lam @ self.first[rows])
 
     def residuals(self, eta: np.ndarray, rows=slice(None)) -> np.ndarray:
         """r_k = E_{g_k}[(xi - eta)^2] for a blockwise-constant eta."""
-        return (
-            self.second_total[rows]
-            - 2.0 * (self.first[rows] @ eta)
-            + self.mass[rows] @ (eta ** 2)
-        )
+        d = self.x - eta[self.c.labels]
+        return self.weights[rows] @ (d * d)
 
     def centered(self, eta: np.ndarray, rows=slice(None)) -> np.ndarray:
         """u[k, B] = E_{g_k}[(xi - eta) 1_B]."""
-        return self.first[rows] - eta[None, :] * self.mass[rows]
+        return self.c.block_sums(self.weights[rows] * (self.x - eta[self.c.labels]))
 
-    def worst(self, eta: np.ndarray, rows=slice(0)) -> tuple[np.ndarray, int, float]:
-        """(residuals of rows, generator k with the largest residual, r_k) at eta."""
-        r = self.residuals(eta)
-        k = int(np.argmax(r))
-        return r[rows], k, float(r[k])
-
-    def row_of(self, k: int) -> int:
-        """The table row of generator k."""
-        return k
-
-    def mixture(self, lam: np.ndarray) -> np.ndarray:
-        """Weights on the table rows as weights on all generators."""
-        return lam
+    def worst(self, eta: np.ndarray) -> tuple[np.ndarray, int, float]:
+        """(residuals of the pooled rows, generator k with the largest r_k, r_k)."""
+        d = self.x - eta[self.c.labels]
+        r = self.weights @ (d * d)
+        top, k = self.support(d * d)
+        row = self._index.get(k)
+        # a generator already in the pool is valued from its pooled row, like
+        # the residuals it is compared with
+        return r, k, top if row is None else float(r[row])
 
 
-class _TreeQuadratics(_Quadratics):
-    """The moment tables of a tree's corner set, for the corners the solver
-    has added so far (a pool that only grows); worst() is the tree's sup
-    recursion on (xi - eta)^2, TreeModel.support, not a scan of all 2^m
-    corners.
-    """
-
-    def __init__(self, tm: TreeModel, xi: RandomVariable, c: PartitionAlgebra):
-        check_same_space(tm, xi, c)
-        self.size = tm.check_corner_count()  # p_hat is dense over the corners
-        self.tree, self.x, self.c = tm, xi.values, c
-        self.num_blocks = c.num_blocks
-        self.corners: list[int] = []  # corner of each table row
-        self._rows: dict[int, int] = {}
-        self.mass = self.first = np.empty((0, c.num_blocks))
-        self.second_total = np.empty(0)
-        mass, first, _ = _moments(tm.mean_corner_row(), self.x, c)
-        self.reference_cond = first / mass
-        self.scale = tm.support(self.x ** 2)[0]
-
-    def worst(self, eta, rows=slice(0)):
-        r = self.residuals(eta)
-        top, k = self.tree.support((self.x - eta[self.c.labels]) ** 2)
-        row = self._rows.get(k)
-        # a corner already in the pool is valued from the tables, like the
-        # residuals it is compared with
-        return r[rows], k, top if row is None else float(r[row])
-
-    def row_of(self, k):
-        row = self._rows.get(k)
-        if row is None:
-            row = self._rows[k] = len(self.corners)
-            self.corners.append(k)
-            mass, first, second = _moments(self.tree.corner_row(k)[None, :], self.x, self.c)
-            self.mass = np.concatenate([self.mass, mass])
-            self.first = np.concatenate([self.first, first])
-            self.second_total = np.concatenate([self.second_total, second.sum(axis=1)])
-        return row
-
-    def mixture(self, lam):
-        dense = np.zeros(self.size)
-        dense[self.corners] = lam
-        return dense
-
-
-def _face_ascent(quad, s, w, shift):
+def _face_ascent(pool, s, w, shift):
     """Maximize phi over the hull of generators s, starting from weights w.
 
     Newton steps on the face solve the KKT system of the quadratic model with
@@ -218,8 +178,8 @@ def _face_ascent(quad, s, w, shift):
     """
 
     def state(s, w):
-        eta = quad.eta_of(w, s)
-        r = quad.residuals(eta, s)
+        eta = pool.eta_of(w, s)
+        r = pool.residuals(eta, s)
         return eta, r, float(w @ r)
 
     eta, r, phi = state(s, w)
@@ -232,9 +192,9 @@ def _face_ascent(quad, s, w, shift):
         if len(s) == 1 or gap <= 0.0:
             break
         n = len(s)
-        d = w @ quad.mass[s]
+        d = w @ pool.mass[s]
         live = d > 0.0
-        u = quad.centered(eta, s)[:, live]
+        u = pool.centered(eta, s)[:, live]
         kkt = np.ones((n + 1, n + 1))
         kkt[:n, :n] = -2.0 * (u / d[live]) @ u.T - shift * np.eye(n)
         kkt[n, n] = 0.0
@@ -274,8 +234,8 @@ def _face_ascent(quad, s, w, shift):
     # direction v with v @ u = 0 and sum(v) = 0 moves no conditional mean,
     # so eta and r stay put; follow it (uphill in phi) until a weight is 0
     while True:
-        live = w @ quad.mass[s] > 0.0
-        m = np.vstack([quad.centered(eta, s)[:, live].T, np.ones(len(s))])
+        live = w @ pool.mass[s] > 0.0
+        m = np.vstack([pool.centered(eta, s)[:, live].T, np.ones(len(s))])
         if len(s) <= len(m):
             return s, w
         v = np.linalg.svd(m)[2][-1]
@@ -290,32 +250,34 @@ def _face_ascent(quad, s, w, shift):
         eta, r, phi = state(s, w)
 
 
-def _simplicial_decomposition(quad, eta0, max_iter):
+def _simplicial_decomposition(pool, eta0, max_iter):
     """Fully-corrective Frank-Wolfe on the dual: add the generator argmax r,
     re-maximize phi over the hull of the active generators, repeat.
 
     Starts from the single generator argmax r at eta0. Stops when the saddle
     gap max r - phi closes or when an addition improves neither phi nor the
-    gap. Returns the active table rows, their weights and the number of
+    gap. Returns the active pool rows, their weights and the number of
     additions.
     """
 
     def evaluate(s, w):
-        r, k, top = quad.worst(quad.eta_of(w, s), s)
-        phi = float(w @ r)
+        r, k, top = pool.worst(pool.eta_of(w, s))
+        phi = float(w @ r[s])
         return k, phi, top - phi
 
-    shift = 1e-12 * quad.scale
-    s = np.array([quad.row_of(quad.worst(eta0)[1])])
+    _, k, top = pool.worst(eta0)
+    # the Hessian shift of the face steps, in the units of the residuals
+    shift = 1e-12 * top
+    s = np.array([pool.add(k)])
     w = np.ones(1)
     k, phi, gap = evaluate(s, w)
     top_phi, low_gap = phi, gap
     iters = 0
     while iters < max_iter and gap > 0.0:
         iters += 1
-        row = quad.row_of(k)
+        row = pool.add(k)
         s_new, w_new = (s, w) if row in s else (np.append(s, row), np.append(w, 0.0))
-        s_new, w_new = _face_ascent(quad, s_new, w_new, shift)
+        s_new, w_new = _face_ascent(pool, s_new, w_new, shift)
         k_new, phi_new, gap_new = evaluate(s_new, w_new)
         if not (phi_new > top_phi or gap_new < low_gap):
             break
@@ -334,15 +296,21 @@ def solve_mmse(
     """Minimize the worst-case mean square error over C-measurable estimators.
 
     ms is a MeasureSet or a TreeModel, which stands for its corner set
-    (tree_measure_set) without enumerating it: the solver keeps moment rows
-    for the corners it adds and finds the worst corner by the tree's sup
-    recursion. Maximize the dual phi by simplicial decomposition, starting
-    from the generator with the largest residual at init_weights (uniform by
-    default; a tree starts from the uniform mixture of its corners and takes
-    no init_weights), and read the estimator off the optimal mixture as
-    eta_hat = E_{P_hat}[xi | C]. Each iteration adds one generator and
-    re-solves on the hull of the active ones; cfg.max_iter caps these
-    additions, and EstimatorResult.iterations counts them. The run has
+    (tree_measure_set) without enumerating it. The solver keeps a pool of the
+    generators it has added (weight row, block masses, first moments) and
+    asks the set three things only: support(v), the largest E_g[v] and the
+    smallest generator index reaching it (W @ v with argmax for a MeasureSet,
+    TreeModel.support for a tree); row(k), generator k's weight row; and the
+    row of the uniform mixture of the generators. Residuals come from the
+    pooled rows at xi - eta, so the estimator commutes with a shift:
+    eta_hat(xi + a) = eta_hat(xi) + a with the same alpha.
+
+    Maximize the dual phi by simplicial decomposition, starting from the
+    generator with the largest residual at init_weights (the uniform mixture
+    by default; a tree takes no init_weights), and read the estimator off the
+    optimal mixture as eta_hat = E_{P_hat}[xi | C]. Each iteration adds one
+    generator and re-solves on the hull of the active ones; cfg.max_iter caps
+    these additions, and EstimatorResult.iterations counts them. The run has
     converged when the saddle gap is at most cfg.tol * (1 + alpha), the same
     relative test verify_saddle applies, so the status does not depend on the
     units of xi. Nonconvergence is reported as an explicit status
@@ -352,65 +320,49 @@ def solve_mmse(
     cfg = cfg or SolverConfig()
     warn: list[str] = []
     if isinstance(ms, MeasureSet):
-        quad = _Quadratics(ms, xi, c)
         if not is_proper(ms):
             warn.append("measure set is not proper; solution may be non-unique")
-    else:
-        if init_weights is not None:
-            raise ArgumentError("a tree's corner set takes no init_weights")
-        quad = _TreeQuadratics(ms, xi, c)  # 0 < q < 1 at every node: proper
+    elif init_weights is not None:  # 0 < q < 1 at every node: a tree is proper
+        raise ArgumentError("a tree's corner set takes no init_weights")
+    pool = _Pool(ms, xi, c)
 
     if is_measurable(xi, c):
-        lam = np.full(quad.size, 1.0 / quad.size)
         return EstimatorResult(
-            eta_hat=xi,
-            p_hat=MixtureWeights(lam),
-            alpha=0.0,
-            saddle_gap=0.0,
-            iterations=0,
-            solver=SOLVER_SADDLE,
-            converged=True,
-            warnings=tuple(warn),
+            eta_hat=xi, p_hat=MixtureWeights(np.full(pool.size, 1.0 / pool.size)), alpha=0.0,
+            saddle_gap=0.0, iterations=0, solver=SOLVER_SADDLE, warnings=tuple(warn),
         )
 
-    if isinstance(quad, _TreeQuadratics):
-        eta0 = quad.reference_cond
-    elif init_weights is None:
-        eta0 = quad.eta_of(np.full(len(ms), 1.0 / len(ms)))
+    if init_weights is None:
+        eta0 = pool.reference_cond
     else:
         lam0 = np.asarray(init_weights, dtype=float)
         if lam0.shape != (len(ms),) or np.any(lam0 < 0) or lam0.sum() <= 0:
             raise ArgumentError("init_weights must be nonnegative with positive sum")
-        eta0 = quad.eta_of(lam0 / lam0.sum())
+        p0 = (lam0 / lam0.sum()) @ ms.weights_matrix
+        eta0 = pool.cond(c.block_sums(p0), c.block_sums(p0 * xi.values))
 
-    s, w, iters = _simplicial_decomposition(quad, eta0, cfg.max_iter)
+    s, w, iters = _simplicial_decomposition(pool, eta0, cfg.max_iter)
 
-    lam = np.zeros(quad.num_gen)
-    lam[s] = w
     # P_hat charges every block of a proper set; on a set that is not, a
     # block it leaves uncharged keeps reference_cond, one of the values that
     # minimize there (eta_hat need not be unique)
-    eta = quad.eta_of(lam)
-    r, _, alpha = quad.worst(eta, slice(None))
+    eta = pool.eta_of(w, s)
+    r, _, alpha = pool.worst(eta)
     # the mathematical gap is nonnegative; the dot product may round a hair
     # above the max when the residuals are all but equal
-    gap = max(0.0, alpha - float(lam @ r))
+    gap = max(0.0, alpha - float(w @ r[s]))
     converged = gap <= cfg.tol * (1.0 + alpha)
     if not converged:
         warn.append(
             f"saddle iteration stopped at gap {gap:.3e} > tol {cfg.tol:.1e} "
             f"after {iters} iterations"
         )
+    p_hat = np.zeros(pool.size)
+    p_hat[np.take(pool.ids, s)] = w
 
     return EstimatorResult(
-        eta_hat=c.broadcast(eta),
-        p_hat=MixtureWeights(quad.mixture(lam)),
-        alpha=alpha,
-        saddle_gap=gap,
-        iterations=iters,
-        solver=SOLVER_SADDLE,
-        converged=converged,
-        warnings=tuple(warn),
+        eta_hat=c.broadcast(eta), p_hat=MixtureWeights(p_hat), alpha=alpha, saddle_gap=gap,
+        iterations=iters, solver=SOLVER_SADDLE, converged=converged, warnings=tuple(warn),
     )
 
 

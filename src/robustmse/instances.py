@@ -57,7 +57,10 @@ def _num(value, path) -> float:
     if isinstance(value, bool):
         raise ValidationError(path, "expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the largest float
+            raise ValidationError(path, "number too large for a float") from None
     if isinstance(value, str):
         try:
             return float(value)
@@ -72,8 +75,11 @@ _PLAIN_NUMBERS = frozenset((int, float))  # exact types: a bool's type is not in
 def _num_list(values, path) -> list[float]:
     _require(isinstance(values, list), path, "expected an array")
     if set(map(type, values)) <= _PLAIN_NUMBERS:
-        return list(map(float, values))
-    # anything else takes the per-value walk, which names the offending entry
+        try:
+            return list(map(float, values))
+        except OverflowError:  # an integer beyond the largest float
+            pass
+    # that and anything else take the per-value walk, which names the entry
     return [_num(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
@@ -142,6 +148,7 @@ def parse_instance(doc: Any) -> Instance:
 
     if "tree" in doc:
         return _parse_tree_instance(doc, options)
+    _require("level" not in options, "options.level", "only a tree instance takes a level")
 
     _require("omega" in doc, "omega", "required for partition/filtration instances")
     omega = doc["omega"]
@@ -212,13 +219,14 @@ def _parse_generators(gens_doc, space) -> MeasureSet:
     """Validate the whole matrix at once; on failure, walk the rows in order
     so the error names the first faulty row as a per-row check would. Rows of
     plain numbers go to numpy in one conversion; any other row (decimal
-    strings, a wrong length) takes the per-row walk first."""
+    strings, a wrong length) takes the per-row walk first. An integer beyond
+    the largest float makes numpy raise OverflowError; the walk names it."""
     try:
         if _plain_matrix(gens_doc, space.n):
             return MeasureSet.from_matrix(space, gens_doc)
         rows = [_generator_row(row, i, space) for i, row in enumerate(gens_doc)]
         return MeasureSet.from_matrix(space, rows)
-    except RobustMseError:
+    except (RobustMseError, OverflowError):
         for i, row in enumerate(gens_doc):
             weights = _generator_row(row, i, space)
             try:

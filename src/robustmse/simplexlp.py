@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonconvergenceError
+
 PIVOT_EPS = 1e-11
 
 
@@ -62,7 +64,8 @@ def solve_lp(c, A, b, *, feas_tol=1e-9, max_pivots=100_000) -> LpResult:
 
     Two-phase dense simplex. Phase 1 minimizes total artificial mass; its
     optimal value is returned as `residual` and compared against feas_tol to
-    classify feasibility, so callers control the tolerance.
+    classify feasibility, so callers control the tolerance. More than
+    max_pivots pivots raise NonconvergenceError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).copy()
@@ -92,11 +95,11 @@ def solve_lp(c, A, b, *, feas_tol=1e-9, max_pivots=100_000) -> LpResult:
             break
         row = _ratio_leave(T, basis, col, m, PIVOT_EPS)
         if row < 0:  # phase-1 objective is bounded below by 0; cannot happen
-            raise RuntimeError("phase-1 ratio test failed")
+            raise NonconvergenceError("simplex phase-1 ratio test failed")
         _pivot(T, basis, row, col)
         pivots += 1
         if pivots > max_pivots:
-            raise RuntimeError("pivot limit exceeded")
+            raise NonconvergenceError(f"simplex pivot limit of {max_pivots} exceeded")
 
     residual = max(0.0, -T[m + 1, -1])
 
@@ -131,7 +134,7 @@ def solve_lp(c, A, b, *, feas_tol=1e-9, max_pivots=100_000) -> LpResult:
         _pivot(T, basis, row, col)
         pivots += 1
         if pivots > max_pivots:
-            raise RuntimeError("pivot limit exceeded")
+            raise NonconvergenceError(f"simplex pivot limit of {max_pivots} exceeded")
 
     x = extract()
     return LpResult("optimal", x, float(c @ x), residual, pivots)

@@ -28,7 +28,7 @@ from robustmse import (
     is_measurable,
     paste,
 )
-from robustmse.estimator import _Quadratics
+from robustmse.estimator import _Pool
 from robustmse.randgen import random_partition, rng_from_seed, split_partition
 
 REL = 1e-13
@@ -94,8 +94,7 @@ def ref_moments(ms, xi, c):
     blocks = [list(b) for b in c.blocks]
     mass = np.stack([W[:, b].sum(axis=1) for b in blocks], axis=1)
     first = np.stack([W[:, b] @ x[b] for b in blocks], axis=1)
-    second = np.stack([W[:, b] @ (x[b] ** 2) for b in blocks], axis=1)
-    return mass, first, second
+    return mass, first
 
 
 def ref_paste(q0, q, algebra):
@@ -242,10 +241,22 @@ class TestBlockwiseSums:
         rng = rng_from_seed(2414)
         xi = RandomVariable(c.space, rng.normal(size=c.space.n) * 3.0)
         ms = MeasureSet.from_matrix(c.space, weights_with_dead_blocks(rng, c, 5))
-        quad = _Quadratics(ms, xi, c)
-        for got, ref in zip((quad.mass, quad.first, quad.second), ref_moments(ms, xi, c)):
-            assert_close(got, ref)
-        assert np.array_equal(quad.mass == 0.0, ref_moments(ms, xi, c)[0] == 0.0)
+        pool = _Pool(ms, xi, c)
+        # pooled out of index order: row j holds generator pool.ids[j]
+        order = rng.permutation(len(ms))
+        assert [pool.add(int(k)) for k in order] == list(range(len(ms)))
+        assert pool.ids == order.tolist()
+        mass, first = ref_moments(ms, xi, c)
+        assert_close(pool.mass, mass[order])
+        assert_close(pool.first, first[order])
+        assert np.array_equal(pool.mass == 0.0, mass[order] == 0.0)
+        # residuals and centred moments from the weight rows, block by block
+        eta = rng.normal(size=c.num_blocks)
+        dev = xi.values - ref_broadcast(c, eta)
+        W = ms.weights_matrix[order]
+        blocks = [list(b) for b in c.blocks]
+        assert_close(pool.residuals(eta), sum(W[:, b] @ dev[b] ** 2 for b in blocks))
+        assert_close(pool.centered(eta), np.stack([W[:, b] @ dev[b] for b in blocks], axis=1))
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import pytest
 import robustmse.cli
 import robustmse.estimator
 import robustmse.gexp
+import robustmse.simplexlp
 from robustmse import Measure, RandomVariable
 from robustmse.cli import build_parser, main
 from robustmse.errors import ValidationError
@@ -156,6 +157,43 @@ class TestNumberArrays:
         with pytest.raises(ValidationError) as err:
             parse_instance(doc)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "field, path",
+        [
+            ("generators", "generators[1][2]"),
+            ("xi", "xi[2]"),
+            ("tol", "options.tol"),
+            ("q_lo", "tree.q_lo"),
+            ("q_lo list", "tree.q_lo[1]"),
+        ],
+    )
+    def test_integer_beyond_float_range(self, field, path, tmp_path, capsys):
+        # json writes 10**400 as 401 digits; float() on it raises OverflowError
+        huge = 10**400
+        doc = {
+            "version": "1",
+            "omega": ["a", "b", "c", "d"],
+            "generators": [[0.25, 0.25, 0.25, 0.25], [0.125, 0.375, 0.25, 0.25]],
+            "xi": [1, 2.5, 3, 4],
+            "partition": [[0, 1], [2, 3]],
+        }
+        if field == "generators":
+            doc["generators"][1][2] = huge
+        elif field == "xi":
+            doc["xi"][2] = huge
+        elif field == "tol":
+            doc["options"] = {"tol": huge}
+        else:
+            q_lo = huge if field == "q_lo" else [0.25, huge, 0.25]
+            doc = {"version": "1", "tree": {"depth": 2, "q_lo": q_lo, "q_hi": 0.75,
+                                            "leaf_values": [1, 0, 0, 0]}}
+        file = tmp_path / "huge.json"
+        file.write_text(json.dumps(doc))
+        assert main(["solve", str(file)]) == 2
+        assert capsys.readouterr().err == (
+            f"robustmse: invalid input: {path}: number too large for a float\n"
+        )
 
     def test_decimal_string_among_plain_numbers(self):
         doc = dict(EXAMPLE, generators=[[0.25, "0.75"], [0.75, 0.25]], xi=[2, "8.5"])
@@ -356,6 +394,26 @@ class TestSolveCommand:
             path.write_text(json.dumps(doc))
             code = main(["solve", str(path)])
             assert code == 2, options
+
+    def test_level_needs_a_tree(self, tmp_path, capsys):
+        # no partition or filtration command reads level
+        filtration = {k: v for k, v in EXAMPLE.items() if k != "partition"}
+        for doc in (EXAMPLE, dict(filtration, filtration=[[[0, 1]], [[0], [1]]])):
+            path = tmp_path / "level.json"
+            path.write_text(json.dumps(dict(doc, options={"level": 0})))
+            assert main(["solve", str(path)]) == 2
+            assert "options.level: only a tree instance takes a level" in capsys.readouterr().err
+
+    def test_lp_pivot_limit_exit_code(self, example_file, tmp_path, monkeypatch, capsys):
+        # a simplex that stops at its pivot limit is nonconvergence, not invalid input
+        lp = robustmse.simplexlp.solve_lp
+        monkeypatch.setattr(
+            robustmse.simplexlp, "solve_lp", lambda *a, **kw: lp(*a, **dict(kw, max_pivots=0))
+        )
+        code, out = run(["solve", example_file], tmp_path)
+        assert (code, out) == (3, None)
+        err = capsys.readouterr().err
+        assert err == "robustmse: nonconvergence: simplex pivot limit of 0 exceeded\n"
 
     def test_boolean_partition_index_rejected(self, tmp_path, capsys):
         # JSON booleans load as Python bools, which are ints; [[false], [true, 2]]
@@ -709,13 +767,16 @@ class TestParserReuse:
             EXAMPLE_4,
             generators=[[0.3125, 0.1875, 0.1875, 0.3125], [0.1875, 0.375, 0.1875, 0.25]],
             xi=[-0.875, -1.9375, -0.8125, -1.875],
+            options={"max_iter": 0},
         )
         path = tmp_path / "interior.json"
         path.write_text(json.dumps(interior))
         calls = [
-            # tol 0 fails the saddle certificate, so a tol left over from
-            # the first call would change the second
-            ["solve", str(path), "--tol", "0"],
+            # the solve stops at its start, a saddle gap of 0.053: tol 1
+            # accepts it (then the NS check fails, exit 1) and the default
+            # does not (exit 3), so a tol left over from the first call would
+            # change the second
+            ["solve", str(path), "--tol", "1"],
             ["solve", str(path)],
             None,  # a usage error between two valid calls
             ["tcsearch", "--seed", "20250801", "--trials", "50"],
@@ -732,7 +793,7 @@ class TestParserReuse:
             doc.pop("wall_time_s")
             assert (code, doc) == fresh_process_result(args, tmp_path, f"fresh-{i}.json")
             results.append((code, doc))
-        assert [code for code, _ in results] == [1, 0, 0, 0]
+        assert [code for code, _ in results] == [1, 3, 0, 0]
         assert results[0][1] != results[1][1]
         assert results[2][1]["result"]["trials"] == 50
         assert results[3][1]["result"]["trials"] == 1000

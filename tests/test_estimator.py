@@ -623,6 +623,27 @@ class TestUniqueness:
             assert rep.all_ok
 
 
+class TestTranslation:
+    """rho preserves constants, so the estimator commutes with a shift:
+    eta_hat(xi + a) = eta_hat(xi) + a with the same alpha. Residuals taken in
+    expanded form, E[xi^2] - 2 eta E[xi 1_B] + eta^2 mass, cancel once the
+    offset dwarfs the spread of xi."""
+
+    @pytest.mark.parametrize("shift", [1e3, 1e4, 1e5, 1e6])
+    def test_estimator_commutes_with_shift(self, shift):
+        rng = rng_from_seed(77)
+        for i in range(120):
+            ms, xi, c = random_instance(rng)
+            base = solve_mmse(ms, xi, c)
+            moved = RandomVariable(xi.space, xi.values + shift)
+            res = solve_mmse(ms, moved, c)
+            M = xi.bound
+            assert res.converged, (i, res.warnings)
+            assert np.max(np.abs(res.eta_hat.values - shift - base.eta_hat.values)) <= 1e-6 * M
+            assert abs(res.alpha - base.alpha) <= 1e-6 * M * M
+            assert verify_saddle(ms, moved, c, res).passed, i
+
+
 def test_face_ascent_drops_residue_weight():
     # the state at which the dual solve on this tree's corner set used to
     # stop: corner 66 left the face in an earlier Newton step but kept
@@ -635,17 +656,19 @@ def test_face_ascent_drops_residue_weight():
         [0.625, 0.4375, 0.625, 0.5625, 0.6875, 0.6875, 0.5],
     )
     x = RandomVariable(tm.space, [0, 0.3125, -1.9375, 2, -1, -0.875, 1.5625, -1.5])
-    quad = robustmse.estimator._Quadratics(tree_measure_set(tm), x, tm.level_partition(2))
-    s = np.array([73, 71, 66, 67, 74])
+    pool = robustmse.estimator._Pool(tree_measure_set(tm), x, tm.level_partition(2))
+    corners = [73, 71, 66, 67, 74]
+    s = np.array([pool.add(k) for k in corners])
     w = np.array([float.fromhex(h) for h in (
         "0x1.51515151514c5p-1", "0x1.0000000000007p-2", "0x1.5f038f9f95001p-50",
         "0x1.757575757596cp-4", "0x0.0p+0",
     )])
-    shift = 1e-12 * quad.scale
+    # the solver's shift: 1e-12 of the worst residual at its start point
+    shift = 1e-12 * pool.worst(pool.reference_cond)[2]
 
     def phi(s, w):
-        return float(w @ quad.residuals(quad.eta_of(w, s), s))
+        return float(w @ pool.residuals(pool.eta_of(w, s), s))
 
-    s_out, w_out = robustmse.estimator._face_ascent(quad, s, w, shift)
-    assert 66 not in s_out
+    s_out, w_out = robustmse.estimator._face_ascent(pool, s, w, shift)
+    assert 66 not in [pool.ids[row] for row in s_out]
     assert phi(s_out, w_out) > phi(s, w) + 1e-10

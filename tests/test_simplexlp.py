@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robustmse.errors import NonconvergenceError, RobustMseError
 from robustmse.simplexlp import box_epigraph_min, hull_membership, solve_lp
 
 
@@ -22,6 +23,13 @@ class TestSolveLp:
         res = solve_lp(c, A, b)
         assert res.status == "optimal"
         assert res.x == pytest.approx([1.0, 1.0])
+
+    def test_pivot_limit_is_a_typed_error(self):
+        # the optimum of test_known_optimum needs one pivot
+        A = np.array([[1.0, 1.0, 1.0]])
+        with pytest.raises(NonconvergenceError, match="pivot limit") as err:
+            solve_lp(np.array([-1.0, -1.0, 0.0]), A, np.array([1.0]), max_pivots=0)
+        assert isinstance(err.value, RobustMseError)
 
     def test_infeasible(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
