@@ -1,7 +1,8 @@
 """Batch command line front end.
 
-    robustmse solve|rho|oracle|stability|tcsearch|gexp <instance.json>
-              [--out result.json] [--tol X] [--seed N] [--trials N]
+    robustmse rho|stability <instance.json> [--out result.json]
+    robustmse solve|oracle|gexp <instance.json> [--out result.json] [--tol X]
+    robustmse tcsearch [--out result.json] [--seed N] [--trials N]
 
 Exit codes: 0 success, 1 certificate failure, 2 validation error,
 3 nonconvergence, 4 guard refusal. Identical instance + options + seed
@@ -26,7 +27,7 @@ from .estimator import (
     solve_mmse,
     verify_saddle,
 )
-from .gexp import compare_gexp_mmse, tree_envelopes, tree_rho
+from .gexp import compare_gexp_mmse, tree_envelopes
 from .instances import (
     Instance,
     _json_inf,
@@ -63,13 +64,12 @@ def _solver_config(inst: Instance, args) -> SolverConfig:
 
 def cmd_rho(inst: Instance, args) -> tuple[dict, int]:
     xi = inst.xi
+    # the tree's recursions answer for its corner set, which is never built
+    ms = inst.tree if inst.kind == "tree" else inst.generators()
+    value = rho(ms, xi)
     if inst.kind == "tree":
-        # the tree's recursions answer for its corner set, which is never built
-        value = tree_rho(inst.tree, xi.values)
-        envelopes = tree_envelopes(inst.tree, xi.values)
+        envelopes = tree_envelopes(ms, xi.values)
     else:
-        ms = inst.generators()
-        value = rho(ms, xi)
         levels = [inst.partition] if inst.kind == "partition" else inst.filtration.levels
         envelopes = [(lev, *conditional_envelopes(ms, xi, lev)) for lev in levels]
     payload = {
@@ -100,7 +100,8 @@ def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
         return payload, EXIT_NONCONVERGENCE
     cert = verify_saddle(ms, xi, algebra, res, cfg)
     member = kernel_member(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam)
-    ns = ns_condition(ms, xi, algebra, res.eta_hat, tol=float(inst.options.get("ns_tol", 1e-6)))
+    ns_tol = float(inst.options.get("ns_tol", 1e-6))
+    ns = ns_condition(ms, xi, algebra, res.eta_hat, tol=ns_tol, witness=res.p_hat.lam)
     payload["saddle_certificate"] = certificate_dict(cert)
     payload["kernel_member"] = member
     payload["ns_condition"] = {
@@ -260,21 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_instance=True):
-        if with_instance:
-            p.add_argument("instance", help="instance JSON file")
+    def command(name, summary, solves=False):
+        # only the commands that run the dual solver read --tol
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("instance", help="instance JSON file")
         p.add_argument("--out", help="write the result file here instead of stdout")
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
+        if solves:
+            p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
 
-    common(sub.add_parser("rho", help="worst-case expectation and envelopes"))
-    common(sub.add_parser("solve", help="estimator with certificates"))
-    common(sub.add_parser("oracle", help="ellipsoid oracle cross-check"))
-    common(sub.add_parser("stability", help="pasting stability and recursivity"))
+    command("rho", "worst-case expectation and envelopes")
+    command("solve", "estimator with certificates", solves=True)
+    command("oracle", "ellipsoid oracle cross-check", solves=True)
+    command("stability", "pasting stability and recursivity")
     tcs = sub.add_parser("tcsearch", help="search for a time-consistency failure")
     tcs.add_argument("--out", help="write the result file here instead of stdout")
     tcs.add_argument("--seed", type=int, default=None)
     tcs.add_argument("--trials", type=int, default=None)
-    common(sub.add_parser("gexp", help="tree recursion versus the estimator"))
+    command("gexp", "tree recursion versus the estimator", solves=True)
     return parser
 
 

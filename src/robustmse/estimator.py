@@ -86,26 +86,15 @@ class Certificate:
 
 class _Pool:
     """The generators the dual solver has added, each with its weight row and
-    its rows of block masses and first moments E_g[xi 1_B], and the three
-    queries it puts to the measure set (solve_mmse). Residuals are taken over
+    its rows of block masses and first moments E_g[xi 1_B], and the queries
+    it puts to the measure set (solve_mmse). Residuals are taken over
     the weight rows at xi - eta: expanded second moments cancel once xi has a
     large offset."""
 
     def __init__(self, ms: MeasureSet | TreeModel, xi: RandomVariable, c: PartitionAlgebra):
         check_same_space(ms, xi, c)
-        if isinstance(ms, MeasureSet):
-            W = ms.weights_matrix
-            self.size, self.row, mean = len(W), W.__getitem__, W.mean(axis=0)
-
-            def support(v):
-                top = W @ v
-                k = int(np.argmax(top))
-                return float(top[k]), k
-
-            self.support = support
-        else:
-            self.size = ms.check_corner_count()  # p_hat is dense over the corners
-            self.support, self.row, mean = ms.support, ms.corner_row, ms.mean_corner_row()
+        self.size = ms.num_generators()  # on a tree, the corner-count guard: p_hat is dense
+        self.support, self.rows, mean = ms.support, ms.rows, ms.mean_row()
         self.x, self.c = xi.values, c
         mass = c.block_sums(mean)
         if np.any(mass <= 0.0):
@@ -122,7 +111,7 @@ class _Pool:
         if row is None:
             row = self._index[k] = len(self.ids)
             self.ids.append(k)
-            w = self.row(k)[None, :]
+            w = self.rows([k])
             self.weights = np.concatenate([self.weights, w])
             self.mass = np.concatenate([self.mass, self.c.block_sums(w)])
             self.first = np.concatenate([self.first, self.c.block_sums(w * self.x)])
@@ -298,11 +287,11 @@ def solve_mmse(
     ms is a MeasureSet or a TreeModel, which stands for its corner set
     (tree_measure_set) without enumerating it. The solver keeps a pool of the
     generators it has added (weight row, block masses, first moments) and
-    asks the set three things only: support(v), the largest E_g[v] and the
-    smallest generator index reaching it (W @ v with argmax for a MeasureSet,
-    TreeModel.support for a tree); row(k), generator k's weight row; and the
-    row of the uniform mixture of the generators. Residuals come from the
-    pooled rows at xi - eta, so the estimator commutes with a shift:
+    asks the set, through the queries both kinds answer, only for
+    num_generators(), support(v) (the largest E_g[v] and the smallest
+    generator index reaching it), rows(ks) and mean_row(), the row of the
+    uniform mixture of the generators. Residuals come from the pooled rows at
+    xi - eta, so the estimator commutes with a shift:
     eta_hat(xi + a) = eta_hat(xi) + a with the same alpha.
 
     Maximize the dual phi by simplicial decomposition, starting from the
@@ -526,6 +515,18 @@ def _centered_moments(ms, xi, c, eta_tilde, name):
     return d, c.block_sums(ms.weights_matrix * d) / (xi.bound or 1.0)
 
 
+def _hull_witness(witness, u, tol):
+    """witness as simplex weights lam that put 0 in the hull of the rows of u,
+    or None. lam qualifies when it has one entry per row, lam >= 0, and
+    sum_B |lam @ u_B| + |sum lam - 1| <= tol: the residual the simplex's
+    phase 1 would leave at lam."""
+    if witness is None:
+        return None
+    lam = np.asarray(witness, dtype=float)
+    ok = lam.shape == (len(u),) and np.all(lam >= 0.0)
+    return lam if ok and np.abs(lam @ u).sum() + abs(lam.sum() - 1.0) <= tol else None
+
+
 def kernel_member(
     ms: MeasureSet,
     xi: RandomVariable,
@@ -544,22 +545,15 @@ def kernel_member(
 
     witness, optional, is a mixture lam over the generators, such as the
     solver's P_hat (for eta_tilde = eta_hat, the conditional mean under P_hat,
-    lam @ u = 0). It proves membership without an LP when lam has one entry
-    per generator, lam >= 0, and sum_B |lam @ u_B| + |sum lam - 1| <= tol:
-    the residual the simplex's phase 1 would leave at lam, with u rebuilt here
-    from the weight rows. Without a witness, or when it fails, membership is
-    one linear feasibility problem, decided by the in-repo simplex with tol as
-    its phase-1 residual.
+    lam @ u = 0). It proves membership without an LP when the residual the
+    simplex's phase 1 would leave at lam, with u rebuilt here from the weight
+    rows, is at most tol (_hull_witness). Without a witness, or when it
+    fails, membership is one linear feasibility problem, decided by the
+    in-repo simplex with tol as its phase-1 residual.
     """
     _, u = _centered_moments(ms, xi, c, eta_tilde, "eta_tilde")
-    if witness is not None:
-        lam = np.asarray(witness, dtype=float)
-        if (
-            lam.shape == (len(u),)
-            and np.all(lam >= 0.0)
-            and np.abs(lam @ u).sum() + abs(lam.sum() - 1.0) <= tol
-        ):
-            return True
+    if _hull_witness(witness, u, tol) is not None:
+        return True
     member, _, _ = hull_membership(u, np.zeros(c.num_blocks), tol)
     return member
 
@@ -609,6 +603,7 @@ def ns_condition(
     eta_hat: RandomVariable,
     tol: float = 1e-6,
     hull_tol: float = 1e-9,
+    witness=None,
 ) -> NsReport:
     """Check inf over C-measurable eta of rho[(xi - eta_hat)(xi - eta)] == rho(xi - eta_hat)^2.
 
@@ -622,6 +617,12 @@ def ns_condition(
     holds when the certified lower bound is within tol * M^2 of rho_sq. The
     box needs no normal-cone term: where eta_hat touches +-M, |xi| <= M makes
     every u_k one-signed on that block.
+
+    witness, optional, is a mixture lam over all the generators, such as the
+    solver's P_hat. The bound holds for any simplex weights, so when lam
+    passes kernel_member's residual test (with hull_tol) and its bound proves
+    the condition, no LP runs and lower_bound is taken at lam. Otherwise the
+    hull test on the active generators decides, as without a witness.
     """
     d, u = _centered_moments(ms, xi, c, eta_hat, "eta_hat")
     W = ms.weights_matrix
@@ -629,17 +630,22 @@ def ns_condition(
     r = W @ (d * d)
     rho_sq = float(np.max(r))
     active = np.flatnonzero(r >= rho_sq - tol * M * M)
+
+    def report(mu, rows):
+        # mu @ a - M |mu @ u|_1, with u in units of M
+        lower = float(mu @ (W[rows] @ (d * xi.values)) - M * M * np.abs(mu @ u[rows]).sum())
+        holds = rho_sq - lower <= tol * M * M
+        return NsReport(lower_bound=lower, rho_sq=rho_sq, holds=holds, active=len(active))
+
+    lam = _hull_witness(witness, u, hull_tol)
+    if lam is not None:
+        rep = report(lam, slice(None))
+        if rep.holds:
+            return rep
     member, mu, _ = hull_membership(u[active], np.zeros(c.num_blocks), hull_tol)
     if not member:
         return NsReport(lower_bound=-math.inf, rho_sq=rho_sq, holds=False, active=len(active))
-    # mu @ a - M |mu @ u|_1, with u in units of M
-    lower = float(mu @ (W[active] @ (d * xi.values)) - M * M * np.abs(mu @ u[active]).sum())
-    return NsReport(
-        lower_bound=lower,
-        rho_sq=rho_sq,
-        holds=rho_sq - lower <= tol * M * M,
-        active=len(active),
-    )
+    return report(mu, active)
 
 
 @dataclass(frozen=True)

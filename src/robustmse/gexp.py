@@ -12,10 +12,12 @@ The same tree induces a rectangular measure set (all corner choices of the
 node probabilities). A rectangular set is a recursive multiple-prior set
 (Epstein & Schneider 2003), so the largest expectation over its 2^m corners
 is the recursion's root, attained at the corner that takes the maximizing
-endpoint at every node. TreeModel answers the corner set's queries that way
-(support, corner_row, near_ties), in O(2^T) per query, and rho and the
-estimator comparison never enumerate the corners; tree_measure_set builds
-the explicit corner matrix for the commands that still need every generator.
+endpoint at every node. TreeModel answers the corner set's queries that way,
+under the names a MeasureSet answers them from its weight matrix
+(num_generators, support, near_ties, rows, mean_row), in O(2^T) per query,
+so rho and the estimator take either kind of set and never enumerate the
+corners; tree_measure_set builds the explicit corner matrix for the commands
+that still need every generator.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import ArgumentError, GuardRefusalError
 from .estimator import EstimatorResult, SolverConfig, solve_mmse
 from .measures import MeasureSet
 from .spaces import PartitionAlgebra, RandomVariable, SampleSpace
-from .sublinear import TIE_TOL, RhoValue
 
 # corner matrix of tree_measure_set: 2^24 float64 entries = 128 MiB; building
 # it takes about five times that at its peak. The same bound caps every tree
@@ -124,16 +125,12 @@ class TreeModel:
         """The bit of a corner index each node reads: the number of later free nodes."""
         return np.cumsum(self.free[::-1])[::-1] - self.free
 
-    @property
-    def num_corners(self) -> int:
-        return 2 ** int(self.free.sum())
-
-    def check_corner_count(self) -> int:
-        """The number of corners; GuardRefusalError, before anything is
-        allocated, when the corner matrix would exceed MAX_CORNER_ENTRIES
-        float64 entries. With every node free that admits depth 4 (2^15
-        corners) and refuses depth 5 (2^31 corners)."""
-        num_corners = self.num_corners
+    def num_generators(self) -> int:
+        """The number of corners, the set's generators; GuardRefusalError,
+        before anything is allocated, when the corner matrix would exceed
+        MAX_CORNER_ENTRIES float64 entries. With every node free that admits
+        depth 4 (2^15 corners) and refuses depth 5 (2^31 corners)."""
+        num_corners = 2 ** int(self.free.sum())
         if num_corners * self.num_leaves > MAX_CORNER_ENTRIES:
             raise GuardRefusalError(
                 f"{num_corners} corners x {self.num_leaves} leaves exceed the limit of "
@@ -163,13 +160,13 @@ class TreeModel:
             probs = nxt
         return probs
 
-    def corner_row(self, k: int) -> np.ndarray:
-        """Leaf law of corner k: row k of tree_measure_set(self).weights_matrix,
-        bit for bit (the same products, divided by their sum as a Measure is)."""
-        probs = self._leaf_products([k])[0]
-        return probs / probs.sum()
+    def rows(self, ks) -> np.ndarray:
+        """Leaf laws of corners ks: those rows of tree_measure_set(self).weights_matrix,
+        bit for bit (the same products, divided by their sums as a MeasureSet's are)."""
+        probs = self._leaf_products(ks)
+        return probs / probs.sum(axis=1, keepdims=True)
 
-    def mean_corner_row(self) -> np.ndarray:
+    def mean_row(self) -> np.ndarray:
         """Leaf law of the uniform mixture of the corners: the midpoint tree,
         since under it each node is at q_lo or q_hi with probability 1/2,
         independently of the others."""
@@ -215,8 +212,11 @@ class TreeModel:
             k = 2 * k + int(bit)
         return float(y[0]), k
 
-    def near_ties(self, v, tie_tol: float = TIE_TOL) -> tuple[int, ...]:
+    def near_ties(self, v, tie_tol: float) -> tuple[int, ...]:
         """Every corner c with max_c' E_c'[v] - E_c[v] <= tie_tol, in index order.
+
+        The answer can be every corner, so the corner count is checked first
+        (num_generators).
 
         With y the recursion's values and Q(u, c_u) the value of c's endpoint
         at node u over the children's y, the shortfall of c is
@@ -226,6 +226,7 @@ class TreeModel:
         order of the index with q_lo first, and drops one as soon as its
         partial sum exceeds tie_tol.
         """
+        self.num_generators()
         y, ends = self._sweep(v, np.maximum)
         nodes = self.num_internal
         shortfall = (y[:nodes] - ends).T
@@ -257,13 +258,12 @@ def tree_measure_set(tm: TreeModel) -> MeasureSet:
     single generator), in itertools.product order over the nodes: the bits of
     a corner's index, read from the highest, choose q_hi at the non-degenerate
     nodes in id order. The (2^m, 2^T) corner matrix is filled level by level
-    and refused by TreeModel.check_corner_count before anything is allocated;
+    and refused by TreeModel.num_generators before anything is allocated;
     corners are never subsampled, which would silently change the represented
     set. Only the commands that need every generator build it; the corner
     set's other queries are TreeModel's.
     """
-    num_corners = tm.check_corner_count()
-    return MeasureSet.from_matrix(tm.space, tm._leaf_products(np.arange(num_corners)))
+    return MeasureSet.from_matrix(tm.space, tm._leaf_products(np.arange(tm.num_generators())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,11 +284,6 @@ class GExpResult:
     def level_values(self, level: int) -> np.ndarray:
         return self.y[2 ** level - 1 : 2 ** (level + 1) - 1]
 
-    def level_variable(self, level: int) -> RandomVariable:
-        """y at the given level, broadcast to the leaves below each node."""
-        part = self.tree.level_partition(level)
-        return part.broadcast(self.level_values(level))
-
 
 def _leaf_array(tm: TreeModel, xi_leaf) -> np.ndarray:
     xi_leaf = np.asarray(xi_leaf, dtype=float)
@@ -308,20 +303,6 @@ def g_expectation(tm: TreeModel, xi_leaf, direction: str = "sup") -> GExpResult:
     y, _ = tm._sweep(xi_leaf, np.maximum if direction == "sup" else np.minimum)
     z = (y[1::2] - y[2::2]) / (2.0 * math.sqrt(tm.dt))
     return GExpResult(tree=tm, y=y, z=z)
-
-
-def tree_rho(tm: TreeModel, xi_leaf, tie_tol: float = TIE_TOL) -> RhoValue:
-    """sublinear.rho over the tree's corner set, without building it.
-
-    The value is the sup recursion's root, argmax_generator the smallest
-    maximizing corner and ties every corner within tie_tol of the maximum,
-    indexed as in tree_measure_set. The corner count is checked first, so a
-    tree whose corner set tree_measure_set refuses is refused here too.
-    """
-    tm.check_corner_count()
-    xi_leaf = _leaf_array(tm, xi_leaf)
-    value, best = tm.support(xi_leaf)
-    return RhoValue(value=value, argmax_generator=best, ties=tm.near_ties(xi_leaf, tie_tol))
 
 
 def tree_envelopes(
@@ -373,7 +354,6 @@ def compare_gexp_mmse(
     """
     if not 0 <= level < tm.depth:
         raise ArgumentError(f"comparison level must lie in 0..{tm.depth - 1}")
-    tm.check_corner_count()
     xi = RandomVariable(tm.space, xi_leaf)
     part = tm.level_partition(level)
     gres = g_expectation(tm, xi_leaf)
@@ -387,5 +367,5 @@ def compare_gexp_mmse(
         mmse=est.eta_hat,
         sup_diff=sup_diff,
         estimator=est,
-        rho_root=float(tm.corner_row(best) @ xi.values),
+        rho_root=float(tm.rows([best])[0] @ xi.values),
     )

@@ -260,7 +260,24 @@ def _parse_tree_instance(doc, options) -> Instance:
     _require("depth" in tree_doc, "tree.depth", "required")
     depth = tree_doc["depth"]
     _require(_is_int(depth) and depth >= 1, "tree.depth", "expected an integer >= 1")
-    nodes = 2 ** depth - 1
+
+    # the leaf values size the tree; their bit length bounds depth before
+    # 2 ** depth or anything of that size is formed
+    def leaf_values(values, path):
+        vals = _num_list(values, path)
+        fits = depth == len(vals).bit_length() - 1 and len(vals) == 2 ** depth
+        _require(fits, path, f"expected 2^{depth} values, got {len(vals)}")
+        return vals
+
+    if "leaf_values" in tree_doc:
+        vals = leaf_values(tree_doc["leaf_values"], "tree.leaf_values")
+        if "xi" in doc:
+            other = _num_list(doc["xi"], "xi")
+            _require(other == vals, "xi", "xi and tree.leaf_values disagree")
+    else:
+        _require("xi" in doc, "xi", "required when tree.leaf_values is absent")
+        vals = leaf_values(doc["xi"], "xi")
+    nodes = len(vals) - 1
 
     def interval(key):
         _require(key in tree_doc, f"tree.{key}", "required")
@@ -280,30 +297,17 @@ def _parse_tree_instance(doc, options) -> Instance:
     except Exception as exc:
         raise ValidationError("tree", str(exc)) from None
 
-    leaves = 2 ** depth
-    if "leaf_values" in tree_doc:
-        vals = _num_list(tree_doc["leaf_values"], "tree.leaf_values")
-        _require(len(vals) == leaves, "tree.leaf_values", f"expected {leaves} values")
-        if "xi" in doc:
-            other = _num_list(doc["xi"], "xi")
-            _require(other == vals, "xi", "xi and tree.leaf_values disagree")
-    else:
-        _require("xi" in doc, "xi", "required when tree.leaf_values is absent")
-        vals = _num_list(doc["xi"], "xi")
-        _require(len(vals) == leaves, "xi", f"expected {leaves} values")
-
-    space = tree.sample_space()
     if "omega" in doc:
         _require(
-            list(doc["omega"]) == list(space.labels),
+            list(doc["omega"]) == list(tree.space.labels),
             "omega",
             "labels do not match the tree's leaf paths",
         )
     _require("generators" not in doc, "generators", "derived from the tree; do not supply")
     return Instance(
-        space=space,
+        space=tree.space,
         measure_set=None,
-        xi=RandomVariable(space, vals),
+        xi=RandomVariable(tree.space, vals),
         partition=None,
         filtration=None,
         tree=tree,

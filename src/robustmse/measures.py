@@ -145,6 +145,30 @@ class MeasureSet:
     def __len__(self):
         return len(self.weights_matrix)
 
+    # the set's queries; a TreeModel answers the same ones by recursion
+
+    def num_generators(self) -> int:
+        return len(self.weights_matrix)
+
+    def support(self, v) -> tuple[float, int]:
+        """max over generators g of E_g[v], and the smallest index attaining it."""
+        top = self.weights_matrix @ v
+        k = int(np.argmax(top))  # np.argmax returns the smallest maximizing index
+        return float(top[k]), k
+
+    def near_ties(self, v, tie_tol: float) -> tuple[int, ...]:
+        """Every generator g with max_g' E_g'[v] - E_g[v] <= tie_tol, in index order."""
+        top = self.weights_matrix @ v
+        return tuple(int(k) for k in np.flatnonzero(top >= top.max() - tie_tol))
+
+    def rows(self, ks) -> np.ndarray:
+        """The weight rows of generators ks."""
+        return self.weights_matrix[ks]
+
+    def mean_row(self) -> np.ndarray:
+        """The weight row of the uniform mixture of the generators."""
+        return self.weights_matrix.mean(axis=0)
+
 
 @dataclass(frozen=True, eq=False)
 class MixtureWeights:
@@ -206,7 +230,7 @@ def mix(ms: MeasureSet, w: MixtureWeights) -> Measure:
 
 def reference_measure(ms: MeasureSet) -> Measure:
     """Uniform mixture of the generators; dominates every element of the hull."""
-    return Measure(ms.space, ms.weights_matrix.mean(axis=0))
+    return Measure(ms.space, ms.mean_row())
 
 
 def is_proper(ms: MeasureSet) -> bool:

@@ -46,17 +46,13 @@ class SampleSpace:
 
 @dataclass(frozen=True, eq=False)
 class RandomVariable:
-    """A real value per sample point, carrying its sup-norm bound.
-
-    The bound is recomputed as max|values| on construction; a user-supplied
-    looser bound is accepted but tightened, a tighter one is rejected.
-    """
+    """A real value per sample point, carrying its sup-norm bound max|values|."""
 
     space: SampleSpace
     values: np.ndarray = field(repr=False)
-    bound: float = None
+    bound: float = field(init=False)
 
-    def __init__(self, space, values, bound=None):
+    def __init__(self, space, values):
         values = _frozen_array(values)
         if values.ndim != 1 or len(values) != space.n:
             raise StructuralError(
@@ -64,18 +60,9 @@ class RandomVariable:
             )
         if not np.all(np.isfinite(values)):
             raise ArgumentError("random variable values must be finite")
-        tight = float(np.max(np.abs(values))) if len(values) else 0.0
-        if bound is not None:
-            bound = float(bound)
-            if bound < 0:
-                raise ArgumentError("bound must be nonnegative")
-            if bound < tight:
-                raise ArgumentError(
-                    f"declared bound {bound} is below max|values| = {tight}"
-                )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "bound", tight)
+        object.__setattr__(self, "bound", float(np.max(np.abs(values))) if len(values) else 0.0)
 
     def __eq__(self, other):
         if not isinstance(other, RandomVariable):

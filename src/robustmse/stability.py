@@ -17,7 +17,6 @@ from .errors import ArgumentError, PastingDegeneracyError, PropernessError
 from .estimator import SolverConfig, solve_mmse
 from .measures import Measure, MeasureSet
 from .randgen import (
-    DEFAULT_DENOMINATOR,
     random_measure_set,
     random_two_level_filtration,
     random_variable,
@@ -79,17 +78,16 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityRepo
     that is at most tol, so is the phase-1 optimum, and the LP would answer
     "member". The candidate g_k comes from sorting the generators along a
     fixed direction; a poor candidate only sends the pasting on to the LP.
-    Every pasting not screened is rebuilt by `paste` and decided by
-    `hull_membership`, in (base index, tail index, level) order; hull_tests
-    counts them. The witness, when present, is the first failing pasting in
-    that order, together with how far outside the hull the feasibility LP
+    Every pasting not screened goes from that array to `hull_membership`, in
+    (base index, tail index, level) order; hull_tests counts them. The
+    witness, when present, is the first failing pasting in that order, built
+    by `paste`, together with how far outside the hull the feasibility LP
     left it, and pastings_checked counts the pastings up to it.
     """
     check_same_space(ms, f.levels[0])
     if np.any(ms.weights_matrix <= 0.0):
         raise PropernessError("stability check requires strictly positive generators")
     points = ms.weights_matrix
-    gens = ms.generators
     k, n_levels = len(points), len(f.levels)
     # masses[b, l, i]: generator b's mass of the level-l block containing
     # point i, summed one row at a time exactly as paste sums it
@@ -112,13 +110,13 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityRepo
             lam = np.minimum(1.0, (pasted / points[order[pos]]).min(axis=-1))
             screened |= (totals - lam) + (1.0 - lam) <= tol
         for t, level in np.argwhere(~screened).tolist():
-            p = paste(gens[a], gens[tails[t]], f, level)
             hull_tests += 1
-            member, _, residual = hull_membership(points, p.result.weights, tol)
+            member, _, residual = hull_membership(points, pasted[t, level], tol)
             if not member:
+                gens = ms.generators
                 return StabilityReport(
                     stable=False,
-                    witness=p,
+                    witness=paste(gens[a], gens[tails[t]], f, level),
                     witness_residual=residual,
                     pastings_checked=(a * (k - 1) + t) * n_levels + level + 1,
                     hull_tests=hull_tests,
@@ -177,47 +175,43 @@ class TcCounterexample:
 
 
 DEFAULT_TCSEARCH_SEED = 20250801
+TCSEARCH_GAP = 1e-3  # sup-norm mismatch that counts as a hit
+TCSEARCH_MAX_POINTS = 8  # trials draw 4..TCSEARCH_MAX_POINTS sample points
 
 
 def mmse_time_consistency_search(
     seed: int = DEFAULT_TCSEARCH_SEED,
     trials: int = 1000,
-    *,
-    gap_threshold: float = 1e-3,
-    max_points: int = 8,
-    denominator: int = DEFAULT_DENOMINATOR,
-    cfg: SolverConfig | None = None,
 ) -> TcCounterexample | None:
     """Randomized search for a two-stage versus one-stage estimation mismatch.
 
     Draws small proper instances on a dyadic rational grid (so hits replay
     exactly from their serialized form), estimates through the fine level and
     re-estimates at the coarse level, and returns the first trial whose
-    sup-norm mismatch against the direct coarse estimate exceeds the
-    threshold. Returns None when no trial hits, which is a report, not a
+    sup-norm mismatch against the direct coarse estimate exceeds
+    TCSEARCH_GAP. Returns None when no trial hits, which is a report, not a
     proof of consistency.
     """
     if trials < 1:
         raise ArgumentError("trials must be at least 1")
     rng = rng_from_seed(seed)
-    cfg = cfg or SolverConfig()
     for trial in range(trials):
-        n = int(rng.integers(4, max_points + 1))
+        n = int(rng.integers(4, TCSEARCH_MAX_POINTS + 1))
         space = SampleSpace.of_size(n)
         f = random_two_level_filtration(rng, space)
-        ms = random_measure_set(rng, space, int(rng.integers(2, 5)), denominator)
-        xi = random_variable(rng, space, denominator)
+        ms = random_measure_set(rng, space, int(rng.integers(2, 5)))
+        xi = random_variable(rng, space)
         coarse, fine = f.levels[1], f.levels[2]
 
-        fine_res = solve_mmse(ms, xi, fine, cfg)
-        chain_res = solve_mmse(ms, fine_res.eta_hat, coarse, cfg)
-        direct_res = solve_mmse(ms, xi, coarse, cfg)
+        fine_res = solve_mmse(ms, xi, fine)
+        chain_res = solve_mmse(ms, fine_res.eta_hat, coarse)
+        direct_res = solve_mmse(ms, xi, coarse)
         if not (fine_res.converged and chain_res.converged and direct_res.converged):
             continue
         gap = float(
             np.max(np.abs(chain_res.eta_hat.values - direct_res.eta_hat.values))
         )
-        if gap > gap_threshold:
+        if gap > TCSEARCH_GAP:
             return TcCounterexample(
                 measure_set=ms,
                 xi=xi,

@@ -8,12 +8,16 @@ over the whole represented set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ArgumentError, ZeroMassBlockError
 from .measures import MeasureSet
 from .spaces import PartitionAlgebra, RandomVariable, check_same_space
+
+if TYPE_CHECKING:
+    from .gexp import TreeModel
 
 TIE_TOL = 1e-9
 
@@ -25,18 +29,17 @@ class RhoValue:
     ties: tuple[int, ...]
 
 
-def rho(ms: MeasureSet, x: RandomVariable, tie_tol: float = TIE_TOL) -> RhoValue:
+def rho(ms: MeasureSet | TreeModel, x: RandomVariable, tie_tol: float = TIE_TOL) -> RhoValue:
     """Maximum expectation over the generators, with deterministic tie-breaking.
 
     argmax_generator is the smallest maximizing index; ties lists every index
-    attaining the max within tie_tol.
+    attaining the max within tie_tol. The set answers both (support,
+    near_ties): a MeasureSet from its weight matrix, a TreeModel for its
+    corner set by recursion, with corners indexed as in tree_measure_set.
     """
     check_same_space(ms, x)
-    vals = ms.weights_matrix @ x.values
-    best = int(np.argmax(vals))  # np.argmax returns the smallest maximizing index
-    value = float(vals[best])
-    ties = tuple(int(k) for k in np.flatnonzero(vals >= value - tie_tol))
-    return RhoValue(value=value, argmax_generator=best, ties=ties)
+    value, best = ms.support(x.values)
+    return RhoValue(value=value, argmax_generator=best, ties=ms.near_ties(x.values, tie_tol))
 
 
 def _conditional_means(ms, x, c) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,40 @@ class TestParsing:
         inst = parse_instance(doc)
         assert inst.kind == "tree"
         assert list(inst.xi.values) == [2.0, 8.0]
+
+    def test_tree_sized_before_allocation(self, tmp_path, capsys):
+        # 2^20 leaves are declared and 4 given: refused before any array of
+        # 2^20 nodes exists
+        doc = {"tree": {"depth": 20, "q_lo": 0.25, "q_hi": 0.75, "leaf_values": [1, 2, 3, 4]}}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        build_parser()  # the cached parser is not part of the request
+        tracemalloc.start()
+        try:
+            code = main(["rho", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "tree.leaf_values" in capsys.readouterr().err
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "tree, xi, path",
+        [
+            ({"leaf_values": [1, 2, 3]}, None, "tree.leaf_values"),
+            ({"leaf_values": [1, 2, 3, 4, 5, 6]}, None, "tree.leaf_values"),
+            ({}, [1, 2, 3, 4, 5], "xi"),
+            ({"leaf_values": [1, 2, 3, 4], "q_lo": [0.25, 0.25]}, None, "tree.q_lo"),
+        ],
+    )
+    def test_tree_sizes_checked(self, tree, xi, path):
+        doc = {"tree": dict({"depth": 2, "q_lo": 0.25, "q_hi": 0.75}, **tree)}
+        if xi is not None:
+            doc["xi"] = xi
+        with pytest.raises(ValidationError) as err:
+            parse_instance(doc)
+        assert err.value.path == path
 
 
 README_EXAMPLE = dict(EXAMPLE, options={"tol": 1e-8})
@@ -404,17 +439,6 @@ class TestSolveCommand:
             assert main(["solve", str(path)]) == 2
             assert "options.level: only a tree instance takes a level" in capsys.readouterr().err
 
-    def test_lp_pivot_limit_exit_code(self, example_file, tmp_path, monkeypatch, capsys):
-        # a simplex that stops at its pivot limit is nonconvergence, not invalid input
-        lp = robustmse.simplexlp.solve_lp
-        monkeypatch.setattr(
-            robustmse.simplexlp, "solve_lp", lambda *a, **kw: lp(*a, **dict(kw, max_pivots=0))
-        )
-        code, out = run(["solve", example_file], tmp_path)
-        assert (code, out) == (3, None)
-        err = capsys.readouterr().err
-        assert err == "robustmse: nonconvergence: simplex pivot limit of 0 exceeded\n"
-
     def test_boolean_partition_index_rejected(self, tmp_path, capsys):
         # JSON booleans load as Python bools, which are ints; [[false], [true, 2]]
         # must not parse as the partition [[0], [1, 2]]
@@ -538,6 +562,18 @@ class TestOracleCommand:
             code, out = run(["oracle", str(path)], tmp_path)
             assert code == 0
             assert out["result"]["agree"] is True
+
+    def test_lp_pivot_limit_exit_code(self, example_file, tmp_path, monkeypatch, capsys):
+        # a simplex that stops at its pivot limit is nonconvergence, not invalid
+        # input; the oracle's mixture recovery always runs one LP
+        lp = robustmse.simplexlp.solve_lp
+        monkeypatch.setattr(
+            robustmse.estimator, "solve_lp", lambda *a, **kw: lp(*a, **dict(kw, max_pivots=0))
+        )
+        code, out = run(["oracle", example_file], tmp_path)
+        assert (code, out) == (3, None)
+        err = capsys.readouterr().err
+        assert err == "robustmse: nonconvergence: simplex pivot limit of 0 exceeded\n"
 
     def test_oracle_step_cap_exit_code(self, example_file, tmp_path, monkeypatch):
         monkeypatch.setattr(robustmse.estimator, "MAX_ELLIPSOID_STEPS", 1)
@@ -754,6 +790,19 @@ def fresh_process_result(args, tmp_path, name):
     doc = json.loads(out.read_text())
     doc.pop("wall_time_s")
     return proc.returncode, doc
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", ["rho", "stability"])
+    def test_tol_is_a_usage_error_where_unread(self, example_file, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, example_file, "--tol", "1e-6"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "gexp"])
+    def test_tol_accepted_by_the_solver_commands(self, command):
+        args = build_parser().parse_args([command, "instance.json", "--tol", "1e-6"])
+        assert args.tol == 1e-6
 
 
 class TestParserReuse:

@@ -35,6 +35,7 @@ from robustmse import (
 )
 from robustmse.cli import main as cli_main
 from robustmse.gexp import tree_measure_set
+from robustmse.instances import Instance, serialize_instance
 from robustmse.randgen import (
     random_instance,
     random_measure_set,
@@ -345,7 +346,7 @@ class TestKernel:
 
 
 class TestKernelWitness:
-    """kernel_member certifies from the solver's mixture before any LP."""
+    """kernel_member and ns_condition certify from the solver's mixture before any LP."""
 
     @pytest.fixture
     def lp_calls(self, monkeypatch):
@@ -387,18 +388,75 @@ class TestKernelWitness:
                 assert kernel_member(ms, xi, c, res.eta_hat)
                 lp_calls.clear()
 
-    def test_solve_command_runs_one_lp(self, lp_calls, tmp_path):
-        # the one hull LP of a converged solve is the NS test's
-        doc = {
-            "omega": ["a", "b", "c", "d"],
-            "generators": [[0.3125, 0.1875, 0.1875, 0.3125], [0.1875, 0.375, 0.1875, 0.25]],
-            "xi": [-0.875, -1.9375, -0.8125, -1.875],
-            "partition": [[0, 1], [2, 3]],
-        }
-        path = tmp_path / "interior.json"
+    def test_ns_matches_lp_on_random_corpus(self, lp_calls):
+        rng = rng_from_seed(77)
+        for _ in range(300):
+            ms, xi, c = random_instance(rng, max_points=12, max_blocks=5, max_generators=10)
+            res = solve_mmse(ms, xi, c)
+            got = ns_condition(ms, xi, c, res.eta_hat, witness=res.p_hat.lam)
+            assert lp_calls == []  # P_hat certified it
+            want = ns_condition(ms, xi, c, res.eta_hat)
+            assert (got.holds, got.active, got.rho_sq) == (True, want.active, want.rho_sq)
+            assert abs(got.lower_bound - want.lower_bound) <= 1e-12 * xi.bound**2
+            lp_calls.clear()
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_ns_matches_lp_on_tree_solves(self, lp_calls, depth):
+        rng = rng_from_seed(88 + depth)
+        nodes = 2**depth - 1
+        lo = rng.integers(2, 8, size=nodes)
+        for tm in (TreeModel.drift_bound(depth), TreeModel(depth, lo / 16, (lo + 4) / 16)):
+            ms = tree_measure_set(tm)
+            for level in range(depth):
+                xi = RandomVariable(ms.space, rng.integers(-32, 33, size=2**depth) / 16)
+                c = tm.level_partition(level)
+                res = solve_mmse(tm, xi, c)
+                got = ns_condition(ms, xi, c, res.eta_hat, witness=res.p_hat.lam)
+                assert lp_calls == []
+                want = ns_condition(ms, xi, c, res.eta_hat)
+                assert (got.holds, got.active) == (True, want.active)
+                assert abs(got.lower_bound - want.lower_bound) <= 1e-12 * xi.bound**2
+                lp_calls.clear()
+
+    @pytest.mark.parametrize("kind", ["explicit", "tree"])
+    def test_solve_command_runs_no_lp(self, lp_calls, tmp_path, kind):
+        # P_hat certifies both the kernel and the NS condition
+        if kind == "explicit":
+            doc = {
+                "omega": ["a", "b", "c", "d"],
+                "generators": [[0.3125, 0.1875, 0.1875, 0.3125], [0.1875, 0.375, 0.1875, 0.25]],
+                "xi": [-0.875, -1.9375, -0.8125, -1.875],
+                "partition": [[0, 1], [2, 3]],
+            }
+        else:
+            leaves = [((5 * i) % 7 - 3) / 4 for i in range(8)]
+            doc = {
+                "tree": {"depth": 3, "q_lo": 0.25, "q_hi": 0.75, "leaf_values": leaves},
+                "options": {"level": 1},
+            }
+        path = tmp_path / "instance.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["solve", str(path), "--out", str(tmp_path / "out.json")]) == 0
-        assert len(lp_calls) == 1
+        assert lp_calls == []
+
+    @pytest.mark.parametrize("offset", [1e4, 1e5, 1e6])
+    def test_solve_command_on_shifted_xi(self, lp_calls, tmp_path, offset):
+        # draws 198 and 260 of this corpus fail the active-set NS test once xi
+        # is shifted by each offset; P_hat certifies them
+        rng = rng_from_seed(77)
+        cases = [
+            random_instance(rng, max_points=12, max_blocks=5, max_generators=10) for _ in range(261)
+        ]
+        for i in (198, 260):
+            ms, xi, c = cases[i]
+            ns = ns_condition(ms, xi + offset, c, solve_mmse(ms, xi + offset, c).eta_hat)
+            assert not ns.holds
+            inst = Instance(ms.space, ms, xi + offset, c, None, None, {})
+            path = tmp_path / f"shifted-{i}.json"
+            path.write_text(json.dumps(serialize_instance(inst)))
+            assert cli_main(["solve", str(path), "--out", str(tmp_path / "out.json")]) == 0
+            assert len(lp_calls) == 1  # only the reference NS call above
+            lp_calls.clear()
 
     def fallback_cases(self, two_point):
         """(eta_tilde, witness) pairs the witness test must reject."""
@@ -425,6 +483,16 @@ class TestKernelWitness:
         assert len(lp_calls) == 1
         assert verdict == kernel_member(ms, xi, triv, eta)
         assert verdict == (case not in ("negative entry", "zero weights"))
+
+    @pytest.mark.parametrize(
+        "case", ["wrong length", "negative entry", "sum off by 2 tol", "zero weights", "perturbed eta"]
+    )
+    def test_failed_ns_witness_falls_back_to_lp(self, two_point, lp_calls, case):
+        _, ms, xi, triv = two_point
+        eta, lam = self.fallback_cases(two_point)[case]
+        report = ns_condition(ms, xi, triv, eta, witness=lam)
+        assert len(lp_calls) == 1
+        assert report == ns_condition(ms, xi, triv, eta)
 
 
 def exact_box_infimum(ms, xi, c, eta):

@@ -19,7 +19,7 @@ from robustmse import (
     tree_measure_set,
 )
 from robustmse import gexp
-from robustmse.gexp import tree_envelopes, tree_rho
+from robustmse.gexp import tree_envelopes
 from robustmse.randgen import rng_from_seed, random_variable
 
 
@@ -355,7 +355,8 @@ class TestCornerOracle:
             sample = rng_from_seed(91).integers(0, len(W), 300)
             ks = np.unique(np.concatenate([[0, len(W) - 1], sample]))
         for k in ks:
-            assert tm.corner_row(int(k)).tobytes() == W[k].tobytes()
+            assert tm.rows([int(k)])[0].tobytes() == W[k].tobytes()
+        assert tm.rows(ks).tobytes() == W[ks].tobytes()
 
     @pytest.mark.parametrize("make_tree", ORACLE_TREES)
     def test_rho_against_corner_matrix(self, make_tree):
@@ -367,7 +368,7 @@ class TestCornerOracle:
             # wide tolerances reach corners whose shortfall sits deep in the tree
             for tol in (1e-9, 1e-3 * M, 0.05 * M, 0.3 * M):
                 want = rho(ms, x, tol)
-                got = tree_rho(tm, v, tol)
+                got = rho(tm, x, tol)
                 assert got.ties == want.ties
                 assert got.value == pytest.approx(want.value, abs=1e-12 * M)
                 if is_exact(tm, v):
@@ -375,13 +376,14 @@ class TestCornerOracle:
 
     def test_every_corner_ties_on_a_constant(self):
         tm = TreeModel.drift_bound(4)
-        got = tree_rho(tm, np.full(16, -1.5))
+        got = rho(tm, RandomVariable(tm.space, np.full(16, -1.5)))
         assert got.ties == tuple(range(2 ** 15))
         assert got.argmax_generator == 0 and got.value == -1.5
 
     def test_refused_like_the_corner_set(self):
+        tm = TreeModel.drift_bound(5)
         with pytest.raises(GuardRefusalError, match="corner-matrix entries"):
-            tree_rho(TreeModel.drift_bound(5), np.zeros(32))
+            rho(tm, RandomVariable(tm.space, np.zeros(32)))
 
     @pytest.mark.parametrize("make_tree", ORACLE_TREES)
     def test_envelopes_against_corner_matrix(self, make_tree):
@@ -493,7 +495,7 @@ class TestCompareAgainstCornerSet:
             v = rng.normal(size=tm.num_leaves) * 3.0
             rep = compare_gexp_mmse(tm, v, 1)
             root, best = tm.support(v)
-            assert rep.rho_root == float(tm.corner_row(best) @ v)
+            assert rep.rho_root == float(tm.rows([best])[0] @ v)
             assert rep.rho_root == pytest.approx(root, abs=1e-12 * np.max(np.abs(v)))
             differs += rep.rho_root != root
         assert differs > 0

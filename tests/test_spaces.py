@@ -34,13 +34,13 @@ class TestSampleSpace:
 
 
 class TestRandomVariable:
-    def test_bound_is_tightened(self):
-        x = RandomVariable(space(2), [2.0, -8.0], bound=100.0)
-        assert x.bound == 8.0
+    def test_bound_is_max_abs_value(self):
+        assert RandomVariable(space(2), [2.0, -8.0]).bound == 8.0
 
-    def test_too_small_bound_rejected(self):
-        with pytest.raises(ArgumentError):
-            RandomVariable(space(2), [2.0, 8.0], bound=5.0)
+    @pytest.mark.parametrize("bound", [5.0, 8.0, 100.0])
+    def test_bound_is_not_an_argument(self, bound):
+        with pytest.raises(TypeError):
+            RandomVariable(space(2), [2.0, -8.0], bound=bound)
 
     def test_nan_rejected(self):
         with pytest.raises(ArgumentError):
