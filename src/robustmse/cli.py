@@ -12,7 +12,9 @@ produce a byte-identical result file apart from the wall_time_s field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import math
 import sys
 import time
 
@@ -32,12 +34,10 @@ from .instances import (
     Instance,
     _json_inf,
     build_result,
-    certificate_dict,
     dump_result,
     estimator_result_dict,
     instance_digest,
     load_instance,
-    rv_values,
     serialize_instance,
 )
 from .measures import is_proper
@@ -57,8 +57,10 @@ EXIT_GUARD = 4
 
 
 def _solver_config(inst: Instance, args) -> SolverConfig:
-    tol = args.tol if args.tol is not None else inst.options.get("tol", 1e-8)
-    max_iter = int(inst.options.get("max_iter", 10_000))
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise ValidationError("--tol", "expected a finite number >= 0")
+    tol = args.tol if args.tol is not None else inst.options.get("tol", SolverConfig.tol)
+    max_iter = inst.options.get("max_iter", SolverConfig.max_iter)
     return SolverConfig(tol=float(tol), max_iter=max_iter)
 
 
@@ -81,8 +83,8 @@ def cmd_rho(inst: Instance, args) -> tuple[dict, int]:
         "envelopes": [
             {
                 "blocks": [list(b) for b in algebra.blocks],
-                "ess_sup": rv_values(upper),
-                "ess_inf": rv_values(lower),
+                "ess_sup": upper.values.tolist(),
+                "ess_inf": lower.values.tolist(),
             }
             for algebra, lower, upper in envelopes
         ],
@@ -100,16 +102,11 @@ def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
         return payload, EXIT_NONCONVERGENCE
     cert = verify_saddle(ms, xi, algebra, res, cfg)
     member = kernel_member(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam)
-    ns_tol = float(inst.options.get("ns_tol", 1e-6))
-    ns = ns_condition(ms, xi, algebra, res.eta_hat, tol=ns_tol, witness=res.p_hat.lam)
-    payload["saddle_certificate"] = certificate_dict(cert)
+    ns_tol = {"tol": float(inst.options["ns_tol"])} if "ns_tol" in inst.options else {}
+    ns = ns_condition(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam, **ns_tol)
+    payload["saddle_certificate"] = dataclasses.asdict(cert)
     payload["kernel_member"] = member
-    payload["ns_condition"] = {
-        "lower_bound": _json_inf(ns.lower_bound),
-        "rho_sq": ns.rho_sq,
-        "holds": ns.holds,
-        "active": ns.active,
-    }
+    payload["ns_condition"] = dict(dataclasses.asdict(ns), lower_bound=_json_inf(ns.lower_bound))
     ok = cert.passed and member and ns.holds
     return payload, EXIT_OK if ok else EXIT_CERTIFICATE
 
@@ -122,16 +119,18 @@ def cmd_oracle(inst: Instance, args) -> tuple[dict, int]:
     solved = solve_mmse(ms, xi, algebra, cfg)
     alpha_diff = abs(brute.alpha - solved.alpha)
     eta_diff = float(np.max(np.abs(brute.eta_hat.values - solved.eta_hat.values)))
-    # alpha scales as bound(xi)^2 and eta as bound(xi), so the test is unit-free
-    M = xi.bound
-    agree = alpha_diff <= 1e-6 * M * M
+    # alpha scales as R^2 and eta as R, R half the range of xi, and neither R
+    # nor alpha moves with a shift of xi, so the test is free of units and shifts
+    R = float(np.ptp(xi.values)) / 2.0
+    agree = alpha_diff <= 1e-6 * R * R
     if is_proper(ms):
-        agree = agree and eta_diff <= 1e-4 * M
+        agree = agree and eta_diff <= 1e-4 * R
     else:
         # the minimizer need not be unique: judge each side's eta by its value
-        best = min(brute.alpha, solved.alpha) + 1e-6 * M * M
+        best = min(brute.alpha, solved.alpha) + 1e-6 * R * R
+        W = ms.weights_matrix
         agree = agree and all(
-            rho(ms, (xi - r.eta_hat) * (xi - r.eta_hat)).value <= best for r in (brute, solved)
+            float(np.max(W @ (xi.values - r.eta_hat.values) ** 2)) <= best for r in (brute, solved)
         )
     payload = {
         "brute_force": estimator_result_dict(brute),
@@ -170,10 +169,10 @@ def cmd_stability(inst: Instance, args) -> tuple[dict, int]:
         "witness": None
         if report.witness is None
         else {
-            "base": [float(v) for v in report.witness.base.weights],
-            "tail": [float(v) for v in report.witness.tail.weights],
+            "base": report.witness.base.weights.tolist(),
+            "tail": report.witness.tail.weights.tolist(),
             "switch_level": report.witness.switch_level,
-            "result": [float(v) for v in report.witness.result.weights],
+            "result": report.witness.result.weights.tolist(),
             "hull_residual": report.witness_residual,
         },
         "recursivity": grid,
@@ -198,9 +197,9 @@ def cmd_tcsearch(args) -> tuple[dict, int]:
     )
     doc = serialize_instance(counterexample, exact_strings=True)
     doc["chains"] = {
-        "eta_fine": rv_values(hit.eta_fine),
-        "eta_chain": rv_values(hit.eta_chain),
-        "eta_direct": rv_values(hit.eta_direct),
+        "eta_fine": hit.eta_fine.values.tolist(),
+        "eta_chain": hit.eta_chain.values.tolist(),
+        "eta_direct": hit.eta_direct.values.tolist(),
     }
     payload = {
         "found": True,
@@ -224,21 +223,16 @@ def cmd_gexp(inst: Instance, args) -> tuple[dict, int]:
     est = cmp_report.estimator
     payload = {
         "root": res.root_value,
-        "y_by_level": [
-            [float(v) for v in res.level_values(d)] for d in range(tm.depth + 1)
-        ],
-        "z_by_level": [
-            [float(v) for v in res.z[2 ** d - 1 : 2 ** (d + 1) - 1]]
-            for d in range(tm.depth)
-        ],
+        "y_by_level": [res.level_values(d).tolist() for d in range(tm.depth + 1)],
+        "z_by_level": [res.z[2 ** d - 1 : 2 ** (d + 1) - 1].tolist() for d in range(tm.depth)],
         "representation": {
             "rho_root": root_rho,
             "abs_gap": abs(root_rho - res.root_value),
         },
         "comparison": {
             "level": level,
-            "gexp_cond": rv_values(cmp_report.gexp_cond),
-            "mmse": rv_values(cmp_report.mmse),
+            "gexp_cond": cmp_report.gexp_cond.values.tolist(),
+            "mmse": cmp_report.mmse.values.tolist(),
             "sup_diff": cmp_report.sup_diff,
             "converged": est.converged,
             "saddle_gap": est.saddle_gap,

@@ -357,7 +357,7 @@ def solve_mmse(
 
 MAX_BRUTE_BLOCKS = 16  # steps grow as B^2: 16 blocks take 7,000-8,500 (0.3 s at K = 300)
 MAX_ELLIPSOID_STEPS = 50_000
-_ELLIPSOID_TOL = 1e-13  # certified suboptimality, relative to bound(xi)^2
+_ELLIPSOID_TOL = 1e-13  # certified suboptimality, relative to R^2 (half the range of xi)
 
 
 def brute_force_mmse(
@@ -369,27 +369,30 @@ def brute_force_mmse(
 
     Minimizes F(eta) = max_k E_{g_k}[(xi - eta)^2] over the B block values of
     eta by the central-cut ellipsoid method (Yudin & Nemirovski 1976; Shor
-    1977) from the ball of radius sqrt(B) * bound(xi) around 0. The ball holds
-    a minimizer: clipping eta into the range of xi on each block raises no
-    r_k. Each step cuts through the centre c with the gradient g of the
-    largest r_k; F* >= F(c) - sqrt(g' P g), so the run stops once the best
-    centre is certified within 1e-13 * bound(xi)^2 of F*. iterations counts
-    the cuts; a run that reaches MAX_ELLIPSOID_STEPS is converged=False. The
-    worst-case mixture is recovered afterwards by a small LP.
+    1977) on xi - m, m the midpoint and R the half-width of the range of xi
+    (exact for a large offset, by Sterbenz), from the ball of radius
+    sqrt(B) * R around 0; the ball holds a minimizer, as clipping eta into the
+    range of xi raises no r_k. Each step cuts through the centre c with the
+    gradient g of the largest r_k; F* >= F(c) - sqrt(g' P g), so the run stops
+    once the best centre is certified within 1e-13 * R^2 of F*, and no shift
+    of xi moves it. iterations counts the cuts; a run that reaches
+    MAX_ELLIPSOID_STEPS is converged=False. The worst-case mixture is
+    recovered afterwards by a small LP.
     """
     if c.num_blocks > MAX_BRUTE_BLOCKS:
         raise GuardRefusalError(
             f"brute force limited to {MAX_BRUTE_BLOCKS} blocks, got {c.num_blocks}"
         )
     check_same_space(ms, xi, c)
-    W, x, labels, n = ms.weights_matrix, xi.values, c.labels, c.num_blocks
+    lo, hi = float(np.min(xi.values)), float(np.max(xi.values))
+    m, R = (hi + lo) / 2.0, (hi - lo) / 2.0
+    W, x, labels, n = ms.weights_matrix, xi.values - m, c.labels, c.num_blocks
     mass = c.block_sums(W).sum(axis=0)
     if np.any(mass <= 0.0):
         raise ZeroMassBlockError(c.blocks[int(np.argmax(mass <= 0.0))])
-    M = xi.bound
-    tol = _ELLIPSOID_TOL * M**2
+    tol = _ELLIPSOID_TOL * R**2
     centre = np.zeros(n)
-    P = n * M**2 * np.eye(n)
+    P = n * R**2 * np.eye(n)
     best, best_val, lower = centre, math.inf, -math.inf
     steps = 0
     while True:
@@ -423,10 +426,10 @@ def brute_force_mmse(
         )
     dev = x - best[labels]
     r = W @ dev**2
-    unit = M or 1.0  # xi = 0 leaves u = r = 0
+    unit = R or 1.0  # a constant xi leaves u = r = 0
     lam = _recover_mixture(c.block_sums(W * dev) / unit, r / unit**2)
     return EstimatorResult(
-        eta_hat=c.broadcast(best),
+        eta_hat=c.broadcast(best + m),
         p_hat=MixtureWeights(lam),
         alpha=best_val,
         saddle_gap=max(0.0, best_val - float(lam @ r)),  # lam @ r <= max r but for rounding
@@ -441,7 +444,7 @@ def _recover_mixture(u, r):
     """Best certificate mixture at a fixed eta: maximize lam @ r over simplex
     weights with lam @ u = 0, u[k, B] = E_{g_k}[(xi - eta) 1_B], so that the
     mixture reproduces eta as its conditional mean. u and r come in units of
-    bound(xi) and its square.
+    R, half the range of xi, and its square.
 
     eta is a minimizer only to within the oracle's tolerance, so the mean
     equations get elastic slacks with a light penalty: a slack s lowers the
@@ -479,12 +482,13 @@ def verify_saddle(
     value_at_saddle <= min_over_eta certifies eta_hat minimizes under P_hat
     (the exact inner minimum is the conditional expectation). A block P_hat
     leaves uncharged adds 0 to the inner minimum whatever eta is there, so it
-    is skipped. Tolerance scales with 1 + alpha.
+    is skipped. max_over_P comes from the weight matrix, not the solver's
+    support query. Tolerance scales with 1 + alpha.
     """
     cfg = cfg or SolverConfig()
     eta = result.eta_hat
     sq = (xi - eta) * (xi - eta)
-    max_over_p = rho(ms, sq).value
+    max_over_p = float(np.max(ms.weights_matrix @ sq.values))
     p_hat = mix(ms, result.p_hat)
     value_at_saddle = expectation(p_hat, sq)
     mass = c.block_sums(p_hat.weights)
@@ -687,11 +691,6 @@ def optimality_ineq(
     return OptimalityReport(entries=tuple(entries))
 
 
-def _strictly_comparable(ms: MeasureSet) -> bool:
-    # on a finite hull: every generator strictly positive at every point
-    return bool(np.all(ms.weights_matrix > 0.0))
-
-
 def penalized_value(
     ms: MeasureSet,
     xi: RandomVariable,
@@ -706,7 +705,8 @@ def penalized_value(
     rho[(xi-eta)^2]); otherwise unbounded: mass on a violating block grows the
     value past any real number.
     """
-    if not (is_proper(ms) and _strictly_comparable(ms)):
+    # strictly comparable on a finite hull: every generator positive everywhere
+    if not (is_proper(ms) and np.all(ms.weights_matrix > 0.0)):
         raise PropernessError(
             "penalized problem requires strictly positive (strictly comparable) generators"
         )

@@ -13,12 +13,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
 from ._version import __version__
 from .errors import RobustMseError, ValidationError
-from .gexp import TreeModel
+from .gexp import TreeModel, tree_measure_set
 from .measures import Measure, MeasureSet
 from .spaces import Filtration, PartitionAlgebra, RandomVariable, SampleSpace
 
@@ -37,10 +38,12 @@ def _validate_options(options):
     _require(not bad, "options", f"unknown option(s) {sorted(bad)}")
     for key in ("tol", "ns_tol"):
         if key in options:
-            _num(options[key], f"options.{key}")
+            value = _num(options[key], f"options.{key}")
+            _require(0.0 <= value < math.inf, f"options.{key}", "expected a finite number >= 0")
     for key in ("max_iter", "level"):
         if key in options:
             _require(_is_int(options[key]), f"options.{key}", "expected an integer")
+    _require(options.get("max_iter", 0) >= 0, "options.max_iter", "expected an integer >= 0")
 
 
 def _require(cond, path, message):
@@ -113,8 +116,6 @@ class Instance:
     def generators(self) -> MeasureSet:
         if self.measure_set is not None:
             return self.measure_set
-        from .gexp import tree_measure_set
-
         return tree_measure_set(self.tree)
 
 
@@ -332,8 +333,8 @@ def canonical_dict(inst: Instance) -> dict:
     if inst.tree is not None:
         out["tree"] = {
             "depth": inst.tree.depth,
-            "q_lo": [float(v) for v in inst.tree.q_lo],
-            "q_hi": [float(v) for v in inst.tree.q_hi],
+            "q_lo": inst.tree.q_lo.tolist(),
+            "q_hi": inst.tree.q_hi.tolist(),
             "dt": inst.tree.dt,
             "leaf_values": inst.xi.values.tolist(),
         }
@@ -376,29 +377,16 @@ def _stringify_numbers(obj):
     return obj
 
 
-def rv_values(x: RandomVariable) -> list[float]:
-    return [float(v) for v in x.values]
-
-
 def estimator_result_dict(res) -> dict:
     return {
-        "eta_hat": rv_values(res.eta_hat),
-        "p_hat": [float(v) for v in res.p_hat.lam],
+        "eta_hat": res.eta_hat.values.tolist(),
+        "p_hat": res.p_hat.lam.tolist(),
         "alpha": res.alpha,
         "saddle_gap": res.saddle_gap,
         "iterations": res.iterations,
         "solver": res.solver,
         "converged": res.converged,
         "warnings": list(res.warnings),
-    }
-
-
-def certificate_dict(cert) -> dict:
-    return {
-        "max_over_P": cert.max_over_P,
-        "value_at_saddle": cert.value_at_saddle,
-        "min_over_eta": cert.min_over_eta,
-        "passed": cert.passed,
     }
 
 

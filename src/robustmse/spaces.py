@@ -72,9 +72,6 @@ class RandomVariable:
     def __hash__(self):
         return hash((self.space, self.values.tobytes()))
 
-    def map(self, fn) -> "RandomVariable":
-        return RandomVariable(self.space, fn(np.asarray(self.values)))
-
     def __add__(self, other):
         return self._combine(other, np.add)
 

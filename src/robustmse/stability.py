@@ -35,6 +35,16 @@ class PastedMeasure:
     result: Measure
 
 
+def _splice(base, tail, weights):
+    """Pasted weights: each tail row in weights, rescaled at every point from
+    the tail's mass of its block to the base's (0 where the base's is 0), then
+    divided by its sum as Measure divides it. The last axis is the space."""
+    scale = np.zeros(np.broadcast_shapes(np.shape(base), np.shape(tail)))
+    out = np.divide(base, tail, out=scale, where=base > 0.0) * weights
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
 def paste(q0: Measure, q: Measure, f: Filtration, level: int) -> PastedMeasure:
     """Splice q0's mass at the switch level with q's conditional law beyond it.
 
@@ -46,15 +56,14 @@ def paste(q0: Measure, q: Measure, f: Filtration, level: int) -> PastedMeasure:
     if not 0 <= level < len(f.levels):
         raise ArgumentError(f"level {level} out of range 0..{len(f.levels) - 1}")
     algebra = f.levels[level]
-    base = algebra.block_sums(q0.weights)
-    tail = algebra.block_sums(q.weights)
-    charged = base > 0.0
-    degenerate = charged & (tail == 0.0)
+    base = algebra.block_sums(q0.weights)[algebra.labels]
+    tail = algebra.block_sums(q.weights)[algebra.labels]
+    degenerate = (base > 0.0) & (tail == 0.0)
     if np.any(degenerate):
-        raise PastingDegeneracyError(algebra.blocks[int(np.argmax(degenerate))])
-    scale = np.divide(base, tail, out=np.zeros_like(base), where=charged)
-    out = scale[algebra.labels] * q.weights
-    return PastedMeasure(base=q0, tail=q, switch_level=level, result=Measure(q0.space, out))
+        raise PastingDegeneracyError(algebra.blocks[algebra.labels[np.argmax(degenerate)]])
+    out = _splice(base, tail, q.weights)
+    out.flags.writeable = False
+    return PastedMeasure(base=q0, tail=q, switch_level=level, result=Measure._of_row(q0.space, out))
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,7 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityRepo
     """Paste every ordered generator pair at every level and test hull membership.
 
     One base generator at a time, all its pastings (every tail, every level)
-    are formed as one array, bit for bit as `paste` forms them, and screened:
+    are formed as one array by the splice `paste` uses, and screened:
     a pasting p is a member, without an LP, when some generator g_k certifies
     it. With lam = min(1, min_i p_i / g_k,i), the point lam * e_k is feasible
     for the hull LP's phase 1 at objective (sum_i p_i - lam) + (1 - lam); when
@@ -90,7 +99,8 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityRepo
     points = ms.weights_matrix
     k, n_levels = len(points), len(f.levels)
     # masses[b, l, i]: generator b's mass of the level-l block containing
-    # point i, summed one row at a time exactly as paste sums it
+    # point i, summed one row at a time as paste sums it (a batched
+    # block_sums rounds differently in the last bits)
     masses = np.array([[lev.block_sums(row)[lev.labels] for lev in f.levels] for row in points])
     # a pasting equal to a generator has its key along a fixed generic
     # direction, so it lands next to that generator in the sorted keys
@@ -101,8 +111,7 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityRepo
     hull_tests = 0
     for a in range(k):
         tails = np.delete(np.arange(k), a)  # pasting a measure with itself is the identity
-        pasted = masses[a] / masses[tails] * points[tails, None, :]
-        pasted /= pasted.sum(axis=-1, keepdims=True)  # Measure's renormalization
+        pasted = _splice(masses[a], masses[tails], points[tails, None, :])
         totals = pasted.sum(axis=-1)
         right = np.searchsorted(sorted_keys, pasted @ direction)
         screened = np.zeros(totals.shape, dtype=bool)
@@ -194,6 +203,8 @@ def mmse_time_consistency_search(
     """
     if trials < 1:
         raise ArgumentError("trials must be at least 1")
+    if seed < 0:
+        raise ArgumentError("seed must be nonnegative")
     rng = rng_from_seed(seed)
     for trial in range(trials):
         n = int(rng.integers(4, TCSEARCH_MAX_POINTS + 1))
@@ -201,29 +212,31 @@ def mmse_time_consistency_search(
         f = random_two_level_filtration(rng, space)
         ms = random_measure_set(rng, space, int(rng.integers(2, 5)))
         xi = random_variable(rng, space)
-        coarse, fine = f.levels[1], f.levels[2]
-
-        fine_res = solve_mmse(ms, xi, fine)
-        chain_res = solve_mmse(ms, fine_res.eta_hat, coarse)
-        direct_res = solve_mmse(ms, xi, coarse)
-        if not (fine_res.converged and chain_res.converged and direct_res.converged):
-            continue
-        gap = float(
-            np.max(np.abs(chain_res.eta_hat.values - direct_res.eta_hat.values))
-        )
-        if gap > TCSEARCH_GAP:
+        fine, chain, direct, gap = _chains(ms, xi, f)
+        if fine.converged and chain.converged and direct.converged and gap > TCSEARCH_GAP:
             return TcCounterexample(
                 measure_set=ms,
                 xi=xi,
                 filtration=f,
-                eta_fine=fine_res.eta_hat,
-                eta_chain=chain_res.eta_hat,
-                eta_direct=direct_res.eta_hat,
+                eta_fine=fine.eta_hat,
+                eta_chain=chain.eta_hat,
+                eta_direct=direct.eta_hat,
                 gap=gap,
                 trial_index=trial,
                 seed=int(seed),
             )
     return None
+
+
+def _chains(ms, xi, f, cfg=None):
+    """The fine estimator, its re-estimate at the coarse level, the direct
+    coarse estimator, and the sup-norm gap between the last two."""
+    coarse, fine = f.levels[1], f.levels[2]
+    fine_res = solve_mmse(ms, xi, fine, cfg)
+    chain_res = solve_mmse(ms, fine_res.eta_hat, coarse, cfg)
+    direct_res = solve_mmse(ms, xi, coarse, cfg)
+    gap = float(np.max(np.abs(chain_res.eta_hat.values - direct_res.eta_hat.values)))
+    return fine_res, chain_res, direct_res, gap
 
 
 def replay_counterexample(
@@ -233,10 +246,5 @@ def replay_counterexample(
     cfg: SolverConfig | None = None,
 ) -> tuple[RandomVariable, RandomVariable, float]:
     """Recompute both estimator chains of a serialized counterexample."""
-    cfg = cfg or SolverConfig()
-    coarse, fine = f.levels[1], f.levels[2]
-    eta_fine = solve_mmse(ms, xi, fine, cfg).eta_hat
-    eta_chain = solve_mmse(ms, eta_fine, coarse, cfg).eta_hat
-    eta_direct = solve_mmse(ms, xi, coarse, cfg).eta_hat
-    gap = float(np.max(np.abs(eta_chain.values - eta_direct.values)))
-    return eta_chain, eta_direct, gap
+    _, chain, direct, gap = _chains(ms, xi, f, cfg)
+    return chain.eta_hat, direct.eta_hat, gap

@@ -12,6 +12,7 @@ import pytest
 import robustmse.cli
 import robustmse.estimator
 import robustmse.gexp
+import robustmse.instances
 import robustmse.simplexlp
 from robustmse import Measure, RandomVariable
 from robustmse.cli import build_parser, main
@@ -575,6 +576,23 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert err == "robustmse: nonconvergence: simplex pivot limit of 0 exceeded\n"
 
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_wrong_alpha_caught_on_a_shifted_copy(self, tmp_path, monkeypatch, shift):
+        # agreement is judged in units of R, half the range of xi (3 here):
+        # in units of max|xi| a shift of 1e6 would accept any alpha within 1e6
+        solve = robustmse.cli.solve_mmse
+
+        def off(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            return dataclasses.replace(res, alpha=res.alpha + 1e-3)
+
+        monkeypatch.setattr(robustmse.cli, "solve_mmse", off)
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(dict(EXAMPLE, xi=[v + shift for v in EXAMPLE["xi"]])))
+        code, doc = run(["oracle", str(path)], tmp_path)
+        assert code == 1
+        assert doc["result"]["agree"] is False
+
     def test_oracle_step_cap_exit_code(self, example_file, tmp_path, monkeypatch):
         monkeypatch.setattr(robustmse.estimator, "MAX_ELLIPSOID_STEPS", 1)
         code, doc = run(["oracle", example_file], tmp_path)
@@ -678,6 +696,10 @@ class TestTcsearchCommand:
         code = main(["tcsearch", "--trials", "0"])
         assert code == 2
 
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["tcsearch", "--seed", "-1"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
 
 class TestGexpCommand:
     def tree_doc(self, depth, lo=0.25, hi=0.75, leaves=None):
@@ -749,7 +771,8 @@ class TestGexpCommand:
             calls.append(tm.depth)
             return build(tm)
 
-        monkeypatch.setattr(robustmse.gexp, "tree_measure_set", counted)
+        for module in (robustmse.gexp, robustmse.instances):
+            monkeypatch.setattr(module, "tree_measure_set", counted)
         path = tmp_path / "t2.json"
         path.write_text(json.dumps(self.tree_doc(2, leaves=[1, 0, 0, 0])))
         code, doc = run([command, str(path)], tmp_path)
@@ -803,6 +826,28 @@ class TestOptions:
     def test_tol_accepted_by_the_solver_commands(self, command):
         args = build_parser().parse_args([command, "instance.json", "--tol", "1e-6"])
         assert args.tol == 1e-6
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
+    def test_tol_flag_out_of_range(self, example_file, capsys, tol):
+        # "--tol -1e-8" would read the value as a flag
+        assert main(["solve", example_file, f"--tol={tol}"]) == 2
+        assert "invalid input: --tol: expected a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"tol": "nan"}, "options.tol"),
+            ({"tol": "inf"}, "options.tol"),
+            ({"tol": -1e-8}, "options.tol"),
+            ({"ns_tol": "nan"}, "options.ns_tol"),
+            ({"max_iter": -5}, "options.max_iter"),
+        ],
+    )
+    def test_option_out_of_range(self, tmp_path, capsys, options, field):
+        path = tmp_path / "options.json"
+        path.write_text(json.dumps(dict(EXAMPLE, options=options)))
+        assert main(["solve", str(path)]) == 2
+        assert f"robustmse: invalid input: {field}: expected " in capsys.readouterr().err
 
 
 class TestParserReuse:

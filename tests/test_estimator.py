@@ -249,6 +249,19 @@ class TestBruteForce:
         assert res.iterations == 1
         assert any("ellipsoid" in w for w in res.warnings)
 
+    @pytest.mark.parametrize("shift", [0.0, 1e4, 1e6])
+    def test_agrees_with_solver_under_a_shift(self, shift):
+        # the oracle works on xi - m in units of R, half the range of xi, so
+        # its stop rule does not loosen with the square of an offset
+        rng = rng_from_seed(77)
+        for _ in range(100):
+            ms, xi, c = random_instance(rng, max_points=12, max_blocks=5, max_generators=10)
+            res = brute_force_mmse(ms, xi + shift, c)
+            solved = solve_mmse(ms, xi + shift, c)
+            assert res.converged
+            assert res.iterations < robustmse.estimator.MAX_ELLIPSOID_STEPS
+            assert abs(res.alpha - solved.alpha) <= 1e-9 * (1.0 + solved.alpha)
+
 
 class TestVerifySaddle:
     def test_passes_at_solution(self, two_point):
@@ -282,6 +295,16 @@ class TestVerifySaddle:
         single = MeasureSet([ms.generators[0]])
         res = solve_mmse(single, xi, c)
         assert verify_saddle(single, xi, c, res).passed
+
+    def test_max_side_does_not_ask_the_support_query(self, monkeypatch):
+        # the solver picks its generators through MeasureSet.support; the
+        # certificate takes its maximum from the weight matrix itself
+        ms, xi, c = random_instance(rng_from_seed(26))
+        res = solve_mmse(ms, xi, c)
+        monkeypatch.setattr(MeasureSet, "support", lambda self, v: (0.0, 0))
+        cert = verify_saddle(ms, xi, c, res)
+        sq = (xi.values - res.eta_hat.values) ** 2
+        assert cert.max_over_P == np.max(ms.weights_matrix @ sq) > 0.0
 
 
 class TestKernel:

@@ -310,6 +310,10 @@ class TestTimeConsistencySearch:
         with pytest.raises(ArgumentError):
             mmse_time_consistency_search(seed=1, trials=0)
 
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ArgumentError):
+            mmse_time_consistency_search(seed=-1, trials=1)
+
     def test_seeded_search_finds_counterexample(self):
         hit = mmse_time_consistency_search(seed=20250801, trials=50)
         assert hit is not None
