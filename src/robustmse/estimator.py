@@ -577,9 +577,11 @@ def kernel_interval(
 ) -> KernelInterval:
     """The band between the conditional envelopes.
 
-    Equals the kernel exactly when the measure set is stable along a declared
-    filtration containing c; otherwise it is only an outer description and
-    exact is None (or False when stability was checked and failed).
+    Equals the kernel when the measure set is stable along a filtration
+    containing c; otherwise it is only an outer description. With a declared
+    filtration, exact is the `is_stable` verdict, which is only necessary for
+    stability: exact=True does not prove the band is the kernel. Without one,
+    exact is None.
     """
     lower, upper = conditional_envelopes(ms, xi, c)
     exact = None

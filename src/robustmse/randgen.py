@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ArgumentError
 from .measures import Measure, MeasureSet
 from .spaces import Filtration, PartitionAlgebra, RandomVariable, SampleSpace
 
@@ -25,7 +26,7 @@ def random_positive_measure(rng, space, denominator=DEFAULT_DENOMINATOR) -> Meas
     """Strictly positive weights k_i/denominator with sum exactly 1."""
     n = space.n
     if denominator < n:
-        raise ValueError("denominator too small for strictly positive weights")
+        raise ArgumentError("denominator too small for strictly positive weights")
     extra = rng.multinomial(denominator - n, np.full(n, 1.0 / n))
     return Measure(space, (extra + 1) / denominator)
 
@@ -47,7 +48,7 @@ def random_partition(rng, space, num_blocks) -> PartitionAlgebra:
     """A partition into exactly num_blocks nonempty blocks of shuffled indices."""
     n = space.n
     if not 1 <= num_blocks <= n:
-        raise ValueError("block count must lie in 1..n")
+        raise ArgumentError("block count must lie in 1..n")
     perm = rng.permutation(n)
     # num_blocks-1 cut points split the shuffled indices into nonempty runs
     cuts = np.sort(rng.choice(np.arange(1, n), size=num_blocks - 1, replace=False))
@@ -135,4 +136,4 @@ def random_two_level_filtration(rng, space, max_coarse_blocks=3) -> Filtration:
         if all(len(b) == 1 for b in fine.blocks):
             continue
         return Filtration([PartitionAlgebra.trivial(space), coarse, fine])
-    raise RuntimeError("could not draw a usable two-level filtration")
+    raise ArgumentError(f"no usable two-level filtration in 64 draws on {n} points")

@@ -8,6 +8,11 @@ kernel membership on a depth-4 tree has 32,768 columns, so a dense tableau is
 the simplest thing that is bit-reproducible: Bland's anti-cycling pivot makes
 the pivot sequence, and therefore the result, deterministic. The tolerances
 (PIVOT_EPS, feas_tol) are absolute, so callers pass data scaled to order one.
+
+Both phases run one Bland loop: phase 1 on the phase-1 cost row over every
+column, phase 2 on the phase-2 cost row over the structural columns. Each
+pivot is one rank-1 update of the tableau; only the ratio test walks rows in
+Python, since its tie rule chains in row order.
 """
 
 from __future__ import annotations
@@ -32,31 +37,36 @@ class LpResult:
 
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= np.outer(f, T[row])
     basis[row] = col
 
 
-def _bland_enter(cost_row, allowed, eps):
-    for j in allowed:
-        if cost_row[j] < -eps:
-            return j
-    return -1
-
-
-def _ratio_leave(T, basis, col, m, eps):
-    best_row, best_ratio = -1, np.inf
-    for i in range(m):
-        a = T[i, col]
-        if a > eps:
-            ratio = T[i, -1] / a
-            if ratio < best_ratio - eps or (
-                ratio < best_ratio + eps
-                and (best_row < 0 or basis[i] < basis[best_row])
+def _bland(T, basis, cost, ncols, pivots, max_pivots):
+    """Pivot on cost row T[cost] over columns 0..ncols-1 until no reduced cost
+    is below -PIVOT_EPS. Returns (pivots, bounded). Bland's rule: the first
+    improving column enters, and the ratio test breaks near-ties (within
+    PIVOT_EPS, chained in row order) toward the smallest basic index."""
+    m = len(basis)
+    while True:
+        entering = np.flatnonzero(T[cost, :ncols] < -PIVOT_EPS)
+        if entering.size == 0:
+            return pivots, True
+        col = entering[0]
+        row, best = -1, np.inf
+        for i in np.flatnonzero(T[:m, col] > PIVOT_EPS):
+            ratio = T[i, -1] / T[i, col]
+            if ratio < best - PIVOT_EPS or (
+                ratio < best + PIVOT_EPS and (row < 0 or basis[i] < basis[row])
             ):
-                best_row, best_ratio = i, ratio
-    return best_row
+                row, best = i, ratio
+        if row < 0:
+            return pivots, False
+        _pivot(T, basis, row, col)
+        pivots += 1
+        if pivots > max_pivots:
+            raise NonconvergenceError(f"simplex pivot limit of {max_pivots} exceeded")
 
 
 def solve_lp(c, A, b, *, feas_tol=1e-9, max_pivots=100_000) -> LpResult:
@@ -85,29 +95,17 @@ def solve_lp(c, A, b, *, feas_tol=1e-9, max_pivots=100_000) -> LpResult:
     T[m, :n] = c
     T[m + 1, :n] = -A.sum(axis=0)
     T[m + 1, -1] = -b.sum()
-    basis = [n + i for i in range(m)]
+    basis = np.arange(n, n + m)
 
-    pivots = 0
-    all_cols = list(range(n + m))
-    while True:
-        col = _bland_enter(T[m + 1], all_cols, PIVOT_EPS)
-        if col < 0:
-            break
-        row = _ratio_leave(T, basis, col, m, PIVOT_EPS)
-        if row < 0:  # phase-1 objective is bounded below by 0; cannot happen
-            raise NonconvergenceError("simplex phase-1 ratio test failed")
-        _pivot(T, basis, row, col)
-        pivots += 1
-        if pivots > max_pivots:
-            raise NonconvergenceError(f"simplex pivot limit of {max_pivots} exceeded")
-
+    pivots, bounded = _bland(T, basis, m + 1, n + m, 0, max_pivots)
+    if not bounded:  # phase-1 objective is bounded below by 0; cannot happen
+        raise NonconvergenceError("simplex phase-1 ratio test failed")
     residual = max(0.0, -T[m + 1, -1])
 
     def extract():
         x = np.zeros(n)
-        for i, bi in enumerate(basis):
-            if bi < n:
-                x[bi] = T[i, -1]
+        rows = np.flatnonzero(basis < n)
+        x[basis[rows]] = T[rows, -1]
         return x
 
     if residual > feas_tol:
@@ -115,28 +113,16 @@ def solve_lp(c, A, b, *, feas_tol=1e-9, max_pivots=100_000) -> LpResult:
 
     # drive leftover artificials out of the basis where a real pivot exists;
     # rows that admit none are redundant and stay inert
-    for i in range(m):
-        if basis[i] >= n:
-            for j in range(n):
-                if abs(T[i, j]) > PIVOT_EPS:
-                    _pivot(T, basis, i, j)
-                    pivots += 1
-                    break
+    for i in np.flatnonzero(basis >= n):
+        cols = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_EPS)
+        if cols.size:
+            _pivot(T, basis, i, cols[0])
+            pivots += 1
 
-    structural = list(range(n))
-    while True:
-        col = _bland_enter(T[m], structural, PIVOT_EPS)
-        if col < 0:
-            break
-        row = _ratio_leave(T, basis, col, m, PIVOT_EPS)
-        if row < 0:
-            return LpResult("unbounded", extract(), -np.inf, residual, pivots)
-        _pivot(T, basis, row, col)
-        pivots += 1
-        if pivots > max_pivots:
-            raise NonconvergenceError(f"simplex pivot limit of {max_pivots} exceeded")
-
+    pivots, bounded = _bland(T, basis, m, n, pivots, max_pivots)
     x = extract()
+    if not bounded:
+        return LpResult("unbounded", x, -np.inf, residual, pivots)
     return LpResult("optimal", x, float(c @ x), residual, pivots)
 
 
@@ -175,23 +161,19 @@ def box_epigraph_min(a, B, box_radius):
     # variables: u (m, eta = u - M), t_plus, t_minus, s (k cut slacks), w (m box slacks)
     n = m + 2 + k + m
     A = np.zeros((k + m, n))
-    b = np.zeros(k + m)
-    for i in range(k):
-        A[i, :m] = B[i]
-        A[i, m] = 1.0
-        A[i, m + 1] = -1.0
-        A[i, m + 2 + i] = -1.0
-        b[i] = a[i] + M * B[i].sum()
-    for j in range(m):
-        A[k + j, j] = 1.0
-        A[k + j, m + 2 + k + j] = 1.0
-        b[k + j] = 2.0 * M
+    A[:k, :m] = B
+    A[:k, m] = 1.0
+    A[:k, m + 1] = -1.0
+    A[np.arange(k), m + 2 + np.arange(k)] = -1.0
+    A[k:, :m] = np.eye(m)
+    A[k:, m + 2 + k :] = np.eye(m)
+    b = np.concatenate([a + M * B.sum(axis=1), np.full(m, 2.0 * M)])
     c = np.zeros(n)
     c[m] = 1.0
     c[m + 1] = -1.0
 
     res = solve_lp(c, A, b)
     if res.status != "optimal":  # feasible and bounded by construction
-        raise RuntimeError(f"epigraph LP ended {res.status}")
+        raise NonconvergenceError(f"epigraph LP ended {res.status}")
     eta = res.x[:m] - M
     return float(res.value), eta

@@ -79,6 +79,10 @@ class StabilityReport:
 def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityReport:
     """Paste every ordered generator pair at every level and test hull membership.
 
+    This is necessary for stability, not sufficient: a pasting on a single
+    block of a level (one generator's tail inside it, another's law outside)
+    can leave the hull while every whole-level pasting stays inside.
+
     One base generator at a time, all its pastings (every tail, every level)
     are formed as one array by the splice `paste` uses, and screened:
     a pasting p is a member, without an LP, when some generator g_k certifies
@@ -156,7 +160,8 @@ def recursivity_check(
     tol: float = 1e-9,
 ) -> RecursivityReport:
     """Compare the one-shot upper envelope at sigma with the two-stage one
-    through tau; they agree whenever the set passes the stability check."""
+    through tau. They agree on a stable set; `is_stable` passing is not
+    enough, since it pastes whole generators at whole levels only."""
     if not 0 <= sigma_level <= tau_level < len(f.levels):
         raise ArgumentError(
             f"need 0 <= sigma <= tau < {len(f.levels)}, got ({sigma_level}, {tau_level})"

@@ -19,7 +19,13 @@ from robustmse import (
     mix,
     reference_measure,
 )
-from robustmse.randgen import rng_from_seed, random_instance
+from robustmse.randgen import (
+    random_instance,
+    random_partition,
+    random_positive_measure,
+    random_two_level_filtration,
+    rng_from_seed,
+)
 
 
 class TestMeasure:
@@ -267,3 +273,21 @@ class TestInvariants:
             lhs = w1 * conditional_expectation(p1, xi, c) + w2 * conditional_expectation(p2, xi, c)
             rhs = conditional_expectation(plam, xi, c)
             assert np.max(np.abs(lhs.values - rhs.values)) < 1e-10
+
+
+class TestRandgenArguments:
+    """The generators' contract violations are library errors, not bare ValueError."""
+
+    def test_denominator_below_point_count(self):
+        with pytest.raises(ArgumentError, match="denominator"):
+            random_positive_measure(rng_from_seed(0), SampleSpace.of_size(5), denominator=4)
+
+    @pytest.mark.parametrize("blocks", [0, 4])
+    def test_block_count_outside_range(self, blocks):
+        with pytest.raises(ArgumentError, match="block count"):
+            random_partition(rng_from_seed(0), SampleSpace.of_size(3), blocks)
+
+    def test_no_two_level_filtration_on_three_points(self):
+        # a coarse level with a block of two leaves only singletons to refine into
+        with pytest.raises(ArgumentError, match="64 draws on 3 points"):
+            random_two_level_filtration(rng_from_seed(0), SampleSpace.of_size(3))

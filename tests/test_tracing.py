@@ -26,3 +26,24 @@ def test_every_target_is_a_function_of_its_module(tracing):
 def test_every_return_hook_names_a_target(tracing):
     names = {getattr(importlib.import_module(mod), attr).__name__ for mod, attr in tracing.TARGETS}
     assert set(tracing._ON_RETURN) <= names
+
+
+def test_every_lp_reaches_the_traced_solve_lp(tracing):
+    # the benchmark's LP metrics come from spans of the module-level solve_lp
+    # and from LpResult.pivots; an LP that bypasses either reads as zero
+    for mod, _ in tracing.TARGETS:
+        importlib.import_module(mod)
+    simplexlp = importlib.import_module("robustmse.simplexlp")
+    estimator = importlib.import_module("robustmse.estimator")
+    randgen = importlib.import_module("robustmse.randgen")
+    instance = randgen.random_instance(randgen.rng_from_seed(77), 6, 3, 5)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        simplexlp.hull_membership([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.25, 0.25])
+        estimator.brute_force_mmse(*instance)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("simplexlp.solve_lp") == 2
+    assert tracer.counts["simplexlp.solve_lp.pivots"] > 0
