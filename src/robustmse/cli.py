@@ -34,11 +34,11 @@ from .instances import (
     Instance,
     _json_inf,
     build_result,
+    canonical_dict,
     dump_result,
     estimator_result_dict,
     instance_digest,
     load_instance,
-    serialize_instance,
 )
 from .measures import is_proper
 from .stability import (
@@ -195,7 +195,7 @@ def cmd_tcsearch(args) -> tuple[dict, int]:
         tree=None,
         options={},
     )
-    doc = serialize_instance(counterexample, exact_strings=True)
+    doc = canonical_dict(counterexample)
     doc["chains"] = {
         "eta_fine": hit.eta_fine.values.tolist(),
         "eta_chain": hit.eta_chain.values.tolist(),

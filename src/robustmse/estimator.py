@@ -37,7 +37,6 @@ from .errors import ArgumentError, GuardRefusalError, PropernessError, ZeroMassB
 from .measures import (
     MeasureSet,
     MixtureWeights,
-    expectation,
     is_proper,
     mix,
 )
@@ -486,17 +485,19 @@ def verify_saddle(
     support query. Tolerance scales with 1 + alpha.
     """
     cfg = cfg or SolverConfig()
-    eta = result.eta_hat
-    sq = (xi - eta) * (xi - eta)
-    max_over_p = float(np.max(ms.weights_matrix @ sq.values))
-    p_hat = mix(ms, result.p_hat)
-    value_at_saddle = expectation(p_hat, sq)
-    mass = c.block_sums(p_hat.weights)
+    check_same_space(xi, result.eta_hat)
+    x = xi.values
+    d = x - result.eta_hat.values
+    sq = d * d
+    max_over_p = float(np.max(ms.weights_matrix @ sq))
+    p = mix(ms, result.p_hat).weights
+    value_at_saddle = float(np.dot(p, sq))
+    mass = c.block_sums(p)
     live = mass > 0.0
     cond = np.zeros(c.num_blocks)
-    cond[live] = c.block_sums(p_hat.weights * xi.values)[live] / mass[live]
-    inner = c.broadcast(cond)
-    min_over_eta = expectation(p_hat, (xi - inner) * (xi - inner))
+    cond[live] = c.block_sums(p * x)[live] / mass[live]
+    r = x - cond[c.labels]
+    min_over_eta = float(np.dot(p, r * r))
     tol = cfg.tol * (1.0 + abs(result.alpha))
     passed = (max_over_p <= value_at_saddle + tol) and (
         value_at_saddle <= min_over_eta + tol

@@ -2,10 +2,10 @@
 
 An instance carries the sample space, the generator list, the variable, and
 exactly one conditioning structure (partition, filtration, or tree), plus an
-options stanza. Numbers may be written as decimal strings where exactness
-matters (the search emits dyadic rationals that way); parsing accepts both.
-Canonicalization produces a plain-number, canonically ordered document whose
-SHA-256 digest pairs results with their instances.
+options stanza. Parsing accepts numbers written as JSON numbers or as decimal
+strings. Canonicalization produces a plain-number document whose SHA-256
+digest pairs results with their instances. Every file the package writes is
+compact JSON with sorted keys; a float's shortest repr reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ def _parse_tree_instance(doc, options) -> Instance:
 
     if "omega" in doc:
         _require(
-            list(doc["omega"]) == list(tree.space.labels),
+            doc["omega"] == list(tree.space.labels),
             "omega",
             "labels do not match the tree's leaf paths",
         )
@@ -349,32 +349,17 @@ def canonical_dict(inst: Instance) -> dict:
                 [list(b) for b in lev.blocks] for lev in inst.filtration.levels
             ]
     if inst.options:
-        out["options"] = dict(sorted(inst.options.items()))
+        out["options"] = dict(inst.options)
     return out
 
 
+def _canonical_json(obj) -> str:
+    """The one JSON form the package writes: compact, with sorted keys."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
+
+
 def instance_digest(inst: Instance) -> str:
-    blob = json.dumps(canonical_dict(inst), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def serialize_instance(inst: Instance, exact_strings: bool = False) -> dict:
-    """Canonical document; exact_strings renders numeric leaves as decimal
-    strings (for dyadic-rational counterexamples the expansion is exact)."""
-    doc = canonical_dict(inst)
-    if exact_strings:
-        doc = _stringify_numbers(doc)
-    return doc
-
-
-def _stringify_numbers(obj):
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, list):
-        return [_stringify_numbers(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _stringify_numbers(v) for k, v in obj.items()}
-    return obj
+    return hashlib.sha256(_canonical_json(canonical_dict(inst)).encode("utf-8")).hexdigest()
 
 
 def estimator_result_dict(res) -> dict:
@@ -401,7 +386,7 @@ def build_result(inst_digest: str | None, command: str, payload: dict, wall_time
 
 
 def dump_result(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=True) + "\n"
+    return _canonical_json(doc) + "\n"
 
 
 def _json_inf(x: float):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -14,10 +15,11 @@ import robustmse.estimator
 import robustmse.gexp
 import robustmse.instances
 import robustmse.simplexlp
-from robustmse import Measure, RandomVariable
+from robustmse import Measure, RandomVariable, replay_counterexample
 from robustmse.cli import build_parser, main
 from robustmse.errors import ValidationError
 from robustmse.instances import (
+    _canonical_json,
     canonical_dict,
     instance_digest,
     parse_instance,
@@ -800,6 +802,56 @@ class TestGexpCommand:
         path.write_text(json.dumps(self.tree_doc(5)))
         assert main(["rho", str(path)]) == 4
         assert "corner-matrix entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rho", "gexp", "solve", "oracle"])
+    @pytest.mark.parametrize("omega", [5, None, "uudd", {"a": 1}, ["a", "b", "c", "d"]])
+    def test_omega_that_is_not_the_leaf_paths(self, tmp_path, capsys, command, omega):
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(dict(self.tree_doc(2), omega=omega)))
+        assert main([command, str(path)]) == 2
+        assert "omega" in capsys.readouterr().err
+
+
+class TestWrittenForm:
+    """Every result file is the canonical JSON of its own content."""
+
+    def test_every_command_writes_canonical_json(self, example_file, tmp_path):
+        filtration = tmp_path / "filtration.json"
+        filtration.write_text(json.dumps({
+            "omega": ["uu", "ud", "du", "dd"],
+            "generators": [[0.5, 0.25, 0.125, 0.125], [0.125, 0.125, 0.25, 0.5]],
+            "xi": [1.25, -1.6875, -1.3125, -1.0625],
+            "filtration": [[[0, 1, 2, 3]], [[0, 1], [2, 3]]],
+        }))
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({
+            "tree": {"depth": 2, "q_lo": 0.25, "q_hi": 0.75, "leaf_values": [1, 0, 0, 0]},
+        }))
+        calls = [
+            ["rho", example_file],
+            ["solve", example_file],
+            ["oracle", example_file],
+            ["stability", str(filtration)],
+            ["gexp", str(tree)],
+            ["tcsearch", "--seed", "20250801", "--trials", "50"],
+        ]
+        for i, args in enumerate(calls):
+            out = tmp_path / f"out-{i}.json"
+            assert main(args + ["--out", str(out)]) == 0, args
+            text = out.read_text()
+            assert text == _canonical_json(json.loads(text)) + "\n", args
+        # the counterexample writes plain numbers, and they read back bit for bit
+        payload = json.loads(text)["result"]
+        ce = payload["counterexample"]
+        numbers = [
+            *itertools.chain.from_iterable(ce["generators"]),
+            *ce["xi"],
+            *itertools.chain.from_iterable(ce["chains"].values()),
+        ]
+        assert all(type(x) is float for x in numbers)
+        inst = parse_instance(ce)
+        _, _, gap = replay_counterexample(inst.measure_set, inst.xi, inst.filtration)
+        assert gap == payload["gap"]
 
 
 def fresh_process_result(args, tmp_path, name):

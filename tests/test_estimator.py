@@ -35,7 +35,7 @@ from robustmse import (
 )
 from robustmse.cli import main as cli_main
 from robustmse.gexp import tree_measure_set
-from robustmse.instances import Instance, serialize_instance
+from robustmse.instances import Instance, canonical_dict
 from robustmse.randgen import (
     random_instance,
     random_measure_set,
@@ -476,7 +476,7 @@ class TestKernelWitness:
             assert not ns.holds
             inst = Instance(ms.space, ms, xi + offset, c, None, None, {})
             path = tmp_path / f"shifted-{i}.json"
-            path.write_text(json.dumps(serialize_instance(inst)))
+            path.write_text(json.dumps(canonical_dict(inst)))
             assert cli_main(["solve", str(path), "--out", str(tmp_path / "out.json")]) == 0
             assert len(lp_calls) == 1  # only the reference NS call above
             lp_calls.clear()
