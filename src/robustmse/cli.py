@@ -61,7 +61,7 @@ def _solver_config(inst: Instance, args) -> SolverConfig:
         raise ValidationError("--tol", "expected a finite number >= 0")
     tol = args.tol if args.tol is not None else inst.options.get("tol", SolverConfig.tol)
     max_iter = inst.options.get("max_iter", SolverConfig.max_iter)
-    return SolverConfig(tol=float(tol), max_iter=max_iter)
+    return SolverConfig(tol=tol, max_iter=max_iter)
 
 
 def cmd_rho(inst: Instance, args) -> tuple[dict, int]:
@@ -102,7 +102,7 @@ def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
         return payload, EXIT_NONCONVERGENCE
     cert = verify_saddle(ms, xi, algebra, res, cfg)
     member = kernel_member(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam)
-    ns_tol = {"tol": float(inst.options["ns_tol"])} if "ns_tol" in inst.options else {}
+    ns_tol = {"tol": inst.options["ns_tol"]} if "ns_tol" in inst.options else {}
     ns = ns_condition(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam, **ns_tol)
     payload["saddle_certificate"] = dataclasses.asdict(cert)
     payload["kernel_member"] = member
@@ -216,7 +216,7 @@ def cmd_gexp(inst: Instance, args) -> tuple[dict, int]:
     if inst.kind != "tree":
         raise ValidationError("tree", "gexp command needs a tree instance")
     tm, xi = inst.tree, inst.xi
-    level = int(inst.options.get("level", 0))
+    level = inst.options.get("level", 0)
     cmp_report = compare_gexp_mmse(tm, xi.values, level, _solver_config(inst, args))
     res = cmp_report.recursion
     root_rho = cmp_report.rho_root

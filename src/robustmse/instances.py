@@ -3,9 +3,10 @@
 An instance carries the sample space, the generator list, the variable, and
 exactly one conditioning structure (partition, filtration, or tree), plus an
 options stanza. Parsing accepts numbers written as JSON numbers or as decimal
-strings. Canonicalization produces a plain-number document whose SHA-256
-digest pairs results with their instances. Every file the package writes is
-compact JSON with sorted keys; a float's shortest repr reads back bit for bit.
+strings. Canonicalization produces a plain-number document. A SHA-256 digest
+of the instance as parsed into binary64 pairs results with their instances.
+Every file the package writes is compact JSON with sorted keys; a float's
+shortest repr reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from ._version import __version__
 from .errors import RobustMseError, ValidationError
 from .gexp import TreeModel, tree_measure_set
@@ -24,6 +27,7 @@ from .measures import Measure, MeasureSet
 from .spaces import Filtration, PartitionAlgebra, RandomVariable, SampleSpace
 
 FORMAT_VERSION = "1"
+DIGEST_VERSION = "2"
 
 _KNOWN_OPTIONS = {
     "tol",
@@ -33,17 +37,22 @@ _KNOWN_OPTIONS = {
 }
 
 
-def _validate_options(options):
+def _validate_options(options) -> dict:
+    """The options as the solver reads them: `tol` and `ns_tol` as floats,
+    `max_iter` and `level` as ints, so every spelling of a value is one."""
+    _require(isinstance(options, dict), "options", "expected an object")
     bad = set(options) - _KNOWN_OPTIONS
     _require(not bad, "options", f"unknown option(s) {sorted(bad)}")
+    typed = dict(options)
     for key in ("tol", "ns_tol"):
         if key in options:
-            value = _num(options[key], f"options.{key}")
+            typed[key] = value = _num(options[key], f"options.{key}")
             _require(0.0 <= value < math.inf, f"options.{key}", "expected a finite number >= 0")
     for key in ("max_iter", "level"):
         if key in options:
             _require(_is_int(options[key]), f"options.{key}", "expected an integer")
-    _require(options.get("max_iter", 0) >= 0, "options.max_iter", "expected an integer >= 0")
+    _require(typed.get("max_iter", 0) >= 0, "options.max_iter", "expected an integer >= 0")
+    return typed
 
 
 def _require(cond, path, message):
@@ -110,8 +119,7 @@ class Instance:
             return self.partition
         if self.filtration is not None:
             return self.filtration.levels[-1]
-        level = int(self.options.get("level", 0))
-        return self.tree.level_partition(level)
+        return self.tree.level_partition(self.options.get("level", 0))
 
     def generators(self) -> MeasureSet:
         if self.measure_set is not None:
@@ -143,9 +151,7 @@ def parse_instance(doc: Any) -> Instance:
         f"exactly one of partition/filtration/tree required, found {structures or 'none'}",
     )
 
-    options = doc.get("options", {})
-    _require(isinstance(options, dict), "options", "expected an object")
-    _validate_options(options)
+    options = _validate_options(doc.get("options", {}))
 
     if "tree" in doc:
         return _parse_tree_instance(doc, options)
@@ -195,7 +201,7 @@ def parse_instance(doc: Any) -> Instance:
         partition=partition,
         filtration=filtration,
         tree=None,
-        options=dict(options),
+        options=options,
     )
 
 
@@ -261,6 +267,8 @@ def _parse_tree_instance(doc, options) -> Instance:
     _require("depth" in tree_doc, "tree.depth", "required")
     depth = tree_doc["depth"]
     _require(_is_int(depth) and depth >= 1, "tree.depth", "expected an integer >= 1")
+    level = options.get("level", 0)
+    _require(0 <= level <= depth, "options.level", f"expected an integer in 0..{depth}")
 
     # the leaf values size the tree; their bit length bounds depth before
     # 2 ** depth or anything of that size is formed
@@ -312,7 +320,7 @@ def _parse_tree_instance(doc, options) -> Instance:
         partition=None,
         filtration=None,
         tree=tree,
-        options=dict(options),
+        options=options,
     )
 
 
@@ -328,6 +336,16 @@ def load_instance(path) -> Instance:
 # --- canonical form, digest, serialization -------------------------------
 
 
+def _sample_space_fields(inst: Instance) -> dict:
+    """`omega` and the partition or filtration of an explicit-set instance."""
+    out: dict[str, Any] = {"omega": list(inst.space.labels)}
+    if inst.partition is not None:
+        out["partition"] = [list(b) for b in inst.partition.blocks]
+    else:
+        out["filtration"] = [[list(b) for b in lev.blocks] for lev in inst.filtration.levels]
+    return out
+
+
 def canonical_dict(inst: Instance) -> dict:
     out: dict[str, Any] = {"version": FORMAT_VERSION}
     if inst.tree is not None:
@@ -339,15 +357,9 @@ def canonical_dict(inst: Instance) -> dict:
             "leaf_values": inst.xi.values.tolist(),
         }
     else:
-        out["omega"] = list(inst.space.labels)
+        out.update(_sample_space_fields(inst))
         out["generators"] = inst.measure_set.weights_matrix.tolist()
         out["xi"] = inst.xi.values.tolist()
-        if inst.partition is not None:
-            out["partition"] = [list(b) for b in inst.partition.blocks]
-        else:
-            out["filtration"] = [
-                [list(b) for b in lev.blocks] for lev in inst.filtration.levels
-            ]
     if inst.options:
         out["options"] = dict(inst.options)
     return out
@@ -359,7 +371,32 @@ def _canonical_json(obj) -> str:
 
 
 def instance_digest(inst: Instance) -> str:
-    return hashlib.sha256(_canonical_json(canonical_dict(inst)).encode("utf-8")).hexdigest()
+    """SHA-256 of the instance as parsed into binary64 (digest version 2).
+
+    It hashes a header written by `_canonical_json`: the format and digest
+    versions, `omega`, the partition or filtration, the options, a tree's
+    `depth` and `dt`, and the name and shape of every numeric array in the
+    order they follow. Then come the arrays' little-endian float64 bytes in
+    C order: `weights_matrix` then `xi`, or a tree's `q_lo`, `q_hi` then leaf
+    values. The header ends where its JSON object does and the shapes fix
+    the byte counts, so two instances share a digest exactly when they share
+    a canonical form (the bytes keep the sign of a zero, as a repr does)."""
+    if inst.tree is not None:
+        header = {"tree": {"depth": inst.tree.depth, "dt": inst.tree.dt}}
+        arrays = {"q_lo": inst.tree.q_lo, "q_hi": inst.tree.q_hi, "leaf_values": inst.xi.values}
+    else:
+        header = _sample_space_fields(inst)
+        arrays = {"weights_matrix": inst.measure_set.weights_matrix, "xi": inst.xi.values}
+    header.update(
+        version=FORMAT_VERSION,
+        digest=DIGEST_VERSION,
+        options=inst.options,
+        arrays=[[name, list(a.shape)] for name, a in arrays.items()],
+    )
+    h = hashlib.sha256(_canonical_json(header).encode("utf-8"))
+    for a in arrays.values():
+        h.update(np.ascontiguousarray(a, dtype="<f8"))
+    return h.hexdigest()
 
 
 def estimator_result_dict(res) -> dict:

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -143,29 +145,38 @@ class TestParsing:
 
 
 README_EXAMPLE = dict(EXAMPLE, options={"tol": 1e-8})
-README_DIGEST = "bc749a6b539166cae7c00aef4254548bc48a7cb431c38353bd5b612acb999850"
+README_DIGEST = "efe5b540429143562f9919ab8f64b92412dad14f32d1ead2c36c5652bf759d9c"
 
 
 def reference_digest(inst):
-    """The digest built value by value from the parsed objects."""
-    out = {"version": "1"}
+    """The version-2 digest built by hand: the header's fields written out one
+    by one and joined in key order, then every value packed on its own as a
+    little-endian binary64, in the order the header lists the arrays."""
+
+    def text(obj):
+        return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+    fields = {"version": '"1"', "digest": '"2"', "options": text(dict(inst.options))}
     if inst.tree is not None:
-        out["tree"] = {
-            "depth": inst.tree.depth,
-            "q_lo": [float(v) for v in inst.tree.q_lo],
-            "q_hi": [float(v) for v in inst.tree.q_hi],
-            "dt": inst.tree.dt,
-            "leaf_values": [float(v) for v in inst.xi.values],
-        }
+        fields["tree"] = '{"depth":%d,"dt":%r}' % (inst.tree.depth, inst.tree.dt)
+        arrays = {"q_lo": list(inst.tree.q_lo), "q_hi": list(inst.tree.q_hi),
+                  "leaf_values": list(inst.xi.values)}
+        shapes = [[name, [len(v)]] for name, v in arrays.items()]
     else:
-        out["omega"] = list(inst.space.labels)
-        out["generators"] = [[float(w) for w in g.weights] for g in inst.measure_set.generators]
-        out["xi"] = [float(v) for v in inst.xi.values]
-        out["partition"] = [list(b) for b in inst.partition.blocks]
-    if inst.options:
-        out["options"] = dict(sorted(inst.options.items()))
-    blob = json.dumps(out, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        fields["omega"] = text(list(inst.space.labels))
+        if inst.partition is not None:
+            fields["partition"] = text([list(b) for b in inst.partition.blocks])
+        else:
+            fields["filtration"] = text(
+                [[list(b) for b in lev.blocks] for lev in inst.filtration.levels]
+            )
+        rows = [list(g.weights) for g in inst.measure_set.generators]
+        arrays = {"weights_matrix": [w for row in rows for w in row], "xi": list(inst.xi.values)}
+        shapes = [["weights_matrix", [len(rows), inst.space.n]], ["xi", [inst.space.n]]]
+    fields["arrays"] = text(shapes)
+    header = "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}"
+    packed = b"".join(struct.pack("<d", v) for values in arrays.values() for v in values)
+    return hashlib.sha256(header.encode("utf-8") + packed).hexdigest()
 
 
 class TestNumberArrays:
@@ -246,7 +257,15 @@ class TestNumberArrays:
             {"version": "1", "tree": {"depth": 2, "q_lo": [0.125, 0.25, 0.375],
                                       "q_hi": [0.5, 0.875, 0.75], "leaf_values": [3, 1, 4, 1]}},
         ]
-        docs = [EXAMPLE, README_EXAMPLE, *seeded_partition_docs(2702, 8), *trees]
+        filtration = {
+            "version": "1",
+            "omega": ["a", "b", "c", "d"],
+            "generators": [[0.25, 0.25, 0.25, 0.25], [0.125, 0.375, 0.25, 0.25]],
+            "xi": [1, -2.5, 0, 4],
+            "filtration": [[[3, 2, 1, 0]], [[1, 0], [3, 2]]],
+            "options": {"ns_tol": "1e-7", "max_iter": 50},
+        }
+        docs = [EXAMPLE, README_EXAMPLE, filtration, *seeded_partition_docs(2702, 8), *trees]
         for doc in docs:
             inst = parse_instance(json.loads(json.dumps(doc)))
             assert instance_digest(inst) == reference_digest(inst)
@@ -271,7 +290,7 @@ class TestNumberArrays:
         rows = [Measure(inst.space, row).weights for row in doc["generators"]]
         assert np.array_equal(inst.measure_set.weights_matrix, np.stack(rows))
         assert instance_digest(inst) == (
-            "b6c0d8139bba863a794d08d7844624f3a57e73f55e7670ec72088afecc8ff383"
+            "eecee3eec72d9ccd3bb48bdd249b2745480bc4058a5b86361426097d626023f8"
         )
 
     @pytest.mark.parametrize(
@@ -304,6 +323,104 @@ EXAMPLE_4 = {
     "xi": [1, 2, 3, 4],
     "partition": [[0, 1], [2, 3]],
 }
+
+
+def _with(doc, **fields):
+    """A JSON copy of doc with fields set; a field set to None is dropped."""
+    return json.loads(json.dumps({k: v for k, v in dict(doc, **fields).items() if v is not None}))
+
+
+DIGEST_BASE = dict(
+    EXAMPLE_4,
+    generators=[[0.125, 0.375, 0.25, 0.25], [0.5, 0.25, 0.125, 0.125]],
+    xi=[1, 2.5, 0.0, 4],
+)
+DIGEST_TREE = {"version": "1", "tree": {"depth": 2, "q_lo": 0.25, "q_hi": 0.75, "dt": 0.25,
+                                        "leaf_values": [1, 0.0, -2, 0.5]}}
+
+
+class TestDigest:
+    """The digest names the instance as parsed into binary64."""
+
+    @pytest.mark.parametrize(
+        "base, variant, same",
+        [
+            # spellings of one parsed instance
+            (DIGEST_BASE, _with(DIGEST_BASE, generators=[["0.125", "3.75e-1", 0.25, "0.25"],
+                                                         [0.5, "0.250", 0.125, 0.125]],
+                                xi=["1", 2.5, "0", "4.0"]), True),
+            (DIGEST_BASE, canonical_dict(parse_instance(DIGEST_BASE)), True),
+            (DIGEST_BASE, _with(DIGEST_BASE, partition=[[1, 0], [3, 2]]), True),
+            (DIGEST_TREE, _with(DIGEST_TREE, tree=dict(DIGEST_TREE["tree"], q_lo=[0.25] * 3)), True),
+            (DIGEST_TREE, canonical_dict(parse_instance(DIGEST_TREE)), True),
+            # different instances
+            (DIGEST_BASE, _with(DIGEST_BASE, generators=[[0.125, float(np.nextafter(0.375, 1)),
+                                                          0.25, 0.25], [0.5, 0.25, 0.125, 0.125]]),
+             False),
+            (DIGEST_BASE, _with(DIGEST_BASE, xi=[1, 2.5, -0.0, 4]), False),
+            (DIGEST_BASE, _with(DIGEST_BASE, options={"max_iter": 10000}), False),
+            (DIGEST_BASE, _with(DIGEST_BASE, partition=[[0, 2], [1, 3]]), False),
+            (DIGEST_BASE, _with(DIGEST_BASE, partition=[[0, 1, 2, 3]]), False),
+            (DIGEST_BASE, _with(DIGEST_BASE, partition=None,
+                                filtration=[[[0, 1, 2, 3]], [[0, 1], [2, 3]]]), False),
+            (DIGEST_TREE, _with(DIGEST_TREE, tree=dict(DIGEST_TREE["tree"],
+                                                       leaf_values=[1, -0.0, -2, 0.5])), False),
+            (DIGEST_TREE, _with(DIGEST_TREE, tree=dict(DIGEST_TREE["tree"], dt=0.125)), False),
+            (DIGEST_TREE, _with(DIGEST_TREE, options={"level": 1}), False),
+        ],
+    )
+    def test_equality_classes(self, base, variant, same):
+        a, b = parse_instance(base), parse_instance(variant)
+        # the digest agrees exactly when the canonical forms do (a repr keeps
+        # the sign of a zero and every bit of a float)
+        assert (_canonical_json(canonical_dict(a)) == _canonical_json(canonical_dict(b))) is same
+        assert (instance_digest(a) == instance_digest(b)) is same
+
+    def test_option_spellings_are_one_instance(self):
+        insts = [parse_instance(dict(EXAMPLE, options={"tol": t})) for t in ("1e-8", "1E-8", 1e-8)]
+        assert {_canonical_json(canonical_dict(i)) for i in insts} == {
+            _canonical_json(canonical_dict(insts[2]))
+        }
+        assert canonical_dict(insts[0])["options"] == {"tol": 1e-8}
+        assert {instance_digest(i) for i in insts} == {README_DIGEST}
+        typed = parse_instance(dict(EXAMPLE_4, generators=[[0.25] * 4],
+                                    options={"ns_tol": "0", "max_iter": 7}))
+        assert typed.options == {"ns_tol": 0.0, "max_iter": 7}
+        assert type(typed.options["ns_tol"]) is float
+
+    def test_header_holds_no_weight(self, monkeypatch):
+        # K = 35 and K = 350 rows on the same points, blocks and xi: the
+        # header differs only by the shape, so no weight is written into it
+        headers = []
+
+        def spy(obj):
+            headers.append(_canonical_json(obj))
+            return headers[-1]
+
+        monkeypatch.setattr(robustmse.instances, "_canonical_json", spy)
+        rng = np.random.default_rng(35)
+        n = 115
+        doc = {
+            "version": "1",
+            "omega": [f"w{i}" for i in range(n)],
+            "xi": (rng.integers(-32, 33, size=n) / 16).tolist(),
+            "partition": [list(range(0, 60)), list(range(60, n))],
+        }
+        for K in (35, 350):
+            weights = (rng.multinomial(1024 - n, np.full(n, 1.0 / n), size=K) + 1) / 1024
+            instance_digest(parse_instance(dict(doc, generators=weights.tolist())))
+        short, long = headers
+        assert len(long) == len(short) + 1  # the one more digit of K
+        assert long == short.replace('["weights_matrix",[35,115]]', '["weights_matrix",[350,115]]')
+
+    def test_readme_digest(self):
+        # README shows the example instance and its digest; both must hold
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        example = re.search(r"### Instance format.*?```json\n(.*?)```", readme, re.S).group(1)
+        assert json.loads(example) == README_EXAMPLE
+        assert re.findall(r"[0-9a-f]{64}", readme) == [README_DIGEST]
+        assert instance_digest(parse_instance(json.loads(example))) == README_DIGEST
 
 
 def seeded_partition_docs(seed, count):
@@ -441,6 +558,18 @@ class TestSolveCommand:
             path.write_text(json.dumps(dict(doc, options={"level": 0})))
             assert main(["solve", str(path)]) == 2
             assert "options.level: only a tree instance takes a level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rho", "solve", "gexp"])
+    @pytest.mark.parametrize("level", [5, -1])
+    def test_tree_level_in_range(self, tmp_path, capsys, command, level):
+        doc = {"tree": {"depth": 2, "q_lo": 0.25, "q_hi": 0.75, "leaf_values": [1, 0, 0, 0]},
+               "options": {"level": level}}
+        path = tmp_path / "level.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "robustmse: invalid input: options.level: expected an integer in 0..2\n"
+        )
 
     def test_boolean_partition_index_rejected(self, tmp_path, capsys):
         # JSON booleans load as Python bools, which are ints; [[false], [true, 2]]
