@@ -217,6 +217,8 @@ def cmd_gexp(inst: Instance, args) -> tuple[dict, int]:
         raise ValidationError("tree", "gexp command needs a tree instance")
     tm, xi = inst.tree, inst.xi
     level = inst.options.get("level", 0)
+    if level == tm.depth:  # rho and solve take 0..depth; the comparison stops above the leaves
+        raise ValidationError("options.level", f"gexp needs an integer in 0..{tm.depth - 1}")
     cmp_report = compare_gexp_mmse(tm, xi.values, level, _solver_config(inst, args))
     res = cmp_report.recursion
     root_rho = cmp_report.rho_root

@@ -57,8 +57,8 @@ class TreeModel:
         depth = int(depth)
         if depth < 1:
             raise ArgumentError("tree depth must be at least 1")
-        if not dt > 0:
-            raise ArgumentError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ArgumentError("dt must be positive and finite")
         nodes = 2 ** depth - 1
         q_lo = np.broadcast_to(np.asarray(q_lo, dtype=float), (nodes,)).copy()
         q_hi = np.broadcast_to(np.asarray(q_hi, dtype=float), (nodes,)).copy()

@@ -301,6 +301,7 @@ def _parse_tree_instance(doc, options) -> Instance:
 
     q_lo, q_hi = interval("q_lo"), interval("q_hi")
     dt = _num(tree_doc.get("dt", 0.25), "tree.dt")
+    _require(0 < dt < math.inf, "tree.dt", "expected a finite number > 0")
     try:
         tree = TreeModel(depth, q_lo, q_hi, dt)
     except Exception as exc:

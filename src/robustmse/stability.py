@@ -1,10 +1,10 @@
 """Pasting of measures along a filtration, stability of measure sets, and a
 randomized search for time-consistency failures of the worst-case estimator.
 
-Stability is checked on the finite family of generator pairs at deterministic
-filtration levels; that family is necessary for the full stopping-time
-closure, and for rectangular (product) sets it is also sufficient, so the
-verdict is labeled "generator-pasting".
+Stability is checked on the finite family of generator pairs pasted at whole
+filtration levels, so the verdict is labeled "generator-pasting". Passing it
+is necessary for stability, not sufficient: a pasting on a single block of a
+level can leave the hull while every whole-level pasting stays inside.
 """
 
 from __future__ import annotations
@@ -72,8 +72,44 @@ class StabilityReport:
     witness: PastedMeasure | None
     witness_residual: float
     pastings_checked: int
-    hull_tests: int  # pastings sent to the hull LP; the rest were screened
+    hull_tests: int  # pastings sent to the hull LP; the rest were certified
     scope: str = "generator-pasting"
+
+
+def _mass_left(b, fit):
+    """Phase-1 mass that the hull LP for the target b = [p; 1] has left at the
+    largest multiple theta * fit that fits under b.
+
+    fit is A @ mu for the LP's matrix A (columns [g_k; 1]) and some mu >= 0,
+    so theta * mu is feasible for phase 1, whose objective there,
+    sum(b - theta * fit), bounds the phase-1 optimum from above: when it is
+    at most tol, the LP would answer "member". A NaN (fit == 0) certifies
+    nothing. The last axis runs over the rows of A; the rest broadcast."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = (b / fit).min(axis=-1)
+        return b.sum(axis=-1) - theta * fit.sum(axis=-1)
+
+
+BATCH_CELLS = 1 << 16  # floats in one batch of pastings or of face fits, 512 KiB
+
+
+def _on_faces(b, cols, pinv, tol):
+    """Which targets b (m, n + 1) = [p; 1] some face certifies.
+
+    A face is a set S of generators: cols[f] (w, n + 1) holds its columns
+    [g_k; 1] as rows, zero-padded to w, and pinv (n + 1, F * w) the
+    transposed pseudo-inverses, face after face. Each face's point is its
+    least-squares weights clipped at 0, fitted as `_mass_left` fits it. The
+    targets go in batches of at most BATCH_CELLS floats of fits."""
+    faces, width, n_rows = cols.shape
+    step = max(1, BATCH_CELLS // (faces * n_rows))
+    out = np.zeros(len(b), dtype=bool)
+    for start in range(0, len(b), step):
+        rows = b[start : start + step]
+        mu = np.maximum(rows @ pinv, 0.0).reshape(len(rows), faces, width)
+        fits = np.matmul(mu.transpose(1, 0, 2), cols)
+        out[start : start + step] = np.any(_mass_left(rows, fits) <= tol, axis=0)
+    return out
 
 
 def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityReport:
@@ -83,19 +119,21 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityRepo
     block of a level (one generator's tail inside it, another's law outside)
     can leave the hull while every whole-level pasting stays inside.
 
-    One base generator at a time, all its pastings (every tail, every level)
-    are formed as one array by the splice `paste` uses, and screened:
-    a pasting p is a member, without an LP, when some generator g_k certifies
-    it. With lam = min(1, min_i p_i / g_k,i), the point lam * e_k is feasible
-    for the hull LP's phase 1 at objective (sum_i p_i - lam) + (1 - lam); when
-    that is at most tol, so is the phase-1 optimum, and the LP would answer
-    "member". The candidate g_k comes from sorting the generators along a
-    fixed direction; a poor candidate only sends the pasting on to the LP.
-    Every pasting not screened goes from that array to `hull_membership`, in
-    (base index, tail index, level) order; hull_tests counts them. The
-    witness, when present, is the first failing pasting in that order, built
-    by `paste`, together with how far outside the hull the feasibility LP
-    left it, and pastings_checked counts the pastings up to it.
+    The pastings of a batch of base generators (each with every tail, at
+    every level) are formed as one array by the splice `paste` uses. A
+    pasting p is a member, without an LP, when a face of the hull certifies
+    it (`_mass_left` at most tol). The faces tried are, first, the single
+    generators next to p along a fixed direction (two candidates from a
+    sort), then the support of every hull LP that has answered "member" so
+    far in this call. The pastings still pending go to `hull_membership`, in
+    (base index, tail index, level) order, and hull_tests counts them; after
+    each LP the face it found is tried on the rest of the base's pending
+    pastings. A certificate only ever stands in for an LP that would have
+    answered "member", so verdict, witness and pastings_checked are those of
+    one LP per pasting. The witness, when present, is the first failing
+    pasting in that order, built by `paste`, together with how far outside
+    the hull the feasibility LP left it, and pastings_checked counts the
+    pastings up to it.
     """
     check_same_space(ms, f.levels[0])
     if np.any(ms.weights_matrix <= 0.0):
@@ -106,34 +144,65 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityRepo
     # point i, summed one row at a time as paste sums it (a batched
     # block_sums rounds differently in the last bits)
     masses = np.array([[lev.block_sums(row)[lev.labels] for lev in f.levels] for row in points])
+    # the hull LP's columns [g_k; 1], one row each
+    ext = np.hstack([points, np.ones((k, 1))])
     # a pasting equal to a generator has its key along a fixed generic
     # direction, so it lands next to that generator in the sorted keys
     direction = 1.0 / np.sqrt(np.arange(2.0, points.shape[1] + 2.0))
     keys = points @ direction
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
+    # faces learned from the LPs, padded to the largest possible support,
+    # len(ext[0]), since the simplex returns a basic solution
+    width = ext.shape[1]
+    face_cols = np.zeros((0, width, width))
+    face_pinv = np.zeros((width, 0))
     hull_tests = 0
-    for a in range(k):
-        tails = np.delete(np.arange(k), a)  # pasting a measure with itself is the identity
-        pasted = _splice(masses[a], masses[tails], points[tails, None, :])
-        totals = pasted.sum(axis=-1)
+    step = max(1, BATCH_CELLS // (k * n_levels * width))
+    for first in range(0, k, step):
+        bases = np.arange(first, min(first + step, k))
+        # each base of the batch pasted with every generator as its tail
+        pasted = _splice(masses[bases, None], masses[None], points[None, :, None])
+        b = np.concatenate([pasted, np.ones(pasted.shape[:-1] + (1,))], axis=-1)
         right = np.searchsorted(sorted_keys, pasted @ direction)
-        screened = np.zeros(totals.shape, dtype=bool)
-        for pos in (np.maximum(right - 1, 0), np.minimum(right, k - 1)):
-            lam = np.minimum(1.0, (pasted / points[order[pos]]).min(axis=-1))
-            screened |= (totals - lam) + (1.0 - lam) <= tol
-        for t, level in np.argwhere(~screened).tolist():
-            hull_tests += 1
-            member, _, residual = hull_membership(points, pasted[t, level], tol)
-            if not member:
-                gens = ms.generators
-                return StabilityReport(
-                    stable=False,
-                    witness=paste(gens[a], gens[tails[t]], f, level),
-                    witness_residual=residual,
-                    pastings_checked=(a * (k - 1) + t) * n_levels + level + 1,
-                    hull_tests=hull_tests,
-                )
+        # the two generators next to a pasting in the sort are faces of one
+        # generator, whose least-squares point is the generator itself
+        near = order[[np.maximum(right - 1, 0), np.minimum(right, k - 1)]]
+        screened = np.any(_mass_left(b, ext[near]) <= tol, axis=0)
+        screened[np.arange(len(bases)), bases] = True  # a measure pasted with itself is itself
+        for a, base_screened, base_b in zip(bases.tolist(), screened, b):
+            pending = np.argwhere(~base_screened)
+            targets = base_b[pending[:, 0], pending[:, 1]]
+            if len(face_cols):
+                keep = ~_on_faces(targets, face_cols, face_pinv, tol)
+                pending, targets = pending[keep], targets[keep]
+            certified = np.zeros(len(pending), dtype=bool)
+            for j, (t, level) in enumerate(pending.tolist()):
+                if certified[j]:
+                    continue
+                hull_tests += 1
+                member, mu, residual = hull_membership(points, targets[j, :-1], tol)
+                if not member:
+                    gens = ms.generators
+                    return StabilityReport(
+                        stable=False,
+                        witness=paste(gens[a], gens[t], f, level),
+                        witness_residual=residual,
+                        pastings_checked=(a * (k - 1) + t - (t > a)) * n_levels + level + 1,
+                        hull_tests=hull_tests,
+                    )
+                face = ext[mu > 0.0]  # its rows are independent: mu is a basic solution
+                try:  # the face's pseudo-inverse, transposed, from its normal equations
+                    weights = np.linalg.solve(face @ face.T, face)
+                except np.linalg.LinAlgError:  # singular in floating point: no face
+                    continue
+                cols = np.zeros((1, width, width))
+                cols[0, : len(face)] = face
+                pinv = np.zeros((width, width))
+                pinv[:, : len(face)] = weights.T
+                face_cols = np.concatenate([face_cols, cols])
+                face_pinv = np.hstack([face_pinv, pinv])
+                certified[j + 1 :] |= _on_faces(targets[j + 1 :], cols, pinv, tol)
     return StabilityReport(
         stable=True,
         witness=None,

@@ -940,6 +940,34 @@ class TestGexpCommand:
         assert main([command, str(path)]) == 2
         assert "omega" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", ['"inf"', '"-inf"', '"nan"', "1e309", "0", "-0.25"])
+    def test_dt_must_be_positive_and_finite(self, tmp_path, capsys, dt):
+        # dt as written in the file: 1e309 parses as an infinite float, which
+        # used to reach the digest header as Infinity
+        doc = self.tree_doc(2)
+        doc["tree"]["dt"] = "DT"
+        path = tmp_path / "dt.json"
+        path.write_text(json.dumps(doc).replace('"DT"', dt))
+        for command in ("rho", "gexp", "solve"):
+            assert main([command, str(path), "--out", str(tmp_path / "r.json")]) == 2
+            assert capsys.readouterr().err == (
+                "robustmse: invalid input: tree.dt: expected a finite number > 0\n"
+            )
+        assert not (tmp_path / "r.json").exists()
+
+    def test_gexp_level_below_depth(self, tmp_path, capsys):
+        # rho and solve take level = depth (the discrete partition); gexp
+        # compares the recursion with the estimator above the leaves only
+        path = tmp_path / "level.json"
+        path.write_text(json.dumps(dict(self.tree_doc(2, leaves=[1, 0, 0, 0]), options={"level": 2})))
+        assert main(["gexp", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "robustmse: invalid input: options.level: gexp needs an integer in 0..1\n"
+        )
+        for command in ("rho", "solve"):
+            code, _ = run([command, str(path)], tmp_path)
+            assert code == 0
+
 
 class TestWrittenForm:
     """Every result file is the canonical JSON of its own content."""

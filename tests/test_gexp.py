@@ -106,6 +106,11 @@ class TestTreeModel:
         with pytest.raises(ArgumentError):
             TreeModel(1, 0.75, 0.25)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.25, math.inf, math.nan])
+    def test_dt_positive_and_finite(self, dt):
+        with pytest.raises(ArgumentError):
+            TreeModel(1, 0.25, 0.75, dt)
+
     def test_drift_bound_default(self):
         tm = TreeModel.drift_bound(1)
         assert tm.dt == 0.25

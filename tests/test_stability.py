@@ -145,12 +145,14 @@ def reference_is_stable(ms, f, tol=1e-9):
 
 @pytest.fixture
 def counted_hull_tests(monkeypatch):
-    """Counts the hull LPs is_stable runs, through the name it calls."""
+    """Records the (member, mu, residual) of each hull LP is_stable runs,
+    through the name it calls."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return hull_membership(*args, **kwargs)
+        out = hull_membership(*args, **kwargs)
+        calls.append(out)
+        return out
 
     monkeypatch.setattr(stability, "hull_membership", counting)
     return calls
@@ -184,6 +186,30 @@ def near_boundary_set(eps):
     rows = corners.copy()
     rows[-1] = (1 - eps) * corners[-1] + eps * corners.mean(axis=0)
     return MeasureSet.from_matrix(tm.sample_space(), rows), tree_filtration(tm)
+
+
+def near_face_set(eps, pulled, pair, midpoint_first):
+    """The depth-2 drift-bound corners with one pulled toward their mean by
+    eps, and the midpoint of a pair of them (after the pull) before or after
+    them. Pastings of the pulled corner lie about eps outside the hull, and
+    the midpoint's pastings make the LPs learn faces next to them."""
+    tm = TreeModel.drift_bound(2, 0.25)
+    corners = tree_measure_set(tm).weights_matrix
+    rows = corners.copy()
+    rows[pulled] = (1 - eps) * corners[pulled] + eps * corners.mean(axis=0)
+    midpoint = (rows[pair[0]] + rows[pair[1]]) / 2
+    rows = np.vstack([midpoint, rows] if midpoint_first else [rows, midpoint])
+    return MeasureSet.from_matrix(tm.sample_space(), rows), tree_filtration(tm)
+
+
+def face_mass(ms, face, p):
+    """The face certificate, computed apart from `stability`: the phase-1 mass
+    the hull LP for p has left at the largest multiple of the clipped
+    least-squares point of the face that fits under [p; 1]."""
+    A = np.vstack([ms.weights_matrix[face].T, np.ones(len(face))])
+    b = np.append(p, 1.0)
+    fit = A @ np.maximum(np.linalg.lstsq(A, b, rcond=None)[0], 0.0)
+    return float(np.sum(b - np.min(b / fit) * fit))
 
 
 def assert_matches_reference(ms, f, hull_calls, tol=1e-9):
@@ -257,6 +283,89 @@ class TestScreen:
         for tol in (0.75 * residual, 0.95 * residual, 1.5 * residual):
             report = assert_matches_reference(ms, f, counted_hull_tests, tol)
             assert report.stable == (tol > residual)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7])
+    @pytest.mark.parametrize(
+        "pulled, pair, midpoint_first",
+        [
+            (0, (0, 4), True),  # the face is learned in the witness's base
+            (4, (0, 7), False),  # in an earlier base
+        ],
+    )
+    def test_face_next_to_a_pasting_just_outside(
+        self, counted_hull_tests, eps, pulled, pair, midpoint_first
+    ):
+        ms, f = near_face_set(eps, pulled, pair, midpoint_first)
+        residual = assert_matches_reference(ms, f, counted_hull_tests).witness_residual
+        assert 1e-9 < residual < 1e-5
+        for tol in (0.75 * residual, 0.95 * residual, 1.5 * residual):
+            report = assert_matches_reference(ms, f, counted_hull_tests, tol)
+            if tol > residual:
+                continue
+            # a face learned before the witness lies next to it: its
+            # certificate exceeds the LP residual by less than a fifth, so
+            # a tolerance just below the residual still sends the witness
+            # to the LP
+            faces = [np.flatnonzero(mu > 0.0) for member, mu, _ in counted_hull_tests if member]
+            nearest = min(face_mass(ms, face, report.witness.result.weights) for face in faces)
+            assert residual * (1 - 1e-9) <= nearest < 1.2 * residual
+
+    @pytest.mark.parametrize("live_nodes, mixtures", [(3, 4), (4, 4), (4, 8), (5, 8)])
+    @pytest.mark.parametrize("seed", [3011, 3012])
+    def test_lp_supports_are_distinct(self, counted_hull_tests, live_nodes, mixtures, seed):
+        # an LP whose support is a face learned earlier would have been
+        # certified by that face: its basic solution is the face's
+        # least-squares point
+        ms, f = filtration_set(rng_from_seed(seed), live_nodes, mixtures)
+        report = is_stable(ms, f)
+        assert report.stable
+        supports = [tuple(np.flatnonzero(mu > 0.0)) for _, mu, _ in counted_hull_tests]
+        assert len(supports) == report.hull_tests > 0
+        assert len(set(supports)) == len(supports)
+
+    def test_live_five_sixteen_mixtures(self, counted_hull_tests):
+        ms, f = filtration_set(rng_from_seed(3013), 5, 16)
+        assert len(ms) == 48
+        report = assert_matches_reference(ms, f, counted_hull_tests)
+        assert report.stable
+        assert report.hull_tests < report.pastings_checked // 20
+
+    @pytest.mark.parametrize("mixtures", [0, 8])
+    @pytest.mark.parametrize("dropped", [None, 5])
+    def test_batches(self, monkeypatch, mixtures, dropped):
+        ms, f = filtration_set(rng_from_seed(3014), 4, mixtures)
+        if dropped is not None:
+            ms = MeasureSet.from_matrix(ms.space, np.delete(ms.weights_matrix, dropped, axis=0))
+        whole = is_stable(ms, f)
+        assert whole.stable == (dropped is None)
+        if dropped is None:
+            assert (whole.hull_tests > 2) == (mixtures > 0)
+        # one base per batch of pastings, and one target per batch of face
+        # fits once two faces are known
+        monkeypatch.setattr(stability, "BATCH_CELLS", 2 * 9)
+        assert is_stable(ms, f) == whole
+
+    def test_face_singular_in_floating_point(self, counted_hull_tests, monkeypatch):
+        # a face whose normal equations cannot be solved is not learned; the
+        # LPs decide what it would have certified
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        ms, f = filtration_set(rng_from_seed(3015), 4, 4)
+        learned = assert_matches_reference(ms, f, counted_hull_tests).hull_tests
+        monkeypatch.setattr(stability.np.linalg, "solve", singular)
+        report = assert_matches_reference(ms, f, counted_hull_tests)
+        assert report.stable
+        assert report.hull_tests > learned
+
+    def test_certificate_without_a_point(self):
+        # a zero fit divides by zero under np.errstate (a RuntimeWarning is an
+        # error here) and certifies nothing
+        b = np.array([[0.25, 0.75, 1.0]])
+        left = stability._mass_left(b, np.zeros((1, 3)))
+        assert np.isnan(left).all()
+        assert not np.any(left <= 1e-9)
+        assert stability._mass_left(b, b)[0] == 0.0
 
     def test_depth_three_tree_needs_no_lp(self, counted_hull_tests):
         ms = tree_measure_set(TreeModel.drift_bound(3, 0.25))
