@@ -31,6 +31,7 @@ from .estimator import (
 )
 from .gexp import compare_gexp_mmse, tree_envelopes
 from .instances import (
+    DEFAULT_LEVEL,
     Instance,
     _json_inf,
     build_result,
@@ -43,6 +44,7 @@ from .instances import (
 from .measures import is_proper
 from .stability import (
     DEFAULT_TCSEARCH_SEED,
+    DEFAULT_TCSEARCH_TRIALS,
     is_stable,
     mmse_time_consistency_search,
     recursivity_check,
@@ -122,12 +124,13 @@ def cmd_oracle(inst: Instance, args) -> tuple[dict, int]:
     # alpha scales as R^2 and eta as R, R half the range of xi, and neither R
     # nor alpha moves with a shift of xi, so the test is free of units and shifts
     R = float(np.ptp(xi.values)) / 2.0
-    agree = alpha_diff <= 1e-6 * R * R
+    alpha_tol = 1e-6 * R * R
+    agree = alpha_diff <= alpha_tol
     if is_proper(ms):
         agree = agree and eta_diff <= 1e-4 * R
     else:
         # the minimizer need not be unique: judge each side's eta by its value
-        best = min(brute.alpha, solved.alpha) + 1e-6 * R * R
+        best = min(brute.alpha, solved.alpha) + alpha_tol
         W = ms.weights_matrix
         agree = agree and all(
             float(np.max(W @ (xi.values - r.eta_hat.values) ** 2)) <= best for r in (brute, solved)
@@ -182,7 +185,7 @@ def cmd_stability(inst: Instance, args) -> tuple[dict, int]:
 
 def cmd_tcsearch(args) -> tuple[dict, int]:
     seed = args.seed if args.seed is not None else DEFAULT_TCSEARCH_SEED
-    trials = args.trials if args.trials is not None else 1000
+    trials = args.trials if args.trials is not None else DEFAULT_TCSEARCH_TRIALS
     hit = mmse_time_consistency_search(seed=seed, trials=trials)
     if hit is None:
         return {"found": False, "seed": seed, "trials": trials}, EXIT_OK
@@ -216,7 +219,7 @@ def cmd_gexp(inst: Instance, args) -> tuple[dict, int]:
     if inst.kind != "tree":
         raise ValidationError("tree", "gexp command needs a tree instance")
     tm, xi = inst.tree, inst.xi
-    level = inst.options.get("level", 0)
+    level = inst.options.get("level", DEFAULT_LEVEL)
     if level == tm.depth:  # rho and solve take 0..depth; the comparison stops above the leaves
         raise ValidationError("options.level", f"gexp needs an integer in 0..{tm.depth - 1}")
     cmp_report = compare_gexp_mmse(tm, xi.values, level, _solver_config(inst, args))

@@ -33,14 +33,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ArgumentError, GuardRefusalError, PropernessError, ZeroMassBlockError
+from .errors import (
+    ArgumentError,
+    GuardRefusalError,
+    NonconvergenceError,
+    PropernessError,
+    ZeroMassBlockError,
+)
 from .measures import (
     MeasureSet,
     MixtureWeights,
     is_proper,
     mix,
 )
-from .simplexlp import hull_membership, solve_lp
+from .simplexlp import HULL_TOL, hull_membership, solve_lp
 from .spaces import PartitionAlgebra, RandomVariable, check_same_space, is_measurable
 from .sublinear import conditional_envelopes, ess_sup_conditional, rho
 
@@ -461,10 +467,9 @@ def _recover_mixture(u, r):
     c = np.concatenate([-r, np.full(2 * m, 1e-3)])
     res = solve_lp(c, A, b)
     lam = np.clip(res.x[:K], 0.0, None)
+    # feasible (the slacks) and bounded (lam on the simplex, slacks cost > 0)
     if res.status != "optimal" or lam.sum() <= 0:
-        lam = np.zeros(K)
-        lam[int(np.argmax(r))] = 1.0
-        return lam
+        raise NonconvergenceError(f"mixture recovery LP ended {res.status}, weight {lam.sum():.3g}")
     return lam / lam.sum()
 
 
@@ -520,16 +525,16 @@ def _centered_moments(ms, xi, c, eta_tilde, name):
     return d, c.block_sums(ms.weights_matrix * d) / (xi.bound or 1.0)
 
 
-def _hull_witness(witness, u, tol):
+def _hull_witness(witness, u):
     """witness as simplex weights lam that put 0 in the hull of the rows of u,
     or None. lam qualifies when it has one entry per row, lam >= 0, and
-    sum_B |lam @ u_B| + |sum lam - 1| <= tol: the residual the simplex's
-    phase 1 would leave at lam."""
+    sum_B |lam @ u_B| + |sum lam - 1| <= HULL_TOL: the residual the
+    simplex's phase 1 would leave at lam."""
     if witness is None:
         return None
     lam = np.asarray(witness, dtype=float)
     ok = lam.shape == (len(u),) and np.all(lam >= 0.0)
-    return lam if ok and np.abs(lam @ u).sum() + abs(lam.sum() - 1.0) <= tol else None
+    return lam if ok and np.abs(lam @ u).sum() + abs(lam.sum() - 1.0) <= HULL_TOL else None
 
 
 def kernel_member(
@@ -537,7 +542,6 @@ def kernel_member(
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta_tilde: RandomVariable,
-    tol: float = 1e-9,
     witness=None,
 ) -> bool:
     """Does inf over C-measurable eta of rho[(xi - eta_tilde) eta] equal zero?
@@ -545,21 +549,21 @@ def kernel_member(
     The inner expectations are linear in eta with coefficient vectors
     u_k[B] = E_{g_k}[(xi - eta_tilde) 1_B]; by positive homogeneity the infimum
     is 0 exactly when 0 lies in the convex hull of the u_k and -infinity
-    otherwise. Membership is tested on u_k / bound(xi), so that tol does not
-    depend on the units of xi.
+    otherwise. Membership is tested on u_k / bound(xi), so that HULL_TOL does
+    not depend on the units of xi.
 
     witness, optional, is a mixture lam over the generators, such as the
     solver's P_hat (for eta_tilde = eta_hat, the conditional mean under P_hat,
     lam @ u = 0). It proves membership without an LP when the residual the
     simplex's phase 1 would leave at lam, with u rebuilt here from the weight
-    rows, is at most tol (_hull_witness). Without a witness, or when it
+    rows, is at most HULL_TOL (_hull_witness). Without a witness, or when it
     fails, membership is one linear feasibility problem, decided by the
-    in-repo simplex with tol as its phase-1 residual.
+    in-repo simplex with HULL_TOL as its phase-1 residual.
     """
     _, u = _centered_moments(ms, xi, c, eta_tilde, "eta_tilde")
-    if _hull_witness(witness, u, tol) is not None:
+    if _hull_witness(witness, u) is not None:
         return True
-    member, _, _ = hull_membership(u, np.zeros(c.num_blocks), tol)
+    member, _, _ = hull_membership(u, np.zeros(c.num_blocks))
     return member
 
 
@@ -609,7 +613,6 @@ def ns_condition(
     c: PartitionAlgebra,
     eta_hat: RandomVariable,
     tol: float = 1e-6,
-    hull_tol: float = 1e-9,
     witness=None,
 ) -> NsReport:
     """Check inf over C-measurable eta of rho[(xi - eta_hat)(xi - eta)] == rho(xi - eta_hat)^2.
@@ -620,14 +623,14 @@ def ns_condition(
     simplex weights mu, h >= mu @ a - M * |mu @ u|_1 on the box |eta| <= M =
     bound(xi) (1 for xi = 0). So the check is a hull test on the active
     generators, those with r_k >= rho_sq - tol * M^2 (Rockafellar 1970, sec.
-    23): it looks for mu on them with mu @ u / M = 0 within hull_tol, and
+    23): it looks for mu on them with mu @ u / M = 0 within HULL_TOL, and
     holds when the certified lower bound is within tol * M^2 of rho_sq. The
     box needs no normal-cone term: where eta_hat touches +-M, |xi| <= M makes
     every u_k one-signed on that block.
 
     witness, optional, is a mixture lam over all the generators, such as the
     solver's P_hat. The bound holds for any simplex weights, so when lam
-    passes kernel_member's residual test (with hull_tol) and its bound proves
+    passes kernel_member's residual test (with HULL_TOL) and its bound proves
     the condition, no LP runs and lower_bound is taken at lam. Otherwise the
     hull test on the active generators decides, as without a witness.
     """
@@ -644,12 +647,12 @@ def ns_condition(
         holds = rho_sq - lower <= tol * M * M
         return NsReport(lower_bound=lower, rho_sq=rho_sq, holds=holds, active=len(active))
 
-    lam = _hull_witness(witness, u, hull_tol)
+    lam = _hull_witness(witness, u)
     if lam is not None:
         rep = report(lam, slice(None))
         if rep.holds:
             return rep
-    member, mu, _ = hull_membership(u[active], np.zeros(c.num_blocks), hull_tol)
+    member, mu, _ = hull_membership(u[active], np.zeros(c.num_blocks))
     if not member:
         return NsReport(lower_bound=-math.inf, rho_sq=rho_sq, holds=False, active=len(active))
     return report(mu, active)
@@ -699,7 +702,6 @@ def penalized_value(
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta: RandomVariable,
-    tol: float = 1e-9,
 ) -> float:
     """sup over nonnegative C-measurable penalties of rho[(xi-eta)^2 + penalty*(xi-eta)].
 
@@ -718,7 +720,7 @@ def penalized_value(
     upper = ess_sup_conditional(ms, xi, c)
     eta_blocks = eta.values[c.first]
     upper_blocks = upper.values[c.first]
-    if np.all(eta_blocks >= upper_blocks - tol):
+    if np.all(eta_blocks >= upper_blocks - 1e-9):  # rounding of the envelope
         diff = xi - eta
         return rho(ms, diff * diff).value
     return math.inf
@@ -736,8 +738,6 @@ def minimax_gap(
     ms: MeasureSet,
     xi: RandomVariable,
     c: PartitionAlgebra,
-    cfg: SolverConfig | None = None,
-    tol: float = 1e-8,
 ) -> MinimaxGapReport:
     """Penalized inf-sup at the upper envelope versus sup-inf (the MMSE value).
 
@@ -747,11 +747,11 @@ def minimax_gap(
     """
     upper = ess_sup_conditional(ms, xi, c)
     minimax = penalized_value(ms, xi, c, upper)
-    maximin = solve_mmse(ms, xi, c, cfg).alpha
+    maximin = solve_mmse(ms, xi, c).alpha
     gap = minimax - maximin
     return MinimaxGapReport(
         minimax=minimax,
         maximin=maximin,
         gap=gap,
-        ess_sup_is_mmse=gap <= tol,
+        ess_sup_is_mmse=gap <= 1e-8,
     )

@@ -37,6 +37,7 @@ from .spaces import PartitionAlgebra, RandomVariable, SampleSpace
 # it takes about five times that at its peak. The same bound caps every tree
 # request, since the estimator's p_hat is dense over the corners
 MAX_CORNER_ENTRIES = 2 ** 24
+DEFAULT_DT = 0.25  # a tree's time step when none is given
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,9 +52,9 @@ class TreeModel:
     depth: int
     q_lo: np.ndarray = field(repr=False)
     q_hi: np.ndarray = field(repr=False)
-    dt: float = 0.25
+    dt: float = DEFAULT_DT
 
-    def __init__(self, depth, q_lo, q_hi, dt=0.25):
+    def __init__(self, depth, q_lo, q_hi, dt=DEFAULT_DT):
         depth = int(depth)
         if depth < 1:
             raise ArgumentError("tree depth must be at least 1")
@@ -72,7 +73,7 @@ class TreeModel:
         object.__setattr__(self, "dt", float(dt))
 
     @classmethod
-    def drift_bound(cls, depth: int, dt: float = 0.25) -> "TreeModel":
+    def drift_bound(cls, depth: int, dt: float = DEFAULT_DT) -> "TreeModel":
         """Interval [(1-sqrt(dt))/2, (1+sqrt(dt))/2] from the unit drift bound.
 
         Requires dt < 1 so the interval stays inside (0, 1); the default

@@ -22,12 +22,13 @@ import numpy as np
 
 from ._version import __version__
 from .errors import RobustMseError, ValidationError
-from .gexp import TreeModel, tree_measure_set
+from .gexp import DEFAULT_DT, TreeModel, tree_measure_set
 from .measures import Measure, MeasureSet
 from .spaces import Filtration, PartitionAlgebra, RandomVariable, SampleSpace
 
 FORMAT_VERSION = "1"
 DIGEST_VERSION = "2"
+DEFAULT_LEVEL = 0  # the tree level a tree instance conditions on without options.level
 
 _KNOWN_OPTIONS = {
     "tol",
@@ -119,7 +120,7 @@ class Instance:
             return self.partition
         if self.filtration is not None:
             return self.filtration.levels[-1]
-        return self.tree.level_partition(self.options.get("level", 0))
+        return self.tree.level_partition(self.options.get("level", DEFAULT_LEVEL))
 
     def generators(self) -> MeasureSet:
         if self.measure_set is not None:
@@ -267,7 +268,7 @@ def _parse_tree_instance(doc, options) -> Instance:
     _require("depth" in tree_doc, "tree.depth", "required")
     depth = tree_doc["depth"]
     _require(_is_int(depth) and depth >= 1, "tree.depth", "expected an integer >= 1")
-    level = options.get("level", 0)
+    level = options.get("level", DEFAULT_LEVEL)
     _require(0 <= level <= depth, "options.level", f"expected an integer in 0..{depth}")
 
     # the leaf values size the tree; their bit length bounds depth before
@@ -300,7 +301,7 @@ def _parse_tree_instance(doc, options) -> Instance:
         return _num(v, f"tree.{key}")
 
     q_lo, q_hi = interval("q_lo"), interval("q_hi")
-    dt = _num(tree_doc.get("dt", 0.25), "tree.dt")
+    dt = _num(tree_doc.get("dt", DEFAULT_DT), "tree.dt")
     _require(0 < dt < math.inf, "tree.dt", "expected a finite number > 0")
     try:
         tree = TreeModel(depth, q_lo, q_hi, dt)

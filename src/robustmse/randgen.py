@@ -37,11 +37,10 @@ def random_measure_set(rng, space, num_generators, denominator=DEFAULT_DENOMINAT
     )
 
 
-def random_variable(rng, space, denominator=DEFAULT_DENOMINATOR, span=2.0) -> RandomVariable:
-    """Values j/denominator with |values| <= span."""
-    top = int(round(span * denominator))
-    vals = rng.integers(-top, top + 1, size=space.n) / denominator
-    return RandomVariable(space, vals)
+def random_variable(rng, space) -> RandomVariable:
+    """Values j/DEFAULT_DENOMINATOR with |values| <= 2."""
+    top = 2 * DEFAULT_DENOMINATOR
+    return RandomVariable(space, rng.integers(-top, top + 1, size=space.n) / DEFAULT_DENOMINATOR)
 
 
 def random_partition(rng, space, num_blocks) -> PartitionAlgebra:
@@ -56,11 +55,11 @@ def random_partition(rng, space, num_blocks) -> PartitionAlgebra:
     return PartitionAlgebra(space, [tuple(int(i) for i in b) for b in blocks])
 
 
-def split_partition(rng, partition, split_prob=0.7) -> PartitionAlgebra:
-    """Refine by randomly splitting blocks of size >= 2 into two parts."""
+def split_partition(rng, partition) -> PartitionAlgebra:
+    """Refine by splitting each block of size >= 2 into two parts with probability 0.7."""
     out = []
     for b in partition.blocks:
-        if len(b) >= 2 and rng.random() < split_prob:
+        if len(b) >= 2 and rng.random() < 0.7:
             order = rng.permutation(len(b))
             cut = int(rng.integers(1, len(b)))
             chosen = [b[i] for i in order]
@@ -71,63 +70,53 @@ def split_partition(rng, partition, split_prob=0.7) -> PartitionAlgebra:
     return PartitionAlgebra(partition.space, out)
 
 
-def random_instance(
-    rng,
-    max_points=6,
-    max_blocks=3,
-    max_generators=5,
-    denominator=DEFAULT_DENOMINATOR,
-):
+def random_instance(rng, max_points=6, max_blocks=3, max_generators=5):
     """A proper instance: (measure set, variable, partition)."""
     n = int(rng.integers(2, max_points + 1))
     space = SampleSpace.of_size(n)
     k = int(rng.integers(2, max_generators + 1))
-    ms = random_measure_set(rng, space, k, denominator)
-    xi = random_variable(rng, space, denominator)
+    ms = random_measure_set(rng, space, k)
+    xi = random_variable(rng, space)
     blocks = int(rng.integers(1, min(max_blocks, n) + 1))
     c = random_partition(rng, space, blocks)
     return ms, xi, c
 
 
-def random_product_instance(
-    rng,
-    max_rows=3,
-    max_cols=3,
-    max_generators=4,
-    denominator=DEFAULT_DENOMINATOR,
-):
-    """Generators of product form row_marginal x column_law on a grid.
+def random_product_instance(rng):
+    """Generators of product form row_marginal x column_law on a grid of 2-3
+    rows and 2-3 columns, 2-4 of them.
 
     One row marginal is shared by every generator, so all mixtures stay
     product measures: a column-dependent variable is then independent of the
     row partition under every element of the hull, not only the generators.
     """
-    rows = int(rng.integers(2, max_rows + 1))
-    cols = int(rng.integers(2, max_cols + 1))
+    rows = int(rng.integers(2, 4))
+    cols = int(rng.integers(2, 4))
     space = SampleSpace.of_size(rows * cols)
-    r = (rng.multinomial(denominator - rows, np.full(rows, 1.0 / rows)) + 1) / denominator
+    r = random_positive_measure(rng, SampleSpace.of_size(rows)).weights
+    columns = SampleSpace.of_size(cols)
     gens = []
-    for _ in range(int(rng.integers(2, max_generators + 1))):
-        q = (rng.multinomial(denominator - cols, np.full(cols, 1.0 / cols)) + 1) / denominator
+    for _ in range(int(rng.integers(2, 5))):
+        q = random_positive_measure(rng, columns).weights
         gens.append(Measure(space, np.outer(r, q).ravel()))
     ms = MeasureSet(gens)
-    col_vals = rng.integers(-2 * denominator, 2 * denominator + 1, size=cols) / denominator
-    xi = RandomVariable(space, np.tile(col_vals, rows))
+    xi = RandomVariable(space, np.tile(random_variable(rng, columns).values, rows))
     row_partition = PartitionAlgebra(
         space, [tuple(range(i * cols, (i + 1) * cols)) for i in range(rows)]
     )
     return ms, xi, row_partition
 
 
-def random_two_level_filtration(rng, space, max_coarse_blocks=3) -> Filtration:
-    """Trivial root, a coarse partition, and a strict refinement of it.
+def random_two_level_filtration(rng, space) -> Filtration:
+    """Trivial root, a coarse partition into 2 or 3 blocks, and a strict
+    refinement of it.
 
     The refinement keeps at least one block of size >= 2 so that conditioning
     on the finer level is not full information.
     """
     n = space.n
     for _ in range(64):
-        coarse = random_partition(rng, space, int(rng.integers(2, max_coarse_blocks + 1)))
+        coarse = random_partition(rng, space, int(rng.integers(2, 4)))
         if all(len(b) == 1 for b in coarse.blocks):
             continue
         fine = split_partition(rng, coarse)

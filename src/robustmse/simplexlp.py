@@ -24,6 +24,10 @@ import numpy as np
 from .errors import NonconvergenceError
 
 PIVOT_EPS = 1e-11
+# the phase-1 residual that counts as feasible: the default of solve_lp,
+# hull_membership and stability.is_stable, and the fixed tolerance of the
+# kernel and NS hull tests
+HULL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ def _bland(T, basis, cost, ncols, pivots, max_pivots):
             raise NonconvergenceError(f"simplex pivot limit of {max_pivots} exceeded")
 
 
-def solve_lp(c, A, b, *, feas_tol=1e-9, max_pivots=100_000) -> LpResult:
+def solve_lp(c, A, b, *, feas_tol=HULL_TOL, max_pivots=100_000) -> LpResult:
     """min c@x subject to A@x == b, x >= 0.
 
     Two-phase dense simplex. Phase 1 minimizes total artificial mass; its
@@ -126,7 +130,7 @@ def solve_lp(c, A, b, *, feas_tol=1e-9, max_pivots=100_000) -> LpResult:
     return LpResult("optimal", x, float(c @ x), residual, pivots)
 
 
-def hull_membership(points, target, tol=1e-9):
+def hull_membership(points, target, tol=HULL_TOL):
     """Is `target` a convex combination of the rows of `points`?
 
     Decided by phase-1 feasibility of {mu >= 0, sum mu = 1, mu @ points = target};

@@ -40,8 +40,8 @@ class SampleSpace:
         return len(self.labels)
 
     @classmethod
-    def of_size(cls, n: int, prefix: str = "w") -> "SampleSpace":
-        return cls(tuple(f"{prefix}{i}" for i in range(n)))
+    def of_size(cls, n: int) -> "SampleSpace":
+        return cls(tuple(f"w{i}" for i in range(n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,13 +195,6 @@ class Filtration:
             if lev.space != space:
                 raise StructuralError("all filtration levels must share one space")
         object.__setattr__(self, "levels", levels)
-
-    @property
-    def space(self) -> SampleSpace:
-        return self.levels[0].space
-
-    def __len__(self):
-        return len(self.levels)
 
 
 def is_measurable(x: RandomVariable, c: PartitionAlgebra) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, PastingDegeneracyError, PropernessError
-from .estimator import SolverConfig, solve_mmse
+from .estimator import solve_mmse
 from .measures import Measure, MeasureSet
 from .randgen import (
     random_measure_set,
@@ -22,7 +22,7 @@ from .randgen import (
     random_variable,
     rng_from_seed,
 )
-from .simplexlp import hull_membership
+from .simplexlp import HULL_TOL, hull_membership
 from .spaces import Filtration, RandomVariable, SampleSpace, check_same_space
 from .sublinear import ess_sup_conditional
 
@@ -112,7 +112,7 @@ def _on_faces(b, cols, pinv, tol):
     return out
 
 
-def is_stable(ms: MeasureSet, f: Filtration, tol: float = 1e-9) -> StabilityReport:
+def is_stable(ms: MeasureSet, f: Filtration, tol: float = HULL_TOL) -> StabilityReport:
     """Paste every ordered generator pair at every level and test hull membership.
 
     This is necessary for stability, not sufficient: a pasting on a single
@@ -258,13 +258,14 @@ class TcCounterexample:
 
 
 DEFAULT_TCSEARCH_SEED = 20250801
+DEFAULT_TCSEARCH_TRIALS = 1000
 TCSEARCH_GAP = 1e-3  # sup-norm mismatch that counts as a hit
 TCSEARCH_MAX_POINTS = 8  # trials draw 4..TCSEARCH_MAX_POINTS sample points
 
 
 def mmse_time_consistency_search(
     seed: int = DEFAULT_TCSEARCH_SEED,
-    trials: int = 1000,
+    trials: int = DEFAULT_TCSEARCH_TRIALS,
 ) -> TcCounterexample | None:
     """Randomized search for a two-stage versus one-stage estimation mismatch.
 
@@ -302,23 +303,20 @@ def mmse_time_consistency_search(
     return None
 
 
-def _chains(ms, xi, f, cfg=None):
+def _chains(ms, xi, f):
     """The fine estimator, its re-estimate at the coarse level, the direct
     coarse estimator, and the sup-norm gap between the last two."""
     coarse, fine = f.levels[1], f.levels[2]
-    fine_res = solve_mmse(ms, xi, fine, cfg)
-    chain_res = solve_mmse(ms, fine_res.eta_hat, coarse, cfg)
-    direct_res = solve_mmse(ms, xi, coarse, cfg)
+    fine_res = solve_mmse(ms, xi, fine)
+    chain_res = solve_mmse(ms, fine_res.eta_hat, coarse)
+    direct_res = solve_mmse(ms, xi, coarse)
     gap = float(np.max(np.abs(chain_res.eta_hat.values - direct_res.eta_hat.values)))
     return fine_res, chain_res, direct_res, gap
 
 
 def replay_counterexample(
-    ms: MeasureSet,
-    xi: RandomVariable,
-    f: Filtration,
-    cfg: SolverConfig | None = None,
+    ms: MeasureSet, xi: RandomVariable, f: Filtration
 ) -> tuple[RandomVariable, RandomVariable, float]:
     """Recompute both estimator chains of a serialized counterexample."""
-    _, chain, direct, gap = _chains(ms, xi, f, cfg)
+    _, chain, direct, gap = _chains(ms, xi, f)
     return chain.eta_hat, direct.eta_hat, gap

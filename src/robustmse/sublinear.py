@@ -20,6 +20,7 @@ if TYPE_CHECKING:
     from .gexp import TreeModel
 
 TIE_TOL = 1e-9
+AXIOM_TOL = 1e-10  # absolute slack of each axiom inequality in axiom_suite
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,6 @@ def axiom_suite(
     ms: MeasureSet,
     samples,
     scalars=(0.0, 0.5, 1.0, 2.0),
-    tol: float = 1e-10,
 ) -> AxiomReport:
     """Check the four sublinearity axioms on the supplied variables and scalars.
 
@@ -147,7 +147,7 @@ def axiom_suite(
         checks += 1
         const = RandomVariable(ms.space, np.full(ms.space.n, float(c)))
         v = rho(ms, const).value
-        if abs(v - c) > tol:
+        if abs(v - c) > AXIOM_TOL:
             record("constant_preserving", f"rho({c}) = {v}", v, c)
 
     for i, x in enumerate(samples):
@@ -157,12 +157,12 @@ def axiom_suite(
             checks += 3
             upper = RandomVariable(ms.space, np.maximum(x.values, y.values))
             rx, ry, ru = rho(ms, x).value, rho(ms, y).value, rho(ms, upper).value
-            if rx > ru + tol:
+            if rx > ru + AXIOM_TOL:
                 record("monotonicity", f"samples ({i}, max({i},{j}))", rx, ru)
-            if ry > ru + tol:
+            if ry > ru + AXIOM_TOL:
                 record("monotonicity", f"samples ({j}, max({i},{j}))", ry, ru)
             rsum = rho(ms, x + y).value
-            if rsum > rx + ry + tol:
+            if rsum > rx + ry + AXIOM_TOL:
                 record("subadditivity", f"samples ({i},{j})", rsum, rx + ry)
         for lam in scalars:
             if lam < 0:
@@ -171,7 +171,7 @@ def axiom_suite(
             scale = max(1.0, abs(lam))
             rl = rho(ms, x * lam).value
             rx = rho(ms, x).value
-            if abs(rl - lam * rx) > tol * scale:
+            if abs(rl - lam * rx) > AXIOM_TOL * scale:
                 record("positive_homogeneity", f"sample {i}, lambda={lam}", rl, lam * rx)
 
     return AxiomReport(checks=checks, violations=tuple(violations))

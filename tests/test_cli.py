@@ -1100,3 +1100,85 @@ class TestParserReuse:
         assert results[0][1] != results[1][1]
         assert results[2][1]["result"]["trials"] == 50
         assert results[3][1]["result"]["trials"] == 1000
+
+
+class TestOutputAndConditioning:
+    def test_solve_on_a_filtration_conditions_on_its_last_level(self, tmp_path):
+        # the last level is not the coarsest refinement of the first: eta_hat
+        # must match the partition instance on the last level only
+        last = [[0], [1], [2, 3]]
+        doc = {
+            "version": "1",
+            "omega": ["a", "b", "c", "d"],
+            "generators": [[0.25, 0.25, 0.25, 0.25], [0.125, 0.375, 0.25, 0.25]],
+            "xi": [1, 2, 3, 4],
+            "filtration": [[[0, 1, 2, 3]], [[0, 1], [2, 3]], last],
+        }
+        partition = {k: v for k, v in doc.items() if k != "filtration"}
+        results = []
+        for name, d in (("filt", doc), ("part", dict(partition, partition=last))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(d))
+            code, out = run(["solve", str(path)], tmp_path, f"{name}_out.json")
+            assert code == 0
+            results.append(out["result"])
+        assert results[0] == results[1]
+        assert results[0]["estimator"]["eta_hat"] == pytest.approx([1.0, 2.0, 3.5, 3.5])
+
+    def test_stdout_holds_the_bytes_of_the_out_file(self, example_file, tmp_path, capsys):
+        assert main(["solve", example_file]) == 0
+        printed = capsys.readouterr().out
+        code, _ = run(["solve", example_file], tmp_path)
+        assert code == 0
+        written = (tmp_path / "out.json").read_text()
+        timing = re.compile(r'"wall_time_s":[^,}]+')
+        assert printed.count("\n") == 1 and printed.endswith("\n")
+        assert timing.sub("T", printed) == timing.sub("T", written)
+
+    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+    def test_mixture_recovery_breakdown_exit_code(self, example_file, tmp_path, monkeypatch,
+                                                  capsys, status):
+        # the recovery LP is feasible and bounded; should it end otherwise,
+        # the oracle stops with exit 3 instead of returning a vertex
+        lp = robustmse.simplexlp.solve_lp
+        monkeypatch.setattr(
+            robustmse.estimator, "solve_lp",
+            lambda *a, **kw: dataclasses.replace(lp(*a, **kw), status=status),
+        )
+        code, out = run(["oracle", example_file], tmp_path)
+        assert (code, out) == (3, None)
+        assert capsys.readouterr().err.startswith(
+            f"robustmse: nonconvergence: mixture recovery LP ended {status}, weight "
+        )
+
+    def test_tcsearch_without_a_hit(self, tmp_path):
+        # seed 8 hits nothing in its first 3 trials: a report, exit 0
+        code, doc = run(["tcsearch", "--seed", "8", "--trials", "3"], tmp_path)
+        assert code == 0
+        assert doc["instance_digest"] is None
+        assert doc["result"] == {"found": False, "seed": 8, "trials": 3}
+
+
+TREE_2 = {"tree": {"depth": 2, "q_lo": 0.25, "q_hi": 0.75, "leaf_values": [1, 0, 0, 0]}}
+
+
+class TestValidationNamesTheField:
+    def test_gexp_needs_a_tree(self, example_file, capsys):
+        assert main(["gexp", example_file]) == 2
+        assert capsys.readouterr().err.startswith("robustmse: invalid input: tree: ")
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (json.dumps(dict(TREE_2, xi=[1, 0, 0, 1])), "xi"),
+            ('{"version": "1", "omega": ["w1"', "$"),
+            (json.dumps(dict(EXAMPLE, omega=["w1", "w1"])), "omega"),
+        ],
+        ids=["tree-xi-disagrees", "invalid-json", "repeated-omega-label"],
+    )
+    def test_exit_2_names_the_field(self, tmp_path, capsys, text, field):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"robustmse: invalid input: {field}: ")
+        assert not (tmp_path / "r.json").exists()

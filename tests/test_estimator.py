@@ -18,6 +18,7 @@ from robustmse import (
     SampleSpace,
     SolverConfig,
     TreeModel,
+    ZeroMassBlockError,
     brute_force_mmse,
     conditional_expectation,
     ess_sup_conditional,
@@ -763,3 +764,26 @@ def test_face_ascent_drops_residue_weight():
     s_out, w_out = robustmse.estimator._face_ascent(pool, s, w, shift)
     assert 66 not in [pool.ids[row] for row in s_out]
     assert phi(s_out, w_out) > phi(s, w) + 1e-10
+
+
+class TestRefusedInputs:
+    def test_block_no_generator_charges_is_named(self):
+        space = SampleSpace.of_size(4)
+        ms = MeasureSet.from_matrix(space, [[0.5, 0.0, 0.5, 0.0], [0.25, 0.0, 0.75, 0.0]])
+        xi = RandomVariable(space, [1.0, 2.0, 3.0, 4.0])
+        c = PartitionAlgebra(space, [(0, 2), (1, 3)])
+        for solver in (solve_mmse, brute_force_mmse):
+            with pytest.raises(ZeroMassBlockError) as err:
+                solver(ms, xi, c)
+            assert err.value.block == (1, 3)
+            assert "(1, 3)" in str(err.value)
+
+    def test_estimators_must_be_measurable(self, two_point):
+        space, ms, xi, triv = two_point
+        flat, bumpy = triv.broadcast([5.0]), RandomVariable(space, [4.0, 6.0])
+        with pytest.raises(ArgumentError, match="eta_hat must be measurable"):
+            optimality_ineq(ms, xi, triv, bumpy, [flat])
+        with pytest.raises(ArgumentError, match=r"eta_list\[1\] is not measurable"):
+            optimality_ineq(ms, xi, triv, flat, [flat, bumpy])
+        with pytest.raises(ArgumentError, match="eta must be measurable"):
+            penalized_value(ms, xi, triv, bumpy)

@@ -517,3 +517,18 @@ class TestCompareAgainstCornerSet:
         monkeypatch.setattr(gexp, "solve_mmse", counted)
         compare_gexp_mmse(TreeModel.drift_bound(2), [1.0, 0.0, 0.0, 0.0], 1)
         assert calls == ["TreeModel"]
+
+
+class TestArgumentsRefused:
+    def test_direction(self):
+        with pytest.raises(ArgumentError, match="direction"):
+            g_expectation(TreeModel.drift_bound(2), [1.0, 0.0, 0.0, 0.0], "max")
+
+    def test_level_beyond_depth(self):
+        with pytest.raises(ArgumentError, match=r"0\.\.2"):
+            TreeModel.drift_bound(2).level_partition(3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_leaf_values_finite(self, bad):
+        with pytest.raises(ArgumentError, match="finite"):
+            g_expectation(TreeModel.drift_bound(2), [1.0, bad, 0.0, 0.0])
