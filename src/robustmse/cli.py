@@ -121,9 +121,8 @@ def cmd_oracle(inst: Instance, args) -> tuple[dict, int]:
     solved = solve_mmse(ms, xi, algebra, cfg)
     alpha_diff = abs(brute.alpha - solved.alpha)
     eta_diff = float(np.max(np.abs(brute.eta_hat.values - solved.eta_hat.values)))
-    # alpha scales as R^2 and eta as R, R half the range of xi, and neither R
-    # nor alpha moves with a shift of xi, so the test is free of units and shifts
-    R = float(np.ptp(xi.values)) / 2.0
+    # alpha and eta scale as R^2 and R, and a shift of xi moves neither alpha nor R
+    R = xi.unit
     alpha_tol = 1e-6 * R * R
     agree = alpha_diff <= alpha_tol
     if is_proper(ms):

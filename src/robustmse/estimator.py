@@ -47,7 +47,7 @@ from .measures import (
     mix,
 )
 from .simplexlp import HULL_TOL, hull_membership, solve_lp
-from .spaces import PartitionAlgebra, RandomVariable, check_same_space, is_measurable
+from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space, is_measurable
 from .sublinear import conditional_envelopes, ess_sup_conditional, rho
 
 if TYPE_CHECKING:
@@ -374,8 +374,8 @@ def brute_force_mmse(
 
     Minimizes F(eta) = max_k E_{g_k}[(xi - eta)^2] over the B block values of
     eta by the central-cut ellipsoid method (Yudin & Nemirovski 1976; Shor
-    1977) on xi - m, m the midpoint and R the half-width of the range of xi
-    (exact for a large offset, by Sterbenz), from the ball of radius
+    1977) on xi - m, m the midpoint and R = xi.unit the half-width of the
+    range of xi (exact for a large offset, by Sterbenz), from the ball of radius
     sqrt(B) * R around 0; the ball holds a minimizer, as clipping eta into the
     range of xi raises no r_k. Each step cuts through the centre c with the
     gradient g of the largest r_k; F* >= F(c) - sqrt(g' P g), so the run stops
@@ -389,8 +389,7 @@ def brute_force_mmse(
             f"brute force limited to {MAX_BRUTE_BLOCKS} blocks, got {c.num_blocks}"
         )
     check_same_space(ms, xi, c)
-    lo, hi = float(np.min(xi.values)), float(np.max(xi.values))
-    m, R = (hi + lo) / 2.0, (hi - lo) / 2.0
+    m, R = (float(np.max(xi.values)) + float(np.min(xi.values))) / 2.0, xi.unit
     W, x, labels, n = ms.weights_matrix, xi.values - m, c.labels, c.num_blocks
     mass = c.block_sums(W).sum(axis=0)
     if np.any(mass <= 0.0):
@@ -431,8 +430,7 @@ def brute_force_mmse(
         )
     dev = x - best[labels]
     r = W @ dev**2
-    unit = R or 1.0  # a constant xi leaves u = r = 0
-    lam = _recover_mixture(c.block_sums(W * dev) / unit, r / unit**2)
+    lam = _recover_mixture(c.block_sums(W * dev) / R, r / R**2)
     return EstimatorResult(
         eta_hat=c.broadcast(best + m),
         p_hat=MixtureWeights(lam),
@@ -680,9 +678,10 @@ def optimality_ineq(
     c: PartitionAlgebra,
     eta_hat: RandomVariable,
     eta_list,
-    tol: float = 1e-10,
+    tol: float = VALUE_TOL,
 ) -> OptimalityReport:
-    """Margins of rho[(xi - eta)(xi - eta_hat)] >= rho(xi - eta_hat)^2 per eta."""
+    """Margins of rho[(xi - eta)(xi - eta_hat)] >= rho(xi - eta_hat)^2 per eta,
+    each ok when at least -tol * xi.unit^2."""
     if not is_measurable(eta_hat, c):
         raise ArgumentError("eta_hat must be measurable w.r.t. the partition")
     resid = xi - eta_hat
@@ -693,7 +692,7 @@ def optimality_ineq(
             raise ArgumentError(f"eta_list[{i}] is not measurable w.r.t. the partition")
         lhs = rho(ms, (xi - eta) * resid).value
         margin = lhs - base
-        entries.append(OptimalityEntry(index=i, margin=margin, ok=margin >= -tol))
+        entries.append(OptimalityEntry(index=i, margin=margin, ok=margin >= -tol * xi.unit**2))
     return OptimalityReport(entries=tuple(entries))
 
 
@@ -708,7 +707,8 @@ def penalized_value(
     Finite exactly when eta dominates the upper conditional envelope blockwise
     (the penalty direction is then nonpositive and zero is optimal, giving
     rho[(xi-eta)^2]); otherwise unbounded: mass on a violating block grows the
-    value past any real number.
+    value past any real number. eta may lie VALUE_TOL * xi.unit below the
+    envelope, which is rounded.
     """
     # strictly comparable on a finite hull: every generator positive everywhere
     if not (is_proper(ms) and np.all(ms.weights_matrix > 0.0)):
@@ -720,7 +720,7 @@ def penalized_value(
     upper = ess_sup_conditional(ms, xi, c)
     eta_blocks = eta.values[c.first]
     upper_blocks = upper.values[c.first]
-    if np.all(eta_blocks >= upper_blocks - 1e-9):  # rounding of the envelope
+    if np.all(eta_blocks >= upper_blocks - VALUE_TOL * xi.unit):
         diff = xi - eta
         return rho(ms, diff * diff).value
     return math.inf
@@ -744,6 +744,7 @@ def minimax_gap(
     The gap vanishes exactly when the upper conditional envelope solves the
     mean square problem; it is zero for every single-generator set and
     positive whenever worst-case conditioning and estimation disagree.
+    ess_sup_is_mmse holds when the gap is at most VALUE_TOL * xi.unit^2.
     """
     upper = ess_sup_conditional(ms, xi, c)
     minimax = penalized_value(ms, xi, c, upper)
@@ -753,5 +754,5 @@ def minimax_gap(
         minimax=minimax,
         maximin=maximin,
         gap=gap,
-        ess_sup_is_mmse=gap <= 1e-8,
+        ess_sup_is_mmse=gap <= VALUE_TOL * xi.unit**2,
     )

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from ._version import __version__
-from .errors import RobustMseError, ValidationError
+from .errors import ArgumentError, RobustMseError, ValidationError
 from .gexp import DEFAULT_DT, TreeModel, tree_measure_set
 from .measures import Measure, MeasureSet
 from .spaces import Filtration, PartitionAlgebra, RandomVariable, SampleSpace
@@ -193,7 +193,10 @@ def parse_instance(doc: Any) -> Instance:
         levels = [
             _parse_partition(p, space, f"filtration[{i}]") for i, p in enumerate(levels_doc)
         ]
-        filtration = Filtration(levels)
+        try:
+            filtration = Filtration(levels)
+        except ArgumentError as exc:  # a level that does not refine the one before
+            raise ValidationError("filtration", str(exc)) from None
 
     return Instance(
         space=space,

@@ -2,7 +2,8 @@
 
 All types are immutable after construction; every operation is a pure
 function. Measurability is exact equality on stored values: instances are
-constructed, not measured, so there is no tolerance anywhere in this module.
+constructed, not measured, so no check here has a tolerance. Elsewhere, values
+derived from x are compared in units of RandomVariable.unit, under VALUE_TOL.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, StructuralError
+
+VALUE_TOL = 1e-9  # relative slack of a value comparison, in units of RandomVariable.unit
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -63,6 +66,12 @@ class RandomVariable:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bound", float(np.max(np.abs(values))) if len(values) else 0.0)
+
+    @property
+    def unit(self) -> float:
+        """R, the unit of values derived from x (R^2 for products): half the
+        range of x, max|x| for a constant x, 1 for x = 0."""
+        return float(np.ptp(self.values)) / 2.0 or self.bound or 1.0
 
     def __eq__(self, other):
         if not isinstance(other, RandomVariable):
@@ -178,10 +187,9 @@ class PartitionAlgebra:
 
 @dataclass(frozen=True)
 class Filtration:
-    """An ordered list of partition algebras on one sample space.
-
-    Construction does not enforce refinement; use refine_check to verify the
-    nesting. Builders in this package put the trivial algebra at level 0.
+    """An ordered list of partition algebras on one sample space, each
+    refining the one before it (construction refuses any other list).
+    Builders in this package put the trivial algebra at level 0.
     """
 
     levels: tuple[PartitionAlgebra, ...]
@@ -190,10 +198,9 @@ class Filtration:
         levels = tuple(levels)
         if not levels:
             raise ArgumentError("filtration needs at least one level")
-        space = levels[0].space
-        for lev in levels:
-            if lev.space != space:
-                raise StructuralError("all filtration levels must share one space")
+        for i in range(1, len(levels)):  # refines raises StructuralError across spaces
+            if not levels[i].refines(levels[i - 1]):
+                raise ArgumentError(f"filtration[{i}] does not refine filtration[{i - 1}]")
         object.__setattr__(self, "levels", levels)
 
 
@@ -203,13 +210,6 @@ def is_measurable(x: RandomVariable, c: PartitionAlgebra) -> bool:
         raise StructuralError("variable and algebra live on different spaces")
     v = x.values
     return bool(np.array_equal(v, v[c.first][c.labels]))
-
-
-def refine_check(f: Filtration) -> bool:
-    """True iff every level refines the previous one."""
-    return all(
-        f.levels[k].refines(f.levels[k - 1]) for k in range(1, len(f.levels))
-    )
 
 
 def truncate(x: RandomVariable, m: float) -> RandomVariable:

@@ -23,7 +23,7 @@ from .randgen import (
     rng_from_seed,
 )
 from .simplexlp import HULL_TOL, hull_membership
-from .spaces import Filtration, RandomVariable, SampleSpace, check_same_space
+from .spaces import VALUE_TOL, Filtration, RandomVariable, SampleSpace, check_same_space
 from .sublinear import ess_sup_conditional
 
 
@@ -226,11 +226,12 @@ def recursivity_check(
     xi: RandomVariable,
     sigma_level: int,
     tau_level: int,
-    tol: float = 1e-9,
+    tol: float = VALUE_TOL,
 ) -> RecursivityReport:
     """Compare the one-shot upper envelope at sigma with the two-stage one
-    through tau. They agree on a stable set; `is_stable` passing is not
-    enough, since it pastes whole generators at whole levels only."""
+    through tau, equal within tol * xi.unit. They agree on a stable set;
+    `is_stable` passing is not enough, since it pastes whole generators at
+    whole levels only."""
     if not 0 <= sigma_level <= tau_level < len(f.levels):
         raise ArgumentError(
             f"need 0 <= sigma <= tau < {len(f.levels)}, got ({sigma_level}, {tau_level})"
@@ -239,7 +240,7 @@ def recursivity_check(
     inner = ess_sup_conditional(ms, xi, f.levels[tau_level])
     rhs = ess_sup_conditional(ms, inner, f.levels[sigma_level])
     gap = float(np.max(np.abs(lhs.values - rhs.values)))
-    return RecursivityReport(lhs=lhs, rhs=rhs, equal=gap <= tol, max_abs_gap=gap)
+    return RecursivityReport(lhs=lhs, rhs=rhs, equal=gap <= tol * xi.unit, max_abs_gap=gap)
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,10 @@ import numpy as np
 
 from .errors import ArgumentError, ZeroMassBlockError
 from .measures import MeasureSet
-from .spaces import PartitionAlgebra, RandomVariable, check_same_space
+from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space
 
 if TYPE_CHECKING:
     from .gexp import TreeModel
-
-TIE_TOL = 1e-9
-AXIOM_TOL = 1e-10  # absolute slack of each axiom inequality in axiom_suite
 
 
 @dataclass(frozen=True)
@@ -30,17 +27,18 @@ class RhoValue:
     ties: tuple[int, ...]
 
 
-def rho(ms: MeasureSet | TreeModel, x: RandomVariable, tie_tol: float = TIE_TOL) -> RhoValue:
+def rho(ms: MeasureSet | TreeModel, x: RandomVariable, tie_tol: float = VALUE_TOL) -> RhoValue:
     """Maximum expectation over the generators, with deterministic tie-breaking.
 
     argmax_generator is the smallest maximizing index; ties lists every index
-    attaining the max within tie_tol. The set answers both (support,
-    near_ties): a MeasureSet from its weight matrix, a TreeModel for its
-    corner set by recursion, with corners indexed as in tree_measure_set.
+    attaining the max within tie_tol * x.unit. The set answers both (support,
+    near_ties, whose slack is absolute): a MeasureSet from its weight matrix,
+    a TreeModel for its corner set by recursion, with corners indexed as in
+    tree_measure_set.
     """
     check_same_space(ms, x)
     value, best = ms.support(x.values)
-    return RhoValue(value=value, argmax_generator=best, ties=ms.near_ties(x.values, tie_tol))
+    return RhoValue(value, best, ms.near_ties(x.values, tie_tol * x.unit))
 
 
 def _conditional_means(ms, x, c) -> np.ndarray:
@@ -134,44 +132,41 @@ def axiom_suite(
     """Check the four sublinearity axioms on the supplied variables and scalars.
 
     Monotone pairs are built from the samples (x vs pointwise max); every
-    violation is reported with its witnesses.
+    violation is reported with its witnesses. An inequality holds to VALUE_TOL
+    times the largest unit of the variables it compares (max(1, lambda) *
+    x.unit for lambda * x against x). Negative scalars are skipped.
     """
     samples = list(samples)
     violations = []
     checks = 0
 
-    def record(axiom, detail, lhs, rhs):
-        violations.append(AxiomViolation(axiom, detail, float(lhs), float(rhs)))
+    def check(axiom, detail, lhs, rhs, unit, two_sided=False):
+        nonlocal checks
+        checks += 1
+        if (abs(lhs - rhs) if two_sided else lhs - rhs) > VALUE_TOL * unit:
+            violations.append(AxiomViolation(axiom, detail, float(lhs), float(rhs)))
 
     for c in scalars:
-        checks += 1
         const = RandomVariable(ms.space, np.full(ms.space.n, float(c)))
         v = rho(ms, const).value
-        if abs(v - c) > AXIOM_TOL:
-            record("constant_preserving", f"rho({c}) = {v}", v, c)
+        check("constant_preserving", f"rho({c}) = {v}", v, c, const.unit, two_sided=True)
 
-    for i, x in enumerate(samples):
-        for j, y in enumerate(samples):
-            if j <= i:
-                continue
-            checks += 3
+    values = [rho(ms, x).value for x in samples]
+    for i, (x, rx) in enumerate(zip(samples, values)):
+        for j in range(i + 1, len(samples)):
+            y, ry = samples[j], values[j]
             upper = RandomVariable(ms.space, np.maximum(x.values, y.values))
-            rx, ry, ru = rho(ms, x).value, rho(ms, y).value, rho(ms, upper).value
-            if rx > ru + AXIOM_TOL:
-                record("monotonicity", f"samples ({i}, max({i},{j}))", rx, ru)
-            if ry > ru + AXIOM_TOL:
-                record("monotonicity", f"samples ({j}, max({i},{j}))", ry, ru)
-            rsum = rho(ms, x + y).value
-            if rsum > rx + ry + AXIOM_TOL:
-                record("subadditivity", f"samples ({i},{j})", rsum, rx + ry)
+            ru = rho(ms, upper).value
+            check("monotonicity", f"samples ({i}, max({i},{j}))", rx, ru, max(x.unit, upper.unit))
+            check("monotonicity", f"samples ({j}, max({i},{j}))", ry, ru, max(y.unit, upper.unit))
+            total = x + y
+            unit = max(x.unit, y.unit, total.unit)
+            check("subadditivity", f"samples ({i},{j})", rho(ms, total).value, rx + ry, unit)
         for lam in scalars:
             if lam < 0:
                 continue
-            checks += 1
-            scale = max(1.0, abs(lam))
-            rl = rho(ms, x * lam).value
-            rx = rho(ms, x).value
-            if abs(rl - lam * rx) > AXIOM_TOL * scale:
-                record("positive_homogeneity", f"sample {i}, lambda={lam}", rl, lam * rx)
+            rl, unit = rho(ms, x * lam).value, max(1.0, lam) * x.unit
+            detail = f"sample {i}, lambda={lam}"
+            check("positive_homogeneity", detail, rl, lam * rx, unit, two_sided=True)
 
     return AxiomReport(checks=checks, violations=tuple(violations))

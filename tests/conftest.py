@@ -1,5 +1,9 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
+import robustmse.sublinear as sublinear
 from robustmse import Measure, MeasureSet, PartitionAlgebra, RandomVariable, SampleSpace
 
 
@@ -12,3 +16,21 @@ def two_point():
     xi = RandomVariable(space, [2.0, 8.0])
     triv = PartitionAlgebra.trivial(space)
     return space, ms, xi, triv
+
+
+@pytest.fixture
+def break_rho(monkeypatch):
+    """break_rho(target, excess): from then on, rho as axiom_suite calls it
+    adds excess to the value at every variable equal to target."""
+    true_rho = sublinear.rho
+
+    def install(target, excess):
+        def rho(ms, x, *args):
+            out = true_rho(ms, x, *args)
+            if np.array_equal(x.values, target.values):
+                out = dataclasses.replace(out, value=out.value + excess)
+            return out
+
+        monkeypatch.setattr(sublinear, "rho", rho)
+
+    return install

@@ -812,6 +812,24 @@ class TestStabilityCommand:
         code = main(["stability", example_file])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["stability", "solve", "rho"])
+    def test_levels_must_be_nested(self, tmp_path, capsys, command):
+        # the last level crosses the blocks of the one before it
+        doc = {
+            "version": "1",
+            "omega": ["a", "b", "c", "d"],
+            "generators": [[0.25, 0.25, 0.25, 0.25], [0.125, 0.375, 0.375, 0.125]],
+            "xi": [1, 2, 3, 4],
+            "filtration": [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0, 2], [1, 3]]],
+        }
+        path = tmp_path / "crossing.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "robustmse: invalid input: filtration: filtration[2] does not refine filtration[1]\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestTcsearchCommand:
     def test_finds_and_serializes(self, tmp_path):
@@ -1173,8 +1191,18 @@ class TestValidationNamesTheField:
             (json.dumps(dict(TREE_2, xi=[1, 0, 0, 1])), "xi"),
             ('{"version": "1", "omega": ["w1"', "$"),
             (json.dumps(dict(EXAMPLE, omega=["w1", "w1"])), "omega"),
+            (json.dumps(dict(EXAMPLE, partition=[[0, 1], [1]])), "partition"),
+            (json.dumps(dict(EXAMPLE, partition=[[0]])), "partition"),
+            (json.dumps(dict(EXAMPLE, partition=[[0], [1, 2]])), "partition"),
+            (json.dumps({"tree": dict(TREE_2["tree"], q_lo=0.75, q_hi=0.25)}), "tree"),
+            (json.dumps({"tree": dict(TREE_2["tree"], q_hi=1.0)}), "tree"),
+            (json.dumps({"tree": dict(TREE_2["tree"], q_hi=[0.75, 0.5, 1.5])}), "tree"),
         ],
-        ids=["tree-xi-disagrees", "invalid-json", "repeated-omega-label"],
+        ids=[
+            "tree-xi-disagrees", "invalid-json", "repeated-omega-label",
+            "partition-blocks-overlap", "partition-misses-an-index", "partition-out-of-range",
+            "tree-q-lo-above-q-hi", "tree-q-hi-one", "tree-node-q-hi-above-one",
+        ],
     )
     def test_exit_2_names_the_field(self, tmp_path, capsys, text, field):
         path = tmp_path / "bad.json"

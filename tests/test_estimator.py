@@ -711,7 +711,8 @@ class TestUniqueness:
                 c.broadcast(rng.integers(-32, 33, size=c.num_blocks) / 16)
                 for _ in range(6)
             ]
-            rep = optimality_ineq(ms, xi, c, res.eta_hat, etas, tol=1e-9)
+            # the absolute slack 1e-9, in units of xi.unit^2
+            rep = optimality_ineq(ms, xi, c, res.eta_hat, etas, tol=1e-9 / xi.unit**2)
             assert rep.all_ok
 
 

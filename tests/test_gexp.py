@@ -372,8 +372,9 @@ class TestCornerOracle:
             M = x.bound
             # wide tolerances reach corners whose shortfall sits deep in the tree
             for tol in (1e-9, 1e-3 * M, 0.05 * M, 0.3 * M):
-                want = rho(ms, x, tol)
-                got = rho(tm, x, tol)
+                # the absolute tie slack tol, in units of x.unit
+                want = rho(ms, x, tol / x.unit)
+                got = rho(tm, x, tol / x.unit)
                 assert got.ties == want.ties
                 assert got.value == pytest.approx(want.value, abs=1e-12 * M)
                 if is_exact(tm, v):

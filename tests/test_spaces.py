@@ -11,7 +11,6 @@ from robustmse import (
     StructuralError,
     block_project,
     is_measurable,
-    refine_check,
     truncate,
 )
 
@@ -99,30 +98,36 @@ class TestIsMeasurable:
 
 
 class TestRefineCheck:
+    """Filtration refuses a level that does not refine the level before it."""
+
     def test_dyadic_chain(self):
         s = space(4)
-        f = Filtration(
-            [
-                PartitionAlgebra(s, [(0, 1, 2, 3)]),
-                PartitionAlgebra(s, [(0, 1), (2, 3)]),
-                PartitionAlgebra.discrete(s),
-            ]
-        )
-        assert refine_check(f)
+        levels = [
+            PartitionAlgebra(s, [(0, 1, 2, 3)]),
+            PartitionAlgebra(s, [(0, 1), (2, 3)]),
+            PartitionAlgebra.discrete(s),
+        ]
+        assert Filtration(levels).levels == tuple(levels)
 
     def test_crossing_blocks(self):
         s = space(4)
-        f = Filtration(
-            [
-                PartitionAlgebra(s, [(0, 1), (2, 3)]),
-                PartitionAlgebra(s, [(0, 2), (1, 3)]),
-            ]
-        )
-        assert not refine_check(f)
+        levels = [
+            PartitionAlgebra(s, [(0, 1), (2, 3)]),
+            PartitionAlgebra(s, [(0, 2), (1, 3)]),
+        ]
+        with pytest.raises(ArgumentError, match=r"filtration\[1\] does not refine filtration\[0\]"):
+            Filtration(levels)
+        # a coarser level after a finer one is refused as well
+        with pytest.raises(ArgumentError, match=r"filtration\[2\]"):
+            Filtration([PartitionAlgebra.trivial(s), levels[0], PartitionAlgebra.trivial(s)])
+
+    def test_levels_share_one_space(self):
+        with pytest.raises(StructuralError):
+            Filtration([PartitionAlgebra.trivial(space(2)), PartitionAlgebra.trivial(space(3))])
 
     def test_single_level_vacuous(self):
         f = Filtration([PartitionAlgebra.trivial(space(2))])
-        assert refine_check(f)
+        assert len(f.levels) == 1
 
 
 class TestTruncate:

@@ -19,6 +19,7 @@ from robustmse import (
     rho,
 )
 from robustmse.randgen import rng_from_seed, random_instance, random_variable
+from robustmse.sublinear import AxiomViolation
 
 
 class TestRho:
@@ -179,3 +180,58 @@ class TestAxiomSuite:
         space, ms, xi, _ = two_point
         higher = xi + 1.0
         assert rho(ms, xi).value <= rho(ms, higher).value
+
+
+class TestAxiomViolations:
+    """Each axiom's violation record, from a rho broken at one variable."""
+
+    def test_constant_preserving(self, two_point, break_rho):
+        space, ms, _, _ = two_point
+        # both axioms with an equality are broken from below
+        break_rho(RandomVariable(space, [1.0, 1.0]), -1e-3)
+        report = axiom_suite(ms, [], scalars=(1.0,))
+        assert report.checks == 1
+        assert report.violations == (
+            AxiomViolation("constant_preserving", "rho(1.0) = 0.999", 0.999, 1.0),
+        )
+
+    def test_monotonicity(self, two_point, break_rho):
+        space, ms, xi, _ = two_point
+        # max(xi, other) = (8, 8), whose rho is 8: xi's 6.5 raised above it
+        other = RandomVariable(space, [8.0, 2.0])
+        break_rho(xi, 2.0)
+        report = axiom_suite(ms, [xi, other], scalars=())
+        assert report.checks == 3
+        assert report.violations == (
+            AxiomViolation("monotonicity", "samples (0, max(0,1))", 8.5, 8.0),
+        )
+        break_rho(other, 2.0)
+        report = axiom_suite(ms, [xi, other], scalars=())
+        assert report.violations == (
+            AxiomViolation("monotonicity", "samples (1, max(0,1))", 8.5, 8.0),
+        )
+
+    def test_subadditivity(self, two_point, break_rho):
+        space, ms, xi, _ = two_point
+        # xi and (1, 3) take their max at the same generator: 9 = 6.5 + 2.5
+        other = RandomVariable(space, [1.0, 3.0])
+        break_rho(xi + other, 0.5)
+        report = axiom_suite(ms, [xi, other], scalars=())
+        assert report.violations == (AxiomViolation("subadditivity", "samples (0,1)", 9.5, 9.0),)
+
+    def test_positive_homogeneity(self, two_point, break_rho):
+        _, ms, xi, _ = two_point
+        break_rho(xi * 2.0, -1.0)
+        report = axiom_suite(ms, [xi], scalars=(2.0,))
+        assert report.checks == 2
+        assert report.violations == (
+            AxiomViolation("positive_homogeneity", "sample 0, lambda=2.0", 12.0, 13.0),
+        )
+
+    def test_negative_scalar_skipped(self, two_point, break_rho):
+        _, ms, xi, _ = two_point
+        # rho(-xi) = -3.5 is not -rho(xi) = -6.5; only the constant -1 is checked
+        break_rho(xi * -1.0, 100.0)
+        report = axiom_suite(ms, [xi], scalars=(-1.0,))
+        assert report.checks == 1
+        assert report.ok

@@ -1,0 +1,171 @@
+"""No verdict moves with the scale of xi.
+
+Every value comparison of the characterizations is made in units of
+RandomVariable.unit (R, half the range of xi), or of R^2 for squared errors
+and products, so scaling xi by s scales each value by s or s^2 and leaves
+each verdict where it was.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from robustmse import (
+    MeasureSet,
+    RandomVariable,
+    SampleSpace,
+    TreeModel,
+    axiom_suite,
+    minimax_gap,
+    optimality_ineq,
+    penalized_value,
+    recursivity_check,
+    rho,
+    tree_measure_set,
+)
+from robustmse.randgen import (
+    random_instance,
+    random_measure_set,
+    random_two_level_filtration,
+    random_variable,
+    rng_from_seed,
+)
+from robustmse.sublinear import AxiomViolation
+
+SCALES = (1e-12, 1e-9, 1e-6, 1e6, 1e9)
+
+
+class TestUnit:
+    def test_half_range_then_bound_then_one(self):
+        space = SampleSpace.of_size(3)
+        assert RandomVariable(space, [2.0, 8.0, 5.0]).unit == 3.0
+        assert RandomVariable(space, [-4.0, -4.0, -4.0]).unit == 4.0
+        assert RandomVariable(space, [0.0, 0.0, 0.0]).unit == 1.0
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_scales_with_xi_and_ignores_a_shift(self, s):
+        x = RandomVariable(SampleSpace.of_size(4), [-1.5, 0.25, 2.0, 0.5])
+        assert (x * s).unit == pytest.approx(1.75 * s, rel=1e-15)
+        assert (x + 1e6).unit == 1.75
+
+
+def tree_sets():
+    """Trees with their explicit corner sets; the per-node tree has ties."""
+    uneven = TreeModel(3, [0.25, 0.375, 0.25, 0.5, 0.25, 0.125, 0.375],
+                       [0.75, 0.5, 0.625, 0.5, 0.75, 0.375, 0.5])
+    for tm in (TreeModel.drift_bound(2), TreeModel.drift_bound(3), uneven):
+        yield tm, tree_measure_set(tm)
+
+
+class TestTies:
+    @pytest.mark.parametrize("s", SCALES)
+    def test_explicit_sets(self, s):
+        rng = rng_from_seed(61)
+        tied = 0
+        for _ in range(100):
+            ms, xi, _ = random_instance(rng)
+            want = rho(ms, xi).ties
+            tied += len(want) > 1
+            assert rho(ms, xi * s).ties == want
+        assert tied > 0
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_trees_agree_with_their_corner_sets(self, s):
+        rng = rng_from_seed(62)
+        for tm, ms in tree_sets():
+            samples = [np.arange(tm.num_leaves, dtype=float), -np.arange(tm.num_leaves) % 3.0]
+            samples += [random_variable(rng, ms.space).values for _ in range(20)]
+            for v in samples:
+                x = RandomVariable(ms.space, v)
+                want = rho(ms, x).ties
+                assert rho(ms, x * s).ties == want
+                assert rho(tm, x * s).ties == want
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_reported_reproducer(self, s):
+        # at s = 1e-9 an absolute slack listed (0, 1, 2, 3) on the tree and
+        # (0, 1, 2, 3, 4) on its corner set
+        tm = TreeModel.drift_bound(2)
+        x = RandomVariable(tm.space, [0.0, 1.0, 2.0, 3.0]) * s
+        assert rho(tm, x).ties == rho(tree_measure_set(tm), x).ties == (0,)
+
+
+def two_level_sets(count=200):
+    rng = rng_from_seed(7)
+    for _ in range(count):
+        space = SampleSpace.of_size(int(rng.integers(4, 8)))
+        f = random_two_level_filtration(rng, space)
+        ms = random_measure_set(rng, space, 3)
+        yield ms, f, random_variable(rng, space)
+
+
+def recursivity_flags(ms, f, xi):
+    return [
+        recursivity_check(ms, f, xi, sigma, tau).equal
+        for sigma in range(len(f.levels))
+        for tau in range(sigma, len(f.levels))
+    ]
+
+
+def test_recursivity_grid_does_not_move():
+    corpus = list(two_level_sets())
+    flags = [recursivity_flags(ms, f, xi) for ms, f, xi in corpus]
+    assert any(not all(row) for row in flags)
+    for s in SCALES:
+        assert [recursivity_flags(ms, f, xi * s) for ms, f, xi in corpus] == flags, s
+
+
+@pytest.fixture
+def example(two_point):
+    _, ms, xi, triv = two_point
+    return ms, xi, triv
+
+
+@pytest.mark.parametrize("s", SCALES)
+class TestReadmeExample:
+    def test_penalized_value(self, example, s):
+        ms, xi, triv = example
+        assert penalized_value(ms, xi * s, triv, triv.broadcast([6.5 * s])) == pytest.approx(
+            15.75 * s * s, rel=1e-9
+        )
+        assert penalized_value(ms, xi * s, triv, triv.broadcast([5.0 * s])) == math.inf
+
+    def test_minimax_gap(self, example, s):
+        ms, xi, triv = example
+        rep = minimax_gap(ms, xi * s, triv)
+        assert rep.gap == pytest.approx(6.75 * s * s, rel=1e-9)
+        assert rep.ess_sup_is_mmse is False
+
+    def test_optimality_ineq(self, example, s):
+        ms, xi, triv = example
+        rep = optimality_ineq(ms, xi * s, triv, triv.broadcast([6.5 * s]), [triv.broadcast([5.0 * s])])
+        assert rep.entries[0].margin == pytest.approx(-4.5 * s * s, rel=1e-9)
+        assert rep.entries[0].ok is False
+
+    def test_single_generator_gap_closes(self, example, s):
+        ms, xi, triv = example
+        rep = minimax_gap(MeasureSet([ms.generators[0]]), xi * s, triv)
+        assert rep.ess_sup_is_mmse is True
+
+
+@pytest.mark.parametrize("s", SCALES)
+class TestAxioms:
+    def test_no_violation(self, two_point, s):
+        _, ms, _, _ = two_point
+        rng = rng_from_seed(13)
+        report = axiom_suite(ms, [random_variable(rng, ms.space) * s for _ in range(15)])
+        assert report.ok
+
+    def test_broken_subadditivity_is_caught(self, two_point, break_rho, s):
+        space, ms, xi, _ = two_point
+        # xi and (1, 3) take their max at the same generator: subadditivity is tight
+        x, y = xi * s, RandomVariable(space, [1.0, 3.0]) * s
+        total = x + y
+        break_rho(total, 1e-6 * total.unit)
+        report = axiom_suite(ms, [x, y], scalars=())
+        assert [v.axiom for v in report.violations] == ["subadditivity"]
+        assert report.violations[0] == AxiomViolation(
+            "subadditivity", "samples (0,1)", rho(ms, total).value + 1e-6 * total.unit,
+            rho(ms, x).value + rho(ms, y).value,
+        )
