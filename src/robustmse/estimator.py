@@ -28,7 +28,8 @@ conditional envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,6 +59,8 @@ SOLVER_BRUTE = "brute_force"
 
 _FACE_STEPS = 50  # Newton steps and drops per face; quadratic convergence needs few
 _LINE_STEPS = 30  # step halvings before a face counts as solved
+_SHIFT = 1e-12  # Hessian shift of the face steps, in units of the residual scale
+_EPS = sys.float_info.epsilon  # of binary64
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,19 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
+class SolveTrace:
+    """What one dual solve did, counted deterministically: the same instance
+    gives the same counts. The library reports them; result files do not."""
+
+    additions: int = 0  # generators added; EstimatorResult.iterations
+    newton_steps: int = 0  # face Newton steps that reached the line search
+    line_evals: int = 0  # evaluations of phi in those line searches
+    stuck_drops: int = 0  # just-added generators dropped before a step
+    residue_drops: int = 0  # rounding-residue weights dropped without a step
+    capped_faces: int = 0  # face ascents that ran all _FACE_STEPS
+
+
+@dataclass(frozen=True)
 class EstimatorResult:
     eta_hat: RandomVariable
     p_hat: MixtureWeights
@@ -79,6 +95,7 @@ class EstimatorResult:
     solver: str
     converged: bool = True
     warnings: tuple[str, ...] = ()
+    trace: SolveTrace | None = None  # the dual solver's counts; None from the oracle
 
 
 @dataclass(frozen=True)
@@ -91,16 +108,16 @@ class Certificate:
 
 class _Pool:
     """The generators the dual solver has added, each with its weight row and
-    its rows of block masses and first moments E_g[xi 1_B], and the queries
-    it puts to the measure set (solve_mmse). Residuals are taken over
-    the weight rows at xi - eta: expanded second moments cancel once xi has a
-    large offset."""
+    its rows of block masses and first moments E_g[xi 1_B], the queries it
+    puts to the measure set (solve_mmse), and the counts of the solve's work
+    (SolveTrace). Residuals are taken over the weight rows at xi - eta:
+    expanded second moments cancel once xi has a large offset."""
 
     def __init__(self, ms: MeasureSet | TreeModel, xi: RandomVariable, c: PartitionAlgebra):
         check_same_space(ms, xi, c)
         self.size = ms.num_generators()  # on a tree, the corner-count guard: p_hat is dense
         self.support, self.rows, mean = ms.support, ms.rows, ms.mean_row()
-        self.x, self.c = xi.values, c
+        self.x, self.unit, self.c = xi.values, xi.unit, c
         mass = c.block_sums(mean)
         if np.any(mass <= 0.0):
             raise ZeroMassBlockError(c.blocks[int(np.argmax(mass <= 0.0))])
@@ -109,6 +126,7 @@ class _Pool:
         self._index: dict[int, int] = {}
         self.weights = np.empty((0, len(self.x)))
         self.mass = self.first = np.empty((0, c.num_blocks))
+        self.counts = dict.fromkeys((f.name for f in fields(SolveTrace)), 0)
 
     def add(self, k: int) -> int:
         """The pool row of generator k, pooled on first use."""
@@ -124,23 +142,11 @@ class _Pool:
 
     def cond(self, mass: np.ndarray, first: np.ndarray) -> np.ndarray:
         """first / mass per block; reference_cond where mass is 0."""
-        eta = self.reference_cond.copy()
-        live = mass > 0.0
-        eta[live] = first[live] / mass[live]
-        return eta
+        return np.divide(first, mass, out=self.reference_cond.copy(), where=mass > 0.0)
 
     def eta_of(self, lam: np.ndarray, rows=slice(None)) -> np.ndarray:
         """E_{P_lam}[xi | C] per block, lam weighing the pooled rows in rows."""
         return self.cond(lam @ self.mass[rows], lam @ self.first[rows])
-
-    def residuals(self, eta: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """r_k = E_{g_k}[(xi - eta)^2] for a blockwise-constant eta."""
-        d = self.x - eta[self.c.labels]
-        return self.weights[rows] @ (d * d)
-
-    def centered(self, eta: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """u[k, B] = E_{g_k}[(xi - eta) 1_B]."""
-        return self.c.block_sums(self.weights[rows] * (self.x - eta[self.c.labels]))
 
     def worst(self, eta: np.ndarray) -> tuple[np.ndarray, int, float]:
         """(residuals of the pooled rows, generator k with the largest r_k, r_k)."""
@@ -153,53 +159,73 @@ class _Pool:
         return r, k, top if row is None else float(r[row])
 
 
-def _face_ascent(pool, s, w, shift):
+def _closed(gap: float, n: int, top: float) -> bool:
+    """Whether a gap max r - phi is within the rounding of phi = w @ r, a sum
+    of n rounded products each at most top = max r."""
+    return gap <= n * _EPS * top
+
+
+def _face_ascent(pool, s, w, scale):
     """Maximize phi over the hull of generators s, starting from weights w.
 
     Newton steps on the face solve the KKT system of the quadratic model with
-    the Hessian -2 sum_B u_B u_B^T / d_B shifted by -shift*I. Flat directions
-    (a block no active generator informs, affinely dependent generators) then
-    still give a finite step; the ratio test clips it where a weight reaches
-    zero and that generator leaves the face. Near the optimum the gain in phi
-    falls below rounding while the face gap max_s r - phi still shrinks, so a
-    step is accepted when it does either. When no step along a clipped
-    direction does, the weight that clips it is rounding residue of a
-    generator that has left (a Newton step that should zero a weight can
+    the Hessian -2 sum_B u_B u_B^T / d_B shifted by -_SHIFT * scale * I,
+    divided through by the residual scale, so that the solve sees the same
+    numbers in any units of xi. Flat directions (a block no active generator
+    informs, affinely dependent generators) then still give a finite step;
+    the ratio test clips it where a weight reaches zero and that generator
+    leaves the face. The face is solved once its gap max_s r - phi is within
+    the rounding of phi (_closed): len(s) * eps * max_s r. Until then a step
+    is accepted when it raises phi or lowers the gap. When no step along a
+    clipped direction does, the weight that clips it is rounding residue of
+    a generator that has left (a Newton step that should zero a weight can
     leave ~1e-15 of it, which clips the next step to nothing): that
     generator is dropped without stepping and the face goes on without it.
     Returns the surviving generators and their weights, at most one more
     than the charged blocks.
     """
+    x, labels, block_sums, counts = pool.x, pool.c.labels, pool.c.block_sums, pool.counts
+    # the face's rows of block masses, first moments and weights, sliced
+    # again only when a generator leaves
+    mass, first, rows = pool.mass[s], pool.first[s], pool.weights[s]
 
-    def state(s, w):
-        eta = pool.eta_of(w, s)
-        r = pool.residuals(eta, s)
-        return eta, r, float(w @ r)
+    def state(w):
+        d = w @ mass
+        dev = x - pool.cond(d, w @ first)[labels]
+        r = rows @ (dev * dev)
+        return (d, dev), r, float(w @ r)
 
-    eta, r, phi = state(s, w)
+    def leave(on):
+        nonlocal s, mass, first, rows
+        s, mass, first, rows = s[on], mass[on], first[on], rows[on]
+
+    moments, r, phi = state(w)
     # records of phi and of the gap: a step must beat one of them, so
     # rounding-level steps cannot cycle
     top_phi, low_gap = phi, math.inf
     for _ in range(_FACE_STEPS):
-        gap = float(np.max(r)) - phi
-        low_gap = min(low_gap, gap)
-        if len(s) == 1 or gap <= 0.0:
+        top = float(np.max(r))
+        low_gap = min(low_gap, top - phi)
+        if len(s) == 1 or _closed(top - phi, len(s), top):
             break
         n = len(s)
-        d = w @ pool.mass[s]
+        d, dev = moments
         live = d > 0.0
-        u = pool.centered(eta, s)[:, live]
+        u = block_sums(rows * dev)[:, live]
         kkt = np.ones((n + 1, n + 1))
-        kkt[:n, :n] = -2.0 * (u / d[live]) @ u.T - shift * np.eye(n)
+        kkt[:n, :n] = -2.0 * (u / d[live]) @ u.T / scale - _SHIFT * np.eye(n)
         kkt[n, n] = 0.0
-        dw = np.linalg.solve(kkt, np.append(-r, 0.0))[:n]
+        dw = np.linalg.solve(kkt, np.append(-r / scale, 0.0))[:n]
         # a generator at weight 0 (just added) that the step would lower
         # blocks every step; drop it without stepping
         stuck = (w == 0.0) & (dw < 0.0)
         if np.any(stuck):
-            s, w = s[~stuck], w[~stuck] / w[~stuck].sum()
-            eta, r, phi = state(s, w)
+            counts["stuck_drops"] += 1
+            leave(~stuck)
+            w = w[~stuck] / w[~stuck].sum()
+            moments, r, phi = state(w)
             continue
+        counts["newton_steps"] += 1
         down = np.flatnonzero(dw < 0.0)
         ratios = w[down] / -dw[down]
         t = t_max = min(1.0, float(np.min(ratios))) if len(down) else 1.0
@@ -208,7 +234,8 @@ def _face_ascent(pool, s, w, shift):
             if t == t_max < 1.0:
                 cand[down[int(np.argmin(ratios))]] = 0.0
             cand /= cand.sum()
-            eta_c, r_c, phi_c = state(s, cand)
+            counts["line_evals"] += 1
+            moments_c, r_c, phi_c = state(cand)
             if phi_c > top_phi or float(np.max(r_c)) - phi_c < low_gap:
                 break
             t *= 0.5
@@ -217,19 +244,30 @@ def _face_ascent(pool, s, w, shift):
                 break
             # nothing along the clipped direction counts: its blocking weight
             # is residue; drop that generator without stepping
+            counts["residue_drops"] += 1
             on = np.arange(n) != down[int(np.argmin(ratios))]
-            s, w = s[on], w[on] / w[on].sum()
-            eta, r, phi = state(s, w)
+            leave(on)
+            w = w[on] / w[on].sum()
+            moments, r, phi = state(w)
             continue
         on = cand > 0.0
-        s, w, eta, r, phi = s[on], cand[on], eta_c, r_c[on], phi_c
+        leave(on)
+        w, moments, r, phi = cand[on], moments_c, r_c[on], phi_c
+        if not on.all():
+            # a sum without the zero terms can round apart from one with
+            # them: the masses of (s, w) as state(w) would give them
+            moments = (w @ mass, moments[1])
         top_phi = max(top_phi, phi)
+    else:
+        counts["capped_faces"] += 1
     # Caratheodory: beyond one more generator than charged blocks, some
     # direction v with v @ u = 0 and sum(v) = 0 moves no conditional mean,
-    # so eta and r stay put; follow it (uphill in phi) until a weight is 0
+    # so eta and r stay put; follow it (uphill in phi) until a weight is 0.
+    # u comes in units of R, like the row of ones, whatever the units of xi.
     while True:
-        live = w @ pool.mass[s] > 0.0
-        m = np.vstack([pool.centered(eta, s)[:, live].T, np.ones(len(s))])
+        d, dev = moments
+        live = d > 0.0
+        m = np.vstack([block_sums(rows * dev)[:, live].T / pool.unit, np.ones(len(s))])
         if len(s) <= len(m):
             return s, w
         v = np.linalg.svd(m)[2][-1]
@@ -240,44 +278,44 @@ def _face_ascent(pool, s, w, shift):
         w = np.clip(w + (w[j] / -v[j]) * v, 0.0, None)
         w[j] = 0.0
         on = w > 0.0
-        s, w = s[on], w[on] / w[on].sum()
-        eta, r, phi = state(s, w)
+        leave(on)
+        w = w[on] / w[on].sum()
+        moments, r, phi = state(w)
 
 
 def _simplicial_decomposition(pool, eta0, max_iter):
     """Fully-corrective Frank-Wolfe on the dual: add the generator argmax r,
     re-maximize phi over the hull of the active generators, repeat.
 
-    Starts from the single generator argmax r at eta0. Stops when the saddle
-    gap max r - phi closes or when an addition improves neither phi nor the
-    gap. Returns the active pool rows, their weights and the number of
-    additions.
+    Starts from the single generator argmax r at eta0, whose residual fixes
+    the scale of the face steps. Stops when the saddle gap max r - phi is
+    within the rounding of phi (_closed, with max r over every generator),
+    or when an addition improves neither phi nor the gap, or after max_iter
+    additions. Returns the active pool rows and their weights.
     """
 
     def evaluate(s, w):
         r, k, top = pool.worst(pool.eta_of(w, s))
         phi = float(w @ r[s])
-        return k, phi, top - phi
+        return k, phi, top
 
-    _, k, top = pool.worst(eta0)
-    # the Hessian shift of the face steps, in the units of the residuals
-    shift = 1e-12 * top
+    _, k, scale = pool.worst(eta0)
     s = np.array([pool.add(k)])
     w = np.ones(1)
-    k, phi, gap = evaluate(s, w)
-    top_phi, low_gap = phi, gap
-    iters = 0
-    while iters < max_iter and gap > 0.0:
-        iters += 1
+    k, phi, top = evaluate(s, w)
+    top_phi, low_gap = phi, top - phi
+    counts = pool.counts
+    while counts["additions"] < max_iter and not _closed(top - phi, len(s), top):
+        counts["additions"] += 1
         row = pool.add(k)
         s_new, w_new = (s, w) if row in s else (np.append(s, row), np.append(w, 0.0))
-        s_new, w_new = _face_ascent(pool, s_new, w_new, shift)
-        k_new, phi_new, gap_new = evaluate(s_new, w_new)
-        if not (phi_new > top_phi or gap_new < low_gap):
+        s_new, w_new = _face_ascent(pool, s_new, w_new, scale)
+        k_new, phi_new, top_new = evaluate(s_new, w_new)
+        if not (phi_new > top_phi or top_new - phi_new < low_gap):
             break
-        s, w, k, phi, gap = s_new, w_new, k_new, phi_new, gap_new
-        top_phi, low_gap = max(top_phi, phi), min(low_gap, gap)
-    return s, w, iters
+        s, w, k, phi, top = s_new, w_new, k_new, phi_new, top_new
+        top_phi, low_gap = max(top_phi, phi), min(low_gap, top - phi)
+    return s, w
 
 
 def solve_mmse(
@@ -310,6 +348,7 @@ def solve_mmse(
     units of xi. Nonconvergence is reported as an explicit status
     (converged=False, last iterate and gap retained), never as a silent best
     effort. p_hat has one weight per generator (per corner for a tree).
+    EstimatorResult.trace counts the solve's work (SolveTrace).
     """
     cfg = cfg or SolverConfig()
     warn: list[str] = []
@@ -324,6 +363,7 @@ def solve_mmse(
         return EstimatorResult(
             eta_hat=xi, p_hat=MixtureWeights(np.full(pool.size, 1.0 / pool.size)), alpha=0.0,
             saddle_gap=0.0, iterations=0, solver=SOLVER_SADDLE, warnings=tuple(warn),
+            trace=SolveTrace(),
         )
 
     if init_weights is None:
@@ -335,7 +375,8 @@ def solve_mmse(
         p0 = (lam0 / lam0.sum()) @ ms.weights_matrix
         eta0 = pool.cond(c.block_sums(p0), c.block_sums(p0 * xi.values))
 
-    s, w, iters = _simplicial_decomposition(pool, eta0, cfg.max_iter)
+    s, w = _simplicial_decomposition(pool, eta0, cfg.max_iter)
+    iters = pool.counts["additions"]
 
     # P_hat charges every block of a proper set; on a set that is not, a
     # block it leaves uncharged keeps reference_cond, one of the values that
@@ -357,6 +398,7 @@ def solve_mmse(
     return EstimatorResult(
         eta_hat=c.broadcast(eta), p_hat=MixtureWeights(p_hat), alpha=alpha, saddle_gap=gap,
         iterations=iters, solver=SOLVER_SADDLE, converged=converged, warnings=tuple(warn),
+        trace=SolveTrace(**pool.counts),
     )
 
 

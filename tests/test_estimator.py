@@ -17,6 +17,7 @@ from robustmse import (
     RandomVariable,
     SampleSpace,
     SolverConfig,
+    SolveTrace,
     TreeModel,
     ZeroMassBlockError,
     brute_force_mmse,
@@ -36,7 +37,7 @@ from robustmse import (
 )
 from robustmse.cli import main as cli_main
 from robustmse.gexp import tree_measure_set
-from robustmse.instances import Instance, canonical_dict
+from robustmse.instances import Instance, canonical_dict, estimator_result_dict
 from robustmse.randgen import (
     random_instance,
     random_measure_set,
@@ -465,22 +466,26 @@ class TestKernelWitness:
 
     @pytest.mark.parametrize("offset", [1e4, 1e5, 1e6])
     def test_solve_command_on_shifted_xi(self, lp_calls, tmp_path, offset):
-        # draws 198 and 260 of this corpus fail the active-set NS test once xi
-        # is shifted by each offset; P_hat certifies them
+        # the draws of this corpus that fail the active-set NS test once xi is
+        # shifted by the offset (a known fault of the hull LP); P_hat
+        # certifies them
         rng = rng_from_seed(77)
         cases = [
             random_instance(rng, max_points=12, max_blocks=5, max_generators=10) for _ in range(261)
         ]
-        for i in (198, 260):
+        failing = [
+            i for i, (ms, xi, c) in enumerate(cases)
+            if not ns_condition(ms, xi + offset, c, solve_mmse(ms, xi + offset, c).eta_hat).holds
+        ]
+        assert failing
+        for i in failing:
             ms, xi, c = cases[i]
-            ns = ns_condition(ms, xi + offset, c, solve_mmse(ms, xi + offset, c).eta_hat)
-            assert not ns.holds
             inst = Instance(ms.space, ms, xi + offset, c, None, None, {})
             path = tmp_path / f"shifted-{i}.json"
             path.write_text(json.dumps(canonical_dict(inst)))
+            lp_calls.clear()  # the reference NS calls above
             assert cli_main(["solve", str(path), "--out", str(tmp_path / "out.json")]) == 0
-            assert len(lp_calls) == 1  # only the reference NS call above
-            lp_calls.clear()
+            assert lp_calls == []
 
     def fallback_cases(self, two_point):
         """(eta_tilde, witness) pairs the witness test must reject."""
@@ -756,15 +761,66 @@ def test_face_ascent_drops_residue_weight():
         "0x1.51515151514c5p-1", "0x1.0000000000007p-2", "0x1.5f038f9f95001p-50",
         "0x1.757575757596cp-4", "0x0.0p+0",
     )])
-    # the solver's shift: 1e-12 of the worst residual at its start point
-    shift = 1e-12 * pool.worst(pool.reference_cond)[2]
+    # the solver's residual scale: the worst residual at its start point
+    scale = pool.worst(pool.reference_cond)[2]
 
     def phi(s, w):
-        return float(w @ pool.residuals(pool.eta_of(w, s), s))
+        return float(w @ pool.worst(pool.eta_of(w, s))[0][s])
 
-    s_out, w_out = robustmse.estimator._face_ascent(pool, s, w, shift)
+    s_out, w_out = robustmse.estimator._face_ascent(pool, s, w, scale)
     assert 66 not in [pool.ids[row] for row in s_out]
     assert phi(s_out, w_out) > phi(s, w) + 1e-10
+
+
+# Two tree solves that a face stop rule of an exactly closed gap sends into
+# line searches of 30 halvings (142 and 93 evaluations of phi); with the gap
+# closed at the rounding of phi, every step takes its first evaluation.
+REPRODUCERS = {
+    "per-node depth 3": (
+        TreeModel(
+            3,
+            [0.3125, 0.3125, 0.375, 0.125, 0.125, 0.125, 0.4375],
+            [0.6875, 0.75, 0.75, 0.875, 0.75, 0.9375, 0.6875],
+        ),
+        [-0.375, 0.8125, -1.6875, 2.0, 1.1875, -0.25, -1.375, 0.5625],
+        2,
+        SolveTrace(additions=5, newton_steps=18, line_evals=18),
+    ),
+    "drift-bound depth 2": (
+        TreeModel.drift_bound(2),
+        [1.75, 0.625, -0.3125, -0.6875],
+        0,
+        SolveTrace(additions=1, newton_steps=2, line_evals=2),
+    ),
+}
+
+
+class TestSolveTrace:
+    @pytest.mark.parametrize("name", list(REPRODUCERS))
+    @pytest.mark.parametrize("path", ["tree", "corner set"])
+    def test_reproducer_counts(self, name, path):
+        tm, leaves, level, want = REPRODUCERS[name]
+        xi, c = RandomVariable(tm.space, leaves), tm.level_partition(level)
+        ms = tree_measure_set(tm)
+        res = solve_mmse(tm if path == "tree" else ms, xi, c)
+        assert res.converged
+        assert res.trace == want
+        assert res.trace.additions == res.iterations
+        assert solve_mmse(tm if path == "tree" else ms, xi, c).trace == res.trace
+        oracle = brute_force_mmse(ms, xi, c)
+        assert abs(res.alpha - oracle.alpha) <= 1e-9 * xi.unit**2
+
+    def test_counts_stay_out_of_result_files(self, two_point):
+        _, ms, xi, triv = two_point
+        res = solve_mmse(ms, xi, triv)
+        assert res.trace.additions == res.iterations and res.trace.newton_steps > 0
+        assert brute_force_mmse(ms, xi, triv).trace is None
+        assert not {"trace", *vars(res.trace)} & set(estimator_result_dict(res))
+
+    def test_measurable_input_does_no_work(self, two_point):
+        space, ms, _, triv = two_point
+        res = solve_mmse(ms, RandomVariable(space, [3.0, 3.0]), triv)
+        assert res.trace == SolveTrace()
 
 
 class TestRefusedInputs:

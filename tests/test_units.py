@@ -22,6 +22,7 @@ from robustmse import (
     penalized_value,
     recursivity_check,
     rho,
+    solve_mmse,
     tree_measure_set,
 )
 from robustmse.randgen import (
@@ -169,3 +170,33 @@ class TestAxioms:
             "subadditivity", "samples (0,1)", rho(ms, total).value + 1e-6 * total.unit,
             rho(ms, x).value + rho(ms, y).value,
         )
+
+
+def dual_solves():
+    """Explicit draws, then trees of depth 2 and 3 at every level below the
+    leaves, each solved as a tree and as its corner set."""
+    rng = rng_from_seed(2222)
+    for _ in range(70):
+        yield random_instance(rng, max_points=12, max_blocks=5, max_generators=10)
+    for depth in (2, 3):
+        lo = rng.integers(2, 8, size=2**depth - 1)
+        hi = lo + rng.integers(1, 9, size=len(lo))
+        for tm in (TreeModel.drift_bound(depth), TreeModel(depth, lo / 16, hi / 16)):
+            for level in range(depth):
+                xi = RandomVariable(tm.space, rng.integers(-32, 33, size=2**depth) / 16)
+                yield tm, xi, tm.level_partition(level)
+                yield tree_measure_set(tm), xi, tm.level_partition(level)
+
+
+@pytest.mark.parametrize("k", [-20, 20])
+def test_dual_solve_is_exact_under_a_power_of_two(k):
+    # every step of the dual solve is unit-free, so scaling xi by 2^k scales
+    # each rounding with it: the same iterates, bit for bit
+    s = 2.0**k
+    for ms, xi, c in dual_solves():
+        base, res = solve_mmse(ms, xi, c), solve_mmse(ms, xi * s, c)
+        assert np.array_equal(res.eta_hat.values, base.eta_hat.values * s)
+        assert res.alpha == base.alpha * s * s
+        assert res.saddle_gap == base.saddle_gap * s * s
+        assert np.array_equal(res.p_hat.lam, base.p_hat.lam)
+        assert (res.iterations, res.converged) == (base.iterations, base.converged)
