@@ -80,8 +80,8 @@ class SolveTrace:
     additions: int = 0  # generators added; EstimatorResult.iterations
     newton_steps: int = 0  # face Newton steps that reached the line search
     line_evals: int = 0  # evaluations of phi in those line searches
-    stuck_drops: int = 0  # just-added generators dropped before a step
-    residue_drops: int = 0  # rounding-residue weights dropped without a step
+    stuck_drops: int = 0  # blocking generators dropped at weight 0, without a line search
+    residue_drops: int = 0  # blocking generators dropped at rounding-residue weight
     capped_faces: int = 0  # face ascents that ran all _FACE_STEPS
 
 
@@ -176,13 +176,16 @@ def _face_ascent(pool, s, w, scale):
     the ratio test clips it where a weight reaches zero and that generator
     leaves the face. The face is solved once its gap max_s r - phi is within
     the rounding of phi (_closed): len(s) * eps * max_s r. Until then a step
-    is accepted when it raises phi or lowers the gap. When no step along a
-    clipped direction does, the weight that clips it is rounding residue of
-    a generator that has left (a Newton step that should zero a weight can
-    leave ~1e-15 of it, which clips the next step to nothing): that
-    generator is dropped without stepping and the face goes on without it.
-    Returns the surviving generators and their weights, at most one more
-    than the charged blocks.
+    is accepted when it raises phi or lowers the gap.
+
+    One rule drops a generator whose weight blocks every step: when no step
+    along a clipped direction is accepted, the generator that clips it leaves
+    the face without a step. A weight of 0 (a generator just added) that the
+    step lowers leaves the ratio test no step at all, so no line search runs
+    (SolveTrace.stuck_drops); any other such weight is rounding residue of a
+    generator that has left, as a Newton step that should zero a weight can
+    leave ~1e-15 of it (SolveTrace.residue_drops). Returns the surviving
+    generators and their weights, at most one more than the charged blocks.
     """
     x, labels, block_sums, counts = pool.x, pool.c.labels, pool.c.block_sums, pool.counts
     # the face's rows of block masses, first moments and weights, sliced
@@ -198,6 +201,12 @@ def _face_ascent(pool, s, w, scale):
     def leave(on):
         nonlocal s, mass, first, rows
         s, mass, first, rows = s[on], mass[on], first[on], rows[on]
+
+    def drop(on, w):
+        # the face of the generators in on, w renormalized there and evaluated
+        leave(on)
+        w = w[on] / w[on].sum()
+        return (w, *state(w))
 
     moments, r, phi = state(w)
     # records of phi and of the gap: a step must beat one of them, so
@@ -216,23 +225,17 @@ def _face_ascent(pool, s, w, scale):
         kkt[:n, :n] = -2.0 * (u / d[live]) @ u.T / scale - _SHIFT * np.eye(n)
         kkt[n, n] = 0.0
         dw = np.linalg.solve(kkt, np.append(-r / scale, 0.0))[:n]
-        # a generator at weight 0 (just added) that the step would lower
-        # blocks every step; drop it without stepping
-        stuck = (w == 0.0) & (dw < 0.0)
-        if np.any(stuck):
-            counts["stuck_drops"] += 1
-            leave(~stuck)
-            w = w[~stuck] / w[~stuck].sum()
-            moments, r, phi = state(w)
-            continue
-        counts["newton_steps"] += 1
         down = np.flatnonzero(dw < 0.0)
         ratios = w[down] / -dw[down]
         t = t_max = min(1.0, float(np.min(ratios))) if len(down) else 1.0
-        for _ in range(_LINE_STEPS):
+        j = down[int(np.argmin(ratios))] if t_max < 1.0 else None  # the weight that clips
+        # t_max = 0: a weight of 0 that the step lowers leaves no step at all
+        line_steps = _LINE_STEPS if t_max > 0.0 else 0
+        counts["newton_steps"] += line_steps > 0
+        for _ in range(line_steps):
             cand = np.clip(w + t * dw, 0.0, None)
             if t == t_max < 1.0:
-                cand[down[int(np.argmin(ratios))]] = 0.0
+                cand[j] = 0.0
             cand /= cand.sum()
             counts["line_evals"] += 1
             moments_c, r_c, phi_c = state(cand)
@@ -242,13 +245,10 @@ def _face_ascent(pool, s, w, scale):
         else:
             if t_max == 1.0:
                 break
-            # nothing along the clipped direction counts: its blocking weight
-            # is residue; drop that generator without stepping
-            counts["residue_drops"] += 1
-            on = np.arange(n) != down[int(np.argmin(ratios))]
-            leave(on)
-            w = w[on] / w[on].sum()
-            moments, r, phi = state(w)
+            # nothing along the clipped direction counts: the generator that
+            # clips it leaves without a step
+            counts["stuck_drops" if w[j] == 0.0 else "residue_drops"] += 1
+            w, moments, r, phi = drop(np.arange(n) != j, w)
             continue
         on = cand > 0.0
         leave(on)
@@ -277,10 +277,7 @@ def _face_ascent(pool, s, w, scale):
         j = down[int(np.argmin(w[down] / -v[down]))]
         w = np.clip(w + (w[j] / -v[j]) * v, 0.0, None)
         w[j] = 0.0
-        on = w > 0.0
-        leave(on)
-        w = w[on] / w[on].sum()
-        moments, r, phi = state(w)
+        w, moments, r, phi = drop(w > 0.0, w)
 
 
 def _simplicial_decomposition(pool, eta0, max_iter):
@@ -291,18 +288,20 @@ def _simplicial_decomposition(pool, eta0, max_iter):
     the scale of the face steps. Stops when the saddle gap max r - phi is
     within the rounding of phi (_closed, with max r over every generator),
     or when an addition improves neither phi nor the gap, or after max_iter
-    additions. Returns the active pool rows and their weights.
+    additions. Returns the active pool rows s, their weights w, and the
+    evaluation of that mixture the stop rule read: eta = E_{P_w}[xi | C] per
+    block, phi and max r.
     """
 
     def evaluate(s, w):
-        r, k, top = pool.worst(pool.eta_of(w, s))
-        phi = float(w @ r[s])
-        return k, phi, top
+        eta = pool.eta_of(w, s)
+        r, k, top = pool.worst(eta)
+        return eta, float(w @ r[s]), top, k
 
     _, k, scale = pool.worst(eta0)
     s = np.array([pool.add(k)])
     w = np.ones(1)
-    k, phi, top = evaluate(s, w)
+    eta, phi, top, k = evaluate(s, w)
     top_phi, low_gap = phi, top - phi
     counts = pool.counts
     while counts["additions"] < max_iter and not _closed(top - phi, len(s), top):
@@ -310,12 +309,12 @@ def _simplicial_decomposition(pool, eta0, max_iter):
         row = pool.add(k)
         s_new, w_new = (s, w) if row in s else (np.append(s, row), np.append(w, 0.0))
         s_new, w_new = _face_ascent(pool, s_new, w_new, scale)
-        k_new, phi_new, top_new = evaluate(s_new, w_new)
+        eta_new, phi_new, top_new, k_new = evaluate(s_new, w_new)
         if not (phi_new > top_phi or top_new - phi_new < low_gap):
             break
-        s, w, k, phi, top = s_new, w_new, k_new, phi_new, top_new
+        s, w, eta, phi, top, k = s_new, w_new, eta_new, phi_new, top_new, k_new
         top_phi, low_gap = max(top_phi, phi), min(low_gap, top - phi)
-    return s, w
+    return s, w, eta, phi, top
 
 
 def solve_mmse(
@@ -375,17 +374,14 @@ def solve_mmse(
         p0 = (lam0 / lam0.sum()) @ ms.weights_matrix
         eta0 = pool.cond(c.block_sums(p0), c.block_sums(p0 * xi.values))
 
-    s, w = _simplicial_decomposition(pool, eta0, cfg.max_iter)
-    iters = pool.counts["additions"]
-
     # P_hat charges every block of a proper set; on a set that is not, a
     # block it leaves uncharged keeps reference_cond, one of the values that
     # minimize there (eta_hat need not be unique)
-    eta = pool.eta_of(w, s)
-    r, _, alpha = pool.worst(eta)
+    s, w, eta, phi, alpha = _simplicial_decomposition(pool, eta0, cfg.max_iter)
+    iters = pool.counts["additions"]
     # the mathematical gap is nonnegative; the dot product may round a hair
     # above the max when the residuals are all but equal
-    gap = max(0.0, alpha - float(w @ r[s]))
+    gap = max(0.0, alpha - phi)
     converged = gap <= cfg.tol * (1.0 + alpha)
     if not converged:
         warn.append(
@@ -753,7 +749,7 @@ def penalized_value(
     envelope, which is rounded.
     """
     # strictly comparable on a finite hull: every generator positive everywhere
-    if not (is_proper(ms) and np.all(ms.weights_matrix > 0.0)):
+    if not np.all(ms.weights_matrix > 0.0):
         raise PropernessError(
             "penalized problem requires strictly positive (strictly comparable) generators"
         )

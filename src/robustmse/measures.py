@@ -7,7 +7,6 @@ linear in the measure, so the sup over the hull is attained at a generator.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -121,10 +120,6 @@ class MeasureSet:
         return ms
 
     def _store(self, space, rows):
-        row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-        if len(set(row_bytes.ravel().tolist())) != len(rows):
-            # duplicates do not change the hull but make mixture weights ambiguous
-            warnings.warn("measure set contains duplicate generators", stacklevel=3)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weights_matrix", rows)
 
@@ -186,8 +181,7 @@ class MixtureWeights:
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ArgumentError(f"mixture weights sum to {total!r}, not 1")
         lam = np.clip(lam, 0.0, None)
-        if lam.sum() != 1.0:
-            lam = lam / lam.sum()
+        lam = lam / lam.sum()
         object.__setattr__(self, "lam", _frozen_array(lam))
 
     def __eq__(self, other):

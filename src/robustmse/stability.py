@@ -169,7 +169,6 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = HULL_TOL) -> Stability
         # generator, whose least-squares point is the generator itself
         near = order[[np.maximum(right - 1, 0), np.minimum(right, k - 1)]]
         screened = np.any(_mass_left(b, ext[near]) <= tol, axis=0)
-        screened[np.arange(len(bases)), bases] = True  # a measure pasted with itself is itself
         for a, base_screened, base_b in zip(bases.tolist(), screened, b):
             pending = np.argwhere(~base_screened)
             targets = base_b[pending[:, 0], pending[:, 1]]

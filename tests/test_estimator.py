@@ -774,7 +774,10 @@ def test_face_ascent_drops_residue_weight():
 
 # Two tree solves that a face stop rule of an exactly closed gap sends into
 # line searches of 30 halvings (142 and 93 evaluations of phi); with the gap
-# closed at the rounding of phi, every step takes its first evaluation.
+# closed at the rounding of phi, every step takes its first evaluation. The
+# third reaches a face where a just-added generator at weight 0 blocks the
+# Newton step, and it leaves without a line search (stuck_drops). Each entry
+# pins the trace and alpha, a hex float, on both paths.
 REPRODUCERS = {
     "per-node depth 3": (
         TreeModel(
@@ -785,12 +788,21 @@ REPRODUCERS = {
         [-0.375, 0.8125, -1.6875, 2.0, 1.1875, -0.25, -1.375, 0.5625],
         2,
         SolveTrace(additions=5, newton_steps=18, line_evals=18),
+        "0x1.ed24000000002p+0",
     ),
     "drift-bound depth 2": (
         TreeModel.drift_bound(2),
         [1.75, 0.625, -0.3125, -0.6875],
         0,
         SolveTrace(additions=1, newton_steps=2, line_evals=2),
+        "0x1.32ab5f34e47efp+0",
+    ),
+    "blocked at weight 0": (
+        TreeModel.drift_bound(3),
+        [-1.4375, -0.3125, 1.125, -1.3125, -1.9375, 0.3125, -1.8125, -0.125],
+        1,
+        SolveTrace(additions=4, newton_steps=7, line_evals=7, stuck_drops=1),
+        "0x1.621c000000006p+0",
     ),
 }
 
@@ -799,12 +811,13 @@ class TestSolveTrace:
     @pytest.mark.parametrize("name", list(REPRODUCERS))
     @pytest.mark.parametrize("path", ["tree", "corner set"])
     def test_reproducer_counts(self, name, path):
-        tm, leaves, level, want = REPRODUCERS[name]
+        tm, leaves, level, want, alpha = REPRODUCERS[name]
         xi, c = RandomVariable(tm.space, leaves), tm.level_partition(level)
         ms = tree_measure_set(tm)
         res = solve_mmse(tm if path == "tree" else ms, xi, c)
         assert res.converged
         assert res.trace == want
+        assert res.alpha == float.fromhex(alpha)
         assert res.trace.additions == res.iterations
         assert solve_mmse(tm if path == "tree" else ms, xi, c).trace == res.trace
         oracle = brute_force_mmse(ms, xi, c)

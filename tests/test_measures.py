@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from robustmse import (
     is_proper,
     mix,
     reference_measure,
+    solve_mmse,
+    verify_saddle,
 )
 from robustmse.randgen import (
     random_instance,
@@ -26,6 +30,21 @@ from robustmse.randgen import (
     random_two_level_filtration,
     rng_from_seed,
 )
+
+
+def built_silently_and_certified(build):
+    """The set build() returns, built with every warning an error, whose
+    solve on xi = (1, 3) over the trivial partition converges and passes
+    its saddle certificate."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ms = build()
+    xi = RandomVariable(ms.space, [1.0, 3.0])
+    c = PartitionAlgebra.trivial(ms.space)
+    res = solve_mmse(ms, xi, c)
+    assert res.converged
+    assert verify_saddle(ms, xi, c, res).passed
+    return ms, res
 
 
 class TestMeasure:
@@ -42,11 +61,12 @@ class TestMeasure:
         m = Measure(SampleSpace.of_size(3), thirds)
         assert m.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
-    def test_duplicate_generators_warn(self):
-        s = SampleSpace.of_size(2)
-        g = Measure(s, [0.5, 0.5])
-        with pytest.warns(UserWarning):
-            MeasureSet([g, g])
+    def test_duplicate_generators_accepted(self):
+        # a repeated generator is one case of affinely dependent generators
+        g = Measure(SampleSpace.of_size(2), [0.5, 0.5])
+        ms, res = built_silently_and_certified(lambda: MeasureSet([g, g]))
+        assert len(ms) == 2
+        assert res.alpha == 1.0
 
 
 class TestMeasureSetMatrix:
@@ -110,9 +130,14 @@ class TestMeasureSetMatrix:
         with pytest.raises(ArgumentError):
             MeasureSet.from_matrix(s, np.empty((0, 2)))
 
-    def test_duplicate_rows_warn(self):
-        with pytest.warns(UserWarning):
-            MeasureSet.from_matrix(SampleSpace.of_size(2), [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]])
+    def test_duplicate_rows_accepted(self):
+        rows = [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]]
+        ms, res = built_silently_and_certified(
+            lambda: MeasureSet.from_matrix(SampleSpace.of_size(2), rows)
+        )
+        assert len(ms) == 3
+        # the uniform generator is worst at eta = 2, the mean under it
+        assert res.alpha == 1.0
 
     def test_input_array_not_aliased(self):
         rows = self.DRIFT.copy()

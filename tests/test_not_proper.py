@@ -1,0 +1,148 @@
+"""A committed corpus of measure sets that are not proper: some generator
+leaves a point at weight 0 that another one charges.
+
+Three families, with seeds and sizes fixed in advance:
+
+- "orders": 100 seeded orders of the ten vertices of {Q : Q <= 4 P0},
+  P0 = (1/4, 1/4, 1/8, 1/8, 1/4), with xi = (0, 2, 0, 1, 2) and the
+  partition {0, 1}, {2, 3, 4}, a set on which the dual solve can stop early
+  depending on the order of its generators;
+- "cvar": 60 vertex sets of {Q : Q <= P0 / beta}, n = 4-5 points,
+  beta in {1/4, 1/2, 3/4};
+- "zeros": 200 generator lists with random zero patterns.
+
+Every solve must end in an explicit status: one that reports converged
+matches the ellipsoid oracle and passes its saddle certificate, one that
+does not reports converged=False, and no solve claims a value below the
+minimum. Where the oracle's mixture recovery LP raises NonconvergenceError
+the draw is counted, not dropped.
+"""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+from robustmse import (
+    MeasureSet,
+    NonconvergenceError,
+    PartitionAlgebra,
+    RandomVariable,
+    SampleSpace,
+    brute_force_mmse,
+    is_proper,
+    solve_mmse,
+    verify_saddle,
+)
+from robustmse.cli import main as cli_main
+from robustmse.randgen import random_partition, rng_from_seed
+
+ORDER_ROWS = [
+    [0, 0, 0, 0, 1], [0, 0, 0, 0.5, 0.5], [0, 0, 0.5, 0, 0.5], [0, 0, 0.5, 0.5, 0],
+    [0, 0.5, 0, 0.5, 0], [0, 0.5, 0.5, 0, 0], [0, 1, 0, 0, 0], [0.5, 0, 0, 0.5, 0],
+    [0.5, 0, 0.5, 0, 0], [1, 0, 0, 0, 0],
+]
+ORDER_XI = [0, 2, 0, 1, 2]
+ORDER_BLOCKS = [(0, 1), (2, 3, 4)]
+SIZES = {"orders": 100, "cvar": 60, "zeros": 200}
+# solves that converge today: a change to the solver may raise these counts
+# (every draw should converge) but not lower them
+CONVERGED_AT_LEAST = {"orders": 97, "cvar": 58, "zeros": 199}
+
+
+def cvar_vertices(p0, beta):
+    """The vertices of {Q : 0 <= Q <= p0 / beta, sum Q = 1}, each filled
+    greedily along one order of the points, in the order
+    itertools.permutations lists the orders. The partly filled point takes
+    1 minus the caps of the filled ones, summed in index order, so that two
+    orders reaching the same vertex give the same row."""
+    caps = p0 / beta
+    rows = {}
+    for order in itertools.permutations(range(len(p0))):
+        filled, total = [], 0.0
+        for i in order:
+            if total + caps[i] >= 1.0:
+                break
+            filled.append(i)
+            total += caps[i]
+        row = np.zeros(len(p0))
+        row[filled] = caps[filled]
+        row[i] = 1.0 - caps[sorted(filled)].sum()
+        rows.setdefault(row.tobytes(), row)
+    return np.array(list(rows.values()))
+
+
+def corpus(family):
+    """The instances (ms, xi, c) of one family, in a fixed order."""
+    rng = rng_from_seed({"orders": 2301, "cvar": 2302, "zeros": 2303}[family])
+    for _ in range(SIZES[family]):
+        if family == "orders":
+            space = SampleSpace.of_size(5)
+            rows = np.array(ORDER_ROWS, dtype=float)[rng.permutation(len(ORDER_ROWS))]
+            yield (
+                MeasureSet.from_matrix(space, rows),
+                RandomVariable(space, ORDER_XI),
+                PartitionAlgebra(space, ORDER_BLOCKS),
+            )
+            continue
+        n = int(rng.integers(4, 6))
+        space = SampleSpace.of_size(n)
+        if family == "cvar":
+            p0 = rng.integers(1, 9, size=n).astype(float)
+            p0 /= p0.sum()
+            rows = cvar_vertices(p0, float(rng.choice([0.25, 0.5, 0.75])))
+        else:
+            k = int(rng.integers(2, 7))
+            rows = rng.integers(1, 9, size=(k, n)) * (rng.random((k, n)) < 0.6)
+            for row in rows:  # every generator charges some point
+                if not row.any():
+                    row[rng.integers(n)] = 1
+            for i in np.flatnonzero(~rows.any(axis=0)):  # and some generator every point
+                rows[rng.integers(k), i] = 1
+            rows = rows / rows.sum(axis=1, keepdims=True)
+        xi = RandomVariable(space, rng.integers(0, 4, size=n).astype(float))
+        yield MeasureSet.from_matrix(space, rows), xi, random_partition(rng, space, 2)
+
+
+@pytest.mark.parametrize("family", list(SIZES))
+def test_every_solve_is_right_or_says_it_stopped(family):
+    outcomes = {"converged": 0, "stopped": 0, "oracle LP failed": 0}
+    improper = 0
+    for i, (ms, xi, c) in enumerate(corpus(family)):
+        improper += not is_proper(ms)
+        res = solve_mmse(ms, xi, c)
+        outcomes["converged" if res.converged else "stopped"] += 1
+        assert res.converged or any("gap" in w for w in res.warnings), (family, i)
+        tol = 1e-9 * xi.unit**2
+        try:
+            oracle = brute_force_mmse(ms, xi, c)
+        except NonconvergenceError:
+            outcomes["oracle LP failed"] += 1
+            continue
+        assert oracle.converged, (family, i)
+        # alpha = max_k r_k at eta_hat, never below the minimum
+        assert res.alpha >= oracle.alpha - tol, (family, i)
+        if res.converged:
+            assert abs(res.alpha - oracle.alpha) <= tol, (family, i, res.alpha, oracle.alpha)
+            assert verify_saddle(ms, xi, c, res).passed, (family, i)
+    assert improper >= SIZES[family] // 2, family
+    assert outcomes["converged"] + outcomes["stopped"] == SIZES[family]
+    assert outcomes["converged"] >= CONVERGED_AT_LEAST[family], (family, outcomes)
+
+
+def test_reproducer_through_the_cli(tmp_path):
+    doc = {
+        "version": "1",
+        "omega": ["a", "b", "c", "d", "e"],
+        "generators": ORDER_ROWS,
+        "xi": ORDER_XI,
+        "partition": [list(b) for b in ORDER_BLOCKS],
+    }
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    code = cli_main(["solve", str(tmp_path / "in.json"), "--out", str(tmp_path / "out.json")])
+    result = json.loads((tmp_path / "out.json").read_text())["result"]["estimator"]
+    assert code in (0, 3)
+    assert result["converged"] is (code == 0)
+    if code == 0:
+        assert result["alpha"] == pytest.approx(1.0, abs=1e-9)
