@@ -68,12 +68,13 @@ def _solver_config(inst: Instance, args) -> SolverConfig:
 
 def cmd_rho(inst: Instance, args) -> tuple[dict, int]:
     xi = inst.xi
-    # the tree's recursions answer for its corner set, which is never built
-    ms = inst.tree if inst.kind == "tree" else inst.generators()
-    value = rho(ms, xi)
     if inst.kind == "tree":
-        envelopes = tree_envelopes(ms, xi.values)
+        # the tree's recursions answer for its corner set, which is never built
+        value = rho(inst.tree, xi)
+        envelopes = tree_envelopes(inst.tree, xi.values)
     else:
+        ms = inst.generators()
+        value = rho(ms, xi)
         levels = [inst.partition] if inst.kind == "partition" else inst.filtration.levels
         envelopes = [(lev, *conditional_envelopes(ms, xi, lev)) for lev in levels]
     payload = {
@@ -130,9 +131,8 @@ def cmd_oracle(inst: Instance, args) -> tuple[dict, int]:
     else:
         # the minimizer need not be unique: judge each side's eta by its value
         best = min(brute.alpha, solved.alpha) + alpha_tol
-        W = ms.weights_matrix
         agree = agree and all(
-            float(np.max(W @ (xi.values - r.eta_hat.values) ** 2)) <= best for r in (brute, solved)
+            ms.support((xi.values - r.eta_hat.values) ** 2)[0] <= best for r in (brute, solved)
         )
     payload = {
         "brute_force": estimator_result_dict(brute),
@@ -165,7 +165,7 @@ def cmd_stability(inst: Instance, args) -> tuple[dict, int]:
             )
     payload = {
         "stable": report.stable,
-        "scope": report.scope,
+        "scope": "generator-pasting",
         "pastings_checked": report.pastings_checked,
         "hull_tests": report.hull_tests,
         "witness": None

@@ -20,9 +20,10 @@ than there are blocks, and the P_hat returned for a non-measurable xi has no
 more (a measurable xi is its own estimator, with the uniform mixture).
 
 The remaining operations certify or characterize a candidate estimator:
-saddle verification, kernel membership and interval, the product-form
-optimality equation, and the penalized problem whose solution is the upper
-conditional envelope.
+saddle verification, kernel membership, the product-form optimality
+equation, and the penalized problem whose solution is the upper conditional
+envelope. The band between the conditional envelopes, which equals the kernel
+on a stable set, is stability.kernel_interval.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .measures import (
 )
 from .simplexlp import HULL_TOL, hull_membership, solve_lp
 from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space, is_measurable
-from .sublinear import conditional_envelopes, ess_sup_conditional, rho
+from .sublinear import ess_sup_conditional, rho
 
 if TYPE_CHECKING:
     from .gexp import TreeModel
@@ -144,7 +145,7 @@ class _Pool:
         """first / mass per block; reference_cond where mass is 0."""
         return np.divide(first, mass, out=self.reference_cond.copy(), where=mass > 0.0)
 
-    def eta_of(self, lam: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def eta_of(self, lam: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """E_{P_lam}[xi | C] per block, lam weighing the pooled rows in rows."""
         return self.cond(lam @ self.mass[rows], lam @ self.first[rows])
 
@@ -175,8 +176,9 @@ def _face_ascent(pool, s, w, scale):
     informs, affinely dependent generators) then still give a finite step;
     the ratio test clips it where a weight reaches zero and that generator
     leaves the face. The face is solved once its gap max_s r - phi is within
-    the rounding of phi (_closed): len(s) * eps * max_s r. Until then a step
-    is accepted when it raises phi or lowers the gap.
+    the rounding of phi (_closed): len(s) * eps * max_s r; a face of one
+    generator has w = [1.0] exactly, so its gap is 0. Until then a step is
+    accepted when it raises phi or lowers the gap.
 
     One rule drops a generator whose weight blocks every step: when no step
     along a clipped direction is accepted, the generator that clips it leaves
@@ -215,7 +217,7 @@ def _face_ascent(pool, s, w, scale):
     for _ in range(_FACE_STEPS):
         top = float(np.max(r))
         low_gap = min(low_gap, top - phi)
-        if len(s) == 1 or _closed(top - phi, len(s), top):
+        if _closed(top - phi, len(s), top):
             break
         n = len(s)
         d, dev = moments
@@ -503,8 +505,9 @@ def _recover_mixture(u, r):
     c = np.concatenate([-r, np.full(2 * m, 1e-3)])
     res = solve_lp(c, A, b)
     lam = np.clip(res.x[:K], 0.0, None)
-    # feasible (the slacks) and bounded (lam on the simplex, slacks cost > 0)
-    if res.status != "optimal" or lam.sum() <= 0:
+    # feasible (the slacks) and bounded (lam on the simplex, slacks cost > 0);
+    # an optimal phase 1 leaves sum(lam) = 1 within HULL_TOL, so the sum is > 0
+    if res.status != "optimal":
         raise NonconvergenceError(f"mixture recovery LP ended {res.status}, weight {lam.sum():.3g}")
     return lam / lam.sum()
 
@@ -601,38 +604,6 @@ def kernel_member(
         return True
     member, _, _ = hull_membership(u, np.zeros(c.num_blocks))
     return member
-
-
-@dataclass(frozen=True)
-class KernelInterval:
-    lower: RandomVariable
-    upper: RandomVariable
-    exact: bool | None  # None: no filtration declared, outer description only
-
-
-def kernel_interval(
-    ms: MeasureSet,
-    xi: RandomVariable,
-    c: PartitionAlgebra,
-    filtration=None,
-) -> KernelInterval:
-    """The band between the conditional envelopes.
-
-    Equals the kernel when the measure set is stable along a filtration
-    containing c; otherwise it is only an outer description. With a declared
-    filtration, exact is the `is_stable` verdict, which is only necessary for
-    stability: exact=True does not prove the band is the kernel. Without one,
-    exact is None.
-    """
-    lower, upper = conditional_envelopes(ms, xi, c)
-    exact = None
-    if filtration is not None:
-        from .stability import is_stable  # local import; stability builds on this module
-
-        if c not in filtration.levels:
-            raise ArgumentError("partition is not a level of the declared filtration")
-        exact = is_stable(ms, filtration).stable
-    return KernelInterval(lower=lower, upper=upper, exact=exact)
 
 
 @dataclass(frozen=True)

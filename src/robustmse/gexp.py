@@ -104,15 +104,13 @@ class TreeModel:
         return self.sample_space()
 
     def level_partition(self, level: int) -> PartitionAlgebra:
-        """Leaves grouped by their first `level` moves."""
+        """Leaves grouped by their first `level` moves: in the heap order, runs
+        of 2^(depth - level) consecutive leaves."""
         if not 0 <= level <= self.depth:
             raise ArgumentError(f"level must lie in 0..{self.depth}")
-        space = self.space
-        shift = self.depth - level
-        blocks = {}
-        for leaf in range(self.num_leaves):
-            blocks.setdefault(leaf >> shift, []).append(leaf)
-        return PartitionAlgebra(space, [tuple(b) for b in blocks.values()])
+        size = 2 ** (self.depth - level)
+        runs = [range(b, b + size) for b in range(0, self.num_leaves, size)]
+        return PartitionAlgebra(self.space, runs)
 
     # --- the corner set, queried without enumerating it -------------------
 

@@ -432,9 +432,6 @@ def dump_result(doc: dict) -> str:
 
 
 def _json_inf(x: float):
-    """JSON has no infinity literal; results encode it as a string."""
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
-    return float(x)
+    """JSON has no infinity literal; results encode -inf, the NS lower bound
+    of a failed hull test, as a string."""
+    return "-inf" if x == -math.inf else float(x)

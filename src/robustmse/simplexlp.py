@@ -143,7 +143,7 @@ def hull_membership(points, target, tol=HULL_TOL):
     b = np.concatenate([target, [1.0]])
     res = solve_lp(np.zeros(k), A, b, feas_tol=tol)
     mu = res.x
-    if res.status == "optimal" and mu.sum() > 0:
+    if res.status == "optimal":  # sum(mu) = 1 within feas_tol, so the sum is > 0
         mu = np.clip(mu, 0.0, None)
         mu = mu / mu.sum()
     return res.status == "optimal", mu, res.residual

@@ -65,7 +65,7 @@ class RandomVariable:
             raise ArgumentError("random variable values must be finite")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "bound", float(np.max(np.abs(values))) if len(values) else 0.0)
+        object.__setattr__(self, "bound", float(np.max(np.abs(values))))
 
     @property
     def unit(self) -> float:

@@ -1,4 +1,4 @@
-"""Pasting of measures along a filtration, stability of measure sets, and a
+"""Pasting along a filtration, stability of measure sets, the kernel band, and a
 randomized search for time-consistency failures of the worst-case estimator.
 
 Stability is checked on the finite family of generator pairs pasted at whole
@@ -23,8 +23,10 @@ from .randgen import (
     rng_from_seed,
 )
 from .simplexlp import HULL_TOL, hull_membership
-from .spaces import VALUE_TOL, Filtration, RandomVariable, SampleSpace, check_same_space
-from .sublinear import ess_sup_conditional
+from .spaces import (
+    VALUE_TOL, Filtration, PartitionAlgebra, RandomVariable, SampleSpace, check_same_space
+)
+from .sublinear import conditional_envelopes, ess_sup_conditional
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,6 @@ class StabilityReport:
     witness_residual: float
     pastings_checked: int
     hull_tests: int  # pastings sent to the hull LP; the rest were certified
-    scope: str = "generator-pasting"
 
 
 def _mass_left(b, fit):
@@ -209,6 +210,36 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = HULL_TOL) -> Stability
         pastings_checked=k * (k - 1) * n_levels,
         hull_tests=hull_tests,
     )
+
+
+@dataclass(frozen=True)
+class KernelInterval:
+    lower: RandomVariable
+    upper: RandomVariable
+    exact: bool | None  # None: no filtration declared, outer description only
+
+
+def kernel_interval(
+    ms: MeasureSet,
+    xi: RandomVariable,
+    c: PartitionAlgebra,
+    filtration=None,
+) -> KernelInterval:
+    """The band between the conditional envelopes.
+
+    Equals the kernel when the measure set is stable along a filtration
+    containing c; otherwise it is only an outer description. With a declared
+    filtration, exact is the `is_stable` verdict, which is only necessary for
+    stability: exact=True does not prove the band is the kernel. Without one,
+    exact is None.
+    """
+    lower, upper = conditional_envelopes(ms, xi, c)
+    exact = None
+    if filtration is not None:
+        if c not in filtration.levels:
+            raise ArgumentError("partition is not a level of the declared filtration")
+        exact = is_stable(ms, filtration).stable
+    return KernelInterval(lower=lower, upper=upper, exact=exact)
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,16 @@ class TestTreeModel:
         assert tm.level_partition(0).blocks == ((0, 1, 2, 3),)
         assert tm.level_partition(1).blocks == ((0, 1), (2, 3))
         assert tm.level_partition(2).blocks == ((0,), (1,), (2,), (3,))
+        # at every depth and level: the leaves grouped by their first `level`
+        # moves, the top bits of the leaf index
+        for depth in range(1, 6):
+            tm = TreeModel.drift_bound(depth)
+            for level in range(depth + 1):
+                groups = {}
+                for leaf in range(2 ** depth):
+                    groups.setdefault(leaf >> (depth - level), []).append(leaf)
+                expected = tuple(tuple(g) for g in groups.values())
+                assert tm.level_partition(level).blocks == expected, (depth, level)
 
 
 class TestTreeMeasureSet:

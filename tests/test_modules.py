@@ -1,0 +1,59 @@
+"""The package's module graph is one-way: every import runs when its module
+is loaded, none inside a function body, so no module imports at call time
+one that imports it. Imports under `if TYPE_CHECKING:` (annotations only)
+are allowed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import robustmse
+
+MODULES = sorted(Path(robustmse.__file__).parent.glob("*.py"))
+
+
+def _call_time_imports(tree):
+    """(line, function name) of each import inside a function body, outside
+    `if TYPE_CHECKING:`."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child, function)
+            return
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and function is not None:
+            found.append((node.lineno, function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_modules_found():
+    assert {"estimator.py", "stability.py", "gexp.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _call_time_imports(tree) == []
+
+
+def test_the_check_sees_a_call_time_import():
+    source = """
+from typing import TYPE_CHECKING
+if TYPE_CHECKING:
+    from .gexp import TreeModel
+
+def f():
+    if TYPE_CHECKING:
+        from .gexp import TreeModel
+    from .stability import is_stable
+    return is_stable
+"""
+    assert _call_time_imports(ast.parse(source)) == [(9, "f")]
