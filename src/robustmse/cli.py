@@ -228,7 +228,7 @@ def cmd_gexp(inst: Instance, args) -> tuple[dict, int]:
     payload = {
         "root": res.root_value,
         "y_by_level": [res.level_values(d).tolist() for d in range(tm.depth + 1)],
-        "z_by_level": [res.z[2 ** d - 1 : 2 ** (d + 1) - 1].tolist() for d in range(tm.depth)],
+        "z_by_level": [res.level_z(d).tolist() for d in range(tm.depth)],
         "representation": {
             "rho_root": root_rho,
             "abs_gap": abs(root_rho - res.root_value),

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import (
     ArgumentError,
     GuardRefusalError,
-    NonconvergenceError,
     PropernessError,
     ZeroMassBlockError,
 )
@@ -48,7 +47,7 @@ from .measures import (
     is_proper,
     mix,
 )
-from .simplexlp import HULL_TOL, hull_membership, solve_lp
+from .simplexlp import HULL_TOL, hull_membership
 from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space, is_measurable
 from .sublinear import ess_sup_conditional, rho
 
@@ -88,8 +87,14 @@ class SolveTrace:
 
 @dataclass(frozen=True)
 class EstimatorResult:
+    """eta_hat and its worst-case error alpha = F(eta_hat). From solve_mmse,
+    p_hat is the worst-case mixture and saddle_gap the primal-dual gap at
+    (eta_hat, p_hat). The oracle, brute_force_mmse, builds no mixture: its
+    p_hat is None and its saddle_gap is alpha minus its certified lower bound
+    on min F."""
+
     eta_hat: RandomVariable
-    p_hat: MixtureWeights
+    p_hat: MixtureWeights | None
     alpha: float
     saddle_gap: float
     iterations: int
@@ -420,9 +425,10 @@ def brute_force_mmse(
     range of xi raises no r_k. Each step cuts through the centre c with the
     gradient g of the largest r_k; F* >= F(c) - sqrt(g' P g), so the run stops
     once the best centre is certified within 1e-13 * R^2 of F*, and no shift
-    of xi moves it. iterations counts the cuts; a run that reaches
-    MAX_ELLIPSOID_STEPS is converged=False. The worst-case mixture is
-    recovered afterwards by a small LP.
+    of xi moves it. saddle_gap is that certified gap, so the run has
+    converged exactly when saddle_gap <= 1e-13 * R^2; one that reaches
+    MAX_ELLIPSOID_STEPS has not. iterations counts the cuts. The method
+    builds no mixture, so p_hat is None.
     """
     if c.num_blocks > MAX_BRUTE_BLOCKS:
         raise GuardRefusalError(
@@ -451,7 +457,8 @@ def brute_force_mmse(
         # a rounding-indefinite P gives no bound; g = 0 certifies the centre
         if gPg >= 0.0:
             lower = max(lower, float(r[k]) - math.sqrt(gPg))
-        if best_val - lower <= tol or gPg <= 0.0 or steps == MAX_ELLIPSOID_STEPS:
+        gap = best_val - lower
+        if gap <= tol or gPg <= 0.0 or steps == MAX_ELLIPSOID_STEPS:
             break
         steps += 1
         b = Pg / math.sqrt(gPg)
@@ -461,55 +468,20 @@ def brute_force_mmse(
         else:
             P = n * n / (n * n - 1.0) * (P - 2.0 / (n + 1) * np.outer(b, b))
 
-    warn = []
-    converged = best_val - lower <= tol
-    if not converged:
-        warn.append(
-            f"ellipsoid method stopped at bound gap {best_val - lower:.3e} > "
-            f"{tol:.1e} after {steps} steps"
-        )
-    dev = x - best[labels]
-    r = W @ dev**2
-    lam = _recover_mixture(c.block_sums(W * dev) / R, r / R**2)
+    converged = gap <= tol
+    warn = [] if converged else [
+        f"ellipsoid method stopped at bound gap {gap:.3e} > {tol:.1e} after {steps} steps"
+    ]
     return EstimatorResult(
         eta_hat=c.broadcast(best + m),
-        p_hat=MixtureWeights(lam),
+        p_hat=None,
         alpha=best_val,
-        saddle_gap=max(0.0, best_val - float(lam @ r)),  # lam @ r <= max r but for rounding
+        saddle_gap=gap,
         iterations=steps,
         solver=SOLVER_BRUTE,
         converged=converged,
         warnings=tuple(warn),
     )
-
-
-def _recover_mixture(u, r):
-    """Best certificate mixture at a fixed eta: maximize lam @ r over simplex
-    weights with lam @ u = 0, u[k, B] = E_{g_k}[(xi - eta) 1_B], so that the
-    mixture reproduces eta as its conditional mean. u and r come in units of
-    R, half the range of xi, and its square.
-
-    eta is a minimizer only to within the oracle's tolerance, so the mean
-    equations get elastic slacks with a light penalty: a slack s lowers the
-    mixture's dual value by O(s^2), weight on a generator whose r_k is below
-    the maximum lowers it at first order.
-    """
-    K, m = u.shape
-    # variables: lam (K), slack+ (m), slack- (m)
-    A = np.zeros((m + 1, K + 2 * m))
-    A[:m, :K] = u.T
-    A[:m, K : K + m] = np.eye(m)
-    A[:m, K + m :] = -np.eye(m)
-    A[m, :K] = 1.0
-    b = np.concatenate([np.zeros(m), [1.0]])
-    c = np.concatenate([-r, np.full(2 * m, 1e-3)])
-    res = solve_lp(c, A, b)
-    lam = np.clip(res.x[:K], 0.0, None)
-    # feasible (the slacks) and bounded (lam on the simplex, slacks cost > 0);
-    # an optimal phase 1 leaves sum(lam) = 1 within HULL_TOL, so the sum is > 0
-    if res.status != "optimal":
-        raise NonconvergenceError(f"mixture recovery LP ended {res.status}, weight {lam.sum():.3g}")
-    return lam / lam.sum()
 
 
 def verify_saddle(
@@ -526,7 +498,8 @@ def verify_saddle(
     (the exact inner minimum is the conditional expectation). A block P_hat
     leaves uncharged adds 0 to the inner minimum whatever eta is there, so it
     is skipped. max_over_P comes from the weight matrix, not the solver's
-    support query. Tolerance scales with 1 + alpha.
+    support query. Tolerance scales with 1 + alpha. The result is
+    solve_mmse's: the oracle's has no P_hat to audit.
     """
     cfg = cfg or SolverConfig()
     check_same_space(xi, result.eta_hat)

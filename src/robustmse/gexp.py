@@ -283,6 +283,10 @@ class GExpResult:
     def level_values(self, level: int) -> np.ndarray:
         return self.y[2 ** level - 1 : 2 ** (level + 1) - 1]
 
+    def level_z(self, level: int) -> np.ndarray:
+        """z at the internal nodes of level (0..T-1)."""
+        return self.z[2 ** level - 1 : 2 ** (level + 1) - 1]
+
 
 def _leaf_array(tm: TreeModel, xi_leaf) -> np.ndarray:
     xi_leaf = np.asarray(xi_leaf, dtype=float)

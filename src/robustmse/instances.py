@@ -407,7 +407,7 @@ def instance_digest(inst: Instance) -> str:
 def estimator_result_dict(res) -> dict:
     return {
         "eta_hat": res.eta_hat.values.tolist(),
-        "p_hat": res.p_hat.lam.tolist(),
+        "p_hat": None if res.p_hat is None else res.p_hat.lam.tolist(),
         "alpha": res.alpha,
         "saddle_gap": res.saddle_gap,
         "iterations": res.iterations,

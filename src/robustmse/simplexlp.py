@@ -1,7 +1,8 @@
 """Dense two-phase simplex with Bland's rule, plus two wrappers: convex-hull
-membership, and a box-constrained epigraph minimization. The package calls
-only the first (the NS check is a hull test on the active generators); the
-tests use the second as the exact reference for the NS lower bound.
+membership, and a box-constrained epigraph minimization. The package uses
+the simplex only through hull_membership (the kernel and NS hull tests and
+the stability pastings); the tests use box_epigraph_min as the exact
+reference for the NS lower bound.
 
 The problems here have few rows (one per block or sample point), though
 kernel membership on a depth-4 tree has 32,768 columns, so a dense tableau is

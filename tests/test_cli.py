@@ -695,18 +695,6 @@ class TestOracleCommand:
             assert code == 0
             assert out["result"]["agree"] is True
 
-    def test_lp_pivot_limit_exit_code(self, example_file, tmp_path, monkeypatch, capsys):
-        # a simplex that stops at its pivot limit is nonconvergence, not invalid
-        # input; the oracle's mixture recovery always runs one LP
-        lp = robustmse.simplexlp.solve_lp
-        monkeypatch.setattr(
-            robustmse.estimator, "solve_lp", lambda *a, **kw: lp(*a, **dict(kw, max_pivots=0))
-        )
-        code, out = run(["oracle", example_file], tmp_path)
-        assert (code, out) == (3, None)
-        err = capsys.readouterr().err
-        assert err == "robustmse: nonconvergence: simplex pivot limit of 0 exceeded\n"
-
     @pytest.mark.parametrize("shift", [0.0, 1e6])
     def test_wrong_alpha_caught_on_a_shifted_copy(self, tmp_path, monkeypatch, shift):
         # agreement is judged in units of R, half the range of xi (3 here):
@@ -767,6 +755,33 @@ class TestUnchargedBlock:
         assert code == 0
         assert doc["result"]["agree"] is True
 
+    def test_uncharged_point_agrees_with_the_certified_gap(self, tmp_path):
+        # a second such set: P_hat = generator 2 leaves point d uncharged, where
+        # the solver keeps -0.5 and the ellipsoid stops 3.3e-3 lower, both optimal
+        sixth = 1 / 6
+        doc = {
+            "version": "1",
+            "omega": ["a", "b", "c", "d"],
+            "generators": [
+                [0.3, 0.2, 0.3, 0.2],
+                [0.3, 0.3, 0.2, 0.2],
+                [0.375, 0.375, 0.25, 0],
+                [sixth, 2 * sixth, sixth, 2 * sixth],
+                [0.2, 0, 0.4, 0.4],
+                [0.5, sixth, sixth, sixth],
+            ],
+            "xi": [-0.5, 2, 1.5, -0.5],
+            "partition": [[0, 1], [2], [3]],
+        }
+        path = tmp_path / "uncharged_point.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["oracle", str(path)], tmp_path)
+        assert code == 0
+        res = out["result"]
+        assert res["agree"] is True
+        assert res["brute_force"]["p_hat"] is None
+        assert 0.0 <= res["brute_force"]["saddle_gap"] <= 1e-13 * 1.25**2  # R = 1.25
+
     @pytest.mark.parametrize("eta_c, agree", [(-0.5, True), (1.0, True), (2.0, False)])
     def test_oracle_judges_by_value(self, path, tmp_path, monkeypatch, eta_c, agree):
         # moving eta on the uncharged block keeps F = 1 while |eta_c| <= 1
@@ -785,21 +800,27 @@ class TestUnchargedBlock:
         assert code == (0 if agree else 1)
 
 
+UNSTABLE = {
+    "version": "1",
+    "omega": ["uu", "ud", "du", "dd"],
+    "generators": [
+        [0.5, 0.25, 0.125, 0.125],
+        [0.125, 0.125, 0.25, 0.5],
+    ],
+    "xi": [1.25, -1.6875, -1.3125, -1.0625],
+    "filtration": [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]],
+}
+
+
 class TestStabilityCommand:
-    def test_witness_instance(self, tmp_path):
-        doc = {
-            "version": "1",
-            "omega": ["uu", "ud", "du", "dd"],
-            "generators": [
-                [0.5, 0.25, 0.125, 0.125],
-                [0.125, 0.125, 0.25, 0.5],
-            ],
-            "xi": [1.25, -1.6875, -1.3125, -1.0625],
-            "filtration": [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]],
-        }
+    @pytest.fixture
+    def unstable_file(self, tmp_path):
         path = tmp_path / "witness.json"
-        path.write_text(json.dumps(doc))
-        code, out = run(["stability", str(path)], tmp_path)
+        path.write_text(json.dumps(UNSTABLE))
+        return str(path)
+
+    def test_witness_instance(self, unstable_file, tmp_path):
+        code, out = run(["stability", unstable_file], tmp_path)
         assert code == 0
         assert out["result"]["stable"] is False
         assert out["result"]["witness"]["hull_residual"] > 1e-3
@@ -807,6 +828,18 @@ class TestStabilityCommand:
         assert 1 <= out["result"]["hull_tests"] <= out["result"]["pastings_checked"]
         gaps = [row["max_abs_gap"] for row in out["result"]["recursivity"]]
         assert max(gaps) > 1e-3
+
+    def test_lp_pivot_limit_exit_code(self, unstable_file, tmp_path, monkeypatch, capsys):
+        # a simplex that stops at its pivot limit is nonconvergence, not invalid
+        # input; this set's failing pasting goes to the hull LP
+        lp = robustmse.simplexlp.solve_lp
+        monkeypatch.setattr(
+            robustmse.simplexlp, "solve_lp", lambda *a, **kw: lp(*a, **dict(kw, max_pivots=0))
+        )
+        code, out = run(["stability", unstable_file], tmp_path)
+        assert (code, out) == (3, None)
+        err = capsys.readouterr().err
+        assert err == "robustmse: nonconvergence: simplex pivot limit of 0 exceeded\n"
 
     def test_needs_filtration(self, example_file, tmp_path, capsys):
         code = main(["stability", example_file])
@@ -1152,22 +1185,6 @@ class TestOutputAndConditioning:
         timing = re.compile(r'"wall_time_s":[^,}]+')
         assert printed.count("\n") == 1 and printed.endswith("\n")
         assert timing.sub("T", printed) == timing.sub("T", written)
-
-    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
-    def test_mixture_recovery_breakdown_exit_code(self, example_file, tmp_path, monkeypatch,
-                                                  capsys, status):
-        # the recovery LP is feasible and bounded; should it end otherwise,
-        # the oracle stops with exit 3 instead of returning a vertex
-        lp = robustmse.simplexlp.solve_lp
-        monkeypatch.setattr(
-            robustmse.estimator, "solve_lp",
-            lambda *a, **kw: dataclasses.replace(lp(*a, **kw), status=status),
-        )
-        code, out = run(["oracle", example_file], tmp_path)
-        assert (code, out) == (3, None)
-        assert capsys.readouterr().err.startswith(
-            f"robustmse: nonconvergence: mixture recovery LP ended {status}, weight "
-        )
 
     def test_tcsearch_without_a_hit(self, tmp_path):
         # seed 8 hits nothing in its first 3 trials: a report, exit 0

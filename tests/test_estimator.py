@@ -231,7 +231,7 @@ class TestBruteForce:
 
     def test_certified_minimum(self):
         # alpha is certified within 1e-13 bound^2 of min F, so no point of
-        # the box may beat it by more; the recovered mixture closes the gap
+        # the box may beat it by more
         rng = rng_from_seed(40)
         for _ in range(10):
             ms, xi, c = random_instance(rng)
@@ -242,6 +242,16 @@ class TestBruteForce:
             dev = xi.values[None, :] - points[:, c.labels]
             F = np.max(dev**2 @ ms.weights_matrix.T, axis=1)
             assert np.min(F) >= res.alpha - 1e-13 * M * M
+
+    def test_saddle_gap_is_the_certified_bound_gap(self):
+        # the gap between alpha and the ellipsoid's lower bound; the oracle
+        # builds no mixture. Draw 290 is a proper set with K = 5, n = 5, B = 2
+        rng = rng_from_seed(5)
+        for i in range(300):
+            ms, xi, c = random_instance(rng, 6, 3, 5)
+            res = brute_force_mmse(ms, xi, c)
+            assert res.converged and res.p_hat is None, i
+            assert 0.0 <= res.saddle_gap <= 1e-13 * xi.unit**2, i
 
     def test_step_cap_reports_nonconvergence(self, two_point, monkeypatch):
         _, ms, xi, triv = two_point

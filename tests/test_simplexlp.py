@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from robustmse import estimator, simplexlp
+from robustmse import simplexlp
 from robustmse.errors import NonconvergenceError, RobustMseError
-from robustmse.randgen import random_instance, rng_from_seed
 from robustmse.simplexlp import PIVOT_EPS, LpResult, box_epigraph_min, hull_membership, solve_lp
 
 # Reference: the two-phase simplex written with one Python loop per phase and
@@ -293,19 +292,6 @@ class TestPivotSequence:
                 except NonconvergenceError:
                     outcome.append(None)
             assert outcome[0] == outcome[1]
-
-    def test_elastic_mixture_lp(self, monkeypatch):
-        calls = []
-
-        def checked(c, A, b, **kw):
-            calls.append(A.shape)
-            return same_as_reference(c, A, b, **kw)
-
-        monkeypatch.setattr(estimator, "solve_lp", checked)
-        rng = rng_from_seed(77)
-        for _ in range(10):
-            estimator.brute_force_mmse(*random_instance(rng, 6, 3, 5))
-        assert len(calls) == 10
 
     def test_ratio_ties_chain_in_row_order(self):
         # ratios 1 + 1.2e-11, 1 + 0.6e-11, 1: row 1 ties row 0 but has the

@@ -36,12 +36,13 @@ def test_every_lp_reaches_the_traced_solve_lp(tracing):
     simplexlp = importlib.import_module("robustmse.simplexlp")
     estimator = importlib.import_module("robustmse.estimator")
     randgen = importlib.import_module("robustmse.randgen")
-    instance = randgen.random_instance(randgen.rng_from_seed(77), 6, 3, 5)
+    ms, xi, c = randgen.random_instance(randgen.rng_from_seed(77), 6, 3, 5)
+    eta_hat = estimator.solve_mmse(ms, xi, c).eta_hat
     tracer = tracing.Tracer()
     tracer.install()
     try:
         simplexlp.hull_membership([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.25, 0.25])
-        estimator.brute_force_mmse(*instance)
+        estimator.kernel_member(ms, xi, c, eta_hat)  # no witness: the hull LP decides
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
