@@ -47,7 +47,7 @@ from .stability import (
     DEFAULT_TCSEARCH_TRIALS,
     is_stable,
     mmse_time_consistency_search,
-    recursivity_check,
+    recursivity_grid,
 )
 from .sublinear import conditional_envelopes, rho
 
@@ -151,18 +151,10 @@ def cmd_stability(inst: Instance, args) -> tuple[dict, int]:
         raise ValidationError("filtration", "stability command needs a filtration instance")
     ms, xi, f = inst.generators(), inst.xi, inst.filtration
     report = is_stable(ms, f)
-    grid = []
-    for sigma in range(len(f.levels)):
-        for tau in range(sigma, len(f.levels)):
-            rec = recursivity_check(ms, f, xi, sigma, tau)
-            grid.append(
-                {
-                    "sigma": sigma,
-                    "tau": tau,
-                    "equal": rec.equal,
-                    "max_abs_gap": rec.max_abs_gap,
-                }
-            )
+    grid = [
+        {"sigma": sigma, "tau": tau, "equal": rec.equal, "max_abs_gap": rec.max_abs_gap}
+        for (sigma, tau), rec in recursivity_grid(ms, f, xi).items()
+    ]
     payload = {
         "stable": report.stable,
         "scope": "generator-pasting",

@@ -1,20 +1,11 @@
-"""Dense two-phase simplex with Bland's rule, plus two wrappers: convex-hull
-membership, and a box-constrained epigraph minimization. The package uses
-the simplex only through hull_membership (the kernel and NS hull tests and
-the stability pastings); the tests use box_epigraph_min as the exact
-reference for the NS lower bound.
+"""Dense two-phase simplex with Bland's rule, for hull tests: hull_membership
+(kernel and NS tests), first_outside (stability pastings), and
+box_epigraph_min, the tests' exact reference for the NS lower bound.
 
-The problems here have few rows (one per block or sample point), though
-kernel membership on a depth-4 tree has 32,768 columns, so a dense tableau is
-the simplest thing that is bit-reproducible: Bland's anti-cycling pivot makes
-the pivot sequence, and therefore the result, deterministic. The tolerances
-(PIVOT_EPS, feas_tol) are absolute, so callers pass data scaled to order one.
-
-Both phases run one Bland loop: phase 1 on the phase-1 cost row over every
-column, phase 2 on the phase-2 cost row over the structural columns. Each
-pivot is one rank-1 update of the tableau; only the ratio test walks rows in
-Python, since its tie rule chains in row order.
-"""
+The problems have few rows (one per block or sample point), so a dense
+tableau is the simplest bit-reproducible choice: Bland's rule fixes the pivot
+sequence. Tolerances (PIVOT_EPS, feas_tol) are absolute: callers scale data to
+order one. One Bland loop pivots a stack of tableaux, each as its own LP."""
 
 from __future__ import annotations
 
@@ -26,9 +17,14 @@ from .errors import NonconvergenceError
 
 PIVOT_EPS = 1e-11
 # the phase-1 residual that counts as feasible: the default of solve_lp,
-# hull_membership and stability.is_stable, and the fixed tolerance of the
-# kernel and NS hull tests
+# hull_membership and is_stable, and the kernel and NS hull tests' tolerance
 HULL_TOL = 1e-9
+MAX_PIVOTS = 100_000
+# floats in one batch of stability pastings or of first_outside's tableaux, 512 KiB
+BATCH_CELLS = 1 << 16
+# at a minimum ratio up to this size, best +- PIVOT_EPS rounds by less than
+# PIVOT_EPS / 40, so a clear gap around the near-ties settles the tie chain
+_TIE_RATIO = 1024.0
 
 
 @dataclass(frozen=True)
@@ -40,41 +36,107 @@ class LpResult:
     pivots: int
 
 
+def _tableaux(A, b, c=None):
+    """Tableaux for A@x == b >= 0, x >= 0, one per row of b, artificials basic:
+    constraint rows, phase-1 costs (sums over C-ordered A), then c if given."""
+    A = np.ascontiguousarray(A)
+    (L, m), n = b.shape, A.shape[1]
+    T = np.zeros((L, m + 1 + (c is not None), n + m + 1))
+    T[:, :m, :n], T[:, :m, n : n + m] = A, np.eye(m)
+    T[:, :m, -1] = b
+    T[:, m, :n] = -A.sum(axis=0)
+    T[:, m, -1] = -b.sum(axis=1)
+    if c is not None:
+        T[:, m + 1, :n] = c
+    return T, np.tile(np.arange(n, n + m), (L, 1))
+
+
 def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    f = T[:, col].copy()
-    f[row] = 0.0
-    T -= np.outer(f, T[row])
-    basis[row] = col
+    """Pivot tableau i of the stack T on (row[i], col[i])."""
+    if len(T) == 1:  # plain indexing, the same floating-point operations
+        t, r, c = T[0], row[0], col[0]
+        t[r] /= t[r, c]
+        f = t[:, c].copy()
+        f[r] = 0.0
+        t -= f[:, None] * t[r]
+        basis[0, r] = c
+        return
+    at = np.arange(len(T))
+    pivot_row = T[at, row]
+    pivot_row /= pivot_row[at, col][:, None]
+    T[at, row] = pivot_row
+    f = T[at, :, col]
+    f[at, row] = 0.0
+    T -= np.einsum("lr,ln->lrn", f, pivot_row)  # twice as fast as broadcasting
+    basis[at, row] = col
 
 
-def _bland(T, basis, cost, ncols, pivots, max_pivots):
-    """Pivot on cost row T[cost] over columns 0..ncols-1 until no reduced cost
-    is below -PIVOT_EPS. Returns (pivots, bounded). Bland's rule: the first
-    improving column enters, and the ratio test breaks near-ties (within
-    PIVOT_EPS, chained in row order) toward the smallest basic index."""
-    m = len(basis)
-    while True:
-        entering = np.flatnonzero(T[cost, :ncols] < -PIVOT_EPS)
-        if entering.size == 0:
-            return pivots, True
-        col = entering[0]
-        row, best = -1, np.inf
-        for i in np.flatnonzero(T[:m, col] > PIVOT_EPS):
-            ratio = T[i, -1] / T[i, col]
-            if ratio < best - PIVOT_EPS or (
-                ratio < best + PIVOT_EPS and (row < 0 or basis[i] < basis[row])
-            ):
-                row, best = i, ratio
-        if row < 0:
-            return pivots, False
-        _pivot(T, basis, row, col)
+def _leaving_rows(T, basis, col):
+    """Bland's ratio test on column col[i] of tableau i (-1: no entry above
+    PIVOT_EPS). In row order, a ratio below the best by over PIVOT_EPS, or
+    within it with a smaller basic index, becomes the best. In a stack, where
+    |min| <= _TIE_RATIO and no ratio is PIVOT_EPS/2 to 2*PIVOT_EPS above it,
+    that chain ends at the smallest basic index within PIVOT_EPS/2."""
+    m = basis.shape[1]
+    row, rest = np.zeros(len(T), dtype=int), range(len(T))
+    if len(T) > 1:
+        a = T[np.arange(len(T)), :m, col]
+        ratio = T[:, :m, -1] / np.where(a > PIVOT_EPS, a, np.nan)  # nan: no entry
+        low = np.fmin.reduce(ratio, axis=1)  # nan if no row has one
+        gap = ratio - low[:, None]
+        row = np.where(gap <= PIVOT_EPS / 2, basis, T.shape[2]).argmin(axis=1)
+        unclear = np.logical_or.reduce((gap > PIVOT_EPS / 2) & (gap < 2 * PIVOT_EPS), axis=1)
+        rest = np.flatnonzero(unclear | ~(np.abs(low) <= _TIE_RATIO))
+    for i in rest:
+        a, rhs, ids = T[i, :m, col[i]].tolist(), T[i, :m, -1].tolist(), basis[i].tolist()
+        pick, best = -1, np.inf
+        for j in range(m):
+            if a[j] > PIVOT_EPS:  # before any pick, best is inf and a finite ratio is below it
+                r = rhs[j] / a[j]
+                if r < best - PIVOT_EPS or (r < best + PIVOT_EPS and ids[j] < ids[pick]):
+                    pick, best = j, r
+        row[i] = pick
+    return row
+
+
+def _bland(T, basis, cost, ncols, pivots, max_pivots, tol=None):
+    """Pivot each tableau of the stack T on its cost row T[:, cost] over
+    columns 0..ncols-1 until no reduced cost is below -PIVOT_EPS (the first
+    improving column enters). Returns whether each ends bounded and the
+    stack's pivots counted on from `pivots`; one past max_pivots raises. Given
+    tol (phase 1), a tableau ending above tol or unbounded drops later ones."""
+    bounded = np.ones(len(T), dtype=bool)
+    live, work, wbasis = np.arange(len(T)), T, basis
+    while live.size:
+        improving = work[:, cost, :ncols] < -PIVOT_EPS
+        col = improving.argmax(axis=1)
+        row = _leaving_rows(work, wbasis, col)
+        optimal = ~improving.any(axis=1)
+        done = optimal | (row < 0)
+        if np.count_nonzero(done):
+            ids = live[done]
+            bounded[ids] = optimal[done]
+            T[ids], basis[ids] = work[done], wbasis[done]
+            keep = ~done
+            if tol is not None and keep.any():
+                failed = ids[~optimal[done] | (np.maximum(0.0, -work[done, cost, -1]) > tol)]
+                keep &= live < (failed[0] if failed.size else len(T))
+            if not keep.any():
+                break
+            live, work, wbasis, col, row = (x[keep] for x in (live, work, wbasis, col, row))
+        _pivot(work, wbasis, row, col)
         pivots += 1
         if pivots > max_pivots:
             raise NonconvergenceError(f"simplex pivot limit of {max_pivots} exceeded")
+    return bounded, pivots
 
 
-def solve_lp(c, A, b, *, feas_tol=HULL_TOL, max_pivots=100_000) -> LpResult:
+def _check_phase1(bounded):
+    if not bounded:  # the phase-1 objective is bounded below by 0
+        raise NonconvergenceError("simplex phase-1 ratio test failed")
+
+
+def solve_lp(c, A, b, *, feas_tol=HULL_TOL, max_pivots=MAX_PIVOTS) -> LpResult:
     """min c@x subject to A@x == b, x >= 0.
 
     Two-phase dense simplex. Phase 1 minimizes total artificial mass; its
@@ -82,53 +144,40 @@ def solve_lp(c, A, b, *, feas_tol=HULL_TOL, max_pivots=100_000) -> LpResult:
     classify feasibility, so callers control the tolerance. More than
     max_pivots pivots raise NonconvergenceError.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
+    A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
     m, n = A.shape
-
-    A = A.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # tableau rows 0..m-1: constraints; row m: phase-2 costs; row m+1: phase-1 costs
-    T = np.zeros((m + 2, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = c
-    T[m + 1, :n] = -A.sum(axis=0)
-    T[m + 1, -1] = -b.sum()
-    basis = np.arange(n, n + m)
-
-    pivots, bounded = _bland(T, basis, m + 1, n + m, 0, max_pivots)
-    if not bounded:  # phase-1 objective is bounded below by 0; cannot happen
-        raise NonconvergenceError("simplex phase-1 ratio test failed")
-    residual = max(0.0, -T[m + 1, -1])
-
-    def extract():
-        x = np.zeros(n)
-        rows = np.flatnonzero(basis < n)
-        x[basis[rows]] = T[rows, -1]
-        return x
-
+    sign = np.where(b < 0, -1.0, 1.0)  # rows with b < 0 negated
+    stack, bases = _tableaux(A * sign[:, None], (b * sign)[None], c)
+    T, basis = stack[0], bases[0]
+    (bounded,), pivots = _bland(stack, bases, m, n + m, 0, max_pivots)
+    _check_phase1(bounded)
+    residual = max(0.0, -T[m, -1])
+    if residual <= feas_tol:
+        # zero the artificial mass phase 1 left (at most feas_tol), so driving
+        # leftover artificials out where a real pivot exists keeps x >= 0;
+        # rows that admit none are redundant and stay inert
+        leftover = np.flatnonzero(basis >= n)
+        T[leftover, -1] = 0.0
+        for i in leftover:
+            cols = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_EPS)
+            if cols.size:
+                _pivot(stack, bases, np.array([i]), cols[:1])
+                pivots += 1
+        (bounded,), pivots = _bland(stack, bases, m + 1, n, pivots, max_pivots)
+    x = np.zeros(n)
+    rows = np.flatnonzero(basis < n)
+    x[basis[rows]] = T[rows, -1]
     if residual > feas_tol:
-        return LpResult("infeasible", extract(), np.inf, residual, pivots)
-
-    # drive leftover artificials out of the basis where a real pivot exists;
-    # rows that admit none are redundant and stay inert
-    for i in np.flatnonzero(basis >= n):
-        cols = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_EPS)
-        if cols.size:
-            _pivot(T, basis, i, cols[0])
-            pivots += 1
-
-    pivots, bounded = _bland(T, basis, m, n, pivots, max_pivots)
-    x = extract()
+        return LpResult("infeasible", x, np.inf, residual, pivots)
     if not bounded:
         return LpResult("unbounded", x, -np.inf, residual, pivots)
     return LpResult("optimal", x, float(c @ x), residual, pivots)
+
+
+def _hull_system(points):
+    """A with A @ mu = [target; 1] for mu @ points = target, sum mu = 1."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.vstack([points.T, np.ones((1, len(points)))])
 
 
 def hull_membership(points, target, tol=HULL_TOL):
@@ -137,17 +186,39 @@ def hull_membership(points, target, tol=HULL_TOL):
     Decided by phase-1 feasibility of {mu >= 0, sum mu = 1, mu @ points = target};
     returns (member, mu, residual) with residual the leftover infeasibility.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    target = np.asarray(target, dtype=float)
-    k = points.shape[0]
-    A = np.vstack([points.T, np.ones((1, k))])
-    b = np.concatenate([target, [1.0]])
-    res = solve_lp(np.zeros(k), A, b, feas_tol=tol)
+    A = _hull_system(points)
+    b = np.concatenate([np.asarray(target, dtype=float), [1.0]])
+    res = solve_lp(np.zeros(A.shape[1]), A, b, feas_tol=tol)
     mu = res.x
     if res.status == "optimal":  # sum(mu) = 1 within feas_tol, so the sum is > 0
         mu = np.clip(mu, 0.0, None)
         mu = mu / mu.sum()
     return res.status == "optimal", mu, res.residual
+
+
+def first_outside(points, targets, tol):
+    """(index, residual) of the first nonnegative target outside the hull of
+    the rows of points, by hull_membership's verdict and residual bit for bit
+    (raising where it would before that), or None. Bitwise repeats share an
+    LP. The LPs run in order up to the first stack holding an outsider: the
+    first alone (on an unstable set, most often the outsider), then in
+    stacks of at most BATCH_CELLS cells."""
+    A = _hull_system(points)
+    targets = np.ascontiguousarray(targets, dtype=float)
+    rows = targets.view(np.dtype((np.void, targets.itemsize * targets.shape[1]))).ravel()
+    first = np.sort(np.unique(rows, return_index=True)[1])
+    b = np.hstack([targets[first], np.ones((len(first), 1))])
+    m, n = A.shape
+    starts = [0, *range(1, len(b), max(1, BATCH_CELLS // ((m + 1) * (n + m + 1))))]
+    for start, stop in zip(starts, starts[1:] + [len(b)]):
+        T, basis = _tableaux(A, b[start:stop])
+        bounded, _ = _bland(T, basis, m, n + m, 0, MAX_PIVOTS, tol)
+        residual = np.maximum(0.0, -T[:, m, -1])
+        stops = np.flatnonzero(~bounded | (residual > tol))
+        if stops.size:
+            _check_phase1(bounded[stops[0]])
+            return int(first[start + stops[0]]), float(residual[stops[0]])
+    return None
 
 
 def box_epigraph_min(a, B, box_radius):

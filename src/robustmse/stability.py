@@ -16,13 +16,8 @@ import numpy as np
 from .errors import ArgumentError, PastingDegeneracyError, PropernessError
 from .estimator import solve_mmse
 from .measures import Measure, MeasureSet
-from .randgen import (
-    random_measure_set,
-    random_two_level_filtration,
-    random_variable,
-    rng_from_seed,
-)
-from .simplexlp import HULL_TOL, hull_membership
+from .randgen import random_measure_set, random_two_level_filtration, random_variable, rng_from_seed
+from . import simplexlp
 from .spaces import (
     VALUE_TOL, Filtration, PartitionAlgebra, RandomVariable, SampleSpace, check_same_space
 )
@@ -74,68 +69,34 @@ class StabilityReport:
     witness: PastedMeasure | None
     witness_residual: float
     pastings_checked: int
-    hull_tests: int  # pastings sent to the hull LP; the rest were certified
+    hull_tests: int  # pastings the hull LP decided; the screen passed the rest
 
 
 def _mass_left(b, fit):
-    """Phase-1 mass that the hull LP for the target b = [p; 1] has left at the
-    largest multiple theta * fit that fits under b.
-
-    fit is A @ mu for the LP's matrix A (columns [g_k; 1]) and some mu >= 0,
-    so theta * mu is feasible for phase 1, whose objective there,
-    sum(b - theta * fit), bounds the phase-1 optimum from above: when it is
-    at most tol, the LP would answer "member". A NaN (fit == 0) certifies
-    nothing. The last axis runs over the rows of A; the rest broadcast."""
+    """Phase-1 mass the hull LP for b = [p; 1] leaves at the largest theta with
+    theta * fit <= b, fit a column [g_k; 1]: an upper bound on its phase-1
+    optimum, so at most tol means "member". A NaN (fit == 0) certifies
+    nothing. The last axis runs over the LP's rows; the rest broadcast."""
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = (b / fit).min(axis=-1)
         return b.sum(axis=-1) - theta * fit.sum(axis=-1)
 
 
-BATCH_CELLS = 1 << 16  # floats in one batch of pastings or of face fits, 512 KiB
-
-
-def _on_faces(b, cols, pinv, tol):
-    """Which targets b (m, n + 1) = [p; 1] some face certifies.
-
-    A face is a set S of generators: cols[f] (w, n + 1) holds its columns
-    [g_k; 1] as rows, zero-padded to w, and pinv (n + 1, F * w) the
-    transposed pseudo-inverses, face after face. Each face's point is its
-    least-squares weights clipped at 0, fitted as `_mass_left` fits it. The
-    targets go in batches of at most BATCH_CELLS floats of fits."""
-    faces, width, n_rows = cols.shape
-    step = max(1, BATCH_CELLS // (faces * n_rows))
-    out = np.zeros(len(b), dtype=bool)
-    for start in range(0, len(b), step):
-        rows = b[start : start + step]
-        mu = np.maximum(rows @ pinv, 0.0).reshape(len(rows), faces, width)
-        fits = np.matmul(mu.transpose(1, 0, 2), cols)
-        out[start : start + step] = np.any(_mass_left(rows, fits) <= tol, axis=0)
-    return out
-
-
-def is_stable(ms: MeasureSet, f: Filtration, tol: float = HULL_TOL) -> StabilityReport:
+def is_stable(ms: MeasureSet, f: Filtration, tol: float = simplexlp.HULL_TOL) -> StabilityReport:
     """Paste every ordered generator pair at every level and test hull membership.
 
     This is necessary for stability, not sufficient: a pasting on a single
     block of a level (one generator's tail inside it, another's law outside)
     can leave the hull while every whole-level pasting stays inside.
 
-    The pastings of a batch of base generators (each with every tail, at
-    every level) are formed as one array by the splice `paste` uses. A
-    pasting p is a member, without an LP, when a face of the hull certifies
-    it (`_mass_left` at most tol). The faces tried are, first, the single
-    generators next to p along a fixed direction (two candidates from a
-    sort), then the support of every hull LP that has answered "member" so
-    far in this call. The pastings still pending go to `hull_membership`, in
-    (base index, tail index, level) order, and hull_tests counts them; after
-    each LP the face it found is tried on the rest of the base's pending
-    pastings. A certificate only ever stands in for an LP that would have
-    answered "member", so verdict, witness and pastings_checked are those of
-    one LP per pasting. The witness, when present, is the first failing
-    pasting in that order, built by `paste`, together with how far outside
-    the hull the feasibility LP left it, and pastings_checked counts the
-    pastings up to it.
-    """
+    The pastings of as many bases as fit in simplexlp.BATCH_CELLS floats, each
+    with every tail at every level, are formed as one array by `paste`'s
+    splice. A pasting whose `_mass_left` at one of the two generators next to
+    it along a fixed direction is at most tol is a member without an LP. The
+    rest go, in (base, tail, level) order, to `first_outside`; hull_tests
+    counts those it decides, up to and including the witness. So verdict,
+    witness (built by `paste`), residual and pastings_checked are those of
+    one `hull_membership` per pasting."""
     check_same_space(ms, f.levels[0])
     if np.any(ms.weights_matrix <= 0.0):
         raise PropernessError("stability check requires strictly positive generators")
@@ -152,63 +113,30 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = HULL_TOL) -> Stability
     direction = 1.0 / np.sqrt(np.arange(2.0, points.shape[1] + 2.0))
     keys = points @ direction
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    # faces learned from the LPs, padded to the largest possible support,
-    # len(ext[0]), since the simplex returns a basic solution
-    width = ext.shape[1]
-    face_cols = np.zeros((0, width, width))
-    face_pinv = np.zeros((width, 0))
     hull_tests = 0
-    step = max(1, BATCH_CELLS // (k * n_levels * width))
+    step = max(1, simplexlp.BATCH_CELLS // (k * n_levels * ext.shape[1]))
     for first in range(0, k, step):
-        bases = np.arange(first, min(first + step, k))
         # each base of the batch pasted with every generator as its tail
-        pasted = _splice(masses[bases, None], masses[None], points[None, :, None])
+        pasted = _splice(masses[first : first + step, None], masses[None], points[None, :, None])
         b = np.concatenate([pasted, np.ones(pasted.shape[:-1] + (1,))], axis=-1)
-        right = np.searchsorted(sorted_keys, pasted @ direction)
-        # the two generators next to a pasting in the sort are faces of one
-        # generator, whose least-squares point is the generator itself
+        right = np.searchsorted(keys[order], pasted @ direction)
         near = order[[np.maximum(right - 1, 0), np.minimum(right, k - 1)]]
-        screened = np.any(_mass_left(b, ext[near]) <= tol, axis=0)
-        for a, base_screened, base_b in zip(bases.tolist(), screened, b):
-            pending = np.argwhere(~base_screened)
-            targets = base_b[pending[:, 0], pending[:, 1]]
-            if len(face_cols):
-                keep = ~_on_faces(targets, face_cols, face_pinv, tol)
-                pending, targets = pending[keep], targets[keep]
-            certified = np.zeros(len(pending), dtype=bool)
-            for j, (t, level) in enumerate(pending.tolist()):
-                if certified[j]:
-                    continue
-                hull_tests += 1
-                member, mu, residual = hull_membership(points, targets[j, :-1], tol)
-                if not member:
-                    gens = ms.generators
-                    return StabilityReport(
-                        stable=False,
-                        witness=paste(gens[a], gens[t], f, level),
-                        witness_residual=residual,
-                        pastings_checked=(a * (k - 1) + t - (t > a)) * n_levels + level + 1,
-                        hull_tests=hull_tests,
-                    )
-                face = ext[mu > 0.0]  # its rows are independent: mu is a basic solution
-                try:  # the face's pseudo-inverse, transposed, from its normal equations
-                    weights = np.linalg.solve(face @ face.T, face)
-                except np.linalg.LinAlgError:  # singular in floating point: no face
-                    continue
-                cols = np.zeros((1, width, width))
-                cols[0, : len(face)] = face
-                pinv = np.zeros((width, width))
-                pinv[:, : len(face)] = weights.T
-                face_cols = np.concatenate([face_cols, cols])
-                face_pinv = np.hstack([face_pinv, pinv])
-                certified[j + 1 :] |= _on_faces(targets[j + 1 :], cols, pinv, tol)
+        pending = np.argwhere(~np.any(_mass_left(b, ext[near]) <= tol, axis=0))
+        outside = simplexlp.first_outside(points, pasted[tuple(pending.T)], tol)
+        if outside is None:
+            hull_tests += len(pending)
+            continue
+        j, residual = outside
+        a, t, level = (pending[j] + [first, 0, 0]).tolist()
+        gens = ms.generators
+        return StabilityReport(
+            stable=False, witness=paste(gens[a], gens[t], f, level), witness_residual=residual,
+            pastings_checked=(a * (k - 1) + t - (t > a)) * n_levels + level + 1,
+            hull_tests=hull_tests + j + 1,
+        )
     return StabilityReport(
-        stable=True,
-        witness=None,
-        witness_residual=0.0,
-        pastings_checked=k * (k - 1) * n_levels,
-        hull_tests=hull_tests,
+        stable=True, witness=None, witness_residual=0.0,
+        pastings_checked=k * (k - 1) * n_levels, hull_tests=hull_tests,
     )
 
 
@@ -251,11 +179,7 @@ class RecursivityReport:
 
 
 def recursivity_check(
-    ms: MeasureSet,
-    f: Filtration,
-    xi: RandomVariable,
-    sigma_level: int,
-    tau_level: int,
+    ms: MeasureSet, f: Filtration, xi: RandomVariable, sigma_level: int, tau_level: int,
     tol: float = VALUE_TOL,
 ) -> RecursivityReport:
     """Compare the one-shot upper envelope at sigma with the two-stage one
@@ -266,9 +190,22 @@ def recursivity_check(
         raise ArgumentError(
             f"need 0 <= sigma <= tau < {len(f.levels)}, got ({sigma_level}, {tau_level})"
         )
-    lhs = ess_sup_conditional(ms, xi, f.levels[sigma_level])
-    inner = ess_sup_conditional(ms, xi, f.levels[tau_level])
-    rhs = ess_sup_conditional(ms, inner, f.levels[sigma_level])
+    lhs, inner = (ess_sup_conditional(ms, xi, f.levels[t]) for t in (sigma_level, tau_level))
+    return _recursivity(ms, xi, lhs, inner, f.levels[sigma_level], tol)
+
+
+def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
+    """`recursivity_check` for every 0 <= sigma <= tau, keyed (sigma, tau) in
+    that order, with each level's upper envelope computed once."""
+    upper, n = [ess_sup_conditional(ms, xi, level) for level in f.levels], len(f.levels)
+    return {(s, t): _recursivity(ms, xi, upper[s], upper[t], f.levels[s], VALUE_TOL)
+            for s in range(n) for t in range(s, n)}
+
+
+def _recursivity(ms, xi, lhs, inner, algebra, tol):
+    """The pair verdict: lhs, the upper envelope at sigma (algebra), against
+    the upper envelope there of inner, the one at tau."""
+    rhs = ess_sup_conditional(ms, inner, algebra)
     gap = float(np.max(np.abs(lhs.values - rhs.values)))
     return RecursivityReport(lhs=lhs, rhs=rhs, equal=gap <= tol * xi.unit, max_abs_gap=gap)
 

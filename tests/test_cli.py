@@ -831,11 +831,8 @@ class TestStabilityCommand:
 
     def test_lp_pivot_limit_exit_code(self, unstable_file, tmp_path, monkeypatch, capsys):
         # a simplex that stops at its pivot limit is nonconvergence, not invalid
-        # input; this set's failing pasting goes to the hull LP
-        lp = robustmse.simplexlp.solve_lp
-        monkeypatch.setattr(
-            robustmse.simplexlp, "solve_lp", lambda *a, **kw: lp(*a, **dict(kw, max_pivots=0))
-        )
+        # input; this set's failing pasting goes to the batched hull LP
+        monkeypatch.setattr(robustmse.simplexlp, "MAX_PIVOTS", 0)
         code, out = run(["stability", unstable_file], tmp_path)
         assert (code, out) == (3, None)
         err = capsys.readouterr().err

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustmse import simplexlp
 from robustmse.errors import NonconvergenceError, RobustMseError
-from robustmse.simplexlp import PIVOT_EPS, LpResult, box_epigraph_min, hull_membership, solve_lp
+from robustmse.simplexlp import (
+    HULL_TOL,
+    PIVOT_EPS,
+    LpResult,
+    box_epigraph_min,
+    first_outside,
+    hull_membership,
+    solve_lp,
+)
 
 # Reference: the two-phase simplex written with one Python loop per phase and
 # per tableau row. solve_lp must take exactly its pivot sequence.
@@ -310,3 +319,93 @@ class TestPivotSequence:
         A = np.array([[0.0, 0.0, 1.0, 0.0], [2.0, 1.0, 2.0, 0.0], [2.0, 1.0, 3.0, 0.0]])
         res = same_as_reference(np.array([-1.0, 3.0, -1.0, 0.0]), A, np.array([1.0, 2.0, 3.0]))
         assert (res.status, res.pivots, res.value) == ("optimal", 3, -1.0)
+
+
+# ratios a tie apart: exact, within PIVOT_EPS/2, between PIVOT_EPS/2 and
+# 2*PIVOT_EPS, and clear of it, on either side
+TIE_OFFSETS = st.one_of(
+    st.just(0.0),
+    st.floats(-PIVOT_EPS / 2, PIVOT_EPS / 2),
+    st.floats(PIVOT_EPS / 2, 2 * PIVOT_EPS),
+    st.floats(-2 * PIVOT_EPS, -PIVOT_EPS / 2),
+    st.floats(2 * PIVOT_EPS, 1.0),
+    st.floats(-1.0, -2 * PIVOT_EPS),
+)
+
+
+@st.composite
+def ratio_stacks(draw):
+    """A stack of tableaux whose entering column holds near-tied ratios
+    around a common size, with distinct basic indices per tableau."""
+    m, width, L = draw(st.integers(1, 7)), 12, draw(st.integers(1, 6))
+    T = np.zeros((L, m + 1, width))
+    basis = np.zeros((L, m), dtype=int)
+    col = np.zeros(L, dtype=int)
+    for i in range(L):
+        size = draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0, 1023.0, 1025.0, 1e6, 1e9]))
+        entries = st.sampled_from([-1.0, 0.0, PIVOT_EPS, 1e-3, 0.5, 1.0, 3.0])
+        pivots = draw(st.lists(entries, min_size=m, max_size=m))
+        offsets = draw(st.lists(TIE_OFFSETS, min_size=m, max_size=m))
+        col[i] = draw(st.integers(0, 3))
+        T[i, :m, col[i]] = pivots
+        T[i, :m, -1] = (size + np.array(offsets)) * np.array(pivots)
+        basis[i] = draw(st.permutations(range(4, width - 1)))[:m]
+    return T, basis, col
+
+
+class TestBatchedBland:
+    @settings(max_examples=400, deadline=None)
+    @given(ratio_stacks())
+    def test_leaving_rows_match_the_chained_rule(self, stack):
+        T, basis, col = stack
+        m = basis.shape[1]
+        want = [_ref_leave(T[i], basis[i], col[i], m, PIVOT_EPS) for i in range(len(T))]
+        assert simplexlp._leaving_rows(T, basis, col).tolist() == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_phase_one_matches_one_lp_each(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.integers(1, 9, size=(int(rng.integers(3, 12)), 5)) / 8
+        mix = rng.dirichlet(np.ones(len(points)) / 2, size=40)
+        targets = np.vstack([mix @ points, 1.2 * points[:3] - 0.2 * points.mean(axis=0)])
+        A = simplexlp._hull_system(points)
+        T, basis = simplexlp._tableaux(A, np.hstack([targets, np.ones((len(targets), 1))]))
+        m, n = A.shape
+        bounded, _ = simplexlp._bland(T, basis, m, n + m, 0, simplexlp.MAX_PIVOTS)
+        assert bounded.all()
+        for i, target in enumerate(targets):
+            member, _, residual = hull_membership(points, target)
+            assert max(0.0, -T[i, m, -1]) == residual  # bit for bit
+            assert member == (i < 40)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cells", [1, 300, 3000, 1 << 20])
+    def test_first_outside_matches_hull_membership(self, monkeypatch, seed, cells):
+        rng = np.random.default_rng(100 + seed)
+        points = rng.integers(1, 9, size=(8, 4)) / 8
+        targets = rng.dirichlet(np.ones(8), size=30) @ points
+        # from a random index on, every other target leaves the hull by 1/8
+        outside = int(rng.integers(0, 30))
+        targets[outside::2, 0] = points[:, 0].max() + 0.125
+        want = next(
+            (i, r) for i, (member, _, r) in enumerate(hull_membership(points, t) for t in targets)
+            if not member
+        )
+        assert want[0] == outside
+        monkeypatch.setattr(simplexlp, "BATCH_CELLS", cells)
+        assert first_outside(points, targets, HULL_TOL) == want
+        assert first_outside(points, targets[:outside], HULL_TOL) is None
+        # each target twice: the repeat shares the LP, and the index is the first's
+        twice = np.repeat(targets, 2, axis=0)
+        assert first_outside(points, twice, HULL_TOL) == (2 * want[0], want[1])
+
+    def test_pivot_limit_raises_only_before_the_first_outsider(self, monkeypatch):
+        points = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0.5, 0.5, 0], [0.25, 0.25, 0.5]])
+        outside, inside = np.array([[0.625, 0.625, 0.0]]), np.array([[0.25, 0.25, 0.5]])
+        # phase 1 ends after 2 pivots outside, and needs more inside
+        monkeypatch.setattr(simplexlp, "MAX_PIVOTS", 2)
+        with pytest.raises(NonconvergenceError, match="pivot limit of 2"):
+            first_outside(points, inside, HULL_TOL)
+        assert first_outside(points, np.vstack([outside, inside]), HULL_TOL) == (0, 0.25)
+        with pytest.raises(NonconvergenceError, match="pivot limit of 2"):
+            first_outside(points, np.vstack([inside, outside]), HULL_TOL)
