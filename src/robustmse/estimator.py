@@ -49,7 +49,7 @@ from .measures import (
 )
 from .simplexlp import HULL_TOL, hull_membership
 from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space, is_measurable
-from .sublinear import ess_sup_conditional, rho
+from .sublinear import conditional_envelopes, ess_sup_conditional, rho
 
 if TYPE_CHECKING:
     from .gexp import TreeModel
@@ -405,7 +405,7 @@ def solve_mmse(
     )
 
 
-MAX_BRUTE_BLOCKS = 16  # steps grow as B^2: 16 blocks take 7,000-8,500 (0.3 s at K = 300)
+MAX_BRUTE_BLOCKS = 16  # steps grow as B^2: 16 blocks take 3,000-5,500 (0.1 s at K = 300)
 MAX_ELLIPSOID_STEPS = 50_000
 _ELLIPSOID_TOL = 1e-13  # certified suboptimality, relative to R^2 (half the range of xi)
 
@@ -418,17 +418,24 @@ def brute_force_mmse(
     """Independent oracle for solve_mmse: a dual-free primal minimization.
 
     Minimizes F(eta) = max_k E_{g_k}[(xi - eta)^2] over the B block values of
-    eta by the central-cut ellipsoid method (Yudin & Nemirovski 1976; Shor
-    1977) on xi - m, m the midpoint and R = xi.unit the half-width of the
-    range of xi (exact for a large offset, by Sterbenz), from the ball of radius
-    sqrt(B) * R around 0; the ball holds a minimizer, as clipping eta into the
-    range of xi raises no r_k. Each step cuts through the centre c with the
-    gradient g of the largest r_k; F* >= F(c) - sqrt(g' P g), so the run stops
-    once the best centre is certified within 1e-13 * R^2 of F*, and no shift
-    of xi moves it. saddle_gap is that certified gap, so the run has
-    converged exactly when saddle_gap <= 1e-13 * R^2; one that reaches
-    MAX_ELLIPSOID_STEPS has not. iterations counts the cuts. The method
-    builds no mixture, so p_hat is None.
+    eta by the ellipsoid method (Yudin & Nemirovski 1976; Shor 1977) on
+    xi - m, m the midpoint and R = xi.unit the half-width of the range of xi
+    (exact for a large offset, by Sterbenz). It builds no mixture (p_hat is
+    None) and starts from the ellipsoid P = B diag((hi - lo)^2 / 4) around
+    the box [lo, hi] between the conditional envelopes of xi - m, widened by
+    4 eps R per sample point, above the rounding of their quotients. The box
+    holds a minimizer: r_k depends on eta_B only if g_k charges block B,
+    through g_k(B) (eta_B - mu_kB)^2 with mu_kB in [lo_B, hi_B], so clipping
+    eta into the box raises no r_k. Each step cuts with the gradient g of the
+    largest r_k at the centre c, and F* >= F(c) - sqrt(g' P g): the run stops
+    once the best centre, of value best, is certified within 1e-13 * R^2 of
+    F*, and no shift of xi moves it. As r_k(c) + g'(y - c) <= best at a
+    minimizer y, the cut is deep (Bland, Goldfarb & Todd 1981), of depth
+    a = (r_k(c) - best) / sqrt(g' P g) < 1 while the gap is open. Near a = 1
+    the update nears a singular P, which rounding can make indefinite, so a
+    is capped at 1/2: a shallower cut still keeps the minimizer. The run has
+    converged exactly when saddle_gap, that certified gap, is at most
+    1e-13 * R^2; iterations counts the cuts, at most MAX_ELLIPSOID_STEPS.
     """
     if c.num_blocks > MAX_BRUTE_BLOCKS:
         raise GuardRefusalError(
@@ -440,33 +447,40 @@ def brute_force_mmse(
     mass = c.block_sums(W).sum(axis=0)
     if np.any(mass <= 0.0):
         raise ZeroMassBlockError(c.blocks[int(np.argmax(mass <= 0.0))])
+    inf, sup = conditional_envelopes(ms, RandomVariable(xi.space, x), c)
+    widen = 4.0 * len(x) * _EPS * R
+    lo, hi = inf.values[c.first] - widen, sup.values[c.first] + widen
     tol = _ELLIPSOID_TOL * R**2
-    centre = np.zeros(n)
-    P = n * R**2 * np.eye(n)
+    centre = (lo + hi) / 2.0
+    P = np.diag(n * ((hi - lo) / 2.0) ** 2)
     best, best_val, lower = centre, math.inf, -math.inf
     steps = 0
     while True:
         dev = x - centre[labels]
-        r = W @ dev**2
-        k = int(np.argmax(r))
-        if r[k] < best_val:
-            best, best_val = centre, float(r[k])
-        g = -2.0 * c.block_sums(W[k] * dev)
+        r = W @ (dev * dev)
+        k = r.argmax()
+        rk = float(r[k])
+        if rk < best_val:
+            best, best_val = centre, rk
+        g = -2.0 * ((W[k] * dev) @ c._incidence)
         Pg = P @ g
         gPg = float(g @ Pg)
         # a rounding-indefinite P gives no bound; g = 0 certifies the centre
         if gPg >= 0.0:
-            lower = max(lower, float(r[k]) - math.sqrt(gPg))
+            lower = max(lower, rk - math.sqrt(gPg))
         gap = best_val - lower
         if gap <= tol or gPg <= 0.0 or steps == MAX_ELLIPSOID_STEPS:
             break
         steps += 1
-        b = Pg / math.sqrt(gPg)
-        centre = centre - b / (n + 1)
-        if n == 1:  # the general update divides by n^2 - 1; bisect instead
-            P = P / 4.0
+        root = math.sqrt(gPg)
+        b = Pg / root
+        a = min((rk - best_val) / root, 0.5)
+        centre = centre - (1.0 + n * a) / (n + 1) * b
+        if n == 1:  # the general update divides by n^2 - 1; cut the interval
+            P = P * ((1.0 - a) / 2.0) ** 2
         else:
-            P = n * n / (n * n - 1.0) * (P - 2.0 / (n + 1) * np.outer(b, b))
+            shrink = 2.0 * (1.0 + n * a) / ((n + 1) * (1.0 + a))
+            P = n * n * (1.0 - a * a) / (n * n - 1.0) * (P - shrink * (b[:, None] * b))
 
     converged = gap <= tol
     warn = [] if converged else [

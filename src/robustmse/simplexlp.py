@@ -202,7 +202,9 @@ def first_outside(points, targets, tol):
     (raising where it would before that), or None. Bitwise repeats share an
     LP. The LPs run in order up to the first stack holding an outsider: the
     first alone (on an unstable set, most often the outsider), then in
-    stacks of at most BATCH_CELLS cells."""
+    stacks of at most BATCH_CELLS cells. With no targets it builds nothing."""
+    if len(targets) == 0:
+        return None
     A = _hull_system(points)
     targets = np.ascontiguousarray(targets, dtype=float)
     rows = targets.view(np.dtype((np.void, targets.itemsize * targets.shape[1]))).ravel()

@@ -61,11 +61,12 @@ class RandomVariable:
             raise StructuralError(
                 f"expected {space.n} values, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        bound = float(np.abs(values).max())
+        if not bound < np.inf:  # a NaN or infinite value
             raise ArgumentError("random variable values must be finite")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "bound", float(np.max(np.abs(values))))
+        object.__setattr__(self, "bound", bound)
 
     @property
     def unit(self) -> float:

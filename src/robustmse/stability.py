@@ -21,7 +21,7 @@ from . import simplexlp
 from .spaces import (
     VALUE_TOL, Filtration, PartitionAlgebra, RandomVariable, SampleSpace, check_same_space
 )
-from .sublinear import conditional_envelopes, ess_sup_conditional
+from .sublinear import _block_masses, _means, conditional_envelopes, ess_sup_conditional
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,10 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = simplexlp.HULL_TOL) ->
     k, n_levels = len(points), len(f.levels)
     # masses[b, l, i]: generator b's mass of the level-l block containing
     # point i, summed one row at a time as paste sums it (a batched
-    # block_sums rounds differently in the last bits)
-    masses = np.array([[lev.block_sums(row)[lev.labels] for lev in f.levels] for row in points])
+    # block_sums rounds differently in the last bits): a stack of 1 x n rows,
+    # spread by take, which keeps the stack C-contiguous
+    masses = np.stack([(points[:, None, :] @ lev._incidence)[:, 0].take(lev.labels, axis=1)
+                       for lev in f.levels], axis=1)
     # the hull LP's columns [g_k; 1], one row each
     ext = np.hstack([points, np.ones((k, 1))])
     # a pasting equal to a generator has its key along a fixed generic
@@ -191,23 +193,31 @@ def recursivity_check(
             f"need 0 <= sigma <= tau < {len(f.levels)}, got ({sigma_level}, {tau_level})"
         )
     lhs, inner = (ess_sup_conditional(ms, xi, f.levels[t]) for t in (sigma_level, tau_level))
-    return _recursivity(ms, xi, lhs, inner, f.levels[sigma_level], tol)
+    rhs = ess_sup_conditional(ms, inner, f.levels[sigma_level])
+    return _recursivity(lhs, rhs, tol * xi.unit)
 
 
 def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
     """`recursivity_check` for every 0 <= sigma <= tau, keyed (sigma, tau) in
-    that order, with each level's upper envelope computed once."""
-    upper, n = [ess_sup_conditional(ms, xi, level) for level in f.levels], len(f.levels)
-    return {(s, t): _recursivity(ms, xi, upper[s], upper[t], f.levels[s], VALUE_TOL)
-            for s in range(n) for t in range(s, n)}
+    that order, bit for bit. Envelopes are arrays built from one mass table
+    per level: each level's upper envelope of xi once, then each pair's rhs."""
+    check_same_space(ms, xi, f.levels[0])
+    levels, tables = f.levels, [_block_masses(ms, level) for level in f.levels]
+
+    def upper(values, s):
+        means = _means(ms.weights_matrix, values, levels[s], *tables[s])
+        return np.fmax.reduce(means, axis=0)[levels[s].labels]
+
+    ups = [upper(xi.values, s) for s in range(len(levels))]
+    lhs, bound = [RandomVariable(xi.space, u) for u in ups], VALUE_TOL * xi.unit
+    return {(s, t): _recursivity(lhs[s], RandomVariable(xi.space, upper(ups[t], s)), bound)
+            for s in range(len(levels)) for t in range(s, len(levels))}
 
 
-def _recursivity(ms, xi, lhs, inner, algebra, tol):
-    """The pair verdict: lhs, the upper envelope at sigma (algebra), against
-    the upper envelope there of inner, the one at tau."""
-    rhs = ess_sup_conditional(ms, inner, algebra)
-    gap = float(np.max(np.abs(lhs.values - rhs.values)))
-    return RecursivityReport(lhs=lhs, rhs=rhs, equal=gap <= tol * xi.unit, max_abs_gap=gap)
+def _recursivity(lhs, rhs, bound):
+    """The pair verdict: lhs against rhs, equal within bound."""
+    gap = float(np.abs(lhs.values - rhs.values).max())
+    return RecursivityReport(lhs=lhs, rhs=rhs, equal=gap <= bound, max_abs_gap=gap)
 
 
 @dataclass(frozen=True)

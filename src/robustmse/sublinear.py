@@ -41,18 +41,27 @@ def rho(ms: MeasureSet | TreeModel, x: RandomVariable, tie_tol: float = VALUE_TO
     return RhoValue(value, best, ms.near_ties(x.values, tie_tol * x.unit))
 
 
-def _conditional_means(ms, x, c) -> np.ndarray:
-    """The (K, B) table of generator conditional means; a generator that
-    gives a block zero mass is NaN there, so the reductions skip it."""
-    check_same_space(ms, x, c)
+def _block_masses(ms, c) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, B) generator block masses and where they are positive."""
     mass = c.block_sums(ms.weights_matrix)
     live = mass > 0.0
     dead = ~live.any(axis=0)
     if np.any(dead):
         b = c.blocks[int(np.argmax(dead))]
         raise ZeroMassBlockError(b, f"no generator charges block {b}")
-    weighted = c.block_sums(ms.weights_matrix * x.values)
-    return np.divide(weighted, mass, out=np.full_like(mass, np.nan), where=live)
+    return mass, live
+
+
+def _means(weights, values, c, mass, live) -> np.ndarray:
+    """The (K, B) generator conditional means of values; a generator that
+    gives a block zero mass is NaN there, which np.fmax and np.fmin skip."""
+    weighted = c.block_sums(weights * values)
+    return np.divide(weighted, mass, out=np.full(mass.shape, np.nan), where=live)
+
+
+def _conditional_means(ms, x, c) -> np.ndarray:
+    check_same_space(ms, x, c)
+    return _means(ms.weights_matrix, x.values, c, *_block_masses(ms, c))
 
 
 def ess_sup_conditional(
@@ -65,14 +74,14 @@ def ess_sup_conditional(
     the extremes are attained at generators (zero-mass generators contribute
     no conditional value there and are excluded exactly, not approximately).
     """
-    return c.broadcast(np.nanmax(_conditional_means(ms, x, c), axis=0))
+    return c.broadcast(np.fmax.reduce(_conditional_means(ms, x, c), axis=0))
 
 
 def ess_inf_conditional(
     ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra
 ) -> RandomVariable:
     """Mirror of ess_sup_conditional with min."""
-    return c.broadcast(np.nanmin(_conditional_means(ms, x, c), axis=0))
+    return c.broadcast(np.fmin.reduce(_conditional_means(ms, x, c), axis=0))
 
 
 def conditional_envelopes(
@@ -80,7 +89,7 @@ def conditional_envelopes(
 ) -> tuple[RandomVariable, RandomVariable]:
     """(ess_inf_conditional, ess_sup_conditional) from one table of means."""
     means = _conditional_means(ms, x, c)
-    return c.broadcast(np.nanmin(means, axis=0)), c.broadcast(np.nanmax(means, axis=0))
+    return c.broadcast(np.fmin.reduce(means, axis=0)), c.broadcast(np.fmax.reduce(means, axis=0))
 
 
 def holder_bound(

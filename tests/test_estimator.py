@@ -21,6 +21,7 @@ from robustmse import (
     TreeModel,
     ZeroMassBlockError,
     brute_force_mmse,
+    conditional_envelopes,
     conditional_expectation,
     ess_sup_conditional,
     expectation,
@@ -184,7 +185,8 @@ class TestBruteForce:
         assert res.alpha == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_variable(self):
-        # bound(xi) = 0: the start ball is a point, and F there is exactly 0
+        # xi = 0: the start box is {0} widened by its rounding bound, and F at
+        # its centre 0 is exactly 0
         rng = rng_from_seed(37)
         ms, xi, c = random_instance(rng)
         res = brute_force_mmse(ms, xi * 0.0, c)
@@ -260,6 +262,47 @@ class TestBruteForce:
         assert not res.converged
         assert res.iterations == 1
         assert any("ellipsoid" in w for w in res.warnings)
+
+    def test_clipping_into_the_envelope_box_raises_no_r_k(self):
+        # the ellipsoid starts around the box between the conditional
+        # envelopes: clipping eta into it on a block moves eta toward the
+        # conditional mean of every generator that charges the block. Sets
+        # with zero weights are mostly not proper; xi constant on a block, or
+        # a single generator, gives a box of zero width there, which the
+        # oracle widens
+        rng = rng_from_seed(2701)
+        for i in range(300):
+            n = int(rng.integers(2, 9))
+            space = SampleSpace.of_size(n)
+            c = random_partition(rng, space, int(rng.integers(1, n + 1)))
+            k = 1 if i % 10 == 0 else int(rng.integers(2, 7))
+            W = rng.integers(1, 9, size=(k, n)) * (rng.random((k, n)) < 0.6)
+            W[np.arange(k), rng.integers(n, size=k)] += 1  # every generator charges a point
+            for b in c.blocks:  # and some generator every block
+                W[rng.integers(k), b[0]] += 1
+            x = rng.integers(-16, 17, size=n) / 8.0
+            if i % 3 == 0:
+                x[list(c.blocks[0])] = x[c.blocks[0][0]]
+            ms = MeasureSet.from_matrix(space, W / W.sum(axis=1, keepdims=True))
+            xi = RandomVariable(space, x)
+            lo, hi = (e.values[c.first] for e in conditional_envelopes(ms, xi, c))
+            R = xi.unit
+            for eta in rng.uniform(-3.0 * R, 3.0 * R, size=(20, c.num_blocks)):
+                r = ms.weights_matrix @ (x - eta[c.labels]) ** 2
+                clipped = np.clip(eta, lo, hi)
+                r_clipped = ms.weights_matrix @ (x - clipped[c.labels]) ** 2
+                assert np.all(r_clipped <= r + 1e-13 * R * R), i
+            res = brute_force_mmse(ms, xi, c)
+            assert res.converged and 0.0 <= res.saddle_gap <= 1e-13 * R * R, i
+
+    def test_steps_on_a_fixed_corpus(self):
+        # from the ball of radius sqrt(B) * R around the midpoint, with
+        # central cuts, this corpus took 45,497 steps; the envelope box and
+        # deep cuts must take at most half as many
+        rng = rng_from_seed(2727)
+        runs = [brute_force_mmse(*random_instance(rng, 12, 6, 10)) for _ in range(100)]
+        assert all(res.converged for res in runs)
+        assert sum(res.iterations for res in runs) <= 45_497 // 2
 
     @pytest.mark.parametrize("shift", [0.0, 1e4, 1e6])
     def test_agrees_with_solver_under_a_shift(self, shift):

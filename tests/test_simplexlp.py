@@ -399,6 +399,14 @@ class TestBatchedBland:
         twice = np.repeat(targets, 2, axis=0)
         assert first_outside(points, twice, HULL_TOL) == (2 * want[0], want[1])
 
+    def test_no_targets_build_nothing(self, monkeypatch):
+        # a set whose every pasting the screen certified sends no targets
+        def refuse(points):
+            raise AssertionError("built a hull system for no targets")
+
+        monkeypatch.setattr(simplexlp, "_hull_system", refuse)
+        assert first_outside(np.eye(3), np.empty((0, 3)), HULL_TOL) is None
+
     def test_pivot_limit_raises_only_before_the_first_outsider(self, monkeypatch):
         points = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0.5, 0.5, 0], [0.25, 0.25, 0.5]])
         outside, inside = np.array([[0.625, 0.625, 0.0]]), np.array([[0.25, 0.25, 0.5]])

@@ -23,11 +23,13 @@ import robustmse.simplexlp as simplexlp
 import robustmse.stability as stability
 from robustmse.randgen import (
     random_measure_set,
+    random_partition,
     random_two_level_filtration,
     random_variable,
     rng_from_seed,
 )
 from robustmse.simplexlp import first_outside, hull_membership, solve_lp
+from robustmse.stability import recursivity_grid
 
 
 @pytest.fixture
@@ -116,6 +118,18 @@ class TestIsStable:
         space, f = four_point
         ms = MeasureSet([Measure(space, [5 / 16, 3 / 16, 6 / 16, 2 / 16])])
         assert is_stable(ms, f).stable
+
+    def test_stacked_row_masses_match_block_sums(self):
+        # is_stable sums every generator's block masses as one stack of
+        # 1 x n rows, which numpy multiplies one row at a time: the bits of
+        # block_sums on each row, which paste sums
+        rng = rng_from_seed(2702)
+        for _ in range(300):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(1, 50))
+            c = random_partition(rng, SampleSpace.of_size(n), int(rng.integers(1, n + 1)))
+            rows = rng.random((k, n)) * (rng.random((k, n)) < 0.8)
+            stacked = (rows[:, None, :] @ c._incidence)[:, 0]
+            assert stacked.tobytes() == np.array([c.block_sums(r) for r in rows]).tobytes()
 
     def test_requires_strictly_positive(self, four_point):
         space, f = four_point
@@ -407,6 +421,34 @@ class TestRecursivity:
             for s in range(3):
                 for t in range(s, 3):
                     assert recursivity_check(ms, f, xi, s, t).equal
+
+    def test_grid_is_the_check_at_every_pair(self):
+        # the grid builds its envelopes from one mass table per level; every
+        # report is recursivity_check's, bit for bit: on the filtration sets
+        # (with and without their first generator) and random two-level sets
+        rng = rng_from_seed(2703)
+        cases = []
+        for live_nodes in (3, 4, 5):
+            for mixtures in (0, 4, 8):
+                ms, f = filtration_set(rng, live_nodes, mixtures)
+                rest = MeasureSet.from_matrix(ms.space, ms.weights_matrix[1:])
+                cases += [(ms, f), (rest, f)]
+        for _ in range(40):
+            space = SampleSpace.of_size(int(rng.integers(4, 9)))
+            f = random_two_level_filtration(rng, space)
+            cases.append((random_measure_set(rng, space, int(rng.integers(1, 6))), f))
+        unequal = 0
+        for ms, f in cases:
+            xi = random_variable(rng, ms.space)
+            grid, levels = recursivity_grid(ms, f, xi), len(f.levels)
+            assert list(grid) == [(s, t) for s in range(levels) for t in range(s, levels)]
+            for (s, t), rep in grid.items():
+                ref = recursivity_check(ms, f, xi, s, t)
+                assert rep.lhs.values.tobytes() == ref.lhs.values.tobytes()
+                assert rep.rhs.values.tobytes() == ref.rhs.values.tobytes()
+                assert (rep.equal, rep.max_abs_gap) == (ref.equal, ref.max_abs_gap)
+                unequal += not rep.equal
+        assert unequal > 0
 
     def test_level_order_enforced(self, diagonal_pair):
         space, f, ms = diagonal_pair
