@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -123,16 +123,16 @@ class _Pool:
         check_same_space(ms, xi, c)
         self.size = ms.num_generators()  # on a tree, the corner-count guard: p_hat is dense
         self.support, self.rows, mean = ms.support, ms.rows, ms.mean_row()
-        self.x, self.unit, self.c = xi.values, xi.unit, c
-        mass = c.block_sums(mean)
-        if np.any(mass <= 0.0):
+        self.xi, self.x, self.c, self.inc = xi, xi.values, c, c._incidence
+        mass = mean @ self.inc
+        if (mass <= 0.0).any():
             raise ZeroMassBlockError(c.blocks[int(np.argmax(mass <= 0.0))])
-        self.reference_cond = c.block_sums(mean * self.x) / mass
+        self.reference_cond = (mean * self.x) @ self.inc / mass
         self.ids: list[int] = []  # generator of each pooled row
         self._index: dict[int, int] = {}
         self.weights = np.empty((0, len(self.x)))
         self.mass = self.first = np.empty((0, c.num_blocks))
-        self.counts = dict.fromkeys((f.name for f in fields(SolveTrace)), 0)
+        self.counts = dict.fromkeys(SolveTrace.__dataclass_fields__, 0)
 
     def add(self, k: int) -> int:
         """The pool row of generator k, pooled on first use."""
@@ -141,13 +141,15 @@ class _Pool:
             row = self._index[k] = len(self.ids)
             self.ids.append(k)
             w = self.rows([k])
-            self.weights = np.concatenate([self.weights, w])
-            self.mass = np.concatenate([self.mass, self.c.block_sums(w)])
-            self.first = np.concatenate([self.first, self.c.block_sums(w * self.x)])
+            self.weights = np.concatenate((self.weights, w))
+            self.mass = np.concatenate((self.mass, w @ self.inc))
+            self.first = np.concatenate((self.first, (w * self.x) @ self.inc))
         return row
 
     def cond(self, mass: np.ndarray, first: np.ndarray) -> np.ndarray:
         """first / mass per block; reference_cond where mass is 0."""
+        if mass[mass.argmin()] > 0.0:
+            return first / mass
         return np.divide(first, mass, out=self.reference_cond.copy(), where=mass > 0.0)
 
     def eta_of(self, lam: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -157,8 +159,9 @@ class _Pool:
     def worst(self, eta: np.ndarray) -> tuple[np.ndarray, int, float]:
         """(residuals of the pooled rows, generator k with the largest r_k, r_k)."""
         d = self.x - eta[self.c.labels]
-        r = self.weights @ (d * d)
-        top, k = self.support(d * d)
+        sq = d * d
+        r = self.weights @ sq
+        top, k = self.support(sq)
         row = self._index.get(k)
         # a generator already in the pool is valued from its pooled row, like
         # the residuals it is compared with
@@ -193,8 +196,13 @@ def _face_ascent(pool, s, w, scale):
     generator that has left, as a Newton step that should zero a weight can
     leave ~1e-15 of it (SolveTrace.residue_drops). Returns the surviving
     generators and their weights, at most one more than the charged blocks.
+
+    A step makes few numpy calls on arrays of at most B + 2 entries: the KKT
+    system is one (n+1)^2 buffer, the block mask and the re-slicing of the
+    face run only when a block is uncharged or a weight reaches 0, and the
+    Caratheodory size is tested before its matrix is built.
     """
-    x, labels, block_sums, counts = pool.x, pool.c.labels, pool.c.block_sums, pool.counts
+    x, labels, inc, counts = pool.x, pool.c.labels, pool.inc, pool.counts
     # the face's rows of block masses, first moments and weights, sliced
     # again only when a generator leaves
     mass, first, rows = pool.mass[s], pool.first[s], pool.weights[s]
@@ -220,33 +228,44 @@ def _face_ascent(pool, s, w, scale):
     # rounding-level steps cannot cycle
     top_phi, low_gap = phi, math.inf
     for _ in range(_FACE_STEPS):
-        top = float(np.max(r))
+        top = float(r[r.argmax()])  # argmax is a C method; max wraps a reduction
         low_gap = min(low_gap, top - phi)
         if _closed(top - phi, len(s), top):
             break
         n = len(s)
         d, dev = moments
-        live = d > 0.0
-        u = block_sums(rows * dev)[:, live]
+        u = (rows * dev) @ inc
+        if not d[d.argmin()] > 0.0:  # a block the face leaves uncharged adds nothing
+            live = d > 0.0
+            u, d = u[:, live], d[live]
+        # the KKT system in one buffer: the Hessian, bordered by ones
         kkt = np.ones((n + 1, n + 1))
-        kkt[:n, :n] = -2.0 * (u / d[live]) @ u.T / scale - _SHIFT * np.eye(n)
+        hess = np.matmul(-2.0 * (u / d), u.T, out=kkt[:n, :n])
+        hess /= scale
+        kkt.ravel()[: n * (n + 2) : n + 2] -= _SHIFT
         kkt[n, n] = 0.0
-        dw = np.linalg.solve(kkt, np.append(-r / scale, 0.0))[:n]
-        down = np.flatnonzero(dw < 0.0)
-        ratios = w[down] / -dw[down]
-        t = t_max = min(1.0, float(np.min(ratios))) if len(down) else 1.0
-        j = down[int(np.argmin(ratios))] if t_max < 1.0 else None  # the weight that clips
+        rhs = np.zeros(n + 1)
+        np.divide(r, -scale, out=rhs[:n])
+        dw = np.linalg.solve(kkt, rhs)[:n]
+        # the ratio test: w_i / -dw_i over the weights the step lowers
+        neg = -dw
+        ratios = np.empty(n)
+        ratios.fill(math.inf)
+        np.divide(w, neg, out=ratios, where=neg > 0.0)
+        j = int(ratios.argmin())  # the weight that clips, if t_max < 1
+        t = t_max = min(1.0, float(ratios[j]))
         # t_max = 0: a weight of 0 that the step lowers leaves no step at all
         line_steps = _LINE_STEPS if t_max > 0.0 else 0
         counts["newton_steps"] += line_steps > 0
         for _ in range(line_steps):
-            cand = np.clip(w + t * dw, 0.0, None)
+            cand = w + t * dw
+            np.maximum(cand, 0.0, out=cand)
             if t == t_max < 1.0:
                 cand[j] = 0.0
             cand /= cand.sum()
             counts["line_evals"] += 1
             moments_c, r_c, phi_c = state(cand)
-            if phi_c > top_phi or float(np.max(r_c)) - phi_c < low_gap:
+            if phi_c > top_phi or float(r_c[r_c.argmax()]) - phi_c < low_gap:
                 break
             t *= 0.5
         else:
@@ -257,13 +276,14 @@ def _face_ascent(pool, s, w, scale):
             counts["stuck_drops" if w[j] == 0.0 else "residue_drops"] += 1
             w, moments, r, phi = drop(np.arange(n) != j, w)
             continue
-        on = cand > 0.0
-        leave(on)
-        w, moments, r, phi = cand[on], moments_c, r_c[on], phi_c
-        if not on.all():
+        w, moments, r, phi = cand, moments_c, r_c, phi_c
+        if not cand[cand.argmin()] > 0.0:  # a weight reached 0: its generator leaves
+            on = cand > 0.0
+            leave(on)
             # a sum without the zero terms can round apart from one with
             # them: the masses of (s, w) as state(w) would give them
-            moments = (w @ mass, moments[1])
+            w, r = cand[on], r_c[on]
+            moments = (w @ mass, moments_c[1])
         top_phi = max(top_phi, phi)
     else:
         counts["capped_faces"] += 1
@@ -274,9 +294,9 @@ def _face_ascent(pool, s, w, scale):
     while True:
         d, dev = moments
         live = d > 0.0
-        m = np.vstack([block_sums(rows * dev)[:, live].T / pool.unit, np.ones(len(s))])
-        if len(s) <= len(m):
+        if len(s) <= np.count_nonzero(live) + 1:
             return s, w
+        m = np.vstack([((rows * dev) @ inc)[:, live].T / pool.xi.unit, np.ones(len(s))])
         v = np.linalg.svd(m)[2][-1]
         if v @ r < 0.0:
             v = -v
@@ -396,7 +416,7 @@ def solve_mmse(
             f"after {iters} iterations"
         )
     p_hat = np.zeros(pool.size)
-    p_hat[np.take(pool.ids, s)] = w
+    p_hat[[pool.ids[i] for i in s]] = w
 
     return EstimatorResult(
         eta_hat=c.broadcast(eta), p_hat=MixtureWeights(p_hat), alpha=alpha, saddle_gap=gap,

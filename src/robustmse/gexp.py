@@ -63,7 +63,7 @@ class TreeModel:
         nodes = 2 ** depth - 1
         q_lo = np.broadcast_to(np.asarray(q_lo, dtype=float), (nodes,)).copy()
         q_hi = np.broadcast_to(np.asarray(q_hi, dtype=float), (nodes,)).copy()
-        if np.any(q_lo <= 0) or np.any(q_hi >= 1) or np.any(q_lo > q_hi):
+        if (q_lo <= 0).any() or (q_hi >= 1).any() or (q_lo > q_hi).any():
             raise ArgumentError("need 0 < q_lo <= q_hi < 1 at every node")
         q_lo.flags.writeable = False
         q_hi.flags.writeable = False
@@ -120,9 +120,9 @@ class TreeModel:
         return self.q_lo != self.q_hi
 
     @cached_property
-    def _shift(self) -> np.ndarray:
-        """The bit of a corner index each node reads: the number of later free nodes."""
-        return np.cumsum(self.free[::-1])[::-1] - self.free
+    def _bits(self) -> np.ndarray:
+        """The value of the corner-index bit each node reads (0 at a fixed node)."""
+        return (1 << (np.cumsum(self.free[::-1])[::-1] - self.free)) * self.free
 
     def num_generators(self) -> int:
         """The number of corners, the set's generators; GuardRefusalError,
@@ -143,20 +143,22 @@ class TreeModel:
         The bits of a corner's index, read from the highest, choose q_hi at
         the free nodes in id order.
         """
-        bits = (np.asarray(corners, dtype=np.int64)[:, None] >> self._shift) & 1
-        high = bits.astype(bool) & self.free
-        return self._path_products(np.where(high, self.q_hi, self.q_lo))
+        high = np.asarray(corners, dtype=np.int64)[:, None, None] & self._bits[:, None]
+        return self._path_products(np.where(high, self._moves[1], self._moves[0]))
 
-    def _path_products(self, q: np.ndarray) -> np.ndarray:
-        """Leaf probabilities for rows of up-move probabilities per node: the
+    @cached_property
+    def _moves(self) -> np.ndarray:
+        """(up, down) probabilities of each node at q_lo (row 0) and q_hi (row 1)."""
+        q = np.array([self.q_lo, self.q_hi])
+        return np.array([q, 1.0 - q]).transpose(1, 2, 0)
+
+    def _path_products(self, moves: np.ndarray) -> np.ndarray:
+        """Leaf probabilities for rows of (up, down) probabilities per node: the
         products along each path, filled in level by level."""
-        probs = np.ones((len(q), 1))
-        for d in range(self.depth):
-            q_d = q[:, 2 ** d - 1 : 2 ** (d + 1) - 1]
-            nxt = np.empty((len(q), 2 ** (d + 1)))
-            nxt[:, 0::2] = probs * q_d
-            nxt[:, 1::2] = probs * (1.0 - q_d)
-            probs = nxt
+        probs = moves[:, 0]
+        for d in range(1, self.depth):
+            nodes = moves[:, 2 ** d - 1 : 2 ** (d + 1) - 1]
+            probs = (probs[:, :, None] * nodes).reshape(len(moves), -1)
         return probs
 
     def rows(self, ks) -> np.ndarray:
@@ -169,33 +171,28 @@ class TreeModel:
         """Leaf law of the uniform mixture of the corners: the midpoint tree,
         since under it each node is at q_lo or q_hi with probability 1/2,
         independently of the others."""
-        probs = self._path_products(((self.q_lo + self.q_hi) / 2.0)[None, :])[0]
+        up = (self.q_lo + self.q_hi) / 2.0
+        probs = self._path_products(np.array([up, 1.0 - up]).T[None])[0]
         return probs / probs.sum()
 
     @cached_property
     def _levels(self) -> list[tuple]:
-        """Per level, deepest first: node ids lo:hi, the end of the children's
-        ids, and the two endpoints q_lo, q_hi (rows) with their down
-        probabilities."""
-        out = []
-        for d in range(self.depth - 1, -1, -1):
-            lo, hi = 2 ** d - 1, 2 ** (d + 1) - 1
-            q = np.stack([self.q_lo[lo:hi], self.q_hi[lo:hi]])
-            out.append((lo, hi, 2 ** (d + 2) - 1, q, 1 - q))
-        return out
+        """Per level, deepest first: the two endpoints q_lo, q_hi of its nodes
+        (rows), and their down probabilities."""
+        at = [slice(2 ** d - 1, 2 ** (d + 1) - 1) for d in range(self.depth - 1, -1, -1)]
+        return [(self._moves[:, nodes, 0], self._moves[:, nodes, 1]) for nodes in at]
 
     def _sweep(self, v, pick):
         """Backward recursion on leaf values v: the value y of every node,
         and at each internal node the values of its two endpoints over the
         children's y, row 0 for q_lo and row 1 for q_hi; y = pick(row 0, row 1)."""
-        nodes = self.num_internal
-        y = np.empty(2 * nodes + 1)
-        ends = np.empty((2, nodes))
-        y[nodes:] = v
-        for lo, hi, end, q, down in self._levels:
-            e = ends[:, lo:hi] = q * y[hi:end:2] + down * y[hi + 1 : end : 2]
-            y[lo:hi] = pick(e[0], e[1])
-        return y, ends
+        ys, ends = [np.asarray(v, dtype=float)], []
+        for q, down in self._levels:
+            e = q * ys[-1][0::2]
+            e += down * ys[-1][1::2]
+            ys.append(pick(e[0], e[1]))
+            ends.append(e)
+        return np.concatenate(ys[::-1]), np.concatenate(ends[::-1], axis=1)
 
     def support(self, v) -> tuple[float, int]:
         """max over corners c of E_c[v], and the smallest corner attaining it.
@@ -206,10 +203,7 @@ class TreeModel:
         off the choices is the smallest maximizing index.
         """
         y, (a, b) = self._sweep(v, np.maximum)
-        k = 0
-        for bit in (b > a)[self.free]:
-            k = 2 * k + int(bit)
-        return float(y[0]), k
+        return float(y[0]), int((b > a) @ self._bits)
 
     def near_ties(self, v, tie_tol: float) -> tuple[int, ...]:
         """Every corner c with max_c' E_c'[v] - E_c[v] <= tie_tol, in index order.
@@ -229,24 +223,22 @@ class TreeModel:
         y, ends = self._sweep(v, np.maximum)
         nodes = self.num_internal
         shortfall = (y[:nodes] - ends).T
-        q = np.stack([self.q_lo, self.q_hi], axis=1)
-        free = self.free
+        q = self._moves[:, :, 0].T  # (nodes, 2): q_lo, q_hi
         index = np.zeros(1, dtype=np.int64)
         total = np.zeros(1)
         reach = np.ones((1, nodes))
-        for u in range(nodes):
-            choices = np.arange(2 if free[u] else 1)
-            grown = (total[:, None] + reach[:, u, None] * shortfall[u, choices]).ravel()
-            keep = grown <= tie_tol
-            parent = np.repeat(np.arange(len(index)), len(choices))[keep]
-            choice = np.tile(choices, len(index))[keep]
-            index = index[parent] * len(choices) + choice
-            total, reach = grown[keep], reach[parent]
+        for u, width in enumerate((self.free + 1).tolist()):
+            # the partial corners times the width choices at u, row by row
+            grown = (total[:, None] + reach[:, u, None] * shortfall[u, :width]).ravel()
+            kept = (grown <= tie_tol).nonzero()[0]
+            parent, choice = np.divmod(kept, width)
+            index = index[parent] * width + choice
+            total, reach = grown[kept], reach[parent]
             if 2 * u + 1 < nodes:
                 p = q[u, choice]
                 reach[:, 2 * u + 1] = reach[:, u] * p
                 reach[:, 2 * u + 2] = reach[:, u] * (1.0 - p)
-        return tuple(int(k) for k in index)
+        return tuple(index.tolist())
 
 
 def tree_measure_set(tm: TreeModel) -> MeasureSet:
@@ -292,7 +284,7 @@ def _leaf_array(tm: TreeModel, xi_leaf) -> np.ndarray:
     xi_leaf = np.asarray(xi_leaf, dtype=float)
     if xi_leaf.shape != (tm.num_leaves,):
         raise ArgumentError(f"expected {tm.num_leaves} leaf values")
-    if not np.all(np.isfinite(xi_leaf)):
+    if not np.isfinite(xi_leaf).all():
         raise ArgumentError("leaf values must be finite")
     return xi_leaf
 

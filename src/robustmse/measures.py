@@ -22,7 +22,6 @@ from .spaces import (
     PartitionAlgebra,
     RandomVariable,
     SampleSpace,
-    _frozen_array,
     check_same_space,
 )
 
@@ -148,13 +147,13 @@ class MeasureSet:
     def support(self, v) -> tuple[float, int]:
         """max over generators g of E_g[v], and the smallest index attaining it."""
         top = self.weights_matrix @ v
-        k = int(np.argmax(top))  # np.argmax returns the smallest maximizing index
+        k = int(top.argmax())  # argmax returns the smallest maximizing index
         return float(top[k]), k
 
     def near_ties(self, v, tie_tol: float) -> tuple[int, ...]:
         """Every generator g with max_g' E_g'[v] - E_g[v] <= tie_tol, in index order."""
         top = self.weights_matrix @ v
-        return tuple(int(k) for k in np.flatnonzero(top >= top.max() - tie_tol))
+        return tuple((top >= top.max() - tie_tol).nonzero()[0].tolist())
 
     def rows(self, ks) -> np.ndarray:
         """The weight rows of generators ks."""
@@ -167,7 +166,9 @@ class MeasureSet:
 
 @dataclass(frozen=True, eq=False)
 class MixtureWeights:
-    """Simplex coordinates over the generator list of a MeasureSet."""
+    """Simplex coordinates over the generator list of a MeasureSet: finite
+    weights, each at least -SIMPLEX_TOL, summing to 1 within SIMPLEX_TOL (else
+    ArgumentError), kept clipped at 0 and divided by their sum, read-only."""
 
     lam: np.ndarray = field(repr=False)
 
@@ -175,14 +176,15 @@ class MixtureWeights:
         lam = np.array(lam, dtype=float)
         if lam.ndim != 1 or len(lam) == 0:
             raise ArgumentError("mixture weights must be a nonempty vector")
-        if np.any(lam < -SIMPLEX_TOL):
-            raise ArgumentError("mixture weights must be nonnegative")
+        if not np.isfinite(lam).all() or (lam < -SIMPLEX_TOL).any():
+            raise ArgumentError("mixture weights must be finite and nonnegative")
         total = lam.sum()
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ArgumentError(f"mixture weights sum to {total!r}, not 1")
-        lam = np.clip(lam, 0.0, None)
-        lam = lam / lam.sum()
-        object.__setattr__(self, "lam", _frozen_array(lam))
+        np.maximum(lam, 0.0, out=lam)
+        lam /= lam.sum()
+        lam.flags.writeable = False
+        object.__setattr__(self, "lam", lam)
 
     def __eq__(self, other):
         if not isinstance(other, MixtureWeights):
@@ -233,8 +235,9 @@ def is_proper(ms: MeasureSet) -> bool:
     On a finite hull this is mutual equivalence of all elements with the
     reference measure: no generator may kill a point another one charges.
     """
-    charged = ms.weights_matrix.sum(axis=0) > 0.0
-    return bool(np.all(ms.weights_matrix[:, charged] > 0.0))
+    # weights are nonnegative: nonzero means positive
+    W = ms.weights_matrix
+    return bool(W[:, W.any(axis=0)].all())
 
 
 def density(p: Measure, p0: Measure) -> RandomVariable:

@@ -199,27 +199,32 @@ def hull_membership(points, target, tol=HULL_TOL):
 def first_outside(points, targets, tol):
     """(index, residual) of the first nonnegative target outside the hull of
     the rows of points, by hull_membership's verdict and residual bit for bit
-    (raising where it would before that), or None. Bitwise repeats share an
-    LP. The LPs run in order up to the first stack holding an outsider: the
-    first alone (on an unstable set, most often the outsider), then in
-    stacks of at most BATCH_CELLS cells. With no targets it builds nothing."""
+    (raising where it would before that), or None. The first target's LP runs
+    alone, before anything else is built: on an unstable set it is most often
+    the outsider. The rest run in order, bitwise repeats (of the first too)
+    sharing an LP, in stacks of at most BATCH_CELLS cells, up to the first
+    stack holding an outsider. With no targets it builds nothing."""
     if len(targets) == 0:
         return None
     A = _hull_system(points)
-    targets = np.ascontiguousarray(targets, dtype=float)
-    rows = targets.view(np.dtype((np.void, targets.itemsize * targets.shape[1]))).ravel()
-    first = np.sort(np.unique(rows, return_index=True)[1])
-    b = np.hstack([targets[first], np.ones((len(first), 1))])
     m, n = A.shape
-    starts = [0, *range(1, len(b), max(1, BATCH_CELLS // ((m + 1) * (n + m + 1))))]
-    for start, stop in zip(starts, starts[1:] + [len(b)]):
-        T, basis = _tableaux(A, b[start:stop])
+    targets = np.ascontiguousarray(targets, dtype=float)
+
+    def stacks():
+        yield np.zeros(1, dtype=np.intp)  # the first target, alone
+        keys = targets.view(np.dtype((np.void, targets.itemsize * targets.shape[1]))).ravel()
+        rest = np.sort(np.unique(keys, return_index=True)[1])[1:]  # [0] is target 0
+        step = max(1, BATCH_CELLS // ((m + 1) * (n + m + 1)))
+        yield from (rest[start : start + step] for start in range(0, len(rest), step))
+
+    for rows in stacks():
+        T, basis = _tableaux(A, np.hstack([targets[rows], np.ones((len(rows), 1))]))
         bounded, _ = _bland(T, basis, m, n + m, 0, MAX_PIVOTS, tol)
         residual = np.maximum(0.0, -T[:, m, -1])
         stops = np.flatnonzero(~bounded | (residual > tol))
         if stops.size:
             _check_phase1(bounded[stops[0]])
-            return int(first[start + stops[0]]), float(residual[stops[0]])
+            return int(rows[stops[0]]), float(residual[stops[0]])
     return None
 
 

@@ -210,7 +210,7 @@ def is_measurable(x: RandomVariable, c: PartitionAlgebra) -> bool:
     if x.space != c.space:
         raise StructuralError("variable and algebra live on different spaces")
     v = x.values
-    return bool(np.array_equal(v, v[c.first][c.labels]))
+    return bool((v == v[c.first][c.labels]).all())
 
 
 def truncate(x: RandomVariable, m: float) -> RandomVariable:

@@ -859,6 +859,31 @@ REPRODUCERS = {
     ),
 }
 
+# Two explicit sets, each (rows, xi, blocks, trace, alpha), on the branches
+# the face steps take only sometimes. The first is an order of the
+# reproducer of tests/test_not_proper.py that converges: its faces leave
+# block {0, 1} uncharged. In the second, an accepted Newton step sets a
+# weight to 0 and that generator leaves the face.
+EXPLICIT_REPRODUCERS = {
+    "face leaves a block uncharged": (
+        np.array([
+            [2, 0, 0, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 2], [0, 2, 0, 0, 0],
+            [0, 1, 1, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1],
+        ]) / 2,
+        [0, 2, 0, 1, 2],
+        [(0, 1), (2, 3, 4)],
+        SolveTrace(additions=1, newton_steps=2, line_evals=2),
+        "0x1.0000000000000p+0",
+    ),
+    "Newton step zeroes a weight": (
+        np.array([[3, 3, 6, 4], [5, 3, 5, 3], [4, 3, 4, 5], [6, 2, 2, 6], [4, 5, 4, 3]]) / 16,
+        np.array([-25, -28, -28, -11]) / 16,
+        [(0, 1, 2, 3)],
+        SolveTrace(additions=2, newton_steps=5, line_evals=5),
+        "0x1.c175987045afbp-3",
+    ),
+}
+
 
 class TestSolveTrace:
     @pytest.mark.parametrize("name", list(REPRODUCERS))
@@ -875,6 +900,18 @@ class TestSolveTrace:
         assert solve_mmse(tm if path == "tree" else ms, xi, c).trace == res.trace
         oracle = brute_force_mmse(ms, xi, c)
         assert abs(res.alpha - oracle.alpha) <= 1e-9 * xi.unit**2
+
+    @pytest.mark.parametrize("name", list(EXPLICIT_REPRODUCERS))
+    def test_explicit_set_counts(self, name):
+        rows, leaves, blocks, want, alpha = EXPLICIT_REPRODUCERS[name]
+        space = SampleSpace.of_size(len(leaves))
+        ms = MeasureSet.from_matrix(space, rows)
+        xi, c = RandomVariable(space, leaves), PartitionAlgebra(space, blocks)
+        res = solve_mmse(ms, xi, c)
+        assert res.converged
+        assert res.trace == want
+        assert res.alpha == float.fromhex(alpha)
+        assert abs(res.alpha - brute_force_mmse(ms, xi, c).alpha) <= 1e-9 * xi.unit**2
 
     def test_counts_stay_out_of_result_files(self, two_point):
         _, ms, xi, triv = two_point

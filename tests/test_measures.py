@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -206,6 +207,23 @@ class TestMixAndReference:
     def test_off_simplex_rejected(self):
         with pytest.raises(ArgumentError):
             MixtureWeights([0.7, 0.7])
+
+    @pytest.mark.parametrize(
+        "lam",
+        [[math.nan, 1.0], [math.nan], [math.inf, 1.0], [1.0, -math.inf], [0.5, 0.5, math.nan]],
+    )
+    def test_non_finite_rejected(self, lam):
+        # NaN passes both the sign test and the sum test, so it is refused first
+        with pytest.raises(ArgumentError, match="finite"):
+            MixtureWeights(lam)
+
+    def test_weights_are_clipped_renormalized_and_read_only(self):
+        lam = np.array([0.5 + 2e-13, -1e-13, 0.5])
+        got = MixtureWeights(lam).lam
+        want = np.clip(lam, 0.0, None)
+        assert np.array_equal(got, want / want.sum())
+        assert lam[1] == -1e-13  # the caller's array is not touched
+        assert not got.flags.writeable
 
     def test_reference_is_uniform_average(self, two_point):
         _, ms, _, _ = two_point

@@ -17,90 +17,38 @@ does not reports converged=False, and no solve claims a value below the
 minimum. The ellipsoid oracle must converge on every draw.
 """
 
-import itertools
+import importlib.util
 import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from robustmse import (
-    MeasureSet,
-    PartitionAlgebra,
-    RandomVariable,
-    SampleSpace,
     brute_force_mmse,
     is_proper,
     solve_mmse,
     verify_saddle,
 )
 from robustmse.cli import main as cli_main
-from robustmse.randgen import random_partition, rng_from_seed
 
-ORDER_ROWS = [
-    [0, 0, 0, 0, 1], [0, 0, 0, 0.5, 0.5], [0, 0, 0.5, 0, 0.5], [0, 0, 0.5, 0.5, 0],
-    [0, 0.5, 0, 0.5, 0], [0, 0.5, 0.5, 0, 0], [0, 1, 0, 0, 0], [0.5, 0, 0, 0.5, 0],
-    [0.5, 0, 0.5, 0, 0], [1, 0, 0, 0, 0],
-]
-ORDER_XI = [0, 2, 0, 1, 2]
-ORDER_BLOCKS = [(0, 1), (2, 3, 4)]
-SIZES = {"orders": 100, "cvar": 60, "zeros": 200}
+
+def _identity_probe():
+    path = Path(__file__).resolve().parents[1] / "tools" / "solve_identity.py"
+    spec = importlib.util.spec_from_file_location("solve_identity", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+# the identity probe draws this corpus (corpus(family) yields (ms, xi, c) in a
+# fixed order) and solves it too, so both read one definition
+_PROBE = _identity_probe()
+corpus = _PROBE.not_proper_corpus
+ORDER_ROWS, ORDER_XI, ORDER_BLOCKS = _PROBE.ORDER_ROWS, _PROBE.ORDER_XI, _PROBE.ORDER_BLOCKS
+SIZES = {family: size for family, (_, size) in _PROBE.NOT_PROPER.items()}
 # solves that converge today: a change to the solver may raise these counts
 # (every draw should converge) but not lower them
 CONVERGED_AT_LEAST = {"orders": 97, "cvar": 58, "zeros": 199}
-
-
-def cvar_vertices(p0, beta):
-    """The vertices of {Q : 0 <= Q <= p0 / beta, sum Q = 1}, each filled
-    greedily along one order of the points, in the order
-    itertools.permutations lists the orders. The partly filled point takes
-    1 minus the caps of the filled ones, summed in index order, so that two
-    orders reaching the same vertex give the same row."""
-    caps = p0 / beta
-    rows = {}
-    for order in itertools.permutations(range(len(p0))):
-        filled, total = [], 0.0
-        for i in order:
-            if total + caps[i] >= 1.0:
-                break
-            filled.append(i)
-            total += caps[i]
-        row = np.zeros(len(p0))
-        row[filled] = caps[filled]
-        row[i] = 1.0 - caps[sorted(filled)].sum()
-        rows.setdefault(row.tobytes(), row)
-    return np.array(list(rows.values()))
-
-
-def corpus(family):
-    """The instances (ms, xi, c) of one family, in a fixed order."""
-    rng = rng_from_seed({"orders": 2301, "cvar": 2302, "zeros": 2303}[family])
-    for _ in range(SIZES[family]):
-        if family == "orders":
-            space = SampleSpace.of_size(5)
-            rows = np.array(ORDER_ROWS, dtype=float)[rng.permutation(len(ORDER_ROWS))]
-            yield (
-                MeasureSet.from_matrix(space, rows),
-                RandomVariable(space, ORDER_XI),
-                PartitionAlgebra(space, ORDER_BLOCKS),
-            )
-            continue
-        n = int(rng.integers(4, 6))
-        space = SampleSpace.of_size(n)
-        if family == "cvar":
-            p0 = rng.integers(1, 9, size=n).astype(float)
-            p0 /= p0.sum()
-            rows = cvar_vertices(p0, float(rng.choice([0.25, 0.5, 0.75])))
-        else:
-            k = int(rng.integers(2, 7))
-            rows = rng.integers(1, 9, size=(k, n)) * (rng.random((k, n)) < 0.6)
-            for row in rows:  # every generator charges some point
-                if not row.any():
-                    row[rng.integers(n)] = 1
-            for i in np.flatnonzero(~rows.any(axis=0)):  # and some generator every point
-                rows[rng.integers(k), i] = 1
-            rows = rows / rows.sum(axis=1, keepdims=True)
-        xi = RandomVariable(space, rng.integers(0, 4, size=n).astype(float))
-        yield MeasureSet.from_matrix(space, rows), xi, random_partition(rng, space, 2)
 
 
 @pytest.mark.parametrize("family", list(SIZES))
@@ -140,3 +88,4 @@ def test_reproducer_through_the_cli(tmp_path):
     assert result["converged"] is (code == 0)
     if code == 0:
         assert result["alpha"] == pytest.approx(1.0, abs=1e-9)
+

@@ -399,6 +399,58 @@ class TestBatchedBland:
         twice = np.repeat(targets, 2, axis=0)
         assert first_outside(points, twice, HULL_TOL) == (2 * want[0], want[1])
 
+    @staticmethod
+    def _count_lps(monkeypatch):
+        """The number of tableaux first_outside builds, from now on."""
+        built = []
+        tableaux = simplexlp._tableaux
+
+        def count(A, b, c=None):
+            built.append(len(b))
+            return tableaux(A, b, c)
+
+        monkeypatch.setattr(simplexlp, "_tableaux", count)
+        return built
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_an_outside_first_target_decides_alone(self, monkeypatch, seed):
+        rng = np.random.default_rng(200 + seed)
+        points = rng.integers(1, 9, size=(8, 4)) / 8
+        targets = rng.dirichlet(np.ones(8), size=12) @ points
+        targets[0, 0] = points[:, 0].max() + 0.125
+        targets[5] = targets[0]  # a later repeat of the outsider
+        _, _, residual = hull_membership(points, targets[0])
+        built = self._count_lps(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("deduplicated the targets after an outside first one")
+
+        # the first LP decides before the rest are deduplicated
+        monkeypatch.setattr(simplexlp.np, "unique", refuse)
+        assert first_outside(points, targets, HULL_TOL) == (0, residual)
+        assert built == [1]
+        assert first_outside(points, targets[:1], HULL_TOL) == (0, residual)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeats_of_an_inside_first_target_share_its_lp(self, monkeypatch, seed):
+        rng = np.random.default_rng(300 + seed)
+        points = rng.integers(1, 9, size=(8, 4)) / 8
+        targets = rng.dirichlet(np.ones(8), size=10) @ points
+        targets[[3, 6]] = targets[0]
+        targets[8, 0] = points[:, 0].max() + 0.125
+        want = next(
+            (i, r) for i, (member, _, r) in enumerate(hull_membership(points, t) for t in targets)
+            if not member
+        )
+        assert want[0] == 8
+        built = self._count_lps(monkeypatch)
+        assert first_outside(points, targets, HULL_TOL) == want
+        # target 0 alone, then the 7 distinct others in one stack
+        assert built == [1, 7]
+        built.clear()
+        assert first_outside(points, np.vstack([targets[:8], targets[:1]]), HULL_TOL) is None
+        assert built == [1, 5]
+
     def test_no_targets_build_nothing(self, monkeypatch):
         # a set whose every pasting the screen certified sends no targets
         def refuse(points):
