@@ -12,7 +12,6 @@ produce a byte-identical result file apart from the wall_time_s field.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -61,9 +60,9 @@ EXIT_GUARD = 4
 def _solver_config(inst: Instance, args) -> SolverConfig:
     if args.tol is not None and not 0.0 <= args.tol < math.inf:
         raise ValidationError("--tol", "expected a finite number >= 0")
-    tol = args.tol if args.tol is not None else inst.options.get("tol", SolverConfig.tol)
-    max_iter = inst.options.get("max_iter", SolverConfig.max_iter)
-    return SolverConfig(tol=tol, max_iter=max_iter)
+    default = SolverConfig()
+    tol = args.tol if args.tol is not None else inst.options.get("tol", default.tol)
+    return SolverConfig(tol=tol, max_iter=inst.options.get("max_iter", default.max_iter))
 
 
 def cmd_rho(inst: Instance, args) -> tuple[dict, int]:
@@ -107,9 +106,9 @@ def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
     member = kernel_member(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam)
     ns_tol = {"tol": inst.options["ns_tol"]} if "ns_tol" in inst.options else {}
     ns = ns_condition(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam, **ns_tol)
-    payload["saddle_certificate"] = dataclasses.asdict(cert)
+    payload["saddle_certificate"] = cert._asdict()
     payload["kernel_member"] = member
-    payload["ns_condition"] = dict(dataclasses.asdict(ns), lower_bound=_json_inf(ns.lower_bound))
+    payload["ns_condition"] = dict(ns._asdict(), lower_bound=_json_inf(ns.lower_bound))
     ok = cert.passed and member and ns.holds
     return payload, EXIT_OK if ok else EXIT_CERTIFICATE
 

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -63,8 +62,7 @@ _SHIFT = 1e-12  # Hessian shift of the face steps, in units of the residual scal
 _EPS = sys.float_info.epsilon  # of binary64
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(NamedTuple):
     """tol bounds the saddle gap relative to 1 + alpha; max_iter caps the
     generator additions of the dual solve."""
 
@@ -72,8 +70,7 @@ class SolverConfig:
     max_iter: int = 10_000
 
 
-@dataclass(frozen=True)
-class SolveTrace:
+class SolveTrace(NamedTuple):
     """What one dual solve did, counted deterministically: the same instance
     gives the same counts. The library reports them; result files do not."""
 
@@ -85,8 +82,7 @@ class SolveTrace:
     capped_faces: int = 0  # face ascents that ran all _FACE_STEPS
 
 
-@dataclass(frozen=True)
-class EstimatorResult:
+class EstimatorResult(NamedTuple):
     """eta_hat and its worst-case error alpha = F(eta_hat). From solve_mmse,
     p_hat is the worst-case mixture and saddle_gap the primal-dual gap at
     (eta_hat, p_hat). The oracle, brute_force_mmse, builds no mixture: its
@@ -104,8 +100,7 @@ class EstimatorResult:
     trace: SolveTrace | None = None  # the dual solver's counts; None from the oracle
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     max_over_P: float
     value_at_saddle: float
     min_over_eta: float
@@ -132,7 +127,7 @@ class _Pool:
         self._index: dict[int, int] = {}
         self.weights = np.empty((0, len(self.x)))
         self.mass = self.first = np.empty((0, c.num_blocks))
-        self.counts = dict.fromkeys(SolveTrace.__dataclass_fields__, 0)
+        self.counts = dict.fromkeys(SolveTrace._fields, 0)
 
     def add(self, k: int) -> int:
         """The pool row of generator k, pooled on first use."""
@@ -613,8 +608,7 @@ def kernel_member(
     return member
 
 
-@dataclass(frozen=True)
-class NsReport:
+class NsReport(NamedTuple):
     lower_bound: float  # certified bound on the infimum; -inf when the hull test fails
     rho_sq: float
     holds: bool
@@ -672,15 +666,13 @@ def ns_condition(
     return report(mu, active)
 
 
-@dataclass(frozen=True)
-class OptimalityEntry:
+class OptimalityEntry(NamedTuple):
     index: int
     margin: float
     ok: bool
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
     entries: tuple[OptimalityEntry, ...]
 
     @property
@@ -742,8 +734,7 @@ def penalized_value(
     return math.inf
 
 
-@dataclass(frozen=True)
-class MinimaxGapReport:
+class MinimaxGapReport(NamedTuple):
     minimax: float
     maximin: float
     gap: float

@@ -23,15 +23,15 @@ that still need every generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ArgumentError, GuardRefusalError
 from .estimator import EstimatorResult, SolverConfig, solve_mmse
 from .measures import MeasureSet
-from .spaces import PartitionAlgebra, RandomVariable, SampleSpace
+from .spaces import Immutable, PartitionAlgebra, RandomVariable, SampleSpace
 
 # corner matrix of tree_measure_set: 2^24 float64 entries = 128 MiB; building
 # it takes about five times that at its peak. The same bound caps every tree
@@ -40,8 +40,7 @@ MAX_CORNER_ENTRIES = 2 ** 24
 DEFAULT_DT = 0.25  # a tree's time step when none is given
 
 
-@dataclass(frozen=True, eq=False)
-class TreeModel:
+class TreeModel(Immutable):
     """Non-recombining binary tree; nodes carry an up-move probability interval.
 
     Non-leaf nodes are numbered heap-style: node (depth d, path p) has id
@@ -50,9 +49,9 @@ class TreeModel:
     """
 
     depth: int
-    q_lo: np.ndarray = field(repr=False)
-    q_hi: np.ndarray = field(repr=False)
-    dt: float = DEFAULT_DT
+    q_lo: np.ndarray
+    q_hi: np.ndarray
+    dt: float
 
     def __init__(self, depth, q_lo, q_hi, dt=DEFAULT_DT):
         depth = int(depth)
@@ -63,7 +62,7 @@ class TreeModel:
         nodes = 2 ** depth - 1
         q_lo = np.broadcast_to(np.asarray(q_lo, dtype=float), (nodes,)).copy()
         q_hi = np.broadcast_to(np.asarray(q_hi, dtype=float), (nodes,)).copy()
-        if (q_lo <= 0).any() or (q_hi >= 1).any() or (q_lo > q_hi).any():
+        if not ((0 < q_lo) & (q_lo <= q_hi) & (q_hi < 1)).all():  # also refuses NaN
             raise ArgumentError("need 0 < q_lo <= q_hi < 1 at every node")
         q_lo.flags.writeable = False
         q_hi.flags.writeable = False
@@ -257,16 +256,18 @@ def tree_measure_set(tm: TreeModel) -> MeasureSet:
     return MeasureSet.from_matrix(tm.space, tm._leaf_products(np.arange(tm.num_generators())))
 
 
-@dataclass(frozen=True, eq=False)
-class GExpResult:
+class GExpResult(NamedTuple):
     """Solution of the backward recursion: y per tree node, z per internal node.
 
     Node id layout matches TreeModel; leaves occupy ids 2^T - 1 .. 2^(T+1) - 2.
+    Results compare and hash by identity, as their arrays cannot.
     """
 
     tree: TreeModel
-    y: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
+    y: np.ndarray
+    z: np.ndarray
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def root_value(self) -> float:
@@ -321,8 +322,7 @@ def tree_envelopes(
     return out
 
 
-@dataclass(frozen=True)
-class GexpCompareReport:
+class GexpCompareReport(NamedTuple):
     recursion: GExpResult
     gexp_cond: RandomVariable
     mmse: RandomVariable

@@ -15,8 +15,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -96,8 +95,7 @@ def _num_list(values, path) -> list[float]:
     return [_num(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     space: SampleSpace
     measure_set: MeasureSet | None
     xi: RandomVariable

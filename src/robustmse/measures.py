@@ -7,7 +7,6 @@ linear in the measure, so the sup over the hull is attained at a generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import (
     ZeroMassBlockError,
 )
 from .spaces import (
+    Immutable,
     PartitionAlgebra,
     RandomVariable,
     SampleSpace,
@@ -50,12 +50,11 @@ def _checked_rows(space: SampleSpace, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class Measure:
+class Measure(Immutable):
     """A probability vector; weights are renormalized exactly after validation."""
 
     space: SampleSpace
-    weights: np.ndarray = field(repr=False)
+    weights: np.ndarray
 
     def __init__(self, space, weights):
         w = np.array(weights, dtype=float)
@@ -84,8 +83,7 @@ class Measure:
         return float(np.sum(self.weights[list(indices)]))
 
 
-@dataclass(frozen=True, eq=False)
-class MeasureSet:
+class MeasureSet(Immutable):
     """A nonempty generator list whose convex hull is the represented set.
 
     The generators are stored as the rows of one read-only (K, n) array;
@@ -93,7 +91,7 @@ class MeasureSet:
     """
 
     space: SampleSpace
-    weights_matrix: np.ndarray = field(repr=False)
+    weights_matrix: np.ndarray
 
     def __init__(self, generators):
         generators = tuple(generators)
@@ -164,13 +162,12 @@ class MeasureSet:
         return self.weights_matrix.mean(axis=0)
 
 
-@dataclass(frozen=True, eq=False)
-class MixtureWeights:
+class MixtureWeights(Immutable):
     """Simplex coordinates over the generator list of a MeasureSet: finite
     weights, each at least -SIMPLEX_TOL, summing to 1 within SIMPLEX_TOL (else
     ArgumentError), kept clipped at 0 and divided by their sum, read-only."""
 
-    lam: np.ndarray = field(repr=False)
+    lam: np.ndarray
 
     def __init__(self, lam):
         lam = np.array(lam, dtype=float)

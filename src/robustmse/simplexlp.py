@@ -9,7 +9,7 @@ order one. One Bland loop pivots a stack of tableaux, each as its own LP."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ BATCH_CELLS = 1 << 16
 _TIE_RATIO = 1024.0
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray
     value: float

@@ -1,14 +1,20 @@
 """Finite sample spaces, bounded random variables, partitions and filtrations.
 
 All types are immutable after construction; every operation is a pure
-function. Measurability is exact equality on stored values: instances are
+function. Immutability is enforced, not declared: the value types (these and
+Measure, MeasureSet, MixtureWeights, TreeModel) derive from Immutable, whose
+__setattr__ and __delattr__ raise AttributeError, so each __init__ validates
+and writes its attributes once through object.__setattr__, and their arrays
+are read-only. They keep an instance __dict__, where functools.cached_property
+stores what it computes. Result records are NamedTuples, immutable as tuples.
+
+Measurability is exact equality on stored values: instances are
 constructed, not measured, so no check here has a tolerance. Elsewhere, values
 derived from x are compared in units of RandomVariable.unit, under VALUE_TOL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -24,8 +30,23 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SampleSpace:
+class Immutable:
+    """Base of the value types: attribute assignment and deletion raise
+    AttributeError. The repr shows the annotated attributes, arrays left out."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ((k, getattr(self, k)) for k in type(self).__annotations__)
+        body = ", ".join(f"{k}={v!r}" for k, v in shown if not isinstance(v, np.ndarray))
+        return f"{type(self).__name__}({body})"
+
+
+class SampleSpace(Immutable):
     """A finite set of named sample points; the sigma-algebra is the full power set."""
 
     labels: tuple[str, ...]
@@ -38,6 +59,14 @@ class SampleSpace:
             raise ArgumentError("sample point labels must be distinct")
         object.__setattr__(self, "labels", labels)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self):
+        return hash((self.labels,))
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -47,13 +76,12 @@ class SampleSpace:
         return cls(tuple(f"w{i}" for i in range(n)))
 
 
-@dataclass(frozen=True, eq=False)
-class RandomVariable:
+class RandomVariable(Immutable):
     """A real value per sample point, carrying its sup-norm bound max|values|."""
 
     space: SampleSpace
-    values: np.ndarray = field(repr=False)
-    bound: float = field(init=False)
+    values: np.ndarray
+    bound: float
 
     def __init__(self, space, values):
         values = _frozen_array(values)
@@ -104,8 +132,7 @@ class RandomVariable:
         return RandomVariable(self.space, op(self.values, float(other)))
 
 
-@dataclass(frozen=True)
-class PartitionAlgebra:
+class PartitionAlgebra(Immutable):
     """A partition of the sample indices; stands in for a sub-sigma-algebra.
 
     Blocks are canonicalized on construction (indices sorted within a block,
@@ -117,8 +144,8 @@ class PartitionAlgebra:
 
     space: SampleSpace
     blocks: tuple[tuple[int, ...], ...]
-    labels: np.ndarray = field(repr=False, compare=False)
-    first: np.ndarray = field(repr=False, compare=False)
+    labels: np.ndarray
+    first: np.ndarray
 
     def __init__(self, space, blocks):
         canon = []
@@ -145,6 +172,14 @@ class PartitionAlgebra:
         object.__setattr__(self, "blocks", tuple(canon))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "first", _frozen_array([b[0] for b in canon], dtype=np.intp))
+
+    def __eq__(self, other):  # labels and first follow from the blocks
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.blocks) == (other.space, other.blocks)
+
+    def __hash__(self):
+        return hash((self.space, self.blocks))
 
     @property
     def num_blocks(self) -> int:
@@ -186,8 +221,7 @@ class PartitionAlgebra:
         return RandomVariable(self.space, block_values[self.labels])
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(Immutable):
     """An ordered list of partition algebras on one sample space, each
     refining the one before it (construction refuses any other list).
     Builders in this package put the trivial algebra at level 0.
@@ -203,6 +237,14 @@ class Filtration:
             if not levels[i].refines(levels[i - 1]):
                 raise ArgumentError(f"filtration[{i}] does not refine filtration[{i - 1}]")
         object.__setattr__(self, "levels", levels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.levels == other.levels
+
+    def __hash__(self):
+        return hash((self.levels,))
 
 
 def is_measurable(x: RandomVariable, c: PartitionAlgebra) -> bool:

@@ -9,7 +9,7 @@ level can leave the hull while every whole-level pasting stays inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .spaces import (
 from .sublinear import _block_masses, _means, conditional_envelopes, ess_sup_conditional
 
 
-@dataclass(frozen=True)
-class PastedMeasure:
+class PastedMeasure(NamedTuple):
     base: Measure
     tail: Measure
     switch_level: int
@@ -63,8 +62,7 @@ def paste(q0: Measure, q: Measure, f: Filtration, level: int) -> PastedMeasure:
     return PastedMeasure(base=q0, tail=q, switch_level=level, result=Measure._of_row(q0.space, out))
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     stable: bool
     witness: PastedMeasure | None
     witness_residual: float
@@ -142,8 +140,7 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = simplexlp.HULL_TOL) ->
     )
 
 
-@dataclass(frozen=True)
-class KernelInterval:
+class KernelInterval(NamedTuple):
     lower: RandomVariable
     upper: RandomVariable
     exact: bool | None  # None: no filtration declared, outer description only
@@ -172,8 +169,7 @@ def kernel_interval(
     return KernelInterval(lower=lower, upper=upper, exact=exact)
 
 
-@dataclass(frozen=True)
-class RecursivityReport:
+class RecursivityReport(NamedTuple):
     lhs: RandomVariable
     rhs: RandomVariable
     equal: bool
@@ -220,8 +216,7 @@ def _recursivity(lhs, rhs, bound):
     return RecursivityReport(lhs=lhs, rhs=rhs, equal=gap <= bound, max_abs_gap=gap)
 
 
-@dataclass(frozen=True)
-class TcCounterexample:
+class TcCounterexample(NamedTuple):
     """An instance where estimating in two stages disagrees with one stage."""
 
     measure_set: MeasureSet

@@ -7,8 +7,7 @@ over the whole represented set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -20,8 +19,7 @@ if TYPE_CHECKING:
     from .gexp import TreeModel
 
 
-@dataclass(frozen=True)
-class RhoValue:
+class RhoValue(NamedTuple):
     value: float
     argmax_generator: int
     ties: tuple[int, ...]
@@ -115,18 +113,16 @@ def holder_bound(
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: str
     detail: str
     lhs: float
     rhs: float
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     checks: int
-    violations: tuple[AxiomViolation, ...] = field(default_factory=tuple)
+    violations: tuple[AxiomViolation, ...] = ()
 
     @property
     def ok(self) -> bool:

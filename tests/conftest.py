@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,7 @@ def break_rho(monkeypatch):
         def rho(ms, x, *args):
             out = true_rho(ms, x, *args)
             if np.array_equal(x.values, target.values):
-                out = dataclasses.replace(out, value=out.value + excess)
+                out = out._replace(value=out.value + excess)
             return out
 
         monkeypatch.setattr(sublinear, "rho", rho)

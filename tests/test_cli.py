@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -133,6 +132,11 @@ class TestParsing:
             ({"leaf_values": [1, 2, 3, 4, 5, 6]}, None, "tree.leaf_values"),
             ({}, [1, 2, 3, 4, 5], "xi"),
             ({"leaf_values": [1, 2, 3, 4], "q_lo": [0.25, 0.25]}, None, "tree.q_lo"),
+            # NaN fails every comparison, so a negated range check would pass it
+            ({"leaf_values": [1, 2, 3, 4], "q_lo": "nan"}, None, "tree"),
+            ({"leaf_values": [1, 2, 3, 4], "q_lo": ["nan", 0.25, 0.25]}, None, "tree"),
+            ({"leaf_values": [1, 2, 3, 4], "q_hi": "nan"}, None, "tree"),
+            ({"leaf_values": [1, 2, 3, 4], "q_hi": [0.75, 0.75, "nan"]}, None, "tree"),
         ],
     )
     def test_tree_sizes_checked(self, tree, xi, path):
@@ -703,7 +707,7 @@ class TestOracleCommand:
 
         def off(*args, **kwargs):
             res = solve(*args, **kwargs)
-            return dataclasses.replace(res, alpha=res.alpha + 1e-3)
+            return res._replace(alpha=res.alpha + 1e-3)
 
         monkeypatch.setattr(robustmse.cli, "solve_mmse", off)
         path = tmp_path / "shifted.json"
@@ -791,7 +795,7 @@ class TestUnchargedBlock:
             res = solve(*args, **kwargs)
             values = res.eta_hat.values.copy()
             values[2] = eta_c
-            return dataclasses.replace(res, eta_hat=RandomVariable(res.eta_hat.space, values))
+            return res._replace(eta_hat=RandomVariable(res.eta_hat.space, values))
 
         monkeypatch.setattr(robustmse.cli, "solve_mmse", moved)
         code, doc = run(["oracle", path], tmp_path)
@@ -1105,6 +1109,33 @@ class TestOptions:
         path.write_text(json.dumps(dict(EXAMPLE, options=options)))
         assert main(["solve", str(path)]) == 2
         assert f"robustmse: invalid input: {field}: expected " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, flags, tol, max_iter",
+        [
+            ({}, [], 1e-8, 10_000),
+            ({"tol": 1e-6}, [], 1e-6, 10_000),
+            ({"max_iter": 7}, [], 1e-8, 7),
+            ({}, ["--tol", "1e-4"], 1e-4, 10_000),
+            ({"tol": 1e-6, "max_iter": 7}, ["--tol", "1e-4"], 1e-4, 7),
+        ],
+    )
+    def test_solver_settings_reach_the_solver(
+        self, tmp_path, monkeypatch, options, flags, tol, max_iter
+    ):
+        seen, solve = [], robustmse.cli.solve_mmse
+
+        def spy(ms, xi, c, cfg):
+            seen.append(cfg)
+            return solve(ms, xi, c, cfg)
+
+        monkeypatch.setattr(robustmse.cli, "solve_mmse", spy)
+        path = tmp_path / "options.json"
+        path.write_text(json.dumps(dict(EXAMPLE, options=options)))
+        run(["solve", str(path), *flags], tmp_path)
+        assert [(type(cfg), cfg.tol, cfg.max_iter) for cfg in seen] == [
+            (robustmse.cli.SolverConfig, tol, max_iter)
+        ]
 
 
 class TestParserReuse:

@@ -918,7 +918,7 @@ class TestSolveTrace:
         res = solve_mmse(ms, xi, triv)
         assert res.trace.additions == res.iterations and res.trace.newton_steps > 0
         assert brute_force_mmse(ms, xi, triv).trace is None
-        assert not {"trace", *vars(res.trace)} & set(estimator_result_dict(res))
+        assert not {"trace", *res.trace._fields} & set(estimator_result_dict(res))
 
     def test_measurable_input_does_no_work(self, two_point):
         space, ms, _, triv = two_point

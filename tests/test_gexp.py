@@ -105,6 +105,12 @@ class TestTreeModel:
             TreeModel(1, 0.25, 1.0)
         with pytest.raises(ArgumentError):
             TreeModel(1, 0.75, 0.25)
+        for q_lo, q_hi in [
+            (math.nan, 0.75), (0.25, math.nan),
+            ([math.nan, 0.25, 0.25], 0.75), (0.25, [0.75, math.nan, 0.75]),
+        ]:
+            with pytest.raises(ArgumentError):
+                TreeModel(2, q_lo, q_hi)
 
     @pytest.mark.parametrize("dt", [0.0, -0.25, math.inf, math.nan])
     def test_dt_positive_and_finite(self, dt):

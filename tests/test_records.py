@@ -1,0 +1,125 @@
+"""The package's records and value types, built without dataclasses.
+
+Importing the package and its command line loads no `dataclasses` module, and
+each of the 28 types keeps its immutability, equality and hashing: records
+(NamedTuples) compare and hash by their fields, value types as their own
+methods say, a TreeModel and a GExpResult by identity.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import robustmse
+from robustmse import (
+    Filtration,
+    Measure,
+    MeasureSet,
+    MixtureWeights,
+    PartitionAlgebra,
+    RandomVariable,
+    SampleSpace,
+    SolverConfig,
+    SolveTrace,
+    TreeModel,
+    axiom_suite,
+    compare_gexp_mmse,
+    g_expectation,
+    is_stable,
+    kernel_interval,
+    minimax_gap,
+    ns_condition,
+    optimality_ineq,
+    paste,
+    recursivity_check,
+    rho,
+    solve_mmse,
+    verify_saddle,
+)
+from robustmse.instances import parse_instance
+from robustmse.simplexlp import solve_lp
+from robustmse.stability import TcCounterexample
+from robustmse.sublinear import AxiomViolation
+
+
+def test_import_loads_no_dataclasses():
+    # numpy does not import dataclasses, so its presence would be the package's
+    src = os.path.dirname(os.path.dirname(robustmse.__file__))
+    code = "import robustmse, robustmse.cli, sys; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == ["False"]
+
+
+def build():
+    """One instance of each of the 28 types, keyed by type name; every call
+    builds new objects from the same data."""
+    space = SampleSpace(("uu", "ud", "du", "dd"))
+    g0, g1 = Measure(space, [0.4, 0.1, 0.2, 0.3]), Measure(space, [0.1, 0.4, 0.3, 0.2])
+    ms = MeasureSet([g0, g1])
+    xi = RandomVariable(space, [1.0, -2.0, 0.5, 3.0])
+    halves = PartitionAlgebra(space, [(0, 1), (2, 3)])
+    f = Filtration([PartitionAlgebra.trivial(space), halves, PartitionAlgebra.discrete(space)])
+    tree = TreeModel(2, 0.25, 0.75)
+    res = solve_mmse(ms, xi, halves)
+    opt = optimality_ineq(ms, xi, halves, res.eta_hat, [res.eta_hat])
+    objs = [
+        space, xi, halves, f, g0, ms, MixtureWeights([0.5, 0.5]), tree,
+        SolverConfig(), SolveTrace(), res, verify_saddle(ms, xi, halves, res),
+        ns_condition(ms, xi, halves, res.eta_hat), opt.entries[0], opt,
+        minimax_gap(ms, xi, halves), g_expectation(tree, xi.values),
+        compare_gexp_mmse(tree, xi.values, 1),
+        parse_instance({"omega": list(space.labels), "generators": ms.weights_matrix.tolist(),
+                        "xi": xi.values.tolist(), "partition": [[0, 1], [2, 3]]}),
+        solve_lp(np.ones(2), np.ones((1, 2)), np.ones(1)), paste(g0, g1, f, 1),
+        is_stable(ms, f), kernel_interval(ms, xi, halves),
+        recursivity_check(ms, f, xi, 0, 1),
+        TcCounterexample(ms, xi, f, res.eta_hat, res.eta_hat, res.eta_hat, 0.0, 0, 1),
+        rho(ms, xi), AxiomViolation("monotonicity", "samples (0, 1)", 1.0, 0.5),
+        axiom_suite(ms, [xi]),
+    ]
+    return {type(o).__name__: o for o in objs}
+
+
+NAMES = sorted(build())
+BY_IDENTITY = {"TreeModel", "GExpResult", "GexpCompareReport"}  # the report holds a GExpResult
+UNHASHABLE = {"MixtureWeights", "EstimatorResult", "Instance", "LpResult"}
+
+
+def test_every_type_built():
+    assert len(NAMES) == 28
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_assignment_refused(name):
+    obj = build()[name]
+    first = next(iter(getattr(obj, "_fields", None) or type(obj).__annotations__))
+    with pytest.raises(AttributeError):
+        setattr(obj, first, getattr(obj, first))
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
+def test_value_type_repr_leaves_arrays_out():
+    space = SampleSpace(("a", "b"))
+    assert repr(RandomVariable(space, [1.0, 2.0])) == (
+        "RandomVariable(space=SampleSpace(labels=('a', 'b')), bound=2.0)"
+    )
+    assert repr(TreeModel(1, 0.25, 0.75)) == "TreeModel(depth=1, dt=0.25)"
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n != "LpResult"])  # its x is an array
+def test_equality_and_hashing(name):
+    a, b = build()[name], build()[name]
+    assert a == a
+    assert (a == b) is (name not in BY_IDENTITY)
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    elif name not in BY_IDENTITY:
+        assert hash(a) == hash(b)

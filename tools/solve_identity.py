@@ -171,7 +171,7 @@ def solve_record(ms, xi, c):
         "iterations": res.iterations,
         "converged": res.converged,
         "warnings": list(res.warnings),
-        "trace": vars(res.trace),
+        "trace": res.trace._asdict(),
     }
 
 
