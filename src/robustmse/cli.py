@@ -6,7 +6,9 @@
 
 Exit codes: 0 success, 1 certificate failure, 2 validation error,
 3 nonconvergence, 4 guard refusal. Identical instance + options + seed
-produce a byte-identical result file apart from the wall_time_s field.
+produce a byte-identical result file apart from the wall_time_s field, on
+one BLAS kernel. Another kernel may change the floats, `iterations`, the
+SolveTrace counts and the iteration count in a stop warning, not a verdict.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 import math
 import sys
 import time
+from types import MappingProxyType
 
 import numpy as np
 
@@ -186,7 +189,7 @@ def cmd_tcsearch(args) -> tuple[dict, int]:
         partition=None,
         filtration=hit.filtration,
         tree=None,
-        options={},
+        options=MappingProxyType({}),
     )
     doc = canonical_dict(counterexample)
     doc["chains"] = {

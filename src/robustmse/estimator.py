@@ -667,7 +667,6 @@ def ns_condition(
 
 
 class OptimalityEntry(NamedTuple):
-    index: int
     margin: float
     ok: bool
 
@@ -700,7 +699,7 @@ def optimality_ineq(
             raise ArgumentError(f"eta_list[{i}] is not measurable w.r.t. the partition")
         lhs = rho(ms, (xi - eta) * resid).value
         margin = lhs - base
-        entries.append(OptimalityEntry(index=i, margin=margin, ok=margin >= -tol * xi.unit**2))
+        entries.append(OptimalityEntry(margin=margin, ok=margin >= -tol * xi.unit**2))
     return OptimalityReport(entries=tuple(entries))
 
 

@@ -91,16 +91,13 @@ class TreeModel(Immutable):
     def num_internal(self) -> int:
         return 2 ** self.depth - 1
 
-    def sample_space(self) -> SampleSpace:
+    @cached_property
+    def space(self) -> SampleSpace:
         labels = []
         for leaf in range(self.num_leaves):
             bits = format(leaf, f"0{self.depth}b")
             labels.append(bits.replace("0", "u").replace("1", "d"))
         return SampleSpace(tuple(labels))
-
-    @cached_property
-    def space(self) -> SampleSpace:
-        return self.sample_space()
 
     def level_partition(self, level: int) -> PartitionAlgebra:
         """Leaves grouped by their first `level` moves: in the heap order, runs
@@ -263,7 +260,6 @@ class GExpResult(NamedTuple):
     Results compare and hash by identity, as their arrays cannot.
     """
 
-    tree: TreeModel
     y: np.ndarray
     z: np.ndarray
 
@@ -298,7 +294,7 @@ def g_expectation(tm: TreeModel, xi_leaf, direction: str = "sup") -> GExpResult:
         raise ArgumentError("direction must be 'sup' or 'inf'")
     y, _ = tm._sweep(xi_leaf, np.maximum if direction == "sup" else np.minimum)
     z = (y[1::2] - y[2::2]) / (2.0 * math.sqrt(tm.dt))
-    return GExpResult(tree=tm, y=y, z=z)
+    return GExpResult(y=y, z=z)
 
 
 def tree_envelopes(

@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import math
+from types import MappingProxyType
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -37,9 +38,9 @@ _KNOWN_OPTIONS = {
 }
 
 
-def _validate_options(options) -> dict:
-    """The options as the solver reads them: `tol` and `ns_tol` as floats,
-    `max_iter` and `level` as ints, so every spelling of a value is one."""
+def _validate_options(options) -> MappingProxyType:
+    """The options as the solver reads them, read-only: `tol` and `ns_tol` as
+    floats, `max_iter` and `level` as ints, so every spelling of a value is one."""
     _require(isinstance(options, dict), "options", "expected an object")
     bad = set(options) - _KNOWN_OPTIONS
     _require(not bad, "options", f"unknown option(s) {sorted(bad)}")
@@ -52,7 +53,7 @@ def _validate_options(options) -> dict:
         if key in options:
             _require(_is_int(options[key]), f"options.{key}", "expected an integer")
     _require(typed.get("max_iter", 0) >= 0, "options.max_iter", "expected an integer >= 0")
-    return typed
+    return MappingProxyType(typed)
 
 
 def _require(cond, path, message):
@@ -102,7 +103,7 @@ class Instance(NamedTuple):
     partition: PartitionAlgebra | None
     filtration: Filtration | None
     tree: TreeModel | None
-    options: dict
+    options: MappingProxyType
 
     @property
     def kind(self) -> str:
@@ -393,7 +394,7 @@ def instance_digest(inst: Instance) -> str:
     header.update(
         version=FORMAT_VERSION,
         digest=DIGEST_VERSION,
-        options=inst.options,
+        options=dict(inst.options),
         arrays=[[name, list(a.shape)] for name, a in arrays.items()],
     )
     h = hashlib.sha256(_canonical_json(header).encode("utf-8"))

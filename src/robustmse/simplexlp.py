@@ -34,6 +34,9 @@ class LpResult(NamedTuple):
     residual: float  # phase-1 objective: total artificial mass left
     pivots: int
 
+    # x is an array, which == cannot reduce to one bool
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
 
 def _tableaux(A, b, c=None):
     """Tableaux for A@x == b >= 0, x >= 0, one per row of b, artificials basic:

@@ -170,8 +170,6 @@ def kernel_interval(
 
 
 class RecursivityReport(NamedTuple):
-    lhs: RandomVariable
-    rhs: RandomVariable
     equal: bool
     max_abs_gap: float
 
@@ -190,7 +188,7 @@ def recursivity_check(
         )
     lhs, inner = (ess_sup_conditional(ms, xi, f.levels[t]) for t in (sigma_level, tau_level))
     rhs = ess_sup_conditional(ms, inner, f.levels[sigma_level])
-    return _recursivity(lhs, rhs, tol * xi.unit)
+    return _recursivity(lhs.values, rhs.values, tol * xi.unit)
 
 
 def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
@@ -204,16 +202,15 @@ def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
         means = _means(ms.weights_matrix, values, levels[s], *tables[s])
         return np.fmax.reduce(means, axis=0)[levels[s].labels]
 
-    ups = [upper(xi.values, s) for s in range(len(levels))]
-    lhs, bound = [RandomVariable(xi.space, u) for u in ups], VALUE_TOL * xi.unit
-    return {(s, t): _recursivity(lhs[s], RandomVariable(xi.space, upper(ups[t], s)), bound)
+    ups, bound = [upper(xi.values, s) for s in range(len(levels))], VALUE_TOL * xi.unit
+    return {(s, t): _recursivity(ups[s], upper(ups[t], s), bound)
             for s in range(len(levels)) for t in range(s, len(levels))}
 
 
 def _recursivity(lhs, rhs, bound):
-    """The pair verdict: lhs against rhs, equal within bound."""
-    gap = float(np.abs(lhs.values - rhs.values).max())
-    return RecursivityReport(lhs=lhs, rhs=rhs, equal=gap <= bound, max_abs_gap=gap)
+    """The pair verdict on two per-point envelope arrays: equal within bound."""
+    gap = float(np.abs(lhs - rhs).max())
+    return RecursivityReport(equal=gap <= bound, max_abs_gap=gap)
 
 
 class TcCounterexample(NamedTuple):
@@ -227,7 +224,6 @@ class TcCounterexample(NamedTuple):
     eta_direct: RandomVariable  # one-shot estimator at the coarse level
     gap: float
     trial_index: int
-    seed: int
 
 
 DEFAULT_TCSEARCH_SEED = 20250801
@@ -271,7 +267,6 @@ def mmse_time_consistency_search(
                 eta_direct=direct.eta_hat,
                 gap=gap,
                 trial_index=trial,
-                seed=int(seed),
             )
     return None
 

@@ -25,18 +25,18 @@ class RhoValue(NamedTuple):
     ties: tuple[int, ...]
 
 
-def rho(ms: MeasureSet | TreeModel, x: RandomVariable, tie_tol: float = VALUE_TOL) -> RhoValue:
+def rho(ms: MeasureSet | TreeModel, x: RandomVariable) -> RhoValue:
     """Maximum expectation over the generators, with deterministic tie-breaking.
 
     argmax_generator is the smallest maximizing index; ties lists every index
-    attaining the max within tie_tol * x.unit. The set answers both (support,
-    near_ties, whose slack is absolute): a MeasureSet from its weight matrix,
-    a TreeModel for its corner set by recursion, with corners indexed as in
-    tree_measure_set.
+    attaining the max within VALUE_TOL * x.unit. The set answers both
+    (support, and near_ties, which takes any absolute slack): a MeasureSet
+    from its weight matrix, a TreeModel for its corner set by recursion, with
+    corners indexed as in tree_measure_set.
     """
     check_same_space(ms, x)
     value, best = ms.support(x.values)
-    return RhoValue(value, best, ms.near_ties(x.values, tie_tol * x.unit))
+    return RhoValue(value, best, ms.near_ties(x.values, VALUE_TOL * x.unit))
 
 
 def _block_masses(ms, c) -> tuple[np.ndarray, np.ndarray]:

@@ -392,6 +392,14 @@ class TestDigest:
         assert typed.options == {"ns_tol": 0.0, "max_iter": 7}
         assert type(typed.options["ns_tol"]) is float
 
+    def test_options_are_read_only(self):
+        # the options feed the digest and the solver settings, so a parsed
+        # instance refuses to change them
+        inst = parse_instance(README_EXAMPLE)
+        with pytest.raises(TypeError):
+            inst.options["tol"] = 0.5
+        assert instance_digest(inst) == README_DIGEST
+
     def test_header_holds_no_weight(self, monkeypatch):
         # K = 35 and K = 350 rows on the same points, blocks and xi: the
         # header differs only by the shape, so no weight is written into it

@@ -129,7 +129,7 @@ class TestTreeModel:
 
     def test_leaf_labels(self):
         tm = TreeModel.drift_bound(2)
-        assert tm.sample_space().labels == ("uu", "ud", "du", "dd")
+        assert tm.space.labels == ("uu", "ud", "du", "dd")
 
     def test_level_partitions(self):
         tm = TreeModel.drift_bound(2)
@@ -386,15 +386,14 @@ class TestCornerOracle:
         for v in leaf_samples(tm, 92 + tm.depth):
             x = RandomVariable(ms.space, v)
             M = x.bound
-            # wide tolerances reach corners whose shortfall sits deep in the tree
+            # wide slacks reach corners whose shortfall sits deep in the tree
             for tol in (1e-9, 1e-3 * M, 0.05 * M, 0.3 * M):
-                # the absolute tie slack tol, in units of x.unit
-                want = rho(ms, x, tol / x.unit)
-                got = rho(tm, x, tol / x.unit)
-                assert got.ties == want.ties
-                assert got.value == pytest.approx(want.value, abs=1e-12 * M)
-                if is_exact(tm, v):
-                    assert got == want
+                assert tm.near_ties(v, tol) == ms.near_ties(v, tol)
+            want, got = rho(ms, x), rho(tm, x)
+            assert got.ties == want.ties
+            assert got.value == pytest.approx(want.value, abs=1e-12 * M)
+            if is_exact(tm, v):
+                assert got == want
 
     def test_every_corner_ties_on_a_constant(self):
         tm = TreeModel.drift_bound(4)
