@@ -34,12 +34,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    GuardRefusalError,
-    PropernessError,
-    ZeroMassBlockError,
-)
+from .errors import ArgumentError, GuardRefusalError, PropernessError
 from .measures import (
     MeasureSet,
     MixtureWeights,
@@ -118,11 +113,8 @@ class _Pool:
         check_same_space(ms, xi, c)
         self.size = ms.num_generators()  # on a tree, the corner-count guard: p_hat is dense
         self.support, self.rows, mean = ms.support, ms.rows, ms.mean_row()
-        self.xi, self.x, self.c, self.inc = xi, xi.values, c, c._incidence
-        mass = mean @ self.inc
-        if (mass <= 0.0).any():
-            raise ZeroMassBlockError(c.blocks[int(np.argmax(mass <= 0.0))])
-        self.reference_cond = (mean * self.x) @ self.inc / mass
+        self.xi, self.x, self.c = xi, xi.values, c
+        self.reference_cond = c.block_sums(mean * self.x) / c.charged_masses(mean)
         self.ids: list[int] = []  # generator of each pooled row
         self._index: dict[int, int] = {}
         self.weights = np.empty((0, len(self.x)))
@@ -137,8 +129,8 @@ class _Pool:
             self.ids.append(k)
             w = self.rows([k])
             self.weights = np.concatenate((self.weights, w))
-            self.mass = np.concatenate((self.mass, w @ self.inc))
-            self.first = np.concatenate((self.first, (w * self.x) @ self.inc))
+            self.mass = np.concatenate((self.mass, self.c.block_sums(w)))
+            self.first = np.concatenate((self.first, self.c.block_sums(w * self.x)))
         return row
 
     def cond(self, mass: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -197,7 +189,7 @@ def _face_ascent(pool, s, w, scale):
     face run only when a block is uncharged or a weight reaches 0, and the
     Caratheodory size is tested before its matrix is built.
     """
-    x, labels, inc, counts = pool.x, pool.c.labels, pool.inc, pool.counts
+    x, c, labels, counts = pool.x, pool.c, pool.c.labels, pool.counts
     # the face's rows of block masses, first moments and weights, sliced
     # again only when a generator leaves
     mass, first, rows = pool.mass[s], pool.first[s], pool.weights[s]
@@ -229,7 +221,7 @@ def _face_ascent(pool, s, w, scale):
             break
         n = len(s)
         d, dev = moments
-        u = (rows * dev) @ inc
+        u = c.block_sums(rows * dev)
         if not d[d.argmin()] > 0.0:  # a block the face leaves uncharged adds nothing
             live = d > 0.0
             u, d = u[:, live], d[live]
@@ -291,7 +283,7 @@ def _face_ascent(pool, s, w, scale):
         live = d > 0.0
         if len(s) <= np.count_nonzero(live) + 1:
             return s, w
-        m = np.vstack([((rows * dev) @ inc)[:, live].T / pool.xi.unit, np.ones(len(s))])
+        m = np.vstack([c.block_sums(rows * dev)[:, live].T / pool.xi.unit, np.ones(len(s))])
         v = np.linalg.svd(m)[2][-1]
         if v @ r < 0.0:
             v = -v
@@ -459,9 +451,6 @@ def brute_force_mmse(
     check_same_space(ms, xi, c)
     m, R = (float(np.max(xi.values)) + float(np.min(xi.values))) / 2.0, xi.unit
     W, x, labels, n = ms.weights_matrix, xi.values - m, c.labels, c.num_blocks
-    mass = c.block_sums(W).sum(axis=0)
-    if np.any(mass <= 0.0):
-        raise ZeroMassBlockError(c.blocks[int(np.argmax(mass <= 0.0))])
     inf, sup = conditional_envelopes(ms, RandomVariable(xi.space, x), c)
     widen = 4.0 * len(x) * _EPS * R
     lo, hi = inf.values[c.first] - widen, sup.values[c.first] + widen
@@ -477,7 +466,7 @@ def brute_force_mmse(
         rk = float(r[k])
         if rk < best_val:
             best, best_val = centre, rk
-        g = -2.0 * ((W[k] * dev) @ c._incidence)
+        g = -2.0 * c.block_sums(W[k] * dev)
         Pg = P @ g
         gPg = float(g @ Pg)
         # a rounding-indefinite P gives no bound; g = 0 certifies the centre

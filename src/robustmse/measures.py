@@ -15,7 +15,6 @@ from .errors import (
     AbsoluteContinuityError,
     ArgumentError,
     StructuralError,
-    ZeroMassBlockError,
 )
 from .spaces import (
     Immutable,
@@ -205,10 +204,7 @@ def conditional_expectation(
     Raises ZeroMassBlockError on the first block p does not charge.
     """
     check_same_space(p, x, c)
-    mass = c.block_sums(p.weights)
-    dead = mass <= 0.0
-    if np.any(dead):
-        raise ZeroMassBlockError(c.blocks[int(np.argmax(dead))])
+    mass = c.charged_masses(p.weights)
     return c.broadcast(c.block_sums(p.weights * x.values) / mass)
 
 

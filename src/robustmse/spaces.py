@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ArgumentError, StructuralError
+from .errors import ArgumentError, StructuralError, ZeroMassBlockError
 
 VALUE_TOL = 1e-9  # relative slack of a value comparison, in units of RandomVariable.unit
 
@@ -140,6 +140,8 @@ class PartitionAlgebra(Immutable):
     Every blockwise operation goes through the read-only layout computed
     here: labels[i] is the block containing sample point i, first[j] the
     smallest index of block j, and block_sums adds along the sample axis.
+    block_sums is the only reader of the incidence matrix, and
+    charged_masses the only refusal of a block that nothing charges.
     """
 
     space: SampleSpace
@@ -196,14 +198,24 @@ class PartitionAlgebra(Immutable):
     @cached_property
     def _incidence(self) -> np.ndarray:
         # n x B, 1.0 where point i lies in block j: 8*n*B bytes, kept while
-        # the partition lives since every blockwise sum multiplies by it
+        # the partition lives as block_sums' cache; nothing else reads it
         inc = np.zeros((self.space.n, self.num_blocks))
         inc[np.arange(self.space.n), self.labels] = 1.0
         return inc
 
     def block_sums(self, a) -> np.ndarray:
         """Sum of a finite (..., n) array over each block: shape (..., B)."""
-        return np.asarray(a, dtype=float) @ self._incidence
+        return a @ self._incidence
+
+    def charged_masses(self, weights) -> np.ndarray:
+        """block_sums of a (n,) or (K, n) array of nonnegative weights. Raises
+        ZeroMassBlockError on the first block, in canonical order, that no
+        row charges."""
+        mass = self.block_sums(weights)
+        charged = (mass > 0.0).reshape(-1, self.num_blocks).any(axis=0)
+        if not charged.all():
+            raise ZeroMassBlockError(self.blocks[int(charged.argmin())])
+        return mass
 
     def refines(self, coarser: "PartitionAlgebra") -> bool:
         if self.space != coarser.space:

@@ -21,7 +21,7 @@ from . import simplexlp
 from .spaces import (
     VALUE_TOL, Filtration, PartitionAlgebra, RandomVariable, SampleSpace, check_same_space
 )
-from .sublinear import _block_masses, _means, conditional_envelopes, ess_sup_conditional
+from .sublinear import _means, conditional_envelopes, ess_sup_conditional
 
 
 class PastedMeasure(NamedTuple):
@@ -101,10 +101,10 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = simplexlp.HULL_TOL) ->
     points = ms.weights_matrix
     k, n_levels = len(points), len(f.levels)
     # masses[b, l, i]: generator b's mass of the level-l block containing
-    # point i, summed one row at a time as paste sums it (a batched
-    # block_sums rounds differently in the last bits): a stack of 1 x n rows,
-    # spread by take, which keeps the stack C-contiguous
-    masses = np.stack([(points[:, None, :] @ lev._incidence)[:, 0].take(lev.labels, axis=1)
+    # point i, summed one row at a time as paste sums it (block sums of the
+    # (K, n) matrix round differently in the last bits): a stack of 1 x n
+    # rows, spread by take, which keeps the stack C-contiguous
+    masses = np.stack([lev.block_sums(points[:, None, :])[:, 0].take(lev.labels, axis=1)
                        for lev in f.levels], axis=1)
     # the hull LP's columns [g_k; 1], one row each
     ext = np.hstack([points, np.ones((k, 1))])
@@ -196,10 +196,11 @@ def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
     that order, bit for bit. Envelopes are arrays built from one mass table
     per level: each level's upper envelope of xi once, then each pair's rhs."""
     check_same_space(ms, xi, f.levels[0])
-    levels, tables = f.levels, [_block_masses(ms, level) for level in f.levels]
+    W, levels = ms.weights_matrix, f.levels
+    tables = [level.charged_masses(W) for level in levels]
 
     def upper(values, s):
-        means = _means(ms.weights_matrix, values, levels[s], *tables[s])
+        means = _means(W, values, levels[s], tables[s])
         return np.fmax.reduce(means, axis=0)[levels[s].labels]
 
     ups, bound = [upper(xi.values, s) for s in range(len(levels))], VALUE_TOL * xi.unit

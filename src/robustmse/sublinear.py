@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError, ZeroMassBlockError
+from .errors import ArgumentError
 from .measures import MeasureSet
 from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space
 
@@ -39,27 +39,18 @@ def rho(ms: MeasureSet | TreeModel, x: RandomVariable) -> RhoValue:
     return RhoValue(value, best, ms.near_ties(x.values, VALUE_TOL * x.unit))
 
 
-def _block_masses(ms, c) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, B) generator block masses and where they are positive."""
-    mass = c.block_sums(ms.weights_matrix)
-    live = mass > 0.0
-    dead = ~live.any(axis=0)
-    if np.any(dead):
-        b = c.blocks[int(np.argmax(dead))]
-        raise ZeroMassBlockError(b, f"no generator charges block {b}")
-    return mass, live
-
-
-def _means(weights, values, c, mass, live) -> np.ndarray:
-    """The (K, B) generator conditional means of values; a generator that
-    gives a block zero mass is NaN there, which np.fmax and np.fmin skip."""
+def _means(weights, values, c, mass) -> np.ndarray:
+    """The (K, B) generator conditional means of values, mass the generators'
+    block masses; a generator that gives a block zero mass is NaN there,
+    which np.fmax and np.fmin skip."""
     weighted = c.block_sums(weights * values)
-    return np.divide(weighted, mass, out=np.full(mass.shape, np.nan), where=live)
+    return np.divide(weighted, mass, out=np.full(mass.shape, np.nan), where=mass > 0.0)
 
 
 def _conditional_means(ms, x, c) -> np.ndarray:
     check_same_space(ms, x, c)
-    return _means(ms.weights_matrix, x.values, c, *_block_masses(ms, c))
+    W = ms.weights_matrix
+    return _means(W, x.values, c, c.charged_masses(W))
 
 
 def ess_sup_conditional(

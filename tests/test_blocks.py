@@ -21,15 +21,18 @@ from robustmse import (
     SampleSpace,
     ZeroMassBlockError,
     block_project,
+    brute_force_mmse,
     conditional_envelopes,
     conditional_expectation,
     ess_inf_conditional,
     ess_sup_conditional,
     is_measurable,
     paste,
+    solve_mmse,
 )
 from robustmse.estimator import _Pool
 from robustmse.randgen import random_partition, rng_from_seed, split_partition
+from robustmse.stability import recursivity_grid
 
 REL = 1e-13
 
@@ -323,10 +326,16 @@ def test_first_block_named_in_canonical_order():
         conditional_expectation(p, x, c)
     assert err.value.block == (1,)
     ms = MeasureSet([p, Measure(space, [0.5, 0.0, 0.0, 0.0, 0.5, 0.0])])
-    with pytest.raises(ZeroMassBlockError) as err:
-        ess_sup_conditional(ms, x, c)
-    assert err.value.block == (1,)
     f = Filtration([PartitionAlgebra.trivial(space), c])
+    for call in (
+        lambda: ess_sup_conditional(ms, x, c),
+        lambda: solve_mmse(ms, x, c),
+        lambda: brute_force_mmse(ms, x, c),
+        lambda: recursivity_grid(ms, f, x),
+    ):
+        with pytest.raises(ZeroMassBlockError) as err:
+            call()
+        assert err.value.block == (1,)
     q0 = Measure(space, np.full(6, 1 / 6))
     with pytest.raises(PastingDegeneracyError) as err:
         paste(q0, p, f, 1)

@@ -1,7 +1,10 @@
 """The package's module graph is one-way: every import runs when its module
 is loaded, none inside a function body, so no module imports at call time
 one that imports it. Imports under `if TYPE_CHECKING:` (annotations only)
-are allowed."""
+are allowed.
+
+Block arithmetic has one owner: only `spaces` (PartitionAlgebra) reads the
+incidence matrix or refuses a block that nothing charges."""
 
 import ast
 from pathlib import Path
@@ -34,6 +37,20 @@ def _call_time_imports(tree):
     return found
 
 
+def _block_layout_uses(tree):
+    """(line, what) of each read of an attribute named _incidence and each
+    `raise ZeroMassBlockError`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_incidence":
+            found.append((node.lineno, "_incidence"))
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "ZeroMassBlockError":
+                found.append((node.lineno, "raise ZeroMassBlockError"))
+    return sorted(found)
+
+
 def test_modules_found():
     assert {"estimator.py", "stability.py", "gexp.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -57,3 +74,24 @@ def f():
     return is_stable
 """
     assert _call_time_imports(ast.parse(source)) == [(9, "f")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "spaces"], ids=lambda p: p.stem)
+def test_only_spaces_owns_the_block_layout(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _block_layout_uses(tree) == []
+
+
+def test_the_check_sees_the_block_layout():
+    source = """
+from . import errors
+
+def f(c, w):
+    mass = w @ c._incidence
+    if not mass.all():
+        raise ZeroMassBlockError(c.blocks[0])
+    raise errors.ZeroMassBlockError
+"""
+    assert _block_layout_uses(ast.parse(source)) == [
+        (5, "_incidence"), (7, "raise ZeroMassBlockError"), (8, "raise ZeroMassBlockError"),
+    ]

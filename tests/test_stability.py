@@ -128,7 +128,7 @@ class TestIsStable:
             n, k = int(rng.integers(1, 40)), int(rng.integers(1, 50))
             c = random_partition(rng, SampleSpace.of_size(n), int(rng.integers(1, n + 1)))
             rows = rng.random((k, n)) * (rng.random((k, n)) < 0.8)
-            stacked = (rows[:, None, :] @ c._incidence)[:, 0]
+            stacked = c.block_sums(rows[:, None, :])[:, 0]
             assert stacked.tobytes() == np.array([c.block_sums(r) for r in rows]).tobytes()
 
     def test_requires_strictly_positive(self, four_point):
