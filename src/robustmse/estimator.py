@@ -75,6 +75,7 @@ class SolveTrace(NamedTuple):
     stuck_drops: int = 0  # blocking generators dropped at weight 0, without a line search
     residue_drops: int = 0  # blocking generators dropped at rounding-residue weight
     capped_faces: int = 0  # face ascents that ran all _FACE_STEPS
+    pair_additions: int = 0  # failed additions retried with a second generator
 
 
 class EstimatorResult(NamedTuple):
@@ -305,12 +306,33 @@ def _simplicial_decomposition(pool, eta0, max_iter):
     additions. Returns the active pool rows s, their weights w, and the
     evaluation of that mixture the stop rule read: eta = E_{P_w}[xi | C] per
     block, phi and max r.
+
+    One vertex can fail where a block is uncharged: phi is not
+    differentiable there, since eta on that block is free, so the vertex
+    argmax r need not be an ascent direction (on a set that is not proper,
+    each of two generators can charge one point of the block and raise phi
+    only together). So an addition of k that improves neither phi nor the
+    gap is retried once as a pair (SolveTrace.pair_additions): on the blocks
+    U that the face leaves uncharged and k charges, eta takes k's own
+    conditional mean, and k joins the face with k2, the generator argmax r
+    at that eta. The solve stops only if the pair fails too, or if U is
+    empty.
     """
 
     def evaluate(s, w):
         eta = pool.eta_of(w, s)
         r, k, top = pool.worst(eta)
         return eta, float(w @ r[s]), top, k
+
+    def ascend(rows):
+        # the face s with the pool rows not in it added at weight 0, ascended
+        on = s.tolist()
+        new = [r for r in dict.fromkeys(rows) if r not in on]
+        s_new = np.concatenate((s, np.array(new, dtype=s.dtype)))
+        s_new, w_new = _face_ascent(pool, s_new, np.concatenate((w, np.zeros(len(new)))), scale)
+        eta_new, phi_new, top_new, k_new = evaluate(s_new, w_new)
+        improved = phi_new > top_phi or top_new - phi_new < low_gap
+        return improved, (s_new, w_new, eta_new, phi_new, top_new, k_new)
 
     _, k, scale = pool.worst(eta0)
     s = np.array([pool.add(k)])
@@ -321,14 +343,30 @@ def _simplicial_decomposition(pool, eta0, max_iter):
     while counts["additions"] < max_iter and not _closed(top - phi, len(s), top):
         counts["additions"] += 1
         row = pool.add(k)
-        s_new, w_new = (s, w) if row in s else (np.append(s, row), np.append(w, 0.0))
-        s_new, w_new = _face_ascent(pool, s_new, w_new, scale)
-        eta_new, phi_new, top_new, k_new = evaluate(s_new, w_new)
-        if not (phi_new > top_phi or top_new - phi_new < low_gap):
-            break
-        s, w, eta, phi, top, k = s_new, w_new, eta_new, phi_new, top_new, k_new
+        improved, new = ascend([row])
+        if not improved:
+            opened = ~(w @ pool.mass[s] > 0.0) & (pool.mass[row] > 0.0)
+            if not opened.any():
+                break
+            counts["pair_additions"] += 1
+            eta_k = eta.copy()
+            eta_k[opened] = pool.first[row, opened] / pool.mass[row, opened]
+            improved, new = ascend([row, pool.add(pool.worst(eta_k)[1])])
+            if not improved:
+                break
+        s, w, eta, phi, top, k = new
         top_phi, low_gap = max(top_phi, phi), min(low_gap, top - phi)
     return s, w, eta, phi, top
+
+
+def _refuse_overflow(xi: RandomVariable) -> None:
+    """Refuse an xi whose squared residuals overflow binary64: |xi - eta|
+    reaches 2R (R = xi.unit) for an eta in the range of xi. R <= xi.bound,
+    so R is computed only when 4 bound^2 overflows."""
+    if math.isinf(4.0 * xi.bound * xi.bound) and math.isinf(4.0 * xi.unit * xi.unit):
+        raise GuardRefusalError(
+            f"xi spans {2.0 * xi.unit:.3e}: squared residuals up to (2R)^2 overflow binary64"
+        )
 
 
 def solve_mmse(
@@ -361,7 +399,9 @@ def solve_mmse(
     units of xi. Nonconvergence is reported as an explicit status
     (converged=False, last iterate and gap retained), never as a silent best
     effort. p_hat has one weight per generator (per corner for a tree).
-    EstimatorResult.trace counts the solve's work (SolveTrace).
+    EstimatorResult.trace counts the solve's work (SolveTrace). A
+    non-measurable xi whose squared residuals overflow binary64 is refused
+    (GuardRefusalError).
     """
     cfg = cfg or SolverConfig()
     warn: list[str] = []
@@ -378,6 +418,7 @@ def solve_mmse(
             saddle_gap=0.0, iterations=0, solver=SOLVER_SADDLE, warnings=tuple(warn),
             trace=SolveTrace(),
         )
+    _refuse_overflow(xi)
 
     if init_weights is None:
         eta0 = pool.reference_cond
@@ -443,18 +484,27 @@ def brute_force_mmse(
     is capped at 1/2: a shallower cut still keeps the minimizer. The run has
     converged exactly when saddle_gap, that certified gap, is at most
     1e-13 * R^2; iterations counts the cuts, at most MAX_ELLIPSOID_STEPS.
+
+    The run is in units of 2^e, R = f 2^e with 1/2 <= f < 1 (math.frexp):
+    on (xi - m) 2^-e, where g'P g, of order R^4, neither underflows nor
+    overflows. Scaling by a power of two is exact, so the iterates are those
+    in the units of xi times 2^-e, and eta_hat, alpha and the gap are scaled
+    back exactly. An xi whose residuals, up to (2R)^2, overflow is refused
+    (_refuse_overflow).
     """
     if c.num_blocks > MAX_BRUTE_BLOCKS:
         raise GuardRefusalError(
             f"brute force limited to {MAX_BRUTE_BLOCKS} blocks, got {c.num_blocks}"
         )
     check_same_space(ms, xi, c)
-    m, R = (float(np.max(xi.values)) + float(np.min(xi.values))) / 2.0, xi.unit
-    W, x, labels, n = ms.weights_matrix, xi.values - m, c.labels, c.num_blocks
+    _refuse_overflow(xi)
+    m = (float(np.max(xi.values)) + float(np.min(xi.values))) / 2.0
+    f, e = math.frexp(xi.unit)
+    W, x, labels, n = ms.weights_matrix, np.ldexp(xi.values - m, -e), c.labels, c.num_blocks
     inf, sup = conditional_envelopes(ms, RandomVariable(xi.space, x), c)
-    widen = 4.0 * len(x) * _EPS * R
+    widen = 4.0 * len(x) * _EPS * f
     lo, hi = inf.values[c.first] - widen, sup.values[c.first] + widen
-    tol = _ELLIPSOID_TOL * R**2
+    tol = _ELLIPSOID_TOL * f**2
     centre = (lo + hi) / 2.0
     P = np.diag(n * ((hi - lo) / 2.0) ** 2)
     best, best_val, lower = centre, math.inf, -math.inf
@@ -487,13 +537,14 @@ def brute_force_mmse(
             P = n * n * (1.0 - a * a) / (n * n - 1.0) * (P - shrink * (b[:, None] * b))
 
     converged = gap <= tol
+    alpha, gap, tol = (math.ldexp(v, 2 * e) for v in (best_val, gap, tol))
     warn = [] if converged else [
         f"ellipsoid method stopped at bound gap {gap:.3e} > {tol:.1e} after {steps} steps"
     ]
     return EstimatorResult(
-        eta_hat=c.broadcast(best + m),
+        eta_hat=c.broadcast(np.ldexp(best, e) + m),
         p_hat=None,
-        alpha=best_val,
+        alpha=alpha,
         saddle_gap=gap,
         iterations=steps,
         solver=SOLVER_BRUTE,

@@ -34,6 +34,15 @@ EXAMPLE = {
     "partition": [[0, 1]],
 }
 
+# two blocks, two generators: the scale checks of the oracle and the guard
+FOUR_POINT = {
+    "version": "1",
+    "omega": ["a", "b", "c", "d"],
+    "generators": [[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]],
+    "xi": [1, -1, 0, 0.5],
+    "partition": [[0, 1], [2, 3]],
+}
+
 
 @pytest.fixture
 def example_file(tmp_path):
@@ -679,6 +688,27 @@ class TestRhoCommand:
         assert got["result"] == want["result"]
 
 
+class TestOverflowRefused:
+    def test_squares_that_overflow_are_refused(self, tmp_path, capsys):
+        # residuals reach (2R)^2: at xi * 1e300 that is past binary64, so the
+        # commands that square them refuse (exit 4); rho, linear in xi, answers
+        part = dict(FOUR_POINT, xi=[v * 1e300 for v in FOUR_POINT["xi"]])
+        tree = {
+            "version": "1",
+            "tree": {"depth": 2, "dt": 0.25, "q_lo": 0.25, "q_hi": 0.75,
+                     "leaf_values": [1e300, -1e300, 0, 5e299]},
+            "options": {"level": 1},
+        }
+        for doc, commands in ((part, ("solve", "oracle")), (tree, ("solve", "gexp"))):
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(doc))
+            for cmd in commands:
+                code, out = run([cmd, str(path)], tmp_path, f"{cmd}.json")
+                assert (code, out) == (4, None), cmd
+                assert "robustmse: refused: " in capsys.readouterr().err
+            assert run(["rho", str(path)], tmp_path, "rho.json")[0] == 0
+
+
 class TestOracleCommand:
     def test_example_agrees(self, example_file, tmp_path):
         code, doc = run(["oracle", example_file], tmp_path)
@@ -686,10 +716,12 @@ class TestOracleCommand:
         assert doc["result"]["agree"] is True
         assert doc["result"]["alpha_diff"] <= 1e-4
 
-    @pytest.mark.parametrize("s", [1e-6, 1e6])
+    @pytest.mark.parametrize("s", [1e-150, 1e-100, 1e-6, 1e6, 1e100, 1e150])
     def test_agreement_does_not_depend_on_units(self, tmp_path, s):
         # at xi * 1e6 the second instance's alpha_diff (0.04) and eta_sup_diff
-        # (0.2) are rounding relative to bound(xi), far above any fixed cut-off
+        # (0.2) are rounding relative to bound(xi), far above any fixed cut-off.
+        # The oracle runs in units of a power of two: in the units of xi its
+        # g'Pg, of order R^4, underflows on FOUR_POINT at xi * 1e-100
         interior = {
             "version": "1",
             "omega": ["a", "b", "c", "d"],
@@ -700,7 +732,7 @@ class TestOracleCommand:
             "xi": [-0.875, -1.9375, -0.8125, -1.875],
             "partition": [[0, 1], [2, 3]],
         }
-        for doc in (EXAMPLE, interior):
+        for doc in (EXAMPLE, interior, FOUR_POINT):
             path = tmp_path / "scaled.json"
             path.write_text(json.dumps(dict(doc, xi=[v * s for v in doc["xi"]])))
             code, out = run(["oracle", str(path)], tmp_path)

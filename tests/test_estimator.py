@@ -218,7 +218,7 @@ class TestBruteForce:
                 1e-5 * xi.bound
             )
 
-    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("s", [1e-120, 1e-6, 1e-3, 1e3, 1e6, 1e120])
     def test_scale_equivariance(self, s):
         rng = rng_from_seed(39)
         for _ in range(10):
@@ -230,6 +230,20 @@ class TestBruteForce:
             assert np.max(np.abs(res.eta_hat.values - s * base.eta_hat.values)) <= (
                 1e-5 * s * xi.bound
             )
+
+    @pytest.mark.parametrize("k", [-300, 300])
+    def test_exact_under_a_power_of_two(self, k):
+        # the ellipsoid runs in units of 2^e, e the exponent of R: scaling xi
+        # by 2^k moves e by k and leaves every iterate as it was
+        s = 2.0**k
+        rng = rng_from_seed(39)
+        for _ in range(10):
+            ms, xi, c = random_instance(rng)
+            base, res = brute_force_mmse(ms, xi, c), brute_force_mmse(ms, xi * s, c)
+            assert np.array_equal(res.eta_hat.values, base.eta_hat.values * s)
+            assert res.alpha == base.alpha * s * s
+            assert res.saddle_gap == base.saddle_gap * s * s
+            assert (res.iterations, res.converged) == (base.iterations, base.converged)
 
     def test_certified_minimum(self):
         # alpha is certified within 1e-13 bound^2 of min F, so no point of
@@ -859,11 +873,12 @@ REPRODUCERS = {
     ),
 }
 
-# Two explicit sets, each (rows, xi, blocks, trace, alpha), on the branches
-# the face steps take only sometimes. The first is an order of the
-# reproducer of tests/test_not_proper.py that converges: its faces leave
-# block {0, 1} uncharged. In the second, an accepted Newton step sets a
-# weight to 0 and that generator leaves the face.
+# Three explicit sets, each (rows, xi, blocks, trace, alpha), on the branches
+# the solve takes only sometimes. The first is an order of the reproducer of
+# tests/test_not_proper.py whose faces leave block {0, 1} uncharged. The
+# second is the reproducer in its listed order: no single generator opens
+# block {0, 1}, and a pair does (pair_additions). In the third, an accepted
+# Newton step sets a weight to 0 and that generator leaves the face.
 EXPLICIT_REPRODUCERS = {
     "face leaves a block uncharged": (
         np.array([
@@ -873,6 +888,16 @@ EXPLICIT_REPRODUCERS = {
         [0, 2, 0, 1, 2],
         [(0, 1), (2, 3, 4)],
         SolveTrace(additions=1, newton_steps=2, line_evals=2),
+        "0x1.0000000000000p+0",
+    ),
+    "a pair opens a block": (
+        np.array([
+            [0, 0, 0, 0, 2], [0, 0, 0, 1, 1], [0, 0, 1, 0, 1], [0, 0, 1, 1, 0], [0, 1, 0, 1, 0],
+            [0, 1, 1, 0, 0], [0, 2, 0, 0, 0], [1, 0, 0, 1, 0], [1, 0, 1, 0, 0], [2, 0, 0, 0, 0],
+        ]) / 2,
+        [0, 2, 0, 1, 2],
+        [(0, 1), (2, 3, 4)],
+        SolveTrace(additions=2, newton_steps=12, line_evals=12, pair_additions=1),
         "0x1.0000000000000p+0",
     ),
     "Newton step zeroes a weight": (
