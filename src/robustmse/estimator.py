@@ -41,7 +41,7 @@ from .measures import (
     is_proper,
     mix,
 )
-from .simplexlp import HULL_TOL, hull_membership
+from .simplexlp import hull_membership, hull_witness
 from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space, is_measurable
 from .sublinear import conditional_envelopes, ess_sup_conditional, rho
 
@@ -606,18 +606,6 @@ def _centered_moments(ms, xi, c, eta_tilde, name):
     return d, c.block_sums(ms.weights_matrix * d) / (xi.bound or 1.0)
 
 
-def _hull_witness(witness, u):
-    """witness as simplex weights lam that put 0 in the hull of the rows of u,
-    or None. lam qualifies when it has one entry per row, lam >= 0, and
-    sum_B |lam @ u_B| + |sum lam - 1| <= HULL_TOL: the residual the
-    simplex's phase 1 would leave at lam."""
-    if witness is None:
-        return None
-    lam = np.asarray(witness, dtype=float)
-    ok = lam.shape == (len(u),) and np.all(lam >= 0.0)
-    return lam if ok and np.abs(lam @ u).sum() + abs(lam.sum() - 1.0) <= HULL_TOL else None
-
-
 def kernel_member(
     ms: MeasureSet,
     xi: RandomVariable,
@@ -637,12 +625,12 @@ def kernel_member(
     solver's P_hat (for eta_tilde = eta_hat, the conditional mean under P_hat,
     lam @ u = 0). It proves membership without an LP when the residual the
     simplex's phase 1 would leave at lam, with u rebuilt here from the weight
-    rows, is at most HULL_TOL (_hull_witness). Without a witness, or when it
-    fails, membership is one linear feasibility problem, decided by the
-    in-repo simplex with HULL_TOL as its phase-1 residual.
+    rows, is at most HULL_TOL (simplexlp.hull_witness). Without a witness, or
+    when it fails, membership is one linear feasibility problem, decided by
+    the in-repo simplex with HULL_TOL as its phase-1 residual.
     """
     _, u = _centered_moments(ms, xi, c, eta_tilde, "eta_tilde")
-    if _hull_witness(witness, u) is not None:
+    if hull_witness(witness, u) is not None:
         return True
     member, _, _ = hull_membership(u, np.zeros(c.num_blocks))
     return member
@@ -695,7 +683,7 @@ def ns_condition(
         holds = rho_sq - lower <= tol * M * M
         return NsReport(lower_bound=lower, rho_sq=rho_sq, holds=holds, active=len(active))
 
-    lam = _hull_witness(witness, u)
+    lam = hull_witness(witness, u)
     if lam is not None:
         rep = report(lam, slice(None))
         if rep.holds:

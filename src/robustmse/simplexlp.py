@@ -4,8 +4,10 @@ box_epigraph_min, the tests' exact reference for the NS lower bound.
 
 The problems have few rows (one per block or sample point), so a dense
 tableau is the simplest bit-reproducible choice: Bland's rule fixes the pivot
-sequence. Tolerances (PIVOT_EPS, feas_tol) are absolute: callers scale data to
-order one. One Bland loop pivots a stack of tableaux, each as its own LP."""
+sequence. Tolerances (PIVOT_EPS, HULL_TOL) are absolute: callers scale data to
+order one. One Bland loop pivots a stack of tableaux, each as its own LP. This
+module alone states membership: a phase-1 residual <= HULL_TOL in MAX_PIVOTS
+pivots, which hull_witness and column_certifies bound without an LP."""
 
 from __future__ import annotations
 
@@ -16,8 +18,7 @@ import numpy as np
 from .errors import NonconvergenceError
 
 PIVOT_EPS = 1e-11
-# the phase-1 residual that counts as feasible: the default of solve_lp,
-# hull_membership and is_stable, and the kernel and NS hull tests' tolerance
+# the phase-1 residual that counts as feasible, in every hull test
 HULL_TOL = 1e-9
 MAX_PIVOTS = 100_000
 # floats in one batch of stability pastings or of first_outside's tableaux, 512 KiB
@@ -101,12 +102,12 @@ def _leaving_rows(T, basis, col):
     return row
 
 
-def _bland(T, basis, cost, ncols, pivots, max_pivots, tol=None):
+def _bland(T, basis, cost, ncols, pivots, until_outside=False):
     """Pivot each tableau of the stack T on its cost row T[:, cost] over
     columns 0..ncols-1 until no reduced cost is below -PIVOT_EPS (the first
     improving column enters). Returns whether each ends bounded and the
-    stack's pivots counted on from `pivots`; one past max_pivots raises. Given
-    tol (phase 1), a tableau ending above tol or unbounded drops later ones."""
+    stack's pivots counted on from `pivots`; one past MAX_PIVOTS raises. With
+    until_outside (phase 1), one ending unbounded or above HULL_TOL drops later ones."""
     bounded = np.ones(len(T), dtype=bool)
     live, work, wbasis = np.arange(len(T)), T, basis
     while live.size:
@@ -120,16 +121,16 @@ def _bland(T, basis, cost, ncols, pivots, max_pivots, tol=None):
             bounded[ids] = optimal[done]
             T[ids], basis[ids] = work[done], wbasis[done]
             keep = ~done
-            if tol is not None and keep.any():
-                failed = ids[~optimal[done] | (np.maximum(0.0, -work[done, cost, -1]) > tol)]
+            if until_outside and keep.any():
+                failed = ids[~optimal[done] | (np.maximum(0.0, -work[done, cost, -1]) > HULL_TOL)]
                 keep &= live < (failed[0] if failed.size else len(T))
             if not keep.any():
                 break
             live, work, wbasis, col, row = (x[keep] for x in (live, work, wbasis, col, row))
         _pivot(work, wbasis, row, col)
         pivots += 1
-        if pivots > max_pivots:
-            raise NonconvergenceError(f"simplex pivot limit of {max_pivots} exceeded")
+        if pivots > MAX_PIVOTS:
+            raise NonconvergenceError(f"simplex pivot limit of {MAX_PIVOTS} exceeded")
     return bounded, pivots
 
 
@@ -138,24 +139,23 @@ def _check_phase1(bounded):
         raise NonconvergenceError("simplex phase-1 ratio test failed")
 
 
-def solve_lp(c, A, b, *, feas_tol=HULL_TOL, max_pivots=MAX_PIVOTS) -> LpResult:
+def solve_lp(c, A, b) -> LpResult:
     """min c@x subject to A@x == b, x >= 0.
 
     Two-phase dense simplex. Phase 1 minimizes total artificial mass; its
-    optimal value is returned as `residual` and compared against feas_tol to
-    classify feasibility, so callers control the tolerance. More than
-    max_pivots pivots raise NonconvergenceError.
+    optimal value is returned as `residual` and is feasible when at most
+    HULL_TOL. More than MAX_PIVOTS pivots raise NonconvergenceError.
     """
     A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
     m, n = A.shape
     sign = np.where(b < 0, -1.0, 1.0)  # rows with b < 0 negated
     stack, bases = _tableaux(A * sign[:, None], (b * sign)[None], c)
     T, basis = stack[0], bases[0]
-    (bounded,), pivots = _bland(stack, bases, m, n + m, 0, max_pivots)
+    (bounded,), pivots = _bland(stack, bases, m, n + m, 0)
     _check_phase1(bounded)
     residual = max(0.0, -T[m, -1])
-    if residual <= feas_tol:
-        # zero the artificial mass phase 1 left (at most feas_tol), so driving
+    if residual <= HULL_TOL:
+        # zero the artificial mass phase 1 left (at most HULL_TOL), so driving
         # leftover artificials out where a real pivot exists keeps x >= 0;
         # rows that admit none are redundant and stay inert
         leftover = np.flatnonzero(basis >= n)
@@ -165,11 +165,11 @@ def solve_lp(c, A, b, *, feas_tol=HULL_TOL, max_pivots=MAX_PIVOTS) -> LpResult:
             if cols.size:
                 _pivot(stack, bases, np.array([i]), cols[:1])
                 pivots += 1
-        (bounded,), pivots = _bland(stack, bases, m + 1, n, pivots, max_pivots)
+        (bounded,), pivots = _bland(stack, bases, m + 1, n, pivots)
     x = np.zeros(n)
     rows = np.flatnonzero(basis < n)
     x[basis[rows]] = T[rows, -1]
-    if residual > feas_tol:
+    if residual > HULL_TOL:
         return LpResult("infeasible", x, np.inf, residual, pivots)
     if not bounded:
         return LpResult("unbounded", x, -np.inf, residual, pivots)
@@ -182,7 +182,7 @@ def _hull_system(points):
     return np.vstack([points.T, np.ones((1, len(points)))])
 
 
-def hull_membership(points, target, tol=HULL_TOL):
+def hull_membership(points, target):
     """Is `target` a convex combination of the rows of `points`?
 
     Decided by phase-1 feasibility of {mu >= 0, sum mu = 1, mu @ points = target};
@@ -190,15 +190,37 @@ def hull_membership(points, target, tol=HULL_TOL):
     """
     A = _hull_system(points)
     b = np.concatenate([np.asarray(target, dtype=float), [1.0]])
-    res = solve_lp(np.zeros(A.shape[1]), A, b, feas_tol=tol)
+    res = solve_lp(np.zeros(A.shape[1]), A, b)
     mu = res.x
-    if res.status == "optimal":  # sum(mu) = 1 within feas_tol, so the sum is > 0
+    if res.status == "optimal":  # sum(mu) = 1 within HULL_TOL, so the sum is > 0
         mu = np.clip(mu, 0.0, None)
         mu = mu / mu.sum()
     return res.status == "optimal", mu, res.residual
 
 
-def first_outside(points, targets, tol):
+def hull_witness(witness, points):
+    """witness as simplex weights lam that put 0 in the hull of the rows of
+    points, or None. lam qualifies when it has one entry per row, lam >= 0,
+    and sum_B |lam @ points_B| + |sum lam - 1| <= HULL_TOL: the residual the
+    simplex's phase 1 would leave at lam."""
+    if witness is None:
+        return None
+    lam = np.asarray(witness, dtype=float)
+    ok = lam.shape == (len(points),) and np.all(lam >= 0.0)
+    return lam if ok and np.abs(lam @ points).sum() + abs(lam.sum() - 1.0) <= HULL_TOL else None
+
+
+def column_certifies(b, fit):
+    """Is the phase-1 mass the hull LP for b = [p; 1] leaves at the largest
+    theta with theta * fit <= b, fit a column [g_k; 1], at most HULL_TOL? It
+    bounds the phase-1 optimum, so True means "member"; a NaN (fit == 0)
+    certifies nothing. The last axis runs over the LP's rows; the rest broadcast."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = (b / fit).min(axis=-1)
+        return b.sum(axis=-1) - theta * fit.sum(axis=-1) <= HULL_TOL
+
+
+def first_outside(points, targets):
     """(index, residual) of the first nonnegative target outside the hull of
     the rows of points, by hull_membership's verdict and residual bit for bit
     (raising where it would before that), or None. The first target's LP runs
@@ -221,9 +243,9 @@ def first_outside(points, targets, tol):
 
     for rows in stacks():
         T, basis = _tableaux(A, np.hstack([targets[rows], np.ones((len(rows), 1))]))
-        bounded, _ = _bland(T, basis, m, n + m, 0, MAX_PIVOTS, tol)
+        bounded, _ = _bland(T, basis, m, n + m, 0, until_outside=True)
         residual = np.maximum(0.0, -T[:, m, -1])
-        stops = np.flatnonzero(~bounded | (residual > tol))
+        stops = np.flatnonzero(~bounded | (residual > HULL_TOL))
         if stops.size:
             _check_phase1(bounded[stops[0]])
             return int(rows[stops[0]]), float(residual[stops[0]])

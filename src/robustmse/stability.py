@@ -70,17 +70,7 @@ class StabilityReport(NamedTuple):
     hull_tests: int  # pastings the hull LP decided; the screen passed the rest
 
 
-def _mass_left(b, fit):
-    """Phase-1 mass the hull LP for b = [p; 1] leaves at the largest theta with
-    theta * fit <= b, fit a column [g_k; 1]: an upper bound on its phase-1
-    optimum, so at most tol means "member". A NaN (fit == 0) certifies
-    nothing. The last axis runs over the LP's rows; the rest broadcast."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = (b / fit).min(axis=-1)
-        return b.sum(axis=-1) - theta * fit.sum(axis=-1)
-
-
-def is_stable(ms: MeasureSet, f: Filtration, tol: float = simplexlp.HULL_TOL) -> StabilityReport:
+def is_stable(ms: MeasureSet, f: Filtration) -> StabilityReport:
     """Paste every ordered generator pair at every level and test hull membership.
 
     This is necessary for stability, not sufficient: a pasting on a single
@@ -89,12 +79,12 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = simplexlp.HULL_TOL) ->
 
     The pastings of as many bases as fit in simplexlp.BATCH_CELLS floats, each
     with every tail at every level, are formed as one array by `paste`'s
-    splice. A pasting whose `_mass_left` at one of the two generators next to
-    it along a fixed direction is at most tol is a member without an LP. The
-    rest go, in (base, tail, level) order, to `first_outside`; hull_tests
-    counts those it decides, up to and including the witness. So verdict,
-    witness (built by `paste`), residual and pastings_checked are those of
-    one `hull_membership` per pasting."""
+    splice. A pasting that one of the two generators next to it along a
+    fixed direction certifies (`simplexlp.column_certifies`) is a member
+    without an LP. The rest go, in (base, tail, level) order, to
+    `first_outside`; hull_tests counts those it decides, up to and including
+    the witness. So verdict, witness (built by `paste`), residual and
+    pastings_checked are those of one `hull_membership` per pasting."""
     check_same_space(ms, f.levels[0])
     if np.any(ms.weights_matrix <= 0.0):
         raise PropernessError("stability check requires strictly positive generators")
@@ -121,8 +111,8 @@ def is_stable(ms: MeasureSet, f: Filtration, tol: float = simplexlp.HULL_TOL) ->
         b = np.concatenate([pasted, np.ones(pasted.shape[:-1] + (1,))], axis=-1)
         right = np.searchsorted(keys[order], pasted @ direction)
         near = order[[np.maximum(right - 1, 0), np.minimum(right, k - 1)]]
-        pending = np.argwhere(~np.any(_mass_left(b, ext[near]) <= tol, axis=0))
-        outside = simplexlp.first_outside(points, pasted[tuple(pending.T)], tol)
+        pending = np.argwhere(~np.any(simplexlp.column_certifies(b, ext[near]), axis=0))
+        outside = simplexlp.first_outside(points, pasted[tuple(pending.T)])
         if outside is None:
             hull_tests += len(pending)
             continue

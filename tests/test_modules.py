@@ -4,14 +4,20 @@ one that imports it. Imports under `if TYPE_CHECKING:` (annotations only)
 are allowed.
 
 Block arithmetic has one owner: only `spaces` (PartitionAlgebra) reads the
-incidence matrix or refuses a block that nothing charges."""
+incidence matrix or refuses a block that nothing charges.
+
+Hull membership has one owner: only `simplexlp` reads the tolerance and the
+pivot limit of a hull test, and no hull test takes them as parameters."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import robustmse
+from robustmse.simplexlp import first_outside, hull_membership, solve_lp
+from robustmse.stability import is_stable
 
 MODULES = sorted(Path(robustmse.__file__).parent.glob("*.py"))
 
@@ -95,3 +101,51 @@ def f(c, w):
     assert _block_layout_uses(ast.parse(source)) == [
         (5, "_incidence"), (7, "raise ZeroMassBlockError"), (8, "raise ZeroMassBlockError"),
     ]
+
+
+HULL_RULE = {"HULL_TOL", "MAX_PIVOTS"}
+
+
+def _hull_rule_reads(tree):
+    """(line, name) of each name, attribute or import named HULL_TOL or
+    MAX_PIVOTS."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {(node.lineno, a.name) for a in node.names if a.name in HULL_RULE}
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in HULL_RULE:
+            found.add((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "simplexlp"], ids=lambda p: p.stem)
+def test_only_simplexlp_states_hull_membership(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _hull_rule_reads(tree) == []
+
+
+def test_the_check_sees_the_hull_rule():
+    source = """
+from .simplexlp import HULL_TOL
+from . import simplexlp
+
+def f(left, pivots):
+    return left <= HULL_TOL and pivots < simplexlp.MAX_PIVOTS
+"""
+    assert _hull_rule_reads(ast.parse(source)) == [
+        (2, "HULL_TOL"), (6, "HULL_TOL"), (6, "MAX_PIVOTS"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "fn, params",
+    [
+        pytest.param(solve_lp, ["c", "A", "b"], id="solve_lp"),
+        pytest.param(hull_membership, ["points", "target"], id="hull_membership"),
+        pytest.param(first_outside, ["points", "targets"], id="first_outside"),
+        pytest.param(is_stable, ["ms", "f"], id="is_stable"),
+    ],
+)
+def test_hull_tests_take_no_tolerance_or_pivot_limit(fn, params):
+    assert list(inspect.signature(fn).parameters) == params

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from robustmse import simplexlp
 from robustmse.errors import NonconvergenceError, RobustMseError
 from robustmse.simplexlp import (
-    HULL_TOL,
     PIVOT_EPS,
     LpResult,
     box_epigraph_min,
@@ -114,9 +115,13 @@ def reference_solve_lp(c, A, b, *, feas_tol=1e-9, max_pivots=100_000) -> LpResul
     return LpResult("optimal", x, float(c @ x), residual, pivots)
 
 
-def same_as_reference(c, A, b, **kw) -> LpResult:
-    """solve_lp, asserted to match the reference in every field."""
-    res, ref = solve_lp(c, A, b, **kw), reference_solve_lp(c, A, b, **kw)
+def same_as_reference(c, A, b) -> LpResult:
+    """solve_lp, asserted to match the reference, run at the module's
+    tolerance and pivot limit, in every field."""
+    res = solve_lp(c, A, b)
+    ref = reference_solve_lp(
+        c, A, b, feas_tol=simplexlp.HULL_TOL, max_pivots=simplexlp.MAX_PIVOTS
+    )
     assert (res.status, res.pivots, res.value, res.residual) == (
         ref.status,
         ref.pivots,
@@ -146,11 +151,12 @@ class TestSolveLp:
         assert res.status == "optimal"
         assert res.x == pytest.approx([1.0, 1.0])
 
-    def test_pivot_limit_is_a_typed_error(self):
+    def test_pivot_limit_is_a_typed_error(self, monkeypatch):
         # the optimum of test_known_optimum needs one pivot
         A = np.array([[1.0, 1.0, 1.0]])
+        monkeypatch.setattr(simplexlp, "MAX_PIVOTS", 0)
         with pytest.raises(NonconvergenceError, match="pivot limit") as err:
-            solve_lp(np.array([-1.0, -1.0, 0.0]), A, np.array([1.0]), max_pivots=0)
+            solve_lp(np.array([-1.0, -1.0, 0.0]), A, np.array([1.0]))
         assert isinstance(err.value, RobustMseError)
 
     def test_infeasible(self):
@@ -210,11 +216,12 @@ class TestHullMembership:
         assert not member
         assert residual > 1e-3
 
-    def test_near_miss_tolerance(self):
+    def test_near_miss_tolerance(self, monkeypatch):
         pts = np.array([[0.0], [1.0]])
-        member, _, _ = hull_membership(pts, np.array([1.0 + 5e-10]), tol=1e-9)
+        monkeypatch.setattr(simplexlp, "HULL_TOL", 1e-9)
+        member, _, _ = hull_membership(pts, np.array([1.0 + 5e-10]))
         assert member
-        member, _, _ = hull_membership(pts, np.array([1.01]), tol=1e-9)
+        member, _, _ = hull_membership(pts, np.array([1.01]))
         assert not member
 
 
@@ -275,7 +282,7 @@ class TestPivotSequence:
             ("unbounded", "unbounded"),
         ],
     )
-    def test_random_equality_lp(self, seed, shape, status):
+    def test_random_equality_lp(self, monkeypatch, seed, shape, status):
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(3, 6)), int(rng.integers(6, 12))
         A = rng.integers(-4, 5, size=(m, n)) / 4
@@ -294,10 +301,11 @@ class TestPivotSequence:
         assert res.status == status
         # the pivot limit stops both at the same pivot
         for limit in range(res.pivots):
+            monkeypatch.setattr(simplexlp, "MAX_PIVOTS", limit)
             outcome = []
-            for solve in (solve_lp, reference_solve_lp):
+            for solve in (solve_lp, partial(reference_solve_lp, max_pivots=limit)):
                 try:
-                    outcome.append(solve(c, A, b, max_pivots=limit).pivots)
+                    outcome.append(solve(c, A, b).pivots)
                 except NonconvergenceError:
                     outcome.append(None)
             assert outcome[0] == outcome[1]
@@ -371,7 +379,7 @@ class TestBatchedBland:
         A = simplexlp._hull_system(points)
         T, basis = simplexlp._tableaux(A, np.hstack([targets, np.ones((len(targets), 1))]))
         m, n = A.shape
-        bounded, _ = simplexlp._bland(T, basis, m, n + m, 0, simplexlp.MAX_PIVOTS)
+        bounded, _ = simplexlp._bland(T, basis, m, n + m, 0)
         assert bounded.all()
         for i, target in enumerate(targets):
             member, _, residual = hull_membership(points, target)
@@ -393,11 +401,11 @@ class TestBatchedBland:
         )
         assert want[0] == outside
         monkeypatch.setattr(simplexlp, "BATCH_CELLS", cells)
-        assert first_outside(points, targets, HULL_TOL) == want
-        assert first_outside(points, targets[:outside], HULL_TOL) is None
+        assert first_outside(points, targets) == want
+        assert first_outside(points, targets[:outside]) is None
         # each target twice: the repeat shares the LP, and the index is the first's
         twice = np.repeat(targets, 2, axis=0)
-        assert first_outside(points, twice, HULL_TOL) == (2 * want[0], want[1])
+        assert first_outside(points, twice) == (2 * want[0], want[1])
 
     @staticmethod
     def _count_lps(monkeypatch):
@@ -427,9 +435,9 @@ class TestBatchedBland:
 
         # the first LP decides before the rest are deduplicated
         monkeypatch.setattr(simplexlp.np, "unique", refuse)
-        assert first_outside(points, targets, HULL_TOL) == (0, residual)
+        assert first_outside(points, targets) == (0, residual)
         assert built == [1]
-        assert first_outside(points, targets[:1], HULL_TOL) == (0, residual)
+        assert first_outside(points, targets[:1]) == (0, residual)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_repeats_of_an_inside_first_target_share_its_lp(self, monkeypatch, seed):
@@ -444,11 +452,11 @@ class TestBatchedBland:
         )
         assert want[0] == 8
         built = self._count_lps(monkeypatch)
-        assert first_outside(points, targets, HULL_TOL) == want
+        assert first_outside(points, targets) == want
         # target 0 alone, then the 7 distinct others in one stack
         assert built == [1, 7]
         built.clear()
-        assert first_outside(points, np.vstack([targets[:8], targets[:1]]), HULL_TOL) is None
+        assert first_outside(points, np.vstack([targets[:8], targets[:1]])) is None
         assert built == [1, 5]
 
     def test_no_targets_build_nothing(self, monkeypatch):
@@ -457,7 +465,7 @@ class TestBatchedBland:
             raise AssertionError("built a hull system for no targets")
 
         monkeypatch.setattr(simplexlp, "_hull_system", refuse)
-        assert first_outside(np.eye(3), np.empty((0, 3)), HULL_TOL) is None
+        assert first_outside(np.eye(3), np.empty((0, 3))) is None
 
     def test_pivot_limit_raises_only_before_the_first_outsider(self, monkeypatch):
         points = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0.5, 0.5, 0], [0.25, 0.25, 0.5]])
@@ -465,7 +473,7 @@ class TestBatchedBland:
         # phase 1 ends after 2 pivots outside, and needs more inside
         monkeypatch.setattr(simplexlp, "MAX_PIVOTS", 2)
         with pytest.raises(NonconvergenceError, match="pivot limit of 2"):
-            first_outside(points, inside, HULL_TOL)
-        assert first_outside(points, np.vstack([outside, inside]), HULL_TOL) == (0, 0.25)
+            first_outside(points, inside)
+        assert first_outside(points, np.vstack([outside, inside])) == (0, 0.25)
         with pytest.raises(NonconvergenceError, match="pivot limit of 2"):
-            first_outside(points, np.vstack([inside, outside]), HULL_TOL)
+            first_outside(points, np.vstack([inside, outside]))

@@ -20,7 +20,6 @@ from robustmse import (
     tree_measure_set,
 )
 import robustmse.simplexlp as simplexlp
-import robustmse.stability as stability
 from robustmse.randgen import (
     random_measure_set,
     random_partition,
@@ -140,7 +139,7 @@ class TestIsStable:
             is_stable(ms, f)
 
 
-def reference_is_stable(ms, f, tol=1e-9):
+def reference_is_stable(ms, f):
     """The unscreened check: one hull LP per pasting, in (base, tail, level)
     order. Returns (stable, witness, witness_residual, pastings_checked)."""
     points = ms.weights_matrix
@@ -152,7 +151,7 @@ def reference_is_stable(ms, f, tol=1e-9):
             for level in range(len(f.levels)):
                 pasted = paste(ga, gb, f, level)
                 checked += 1
-                member, _, residual = hull_membership(points, pasted.result.weights, tol)
+                member, _, residual = hull_membership(points, pasted.result.weights)
                 if not member:
                     return False, pasted, residual, checked
     return True, None, 0.0, checked
@@ -165,8 +164,8 @@ def counted_hull_tests(monkeypatch):
     is_stable calls."""
     decided = []
 
-    def counting(points, targets, *args, **kwargs):
-        out = first_outside(points, targets, *args, **kwargs)
+    def counting(points, targets):
+        out = first_outside(points, targets)
         decided.append(len(targets) if out is None else out[0] + 1)
         return out
 
@@ -219,9 +218,13 @@ def near_face_set(eps, pulled, pair, midpoint_first):
 
 
 def assert_matches_reference(ms, f, hull_calls, tol=1e-9):
+    """is_stable against reference_is_stable, both with the hull tolerance
+    HULL_TOL set to tol."""
     del hull_calls[:]
-    report = is_stable(ms, f, tol)
-    stable, witness, residual, checked = reference_is_stable(ms, f, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplexlp, "HULL_TOL", tol)
+        report = is_stable(ms, f)
+        stable, witness, residual, checked = reference_is_stable(ms, f)
     assert report.stable == stable
     assert report.pastings_checked == checked
     assert report.hull_tests == sum(hull_calls)
@@ -358,14 +361,15 @@ class TestScreen:
         monkeypatch.setattr(simplexlp, "BATCH_CELLS", cells)
         assert is_stable(ms, f) == whole
 
-    def test_certificate_without_a_point(self):
+    def test_certificate_without_a_point(self, monkeypatch):
         # a zero fit divides by zero under np.errstate (a RuntimeWarning is an
-        # error here) and certifies nothing
+        # error here) and certifies nothing, its NaN mass not even under an
+        # infinite tolerance; b itself leaves a mass of exactly 0
         b = np.array([[0.25, 0.75, 1.0]])
-        left = stability._mass_left(b, np.zeros((1, 3)))
-        assert np.isnan(left).all()
-        assert not np.any(left <= 1e-9)
-        assert stability._mass_left(b, b)[0] == 0.0
+        monkeypatch.setattr(simplexlp, "HULL_TOL", np.inf)
+        assert not simplexlp.column_certifies(b, np.zeros((1, 3))).any()
+        monkeypatch.setattr(simplexlp, "HULL_TOL", 0.0)
+        assert simplexlp.column_certifies(b, b)[0]
 
     def test_depth_three_tree_needs_no_lp(self, counted_hull_tests):
         ms = tree_measure_set(TreeModel.drift_bound(3, 0.25))
@@ -377,8 +381,8 @@ class TestScreen:
         assert sum(counted_hull_tests) == 0
 
 
-def test_drive_out_keeps_the_solution_nonnegative():
-    # a phase 1 that ends at a residual just under feas_tol left artificial
+def test_drive_out_keeps_the_solution_nonnegative(monkeypatch):
+    # a phase 1 that ends at a residual just under HULL_TOL left artificial
     # mass in rows that the drive-out then pivoted on entries of either sign,
     # which pushed other basic values below 0 (down to -3.3e-7 here)
     ms, f = near_face_set(1e-6, 4, (0, 7), False)
@@ -386,7 +390,8 @@ def test_drive_out_keeps_the_solution_nonnegative():
     points = ms.weights_matrix
     A = np.vstack([points.T, np.ones(len(points))])
     b = np.array([3 / 16, 9 / 16, 1 / 16, 3 / 16, 1.0])
-    res = solve_lp(np.zeros(len(points)), A, b, feas_tol=tol)
+    monkeypatch.setattr(simplexlp, "HULL_TOL", tol)
+    res = solve_lp(np.zeros(len(points)), A, b)
     assert res.status == "optimal"
     assert np.all(res.x >= 0.0)
     assert np.abs(A @ res.x - b).sum() <= tol
