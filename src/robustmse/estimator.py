@@ -359,13 +359,15 @@ def _simplicial_decomposition(pool, eta0, max_iter):
     return s, w, eta, phi, top
 
 
-def _refuse_overflow(xi: RandomVariable) -> None:
-    """Refuse an xi whose squared residuals overflow binary64: |xi - eta|
-    reaches 2R (R = xi.unit) for an eta in the range of xi. R <= xi.bound,
-    so R is computed only when 4 bound^2 overflows."""
-    if math.isinf(4.0 * xi.bound * xi.bound) and math.isinf(4.0 * xi.unit * xi.unit):
+def _refuse_out_of_range(xi: RandomVariable) -> None:
+    """Refuse an xi whose squared residuals leave the normal range of binary64:
+    |xi - eta| reaches 2R (R = xi.unit) for an eta in the range of xi, so 4 R^2
+    must be finite and R^2 at least the least normal float (R from about 1.49e-154)."""
+    R = xi.unit
+    if math.isinf(4.0 * R * R) or R * R < sys.float_info.min:
+        side = "overflow" if R > 1.0 else "underflow"
         raise GuardRefusalError(
-            f"xi spans {2.0 * xi.unit:.3e}: squared residuals up to (2R)^2 overflow binary64"
+            f"xi spans {2.0 * R:.3e}: squared residuals up to (2R)^2 {side} binary64"
         )
 
 
@@ -400,8 +402,8 @@ def solve_mmse(
     (converged=False, last iterate and gap retained), never as a silent best
     effort. p_hat has one weight per generator (per corner for a tree).
     EstimatorResult.trace counts the solve's work (SolveTrace). A
-    non-measurable xi whose squared residuals overflow binary64 is refused
-    (GuardRefusalError).
+    non-measurable xi whose squared residuals leave the normal range of
+    binary64 is refused (GuardRefusalError, _refuse_out_of_range).
     """
     cfg = cfg or SolverConfig()
     warn: list[str] = []
@@ -418,7 +420,7 @@ def solve_mmse(
             saddle_gap=0.0, iterations=0, solver=SOLVER_SADDLE, warnings=tuple(warn),
             trace=SolveTrace(),
         )
-    _refuse_overflow(xi)
+    _refuse_out_of_range(xi)
 
     if init_weights is None:
         eta0 = pool.reference_cond
@@ -489,15 +491,15 @@ def brute_force_mmse(
     on (xi - m) 2^-e, where g'P g, of order R^4, neither underflows nor
     overflows. Scaling by a power of two is exact, so the iterates are those
     in the units of xi times 2^-e, and eta_hat, alpha and the gap are scaled
-    back exactly. An xi whose residuals, up to (2R)^2, overflow is refused
-    (_refuse_overflow).
+    back exactly. An xi whose squared residuals, up to (2R)^2, overflow, or
+    whose R^2 is below the normal range, is refused (_refuse_out_of_range).
     """
     if c.num_blocks > MAX_BRUTE_BLOCKS:
         raise GuardRefusalError(
             f"brute force limited to {MAX_BRUTE_BLOCKS} blocks, got {c.num_blocks}"
         )
     check_same_space(ms, xi, c)
-    _refuse_overflow(xi)
+    _refuse_out_of_range(xi)
     m = (float(np.max(xi.values)) + float(np.min(xi.values))) / 2.0
     f, e = math.frexp(xi.unit)
     W, x, labels, n = ms.weights_matrix, np.ldexp(xi.values - m, -e), c.labels, c.num_blocks

@@ -96,11 +96,11 @@ class RandomVariable(Immutable):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bound", bound)
 
-    @property
+    @cached_property
     def unit(self) -> float:
         """R, the unit of values derived from x (R^2 for products): half the
         range of x, max|x| for a constant x, 1 for x = 0."""
-        return float(np.ptp(self.values)) / 2.0 or self.bound or 1.0
+        return float(self.values.max() - self.values.min()) / 2.0 or self.bound or 1.0
 
     def __eq__(self, other):
         if not isinstance(other, RandomVariable):

@@ -689,24 +689,37 @@ class TestRhoCommand:
 
 
 class TestOverflowRefused:
-    def test_squares_that_overflow_are_refused(self, tmp_path, capsys):
-        # residuals reach (2R)^2: at xi * 1e300 that is past binary64, so the
-        # commands that square them refuse (exit 4); rho, linear in xi, answers
-        part = dict(FOUR_POINT, xi=[v * 1e300 for v in FOUR_POINT["xi"]])
+    @staticmethod
+    def assert_refused(tmp_path, capsys, s):
+        """FOUR_POINT's xi, and a depth-2 tree with those leaves, times s: the
+        commands that square residuals refuse (exit 4, no traceback); rho,
+        linear in xi, answers."""
+        part = dict(FOUR_POINT, xi=[v * s for v in FOUR_POINT["xi"]])
         tree = {
             "version": "1",
             "tree": {"depth": 2, "dt": 0.25, "q_lo": 0.25, "q_hi": 0.75,
-                     "leaf_values": [1e300, -1e300, 0, 5e299]},
+                     "leaf_values": part["xi"]},
             "options": {"level": 1},
         }
         for doc, commands in ((part, ("solve", "oracle")), (tree, ("solve", "gexp"))):
-            path = tmp_path / "huge.json"
+            path = tmp_path / "scaled.json"
             path.write_text(json.dumps(doc))
             for cmd in commands:
                 code, out = run([cmd, str(path)], tmp_path, f"{cmd}.json")
                 assert (code, out) == (4, None), cmd
-                assert "robustmse: refused: " in capsys.readouterr().err
+                err = capsys.readouterr().err
+                assert "robustmse: refused: " in err and "Traceback" not in err
             assert run(["rho", str(path)], tmp_path, "rho.json")[0] == 0
+
+    def test_squares_that_overflow_are_refused(self, tmp_path, capsys):
+        # residuals reach (2R)^2: at xi * 1e300 that is past binary64
+        self.assert_refused(tmp_path, capsys, 1e300)
+
+    def test_squares_below_the_normal_range_are_refused(self, tmp_path, capsys):
+        # at xi * 1e-160, R^2 (about 1e-320) is subnormal: unguarded, solve
+        # exited 1 at alpha 5.316e-321 (5.3125e-321 is right), oracle exited 1
+        # with agree: false, and the tree exited 0 from gexp and solve
+        self.assert_refused(tmp_path, capsys, 1e-160)
 
 
 class TestOracleCommand:

@@ -972,3 +972,32 @@ class TestRefusedInputs:
             optimality_ineq(ms, xi, triv, flat, [flat, bumpy])
         with pytest.raises(ArgumentError, match="eta must be measurable"):
             penalized_value(ms, xi, triv, bumpy)
+
+    # the 4-point set of tests/test_cli.py: at xi * 1e-160, R^2 (about 1e-320)
+    # is subnormal, and unguarded solve_mmse gave alpha / s^2 = 0.53161 for
+    # 0.53125 and brute_force_mmse 0.53112, both claiming convergence
+    @staticmethod
+    def four_point(s):
+        space = SampleSpace.of_size(4)
+        ms = MeasureSet.from_matrix(space, [[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]])
+        c = PartitionAlgebra(space, [(0, 1), (2, 3)])
+        return ms, RandomVariable(space, [s, -s, 0.0, 0.5 * s]), c
+
+    def test_squares_below_the_normal_range(self):
+        ms, xi, c = self.four_point(1e-160)
+        for solver in (solve_mmse, brute_force_mmse):
+            with pytest.raises(GuardRefusalError, match="underflow"):
+                solver(ms, xi, c)
+
+    def test_normal_squares_still_solve(self):
+        ms, xi, c = self.four_point(1e-150)
+        for solver in (solve_mmse, brute_force_mmse):
+            res = solver(ms, xi, c)
+            assert res.converged
+            assert res.alpha == pytest.approx(0.53125e-300, rel=1e-9)
+
+    def test_measurable_tiny_xi_answers(self):
+        # a measurable xi needs no residual: it is its own estimator
+        ms, _, c = self.four_point(1e-160)
+        res = solve_mmse(ms, c.broadcast([1e-160, -5e-161]), c)
+        assert res.alpha == 0.0

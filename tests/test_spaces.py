@@ -54,6 +54,15 @@ class TestRandomVariable:
         with pytest.raises(ValueError):
             x.values[0] = 3.0
 
+    def test_unit_is_computed_once(self):
+        x = RandomVariable(space(3), [1.0, -2.0, 0.5])
+        assert "unit" not in vars(x)
+        assert x.unit == 1.5
+        assert vars(x)["unit"] == 1.5  # cached on the instance
+        with pytest.raises(AttributeError):
+            x.unit = 1.0
+        assert x.unit == 1.5
+
 
 class TestPartitionAlgebra:
     def test_canonical_order(self):
