@@ -116,8 +116,8 @@ def reference_solve_lp(c, A, b, *, feas_tol=1e-9, max_pivots=100_000) -> LpResul
 
 
 def same_as_reference(c, A, b) -> LpResult:
-    """solve_lp, asserted to match the reference, run at the module's
-    tolerance and pivot limit, in every field."""
+    """solve_lp, asserted to match in every field the reference run at
+    simplexlp's HULL_TOL and MAX_PIVOTS."""
     res = solve_lp(c, A, b)
     ref = reference_solve_lp(
         c, A, b, feas_tol=simplexlp.HULL_TOL, max_pivots=simplexlp.MAX_PIVOTS
