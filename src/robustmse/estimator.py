@@ -365,10 +365,9 @@ def _refuse_out_of_range(xi: RandomVariable) -> None:
     must be finite and R^2 at least the least normal float (R from about 1.49e-154)."""
     R = xi.unit
     if math.isinf(4.0 * R * R) or R * R < sys.float_info.min:
-        side = "overflow" if R > 1.0 else "underflow"
-        raise GuardRefusalError(
-            f"xi spans {2.0 * R:.3e}: squared residuals up to (2R)^2 {side} binary64"
-        )
+        over = "squared residuals up to (2R)^2 overflow"
+        why = over if R > 1.0 else "R^2 is below the normal range of"
+        raise GuardRefusalError(f"xi spans {2.0 * R:.3e}: {why} binary64")
 
 
 def solve_mmse(

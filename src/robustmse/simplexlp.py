@@ -102,12 +102,12 @@ def _leaving_rows(T, basis, col):
     return row
 
 
-def _bland(T, basis, cost, ncols, pivots, until_outside=False):
+def _bland(T, basis, cost, ncols, pivots):
     """Pivot each tableau of the stack T on its cost row T[:, cost] over
     columns 0..ncols-1 until no reduced cost is below -PIVOT_EPS (the first
     improving column enters). Returns whether each ends bounded and the
-    stack's pivots counted on from `pivots`; one past MAX_PIVOTS raises. With
-    until_outside (phase 1), one ending unbounded or above HULL_TOL drops later ones."""
+    stack's pivots counted on from `pivots`; one past MAX_PIVOTS raises. A
+    tableau ending unbounded or above HULL_TOL (phase 1) drops the later ones."""
     bounded = np.ones(len(T), dtype=bool)
     live, work, wbasis = np.arange(len(T)), T, basis
     while live.size:
@@ -121,7 +121,7 @@ def _bland(T, basis, cost, ncols, pivots, until_outside=False):
             bounded[ids] = optimal[done]
             T[ids], basis[ids] = work[done], wbasis[done]
             keep = ~done
-            if until_outside and keep.any():
+            if keep.any():
                 failed = ids[~optimal[done] | (np.maximum(0.0, -work[done, cost, -1]) > HULL_TOL)]
                 keep &= live < (failed[0] if failed.size else len(T))
             if not keep.any():
@@ -243,7 +243,7 @@ def first_outside(points, targets):
 
     for rows in stacks():
         T, basis = _tableaux(A, np.hstack([targets[rows], np.ones((len(rows), 1))]))
-        bounded, _ = _bland(T, basis, m, n + m, 0, until_outside=True)
+        bounded, _ = _bland(T, basis, m, n + m, 0)
         residual = np.maximum(0.0, -T[:, m, -1])
         stops = np.flatnonzero(~bounded | (residual > HULL_TOL))
         if stops.size:

@@ -47,14 +47,10 @@ def _means(weights, values, c, mass) -> np.ndarray:
     return np.divide(weighted, mass, out=np.full(mass.shape, np.nan), where=mass > 0.0)
 
 
-def conditional_envelopes(
-    ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra
-) -> tuple[RandomVariable, RandomVariable]:
-    """(ess_inf_conditional, ess_sup_conditional) from one table of means."""
+def _conditional_means(ms, x, c) -> np.ndarray:
     check_same_space(ms, x, c)
     W = ms.weights_matrix
-    means = _means(W, x.values, c, c.charged_masses(W))
-    return c.broadcast(np.fmin.reduce(means, axis=0)), c.broadcast(np.fmax.reduce(means, axis=0))
+    return _means(W, x.values, c, c.charged_masses(W))
 
 
 def ess_sup_conditional(
@@ -67,14 +63,22 @@ def ess_sup_conditional(
     the extremes are attained at generators (zero-mass generators contribute
     no conditional value there and are excluded exactly, not approximately).
     """
-    return conditional_envelopes(ms, x, c)[1]
+    return c.broadcast(np.fmax.reduce(_conditional_means(ms, x, c), axis=0))
 
 
 def ess_inf_conditional(
     ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra
 ) -> RandomVariable:
     """Mirror of ess_sup_conditional with min."""
-    return conditional_envelopes(ms, x, c)[0]
+    return c.broadcast(np.fmin.reduce(_conditional_means(ms, x, c), axis=0))
+
+
+def conditional_envelopes(
+    ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra
+) -> tuple[RandomVariable, RandomVariable]:
+    """(ess_inf_conditional, ess_sup_conditional) from one table of means."""
+    means = _conditional_means(ms, x, c)
+    return c.broadcast(np.fmin.reduce(means, axis=0)), c.broadcast(np.fmax.reduce(means, axis=0))
 
 
 def holder_bound(

@@ -377,14 +377,18 @@ class TestBatchedBland:
         mix = rng.dirichlet(np.ones(len(points)) / 2, size=40)
         targets = np.vstack([mix @ points, 1.2 * points[:3] - 0.2 * points.mean(axis=0)])
         A = simplexlp._hull_system(points)
-        T, basis = simplexlp._tableaux(A, np.hstack([targets, np.ones((len(targets), 1))]))
         m, n = A.shape
-        bounded, _ = simplexlp._bland(T, basis, m, n + m, 0)
-        assert bounded.all()
-        for i, target in enumerate(targets):
-            member, _, residual = hull_membership(points, target)
-            assert max(0.0, -T[i, m, -1]) == residual  # bit for bit
-            assert member == (i < 40)
+        # the 40 members in one stack; an outsider stops the tableaux after
+        # it, so each of the three runs in a stack of its own
+        for stack in [np.arange(40), [40], [41], [42]]:
+            rhs = np.hstack([targets[stack], np.ones((len(stack), 1))])
+            T, basis = simplexlp._tableaux(A, rhs)
+            bounded, _ = simplexlp._bland(T, basis, m, n + m, 0)
+            assert bounded.all()
+            for j, i in enumerate(stack):
+                member, _, residual = hull_membership(points, targets[i])
+                assert max(0.0, -T[j, m, -1]) == residual  # bit for bit
+                assert member == (i < 40)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("cells", [1, 300, 3000, 1 << 20])

@@ -364,12 +364,15 @@ class TestScreen:
     def test_certificate_without_a_point(self, monkeypatch):
         # a zero fit divides by zero under np.errstate (a RuntimeWarning is an
         # error here) and certifies nothing, its NaN mass not even under an
-        # infinite tolerance; b itself leaves a mass of exactly 0
+        # infinite tolerance; b itself leaves a mass of exactly 0 (certified at a
+        # tolerance of 0, not at the float just below it)
         b = np.array([[0.25, 0.75, 1.0]])
         monkeypatch.setattr(simplexlp, "HULL_TOL", np.inf)
         assert not simplexlp.column_certifies(b, np.zeros((1, 3))).any()
         monkeypatch.setattr(simplexlp, "HULL_TOL", 0.0)
         assert simplexlp.column_certifies(b, b)[0]
+        monkeypatch.setattr(simplexlp, "HULL_TOL", np.nextafter(0.0, -1.0))
+        assert not simplexlp.column_certifies(b, b)[0]
 
     def test_depth_three_tree_needs_no_lp(self, counted_hull_tests):
         ms = tree_measure_set(TreeModel.drift_bound(3, 0.25))
