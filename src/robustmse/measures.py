@@ -70,14 +70,6 @@ class Measure(Immutable):
         object.__setattr__(m, "weights", row)
         return m
 
-    def __eq__(self, other):
-        if not isinstance(other, Measure):
-            return NotImplemented
-        return self.space == other.space and np.array_equal(self.weights, other.weights)
-
-    def __hash__(self):
-        return hash((self.space, self.weights.tobytes()))
-
     def mass(self, indices) -> float:
         return float(np.sum(self.weights[list(indices)]))
 
@@ -122,16 +114,6 @@ class MeasureSet(Immutable):
     @cached_property
     def generators(self) -> tuple[Measure, ...]:
         return tuple(Measure._of_row(self.space, row) for row in self.weights_matrix)
-
-    def __eq__(self, other):
-        if not isinstance(other, MeasureSet):
-            return NotImplemented
-        return self.space == other.space and np.array_equal(
-            self.weights_matrix, other.weights_matrix
-        )
-
-    def __hash__(self):
-        return hash((self.space, self.weights_matrix.tobytes()))
 
     def __len__(self):
         return len(self.weights_matrix)
@@ -181,11 +163,6 @@ class MixtureWeights(Immutable):
         lam /= lam.sum()
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
-
-    def __eq__(self, other):
-        if not isinstance(other, MixtureWeights):
-            return NotImplemented
-        return np.array_equal(self.lam, other.lam)
 
     def __len__(self):
         return len(self.lam)

@@ -32,7 +32,10 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 class Immutable:
     """Base of the value types: attribute assignment and deletion raise
-    AttributeError. The repr shows the annotated attributes, arrays left out."""
+    AttributeError. Equality, hashing and the repr read the annotated fields:
+    objects of one class are equal when every field is (arrays by np.array_equal)
+    and hash the tuple of fields, an array by the bytes of a + 0.0, so -0.0 as 0.0.
+    The repr leaves arrays out."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -40,8 +43,23 @@ class Immutable:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _values(self) -> list:
+        return [getattr(self, k) for k in type(self).__annotations__]
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._values(), other._values()))
+
+    def __hash__(self):
+        return hash(tuple((v + 0.0).tobytes() if isinstance(v, np.ndarray) else v
+                          for v in self._values()))
+
     def __repr__(self):
-        shown = ((k, getattr(self, k)) for k in type(self).__annotations__)
+        shown = zip(type(self).__annotations__, self._values())
         body = ", ".join(f"{k}={v!r}" for k, v in shown if not isinstance(v, np.ndarray))
         return f"{type(self).__name__}({body})"
 
@@ -58,14 +76,6 @@ class SampleSpace(Immutable):
         if len(set(labels)) != len(labels):
             raise ArgumentError("sample point labels must be distinct")
         object.__setattr__(self, "labels", labels)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.labels == other.labels
-
-    def __hash__(self):
-        return hash((self.labels,))
 
     @property
     def n(self) -> int:
@@ -101,14 +111,6 @@ class RandomVariable(Immutable):
         """R, the unit of values derived from x (R^2 for products): half the
         range of x, max|x| for a constant x, 1 for x = 0."""
         return float(self.values.max() - self.values.min()) / 2.0 or self.bound or 1.0
-
-    def __eq__(self, other):
-        if not isinstance(other, RandomVariable):
-            return NotImplemented
-        return self.space == other.space and np.array_equal(self.values, other.values)
-
-    def __hash__(self):
-        return hash((self.space, self.values.tobytes()))
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -174,14 +176,6 @@ class PartitionAlgebra(Immutable):
         object.__setattr__(self, "blocks", tuple(canon))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "first", _frozen_array([b[0] for b in canon], dtype=np.intp))
-
-    def __eq__(self, other):  # labels and first follow from the blocks
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.space, self.blocks) == (other.space, other.blocks)
-
-    def __hash__(self):
-        return hash((self.space, self.blocks))
 
     @property
     def num_blocks(self) -> int:
@@ -249,14 +243,6 @@ class Filtration(Immutable):
             if not levels[i].refines(levels[i - 1]):
                 raise ArgumentError(f"filtration[{i}] does not refine filtration[{i - 1}]")
         object.__setattr__(self, "levels", levels)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.levels == other.levels
-
-    def __hash__(self):
-        return hash((self.levels,))
 
 
 def is_measurable(x: RandomVariable, c: PartitionAlgebra) -> bool:

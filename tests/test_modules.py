@@ -7,7 +7,10 @@ Block arithmetic has one owner: only `spaces` (PartitionAlgebra) reads the
 incidence matrix or refuses a block that nothing charges.
 
 Hull membership has one owner: only `simplexlp` reads the tolerance and the
-pivot limit of a hull test, and no hull test takes them as parameters."""
+pivot limit of a hull test, and no hull test takes them as parameters.
+
+Value equality has one owner: only `spaces.Immutable` defines `__eq__` or
+`__hash__`; the value types inherit them."""
 
 import ast
 import inspect
@@ -149,3 +152,35 @@ def f(left, pivots):
 )
 def test_hull_tests_take_no_tolerance_or_pivot_limit(fn, params):
     assert list(inspect.signature(fn).parameters) == params
+
+
+def _equality_defs(tree):
+    """(line, class) of each `def __eq__` or `def __hash__` in a class body."""
+    return sorted(
+        (f.lineno, node.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for f in node.body
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name in ("__eq__", "__hash__")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_immutable_defines_equality(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {"Immutable"} if path.stem == "spaces" else set()
+    assert [name for _, name in _equality_defs(tree) if name not in owner] == []
+
+
+def test_the_check_sees_an_equality_method():
+    source = """
+class Record(NamedTuple):
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+class Value(Immutable):
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+"""
+    assert _equality_defs(ast.parse(source)) == [(6, "Value"), (9, "Value")]

@@ -2,8 +2,8 @@
 
 Importing the package and its command line loads no `dataclasses` module, and
 each of the 28 types keeps its immutability, equality and hashing: records
-(NamedTuples) compare and hash by their fields, value types as their own
-methods say, a TreeModel, a GExpResult and an LpResult by identity.
+(NamedTuples) and value types (through spaces.Immutable) compare and hash
+by their fields, a GExpResult and an LpResult by identity.
 """
 
 import os
@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robustmse
 from robustmse import (
@@ -88,8 +89,8 @@ def build():
 
 NAMES = sorted(build())
 # a GexpCompareReport holds a GExpResult
-BY_IDENTITY = {"TreeModel", "GExpResult", "GexpCompareReport", "LpResult"}
-UNHASHABLE = {"MixtureWeights", "EstimatorResult", "Instance"}
+BY_IDENTITY = {"GExpResult", "GexpCompareReport", "LpResult"}
+UNHASHABLE = {"Instance"}
 
 
 def test_every_type_built():
@@ -124,3 +125,55 @@ def test_equality_and_hashing(name):
             hash(a)
     elif name not in BY_IDENTITY:
         assert hash(a) == hash(b)
+
+
+def _flip_zeros(a):
+    """a with the sign of every zero entry flipped: equal to a, in other bytes."""
+    a = np.array(a, dtype=float)
+    return np.where(a == 0.0, -a, a)
+
+
+def value_types(n, values, counts, labels, q_lo, flip):
+    """One object of each of the eight value types, keyed by type name, built
+    from drawn data; flip applies to every float array given to a constructor."""
+    space = SampleSpace.of_size(n)
+    rows = flip(np.array(counts, dtype=float) / np.sum(counts, axis=1, keepdims=True))
+    labels = np.array(labels)
+    c = PartitionAlgebra(space, [np.flatnonzero(labels == j) for j in sorted(set(labels))][::-1])
+    return {
+        "SampleSpace": space,
+        "RandomVariable": RandomVariable(space, flip(values)),
+        "PartitionAlgebra": c,
+        "Filtration": Filtration([PartitionAlgebra.trivial(space), c]),
+        "Measure": Measure(space, rows[0]),
+        "MeasureSet": MeasureSet.from_matrix(space, rows),
+        "MixtureWeights": MixtureWeights(rows[-1]),
+        "TreeModel": TreeModel(2, flip(q_lo), np.maximum(q_lo, 0.5)),
+    }
+
+
+@st.composite
+def value_type_data(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    points = dict(min_size=n, max_size=n)
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0, 3.0]), **points))
+    row = st.lists(st.integers(min_value=0, max_value=2), **points).filter(any)
+    counts = draw(st.lists(row, min_size=1, max_size=3))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=n - 1), **points))
+    q_lo = draw(st.lists(st.sampled_from([0.25, 0.5]), min_size=3, max_size=3))
+    return n, values, counts, labels, q_lo
+
+
+VALUE_TYPES = sorted(value_types(1, [0.0], [[1]], [0], [0.25] * 3, _flip_zeros))
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+@settings(max_examples=60, deadline=None)
+@given(data=value_type_data())
+def test_equal_values_hash_equal(name, data):
+    # the second object has every zero of the first with its sign flipped
+    a = value_types(*data, flip=lambda x: np.array(x, dtype=float))[name]
+    b = value_types(*data, flip=_flip_zeros)[name]
+    assert a is not b
+    assert a == b and b == a and not a != b
+    assert hash(a) == hash(b)
