@@ -35,7 +35,7 @@ class Immutable:
     AttributeError. Equality, hashing and the repr read the annotated fields:
     objects of one class are equal when every field is (arrays by np.array_equal)
     and hash the tuple of fields, an array by the bytes of a + 0.0, so -0.0 as 0.0.
-    The repr leaves arrays out."""
+    The repr leaves arrays out. Arrays stay read-only through pickle and deepcopy."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -57,6 +57,12 @@ class Immutable:
     def __hash__(self):
         return hash(tuple((v + 0.0).tobytes() if isinstance(v, np.ndarray) else v
                           for v in self._values()))
+
+    def __setstate__(self, state):  # pickle and copy restore arrays writeable
+        for v in state.values():
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+        self.__dict__.update(state)
 
     def __repr__(self):
         shown = zip(type(self).__annotations__, self._values())

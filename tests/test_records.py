@@ -6,7 +6,9 @@ each of the 28 types keeps its immutability, equality and hashing: records
 by their fields, a GExpResult and an LpResult by identity.
 """
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 
@@ -177,3 +179,26 @@ def test_equal_values_hash_equal(name, data):
     assert a is not b
     assert a == b and b == a and not a != b
     assert hash(a) == hash(b)
+    for twin in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+        assert twin == a and hash(twin) == hash(a)
+        assert not [arr for arr in _arrays(twin) if arr.flags.writeable]
+
+
+def _arrays(obj):
+    """Every array a value object holds, through its value-type and tuple fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for v in obj:
+            yield from _arrays(v)
+    elif hasattr(obj, "__dict__"):
+        for v in vars(obj).values():
+            yield from _arrays(v)
+
+
+def test_a_copied_array_refuses_writes():
+    xi = RandomVariable(SampleSpace.of_size(2), [1.0, 2.0])
+    for twin in (pickle.loads(pickle.dumps(xi)), copy.deepcopy(xi), copy.copy(xi)):
+        with pytest.raises(ValueError):
+            twin.values[0] = 9.0
+        assert twin == xi
