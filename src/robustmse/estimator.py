@@ -569,8 +569,11 @@ def verify_saddle(
     leaves uncharged adds 0 to the inner minimum whatever eta is there, so it
     is skipped. max_over_P comes from the weight matrix, not the solver's
     support query. Tolerance scales with 1 + alpha. The result is
-    solve_mmse's: the oracle's has no P_hat to audit.
+    solve_mmse's: the oracle's has no P_hat to audit. Like solve_mmse, it
+    refuses a non-measurable xi out of binary64's range (_refuse_out_of_range).
     """
+    if not is_measurable(xi, c):
+        _refuse_out_of_range(xi)
     cfg = cfg or SolverConfig()
     check_same_space(xi, result.eta_hat)
     x = xi.values
@@ -669,8 +672,11 @@ def ns_condition(
     solver's P_hat. The bound holds for any simplex weights, so when lam
     passes kernel_member's residual test (with HULL_TOL) and its bound proves
     the condition, no LP runs and lower_bound is taken at lam. Otherwise the
-    hull test on the active generators decides, as without a witness.
+    hull test on the active generators decides, as without a witness. Like
+    solve_mmse, it refuses a non-measurable xi out of binary64's range.
     """
+    if not is_measurable(xi, c):
+        _refuse_out_of_range(xi)
     d, u = _centered_moments(ms, xi, c, eta_hat, "eta_hat")
     W = ms.weights_matrix
     M = xi.bound or 1.0
@@ -717,7 +723,10 @@ def optimality_ineq(
     tol: float = VALUE_TOL,
 ) -> OptimalityReport:
     """Margins of rho[(xi - eta)(xi - eta_hat)] >= rho(xi - eta_hat)^2 per eta,
-    each ok when at least -tol * xi.unit^2."""
+    each ok when at least -tol * xi.unit^2. Like solve_mmse, it refuses a
+    non-measurable xi out of binary64's range."""
+    if not is_measurable(xi, c):
+        _refuse_out_of_range(xi)
     if not is_measurable(eta_hat, c):
         raise ArgumentError("eta_hat must be measurable w.r.t. the partition")
     resid = xi - eta_hat
@@ -744,8 +753,11 @@ def penalized_value(
     (the penalty direction is then nonpositive and zero is optimal, giving
     rho[(xi-eta)^2]); otherwise unbounded: mass on a violating block grows the
     value past any real number. eta may lie VALUE_TOL * xi.unit below the
-    envelope, which is rounded.
+    envelope, which is rounded. Like solve_mmse, it refuses a non-measurable
+    xi out of binary64's range.
     """
+    if not is_measurable(xi, c):
+        _refuse_out_of_range(xi)
     # strictly comparable on a finite hull: every generator positive everywhere
     if not np.all(ms.weights_matrix > 0.0):
         raise PropernessError(

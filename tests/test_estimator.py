@@ -999,5 +999,46 @@ class TestRefusedInputs:
     def test_measurable_tiny_xi_answers(self):
         # a measurable xi needs no residual: it is its own estimator
         ms, _, c = self.four_point(1e-160)
-        res = solve_mmse(ms, c.broadcast([1e-160, -5e-161]), c)
+        xi = c.broadcast([1e-160, -5e-161])
+        res = solve_mmse(ms, xi, c)
         assert res.alpha == 0.0
+        assert verify_saddle(ms, xi, c, res).passed
+        assert ns_condition(ms, xi, c, res.eta_hat).holds
+
+    CHECKS = ("verify_saddle", "ns_condition", "optimality_ineq", "penalized_value")
+
+    def checks(self, s):
+        """The four checks that square residuals, on the set at xi * s, each
+        at the solver's result at xi scaled by s; penalized_value and
+        optimality_ineq at the upper envelope."""
+        ms, xi, c = self.four_point(1.0)
+        res = solve_mmse(ms, xi, c)
+        ms, xi, c = self.four_point(s)
+        res = res._replace(eta_hat=res.eta_hat * s, alpha=res.alpha * s * s)
+        upper = ess_sup_conditional(ms, xi, c)
+        return {
+            "verify_saddle": lambda: verify_saddle(ms, xi, c, res),
+            "ns_condition": lambda: ns_condition(ms, xi, c, res.eta_hat, witness=res.p_hat.lam),
+            "optimality_ineq": lambda: optimality_ineq(ms, xi, c, res.eta_hat, [upper]),
+            "penalized_value": lambda: penalized_value(ms, xi, c, upper),
+        }
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_checks_refuse_squares_below_the_normal_range(self, name):
+        # unguarded, ns_condition answered holds=False there, with a lower
+        # bound of 0.531126 s^2 against rho_sq 0.531621 s^2 (true: 0.53125 s^2),
+        # and optimality_ineq a margin of -5e-324 that is not ok
+        with pytest.raises(GuardRefusalError, match="below the normal range"):
+            self.checks(1e-160)[name]()
+
+    def test_checks_answer_in_the_normal_range(self):
+        s = 1e-150
+        at_one, at_s = self.checks(1.0), self.checks(s)
+        assert at_s["verify_saddle"]().passed
+        ns = at_s["ns_condition"]()
+        assert ns.holds and ns.lower_bound == pytest.approx(0.53125 * s * s, rel=1e-9)
+        assert ns.rho_sq == pytest.approx(at_one["ns_condition"]().rho_sq * s * s, rel=1e-12)
+        assert at_s["optimality_ineq"]().all_ok
+        assert at_s["penalized_value"]() == pytest.approx(
+            at_one["penalized_value"]() * s * s, rel=1e-12
+        )
