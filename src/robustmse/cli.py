@@ -35,12 +35,12 @@ from .gexp import compare_gexp_mmse, tree_envelopes
 from .instances import (
     DEFAULT_LEVEL,
     Instance,
-    _json_inf,
     build_result,
     canonical_dict,
     dump_result,
     estimator_result_dict,
     instance_digest,
+    json_inf,
     load_instance,
 )
 from .measures import is_proper
@@ -111,7 +111,7 @@ def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
     ns = ns_condition(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam, **ns_tol)
     payload["saddle_certificate"] = cert._asdict()
     payload["kernel_member"] = member
-    payload["ns_condition"] = dict(ns._asdict(), lower_bound=_json_inf(ns.lower_bound))
+    payload["ns_condition"] = dict(ns._asdict(), lower_bound=json_inf(ns.lower_bound))
     ok = cert.passed and member and ns.holds
     return payload, EXIT_OK if ok else EXIT_CERTIFICATE
 

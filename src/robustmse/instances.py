@@ -430,7 +430,7 @@ def dump_result(doc: dict) -> str:
     return _canonical_json(doc) + "\n"
 
 
-def _json_inf(x: float):
+def json_inf(x: float):
     """JSON has no infinity literal; results encode -inf, the NS lower bound
     of a failed hull test, as a string."""
     return "-inf" if x == -math.inf else float(x)

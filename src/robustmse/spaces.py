@@ -217,6 +217,13 @@ class PartitionAlgebra(Immutable):
             raise ZeroMassBlockError(self.blocks[int(charged.argmin())])
         return mass
 
+    def conditional_means(self, weights, values, mass) -> np.ndarray:
+        """The (K, B) conditional means of values under K rows of weights,
+        mass their block masses; a row that gives a block zero mass is NaN
+        there, which np.fmax and np.fmin skip."""
+        weighted = self.block_sums(weights * values)
+        return np.divide(weighted, mass, out=np.full(mass.shape, np.nan), where=mass > 0.0)
+
     def refines(self, coarser: "PartitionAlgebra") -> bool:
         if self.space != coarser.space:
             raise StructuralError("partitions live on different sample spaces")

@@ -21,7 +21,7 @@ from . import simplexlp
 from .spaces import (
     VALUE_TOL, Filtration, PartitionAlgebra, RandomVariable, SampleSpace, check_same_space
 )
-from .sublinear import _means, conditional_envelopes, ess_sup_conditional
+from .sublinear import conditional_envelopes, ess_sup_conditional
 
 
 class PastedMeasure(NamedTuple):
@@ -190,7 +190,7 @@ def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
     tables = [level.charged_masses(W) for level in levels]
 
     def upper(values, s):
-        means = _means(W, values, levels[s], tables[s])
+        means = levels[s].conditional_means(W, values, tables[s])
         return np.fmax.reduce(means, axis=0)[levels[s].labels]
 
     ups, bound = [upper(xi.values, s) for s in range(len(levels))], VALUE_TOL * xi.unit

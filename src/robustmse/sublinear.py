@@ -39,18 +39,10 @@ def rho(ms: MeasureSet | TreeModel, x: RandomVariable) -> RhoValue:
     return RhoValue(value, best, ms.near_ties(x.values, VALUE_TOL * x.unit))
 
 
-def _means(weights, values, c, mass) -> np.ndarray:
-    """The (K, B) generator conditional means of values, mass the generators'
-    block masses; a generator that gives a block zero mass is NaN there,
-    which np.fmax and np.fmin skip."""
-    weighted = c.block_sums(weights * values)
-    return np.divide(weighted, mass, out=np.full(mass.shape, np.nan), where=mass > 0.0)
-
-
 def _conditional_means(ms, x, c) -> np.ndarray:
     check_same_space(ms, x, c)
     W = ms.weights_matrix
-    return _means(W, x.values, c, c.charged_masses(W))
+    return c.conditional_means(W, x.values, c.charged_masses(W))
 
 
 def ess_sup_conditional(

@@ -10,7 +10,9 @@ Hull membership has one owner: only `simplexlp` reads the tolerance and the
 pivot limit of a hull test, and no hull test takes them as parameters.
 
 Value equality has one owner: only `spaces.Immutable` defines `__eq__` or
-`__hash__`; the value types inherit them."""
+`__hash__`; the value types inherit them.
+
+No module imports a private name (one underscore, not a dunder) from another."""
 
 import ast
 import inspect
@@ -184,3 +186,29 @@ class Value(Immutable):
         return 0
 """
     assert _equality_defs(ast.parse(source)) == [(6, "Value"), (9, "Value")]
+
+
+def _private_imports(tree):
+    """(line, name) of each `from ... import _name`, dunders aside."""
+    return sorted(
+        (node.lineno, a.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names if a.name.startswith("_") and not a.name.endswith("__")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_name_imported(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_imports(tree) == []
+
+
+def test_the_check_sees_a_private_import():
+    source = """
+from ._version import __version__
+from .sublinear import _means, rho
+from .instances import (
+    _json_inf,
+)
+"""
+    assert _private_imports(ast.parse(source)) == [(3, "_means"), (4, "_json_inf")]
