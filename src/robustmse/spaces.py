@@ -8,6 +8,10 @@ and writes its attributes once through object.__setattr__, and their arrays
 are read-only. They keep an instance __dict__, where functools.cached_property
 stores what it computes. Result records are NamedTuples, immutable as tuples.
 
+Value types have one rule for equality, stated once in Immutable from the
+annotated fields: objects of one class are equal when every field is (arrays
+by np.array_equal), and equal objects hash equal, -0.0 and 0.0 included.
+
 Measurability is exact equality on stored values: instances are
 constructed, not measured, so no check here has a tolerance. Elsewhere, values
 derived from x are compared in units of RandomVariable.unit, under VALUE_TOL.
