@@ -1,21 +1,20 @@
 """Batch command line front end.
 
-    robustmse rho|stability <instance.json> [--out result.json]
-    robustmse solve|oracle|gexp <instance.json> [--out result.json] [--tol X]
+    robustmse rho|solve|oracle|stability|gexp <instance.json> [--out result.json]
     robustmse tcsearch [--out result.json] [--seed N] [--trials N]
 
 Exit codes: 0 success, 1 certificate failure, 2 validation error,
-3 nonconvergence, 4 guard refusal. Identical instance + options + seed
-produce a byte-identical result file apart from the wall_time_s field, on
-one BLAS kernel. Another kernel may change the floats, `iterations`, the
-SolveTrace counts and the iteration count in a stop warning, not a verdict.
+3 nonconvergence, 4 guard refusal. The instance file holds every setting, so
+identical instances (tcsearch: seed and trials) produce a byte-identical
+result file apart from the wall_time_s field, on one BLAS kernel. Another
+kernel may change the floats, `iterations`, the SolveTrace counts and the
+iteration count in a stop warning, not a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 from types import MappingProxyType
@@ -60,15 +59,11 @@ EXIT_NONCONVERGENCE = 3
 EXIT_GUARD = 4
 
 
-def _solver_config(inst: Instance, args) -> SolverConfig:
-    if args.tol is not None and not 0.0 <= args.tol < math.inf:
-        raise ValidationError("--tol", "expected a finite number >= 0")
-    default = SolverConfig()
-    tol = args.tol if args.tol is not None else inst.options.get("tol", default.tol)
-    return SolverConfig(tol=tol, max_iter=inst.options.get("max_iter", default.max_iter))
+def _solver_config(inst: Instance) -> SolverConfig:
+    return SolverConfig(**{k: inst.options[k] for k in SolverConfig._fields if k in inst.options})
 
 
-def cmd_rho(inst: Instance, args) -> tuple[dict, int]:
+def cmd_rho(inst: Instance) -> tuple[dict, int]:
     xi = inst.xi
     if inst.kind == "tree":
         # the tree's recursions answer for its corner set, which is never built
@@ -97,10 +92,10 @@ def cmd_rho(inst: Instance, args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
+def cmd_solve(inst: Instance) -> tuple[dict, int]:
     ms, xi = inst.generators(), inst.xi
     algebra = inst.conditioning()
-    cfg = _solver_config(inst, args)
+    cfg = _solver_config(inst)
     res = solve_mmse(ms, xi, algebra, cfg)
     payload = {"estimator": estimator_result_dict(res)}
     if not res.converged:
@@ -116,10 +111,10 @@ def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
     return payload, EXIT_OK if ok else EXIT_CERTIFICATE
 
 
-def cmd_oracle(inst: Instance, args) -> tuple[dict, int]:
+def cmd_oracle(inst: Instance) -> tuple[dict, int]:
     ms, xi = inst.generators(), inst.xi
     algebra = inst.conditioning()
-    cfg = _solver_config(inst, args)
+    cfg = _solver_config(inst)
     brute = brute_force_mmse(ms, xi, algebra)
     solved = solve_mmse(ms, xi, algebra, cfg)
     alpha_diff = abs(brute.alpha - solved.alpha)
@@ -148,7 +143,7 @@ def cmd_oracle(inst: Instance, args) -> tuple[dict, int]:
     return payload, EXIT_OK if agree else EXIT_CERTIFICATE
 
 
-def cmd_stability(inst: Instance, args) -> tuple[dict, int]:
+def cmd_stability(inst: Instance) -> tuple[dict, int]:
     if inst.kind != "filtration":
         raise ValidationError("filtration", "stability command needs a filtration instance")
     ms, xi, f = inst.generators(), inst.xi, inst.filtration
@@ -208,14 +203,14 @@ def cmd_tcsearch(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def cmd_gexp(inst: Instance, args) -> tuple[dict, int]:
+def cmd_gexp(inst: Instance) -> tuple[dict, int]:
     if inst.kind != "tree":
         raise ValidationError("tree", "gexp command needs a tree instance")
     tm, xi = inst.tree, inst.xi
     level = inst.options.get("level", DEFAULT_LEVEL)
     if level == tm.depth:  # rho and solve take 0..depth; the comparison stops above the leaves
         raise ValidationError("options.level", f"gexp needs an integer in 0..{tm.depth - 1}")
-    cmp_report = compare_gexp_mmse(tm, xi.values, level, _solver_config(inst, args))
+    cmp_report = compare_gexp_mmse(tm, xi.values, level, _solver_config(inst))
     res = cmp_report.recursion
     root_rho = cmp_report.rho_root
     est = cmp_report.estimator
@@ -253,23 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, solves=False):
-        # only the commands that run the dual solver read --tol
+    def command(name, summary):
         p = sub.add_parser(name, help=summary)
         p.add_argument("instance", help="instance JSON file")
         p.add_argument("--out", help="write the result file here instead of stdout")
-        if solves:
-            p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
 
     command("rho", "worst-case expectation and envelopes")
-    command("solve", "estimator with certificates", solves=True)
-    command("oracle", "ellipsoid oracle cross-check", solves=True)
+    command("solve", "estimator with certificates")
+    command("oracle", "ellipsoid oracle cross-check")
     command("stability", "pasting stability and recursivity")
     tcs = sub.add_parser("tcsearch", help="search for a time-consistency failure")
     tcs.add_argument("--out", help="write the result file here instead of stdout")
     tcs.add_argument("--seed", type=int, default=None)
     tcs.add_argument("--trials", type=int, default=None)
-    command("gexp", "tree recursion versus the estimator", solves=True)
+    command("gexp", "tree recursion versus the estimator")
     return parser
 
 
@@ -292,7 +284,7 @@ def main(argv=None) -> int:
         else:
             inst = load_instance(args.instance)
             digest = instance_digest(inst)
-            payload, code = _COMMANDS[args.command](inst, args)
+            payload, code = _COMMANDS[args.command](inst)
     except GuardRefusalError as exc:
         print(f"robustmse: refused: {exc}", file=sys.stderr)
         return EXIT_GUARD

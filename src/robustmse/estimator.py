@@ -720,10 +720,9 @@ def optimality_ineq(
     c: PartitionAlgebra,
     eta_hat: RandomVariable,
     eta_list,
-    tol: float = VALUE_TOL,
 ) -> OptimalityReport:
     """Margins of rho[(xi - eta)(xi - eta_hat)] >= rho(xi - eta_hat)^2 per eta,
-    each ok when at least -tol * xi.unit^2. Like solve_mmse, it refuses a
+    each ok when at least -VALUE_TOL * xi.unit^2. Like solve_mmse, it refuses a
     non-measurable xi out of binary64's range."""
     if not is_measurable(xi, c):
         _refuse_out_of_range(xi)
@@ -737,7 +736,7 @@ def optimality_ineq(
             raise ArgumentError(f"eta_list[{i}] is not measurable w.r.t. the partition")
         lhs = rho(ms, (xi - eta) * resid).value
         margin = lhs - base
-        entries.append(OptimalityEntry(margin=margin, ok=margin >= -tol * xi.unit**2))
+        entries.append(OptimalityEntry(margin=margin, ok=margin >= -VALUE_TOL * xi.unit**2))
     return OptimalityReport(entries=tuple(entries))
 
 

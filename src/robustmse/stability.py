@@ -166,10 +166,9 @@ class RecursivityReport(NamedTuple):
 
 def recursivity_check(
     ms: MeasureSet, f: Filtration, xi: RandomVariable, sigma_level: int, tau_level: int,
-    tol: float = VALUE_TOL,
 ) -> RecursivityReport:
     """Compare the one-shot upper envelope at sigma with the two-stage one
-    through tau, equal within tol * xi.unit. They agree on a stable set;
+    through tau, equal within VALUE_TOL * xi.unit. They agree on a stable set;
     `is_stable` passing is not enough, since it pastes whole generators at
     whole levels only."""
     if not 0 <= sigma_level <= tau_level < len(f.levels):
@@ -178,7 +177,7 @@ def recursivity_check(
         )
     lhs, inner = (ess_sup_conditional(ms, xi, f.levels[t]) for t in (sigma_level, tau_level))
     rhs = ess_sup_conditional(ms, inner, f.levels[sigma_level])
-    return _recursivity(lhs.values, rhs.values, tol * xi.unit)
+    return _recursivity(lhs.values, rhs.values, VALUE_TOL * xi.unit)
 
 
 def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):

@@ -255,7 +255,7 @@ def test_criterion_09_stability_recursivity():
             xi = random_variable(rng, ms.space)
             for sigma in range(3):
                 for tau in range(sigma, 3):
-                    rep = recursivity_check(ms, f, xi, sigma, tau, tol=1e-9)
+                    rep = recursivity_check(ms, f, xi, sigma, tau)
                     assert rep.equal
         space = SampleSpace(("uu", "ud", "du", "dd"))
         witness_set = MeasureSet(

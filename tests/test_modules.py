@@ -12,7 +12,11 @@ pivot limit of a hull test, and no hull test takes them as parameters.
 Value equality has one owner: only `spaces.Immutable` defines `__eq__` or
 `__hash__`; the value types inherit them.
 
-No module imports a private name (one underscore, not a dunder) from another."""
+No module imports a private name (one underscore, not a dunder) from another.
+
+Every setting has one source: the solver's tolerance is the instance's
+`options.tol`, which the instance digest hashes, and no command takes a
+`--tol` flag; the value verdicts apply VALUE_TOL and take no `tol`."""
 
 import ast
 import inspect
@@ -21,8 +25,10 @@ from pathlib import Path
 import pytest
 
 import robustmse
+from robustmse.cli import build_parser
+from robustmse.estimator import optimality_ineq
 from robustmse.simplexlp import first_outside, hull_membership, solve_lp
-from robustmse.stability import is_stable
+from robustmse.stability import is_stable, recursivity_check
 
 MODULES = sorted(Path(robustmse.__file__).parent.glob("*.py"))
 
@@ -212,3 +218,15 @@ from .instances import (
 )
 """
     assert _private_imports(ast.parse(source)) == [(3, "_means"), (4, "_json_inf")]
+
+
+@pytest.mark.parametrize("fn", [recursivity_check, optimality_ineq], ids=lambda f: f.__name__)
+def test_value_verdicts_take_no_tolerance(fn):
+    assert "tol" not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("command", ["rho", "solve", "oracle", "stability", "gexp", "tcsearch"])
+def test_no_command_takes_a_tol_flag(command):
+    instance = [] if command == "tcsearch" else ["instance.json"]
+    _, unknown = build_parser().parse_known_args([command, *instance, "--tol", "1e-6"])
+    assert unknown == ["--tol", "1e-6"]
