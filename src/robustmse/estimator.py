@@ -569,13 +569,17 @@ def verify_saddle(
     leaves uncharged adds 0 to the inner minimum whatever eta is there, so it
     is skipped. max_over_P comes from the weight matrix, not the solver's
     support query. Tolerance scales with 1 + alpha. The result is
-    solve_mmse's: the oracle's has no P_hat to audit. Like solve_mmse, it
-    refuses a non-measurable xi out of binary64's range (_refuse_out_of_range).
+    solve_mmse's: one with no P_hat to audit (the oracle's) is an
+    ArgumentError, and the set, xi, c and eta_hat must share one space. Like
+    solve_mmse, it refuses a non-measurable xi out of binary64's range
+    (_refuse_out_of_range).
     """
+    check_same_space(ms, xi, c, result.eta_hat)
+    if result.p_hat is None:
+        raise ArgumentError("result has no p_hat to audit; verify_saddle takes solve_mmse's")
     if not is_measurable(xi, c):
         _refuse_out_of_range(xi)
     cfg = cfg or SolverConfig()
-    check_same_space(xi, result.eta_hat)
     x = xi.values
     d = x - result.eta_hat.values
     sq = d * d

@@ -18,6 +18,7 @@ from robustmse import (
     SampleSpace,
     SolverConfig,
     SolveTrace,
+    StructuralError,
     TreeModel,
     ZeroMassBlockError,
     brute_force_mmse,
@@ -374,6 +375,25 @@ class TestVerifySaddle:
         cert = verify_saddle(ms, xi, c, res)
         sq = (xi.values - res.eta_hat.values) ** 2
         assert cert.max_over_P == np.max(ms.weights_matrix @ sq) > 0.0
+
+
+    def test_refuses_another_space_and_a_result_without_p_hat(self):
+        space = SampleSpace(("a", "b", "c", "d"))
+        rows = [[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]]
+        ms = MeasureSet.from_matrix(space, rows)
+        xi = RandomVariable(space, [1.0, -1.0, 0.0, 0.5])
+        c = PartitionAlgebra(space, [(0, 1), (2, 3)])
+        res = solve_mmse(ms, xi, c)
+        assert verify_saddle(ms, xi, c, res).passed
+        # four other points, and five points: refused before any arithmetic
+        elsewhere = MeasureSet.from_matrix(SampleSpace(("w", "x", "y", "z")), rows)
+        five = MeasureSet.from_matrix(SampleSpace.of_size(5), [[0.2] * 5, [0.1, 0.2, 0.3, 0.2, 0.2]])
+        for wrong in (elsewhere, five):
+            with pytest.raises(StructuralError, match="different sample spaces"):
+                verify_saddle(wrong, xi, c, res)
+        # the oracle's result has no P_hat to audit
+        with pytest.raises(ArgumentError, match="no p_hat"):
+            verify_saddle(ms, xi, c, brute_force_mmse(ms, xi, c))
 
 
 class TestKernel:
