@@ -113,12 +113,16 @@ class TreeModel(Immutable):
     @cached_property
     def free(self) -> np.ndarray:
         """Nodes with q_lo < q_hi; each doubles the number of corners."""
-        return self.q_lo != self.q_hi
+        free = self.q_lo != self.q_hi
+        free.flags.writeable = False
+        return free
 
     @cached_property
     def _bits(self) -> np.ndarray:
         """The value of the corner-index bit each node reads (0 at a fixed node)."""
-        return (1 << (np.cumsum(self.free[::-1])[::-1] - self.free)) * self.free
+        bits = (1 << (np.cumsum(self.free[::-1])[::-1] - self.free)) * self.free
+        bits.flags.writeable = False
+        return bits
 
     def num_generators(self) -> int:
         """The number of corners, the set's generators; GuardRefusalError,
@@ -146,7 +150,9 @@ class TreeModel(Immutable):
     def _moves(self) -> np.ndarray:
         """(up, down) probabilities of each node at q_lo (row 0) and q_hi (row 1)."""
         q = np.array([self.q_lo, self.q_hi])
-        return np.array([q, 1.0 - q]).transpose(1, 2, 0)
+        moves = np.array([q, 1.0 - q]).transpose(1, 2, 0)
+        moves.flags.writeable = False
+        return moves
 
     def _path_products(self, moves: np.ndarray) -> np.ndarray:
         """Leaf probabilities for rows of (up, down) probabilities per node: the

@@ -39,7 +39,9 @@ class Immutable:
     AttributeError. Equality, hashing and the repr read the annotated fields:
     objects of one class are equal when every field is (arrays by np.array_equal)
     and hash the tuple of fields, an array by the bytes of a + 0.0, so -0.0 as 0.0.
-    The repr leaves arrays out. Arrays stay read-only through pickle and deepcopy."""
+    The repr leaves arrays out. Arrays, cached ones included, are read-only from
+    birth and stay so through pickle and deepcopy, whose copies carry the fields
+    only and rebuild their caches."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -61,6 +63,9 @@ class Immutable:
     def __hash__(self):
         return hash(tuple((v + 0.0).tobytes() if isinstance(v, np.ndarray) else v
                           for v in self._values()))
+
+    def __getstate__(self):
+        return {k: self.__dict__[k] for k in type(self).__annotations__}
 
     def __setstate__(self, state):  # pickle and copy restore arrays writeable
         for v in state.values():
@@ -205,6 +210,7 @@ class PartitionAlgebra(Immutable):
         # the partition lives as block_sums' cache; nothing else reads it
         inc = np.zeros((self.space.n, self.num_blocks))
         inc[np.arange(self.space.n), self.labels] = 1.0
+        inc.flags.writeable = False
         return inc
 
     def block_sums(self, a) -> np.ndarray:

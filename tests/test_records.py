@@ -185,10 +185,11 @@ def test_equal_values_hash_equal(name, data):
 
 
 def _arrays(obj):
-    """Every array a value object holds, through its value-type and tuple fields."""
+    """Every array a value object holds, through its value-type, tuple and list
+    attributes, cached ones included."""
     if isinstance(obj, np.ndarray):
         yield obj
-    elif isinstance(obj, tuple):
+    elif isinstance(obj, (tuple, list)):
         for v in obj:
             yield from _arrays(v)
     elif hasattr(obj, "__dict__"):
@@ -202,3 +203,31 @@ def test_a_copied_array_refuses_writes():
         with pytest.raises(ValueError):
             twin.values[0] = 9.0
         assert twin == xi
+
+
+def _fill_caches(obj):
+    """Ask obj the queries that build its cached attributes."""
+    algebras = obj.levels if isinstance(obj, Filtration) else [obj]
+    for c in algebras:
+        if isinstance(c, PartitionAlgebra):
+            c.block_sums(np.ones(c.space.n))
+    if isinstance(obj, RandomVariable):
+        obj.unit
+    if isinstance(obj, MeasureSet):
+        obj.generators, obj.support(np.ones(obj.space.n))
+    if isinstance(obj, TreeModel):
+        v = np.arange(obj.num_leaves, dtype=float)
+        obj.support(v), obj.near_ties(v, 0.5), obj.space
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_cached_arrays_are_read_only_and_copies_rebuild_them(name):
+    obj = build()[name]
+    _fill_caches(obj)
+    assert not [arr for arr in _arrays(obj) if arr.flags.writeable]
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        # a copy carries the fields only, and builds its caches read-only
+        assert list(vars(twin)) == list(type(obj).__annotations__)
+        _fill_caches(twin)
+        assert not [arr for arr in _arrays(twin) if arr.flags.writeable]
+        assert twin == obj
