@@ -3,12 +3,12 @@
     robustmse rho|solve|oracle|stability|gexp <instance.json> [--out result.json]
     robustmse tcsearch [--out result.json] [--seed N] [--trials N]
 
-Exit codes: 0 success, 1 certificate failure, 2 validation error,
-3 nonconvergence, 4 guard refusal. The instance file holds every setting, so
-identical instances (tcsearch: seed and trials) produce a byte-identical
-result file apart from the wall_time_s field, on one BLAS kernel. Another
-kernel may change the floats, `iterations`, the SolveTrace counts and the
-iteration count in a stop warning, not a verdict.
+Exit codes: 0 success, 1 certificate failure, 2 validation error or a file
+that cannot be read or written, 3 nonconvergence, 4 guard refusal. Identical
+instance files, which hold every setting (tcsearch: seed and trials), give
+byte-identical result files apart from wall_time_s, on one BLAS kernel.
+Another kernel may change the floats, `iterations`, the SolveTrace counts
+and the iteration count in a stop warning, not a verdict.
 """
 
 from __future__ import annotations
@@ -285,22 +285,21 @@ def main(argv=None) -> int:
             inst = load_instance(args.instance)
             digest = instance_digest(inst)
             payload, code = _COMMANDS[args.command](inst)
+        text = dump_result(build_result(digest, args.command, payload, time.perf_counter() - start))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except GuardRefusalError as exc:
         print(f"robustmse: refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except NonconvergenceError as exc:
         print(f"robustmse: nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except RobustMseError as exc:
+    except (RobustMseError, OSError, UnicodeDecodeError) as exc:  # or a file not read or written
         print(f"robustmse: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    doc = build_result(digest, args.command, payload, time.perf_counter() - start)
-    text = dump_result(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -586,10 +586,7 @@ def verify_saddle(
     max_over_p = float(np.max(ms.weights_matrix @ sq))
     p = mix(ms, result.p_hat).weights
     value_at_saddle = float(np.dot(p, sq))
-    mass = c.block_sums(p)
-    live = mass > 0.0
-    cond = np.zeros(c.num_blocks)
-    cond[live] = c.block_sums(p * x)[live] / mass[live]
+    cond = np.nan_to_num(c.conditional_means(p, x, c.block_sums(p)))  # 0 where p charges nothing
     r = x - cond[c.labels]
     min_over_eta = float(np.dot(p, r * r))
     tol = cfg.tol * (1.0 + abs(result.alpha))

@@ -276,11 +276,18 @@ class GExpResult(NamedTuple):
         return float(self.y[0])
 
     def level_values(self, level: int) -> np.ndarray:
-        return self.y[2 ** level - 1 : 2 ** (level + 1) - 1]
+        """y at the nodes of level (0..T)."""
+        return _level(self.y, level)
 
     def level_z(self, level: int) -> np.ndarray:
         """z at the internal nodes of level (0..T-1)."""
-        return self.z[2 ** level - 1 : 2 ** (level + 1) - 1]
+        return _level(self.z, level)
+
+
+def _level(nodes: np.ndarray, level: int) -> np.ndarray:
+    if not 0 <= level < len(nodes).bit_length():  # nodes: 2^L - 1 values, level by level
+        raise ArgumentError(f"level {level} out of range 0..{len(nodes).bit_length() - 1}")
+    return nodes[2**level - 1 : 2 ** (level + 1) - 1]
 
 
 def _leaf_array(tm: TreeModel, xi_leaf) -> np.ndarray:

@@ -181,8 +181,7 @@ def conditional_expectation(
     Raises ZeroMassBlockError on the first block p does not charge.
     """
     check_same_space(p, x, c)
-    mass = c.charged_masses(p.weights)
-    return c.broadcast(c.block_sums(p.weights * x.values) / mass)
+    return c.broadcast(c.conditional_means(p.weights, x.values, c.charged_masses(p.weights)))
 
 
 def mix(ms: MeasureSet, w: MixtureWeights) -> Measure:

@@ -156,9 +156,9 @@ class PartitionAlgebra(Immutable):
     blocks sorted by smallest member) so equality of algebras is structural.
     Every blockwise operation goes through the read-only layout computed
     here: labels[i] is the block containing sample point i, first[j] the
-    smallest index of block j, and block_sums adds along the sample axis.
-    block_sums is the only reader of the incidence matrix, and
-    charged_masses the only refusal of a block that nothing charges.
+    smallest index of block j, and block_sums adds each block's points in one
+    reduction, so a row's sums do not depend on the rows stacked with it.
+    charged_masses is the only refusal of a block that nothing charges.
     """
 
     space: SampleSpace
@@ -205,17 +205,22 @@ class PartitionAlgebra(Immutable):
         return cls(space, [(i,) for i in range(space.n)])
 
     @cached_property
-    def _incidence(self) -> np.ndarray:
-        # n x B, 1.0 where point i lies in block j: 8*n*B bytes, kept while
-        # the partition lives as block_sums' cache; nothing else reads it
-        inc = np.zeros((self.space.n, self.num_blocks))
-        inc[np.arange(self.space.n), self.labels] = 1.0
-        inc.flags.writeable = False
-        return inc
+    def _order(self):
+        # the points in block order, the blocks concatenated; None if that is the identity
+        order = np.concatenate(self.blocks)
+        return None if (order == np.arange(len(order))).all() else _frozen_array(order, np.intp)
+
+    @cached_property
+    def _starts(self) -> np.ndarray:  # where each block starts in _order
+        return _frozen_array(np.cumsum([0] + [len(b) for b in self.blocks[:-1]]), np.intp)
 
     def block_sums(self, a) -> np.ndarray:
-        """Sum of a finite (..., n) array over each block: shape (..., B)."""
-        return a @ self._incidence
+        """Sum of a finite (..., n) array over each block: shape (..., B), float64."""
+        a, order = np.asarray(a), self._order
+        if a.shape[-1:] != self.labels.shape:
+            raise StructuralError(f"expected {self.space.n} values per row, got shape {a.shape}")
+        gathered = a if order is None else a.take(order, axis=-1)
+        return np.add.reduceat(gathered, self._starts, axis=-1, dtype=float)
 
     def charged_masses(self, weights) -> np.ndarray:
         """block_sums of a (n,) or (K, n) array of nonnegative weights. Raises
@@ -287,7 +292,7 @@ def block_project(x: RandomVariable, c: PartitionAlgebra) -> RandomVariable:
     """Plain (unweighted) blockwise average; measurable w.r.t. c by construction."""
     if x.space != c.space:
         raise StructuralError("variable and algebra live on different spaces")
-    return c.broadcast(c.block_sums(x.values) / np.bincount(c.labels))
+    return c.broadcast(c.block_sums(x.values) / np.diff(c._starts, append=c.space.n))
 
 
 def check_same_space(*objs) -> SampleSpace:

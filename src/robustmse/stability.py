@@ -21,7 +21,7 @@ from . import simplexlp
 from .spaces import (
     VALUE_TOL, Filtration, PartitionAlgebra, RandomVariable, SampleSpace, check_same_space
 )
-from .sublinear import conditional_envelopes, ess_sup_conditional
+from .sublinear import conditional_envelopes
 
 
 class PastedMeasure(NamedTuple):
@@ -52,8 +52,7 @@ def paste(q0: Measure, q: Measure, f: Filtration, level: int) -> PastedMeasure:
     if not 0 <= level < len(f.levels):
         raise ArgumentError(f"level {level} out of range 0..{len(f.levels) - 1}")
     algebra = f.levels[level]
-    base = algebra.block_sums(q0.weights)[algebra.labels]
-    tail = algebra.block_sums(q.weights)[algebra.labels]
+    base, tail = algebra.block_sums(np.stack((q0.weights, q.weights)))[:, algebra.labels]
     degenerate = (base > 0.0) & (tail == 0.0)
     if np.any(degenerate):
         raise PastingDegeneracyError(algebra.blocks[algebra.labels[np.argmax(degenerate)]])
@@ -90,12 +89,8 @@ def is_stable(ms: MeasureSet, f: Filtration) -> StabilityReport:
         raise PropernessError("stability check requires strictly positive generators")
     points = ms.weights_matrix
     k, n_levels = len(points), len(f.levels)
-    # masses[b, l, i]: generator b's mass of the level-l block containing
-    # point i, summed one row at a time as paste sums it (block sums of the
-    # (K, n) matrix round differently in the last bits): a stack of 1 x n
-    # rows, spread by take, which keeps the stack C-contiguous
-    masses = np.stack([lev.block_sums(points[:, None, :])[:, 0].take(lev.labels, axis=1)
-                       for lev in f.levels], axis=1)
+    # masses[b, l, i]: generator b's mass of the level-l block containing point i
+    masses = np.stack([lev.block_sums(points)[:, lev.labels] for lev in f.levels], axis=1)
     # the hull LP's columns [g_k; 1], one row each
     ext = np.hstack([points, np.ones((k, 1))])
     # a pasting equal to a generator has its key along a fixed generic
@@ -175,26 +170,27 @@ def recursivity_check(
         raise ArgumentError(
             f"need 0 <= sigma <= tau < {len(f.levels)}, got ({sigma_level}, {tau_level})"
         )
-    lhs, inner = (ess_sup_conditional(ms, xi, f.levels[t]) for t in (sigma_level, tau_level))
-    rhs = ess_sup_conditional(ms, inner, f.levels[sigma_level])
-    return _recursivity(lhs.values, rhs.values, VALUE_TOL * xi.unit)
+    check_same_space(ms, xi, f.levels[0])
+    at_sigma, at_tau = (_upper_envelope(ms, f.levels[t]) for t in (sigma_level, tau_level))
+    return _recursivity(at_sigma(xi.values), at_sigma(at_tau(xi.values)), VALUE_TOL * xi.unit)
 
 
 def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
     """`recursivity_check` for every 0 <= sigma <= tau, keyed (sigma, tau) in
-    that order, bit for bit. Envelopes are arrays built from one mass table
-    per level: each level's upper envelope of xi once, then each pair's rhs."""
+    that order, bit for bit: each level's upper envelope of xi once, then
+    each pair's rhs."""
     check_same_space(ms, xi, f.levels[0])
-    W, levels = ms.weights_matrix, f.levels
-    tables = [level.charged_masses(W) for level in levels]
+    uppers = [_upper_envelope(ms, level) for level in f.levels]
+    ups, bound = [upper(xi.values) for upper in uppers], VALUE_TOL * xi.unit
+    return {(s, t): _recursivity(ups[s], uppers[s](ups[t]), bound)
+            for s in range(len(ups)) for t in range(s, len(ups))}
 
-    def upper(values, s):
-        means = levels[s].conditional_means(W, values, tables[s])
-        return np.fmax.reduce(means, axis=0)[levels[s].labels]
 
-    ups, bound = [upper(xi.values, s) for s in range(len(levels))], VALUE_TOL * xi.unit
-    return {(s, t): _recursivity(ups[s], upper(ups[t], s), bound)
-            for s in range(len(levels)) for t in range(s, len(levels))}
+def _upper_envelope(ms, level):
+    """upper(values): the upper envelope of values at level, per point, from one mass table."""
+    W, labels = ms.weights_matrix, level.labels
+    mass = level.charged_masses(W)
+    return lambda values: np.fmax.reduce(level.conditional_means(W, values, mass), axis=0)[labels]
 
 
 def _recursivity(lhs, rhs, bound):

@@ -8,6 +8,8 @@ a different order, so they match to 1e-13 of the array's scale. Errors must
 have the same type and name the same block: the first in canonical order.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,21 @@ def same_error(fn, ref_fn, error):
 
 
 # ---- layout ----
+
+
+def test_block_sums_allocate_no_point_by_block_array():
+    # the discrete partition of 2,000 points has 2,000 blocks: a dense n x B
+    # matrix of its points' blocks would take 32 MB
+    c = PartitionAlgebra.discrete(SampleSpace.of_size(2000))
+    a = rng_from_seed(2404).normal(size=2000)
+    tracemalloc.start()
+    try:
+        sums = c.block_sums(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.tobytes() == a.tobytes()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("c", PARTITIONS, ids=IDS)

@@ -609,6 +609,29 @@ class TestSolveCommand:
         assert "partition[0]" in capsys.readouterr().err
 
 
+class TestUnusablePaths:
+    # a file that cannot be read or written is a usage error (exit 2) with
+    # one line on stderr; exit 1 is a failed certificate
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+    def test_instance_that_cannot_be_read(self, tmp_path, capsys, kind):
+        path = tmp_path / "instance.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not utf-8":
+            path.write_bytes(b'{"version": "1", "omega": ["\xff"]}')
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("robustmse: invalid input: ") and err.count("\n") == 1
+
+    def test_result_that_cannot_be_written(self, example_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "result.json"
+        assert main(["solve", example_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("robustmse: invalid input: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert not out.parent.exists()
+
+
 class TestRhoCommand:
     def test_example(self, example_file, tmp_path):
         code, doc = run(["rho", example_file], tmp_path)

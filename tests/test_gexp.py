@@ -544,6 +544,15 @@ class TestArgumentsRefused:
         with pytest.raises(ArgumentError, match=r"0\.\.2"):
             TreeModel.drift_bound(2).level_partition(3)
 
+    def test_result_level_out_of_range(self):
+        res = g_expectation(TreeModel.drift_bound(2), [1.0, 0.0, 0.0, 0.0])
+        assert [len(res.level_values(d)) for d in range(3)] == [1, 2, 4]
+        assert [len(res.level_z(d)) for d in range(2)] == [1, 2]
+        for query, level, top in ((res.level_values, 3, 2), (res.level_values, -1, 2),
+                                  (res.level_z, 2, 1), (res.level_z, -1, 1)):
+            with pytest.raises(ArgumentError, match=rf"level {level} out of range 0\.\.{top}"):
+                query(level)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_leaf_values_finite(self, bad):
         with pytest.raises(ArgumentError, match="finite"):

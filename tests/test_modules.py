@@ -55,12 +55,13 @@ def _call_time_imports(tree):
 
 
 def _block_layout_uses(tree):
-    """(line, what) of each read of an attribute named _incidence and each
+    """(line, what) of each read of an attribute named _order or _starts (the
+    points in block order and where each block starts) and each
     `raise ZeroMassBlockError`."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "_incidence":
-            found.append((node.lineno, "_incidence"))
+        if isinstance(node, ast.Attribute) and node.attr in ("_order", "_starts"):
+            found.append((node.lineno, node.attr))
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if getattr(exc, "id", getattr(exc, "attr", None)) == "ZeroMassBlockError":
@@ -104,13 +105,14 @@ def test_the_check_sees_the_block_layout():
 from . import errors
 
 def f(c, w):
-    mass = w @ c._incidence
+    mass = np.add.reduceat(w[..., c._order], c._starts, axis=-1)
     if not mass.all():
         raise ZeroMassBlockError(c.blocks[0])
     raise errors.ZeroMassBlockError
 """
     assert _block_layout_uses(ast.parse(source)) == [
-        (5, "_incidence"), (7, "raise ZeroMassBlockError"), (8, "raise ZeroMassBlockError"),
+        (5, "_order"), (5, "_starts"),
+        (7, "raise ZeroMassBlockError"), (8, "raise ZeroMassBlockError"),
     ]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustmse import (
     ArgumentError,
@@ -22,7 +23,6 @@ from robustmse import (
 import robustmse.simplexlp as simplexlp
 from robustmse.randgen import (
     random_measure_set,
-    random_partition,
     random_two_level_filtration,
     random_variable,
     rng_from_seed,
@@ -118,17 +118,22 @@ class TestIsStable:
         ms = MeasureSet([Measure(space, [5 / 16, 3 / 16, 6 / 16, 2 / 16])])
         assert is_stable(ms, f).stable
 
-    def test_stacked_row_masses_match_block_sums(self):
-        # is_stable sums every generator's block masses as one stack of
-        # 1 x n rows, which numpy multiplies one row at a time: the bits of
-        # block_sums on each row, which paste sums
-        rng = rng_from_seed(2702)
-        for _ in range(300):
-            n, k = int(rng.integers(1, 40)), int(rng.integers(1, 50))
-            c = random_partition(rng, SampleSpace.of_size(n), int(rng.integers(1, n + 1)))
-            rows = rng.random((k, n)) * (rng.random((k, n)) < 0.8)
-            stacked = c.block_sums(rows[:, None, :])[:, 0]
-            assert stacked.tobytes() == np.array([c.block_sums(r) for r in rows]).tobytes()
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), shuffled=st.booleans())
+    def test_batched_block_sums_match_each_row(self, seed, shuffled):
+        # is_stable sums every generator's block masses in one batch, and
+        # paste one row at a time: both must give the same bits, on blocks
+        # long enough to be summed pairwise, in place and gathered
+        rng = rng_from_seed(seed)
+        sizes = rng.integers(100, 300, size=int(rng.integers(1, 6)))
+        points = rng.permutation(sizes.sum()) if shuffled else np.arange(sizes.sum())
+        space = SampleSpace.of_size(len(points))
+        c = PartitionAlgebra(space, np.split(points, np.cumsum(sizes)[:-1]))
+        k = int(rng.integers(1, 40))
+        W = rng.random((k, len(points))) * (rng.random((k, len(points))) < 0.8)
+        rows = np.array([c.block_sums(r) for r in W])
+        assert c.block_sums(W).tobytes() == rows.tobytes()
+        assert c.block_sums(W[:, None, :])[:, 0].tobytes() == rows.tobytes()
 
     def test_requires_strictly_positive(self, four_point):
         space, f = four_point
