@@ -4,11 +4,11 @@
     robustmse tcsearch [--out result.json] [--seed N] [--trials N]
 
 Exit codes: 0 success, 1 certificate failure, 2 validation error or a file
-that cannot be read or written, 3 nonconvergence, 4 guard refusal. Identical
-instance files, which hold every setting (tcsearch: seed and trials), give
-byte-identical result files apart from wall_time_s, on one BLAS kernel.
-Another kernel may change the floats, `iterations`, the SolveTrace counts
-and the iteration count in a stop warning, not a verdict.
+not read or written, 3 nonconvergence, 4 guard refusal. The instance file
+holds every setting, so identical instances (tcsearch: seed and trials)
+produce a byte-identical result file apart from the wall_time_s field, on
+one BLAS kernel. Another kernel may change the floats, `iterations`, the
+SolveTrace counts and the iteration count in a stop warning, not a verdict.
 """
 
 from __future__ import annotations

@@ -233,9 +233,9 @@ class PartitionAlgebra(Immutable):
         return mass
 
     def conditional_means(self, weights, values, mass) -> np.ndarray:
-        """The (K, B) conditional means of values under K rows of weights,
-        mass their block masses; a row that gives a block zero mass is NaN
-        there, which np.fmax and np.fmin skip."""
+        """The (B,) or (K, B) conditional means of values under a row or K rows
+        of weights, mass their block masses; a row that gives a block zero
+        mass is NaN there, which np.fmax and np.fmin skip."""
         weighted = self.block_sums(weights * values)
         return np.divide(weighted, mass, out=np.full(mass.shape, np.nan), where=mass > 0.0)
 
