@@ -864,8 +864,9 @@ def test_face_ascent_drops_residue_weight():
 # third reaches a face where a just-added generator at weight 0 blocks the
 # Newton step, and it leaves without a line search (stuck_drops); whether a
 # solve gets there turns on the last bits of its sums, so these leaves are
-# found anew when the summation order changes. Each entry pins the trace and
-# alpha, a hex float, on both paths.
+# found anew when the summation order changes (they were chosen to give the
+# same trace and alpha under OPENBLAS_CORETYPE=Prescott too). Each entry pins
+# the trace and alpha, a hex float, on both paths.
 REPRODUCERS = {
     "per-node depth 3": (
         TreeModel(
@@ -887,10 +888,10 @@ REPRODUCERS = {
     ),
     "blocked at weight 0": (
         TreeModel.drift_bound(3),
-        [1.0625, -1.75, -1.8125, -1.625, -1.125, -1.5, 0.5625, 0.5625],
+        [-2.0, -1.5625, 0.625, 0.375, -0.625, 1.625, 1.125, 1.75],
         1,
-        SolveTrace(additions=4, newton_steps=7, line_evals=7, stuck_drops=1),
-        "0x1.bdcda2649f03bp+0",
+        SolveTrace(additions=5, newton_steps=13, line_evals=13, stuck_drops=1),
+        "0x1.7683f3958ef4ap+0",
     ),
 }
 
