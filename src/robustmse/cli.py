@@ -4,10 +4,10 @@
     robustmse tcsearch [--out result.json] [--seed N] [--trials N]
 
 Exit codes: 0 success, 1 certificate failure, 2 validation error or a file
-not read or written, 3 nonconvergence, 4 guard refusal. The instance file
-holds every setting, so identical instances (tcsearch: seed and trials)
-produce a byte-identical result file apart from the wall_time_s field, on
-one BLAS kernel. Another kernel may change the floats, `iterations`, the
+not read or written, 3 nonconvergence, 4 guard refusal. A result depends
+on its instance file alone (tcsearch: on its seed and trials), so identical
+instances produce a byte-identical result file apart from the wall_time_s
+field, on one BLAS kernel. Another kernel may change the floats, `iterations`, the
 SolveTrace counts and the iteration count in a stop warning, not a verdict.
 """
 
@@ -22,14 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import GuardRefusalError, NonconvergenceError, RobustMseError, ValidationError
-from .estimator import (
-    SolverConfig,
-    brute_force_mmse,
-    kernel_member,
-    ns_condition,
-    solve_mmse,
-    verify_saddle,
-)
+from .estimator import brute_force_mmse, kernel_member, ns_condition, solve_mmse, verify_saddle
 from .gexp import compare_gexp_mmse, tree_envelopes
 from .instances import (
     DEFAULT_LEVEL,
@@ -57,10 +50,6 @@ EXIT_CERTIFICATE = 1
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_GUARD = 4
-
-
-def _solver_config(inst: Instance) -> SolverConfig:
-    return SolverConfig(**{k: inst.options[k] for k in SolverConfig._fields if k in inst.options})
 
 
 def cmd_rho(inst: Instance) -> tuple[dict, int]:
@@ -95,15 +84,13 @@ def cmd_rho(inst: Instance) -> tuple[dict, int]:
 def cmd_solve(inst: Instance) -> tuple[dict, int]:
     ms, xi = inst.generators(), inst.xi
     algebra = inst.conditioning()
-    cfg = _solver_config(inst)
-    res = solve_mmse(ms, xi, algebra, cfg)
+    res = solve_mmse(ms, xi, algebra)
     payload = {"estimator": estimator_result_dict(res)}
     if not res.converged:
         return payload, EXIT_NONCONVERGENCE
-    cert = verify_saddle(ms, xi, algebra, res, cfg)
+    cert = verify_saddle(ms, xi, algebra, res)
     member = kernel_member(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam)
-    ns_tol = {"tol": inst.options["ns_tol"]} if "ns_tol" in inst.options else {}
-    ns = ns_condition(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam, **ns_tol)
+    ns = ns_condition(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam)
     payload["saddle_certificate"] = cert._asdict()
     payload["kernel_member"] = member
     payload["ns_condition"] = dict(ns._asdict(), lower_bound=json_inf(ns.lower_bound))
@@ -114,9 +101,8 @@ def cmd_solve(inst: Instance) -> tuple[dict, int]:
 def cmd_oracle(inst: Instance) -> tuple[dict, int]:
     ms, xi = inst.generators(), inst.xi
     algebra = inst.conditioning()
-    cfg = _solver_config(inst)
     brute = brute_force_mmse(ms, xi, algebra)
-    solved = solve_mmse(ms, xi, algebra, cfg)
+    solved = solve_mmse(ms, xi, algebra)
     alpha_diff = abs(brute.alpha - solved.alpha)
     eta_diff = float(np.max(np.abs(brute.eta_hat.values - solved.eta_hat.values)))
     # alpha and eta scale as R^2 and R, and a shift of xi moves neither alpha nor R
@@ -210,7 +196,7 @@ def cmd_gexp(inst: Instance) -> tuple[dict, int]:
     level = inst.options.get("level", DEFAULT_LEVEL)
     if level == tm.depth:  # rho and solve take 0..depth; the comparison stops above the leaves
         raise ValidationError("options.level", f"gexp needs an integer in 0..{tm.depth - 1}")
-    cmp_report = compare_gexp_mmse(tm, xi.values, level, _solver_config(inst))
+    cmp_report = compare_gexp_mmse(tm, xi.values, level)
     res = cmp_report.recursion
     root_rho = cmp_report.rho_root
     est = cmp_report.estimator

@@ -56,13 +56,9 @@ _LINE_STEPS = 30  # step halvings before a face counts as solved
 _SHIFT = 1e-12  # Hessian shift of the face steps, in units of the residual scale
 _EPS = sys.float_info.epsilon  # of binary64
 
-
-class SolverConfig(NamedTuple):
-    """tol bounds the saddle gap relative to 1 + alpha; max_iter caps the
-    generator additions of the dual solve."""
-
-    tol: float = 1e-8
-    max_iter: int = 10_000
+SADDLE_TOL = 1e-8  # saddle gap of a converged solve and of verify_saddle, relative to 1 + alpha
+MAX_ADDITIONS = 10_000  # generator additions of one dual solve
+NS_TOL = 1e-6  # ns_condition's active set and verdict, relative to bound(xi)^2
 
 
 class SolveTrace(NamedTuple):
@@ -295,15 +291,15 @@ def _face_ascent(pool, s, w, scale):
         w, moments, r, phi = drop(w > 0.0, w)
 
 
-def _simplicial_decomposition(pool, eta0, max_iter):
+def _simplicial_decomposition(pool, eta0):
     """Fully-corrective Frank-Wolfe on the dual: add the generator argmax r,
     re-maximize phi over the hull of the active generators, repeat.
 
     Starts from the single generator argmax r at eta0, whose residual fixes
     the scale of the face steps. Stops when the saddle gap max r - phi is
     within the rounding of phi (_closed, with max r over every generator),
-    or when an addition improves neither phi nor the gap, or after max_iter
-    additions. Returns the active pool rows s, their weights w, and the
+    or when an addition improves neither phi nor the gap, or after
+    MAX_ADDITIONS additions. Returns the active pool rows s, their weights w, and the
     evaluation of that mixture the stop rule read: eta = E_{P_w}[xi | C] per
     block, phi and max r.
 
@@ -340,7 +336,7 @@ def _simplicial_decomposition(pool, eta0, max_iter):
     eta, phi, top, k = evaluate(s, w)
     top_phi, low_gap = phi, top - phi
     counts = pool.counts
-    while counts["additions"] < max_iter and not _closed(top - phi, len(s), top):
+    while counts["additions"] < MAX_ADDITIONS and not _closed(top - phi, len(s), top):
         counts["additions"] += 1
         row = pool.add(k)
         improved, new = ascend([row])
@@ -374,7 +370,6 @@ def solve_mmse(
     ms: MeasureSet | TreeModel,
     xi: RandomVariable,
     c: PartitionAlgebra,
-    cfg: SolverConfig | None = None,
     init_weights=None,
 ) -> EstimatorResult:
     """Minimize the worst-case mean square error over C-measurable estimators.
@@ -393,18 +388,17 @@ def solve_mmse(
     generator with the largest residual at init_weights (the uniform mixture
     by default; a tree takes no init_weights), and read the estimator off the
     optimal mixture as eta_hat = E_{P_hat}[xi | C]. Each iteration adds one
-    generator and re-solves on the hull of the active ones; cfg.max_iter caps
-    these additions, and EstimatorResult.iterations counts them. The run has
-    converged when the saddle gap is at most cfg.tol * (1 + alpha), the same
-    relative test verify_saddle applies, so the status does not depend on the
-    units of xi. Nonconvergence is reported as an explicit status
+    generator and re-solves on the hull of the active ones; MAX_ADDITIONS
+    caps these additions, and EstimatorResult.iterations counts them. The run
+    has converged when the saddle gap is at most SADDLE_TOL * (1 + alpha), the
+    same relative test verify_saddle applies, so the status does not depend
+    on the units of xi. Nonconvergence is reported as an explicit status
     (converged=False, last iterate and gap retained), never as a silent best
     effort. p_hat has one weight per generator (per corner for a tree).
     EstimatorResult.trace counts the solve's work (SolveTrace). A
     non-measurable xi whose squared residuals leave the normal range of
     binary64 is refused (GuardRefusalError, _refuse_out_of_range).
     """
-    cfg = cfg or SolverConfig()
     warn: list[str] = []
     if isinstance(ms, MeasureSet):
         if not is_proper(ms):
@@ -433,15 +427,15 @@ def solve_mmse(
     # P_hat charges every block of a proper set; on a set that is not, a
     # block it leaves uncharged keeps reference_cond, one of the values that
     # minimize there (eta_hat need not be unique)
-    s, w, eta, phi, alpha = _simplicial_decomposition(pool, eta0, cfg.max_iter)
+    s, w, eta, phi, alpha = _simplicial_decomposition(pool, eta0)
     iters = pool.counts["additions"]
     # the mathematical gap is nonnegative; the dot product may round a hair
     # above the max when the residuals are all but equal
     gap = max(0.0, alpha - phi)
-    converged = gap <= cfg.tol * (1.0 + alpha)
+    converged = gap <= SADDLE_TOL * (1.0 + alpha)
     if not converged:
         warn.append(
-            f"saddle iteration stopped at gap {gap:.3e} > tol {cfg.tol:.1e} "
+            f"saddle iteration stopped at gap {gap:.3e} > tol {SADDLE_TOL:.1e} "
             f"after {iters} iterations"
         )
     p_hat = np.zeros(pool.size)
@@ -559,7 +553,6 @@ def verify_saddle(
     xi: RandomVariable,
     c: PartitionAlgebra,
     result: EstimatorResult,
-    cfg: SolverConfig | None = None,
 ) -> Certificate:
     """Audit the two saddle inequalities at (eta_hat, P_hat).
 
@@ -568,7 +561,7 @@ def verify_saddle(
     (the exact inner minimum is the conditional expectation). A block P_hat
     leaves uncharged adds 0 to the inner minimum whatever eta is there, so it
     is skipped. max_over_P comes from the weight matrix, not the solver's
-    support query. Tolerance scales with 1 + alpha. The result is
+    support query. The tolerance is SADDLE_TOL * (1 + alpha). The result is
     solve_mmse's: one with no P_hat to audit (the oracle's) is an
     ArgumentError, and the set, xi, c and eta_hat must share one space. Like
     solve_mmse, it refuses a non-measurable xi out of binary64's range
@@ -579,7 +572,6 @@ def verify_saddle(
         raise ArgumentError("result has no p_hat to audit; verify_saddle takes solve_mmse's")
     if not is_measurable(xi, c):
         _refuse_out_of_range(xi)
-    cfg = cfg or SolverConfig()
     x = xi.values
     d = x - result.eta_hat.values
     sq = d * d
@@ -589,7 +581,7 @@ def verify_saddle(
     cond = np.nan_to_num(c.conditional_means(p, x, c.block_sums(p)))  # 0 where p charges nothing
     r = x - cond[c.labels]
     min_over_eta = float(np.dot(p, r * r))
-    tol = cfg.tol * (1.0 + abs(result.alpha))
+    tol = SADDLE_TOL * (1.0 + abs(result.alpha))
     passed = (max_over_p <= value_at_saddle + tol) and (
         value_at_saddle <= min_over_eta + tol
     )
@@ -645,7 +637,7 @@ class NsReport(NamedTuple):
     lower_bound: float  # certified bound on the infimum; -inf when the hull test fails
     rho_sq: float
     holds: bool
-    active: int  # generators with r_k within tol * bound(xi)^2 of rho_sq
+    active: int  # generators with r_k within NS_TOL * bound(xi)^2 of rho_sq
 
 
 def ns_condition(
@@ -653,7 +645,6 @@ def ns_condition(
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta_hat: RandomVariable,
-    tol: float = 1e-6,
     witness=None,
 ) -> NsReport:
     """Check inf over C-measurable eta of rho[(xi - eta_hat)(xi - eta)] == rho(xi - eta_hat)^2.
@@ -663,9 +654,9 @@ def ns_condition(
     and h(eta_hat) = max_k r_k = rho_sq, since a_k - u_k @ eta_hat = r_k. For
     simplex weights mu, h >= mu @ a - M * |mu @ u|_1 on the box |eta| <= M =
     bound(xi) (1 for xi = 0). So the check is a hull test on the active
-    generators, those with r_k >= rho_sq - tol * M^2 (Rockafellar 1970, sec.
-    23): it looks for mu on them with mu @ u / M = 0 within HULL_TOL, and
-    holds when the certified lower bound is within tol * M^2 of rho_sq. The
+    generators, those with r_k >= rho_sq - NS_TOL * M^2 (Rockafellar 1970,
+    sec. 23): it looks for mu on them with mu @ u / M = 0 within HULL_TOL, and
+    holds when the certified lower bound is within NS_TOL * M^2 of rho_sq. The
     box needs no normal-cone term: where eta_hat touches +-M, |xi| <= M makes
     every u_k one-signed on that block.
 
@@ -683,12 +674,12 @@ def ns_condition(
     M = xi.bound or 1.0
     r = W @ (d * d)
     rho_sq = float(np.max(r))
-    active = np.flatnonzero(r >= rho_sq - tol * M * M)
+    active = np.flatnonzero(r >= rho_sq - NS_TOL * M * M)
 
     def report(mu, rows):
         # mu @ a - M |mu @ u|_1, with u in units of M
         lower = float(mu @ (W[rows] @ (d * xi.values)) - M * M * np.abs(mu @ u[rows]).sum())
-        holds = rho_sq - lower <= tol * M * M
+        holds = rho_sq - lower <= NS_TOL * M * M
         return NsReport(lower_bound=lower, rho_sq=rho_sq, holds=holds, active=len(active))
 
     lam = hull_witness(witness, u)

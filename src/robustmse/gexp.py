@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, GuardRefusalError
-from .estimator import EstimatorResult, SolverConfig, solve_mmse
+from .estimator import EstimatorResult, solve_mmse
 from .measures import MeasureSet
 from .spaces import Immutable, PartitionAlgebra, RandomVariable, SampleSpace
 
@@ -344,7 +344,6 @@ def compare_gexp_mmse(
     tm: TreeModel,
     xi_leaf,
     level: int,
-    cfg: SolverConfig | None = None,
 ) -> GexpCompareReport:
     """Recursion values at a level versus the worst-case estimator there.
 
@@ -362,7 +361,7 @@ def compare_gexp_mmse(
     part = tm.level_partition(level)
     gres = g_expectation(tm, xi_leaf)
     gexp_cond = part.broadcast(gres.level_values(level))
-    est = solve_mmse(tm, xi, part, cfg)
+    est = solve_mmse(tm, xi, part)
     sup_diff = float(np.max(np.abs(gexp_cond.values - est.eta_hat.values)))
     _, best = tm.support(xi.values)
     return GexpCompareReport(

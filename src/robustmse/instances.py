@@ -30,30 +30,17 @@ FORMAT_VERSION = "1"
 DIGEST_VERSION = "2"
 DEFAULT_LEVEL = 0  # the tree level a tree instance conditions on without options.level
 
-_KNOWN_OPTIONS = {
-    "tol",
-    "max_iter",
-    "level",
-    "ns_tol",
-}
+_KNOWN_OPTIONS = {"level"}
 
 
 def _validate_options(options) -> MappingProxyType:
-    """The options as the solver reads them, read-only: `tol` and `ns_tol` as
-    floats, `max_iter` and `level` as ints, so every spelling of a value is one."""
+    """The options, read-only: `level`, the one option, is an int."""
     _require(isinstance(options, dict), "options", "expected an object")
     bad = set(options) - _KNOWN_OPTIONS
     _require(not bad, "options", f"unknown option(s) {sorted(bad)}")
-    typed = dict(options)
-    for key in ("tol", "ns_tol"):
-        if key in options:
-            typed[key] = value = _num(options[key], f"options.{key}")
-            _require(0.0 <= value < math.inf, f"options.{key}", "expected a finite number >= 0")
-    for key in ("max_iter", "level"):
-        if key in options:
-            _require(_is_int(options[key]), f"options.{key}", "expected an integer")
-    _require(typed.get("max_iter", 0) >= 0, "options.max_iter", "expected an integer >= 0")
-    return MappingProxyType(typed)
+    if "level" in options:
+        _require(_is_int(options["level"]), "options.level", "expected an integer")
+    return MappingProxyType(dict(options))
 
 
 def _require(cond, path, message):

@@ -21,7 +21,6 @@ from robustmse import (
     PartitionAlgebra,
     RandomVariable,
     SampleSpace,
-    SolverConfig,
     TreeModel,
     brute_force_mmse,
     compare_gexp_mmse,
@@ -44,6 +43,7 @@ from robustmse import (
     verify_saddle,
 )
 from robustmse.cli import main
+from robustmse.estimator import SADDLE_TOL
 from robustmse.instances import parse_instance
 from robustmse.randgen import (
     rng_from_seed,
@@ -125,7 +125,6 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_saddle_certificates():
     with criterion(3, "certificates pass at solutions; +0.1 block perturbation breaks the min side"):
-        cfg = SolverConfig()
         min_side_failures = 0
         total = 0
         for ms, xi, c, solved, _ in oracle_solutions():
@@ -142,7 +141,7 @@ def test_criterion_03_saddle_certificates():
                 solver=solved.solver,
             )
             pert_cert = verify_saddle(ms, xi, c, perturbed)
-            tol = cfg.tol * (1.0 + abs(solved.alpha))
+            tol = SADDLE_TOL * (1.0 + abs(solved.alpha))
             total += 1
             if pert_cert.value_at_saddle > pert_cert.min_over_eta + tol:
                 min_side_failures += 1
@@ -194,9 +193,9 @@ def test_criterion_05_kernel_characterization():
 def test_criterion_06_ns_condition():
     with criterion(6, "product equation holds at eta_hat, fails at eta_hat + 0.25"):
         for ms, xi, c, solved, _ in oracle_solutions():
-            at_solution = ns_condition(ms, xi, c, solved.eta_hat, tol=1e-6)
+            at_solution = ns_condition(ms, xi, c, solved.eta_hat)
             assert at_solution.holds
-            shifted = ns_condition(ms, xi, c, solved.eta_hat + 0.25, tol=1e-6)
+            shifted = ns_condition(ms, xi, c, solved.eta_hat + 0.25)
             assert not shifted.holds
 
 

@@ -34,6 +34,23 @@ EXAMPLE = {
     "partition": [[0, 1]],
 }
 
+# the identity probe's zeros #142 (tools/solve_identity.py): a set that is not
+# proper, on which the dual solve stops unconverged at a saddle gap of 0.488
+STOPS = {
+    "version": "1",
+    "omega": ["a", "b", "c", "d", "e"],
+    "generators": [
+        [2 / 13, 6 / 13, 0.0, 1 / 13, 4 / 13],
+        [0.0, 1 / 6, 0.0, 5 / 6, 0.0],
+        [0.7, 0.0, 0.0, 0.0, 0.3],
+        [0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.3, 0.0, 0.2, 0.5],
+        [0.0, 7 / 19, 4 / 19, 8 / 19, 0.0],
+    ],
+    "xi": [3, 0, 0, 3, 0],
+    "partition": [[0, 2, 4], [1, 3]],
+}
+
 # two blocks, two generators: the scale checks of the oracle and the guard
 FOUR_POINT = {
     "version": "1",
@@ -157,8 +174,8 @@ class TestParsing:
         assert err.value.path == path
 
 
-README_EXAMPLE = dict(EXAMPLE, options={"tol": 1e-8})
-README_DIGEST = "efe5b540429143562f9919ab8f64b92412dad14f32d1ead2c36c5652bf759d9c"
+README_EXAMPLE = EXAMPLE
+README_DIGEST = "d4d5b533da17ed40e526168b9c34bd36b5916484ada1683350502eb836f13bfe"
 
 
 def reference_digest(inst):
@@ -225,8 +242,8 @@ class TestNumberArrays:
         [
             ("generators", "generators[1][2]"),
             ("xi", "xi[2]"),
-            ("tol", "options.tol"),
             ("q_lo", "tree.q_lo"),
+            ("dt", "tree.dt"),
             ("q_lo list", "tree.q_lo[1]"),
         ],
     )
@@ -244,12 +261,11 @@ class TestNumberArrays:
             doc["generators"][1][2] = huge
         elif field == "xi":
             doc["xi"][2] = huge
-        elif field == "tol":
-            doc["options"] = {"tol": huge}
         else:
-            q_lo = huge if field == "q_lo" else [0.25, huge, 0.25]
-            doc = {"version": "1", "tree": {"depth": 2, "q_lo": q_lo, "q_hi": 0.75,
-                                            "leaf_values": [1, 0, 0, 0]}}
+            tree = {"depth": 2, "q_lo": 0.25, "q_hi": 0.75, "leaf_values": [1, 0, 0, 0]}
+            key = field.split()[0]
+            tree[key] = [0.25, huge, 0.25] if field == "q_lo list" else huge
+            doc = {"version": "1", "tree": tree}
         file = tmp_path / "huge.json"
         file.write_text(json.dumps(doc))
         assert main(["solve", str(file)]) == 2
@@ -276,7 +292,6 @@ class TestNumberArrays:
             "generators": [[0.25, 0.25, 0.25, 0.25], [0.125, 0.375, 0.25, 0.25]],
             "xi": [1, -2.5, 0, 4],
             "filtration": [[[3, 2, 1, 0]], [[1, 0], [3, 2]]],
-            "options": {"ns_tol": "1e-7", "max_iter": 50},
         }
         docs = [EXAMPLE, README_EXAMPLE, filtration, *seeded_partition_docs(2702, 8), *trees]
         for doc in docs:
@@ -371,7 +386,7 @@ class TestDigest:
                                                           0.25, 0.25], [0.5, 0.25, 0.125, 0.125]]),
              False),
             (DIGEST_BASE, _with(DIGEST_BASE, xi=[1, 2.5, -0.0, 4]), False),
-            (DIGEST_BASE, _with(DIGEST_BASE, options={"max_iter": 10000}), False),
+            (DIGEST_TREE, _with(DIGEST_TREE, options={"level": 0}), False),
             (DIGEST_BASE, _with(DIGEST_BASE, partition=[[0, 2], [1, 3]]), False),
             (DIGEST_BASE, _with(DIGEST_BASE, partition=[[0, 1, 2, 3]]), False),
             (DIGEST_BASE, _with(DIGEST_BASE, partition=None,
@@ -390,23 +405,23 @@ class TestDigest:
         assert (instance_digest(a) == instance_digest(b)) is same
 
     def test_option_spellings_are_one_instance(self):
-        insts = [parse_instance(dict(EXAMPLE, options={"tol": t})) for t in ("1e-8", "1E-8", 1e-8)]
+        # an empty options stanza is no stanza; level is a JSON integer
+        insts = [parse_instance(doc) for doc in (EXAMPLE, dict(EXAMPLE, options={}))]
         assert {_canonical_json(canonical_dict(i)) for i in insts} == {
-            _canonical_json(canonical_dict(insts[2]))
+            _canonical_json(canonical_dict(insts[0]))
         }
-        assert canonical_dict(insts[0])["options"] == {"tol": 1e-8}
+        assert "options" not in canonical_dict(insts[1])
         assert {instance_digest(i) for i in insts} == {README_DIGEST}
-        typed = parse_instance(dict(EXAMPLE_4, generators=[[0.25] * 4],
-                                    options={"ns_tol": "0", "max_iter": 7}))
-        assert typed.options == {"ns_tol": 0.0, "max_iter": 7}
-        assert type(typed.options["ns_tol"]) is float
+        typed = parse_instance(dict(DIGEST_TREE, options={"level": 1}))
+        assert typed.options == {"level": 1}
+        assert type(typed.options["level"]) is int
 
     def test_options_are_read_only(self):
-        # the options feed the digest and the solver settings, so a parsed
+        # the options feed the digest and the conditioning, so a parsed
         # instance refuses to change them
         inst = parse_instance(README_EXAMPLE)
         with pytest.raises(TypeError):
-            inst.options["tol"] = 0.5
+            inst.options["level"] = 1
         assert instance_digest(inst) == README_DIGEST
 
     def test_header_holds_no_weight(self, monkeypatch):
@@ -483,24 +498,14 @@ class TestSolveCommand:
         assert "generators[0]" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, tmp_path):
-        # interior saddle that needs both generators; a solve stopped by the
-        # iteration cap before it gets there must be reported, not papered over
-        doc = {
-            "version": "1",
-            "omega": ["a", "b", "c", "d"],
-            "generators": [
-                [0.3125, 0.1875, 0.1875, 0.3125],
-                [0.1875, 0.375, 0.1875, 0.25],
-            ],
-            "xi": [-0.875, -1.9375, -0.8125, -1.875],
-            "partition": [[0, 1, 2, 3]],
-            "options": {"max_iter": 0},
-        }
-        path = tmp_path / "hard.json"
-        path.write_text(json.dumps(doc))
+        # a solve that stops short of the saddle must be reported, not papered over
+        path = tmp_path / "stops.json"
+        path.write_text(json.dumps(STOPS))
         code, out = run(["solve", str(path)], tmp_path)
         assert code == 3
-        assert out["result"]["estimator"]["converged"] is False
+        est = out["result"]["estimator"]
+        assert est["converged"] is False
+        assert est["saddle_gap"] == pytest.approx(0.488, abs=1e-3)
 
     def test_results_reproducible_apart_from_wall_time(self, example_file, tmp_path):
         _, a = run(["solve", example_file], tmp_path, "a.json")
@@ -508,8 +513,9 @@ class TestSolveCommand:
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
 
-    def test_certificate_failure_exit_code(self, tmp_path):
+    def test_certificate_failure_exit_code(self, tmp_path, monkeypatch):
         # a zero tolerance on the product equation cannot be met in floats
+        monkeypatch.setattr(robustmse.estimator, "NS_TOL", 0.0)
         doc = {
             "version": "1",
             "omega": ["a", "b", "c", "d"],
@@ -519,7 +525,6 @@ class TestSolveCommand:
             ],
             "xi": [-0.875, -1.9375, -0.8125, -1.875],
             "partition": [[0, 1], [2, 3]],
-            "options": {"ns_tol": 0.0},
         }
         path = tmp_path / "strict.json"
         path.write_text(json.dumps(doc))
@@ -987,8 +992,9 @@ class TestGexpCommand:
         assert 0.0 <= cmp["saddle_gap"] <= 1e-8 * (1 + 9.0)
         assert cmp["iterations"] >= 1
 
-    def test_nonconvergence_reported_in_comparison(self, tmp_path):
-        doc = dict(self.tree_doc(2, leaves=[1, 0, 0, 0]), options={"level": 1, "max_iter": 0})
+    def test_nonconvergence_reported_in_comparison(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(robustmse.estimator, "MAX_ADDITIONS", 0)
+        doc = dict(self.tree_doc(2, leaves=[1, 0, 0, 0]), options={"level": 1})
         path = tmp_path / "cap.json"
         path.write_text(json.dumps(doc))
         code, out = run(["gexp", str(path)], tmp_path)
@@ -1155,52 +1161,22 @@ def fresh_process_result(args, tmp_path, name):
 class TestOptions:
     @pytest.mark.parametrize("command", ["rho", "solve", "oracle", "stability", "gexp", "tcsearch"])
     def test_tol_is_a_usage_error_where_unread(self, example_file, command):
-        # the solver's tolerance is options.tol, which the instance digest hashes
+        # the solver's tolerances are constants of the package
         instance = [] if command == "tcsearch" else [example_file]
         with pytest.raises(SystemExit) as err:
             main([command, *instance, "--tol", "1e-6"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize(
-        "options, field",
-        [
-            ({"tol": "nan"}, "options.tol"),
-            ({"tol": "inf"}, "options.tol"),
-            ({"tol": -1e-8}, "options.tol"),
-            ({"ns_tol": "nan"}, "options.ns_tol"),
-            ({"max_iter": -5}, "options.max_iter"),
-        ],
-    )
-    def test_option_out_of_range(self, tmp_path, capsys, options, field):
+    @pytest.mark.parametrize("key", ["tol", "max_iter", "ns_tol"])
+    def test_solver_settings_are_refused(self, tmp_path, capsys, key):
+        # the solver's tolerances and cap are constants of the package, so an
+        # instance that sets one is refused, not solved with the setting ignored
         path = tmp_path / "options.json"
-        path.write_text(json.dumps(dict(EXAMPLE, options=options)))
+        path.write_text(json.dumps(dict(EXAMPLE, options={key: 1})))
         assert main(["solve", str(path)]) == 2
-        assert f"robustmse: invalid input: {field}: expected " in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "options, flags, tol, max_iter",
-        [
-            ({}, [], 1e-8, 10_000),
-            ({"tol": 1e-6}, [], 1e-6, 10_000),
-            ({"max_iter": 7}, [], 1e-8, 7),
-        ],
-    )
-    def test_solver_settings_reach_the_solver(
-        self, tmp_path, monkeypatch, options, flags, tol, max_iter
-    ):
-        seen, solve = [], robustmse.cli.solve_mmse
-
-        def spy(ms, xi, c, cfg):
-            seen.append(cfg)
-            return solve(ms, xi, c, cfg)
-
-        monkeypatch.setattr(robustmse.cli, "solve_mmse", spy)
-        path = tmp_path / "options.json"
-        path.write_text(json.dumps(dict(EXAMPLE, options=options)))
-        run(["solve", str(path), *flags], tmp_path)
-        assert [(type(cfg), cfg.tol, cfg.max_iter) for cfg in seen] == [
-            (robustmse.cli.SolverConfig, tol, max_iter)
-        ]
+        assert capsys.readouterr().err == (
+            f"robustmse: invalid input: options: unknown option(s) ['{key}']\n"
+        )
 
 
 class TestParserReuse:
@@ -1209,23 +1185,13 @@ class TestParserReuse:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_consecutive_calls_match_fresh_processes(self, tmp_path):
-        interior = dict(
-            EXAMPLE_4,
-            generators=[[0.3125, 0.1875, 0.1875, 0.3125], [0.1875, 0.375, 0.1875, 0.25]],
-            xi=[-0.875, -1.9375, -0.8125, -1.875],
-            options={"max_iter": 0},
-        )
-        path = tmp_path / "interior.json"
-        path.write_text(json.dumps(interior))
-        loose = tmp_path / "interior-tol-1.json"
-        loose.write_text(json.dumps(dict(interior, options={"max_iter": 0, "tol": 1})))
+    def test_consecutive_calls_match_fresh_processes(self, tmp_path, example_file):
+        path = tmp_path / "stops.json"
+        path.write_text(json.dumps(STOPS))
         calls = [
-            # the solve stops at its start, a saddle gap of 0.053: tol 1
-            # accepts it (then the NS check fails, exit 1) and the default
-            # does not (exit 3), so a tol left over from the first call would
-            # change the second
-            ["solve", str(loose)],
+            # a solve that stops (exit 3) after one that converges: nothing
+            # of the first call may change the second
+            ["solve", example_file],
             ["solve", str(path)],
             None,  # a usage error between two valid calls
             ["tcsearch", "--seed", "20250801", "--trials", "50"],
@@ -1242,7 +1208,7 @@ class TestParserReuse:
             doc.pop("wall_time_s")
             assert (code, doc) == fresh_process_result(args, tmp_path, f"fresh-{i}.json")
             results.append((code, doc))
-        assert [code for code, _ in results] == [1, 3, 0, 0]
+        assert [code for code, _ in results] == [0, 3, 0, 0]
         assert results[0][1] != results[1][1]
         assert results[2][1]["result"]["trials"] == 50
         assert results[3][1]["result"]["trials"] == 1000

@@ -16,7 +16,6 @@ from robustmse import (
     PropernessError,
     RandomVariable,
     SampleSpace,
-    SolverConfig,
     SolveTrace,
     StructuralError,
     TreeModel,
@@ -131,9 +130,10 @@ class TestSolveMmse:
             diff = xi - res.eta_hat
             assert res.alpha == pytest.approx(rho(ms, diff * diff).value, abs=1e-10)
 
-    def test_nonconvergence_is_reported(self):
+    def test_nonconvergence_is_reported(self, monkeypatch):
         # interior saddle: it needs both generators, so a solve capped before
         # its first generator addition must end in an explicit status
+        monkeypatch.setattr(robustmse.estimator, "MAX_ADDITIONS", 0)
         space = SampleSpace.of_size(4)
         ms = MeasureSet(
             [
@@ -142,7 +142,7 @@ class TestSolveMmse:
             ]
         )
         xi = RandomVariable(space, [-0.875, -1.9375, -0.8125, -1.875])
-        res = solve_mmse(ms, xi, PartitionAlgebra.trivial(space), SolverConfig(max_iter=0))
+        res = solve_mmse(ms, xi, PartitionAlgebra.trivial(space))
         assert not res.converged
         assert res.saddle_gap > 0
         assert any("gap" in w for w in res.warnings)
@@ -653,7 +653,7 @@ class TestNsCondition:
         assert rep.lower_bound <= 6.75
         assert exact_box_infimum(ms, xi, triv, eta) == pytest.approx(6.75, abs=1e-8)
 
-    def test_lower_bound_is_valid(self):
+    def test_lower_bound_is_valid(self, monkeypatch):
         # a wide active set makes the hull test pass away from eta_hat too
         finite_off_solution = 0
         for rng, ms, xi, c in ns_instances(2601, 30):
@@ -662,7 +662,8 @@ class TestNsCondition:
             for eta in (eta_hat, eta_hat + shift):
                 exact = exact_box_infimum(ms, xi, c, eta)
                 for tol in (1e-6, 0.5):
-                    rep = ns_condition(ms, xi, c, eta, tol=tol)
+                    monkeypatch.setattr(robustmse.estimator, "NS_TOL", tol)
+                    rep = ns_condition(ms, xi, c, eta)
                     assert rep.lower_bound <= exact + 1e-12 * xi.bound**2
                     if eta is not eta_hat:
                         finite_off_solution += rep.lower_bound > -math.inf

@@ -8,7 +8,6 @@ from robustmse import (
     ArgumentError,
     GuardRefusalError,
     RandomVariable,
-    SolverConfig,
     TreeModel,
     compare_gexp_mmse,
     conditional_envelopes,

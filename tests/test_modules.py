@@ -14,9 +14,10 @@ Value equality has one owner: only `spaces.Immutable` defines `__eq__` or
 
 No module imports a private name (one underscore, not a dunder) from another.
 
-Every setting has one source: the solver's tolerance is the instance's
-`options.tol`, which the instance digest hashes, and no command takes a
-`--tol` flag; the value verdicts apply VALUE_TOL and take no `tol`."""
+Nothing settable serves no reader: the solver and its certificates read the
+constants SADDLE_TOL, MAX_ADDITIONS and NS_TOL and take no `tol` or `cfg`,
+no command takes a `--tol` flag, and the value verdicts apply VALUE_TOL and
+take no `tol`."""
 
 import ast
 import inspect
@@ -26,7 +27,8 @@ import pytest
 
 import robustmse
 from robustmse.cli import build_parser
-from robustmse.estimator import optimality_ineq
+from robustmse.estimator import ns_condition, optimality_ineq, solve_mmse, verify_saddle
+from robustmse.gexp import compare_gexp_mmse
 from robustmse.simplexlp import first_outside, hull_membership, solve_lp
 from robustmse.stability import is_stable, recursivity_check
 
@@ -225,6 +227,13 @@ from .instances import (
 @pytest.mark.parametrize("fn", [recursivity_check, optimality_ineq], ids=lambda f: f.__name__)
 def test_value_verdicts_take_no_tolerance(fn):
     assert "tol" not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize(
+    "fn", [solve_mmse, verify_saddle, ns_condition, compare_gexp_mmse], ids=lambda f: f.__name__
+)
+def test_solver_and_certificates_take_no_settings(fn):
+    assert not {"tol", "cfg"} & set(inspect.signature(fn).parameters)
 
 
 @pytest.mark.parametrize("command", ["rho", "solve", "oracle", "stability", "gexp", "tcsearch"])

@@ -1,7 +1,7 @@
 """The package's records and value types, built without dataclasses.
 
 Importing the package and its command line loads no `dataclasses` module, and
-each of the 28 types keeps its immutability, equality and hashing: records
+each of the 27 types keeps its immutability, equality and hashing: records
 (NamedTuples) and value types (through spaces.Immutable) compare and hash
 by their fields, a GExpResult and an LpResult by identity.
 """
@@ -25,7 +25,6 @@ from robustmse import (
     PartitionAlgebra,
     RandomVariable,
     SampleSpace,
-    SolverConfig,
     SolveTrace,
     TreeModel,
     axiom_suite,
@@ -60,7 +59,7 @@ def test_import_loads_no_dataclasses():
 
 
 def build():
-    """One instance of each of the 28 types, keyed by type name; every call
+    """One instance of each of the 27 types, keyed by type name; every call
     builds new objects from the same data."""
     space = SampleSpace(("uu", "ud", "du", "dd"))
     g0, g1 = Measure(space, [0.4, 0.1, 0.2, 0.3]), Measure(space, [0.1, 0.4, 0.3, 0.2])
@@ -73,7 +72,7 @@ def build():
     opt = optimality_ineq(ms, xi, halves, res.eta_hat, [res.eta_hat])
     objs = [
         space, xi, halves, f, g0, ms, MixtureWeights([0.5, 0.5]), tree,
-        SolverConfig(), SolveTrace(), res, verify_saddle(ms, xi, halves, res),
+        SolveTrace(), res, verify_saddle(ms, xi, halves, res),
         ns_condition(ms, xi, halves, res.eta_hat), opt.entries[0], opt,
         minimax_gap(ms, xi, halves), g_expectation(tree, xi.values),
         compare_gexp_mmse(tree, xi.values, 1),
@@ -96,7 +95,7 @@ UNHASHABLE = {"Instance"}
 
 
 def test_every_type_built():
-    assert len(NAMES) == 28
+    assert len(NAMES) == 27
 
 
 @pytest.mark.parametrize("name", NAMES)
