@@ -363,7 +363,7 @@ def _refuse_out_of_range(xi: RandomVariable) -> None:
     if math.isinf(4.0 * R * R) or R * R < sys.float_info.min:
         over = "squared residuals up to (2R)^2 overflow"
         why = over if R > 1.0 else "R^2 is below the normal range of"
-        raise GuardRefusalError(f"xi spans {2.0 * R:.3e}: {why} binary64")
+        raise GuardRefusalError(f"xi has half-range R = {R:.3e}: {why} binary64")
 
 
 def solve_mmse(

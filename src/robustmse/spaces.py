@@ -124,8 +124,10 @@ class RandomVariable(Immutable):
     @cached_property
     def unit(self) -> float:
         """R, the unit of values derived from x (R^2 for products): half the
-        range of x, max|x| for a constant x, 1 for x = 0."""
-        return float(self.values.max() - self.values.min()) / 2.0 or self.bound or 1.0
+        range of x, max|x| for a constant x, 1 for x = 0. Each end is halved
+        first, so R is finite where the range itself passes the largest float."""
+        hi, lo = float(self.values.max()), float(self.values.min())
+        return hi / 2.0 - lo / 2.0 or self.bound or 1.0
 
     def __add__(self, other):
         return self._combine(other, np.add)

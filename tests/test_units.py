@@ -117,6 +117,34 @@ def test_recursivity_grid_does_not_move():
         assert [recursivity_flags(ms, f, xi * s) for ms, f, xi in corpus] == flags, s
 
 
+def past_the_largest_float(xi):
+    """xi * 2^k with max|xi| * 2^k in [2^1023, 2^1024), or None where the
+    scaled range max - min stays below 2^1024 (the largest float is just below)."""
+    k = 1024 - math.frexp(xi.bound)[1]
+    big = RandomVariable(xi.space, np.ldexp(xi.values, k))
+    return big if math.isinf(float(big.values.max()) - float(big.values.min())) else None
+
+
+def test_a_range_past_the_largest_float_moves_no_verdict():
+    # R was (max - min) / 2, inf here: every generator tied for rho and every
+    # recursivity pair read equal; R = max/2 - min/2 stays finite
+    space = SampleSpace.of_size(2)
+    pair = MeasureSet.from_matrix(space, [[0.25, 0.75], [0.75, 0.25]])
+    top = rho(pair, RandomVariable(space, [1e308, -1e308]))
+    assert (top.argmax_generator, top.ties) == (1, (1,))
+    scaled = 0
+    for ms, f, xi in two_level_sets():
+        big = past_the_largest_float(xi)
+        if big is None:
+            continue
+        scaled += 1
+        assert math.isfinite(big.unit)
+        want, got = rho(ms, xi), rho(ms, big)
+        assert (got.argmax_generator, got.ties) == (want.argmax_generator, want.ties)
+        assert recursivity_flags(ms, f, big) == recursivity_flags(ms, f, xi)
+    assert scaled >= 100
+
+
 @pytest.fixture
 def example(two_point):
     _, ms, xi, triv = two_point
