@@ -164,7 +164,7 @@ def parse_instance(doc: Any) -> Instance:
     _require("xi" in doc, "xi", "required")
     xi_vals = _num_list(doc["xi"], "xi")
     _require(len(xi_vals) == space.n, "xi", f"expected {space.n} values, got {len(xi_vals)}")
-    xi = RandomVariable(space, xi_vals)
+    xi = _variable(space, xi_vals, "xi")
 
     partition = filtration = None
     if "partition" in doc:
@@ -268,8 +268,9 @@ def _parse_tree_instance(doc, options) -> Instance:
         _require(fits, path, f"expected 2^{depth} values, got {len(vals)}")
         return vals
 
+    path = "tree.leaf_values" if "leaf_values" in tree_doc else "xi"
     if "leaf_values" in tree_doc:
-        vals = leaf_values(tree_doc["leaf_values"], "tree.leaf_values")
+        vals = leaf_values(tree_doc["leaf_values"], path)
         if "xi" in doc:
             other = _num_list(doc["xi"], "xi")
             _require(other == vals, "xi", "xi and tree.leaf_values disagree")
@@ -307,12 +308,19 @@ def _parse_tree_instance(doc, options) -> Instance:
     return Instance(
         space=tree.space,
         measure_set=None,
-        xi=RandomVariable(tree.space, vals),
+        xi=_variable(tree.space, vals, path),
         partition=None,
         filtration=None,
         tree=tree,
         options=options,
     )
+
+
+def _variable(space, values, path) -> RandomVariable:
+    try:
+        return RandomVariable(space, values)
+    except ArgumentError as exc:  # a NaN or infinite value
+        raise ValidationError(path, str(exc)) from None
 
 
 def load_instance(path) -> Instance:

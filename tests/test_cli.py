@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import struct
@@ -1275,11 +1276,18 @@ class TestValidationNamesTheField:
             (json.dumps({"tree": dict(TREE_2["tree"], q_lo=0.75, q_hi=0.25)}), "tree"),
             (json.dumps({"tree": dict(TREE_2["tree"], q_hi=1.0)}), "tree"),
             (json.dumps({"tree": dict(TREE_2["tree"], q_hi=[0.75, 0.5, 1.5])}), "tree"),
+            (json.dumps(dict(EXAMPLE, xi=[2, math.inf])), "xi"),
+            (json.dumps(dict(EXAMPLE, xi=[math.nan, 8])), "xi"),
+            (json.dumps({"tree": dict(TREE_2["tree"], leaf_values=[1, 0, -math.inf, 0])}),
+             "tree.leaf_values"),
+            (json.dumps({"tree": {k: v for k, v in TREE_2["tree"].items() if k != "leaf_values"},
+                         "xi": [1, math.nan, 0, 0]}), "xi"),
         ],
         ids=[
             "tree-xi-disagrees", "invalid-json", "repeated-omega-label",
             "partition-blocks-overlap", "partition-misses-an-index", "partition-out-of-range",
             "tree-q-lo-above-q-hi", "tree-q-hi-one", "tree-node-q-hi-above-one",
+            "xi-infinite", "xi-nan", "tree-leaf-values-infinite", "tree-xi-nan",
         ],
     )
     def test_exit_2_names_the_field(self, tmp_path, capsys, text, field):
