@@ -859,26 +859,27 @@ def test_face_ascent_drops_residue_weight():
     assert phi(s_out, w_out) > phi(s, w) + 1e-10
 
 
-# Two tree solves that a face stop rule of an exactly closed gap sends into
-# line searches of 30 halvings (142 and 93 evaluations of phi); with the gap
-# closed at the rounding of phi, every step takes its first evaluation. The
-# third reaches a face where a just-added generator at weight 0 blocks the
-# Newton step, and it leaves without a line search (stuck_drops); whether a
-# solve gets there turns on the last bits of its sums, so these leaves are
-# found anew when the summation order changes (they were chosen to give the
-# same trace and alpha under OPENBLAS_CORETYPE=Prescott too). Each entry pins
-# the trace and alpha, a hex float, on both paths.
+# Two tree solves that a stop rule of an exactly closed gap sends into line
+# searches of 30 halvings (90 and 93 evaluations of phi); with the gap closed
+# at the rounding of phi, every step takes its first evaluation. The third
+# reaches a face where a just-added generator at weight 0 blocks the Newton
+# step, and it leaves without a line search (stuck_drops). Whether a solve
+# takes a branch turns on the last bits of its sums, so these inputs, and
+# those of EXPLICIT_REPRODUCERS, are found anew when the summation order
+# changes; they were chosen to give the same trace and alpha under
+# OPENBLAS_CORETYPE=Prescott as on the default kernel. Each entry pins the
+# trace and alpha, a hex float, on both paths.
 REPRODUCERS = {
     "per-node depth 3": (
         TreeModel(
             3,
-            [0.3125, 0.3125, 0.375, 0.125, 0.125, 0.125, 0.4375],
-            [0.6875, 0.75, 0.75, 0.875, 0.75, 0.9375, 0.6875],
+            [0.0625, 0.375, 0.375, 0.125, 0.1875, 0.375, 0.125],
+            [0.5625, 0.8125, 0.6875, 0.75, 0.625, 0.6875, 0.75],
         ),
-        [-0.375, 0.8125, -1.6875, 2.0, 1.1875, -0.25, -1.375, 0.5625],
+        [2.0, 0.375, 1.25, -1.75, -0.4375, -1.75, 0.6875, -0.5],
         2,
         SolveTrace(additions=5, newton_steps=18, line_evals=18),
-        "0x1.ed24000000002p+0",
+        "0x1.1ba6000000001p+0",
     ),
     "drift-bound depth 2": (
         TreeModel.drift_bound(2),
@@ -899,9 +900,10 @@ REPRODUCERS = {
 # Three explicit sets, each (rows, xi, blocks, trace, alpha), on the branches
 # the solve takes only sometimes. The first is an order of the reproducer of
 # tests/test_not_proper.py whose faces leave block {0, 1} uncharged. The
-# second is the reproducer in its listed order: no single generator opens
-# block {0, 1}, and a pair does (pair_additions). In the third, an accepted
-# Newton step sets a weight to 0 and that generator leaves the face.
+# second is the reproducer in its listed order at another xi: no single
+# generator opens block {0, 1}, and a pair does (pair_additions). In the
+# third, an accepted Newton step sets a weight to 0 and that generator leaves
+# the face.
 EXPLICIT_REPRODUCERS = {
     "face leaves a block uncharged": (
         np.array([
@@ -918,17 +920,17 @@ EXPLICIT_REPRODUCERS = {
             [0, 0, 0, 0, 2], [0, 0, 0, 1, 1], [0, 0, 1, 0, 1], [0, 0, 1, 1, 0], [0, 1, 0, 1, 0],
             [0, 1, 1, 0, 0], [0, 2, 0, 0, 0], [1, 0, 0, 1, 0], [1, 0, 1, 0, 0], [2, 0, 0, 0, 0],
         ]) / 2,
-        [0, 2, 0, 1, 2],
+        [-1, -3, 0, 1, 2],
         [(0, 1), (2, 3, 4)],
         SolveTrace(additions=2, newton_steps=12, line_evals=12, pair_additions=1),
         "0x1.0000000000000p+0",
     ),
     "Newton step zeroes a weight": (
-        np.array([[3, 3, 6, 4], [5, 3, 5, 3], [4, 3, 4, 5], [6, 2, 2, 6], [4, 5, 4, 3]]) / 16,
-        np.array([-25, -28, -28, -11]) / 16,
+        np.array([[4, 6, 2, 4], [7, 2, 3, 4], [5, 3, 4, 4], [1, 6, 5, 4], [3, 6, 3, 4]]) / 16,
+        np.array([-28, -18, 0, -28]) / 16,
         [(0, 1, 2, 3)],
         SolveTrace(additions=2, newton_steps=5, line_evals=5),
-        "0x1.c175987045afbp-3",
+        "0x1.10690490e4e89p-1",
     ),
 }
 
