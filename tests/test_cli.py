@@ -515,7 +515,9 @@ class TestSolveCommand:
         assert a == b
 
     def test_certificate_failure_exit_code(self, tmp_path, monkeypatch):
-        # a zero tolerance on the product equation cannot be met in floats
+        # a zero tolerance on the product equation cannot be met in floats:
+        # here the certified bound lies 1.3e-16 * bound(xi)^2 below rho_sq,
+        # on the default and the Prescott OpenBLAS kernels alike
         monkeypatch.setattr(robustmse.estimator, "NS_TOL", 0.0)
         doc = {
             "version": "1",
@@ -524,7 +526,7 @@ class TestSolveCommand:
                 [0.3125, 0.1875, 0.1875, 0.3125],
                 [0.1875, 0.375, 0.1875, 0.25],
             ],
-            "xi": [-0.875, -1.9375, -0.8125, -1.875],
+            "xi": [-0.75, 0.75, 0.9375, 0.0],
             "partition": [[0, 1], [2, 3]],
         }
         path = tmp_path / "strict.json"
