@@ -656,8 +656,8 @@ def ns_condition(
     bound(xi) (1 for xi = 0). So the check is a hull test on the active
     generators, those with r_k >= rho_sq - NS_TOL * M^2 (Rockafellar 1970,
     sec. 23): it looks for mu on them with mu @ u / M = 0 within HULL_TOL, and
-    holds when the certified lower bound is within NS_TOL * M^2 of rho_sq. The
-    box needs no normal-cone term: where eta_hat touches +-M, |xi| <= M makes
+    holds when the certified lower bound is within NS_TOL * M^2 of rho_sq
+    (NS_TOL = 1e-6, a constant of this module). The box needs no normal-cone term: where eta_hat touches +-M, |xi| <= M makes
     every u_k one-signed on that block.
 
     witness, optional, is a mixture lam over all the generators, such as the

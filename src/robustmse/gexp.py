@@ -350,10 +350,11 @@ def compare_gexp_mmse(
     The two disagree in general; the report carries the recursion, the
     sup-norm difference and the full estimator result for auditing. The
     estimator is solve_mmse on the tree's corner set, which it queries
-    through the tree's support oracle instead of a corner matrix. rho_root
-    is E_c[xi] at the corner c that TreeModel.support(xi) returns, read off
-    that corner's leaf law: it must equal the recursion's root, by a
-    separate computation.
+    through the tree's support oracle instead of a corner matrix, under the
+    solver's own constants (SADDLE_TOL, MAX_ADDITIONS). rho_root is E_c[xi]
+    at the corner c that TreeModel.support(xi) returns, read off that
+    corner's leaf law: it must equal the recursion's root, by a separate
+    computation.
     """
     if not 0 <= level < tm.depth:
         raise ArgumentError(f"comparison level must lie in 0..{tm.depth - 1}")
