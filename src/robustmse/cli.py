@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 certificate failure, 2 validation error or a file
 not read or written, 3 nonconvergence, 4 guard refusal. A result depends
 on its instance file alone (tcsearch: on its seed and trials), so identical
 instances produce a byte-identical result file apart from the wall_time_s
-field, on one BLAS kernel. Another kernel may change the floats, `iterations`, the
-SolveTrace counts and the iteration count in a stop warning, not a verdict.
+field, on one BLAS kernel. Another kernel may change the floats,
+`iterations`, the SolveTrace counts and the iteration count in a stop
+warning, not a verdict.
 """
 
 from __future__ import annotations

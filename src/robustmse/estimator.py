@@ -299,9 +299,9 @@ def _simplicial_decomposition(pool, eta0):
     the scale of the face steps. Stops when the saddle gap max r - phi is
     within the rounding of phi (_closed, with max r over every generator),
     or when an addition improves neither phi nor the gap, or after
-    MAX_ADDITIONS additions. Returns the active pool rows s, their weights w, and the
-    evaluation of that mixture the stop rule read: eta = E_{P_w}[xi | C] per
-    block, phi and max r.
+    MAX_ADDITIONS additions. Returns the active pool rows s, their weights w,
+    and the evaluation of that mixture the stop rule read: eta =
+    E_{P_w}[xi | C] per block, phi and max r.
 
     One vertex can fail where a block is uncharged: phi is not
     differentiable there, since eta on that block is free, so the vertex
@@ -657,8 +657,9 @@ def ns_condition(
     generators, those with r_k >= rho_sq - NS_TOL * M^2 (Rockafellar 1970,
     sec. 23): it looks for mu on them with mu @ u / M = 0 within HULL_TOL, and
     holds when the certified lower bound is within NS_TOL * M^2 of rho_sq
-    (NS_TOL = 1e-6, a constant of this module). The box needs no normal-cone term: where eta_hat touches +-M, |xi| <= M makes
-    every u_k one-signed on that block.
+    (NS_TOL = 1e-6, a constant of this module). The box needs no normal-cone
+    term: where eta_hat touches +-M, |xi| <= M makes every u_k one-signed on
+    that block.
 
     witness, optional, is a mixture lam over all the generators, such as the
     solver's P_hat. The bound holds for any simplex weights, so when lam
