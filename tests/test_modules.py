@@ -14,7 +14,7 @@ Value equality has one owner: only `spaces.Immutable` defines `__eq__` or
 
 No module imports a private name (one underscore, not a dunder) from another.
 
-Nothing settable serves no reader: the solver and its certificates read the
+No tolerance is a setting: the solver and its certificates read the
 constants SADDLE_TOL, MAX_ADDITIONS and NS_TOL and take no `tol` or `cfg`,
 no command takes a `--tol` flag, and the value verdicts apply VALUE_TOL and
 take no `tol`."""

@@ -126,8 +126,8 @@ def past_the_largest_float(xi):
 
 
 def test_a_range_past_the_largest_float_moves_no_verdict():
-    # R was (max - min) / 2, inf here: every generator tied for rho and every
-    # recursivity pair read equal; R = max/2 - min/2 stays finite
+    # here max - min overflows to inf; with R = inf every generator would tie
+    # for rho and every recursivity pair would read equal
     space = SampleSpace.of_size(2)
     pair = MeasureSet.from_matrix(space, [[0.25, 0.75], [0.75, 0.25]])
     top = rho(pair, RandomVariable(space, [1e308, -1e308]))
