@@ -1181,6 +1181,27 @@ class TestOptions:
             f"robustmse: invalid input: options: unknown option(s) ['{key}']\n"
         )
 
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"tol": "nan"}, "options.tol"),
+            ({"tol": "inf"}, "options.tol"),
+            ({"tol": -1e-8}, "options.tol"),
+            ({"ns_tol": "nan"}, "options.ns_tol"),
+            ({"max_iter": -5}, "options.max_iter"),
+        ],
+    )
+    def test_option_out_of_range(self, tmp_path, capsys, options, field):
+        # a value that was out of range for a solver setting is still refused
+        # with exit 2, now as an unknown option rather than a bad value
+        path = tmp_path / "options.json"
+        path.write_text(json.dumps(dict(EXAMPLE, options=options)))
+        assert main(["solve", str(path)]) == 2
+        key = field.split(".")[1]
+        assert capsys.readouterr().err == (
+            f"robustmse: invalid input: options: unknown option(s) ['{key}']\n"
+        )
+
 
 class TestParserReuse:
     """main() reuses one parser; no option of one call may reach the next."""
