@@ -26,10 +26,6 @@ class ZeroMassBlockError(RobustMseError):
         super().__init__(message or f"block {self.block} has zero probability mass")
 
 
-class AbsoluteContinuityError(RobustMseError):
-    """A measure charges a point that its reference measure does not."""
-
-
 class PastingDegeneracyError(RobustMseError):
     """Pasting would divide by a zero-mass block of the tail measure."""
 

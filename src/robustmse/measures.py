@@ -11,11 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AbsoluteContinuityError,
-    ArgumentError,
-    StructuralError,
-)
+from .errors import ArgumentError, StructuralError
 from .spaces import (
     Immutable,
     PartitionAlgebra,
@@ -69,9 +65,6 @@ class Measure(Immutable):
         object.__setattr__(m, "space", space)
         object.__setattr__(m, "weights", row)
         return m
-
-    def mass(self, indices) -> float:
-        return float(np.sum(self.weights[list(indices)]))
 
 
 class MeasureSet(Immutable):
@@ -193,11 +186,6 @@ def mix(ms: MeasureSet, w: MixtureWeights) -> Measure:
     return Measure(ms.space, w.lam @ ms.weights_matrix)
 
 
-def reference_measure(ms: MeasureSet) -> Measure:
-    """Uniform mixture of the generators; dominates every element of the hull."""
-    return Measure(ms.space, ms.mean_row())
-
-
 def is_proper(ms: MeasureSet) -> bool:
     """True iff every generator charges every point charged by the reference.
 
@@ -208,17 +196,3 @@ def is_proper(ms: MeasureSet) -> bool:
     W = ms.weights_matrix
     return bool(W[:, W.any(axis=0)].all())
 
-
-def density(p: Measure, p0: Measure) -> RandomVariable:
-    """Pointwise dP/dP0 with the 0/0 := 0 convention."""
-    check_same_space(p, p0)
-    bad = (p0.weights == 0.0) & (p.weights > 0.0)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise AbsoluteContinuityError(
-            f"measure charges point {p.space.labels[i]} which the reference does not"
-        )
-    out = np.zeros(p.space.n)
-    pos = p0.weights > 0.0
-    out[pos] = p.weights[pos] / p0.weights[pos]
-    return RandomVariable(p.space, out)

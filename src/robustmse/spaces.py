@@ -283,20 +283,6 @@ def is_measurable(x: RandomVariable, c: PartitionAlgebra) -> bool:
     return bool((v == v[c.first][c.labels]).all())
 
 
-def truncate(x: RandomVariable, m: float) -> RandomVariable:
-    """Clamp every value to [-m, m]; the classical bounded reformulation."""
-    if m < 0:
-        raise ArgumentError("truncation level must be nonnegative")
-    return RandomVariable(x.space, np.clip(x.values, -m, m))
-
-
-def block_project(x: RandomVariable, c: PartitionAlgebra) -> RandomVariable:
-    """Plain (unweighted) blockwise average; measurable w.r.t. c by construction."""
-    if x.space != c.space:
-        raise StructuralError("variable and algebra live on different spaces")
-    return c.broadcast(c.block_sums(x.values) / np.diff(c._starts, append=c.space.n))
-
-
 def check_same_space(*objs) -> SampleSpace:
     space = objs[0].space
     for o in objs[1:]:

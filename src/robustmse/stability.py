@@ -128,30 +128,16 @@ def is_stable(ms: MeasureSet, f: Filtration) -> StabilityReport:
 class KernelInterval(NamedTuple):
     lower: RandomVariable
     upper: RandomVariable
-    exact: bool | None  # None: no filtration declared, outer description only
 
 
-def kernel_interval(
-    ms: MeasureSet,
-    xi: RandomVariable,
-    c: PartitionAlgebra,
-    filtration=None,
-) -> KernelInterval:
+def kernel_interval(ms: MeasureSet, xi: RandomVariable, c: PartitionAlgebra) -> KernelInterval:
     """The band between the conditional envelopes.
 
     Equals the kernel when the measure set is stable along a filtration
-    containing c; otherwise it is only an outer description. With a declared
-    filtration, exact is the `is_stable` verdict, which is only necessary for
-    stability: exact=True does not prove the band is the kernel. Without one,
-    exact is None.
+    containing c; otherwise it is only an outer description. Whether the set
+    is stable is not decided here: is_stable's verdict is only necessary.
     """
-    lower, upper = conditional_envelopes(ms, xi, c)
-    exact = None
-    if filtration is not None:
-        if c not in filtration.levels:
-            raise ArgumentError("partition is not a level of the declared filtration")
-        exact = is_stable(ms, filtration).stable
-    return KernelInterval(lower=lower, upper=upper, exact=exact)
+    return KernelInterval(*conditional_envelopes(ms, xi, c))
 
 
 class RecursivityReport(NamedTuple):

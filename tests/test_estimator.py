@@ -8,7 +8,6 @@ import robustmse.estimator
 from robustmse import (
     ArgumentError,
     EstimatorResult,
-    Filtration,
     GuardRefusalError,
     Measure,
     MeasureSet,
@@ -431,19 +430,6 @@ class TestKernel:
         band = kernel_interval(ms, xi, triv)
         assert list(band.lower.values) == [3.5, 3.5]
         assert list(band.upper.values) == [6.5, 6.5]
-        assert band.exact is None
-
-    def test_interval_exact_flag_with_filtration(self, two_point):
-        space, ms, xi, triv = two_point
-        f = Filtration([triv, PartitionAlgebra.discrete(space)])
-        band = kernel_interval(ms, xi, triv, filtration=f)
-        assert band.exact is True
-
-    def test_interval_requires_declared_level(self, two_point):
-        space, ms, xi, triv = two_point
-        f = Filtration([PartitionAlgebra.discrete(space)])
-        with pytest.raises(ArgumentError):
-            kernel_interval(ms, xi, triv, filtration=f)
 
     def test_interval_collapses_for_single_generator(self, two_point):
         _, ms, xi, triv = two_point

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from robustmse import (
-    AbsoluteContinuityError,
     ArgumentError,
     Measure,
     MeasureSet,
@@ -16,11 +15,9 @@ from robustmse import (
     StructuralError,
     ZeroMassBlockError,
     conditional_expectation,
-    density,
     expectation,
     is_proper,
     mix,
-    reference_measure,
     solve_mmse,
     verify_saddle,
 )
@@ -227,12 +224,12 @@ class TestMixAndReference:
 
     def test_reference_is_uniform_average(self, two_point):
         _, ms, _, _ = two_point
-        assert list(reference_measure(ms).weights) == [0.5, 0.5]
+        assert list(ms.mean_row()) == [0.5, 0.5]
 
     def test_reference_single_generator(self):
         s = SampleSpace.of_size(2)
         g = Measure(s, [0.3, 0.7])
-        assert reference_measure(MeasureSet([g])) == g
+        assert Measure(s, MeasureSet([g]).mean_row()) == g
 
 
 class TestProperness:
@@ -250,34 +247,12 @@ class TestProperness:
         assert is_proper(MeasureSet([Measure(s, [0.2, 0.3, 0.5])]))
 
 
-class TestDensity:
-    def test_identity_density(self, two_point):
-        _, ms, _, _ = two_point
-        g = ms.generators[0]
-        assert list(density(g, g).values) == [1.0, 1.0]
-
-    def test_pointwise_ratio(self):
-        s = SampleSpace.of_size(2)
-        out = density(Measure(s, [0.25, 0.75]), Measure(s, [0.5, 0.5]))
-        assert list(out.values) == [0.5, 1.5]
-
-    def test_null_point_ok_when_both_null(self):
-        s = SampleSpace.of_size(2)
-        out = density(Measure(s, [0.0, 1.0]), Measure(s, [0.5, 0.5]))
-        assert list(out.values) == [0.0, 2.0]
-
-    def test_absolute_continuity_enforced(self):
-        s = SampleSpace.of_size(2)
-        with pytest.raises(AbsoluteContinuityError):
-            density(Measure(s, [0.5, 0.5]), Measure(s, [0.0, 1.0]))
-
-
 class TestInvariants:
     def test_tower_property(self):
         rng = rng_from_seed(101)
         for _ in range(50):
             ms, xi, c = random_instance(rng)
-            p = reference_measure(ms)
+            p = Measure(ms.space, ms.mean_row())  # the uniform mixture
             cond = conditional_expectation(p, xi, c)
             assert expectation(p, cond) == pytest.approx(expectation(p, xi), abs=1e-10)
 
@@ -285,7 +260,7 @@ class TestInvariants:
         rng = rng_from_seed(102)
         for _ in range(50):
             ms, xi, c = random_instance(rng)
-            p = reference_measure(ms)
+            p = Measure(ms.space, ms.mean_row())  # the uniform mixture
             cond = conditional_expectation(p, xi, c)
             eta = c.broadcast(rng.integers(-16, 17, size=c.num_blocks) / 16)
             inner = expectation(p, (xi - cond) * eta)
@@ -310,8 +285,14 @@ class TestInvariants:
             p1, p2 = ms.generators[0], ms.generators[1]
             pair = MeasureSet([p1, p2])
             plam = mix(pair, MixtureWeights([lam, 1 - lam]))
-            w1 = conditional_expectation(plam, density(p1, plam), c) * lam
-            w2 = conditional_expectation(plam, density(p2, plam), c) * (1 - lam)
+            # the densities dP/dP_lam, 0 where P_lam charges nothing
+            d1, d2 = (
+                RandomVariable(p.space, np.divide(p.weights, plam.weights, out=np.zeros(p.space.n),
+                                                  where=plam.weights > 0.0))
+                for p in (p1, p2)
+            )
+            w1 = conditional_expectation(plam, d1, c) * lam
+            w2 = conditional_expectation(plam, d2, c) * (1 - lam)
             assert np.max(np.abs(w1.values + w2.values - 1.0)) < 1e-10
             lhs = w1 * conditional_expectation(p1, xi, c) + w2 * conditional_expectation(p2, xi, c)
             rhs = conditional_expectation(plam, xi, c)

@@ -17,7 +17,12 @@ No module imports a private name (one underscore, not a dunder) from another.
 No tolerance is a setting: the solver and its certificates read the
 constants SADDLE_TOL, MAX_ADDITIONS and NS_TOL and take no `tol` or `cfg`,
 no command takes a `--tol` flag, and the value verdicts apply VALUE_TOL and
-take no `tol`."""
+take no `tol`.
+
+The package exports what it computes with: `__all__` lists exactly the names
+`__init__` imports, and helpers that nothing used (truncate, block_project,
+reference_measure, density with AbsoluteContinuityError, Measure.mass) and
+kernel_interval's stability flag are gone."""
 
 import ast
 import inspect
@@ -29,8 +34,9 @@ import robustmse
 from robustmse.cli import build_parser
 from robustmse.estimator import ns_condition, optimality_ineq, solve_mmse, verify_saddle
 from robustmse.gexp import compare_gexp_mmse
+from robustmse.measures import Measure
 from robustmse.simplexlp import first_outside, hull_membership, solve_lp
-from robustmse.stability import is_stable, recursivity_check
+from robustmse.stability import KernelInterval, is_stable, kernel_interval, recursivity_check
 
 MODULES = sorted(Path(robustmse.__file__).parent.glob("*.py"))
 
@@ -241,3 +247,35 @@ def test_no_command_takes_a_tol_flag(command):
     instance = [] if command == "tcsearch" else ["instance.json"]
     _, unknown = build_parser().parse_known_args([command, *instance, "--tol", "1e-6"])
     assert unknown == ["--tol", "1e-6"]
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse(Path(robustmse.__file__).read_text())
+    imported = [
+        a.asname or a.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for a in node.names if a.name != "annotations"
+    ]
+    assert sorted(robustmse.__all__) == sorted(imported)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("spaces", "truncate"), ("spaces", "block_project"), ("measures", "reference_measure"),
+        ("measures", "density"), ("errors", "AbsoluteContinuityError"),
+    ],
+)
+def test_unused_helpers_are_gone(module, name):
+    assert not hasattr(robustmse, name)
+    assert not hasattr(getattr(robustmse, module), name)
+
+
+def test_measure_has_no_mass_method():
+    assert not hasattr(Measure, "mass")
+
+
+def test_kernel_interval_returns_the_band_alone():
+    # whether the band is the kernel is not decided there: is_stable is only necessary
+    assert list(inspect.signature(kernel_interval).parameters) == ["ms", "xi", "c"]
+    assert KernelInterval._fields == ("lower", "upper")

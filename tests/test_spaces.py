@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+
 from hypothesis import given, strategies as st
 
 from robustmse import (
     ArgumentError,
     Filtration,
+    Measure,
     PartitionAlgebra,
     RandomVariable,
     SampleSpace,
     StructuralError,
-    block_project,
+    conditional_expectation,
     is_measurable,
-    truncate,
 )
 
 
@@ -139,45 +140,14 @@ class TestRefineCheck:
         assert len(f.levels) == 1
 
 
-class TestTruncate:
-    def test_clamps_above(self):
-        out = truncate(RandomVariable(space(2), [2.0, 12.0]), 8.0)
-        assert list(out.values) == [2.0, 8.0]
-        assert out.bound <= 8.0
-
-    def test_zero_fixed_point(self):
-        out = truncate(RandomVariable(space(2), [0.0, 0.0]), 3.0)
-        assert list(out.values) == [0.0, 0.0]
-
-    def test_one_sided(self):
-        out = truncate(RandomVariable(space(2), [-10.0, 3.0]), 5.0)
-        assert list(out.values) == [-5.0, 3.0]
-
-    def test_negative_level_rejected(self):
-        with pytest.raises(ArgumentError):
-            truncate(RandomVariable(space(2), [0.0, 1.0]), -1.0)
-
-
 finite_vals = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=2, max_size=6
 )
 
 
-@given(finite_vals, st.floats(min_value=0, max_value=60), st.randoms())
-def test_truncate_idempotent(values, m, rnd):
-    x = RandomVariable(space(len(values)), values)
-    once = truncate(x, m)
-    assert truncate(once, m) == once
-
-
-@given(finite_vals)
-def test_truncate_at_own_bound_is_identity(values):
-    x = RandomVariable(space(len(values)), values)
-    assert truncate(x, x.bound) == x
-
-
 @given(finite_vals, st.integers(min_value=0, max_value=10_000))
 def test_block_projection_is_measurable(values, seed):
+    # the projection under the uniform measure, the plain blockwise mean
     n = len(values)
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, n + 1))
@@ -186,4 +156,5 @@ def test_block_projection_is_measurable(values, seed):
     blocks = [b for b in blocks if b]
     c = PartitionAlgebra(space(n), blocks)
     x = RandomVariable(space(n), values)
-    assert is_measurable(block_project(x, c), c)
+    uniform = Measure(space(n), np.full(n, 1.0 / n))
+    assert is_measurable(conditional_expectation(uniform, x, c), c)
