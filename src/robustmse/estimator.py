@@ -174,8 +174,10 @@ def _face_ascent(pool, s, w, scale):
 
     One rule drops a generator whose weight blocks every step: when no step
     along a clipped direction is accepted, the generator that clips it leaves
-    the face without a step. A weight of 0 (a generator just added) that the
-    step lowers leaves the ratio test no step at all, so no line search runs
+    the face without a step, unless it holds the face's whole weight (the
+    others were just added at 0), which ends the ascent there. A weight of 0
+    (a generator just added) that the step lowers leaves the ratio test no
+    step at all, so no line search runs
     (SolveTrace.stuck_drops); any other such weight is rounding residue of a
     generator that has left, as a Newton step that should zero a weight can
     leave ~1e-15 of it (SolveTrace.residue_drops). Returns the surviving
@@ -253,12 +255,15 @@ def _face_ascent(pool, s, w, scale):
                 break
             t *= 0.5
         else:
-            if t_max == 1.0:
+            # nothing along the step counts: the face is solved as far as its
+            # steps go if the step is not clipped, or if the generator that
+            # clips it holds the whole weight; otherwise that generator
+            # leaves without a step
+            on = np.arange(n) != j
+            if t_max == 1.0 or not w[on].any():
                 break
-            # nothing along the clipped direction counts: the generator that
-            # clips it leaves without a step
             counts["stuck_drops" if w[j] == 0.0 else "residue_drops"] += 1
-            w, moments, r, phi = drop(np.arange(n) != j, w)
+            w, moments, r, phi = drop(on, w)
             continue
         w, moments, r, phi = cand, moments_c, r_c, phi_c
         if not cand[cand.argmin()] > 0.0:  # a weight reached 0: its generator leaves
@@ -296,10 +301,10 @@ def _simplicial_decomposition(pool, eta0):
     re-maximize phi over the hull of the active generators, repeat.
 
     Starts from the single generator argmax r at eta0, whose residual fixes
-    the scale of the face steps. Stops when the saddle gap max r - phi is
-    within the rounding of phi (_closed, with max r over every generator),
-    or when an addition improves neither phi nor the gap, or after
-    MAX_ADDITIONS additions. Returns the active pool rows s, their weights w,
+    the scale of the face steps (R^2 where that residual is 0). Stops when
+    the saddle gap max r - phi is within the rounding of phi (_closed, with
+    max r over every generator), or when an addition improves neither phi
+    nor the gap, or after MAX_ADDITIONS additions. Returns the active pool rows s, their weights w,
     and the evaluation of that mixture the stop rule read: eta =
     E_{P_w}[xi | C] per block, phi and max r.
 
@@ -331,6 +336,8 @@ def _simplicial_decomposition(pool, eta0):
         return improved, (s_new, w_new, eta_new, phi_new, top_new, k_new)
 
     _, k, scale = pool.worst(eta0)
+    if scale == 0.0:  # every point the start generator charges has xi == eta0
+        scale = pool.xi.unit ** 2
     s = np.array([pool.add(k)])
     w = np.ones(1)
     eta, phi, top, k = evaluate(s, w)
@@ -667,21 +674,39 @@ def ns_condition(
     the condition, no LP runs and lower_bound is taken at lam. Otherwise the
     hull test on the active generators decides, as without a witness. Like
     solve_mmse, it refuses a non-measurable xi out of binary64's range.
+
+    The threshold and the bound are formed in units of 4^e, M = f 2^e
+    (math.frexp), as M^2 overflows from M = 1.34e154 while R^2 need not; the
+    bits are those in the units of xi wherever M^2 and the products are
+    normal. Where a term of the bound (an a_k, or the bound itself) lies
+    outside binary64's range in the units of xi, as at an offset of 1e160 on
+    an R of 1.5e150, it is refused (GuardRefusalError).
     """
     if not is_measurable(xi, c):
         _refuse_out_of_range(xi)
     d, u = _centered_moments(ms, xi, c, eta_hat, "eta_hat")
     W = ms.weights_matrix
-    M = xi.bound or 1.0
+    f, e = math.frexp(xi.bound or 1.0)  # M = f 2^e; below, values in units of 4^e
+    tol = NS_TOL * f * f
     r = W @ (d * d)
     rho_sq = float(np.max(r))
-    active = np.flatnonzero(r >= rho_sq - NS_TOL * M * M)
+    rho_unit = math.ldexp(rho_sq, -2 * e)
+    active = np.flatnonzero(np.ldexp(r, -2 * e) >= rho_unit - tol)
+    dx = np.ldexp(d, -e) * np.ldexp(xi.values, -e)
 
     def report(mu, rows):
-        # mu @ a - M |mu @ u|_1, with u in units of M
-        lower = float(mu @ (W[rows] @ (d * xi.values)) - M * M * np.abs(mu @ u[rows]).sum())
-        holds = rho_sq - lower <= NS_TOL * M * M
-        return NsReport(lower_bound=lower, rho_sq=rho_sq, holds=holds, active=len(active))
+        # mu @ a - M^2 |mu @ u|_1 in units of 4^e, with u in units of M
+        a = W[rows] @ dx
+        lower = float(mu @ a - f * f * np.abs(mu @ u[rows]).sum())
+        top = max(float(np.abs(a).max()), abs(lower))
+        if top > 0.0 and math.frexp(top)[1] + 2 * e > sys.float_info.max_exp:
+            raise GuardRefusalError(
+                f"xi has max|xi| = {xi.bound:.3e}: a term of the NS lower bound overflows binary64"
+            )
+        holds = rho_unit - lower <= tol
+        return NsReport(
+            lower_bound=math.ldexp(lower, 2 * e), rho_sq=rho_sq, holds=holds, active=len(active)
+        )
 
     lam = hull_witness(witness, u)
     if lam is not None:

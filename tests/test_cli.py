@@ -753,6 +753,44 @@ class TestOverflowRefused:
         self.assert_refused(tmp_path, capsys, 1e-160)
 
 
+class TestLargeBound:
+    """M = max|xi| can be far above R, the half-range: ns_condition forms its
+    threshold and bound in units of M's power of two, as M^2 overflows from
+    M = 1.34e154, and refuses where a term of the bound itself overflows."""
+
+    @staticmethod
+    def solve(tmp_path, xi, partition):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(dict(FOUR_POINT, xi=xi, partition=partition)))
+        out = tmp_path / "large-solve.json"
+        code = main(["solve", str(path), "--out", str(out)])
+        return code, out.read_text() if out.exists() else None
+
+    @pytest.mark.parametrize(
+        "xi, partition",
+        [
+            # measurable: its own estimator at any scale
+            pytest.param([-1e308, 2, 3, 4], [[0], [1], [2], [3]], id="measurable-1e308"),
+            # R = 1.5e150 on an offset of 1e155
+            pytest.param([1.00001e155, 1.00002e155, 1.00003e155, 1.00004e155], [[0, 1], [2, 3]],
+                         id="offset-1e155"),
+        ],
+    )
+    def test_ns_condition_holds(self, tmp_path, xi, partition):
+        code, text = self.solve(tmp_path, xi, partition)
+        assert code == 0
+        assert "NaN" not in text
+        ns = json.loads(text)["result"]["ns_condition"]
+        assert ns["holds"] is True and math.isfinite(ns["lower_bound"])
+
+    def test_bound_term_that_overflows_is_refused(self, tmp_path, capsys):
+        # E_g[(xi - eta_hat) xi] is about 1e310 at an offset of 1e160
+        xi = [v + 1e160 for v in (1.00001e155, 1.00002e155, 1.00003e155, 1.00004e155)]
+        assert self.solve(tmp_path, xi, [[0, 1], [2, 3]]) == (4, None)
+        err = capsys.readouterr().err
+        assert "robustmse: refused: " in err and "NS lower bound" in err and "Traceback" not in err
+
+
 class TestOracleCommand:
     def test_example_agrees(self, example_file, tmp_path):
         code, doc = run(["oracle", example_file], tmp_path)

@@ -962,6 +962,52 @@ class TestSolveTrace:
         assert res.trace == SolveTrace()
 
 
+# Sets that are not proper, on which a face of the dual solve degenerates.
+# Each is (rows, xi, blocks). In the first, every point the start generator
+# charges has xi equal to the start estimate, so the residual that scales the
+# face steps is 0. In the other two, a pair addition joins a face of one
+# generator, which leaves a block uncharged, and the Newton step that the
+# generator clips finds no ascent: it holds the face's whole weight, so it
+# cannot leave.
+DEGENERATE_FACES = {
+    "start residual of 0": (
+        [[0.6, 0.2, 0, 0.2], [0.6, 0, 0, 0.4]],
+        [-2, 1, -4, -3],
+        [(0,), (1, 2), (3,)],
+    ),
+    "clipped by the whole weight": (
+        [[0, 5 / 11, 3 / 11, 3 / 11], [2 / 4, 0, 0, 2 / 4], [5 / 14, 0, 1 / 14, 8 / 14],
+         [2 / 6, 4 / 6, 0, 0], [0, 6 / 14, 8 / 14, 0]],
+        [1, 3, 2, 2],
+        [(0, 3), (1, 2)],
+    ),
+    "clipped by the whole weight at the optimum": (
+        [[0.5, 0.5, 0, 0], [0, 0.6, 0.4, 0], [0, 0.75, 0.25, 0], [0.5, 0, 0, 0.5]],
+        [-1, 1, 2, 0],
+        [(0, 1), (2, 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE_FACES))
+def test_degenerate_face_ends_without_a_warning(name):
+    # every warning is an error here; the solve either converges to the
+    # oracle's alpha or reports that it stopped, with a finite mixture
+    rows, leaves, blocks = DEGENERATE_FACES[name]
+    space = SampleSpace.of_size(len(leaves))
+    ms = MeasureSet.from_matrix(space, rows)
+    xi, c = RandomVariable(space, leaves), PartitionAlgebra(space, blocks)
+    res = solve_mmse(ms, xi, c)
+    assert np.isfinite(res.alpha) and np.isfinite(res.p_hat.lam).all()
+    oracle = brute_force_mmse(ms, xi, c).alpha
+    if res.converged:
+        assert abs(res.alpha - oracle) <= 1e-9 * xi.unit**2
+        assert verify_saddle(ms, xi, c, res).passed
+    else:
+        assert res.saddle_gap > 1e-8 * (1.0 + res.alpha)
+    assert res.converged or name != "start residual of 0"
+
+
 class TestRefusedInputs:
     def test_block_no_generator_charges_is_named(self):
         space = SampleSpace.of_size(4)
