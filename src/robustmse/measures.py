@@ -187,7 +187,8 @@ def mix(ms: MeasureSet, w: MixtureWeights) -> Measure:
 
 
 def is_proper(ms: MeasureSet) -> bool:
-    """True iff every generator charges every point charged by the reference.
+    """True iff every generator charges every point charged by the reference,
+    the uniform mixture of the generators (MeasureSet.mean_row).
 
     On a finite hull this is mutual equivalence of all elements with the
     reference measure: no generator may kill a point another one charges.
