@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GuardRefusalError, NonconvergenceError, RobustMseError, ValidationError
 from .estimator import brute_force_mmse, kernel_member, ns_condition, solve_mmse, verify_saddle
-from .gexp import compare_gexp_mmse, tree_envelopes
+from .gexp import compare_gexp_mmse
 from .instances import (
     DEFAULT_LEVEL,
     Instance,
@@ -44,7 +44,7 @@ from .stability import (
     mmse_time_consistency_search,
     recursivity_grid,
 )
-from .sublinear import conditional_envelopes, rho
+from .sublinear import rho
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -54,16 +54,9 @@ EXIT_GUARD = 4
 
 
 def cmd_rho(inst: Instance) -> tuple[dict, int]:
-    xi = inst.xi
-    if inst.kind == "tree":
-        # the tree's recursions answer for its corner set, which is never built
-        value = rho(inst.tree, xi)
-        envelopes = tree_envelopes(inst.tree, xi.values)
-    else:
-        ms = inst.generators()
-        value = rho(ms, xi)
-        levels = [inst.partition] if inst.kind == "partition" else inst.filtration.levels
-        envelopes = [(lev, *conditional_envelopes(ms, xi, lev)) for lev in levels]
+    # a tree's recursions answer for its corner set, which is never built
+    ms, xi, levels = inst.measures(), inst.xi, inst.levels()
+    value = rho(ms, xi)
     payload = {
         "rho": {
             "value": value.value,
@@ -73,10 +66,10 @@ def cmd_rho(inst: Instance) -> tuple[dict, int]:
         "envelopes": [
             {
                 "blocks": [list(b) for b in algebra.blocks],
-                "ess_sup": upper.values.tolist(),
-                "ess_inf": lower.values.tolist(),
+                "ess_sup": upper[algebra.labels].tolist(),
+                "ess_inf": lower[algebra.labels].tolist(),
             }
-            for algebra, lower, upper in envelopes
+            for algebra, (lower, upper) in zip(levels, ms.envelopes(xi.values, levels))
         ],
     }
     return payload, EXIT_OK
@@ -100,8 +93,7 @@ def cmd_solve(inst: Instance) -> tuple[dict, int]:
 
 
 def cmd_oracle(inst: Instance) -> tuple[dict, int]:
-    ms, xi = inst.generators(), inst.xi
-    algebra = inst.conditioning()
+    ms, xi, algebra = inst.measures(), inst.xi, inst.conditioning()
     brute = brute_force_mmse(ms, xi, algebra)
     solved = solve_mmse(ms, xi, algebra)
     alpha_diff = abs(brute.alpha - solved.alpha)
@@ -110,7 +102,7 @@ def cmd_oracle(inst: Instance) -> tuple[dict, int]:
     R = xi.unit
     alpha_tol = 1e-6 * R * R
     agree = alpha_diff <= alpha_tol
-    if is_proper(ms):
+    if inst.tree is not None or is_proper(ms):  # 0 < q < 1 at every node: a tree is proper
         agree = agree and eta_diff <= 1e-4 * R
     else:
         # the minimizer need not be unique: judge each side's eta by its value

@@ -461,7 +461,7 @@ _ELLIPSOID_TOL = 1e-13  # certified suboptimality, relative to R^2 (half the ran
 
 
 def brute_force_mmse(
-    ms: MeasureSet,
+    ms: MeasureSet | TreeModel,
     xi: RandomVariable,
     c: PartitionAlgebra,
 ) -> EstimatorResult:
@@ -486,6 +486,8 @@ def brute_force_mmse(
     is capped at 1/2: a shallower cut still keeps the minimizer. The run has
     converged exactly when saddle_gap, that certified gap, is at most
     1e-13 * R^2; iterations counts the cuts, at most MAX_ELLIPSOID_STEPS.
+    The set is read through its queries alone (support, rows, envelopes),
+    so ms may be a TreeModel, conditioned at one of its level partitions.
 
     The run is in units of 2^e, R = f 2^e with 1/2 <= f < 1 (math.frexp):
     on (xi - m) 2^-e, where g'P g, of order R^4, neither underflows nor
@@ -502,7 +504,7 @@ def brute_force_mmse(
     _refuse_out_of_range(xi)
     m = (float(np.max(xi.values)) + float(np.min(xi.values))) / 2.0
     f, e = math.frexp(xi.unit)
-    W, x, labels, n = ms.weights_matrix, np.ldexp(xi.values - m, -e), c.labels, c.num_blocks
+    x, labels, n = np.ldexp(xi.values - m, -e), c.labels, c.num_blocks
     inf, sup = conditional_envelopes(ms, RandomVariable(xi.space, x), c)
     widen = 4.0 * len(x) * _EPS * f
     lo, hi = inf.values[c.first] - widen, sup.values[c.first] + widen
@@ -513,12 +515,10 @@ def brute_force_mmse(
     steps = 0
     while True:
         dev = x - centre[labels]
-        r = W @ (dev * dev)
-        k = r.argmax()
-        rk = float(r[k])
+        rk, k = ms.support(dev * dev)
         if rk < best_val:
             best, best_val = centre, rk
-        g = -2.0 * c.block_sums(W[k] * dev)
+        g = -2.0 * c.block_sums(ms.rows([k])[0] * dev)
         Pg = P @ g
         gPg = float(g @ Pg)
         # a rounding-indefinite P gives no bound; g = 0 certifies the centre

@@ -14,10 +14,10 @@ node probabilities). A rectangular set is a recursive multiple-prior set
 is the recursion's root, attained at the corner that takes the maximizing
 endpoint at every node. TreeModel answers the corner set's queries that way,
 under the names a MeasureSet answers them from its weight matrix
-(num_generators, support, near_ties, rows, mean_row), in O(2^T) per query,
-so rho and the estimator take either kind of set and never enumerate the
-corners; tree_measure_set builds the explicit corner matrix for the commands
-that still need every generator.
+(num_generators, support, near_ties, rows, mean_row, envelopes), in O(2^T)
+per query, so rho, the envelopes, the estimator and its oracle take either
+kind of set and never enumerate the corners; tree_measure_set builds the
+corner matrix for solve's certificates, which need every generator.
 """
 
 from __future__ import annotations
@@ -242,6 +242,18 @@ class TreeModel(Immutable):
                 reach[:, 2 * u + 2] = reach[:, u] * (1.0 - p)
         return tuple(index.tolist())
 
+    def envelopes(self, v, algebras) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per level partition (else ArgumentError), the smallest and largest
+        conditional mean of v per block over the corners: one inf and one sup
+        sweep, read at the blocks' nodes (a subtree's choices are its own)."""
+        levels = [c.num_blocks.bit_length() - 1 for c in algebras]
+        leaves = np.arange(self.num_leaves)  # level l puts leaf i in block i >> (depth - l)
+        if any(lv > self.depth or not np.array_equal(c.labels, leaves >> (self.depth - lv))
+               for c, lv in zip(algebras, levels)):
+            raise ArgumentError("a tree's envelopes are taken at its level partitions only")
+        (lower, _), (upper, _) = (self._sweep(v, pick) for pick in (np.minimum, np.maximum))
+        return [(_level(lower, lv), _level(upper, lv)) for lv in levels]
+
 
 def tree_measure_set(tm: TreeModel) -> MeasureSet:
     """All corner measures: each node independently at q_lo or q_hi.
@@ -308,27 +320,6 @@ def g_expectation(tm: TreeModel, xi_leaf, direction: str = "sup") -> GExpResult:
     y, _ = tm._sweep(xi_leaf, np.maximum if direction == "sup" else np.minimum)
     z = (y[1::2] - y[2::2]) / (2.0 * math.sqrt(tm.dt))
     return GExpResult(y=y, z=z)
-
-
-def tree_envelopes(
-    tm: TreeModel, xi_leaf
-) -> list[tuple[PartitionAlgebra, RandomVariable, RandomVariable]]:
-    """(level partition, ess_inf, ess_sup) over the corner set, at every level 0..T.
-
-    The corners' choices inside a node's subtree do not depend on those
-    outside it, so the largest conditional mean of xi on a level-l block is
-    the sup recursion's value at the block's node, and the smallest is the
-    inf recursion's: conditional_envelopes over tree_measure_set(tm), from
-    two recursions.
-    """
-    upper = g_expectation(tm, xi_leaf, "sup")
-    lower = g_expectation(tm, xi_leaf, "inf")
-    out = []
-    for level in range(tm.depth + 1):
-        part = tm.level_partition(level)
-        ess_inf = part.broadcast(lower.level_values(level))
-        out.append((part, ess_inf, part.broadcast(upper.level_values(level))))
-    return out
 
 
 class GexpCompareReport(NamedTuple):

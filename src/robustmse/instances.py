@@ -108,6 +108,16 @@ class Instance(NamedTuple):
             return self.filtration.levels[-1]
         return self.tree.level_partition(self.options.get("level", DEFAULT_LEVEL))
 
+    def levels(self) -> list[PartitionAlgebra]:
+        """The algebras `rho` reports envelopes at."""
+        if self.tree is not None:
+            return [self.tree.level_partition(lv) for lv in range(self.tree.depth + 1)]
+        return [self.partition] if self.filtration is None else list(self.filtration.levels)
+
+    def measures(self) -> MeasureSet | TreeModel:
+        """The set as its queries see it: a tree stands for its corner set."""
+        return self.tree if self.measure_set is None else self.measure_set
+
     def generators(self) -> MeasureSet:
         if self.measure_set is not None:
             return self.measure_set

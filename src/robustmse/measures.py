@@ -135,6 +135,17 @@ class MeasureSet(Immutable):
         """The weight row of the uniform mixture of the generators."""
         return self.weights_matrix.mean(axis=0)
 
+    def envelopes(self, v, algebras) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per algebra, the smallest and the largest conditional mean of v on
+        each block over the generators that charge it, from one table each."""
+        means = (self.conditional_means(v, c) for c in algebras)
+        return [(np.fmin.reduce(m, axis=0), np.fmax.reduce(m, axis=0)) for m in means]
+
+    def conditional_means(self, v, c: PartitionAlgebra) -> np.ndarray:
+        """The (K, B) table of E_g[v | block] that envelopes reduce (a TreeModel
+        has none); PartitionAlgebra.conditional_means, at the charged masses."""
+        return c.conditional_means(self.weights_matrix, v, c.charged_masses(self.weights_matrix))
+
 
 class MixtureWeights(Immutable):
     """Simplex coordinates over the generator list of a MeasureSet: finite

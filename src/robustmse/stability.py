@@ -9,7 +9,7 @@ level can leave the hull while every whole-level pasting stays inside.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .spaces import (
     VALUE_TOL, Filtration, PartitionAlgebra, RandomVariable, SampleSpace, check_same_space
 )
 from .sublinear import conditional_envelopes
+
+if TYPE_CHECKING:
+    from .gexp import TreeModel
 
 
 class PastedMeasure(NamedTuple):
@@ -130,8 +133,10 @@ class KernelInterval(NamedTuple):
     upper: RandomVariable
 
 
-def kernel_interval(ms: MeasureSet, xi: RandomVariable, c: PartitionAlgebra) -> KernelInterval:
-    """The band between the conditional envelopes.
+def kernel_interval(
+    ms: MeasureSet | TreeModel, xi: RandomVariable, c: PartitionAlgebra
+) -> KernelInterval:
+    """The band between the conditional envelopes (on a tree, at a level partition).
 
     Equals the kernel when the measure set is stable along a filtration
     containing c; otherwise it is only an outer description. Whether the set
@@ -157,8 +162,9 @@ def recursivity_check(
             f"need 0 <= sigma <= tau < {len(f.levels)}, got ({sigma_level}, {tau_level})"
         )
     check_same_space(ms, xi, f.levels[0])
-    at_sigma, at_tau = (_upper_envelope(ms, f.levels[t]) for t in (sigma_level, tau_level))
-    return _recursivity(at_sigma(xi.values), at_sigma(at_tau(xi.values)), VALUE_TOL * xi.unit)
+    sigma, tau = f.levels[sigma_level], f.levels[tau_level]
+    lhs, inner = (_upper(ms, xi.values, level) for level in (sigma, tau))
+    return _recursivity(lhs, _upper(ms, inner, sigma), VALUE_TOL * xi.unit)
 
 
 def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
@@ -166,17 +172,14 @@ def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
     that order, bit for bit: each level's upper envelope of xi once, then
     each pair's rhs."""
     check_same_space(ms, xi, f.levels[0])
-    uppers = [_upper_envelope(ms, level) for level in f.levels]
-    ups, bound = [upper(xi.values) for upper in uppers], VALUE_TOL * xi.unit
-    return {(s, t): _recursivity(ups[s], uppers[s](ups[t]), bound)
+    ups, bound = [_upper(ms, xi.values, level) for level in f.levels], VALUE_TOL * xi.unit
+    return {(s, t): _recursivity(ups[s], _upper(ms, ups[t], f.levels[s]), bound)
             for s in range(len(ups)) for t in range(s, len(ups))}
 
 
-def _upper_envelope(ms, level):
-    """upper(values): the upper envelope of values at level, per point, from one mass table."""
-    W, labels = ms.weights_matrix, level.labels
-    mass = level.charged_masses(W)
-    return lambda values: np.fmax.reduce(level.conditional_means(W, values, mass), axis=0)[labels]
+def _upper(ms, values, level):
+    """The upper envelope of values at level, per point, from the set's table of means."""
+    return np.fmax.reduce(ms.conditional_means(values, level), axis=0)[level.labels]
 
 
 def _recursivity(lhs, rhs, bound):

@@ -2,7 +2,8 @@
 
 rho(x) = max over generators of E_g[x]; since the integrand is linear in the
 measure, the hull adds nothing and the max over generators equals the sup
-over the whole represented set.
+over the whole represented set. rho and conditional_envelopes ask a set
+only its queries, which a TreeModel answers for its corner set by recursion.
 """
 
 from __future__ import annotations
@@ -39,15 +40,7 @@ def rho(ms: MeasureSet | TreeModel, x: RandomVariable) -> RhoValue:
     return RhoValue(value, best, ms.near_ties(x.values, VALUE_TOL * x.unit))
 
 
-def _conditional_means(ms, x, c) -> np.ndarray:
-    check_same_space(ms, x, c)
-    W = ms.weights_matrix
-    return c.conditional_means(W, x.values, c.charged_masses(W))
-
-
-def ess_sup_conditional(
-    ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra
-) -> RandomVariable:
+def ess_sup_conditional(ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra) -> RandomVariable:
     """Blockwise max of conditional means over generators charging the block.
 
     Equals the blockwise essential supremum over the full hull: on a block the
@@ -55,22 +48,24 @@ def ess_sup_conditional(
     the extremes are attained at generators (zero-mass generators contribute
     no conditional value there and are excluded exactly, not approximately).
     """
-    return c.broadcast(np.fmax.reduce(_conditional_means(ms, x, c), axis=0))
+    check_same_space(ms, x, c)
+    return c.broadcast(np.fmax.reduce(ms.conditional_means(x.values, c), axis=0))
 
 
-def ess_inf_conditional(
-    ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra
-) -> RandomVariable:
+def ess_inf_conditional(ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra) -> RandomVariable:
     """Mirror of ess_sup_conditional with min."""
-    return c.broadcast(np.fmin.reduce(_conditional_means(ms, x, c), axis=0))
+    check_same_space(ms, x, c)
+    return c.broadcast(np.fmin.reduce(ms.conditional_means(x.values, c), axis=0))
 
 
 def conditional_envelopes(
-    ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra
+    ms: MeasureSet | TreeModel, x: RandomVariable, c: PartitionAlgebra
 ) -> tuple[RandomVariable, RandomVariable]:
-    """(ess_inf_conditional, ess_sup_conditional) from one table of means."""
-    means = _conditional_means(ms, x, c)
-    return c.broadcast(np.fmin.reduce(means, axis=0)), c.broadcast(np.fmax.reduce(means, axis=0))
+    """(ess_inf_conditional, ess_sup_conditional) from the set's envelopes
+    query, which a TreeModel answers at its level partitions only."""
+    check_same_space(ms, x, c)
+    ((lower, upper),) = ms.envelopes(x.values, [c])
+    return c.broadcast(lower), c.broadcast(upper)
 
 
 def holder_bound(

@@ -1089,6 +1089,33 @@ class TestGexpCommand:
         else:
             assert doc["result"]["rho"]["value"] == 0.5625
 
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("per_node", [False, True], ids=["drift", "per-node"])
+    def test_oracle_builds_no_corner_set(self, tmp_path, monkeypatch, depth, per_node):
+        # the ellipsoid oracle and the dual solve both query the TreeModel
+        calls = []
+        build = robustmse.gexp.tree_measure_set
+
+        def counted(tm):
+            calls.append(tm.depth)
+            return build(tm)
+
+        monkeypatch.setattr(robustmse.instances, "tree_measure_set", counted)
+        rng = np.random.default_rng(3930 + depth)
+        lo, hi = 0.25, 0.75
+        if per_node:
+            nodes = 2**depth - 1
+            lo = (rng.integers(2, 8, nodes) / 16).tolist()
+            hi = (rng.integers(9, 15, nodes) / 16).tolist()
+        leaves = (rng.integers(-32, 33, 2**depth) / 16).tolist()
+        for level in range(depth):
+            path = tmp_path / f"level{level}.json"
+            doc = dict(self.tree_doc(depth, lo, hi, leaves), options={"level": level})
+            path.write_text(json.dumps(doc))
+            code, out = run(["oracle", str(path)], tmp_path)
+            assert (code, out["result"]["agree"]) == (0, True)
+        assert calls == []
+
     def test_depth_four_rho_and_gexp(self, tmp_path):
         leaves = [((7 * i) % 11 - 5) / 4 for i in range(16)]
         path = tmp_path / "d4.json"

@@ -7,8 +7,10 @@ import pytest
 from robustmse import (
     ArgumentError,
     GuardRefusalError,
+    PartitionAlgebra,
     RandomVariable,
     TreeModel,
+    brute_force_mmse,
     compare_gexp_mmse,
     conditional_envelopes,
     g_expectation,
@@ -18,7 +20,6 @@ from robustmse import (
     tree_measure_set,
 )
 from robustmse import gexp
-from robustmse.gexp import tree_envelopes
 from robustmse.randgen import rng_from_seed, random_variable
 
 
@@ -411,7 +412,8 @@ class TestCornerOracle:
         ms = tree_measure_set(tm)
         for v in leaf_samples(tm, 93 + tm.depth):
             x = RandomVariable(ms.space, v)
-            envelopes = tree_envelopes(tm, v)
+            levels = [tm.level_partition(level) for level in range(tm.depth + 1)]
+            envelopes = [(part, *conditional_envelopes(tm, x, part)) for part in levels]
             assert len(envelopes) == tm.depth + 1
             for level, (part, lower, upper) in enumerate(envelopes):
                 assert part == tm.level_partition(level)
@@ -422,6 +424,32 @@ class TestCornerOracle:
                 else:
                     assert lower.values == pytest.approx(want_lower.values, abs=1e-12 * x.bound)
                     assert upper.values == pytest.approx(want_upper.values, abs=1e-12 * x.bound)
+
+
+class TestTreeOracle:
+    """brute_force_mmse on a TreeModel against brute_force_mmse on its corner set."""
+
+    @pytest.mark.parametrize("make_tree", ORACLE_TREES)
+    def test_matches_corner_set_within_the_certified_gaps(self, make_tree):
+        tm = make_tree()
+        ms = tree_measure_set(tm)
+        rng = rng_from_seed(95 + tm.depth)
+        for level in range(tm.depth):
+            part = tm.level_partition(level)
+            for v in (dyadic_leaves(rng, tm), rng.normal(size=tm.num_leaves) * 3.0):
+                x = RandomVariable(ms.space, v)
+                got, want = brute_force_mmse(tm, x, part), brute_force_mmse(ms, x, part)
+                assert got.converged and want.converged
+                # each alpha is within its gap above min F; F's rounding differs
+                # between the tree's recursion and the corner matrix's products
+                slack = 1e-12 * x.unit**2
+                assert -want.saddle_gap - slack <= got.alpha - want.alpha <= got.saddle_gap + slack
+
+    def test_refuses_a_partition_that_is_not_a_level(self):
+        tm = TreeModel.drift_bound(2)
+        x = RandomVariable(tm.space, [1.0, 0.0, 0.0, 2.0])
+        with pytest.raises(ArgumentError, match="level partitions"):
+            brute_force_mmse(tm, x, PartitionAlgebra(tm.space, [[0, 3], [1, 2]]))
 
 
 class TestTreeSolve:

@@ -19,6 +19,11 @@ constants SADDLE_TOL, MAX_ADDITIONS and NS_TOL and take no `tol` or `cfg`,
 no command takes a `--tol` flag, and the value verdicts apply VALUE_TOL and
 take no `tol`.
 
+The set is read through its queries: `sublinear` and `brute_force_mmse`
+never read `weights_matrix`, and the envelopes have one path, the set's
+`envelopes` query (tree_envelopes, sublinear's and the recursivity grid's
+private tables are gone).
+
 The package exports what it computes with: `__all__` lists exactly the names
 `__init__` imports, and helpers that nothing used (truncate, block_project,
 reference_measure, density with AbsoluteContinuityError, Measure.mass) and
@@ -279,3 +284,49 @@ def test_kernel_interval_returns_the_band_alone():
     # whether the band is the kernel is not decided there: is_stable is only necessary
     assert list(inspect.signature(kernel_interval).parameters) == ["ms", "xi", "c"]
     assert KernelInterval._fields == ("lower", "upper")
+
+
+def _weights_matrix_reads(tree, function=None):
+    """Lines that read an attribute named weights_matrix: in the whole tree,
+    or in the body of the function of that name."""
+    if function is not None:
+        tree = next(
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == function
+        )
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "weights_matrix"
+    )
+
+
+@pytest.mark.parametrize(
+    "module, function", [("sublinear", None), ("estimator", "brute_force_mmse")]
+)
+def test_reads_the_set_through_its_queries(module, function):
+    path = Path(robustmse.__file__).parent / f"{module}.py"
+    assert _weights_matrix_reads(ast.parse(path.read_text()), function) == []
+
+
+def test_the_check_sees_a_weights_matrix_read():
+    source = """
+def brute_force_mmse(ms, k):
+    W = ms.weights_matrix
+    return W[k]
+
+def other(ms):
+    return ms.weights_matrix
+"""
+    tree = ast.parse(source)
+    assert _weights_matrix_reads(tree, "brute_force_mmse") == [3]
+    assert _weights_matrix_reads(tree) == [3, 7]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("gexp", "tree_envelopes"), ("sublinear", "_conditional_means"),
+     ("stability", "_upper_envelope")],
+)
+def test_envelopes_have_one_path(module, name):
+    assert not hasattr(robustmse, name)
+    assert not hasattr(getattr(robustmse, module), name)

@@ -1,0 +1,144 @@
+"""One conformance test of the set queries, which every kind of set passes.
+
+rho, the envelopes, the dual solver and the ellipsoid oracle read a set only
+through num_generators(), support(v), near_ties(v, tie_tol), rows(ks),
+mean_row() and envelopes(v, algebras). Each kind of set answers them its own
+way: a MeasureSet from its weight matrix, a TreeModel by its recursions.
+Here every answer is checked against brute force over the set's own rows,
+rows(range(num_generators())), which for a tree are its corner matrix bit
+for bit. A new kind of set joins by adding a factory to SETS.
+"""
+
+import numpy as np
+import pytest
+
+from robustmse import (
+    ArgumentError,
+    MeasureSet,
+    PartitionAlgebra,
+    SampleSpace,
+    TreeModel,
+)
+from robustmse.randgen import random_instance, random_partition, rng_from_seed
+
+
+def explicit_set(seed):
+    """A proper random set, at its partition and the trivial and discrete ones."""
+    ms, _, c = random_instance(rng_from_seed(seed), 8, 4, 8)
+    return ms, [c, PartitionAlgebra.trivial(ms.space), PartitionAlgebra.discrete(ms.space)]
+
+
+def uncharged_set(seed):
+    """Generators with zero weights, so that some leave blocks uncharged
+    (every point is charged by some generator), at a random two-block
+    partition and the discrete one."""
+    rng = rng_from_seed(seed)
+    n, k = int(rng.integers(4, 7)), int(rng.integers(2, 7))
+    rows = rng.integers(1, 9, size=(k, n)) * (rng.random((k, n)) < 0.5)
+    rows[np.arange(k), rng.integers(n, size=k)] += 1  # every generator charges a point
+    rows[rng.integers(k, size=n), np.arange(n)] += 1  # and every point is charged
+    space = SampleSpace.of_size(n)
+    ms = MeasureSet.from_matrix(space, rows / rows.sum(axis=1, keepdims=True))
+    return ms, [random_partition(rng, space, 2), PartitionAlgebra.discrete(space)]
+
+
+def tree(make):
+    tm = make()
+    return tm, [tm.level_partition(level) for level in range(tm.depth + 1)]
+
+
+def per_node_tree(depth, seed, fixed=0.0):
+    """Sixteenths: q_lo in 1/16..7/16 and q_hi in 8/16..15/16, except that a
+    node is fixed (q_lo == q_hi) with probability `fixed`."""
+    rng = rng_from_seed(seed)
+    nodes = 2**depth - 1
+    lo = rng.integers(1, 8, nodes) / 16
+    hi = np.where(rng.random(nodes) < fixed, lo, rng.integers(8, 16, nodes) / 16)
+    return TreeModel(depth, lo, hi)
+
+
+TREES = [
+    pytest.param(lambda d=d: TreeModel.drift_bound(d), id=f"drift-d{d}") for d in (1, 2, 3, 4)
+] + [
+    pytest.param(lambda d=d: per_node_tree(d, 3910 + d), id=f"per-node-d{d}") for d in (1, 2, 3, 4)
+] + [
+    pytest.param(lambda: per_node_tree(3, 3919, fixed=0.4), id="per-node-d3-fixed-nodes"),
+]
+
+SETS = (
+    [pytest.param(lambda s=s: explicit_set(s), id=f"explicit-{s}") for s in range(3901, 3906)]
+    + [pytest.param(lambda s=s: uncharged_set(s), id=f"uncharged-{s}") for s in range(3906, 3911)]
+    + [pytest.param(lambda make=p.values[0]: tree(make), id=f"tree-{p.id}") for p in TREES]
+)
+
+
+def probes(n, seed):
+    """Dyadic values with pairs of equal neighbours (ties between the two
+    endpoints of a tree node), a constant (every generator ties), and
+    values that are not dyadic."""
+    rng = rng_from_seed(seed)
+    dyadic = rng.integers(-32, 33, n) / 16
+    pairs = np.repeat(dyadic[::2], 2)[:n]
+    return [dyadic, pairs, np.full(n, 0.75), rng.normal(size=n) * 3.0, rng.normal(size=n) + 1e3]
+
+
+def brute_envelopes(rows, v, c):
+    """Per block of c, the min and max conditional mean of v over the rows
+    that charge the block."""
+    lo, hi = [], []
+    for block in c.blocks:
+        idx = list(block)
+        mass = rows[:, idx].sum(axis=1)
+        means = rows[mass > 0][:, idx] @ v[idx] / mass[mass > 0]
+        lo.append(means.min())
+        hi.append(means.max())
+    return np.array(lo), np.array(hi)
+
+
+@pytest.mark.parametrize("make_set", SETS)
+def test_set_answers_its_queries_as_brute_force_over_its_rows(make_set):
+    s, algebras = make_set()
+    K = s.num_generators()
+    rows = s.rows(np.arange(K))
+    assert rows.shape == (K, s.space.n)
+    assert np.allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert s.mean_row() == pytest.approx(rows.mean(axis=0), abs=1e-15)
+    for v in probes(s.space.n, K):
+        top = rows @ v
+        slack = 1e-12 * np.abs(v).max()  # the rounding of one expectation, with room
+        value, k = s.support(v)
+        assert value == pytest.approx(top.max(), abs=slack)
+        near = np.flatnonzero(top >= top.max() - slack)
+        if len(near) == 1:
+            assert k == near[0]
+        else:
+            assert k in near
+        for tie_tol in (0.0, 1e-9 * np.abs(v).max(), 1.0 / 16):
+            got = s.near_ties(v, tie_tol)
+            assert list(got) == sorted(set(got))
+            inner = set(np.flatnonzero(top >= top.max() - tie_tol + slack).tolist())
+            outer = set(np.flatnonzero(top >= top.max() - tie_tol - slack).tolist())
+            assert inner <= set(got) <= outer
+        envelopes = s.envelopes(v, algebras)
+        assert len(envelopes) == len(algebras)
+        for c, (lower, upper) in zip(algebras, envelopes):
+            want_lower, want_upper = brute_envelopes(rows, v, c)
+            assert lower == pytest.approx(want_lower, abs=slack)
+            assert upper == pytest.approx(want_upper, abs=slack)
+
+
+# at depth 1 every partition of the two leaves is a level partition
+@pytest.mark.parametrize("make_tree", [p for p in TREES if not p.id.endswith("-d1")])
+def test_tree_refuses_envelopes_off_its_level_partitions(make_tree):
+    tm = make_tree()
+    n = tm.num_leaves
+    v = np.arange(n, dtype=float)
+    others = [
+        [[0], range(1, n)],  # two blocks, not the first move's
+        [[0, n - 1], range(1, n - 1)],  # two blocks, not runs
+        [[0], [1], range(2, n)],  # three blocks
+    ]
+    for blocks in others:
+        c = PartitionAlgebra(tm.space, blocks)
+        with pytest.raises(ArgumentError, match="level partitions"):
+            tm.envelopes(v, [tm.level_partition(0), c])

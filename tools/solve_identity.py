@@ -1,4 +1,4 @@
-"""Bit-identity probe of the dual solver and of the tree's set queries.
+"""Bit-identity probe of the dual solver, the ellipsoid oracle and the tree's set queries.
 
 Solves a fixed, seeded corpus and prints one JSON line per result, every
 float in hex (float.hex) and the solver's SolveTrace included, then one line
@@ -24,7 +24,9 @@ Families:
 - orders, cvar, zeros: the three families of sets that are not proper,
   which tests/test_not_proper.py reads from not_proper_corpus;
 - queries: support, near_ties, rows and mean_row of every tree above, on
-  the TreeModel and on its corner matrix.
+  the TreeModel and on its corner matrix;
+- oracle: brute_force_mmse (the ellipsoid oracle) on every explicit-set
+  instance of random, orders, cvar and zeros, keyed by that family and case.
 
 Uses only the standard library, numpy and the package.
 """
@@ -48,6 +50,7 @@ from robustmse import (  # noqa: E402
     RandomVariable,
     SampleSpace,
     TreeModel,
+    brute_force_mmse,
     solve_mmse,
     tree_measure_set,
 )
@@ -175,6 +178,21 @@ def solve_record(ms, xi, c):
     }
 
 
+def oracle_record(ms, xi, c):
+    try:
+        res = brute_force_mmse(ms, xi, c)
+    except Exception as err:  # a refusal is a result too
+        return {"error": f"{type(err).__name__}: {err}"}
+    return {
+        "eta_hat": _hex(res.eta_hat.values),
+        "alpha": res.alpha.hex(),
+        "gap": res.saddle_gap.hex(),
+        "steps": res.iterations,
+        "converged": res.converged,
+        "warnings": list(res.warnings),
+    }
+
+
 def query_record(s):
     """The answers of one set s (TreeModel or MeasureSet) to the set queries."""
     out = {"mean_row": _hex(s.mean_row())}
@@ -202,15 +220,22 @@ def records():
                 for tol in TIE_TOLS:
                     rec[f"near_ties {label} {tol!r}"] = list(s.near_ties(v, tol))
             yield "queries", f"{name} {kind}", rec
+    for family, case, (ms, xi, c) in explicit_instances():
+        yield family, case, solve_record(ms, xi, c)
+    for family, case, (ms, xi, c) in explicit_instances():
+        yield "oracle", f"{family} {case}", oracle_record(ms, xi, c)
+
+
+def explicit_instances():
+    """(family, case, (ms, xi, c)) of the explicit-set families, in a fixed order."""
     rng = rng_from_seed(808)
     for i in range(RANDOM_DRAWS):
         ms, xi, c = random_instance(rng, 8, 4, 8)
         for label, scale in SCALES.items():
-            moved = RandomVariable(xi.space, scale(xi.values))
-            yield "random", f"#{i} {label}", solve_record(ms, moved, c)
+            yield "random", f"#{i} {label}", (ms, RandomVariable(xi.space, scale(xi.values)), c)
     for family in NOT_PROPER:
-        for i, (ms, xi, c) in enumerate(not_proper_corpus(family)):
-            yield family, f"#{i}", solve_record(ms, xi, c)
+        for i, instance in enumerate(not_proper_corpus(family)):
+            yield family, f"#{i}", instance
 
 
 def run():
