@@ -94,6 +94,7 @@ def cmd_solve(inst: Instance) -> tuple[dict, int]:
 
 def cmd_oracle(inst: Instance) -> tuple[dict, int]:
     ms, xi, algebra = inst.measures(), inst.xi, inst.conditioning()
+    ms.num_generators()  # on a tree, solve_mmse's corner-count guard: refuse before the ellipsoid
     brute = brute_force_mmse(ms, xi, algebra)
     solved = solve_mmse(ms, xi, algebra)
     alpha_diff = abs(brute.alpha - solved.alpha)

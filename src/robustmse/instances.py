@@ -119,9 +119,7 @@ class Instance(NamedTuple):
         return self.tree if self.measure_set is None else self.measure_set
 
     def generators(self) -> MeasureSet:
-        if self.measure_set is not None:
-            return self.measure_set
-        return tree_measure_set(self.tree)
+        return tree_measure_set(self.tree) if self.measure_set is None else self.measure_set
 
 
 def parse_instance(doc: Any) -> Instance:

@@ -1134,6 +1134,15 @@ class TestGexpCommand:
         assert main(["rho", str(path)]) == 4
         assert "corner-matrix entries" in capsys.readouterr().err
 
+    def test_full_depth_five_oracle_refused_before_it_runs(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(robustmse.cli, "brute_force_mmse", lambda *args: calls.append(args))
+        path = tmp_path / "d5.json"
+        path.write_text(json.dumps(dict(self.tree_doc(5), options={"level": 4})))
+        assert main(["oracle", str(path)]) == 4
+        assert "corner-matrix entries" in capsys.readouterr().err
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["rho", "gexp", "solve", "oracle"])
     @pytest.mark.parametrize("omega", [5, None, "uudd", {"a": 1}, ["a", "b", "c", "d"]])
     def test_omega_that_is_not_the_leaf_paths(self, tmp_path, capsys, command, omega):
