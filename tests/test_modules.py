@@ -21,8 +21,8 @@ take no `tol`.
 
 The set is read through its queries: `sublinear` and `brute_force_mmse`
 never read `weights_matrix`, and the envelopes have one path, the set's
-`envelopes` query (tree_envelopes, sublinear's and the recursivity grid's
-private tables are gone).
+`envelopes` query (tree_envelopes, _conditional_means and the recursivity
+grid's _upper_envelope are gone, checked with the helpers below).
 
 The package exports what it computes with: `__all__` lists exactly the names
 `__init__` imports, and helpers that nothing used (truncate, block_project,
@@ -269,6 +269,9 @@ def test_all_lists_exactly_the_imported_names():
     [
         ("spaces", "truncate"), ("spaces", "block_project"), ("measures", "reference_measure"),
         ("measures", "density"), ("errors", "AbsoluteContinuityError"),
+        # the envelopes' other paths, replaced by the set's envelopes query
+        ("gexp", "tree_envelopes"), ("sublinear", "_conditional_means"),
+        ("stability", "_upper_envelope"),
     ],
 )
 def test_unused_helpers_are_gone(module, name):
@@ -320,13 +323,3 @@ def other(ms):
     tree = ast.parse(source)
     assert _weights_matrix_reads(tree, "brute_force_mmse") == [3]
     assert _weights_matrix_reads(tree) == [3, 7]
-
-
-@pytest.mark.parametrize(
-    "module, name",
-    [("gexp", "tree_envelopes"), ("sublinear", "_conditional_means"),
-     ("stability", "_upper_envelope")],
-)
-def test_envelopes_have_one_path(module, name):
-    assert not hasattr(robustmse, name)
-    assert not hasattr(getattr(robustmse, module), name)
