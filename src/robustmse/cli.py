@@ -36,7 +36,6 @@ from .instances import (
     json_inf,
     load_instance,
 )
-from .measures import is_proper
 from .stability import (
     DEFAULT_TCSEARCH_SEED,
     DEFAULT_TCSEARCH_TRIALS,
@@ -103,7 +102,7 @@ def cmd_oracle(inst: Instance) -> tuple[dict, int]:
     R = xi.unit
     alpha_tol = 1e-6 * R * R
     agree = alpha_diff <= alpha_tol
-    if inst.tree is not None or is_proper(ms):  # 0 < q < 1 at every node: a tree is proper
+    if ms.is_proper():
         agree = agree and eta_diff <= 1e-4 * R
     else:
         # the minimizer need not be unique: judge each side's eta by its value

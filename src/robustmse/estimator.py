@@ -35,15 +35,10 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, GuardRefusalError, PropernessError
-from .measures import (
-    MeasureSet,
-    MixtureWeights,
-    is_proper,
-    mix,
-)
+from .measures import MeasureSet, MixtureWeights, mix
 from .simplexlp import hull_membership, hull_witness
 from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space, is_measurable
-from .sublinear import conditional_envelopes, ess_sup_conditional, rho
+from .sublinear import conditional_envelopes, rho
 
 if TYPE_CHECKING:
     from .gexp import TreeModel
@@ -386,15 +381,17 @@ def solve_mmse(
     generators it has added (weight row, block masses, first moments) and
     asks the set, through the queries both kinds answer, only for
     num_generators(), support(v) (the largest E_g[v] and the smallest
-    generator index reaching it), rows(ks) and mean_row(), the row of the
-    uniform mixture of the generators. Residuals come from the pooled rows at
+    generator index reaching it), rows(ks), mean_row() (the row of the
+    uniform mixture of the generators) and is_proper() (if not, a warning
+    says eta_hat may be non-unique). Residuals come from the pooled rows at
     xi - eta, so the estimator commutes with a shift:
     eta_hat(xi + a) = eta_hat(xi) + a with the same alpha.
 
     Maximize the dual phi by simplicial decomposition, starting from the
-    generator with the largest residual at init_weights (the uniform mixture
-    by default; a tree takes no init_weights), and read the estimator off the
-    optimal mixture as eta_hat = E_{P_hat}[xi | C]. Each iteration adds one
+    generator with the largest residual at init_weights, one nonnegative
+    weight per generator (per corner of a tree, whose rows it reads), or at
+    the uniform mixture by default, and read the estimator off the optimal
+    mixture as eta_hat = E_{P_hat}[xi | C]. Each iteration adds one
     generator and re-solves on the hull of the active ones; MAX_ADDITIONS
     caps these additions, and EstimatorResult.iterations counts them. The run
     has converged when the saddle gap is at most SADDLE_TOL * (1 + alpha), the
@@ -407,11 +404,8 @@ def solve_mmse(
     binary64 is refused (GuardRefusalError, _refuse_out_of_range).
     """
     warn: list[str] = []
-    if isinstance(ms, MeasureSet):
-        if not is_proper(ms):
-            warn.append("measure set is not proper; solution may be non-unique")
-    elif init_weights is not None:  # 0 < q < 1 at every node: a tree is proper
-        raise ArgumentError("a tree's corner set takes no init_weights")
+    if not ms.is_proper():
+        warn.append("measure set is not proper; solution may be non-unique")
     pool = _Pool(ms, xi, c)
 
     if is_measurable(xi, c):
@@ -426,9 +420,9 @@ def solve_mmse(
         eta0 = pool.reference_cond
     else:
         lam0 = np.asarray(init_weights, dtype=float)
-        if lam0.shape != (len(ms),) or np.any(lam0 < 0) or lam0.sum() <= 0:
+        if lam0.shape != (pool.size,) or np.any(lam0 < 0) or lam0.sum() <= 0:
             raise ArgumentError("init_weights must be nonnegative with positive sum")
-        p0 = (lam0 / lam0.sum()) @ ms.weights_matrix
+        p0 = (lam0 / lam0.sum()) @ ms.rows(np.arange(pool.size))
         eta0 = pool.cond(c.block_sums(p0), c.block_sums(p0 * xi.values))
 
     # P_hat charges every block of a proper set; on a set that is not, a
@@ -567,17 +561,19 @@ def verify_saddle(
     value_at_saddle <= min_over_eta certifies eta_hat minimizes under P_hat
     (the exact inner minimum is the conditional expectation). A block P_hat
     leaves uncharged adds 0 to the inner minimum whatever eta is there, so it
-    is skipped. max_over_P comes from the weight matrix, not the solver's
-    support query. The tolerance is SADDLE_TOL * (1 + alpha). The result is
-    solve_mmse's: one with no P_hat to audit (the oracle's) is an
-    ArgumentError, and the set, xi, c and eta_hat must share one space. Like
-    solve_mmse, it refuses a non-measurable xi out of binary64's range
-    (_refuse_out_of_range).
+    is skipped; for a measurable xi, its own conditional mean, it is 0
+    exactly, not the square of a rounding (which overflows at large scales).
+    max_over_P comes from the weight matrix, not the solver's support query.
+    The tolerance is SADDLE_TOL * (1 + alpha). The result is solve_mmse's:
+    one with no P_hat to audit (the oracle's) is an ArgumentError, and the
+    set, xi, c and eta_hat must share one space. Like solve_mmse, it refuses
+    a non-measurable xi out of binary64's range (_refuse_out_of_range).
     """
     check_same_space(ms, xi, c, result.eta_hat)
     if result.p_hat is None:
         raise ArgumentError("result has no p_hat to audit; verify_saddle takes solve_mmse's")
-    if not is_measurable(xi, c):
+    measurable = is_measurable(xi, c)
+    if not measurable:
         _refuse_out_of_range(xi)
     x = xi.values
     d = x - result.eta_hat.values
@@ -585,8 +581,8 @@ def verify_saddle(
     max_over_p = float(np.max(ms.weights_matrix @ sq))
     p = mix(ms, result.p_hat).weights
     value_at_saddle = float(np.dot(p, sq))
-    cond = np.nan_to_num(c.conditional_means(p, x, c.block_sums(p)))  # 0 where p charges nothing
-    r = x - cond[c.labels]
+    cond = x if measurable else np.nan_to_num(c.conditional_means(p, x, c.block_sums(p)))[c.labels]
+    r = x - cond
     min_over_eta = float(np.dot(p, r * r))
     tol = SADDLE_TOL * (1.0 + abs(result.alpha))
     passed = (max_over_p <= value_at_saddle + tol) and (
@@ -733,7 +729,7 @@ class OptimalityReport(NamedTuple):
 
 
 def optimality_ineq(
-    ms: MeasureSet,
+    ms: MeasureSet | TreeModel,
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta_hat: RandomVariable,
@@ -759,7 +755,7 @@ def optimality_ineq(
 
 
 def penalized_value(
-    ms: MeasureSet,
+    ms: MeasureSet | TreeModel,
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta: RandomVariable,
@@ -770,22 +766,21 @@ def penalized_value(
     (the penalty direction is then nonpositive and zero is optimal, giving
     rho[(xi-eta)^2]); otherwise unbounded: mass on a violating block grows the
     value past any real number. eta may lie VALUE_TOL * xi.unit below the
-    envelope, which is rounded. Like solve_mmse, it refuses a non-measurable
-    xi out of binary64's range.
+    envelope, which is rounded. The set is read through its queries, so a
+    TreeModel is taken at its level partitions. Like solve_mmse, it refuses
+    a non-measurable xi out of binary64's range.
     """
     if not is_measurable(xi, c):
         _refuse_out_of_range(xi)
-    # strictly comparable on a finite hull: every generator positive everywhere
-    if not np.all(ms.weights_matrix > 0.0):
+    # strictly comparable: proper, and the reference charges every point
+    if not (ms.is_proper() and ms.mean_row().min() > 0.0):
         raise PropernessError(
             "penalized problem requires strictly positive (strictly comparable) generators"
         )
     if not is_measurable(eta, c):
         raise ArgumentError("eta must be measurable w.r.t. the partition")
-    upper = ess_sup_conditional(ms, xi, c)
-    eta_blocks = eta.values[c.first]
-    upper_blocks = upper.values[c.first]
-    if np.all(eta_blocks >= upper_blocks - VALUE_TOL * xi.unit):
+    _, upper = conditional_envelopes(ms, xi, c)
+    if np.all(eta.values >= upper.values - VALUE_TOL * xi.unit):  # both C-measurable
         diff = xi - eta
         return rho(ms, diff * diff).value
     return math.inf
@@ -799,7 +794,7 @@ class MinimaxGapReport(NamedTuple):
 
 
 def minimax_gap(
-    ms: MeasureSet,
+    ms: MeasureSet | TreeModel,
     xi: RandomVariable,
     c: PartitionAlgebra,
 ) -> MinimaxGapReport:
@@ -810,7 +805,7 @@ def minimax_gap(
     positive whenever worst-case conditioning and estimation disagree.
     ess_sup_is_mmse holds when the gap is at most VALUE_TOL * xi.unit^2.
     """
-    upper = ess_sup_conditional(ms, xi, c)
+    _, upper = conditional_envelopes(ms, xi, c)
     minimax = penalized_value(ms, xi, c, upper)
     maximin = solve_mmse(ms, xi, c).alpha
     gap = minimax - maximin

@@ -15,9 +15,10 @@ is the recursion's root, attained at the corner that takes the maximizing
 endpoint at every node. TreeModel answers the corner set's queries that way,
 under the names a MeasureSet answers them from its weight matrix
 (num_generators, support, near_ties, rows, mean_row, envelopes), in O(2^T)
-per query, so rho, the envelopes, the estimator and its oracle take either
-kind of set and never enumerate the corners; tree_measure_set builds the
-corner matrix for solve's certificates, which need every generator.
+per query, and is_proper, which always holds; so rho, the envelopes, the
+estimator, its oracle, penalized_value and minimax_gap take either kind of
+set and never enumerate the corners. tree_measure_set builds the corner
+matrix for solve's certificates, which need every generator.
 """
 
 from __future__ import annotations
@@ -168,6 +169,10 @@ class TreeModel(Immutable):
         bit for bit (the same products, divided by their sums as a MeasureSet's are)."""
         probs = self._leaf_products(ks)
         return probs / probs.sum(axis=1, keepdims=True)
+
+    def is_proper(self) -> bool:
+        """Always: 0 < q_lo <= q_hi < 1 at every node, so every corner charges every leaf."""
+        return True
 
     def mean_row(self) -> np.ndarray:
         """Leaf law of the uniform mixture of the corners: the midpoint tree,

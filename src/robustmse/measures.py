@@ -135,6 +135,17 @@ class MeasureSet(Immutable):
         """The weight row of the uniform mixture of the generators."""
         return self.weights_matrix.mean(axis=0)
 
+    def is_proper(self) -> bool:
+        """True iff every generator charges every point charged by the reference,
+        the uniform mixture of the generators (mean_row).
+
+        On a finite hull this is mutual equivalence of all elements with the
+        reference measure: no generator may kill a point another one charges.
+        """
+        # weights are nonnegative: nonzero means positive
+        W = self.weights_matrix
+        return bool(W[:, W.any(axis=0)].all())
+
     def envelopes(self, v, algebras) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per algebra, the smallest and the largest conditional mean of v on
         each block over the generators that charge it, from one table each."""
@@ -143,8 +154,10 @@ class MeasureSet(Immutable):
 
     def conditional_means(self, v, c: PartitionAlgebra) -> np.ndarray:
         """The (K, B) table of E_g[v | block] that envelopes reduce (a TreeModel
-        has none); PartitionAlgebra.conditional_means, at the charged masses."""
-        return c.conditional_means(self.weights_matrix, v, c.charged_masses(self.weights_matrix))
+        has none), one per row of a stack v of shape (..., n), at one table of
+        charged masses (PartitionAlgebra.conditional_means)."""
+        W = self.weights_matrix
+        return c.conditional_means(W, np.asarray(v)[..., None, :], c.charged_masses(W))
 
 
 class MixtureWeights(Immutable):
@@ -195,16 +208,3 @@ def mix(ms: MeasureSet, w: MixtureWeights) -> Measure:
             f"{len(w)} mixture weights for {len(ms)} generators"
         )
     return Measure(ms.space, w.lam @ ms.weights_matrix)
-
-
-def is_proper(ms: MeasureSet) -> bool:
-    """True iff every generator charges every point charged by the reference,
-    the uniform mixture of the generators (MeasureSet.mean_row).
-
-    On a finite hull this is mutual equivalence of all elements with the
-    reference measure: no generator may kill a point another one charges.
-    """
-    # weights are nonnegative: nonzero means positive
-    W = ms.weights_matrix
-    return bool(W[:, W.any(axis=0)].all())
-

@@ -235,11 +235,11 @@ class PartitionAlgebra(Immutable):
         return mass
 
     def conditional_means(self, weights, values, mass) -> np.ndarray:
-        """The (B,) or (K, B) conditional means of values under a row or K rows
-        of weights, mass their block masses; a row that gives a block zero
-        mass is NaN there, which np.fmax and np.fmin skip."""
+        """The (B,) or (K, B) conditional means of values (a stack of tables for
+        stacked values) under a row or K rows of weights, mass their block masses;
+        a row that gives a block zero mass is NaN there, which np.fmax and np.fmin skip."""
         weighted = self.block_sums(weights * values)
-        return np.divide(weighted, mass, out=np.full(mass.shape, np.nan), where=mass > 0.0)
+        return np.divide(weighted, mass, out=np.full(weighted.shape, np.nan), where=mass > 0.0)
 
     def refines(self, coarser: "PartitionAlgebra") -> bool:
         if self.space != coarser.space:

@@ -163,23 +163,24 @@ def recursivity_check(
         )
     check_same_space(ms, xi, f.levels[0])
     sigma, tau = f.levels[sigma_level], f.levels[tau_level]
-    lhs, inner = (_upper(ms, xi.values, level) for level in (sigma, tau))
-    return _recursivity(lhs, _upper(ms, inner, sigma), VALUE_TOL * xi.unit)
+    lhs, rhs = _upper(ms, np.stack((xi.values, _upper(ms, xi.values, tau))), sigma)
+    return _recursivity(lhs, rhs, VALUE_TOL * xi.unit)
 
 
 def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
     """`recursivity_check` for every 0 <= sigma <= tau, keyed (sigma, tau) in
-    that order, bit for bit: each level's upper envelope of xi once, then
-    each pair's rhs."""
+    that order, bit for bit: each level's upper envelope of xi once, then at
+    each level sigma the rhs of every pair (sigma, tau) from one table of means."""
     check_same_space(ms, xi, f.levels[0])
     ups, bound = [_upper(ms, xi.values, level) for level in f.levels], VALUE_TOL * xi.unit
-    return {(s, t): _recursivity(ups[s], _upper(ms, ups[t], f.levels[s]), bound)
+    rhs = [_upper(ms, np.stack(ups[s:]), level) for s, level in enumerate(f.levels)]
+    return {(s, t): _recursivity(ups[s], rhs[s][t - s], bound)
             for s in range(len(ups)) for t in range(s, len(ups))}
 
 
 def _upper(ms, values, level):
-    """The upper envelope of values at level, per point, from the set's table of means."""
-    return np.fmax.reduce(ms.conditional_means(values, level), axis=0)[level.labels]
+    """Per row of values, its upper envelope at level, per point, from the set's means."""
+    return np.fmax.reduce(ms.conditional_means(values, level), axis=-2)[..., level.labels]
 
 
 def _recursivity(lhs, rhs, bound):

@@ -791,6 +791,27 @@ class TestLargeBound:
         assert "robustmse: refused: " in err and "NS lower bound" in err and "Traceback" not in err
 
 
+class TestMeasurableAtScale:
+    """A measurable xi is its own estimator at alpha = 0 whatever its scale:
+    the saddle certificate's inner minimum is 0 exactly. It used to square the
+    rounding of E_P_hat[xi | C] on two-point blocks of unequal masses, which
+    read 3.3e268 at s = 1e150 and overflowed (a RuntimeWarning, then
+    "min_over_eta": Infinity with passed: true) from about s = 1e170."""
+
+    @pytest.mark.parametrize("s", [1e150, 1e200, 1e300])
+    def test_solve_certifies_at_zero(self, tmp_path, capsys, s):
+        path = tmp_path / "measurable.json"
+        path.write_text(json.dumps(dict(FOUR_POINT, xi=[s, s, -s, -s])))
+        code, doc = run(["solve", str(path)], tmp_path)
+        assert code == 0 and capsys.readouterr().err == ""
+        result = doc["result"]
+        assert result["estimator"]["alpha"] == 0.0
+        assert result["saddle_certificate"] == {
+            "max_over_P": 0.0, "value_at_saddle": 0.0, "min_over_eta": 0.0, "passed": True,
+        }
+        assert result["kernel_member"] is True and result["ns_condition"]["holds"] is True
+
+
 class TestOracleCommand:
     def test_example_agrees(self, example_file, tmp_path):
         code, doc = run(["oracle", example_file], tmp_path)

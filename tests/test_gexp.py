@@ -14,7 +14,9 @@ from robustmse import (
     compare_gexp_mmse,
     conditional_envelopes,
     g_expectation,
+    minimax_gap,
     mix,
+    penalized_value,
     rho,
     solve_mmse,
     tree_measure_set,
@@ -452,6 +454,34 @@ class TestTreeOracle:
             brute_force_mmse(tm, x, PartitionAlgebra(tm.space, [[0, 3], [1, 2]]))
 
 
+class TestTreePenalized:
+    """penalized_value and minimax_gap read a set through its queries, so a
+    TreeModel at each level partition answers as its corner set."""
+
+    @pytest.mark.parametrize("make_tree", [p for p in ORACLE_TREES if "-d1" not in p.id])
+    def test_matches_corner_set(self, make_tree):
+        tm = make_tree()
+        ms = tree_measure_set(tm)
+        rng = rng_from_seed(98 + tm.depth)
+        for level in range(tm.depth + 1):
+            part = tm.level_partition(level)
+            for v in (dyadic_leaves(rng, tm), rng.normal(size=tm.num_leaves) * 3.0):
+                x = RandomVariable(tm.space, v)
+                tol = 1e-9 * x.unit**2
+                _, upper = conditional_envelopes(ms, x, part)
+                below = upper.values - x.unit * (part.labels == 0)  # under the envelope on block 0
+                for eta, finite in ((upper, True), (upper + x.unit, True),
+                                    (RandomVariable(tm.space, below), False)):
+                    want = penalized_value(ms, x, part, eta)
+                    assert math.isfinite(want) == finite
+                    assert penalized_value(tm, x, part, eta) == pytest.approx(want, abs=tol)
+                got, want = minimax_gap(tm, x, part), minimax_gap(ms, x, part)
+                assert got.minimax == pytest.approx(want.minimax, abs=tol)
+                assert got.maximin == pytest.approx(want.maximin, abs=tol)
+                assert got.gap == pytest.approx(want.gap, abs=tol)
+                assert got.ess_sup_is_mmse == want.ess_sup_is_mmse
+
+
 class TestTreeSolve:
     """solve_mmse on a TreeModel against solve_mmse on its corner set."""
 
@@ -488,11 +518,25 @@ class TestTreeSolve:
         assert res.eta_hat == x and res.alpha == 0.0
         assert np.array_equal(res.p_hat.lam, np.full(2 ** 7, 2.0 ** -7))
 
-    def test_init_weights_refused(self):
-        tm = TreeModel.drift_bound(2)
-        x = RandomVariable(tm.space, [1.0, 0.0, 0.0, 0.0])
+    @pytest.mark.parametrize("make_tree", ORACLE_TREES)
+    def test_init_weights_as_on_the_corner_set(self, make_tree):
+        # the start mixture is read from the tree's rows, one weight per corner
+        tm = make_tree()
+        ms = tree_measure_set(tm)
+        rng = rng_from_seed(97 + tm.depth)
+        for level in range(tm.depth):
+            part = tm.level_partition(level)
+            x = RandomVariable(tm.space, dyadic_leaves(rng, tm))
+            M = x.bound
+            for init in (rng.dirichlet(np.ones(len(ms))), np.arange(len(ms)) == len(ms) - 1):
+                got = solve_mmse(tm, x, part, init_weights=init)
+                want = solve_mmse(ms, x, part, init_weights=init)
+                assert got.converged and want.converged
+                assert np.max(np.abs(got.eta_hat.values - want.eta_hat.values)) <= 1e-9 * M
+                assert abs(got.alpha - want.alpha) <= 1e-9 * M * M
+        x = RandomVariable(tm.space, rng.normal(size=tm.num_leaves))
         with pytest.raises(ArgumentError, match="init_weights"):
-            solve_mmse(tm, x, tm.level_partition(1), init_weights=np.ones(8))
+            solve_mmse(tm, x, tm.level_partition(0), init_weights=np.ones(len(ms) - 1))
 
     def test_refused_like_the_corner_set(self):
         tm = TreeModel.drift_bound(5)

@@ -6,7 +6,12 @@ permuted with the partition relabelled, an interior mixture of the
 generators appended as one more, or one point split into two halves with the
 same xi. The re-solve must converge, with alpha within 1e-12 * R^2 and
 eta_hat, mapped back to the original points, within 1e-12 * R.
+
+The shift xi + c is the same problem with eta_hat moved by c and alpha kept,
+but xi + c is rounded: test_shift derives its slack below.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -84,3 +89,28 @@ def test_solution_unchanged(draws, change):
         assert again.converged
         assert abs(again.alpha - res.alpha) <= 1e-12 * R * R
         assert np.max(np.abs(back(again.eta_hat.values) - res.eta_hat.values)) <= 1e-12 * R
+
+
+@pytest.mark.parametrize("offset", [1.0, 1e3, 1e6], ids=lambda k: f"c={k:g}R")
+def test_shift(draws, offset):
+    """xi + c with c = offset * R: eta_hat(xi + c) - c = eta_hat(xi) and the
+    same alpha, up to the rounding that the offset brings.
+
+    Rounding xi + c moves each entry by up to u = ulp(|c| + max|xi|) / 2.
+    The solver's conditional means sum at most n products of magnitude up to
+    |c| + max|xi|, with relative rounding below 2^-53 each, and one quotient:
+    at most (n + 1) * 2u more, and subtracting c back one u more. So eta_hat
+    moves by at most e = (2n + 4) u beyond the solver's own 1e-12 * R. Each
+    residual xi - eta_hat, at most 2R in size, then moves by at most e, and
+    alpha, a largest mean of squared residuals, by at most 4 R e + e^2
+    beyond 1e-12 * R^2.
+    """
+    for ms, xi, c, res in draws:
+        R, n = xi.unit, ms.space.n
+        shift = offset * R
+        again = solve_mmse(ms, RandomVariable(ms.space, xi.values + shift), c)
+        assert again.converged
+        u = math.ulp(abs(shift) + float(np.max(np.abs(xi.values)))) / 2.0
+        e = (2 * n + 4) * u
+        assert abs(again.alpha - res.alpha) <= 1e-12 * R * R + 4.0 * R * e + e * e
+        assert np.max(np.abs(again.eta_hat.values - shift - res.eta_hat.values)) <= 1e-12 * R + e

@@ -16,7 +16,6 @@ from robustmse import (
     ZeroMassBlockError,
     conditional_expectation,
     expectation,
-    is_proper,
     mix,
     solve_mmse,
     verify_saddle,
@@ -235,16 +234,16 @@ class TestMixAndReference:
 class TestProperness:
     def test_example_is_proper(self, two_point):
         _, ms, _, _ = two_point
-        assert is_proper(ms)
+        assert ms.is_proper()
 
     def test_disjoint_supports_not_proper(self):
         s = SampleSpace.of_size(2)
         ms = MeasureSet([Measure(s, [1.0, 0.0]), Measure(s, [0.0, 1.0])])
-        assert not is_proper(ms)
+        assert not ms.is_proper()
 
     def test_single_positive_generator(self):
         s = SampleSpace.of_size(3)
-        assert is_proper(MeasureSet([Measure(s, [0.2, 0.3, 0.5])]))
+        assert MeasureSet([Measure(s, [0.2, 0.3, 0.5])]).is_proper()
 
 
 class TestInvariants:
@@ -279,7 +278,7 @@ class TestInvariants:
         rng = rng_from_seed(104)
         for _ in range(25):
             ms, xi, c = random_instance(rng)
-            if not is_proper(ms) or len(ms) < 2:
+            if not ms.is_proper() or len(ms) < 2:
                 continue
             lam = float(rng.uniform(0.1, 0.9))
             p1, p2 = ms.generators[0], ms.generators[1]

@@ -20,14 +20,19 @@ no command takes a `--tol` flag, and the value verdicts apply VALUE_TOL and
 take no `tol`.
 
 The set is read through its queries: `sublinear` and `brute_force_mmse`
-never read `weights_matrix`, and the envelopes have one path, the set's
-`envelopes` query (tree_envelopes, _conditional_means and the recursivity
-grid's _upper_envelope are gone, checked with the helpers below).
+never read `weights_matrix`, in `estimator` only the three certificates
+(verify_saddle, _centered_moments, ns_condition) do, neither `estimator`
+nor `cli` branches on the kind of set (isinstance of MeasureSet or
+TreeModel), and `cmd_oracle` reads no `inst.tree`. The envelopes have one
+path, the set's `envelopes` query (tree_envelopes, _conditional_means and
+the recursivity grid's _upper_envelope are gone, checked with the helpers
+below).
 
 The package exports what it computes with: `__all__` lists exactly the names
 `__init__` imports, and helpers that nothing used (truncate, block_project,
-reference_measure, density with AbsoluteContinuityError, Measure.mass) and
-kernel_interval's stability flag are gone."""
+reference_measure, density with AbsoluteContinuityError, Measure.mass,
+measures.is_proper, now the set's query) and kernel_interval's stability
+flag are gone."""
 
 import ast
 import inspect
@@ -272,6 +277,8 @@ def test_all_lists_exactly_the_imported_names():
         # the envelopes' other paths, replaced by the set's envelopes query
         ("gexp", "tree_envelopes"), ("sublinear", "_conditional_means"),
         ("stability", "_upper_envelope"),
+        # properness is the set's query, MeasureSet.is_proper
+        ("measures", "is_proper"),
     ],
 )
 def test_unused_helpers_are_gone(module, name):
@@ -289,9 +296,9 @@ def test_kernel_interval_returns_the_band_alone():
     assert KernelInterval._fields == ("lower", "upper")
 
 
-def _weights_matrix_reads(tree, function=None):
-    """Lines that read an attribute named weights_matrix: in the whole tree,
-    or in the body of the function of that name."""
+def _attribute_reads(tree, attr, function=None):
+    """Lines that read an attribute named attr: in the whole tree, or in the
+    body of the function of that name."""
     if function is not None:
         tree = next(
             node for node in ast.walk(tree)
@@ -299,8 +306,12 @@ def _weights_matrix_reads(tree, function=None):
         )
     return sorted(
         node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "weights_matrix"
+        if isinstance(node, ast.Attribute) and node.attr == attr
     )
+
+
+def _weights_matrix_reads(tree, function=None):
+    return _attribute_reads(tree, "weights_matrix", function)
 
 
 @pytest.mark.parametrize(
@@ -323,3 +334,94 @@ def other(ms):
     tree = ast.parse(source)
     assert _weights_matrix_reads(tree, "brute_force_mmse") == [3]
     assert _weights_matrix_reads(tree) == [3, 7]
+
+
+# the certificates that need every generator's row; every other entry point
+# of the estimator asks the set its queries, so it takes any kind of set
+CERTIFICATES = {"verify_saddle", "_centered_moments", "ns_condition"}
+
+
+def _weights_matrix_readers(tree):
+    """The top-level functions and classes (by name, "<module>" outside them)
+    that read weights_matrix."""
+    return {
+        getattr(node, "name", "<module>")
+        for node in tree.body if _weights_matrix_reads(node)
+    }
+
+
+def test_only_the_certificates_read_the_weights_matrix():
+    path = Path(robustmse.__file__).parent / "estimator.py"
+    assert _weights_matrix_readers(ast.parse(path.read_text())) <= CERTIFICATES
+
+
+def test_the_check_sees_who_reads_the_weights_matrix():
+    source = """
+W = ms.weights_matrix
+
+def verify_saddle(ms):
+    return ms.weights_matrix
+
+def penalized_value(ms):
+    return (ms.weights_matrix > 0).all()
+
+class Pool:
+    def add(self, ms, k):
+        return ms.weights_matrix[k]
+"""
+    assert _weights_matrix_readers(ast.parse(source)) == {
+        "<module>", "verify_saddle", "penalized_value", "Pool",
+    }
+
+
+SET_KINDS = {"MeasureSet", "TreeModel"}
+
+
+def _set_kind_checks(tree):
+    """(line, name) of each MeasureSet or TreeModel named in the class
+    argument of an isinstance call."""
+    return sorted(
+        (node.lineno, getattr(name, "id", getattr(name, "attr", None)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        for name in ast.walk(node.args[-1])
+        if getattr(name, "id", getattr(name, "attr", None)) in SET_KINDS
+    )
+
+
+@pytest.mark.parametrize("module", ["estimator", "cli"])
+def test_no_branch_on_the_kind_of_set(module):
+    path = Path(robustmse.__file__).parent / f"{module}.py"
+    assert _set_kind_checks(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_a_branch_on_the_kind_of_set():
+    source = """
+def solve(ms, tree):
+    if isinstance(ms, MeasureSet):
+        return 1
+    if isinstance(tree, (measures.MeasureSet, gexp.TreeModel)):
+        return 2
+    return isinstance(ms, Measure)
+"""
+    assert _set_kind_checks(ast.parse(source)) == [
+        (3, "MeasureSet"), (5, "MeasureSet"), (5, "TreeModel"),
+    ]
+
+
+def test_oracle_reads_no_tree_attribute():
+    # uniqueness is the set's is_proper() query, whatever the instance kind
+    path = Path(robustmse.__file__).parent / "cli.py"
+    assert _attribute_reads(ast.parse(path.read_text()), "tree", "cmd_oracle") == []
+
+
+def test_the_check_sees_a_tree_read():
+    source = """
+def cmd_oracle(inst):
+    ms = inst.measures()
+    return inst.tree is not None or ms.is_proper()
+
+def cmd_gexp(inst):
+    return inst.tree
+"""
+    assert _attribute_reads(ast.parse(source), "tree", "cmd_oracle") == [4]

@@ -25,7 +25,6 @@ import pytest
 
 from robustmse import (
     brute_force_mmse,
-    is_proper,
     solve_mmse,
     verify_saddle,
 )
@@ -56,7 +55,7 @@ def test_every_solve_is_right_or_says_it_stopped(family):
     outcomes = {"converged": 0, "stopped": 0}
     improper = 0
     for i, (ms, xi, c) in enumerate(corpus(family)):
-        improper += not is_proper(ms)
+        improper += not ms.is_proper()
         res = solve_mmse(ms, xi, c)
         outcomes["converged" if res.converged else "stopped"] += 1
         assert res.converged or any("gap" in w for w in res.warnings), (family, i)

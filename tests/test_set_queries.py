@@ -1,10 +1,11 @@
 """One conformance test of the set queries, which every kind of set passes.
 
-rho, the envelopes, the dual solver and the ellipsoid oracle read a set only
-through num_generators(), support(v), near_ties(v, tie_tol), rows(ks),
-mean_row() and envelopes(v, algebras). Each kind of set answers them its own
-way: a MeasureSet from its weight matrix, a TreeModel by its recursions.
-Here every answer is checked against brute force over the set's own rows,
+rho, the envelopes, the dual solver, the ellipsoid oracle, penalized_value
+and minimax_gap read a set only through num_generators(), support(v),
+near_ties(v, tie_tol), rows(ks), mean_row(), envelopes(v, algebras) and
+is_proper(). Each kind of set answers them its own way: a MeasureSet from
+its weight matrix, a TreeModel by its recursions. Here every answer is
+checked against brute force over the set's own rows,
 rows(range(num_generators())), which for a tree are its corner matrix bit
 for bit. A new kind of set joins by adding a factory to SETS.
 """
@@ -125,6 +126,24 @@ def test_set_answers_its_queries_as_brute_force_over_its_rows(make_set):
             want_lower, want_upper = brute_envelopes(rows, v, c)
             assert lower == pytest.approx(want_lower, abs=slack)
             assert upper == pytest.approx(want_upper, abs=slack)
+
+
+def brute_is_proper(rows):
+    """Every generator charges every point that some generator charges."""
+    K, n = rows.shape
+    charged = [i for i in range(n) if any(rows[k, i] > 0.0 for k in range(K))]
+    return all(rows[k, i] > 0.0 for k in range(K) for i in charged)
+
+
+@pytest.mark.parametrize("make_set", SETS)
+def test_set_answers_is_proper_as_brute_force_over_its_rows(make_set):
+    s, _ = make_set()
+    assert s.is_proper() is brute_is_proper(s.rows(np.arange(s.num_generators())))
+
+
+def test_the_sets_hold_both_verdicts():
+    verdicts = {p.values[0]()[0].is_proper() for p in SETS}
+    assert verdicts == {True, False}
 
 
 # at depth 1 every partition of the two leaves is a level partition

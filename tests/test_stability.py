@@ -31,6 +31,11 @@ from robustmse.simplexlp import first_outside, hull_membership, solve_lp
 from robustmse.stability import recursivity_grid
 
 
+def upper_one_at_a_time(ms, values, level):
+    """The upper envelope of one value vector at level, per point."""
+    return np.fmax.reduce(ms.conditional_means(values, level), axis=0)[level.labels]
+
+
 @pytest.fixture
 def four_point():
     space = SampleSpace(("uu", "ud", "du", "dd"))
@@ -437,9 +442,10 @@ class TestRecursivity:
                     assert recursivity_check(ms, f, xi, s, t).equal
 
     def test_grid_is_the_check_at_every_pair(self):
-        # the grid builds its envelopes from one mass table per level; every
-        # report is recursivity_check's, bit for bit: on the filtration sets
-        # (with and without their first generator) and random two-level sets
+        # the grid stacks every value vector of a level through one table of
+        # means; every report is recursivity_check's, and each gap is that of
+        # one envelope at a time, bit for bit: on the filtration sets (with
+        # and without their first generator) and random two-level sets
         rng = rng_from_seed(2703)
         cases = []
         for live_nodes in (3, 4, 5):
@@ -456,11 +462,30 @@ class TestRecursivity:
             xi = random_variable(rng, ms.space)
             grid, levels = recursivity_grid(ms, f, xi), len(f.levels)
             assert list(grid) == [(s, t) for s in range(levels) for t in range(s, levels)]
+            ups = [upper_one_at_a_time(ms, xi.values, level) for level in f.levels]
             for (s, t), rep in grid.items():
                 ref = recursivity_check(ms, f, xi, s, t)
                 assert (rep.equal, rep.max_abs_gap) == (ref.equal, ref.max_abs_gap)
+                rhs = upper_one_at_a_time(ms, ups[t], f.levels[s])
+                assert rep.max_abs_gap == float(np.abs(ups[s] - rhs).max())
                 unequal += not rep.equal
         assert unequal > 0
+
+    def test_one_mass_table_per_level_and_stack(self, monkeypatch):
+        # L levels: L tables for the envelopes of xi, then L for the stacked
+        # rhs of every pair; recursivity_check takes two
+        calls = []
+        masses = PartitionAlgebra.charged_masses
+        monkeypatch.setattr(
+            PartitionAlgebra, "charged_masses", lambda c, w: calls.append(c) or masses(c, w)
+        )
+        ms, f = filtration_set(rng_from_seed(2704), 4, 4)
+        xi = random_variable(rng_from_seed(2705), ms.space)
+        recursivity_grid(ms, f, xi)
+        assert len(f.levels) == 4 and len(calls) == 8
+        calls.clear()
+        recursivity_check(ms, f, xi, 1, 3)
+        assert calls == [f.levels[3], f.levels[1]]
 
     def test_level_order_enforced(self, diagonal_pair):
         space, f, ms = diagonal_pair
