@@ -310,16 +310,12 @@ def _attribute_reads(tree, attr, function=None):
     )
 
 
-def _weights_matrix_reads(tree, function=None):
-    return _attribute_reads(tree, "weights_matrix", function)
-
-
 @pytest.mark.parametrize(
     "module, function", [("sublinear", None), ("estimator", "brute_force_mmse")]
 )
 def test_reads_the_set_through_its_queries(module, function):
     path = Path(robustmse.__file__).parent / f"{module}.py"
-    assert _weights_matrix_reads(ast.parse(path.read_text()), function) == []
+    assert _attribute_reads(ast.parse(path.read_text()), "weights_matrix", function) == []
 
 
 def test_the_check_sees_a_weights_matrix_read():
@@ -332,8 +328,8 @@ def other(ms):
     return ms.weights_matrix
 """
     tree = ast.parse(source)
-    assert _weights_matrix_reads(tree, "brute_force_mmse") == [3]
-    assert _weights_matrix_reads(tree) == [3, 7]
+    assert _attribute_reads(tree, "weights_matrix", "brute_force_mmse") == [3]
+    assert _attribute_reads(tree, "weights_matrix") == [3, 7]
 
 
 # the certificates that need every generator's row; every other entry point
@@ -346,7 +342,7 @@ def _weights_matrix_readers(tree):
     that read weights_matrix."""
     return {
         getattr(node, "name", "<module>")
-        for node in tree.body if _weights_matrix_reads(node)
+        for node in tree.body if _attribute_reads(node, "weights_matrix")
     }
 
 
