@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, GuardRefusalError, PropernessError
-from .measures import MeasureSet, MixtureWeights, mix
+from .measures import Measure, MeasureSet, MixtureWeights
 from .simplexlp import hull_membership, hull_witness
 from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space, is_measurable
 from .sublinear import conditional_envelopes, rho
@@ -407,6 +407,10 @@ def solve_mmse(
     if not ms.is_proper():
         warn.append("measure set is not proper; solution may be non-unique")
     pool = _Pool(ms, xi, c)
+    if init_weights is not None:
+        lam0 = np.asarray(init_weights, dtype=float)
+        if lam0.shape != (pool.size,) or not (np.all(lam0 >= 0) and 0 < lam0.sum() < math.inf):
+            raise ArgumentError("init_weights must be finite and nonnegative with positive sum")
 
     if is_measurable(xi, c):
         return EstimatorResult(
@@ -419,9 +423,6 @@ def solve_mmse(
     if init_weights is None:
         eta0 = pool.reference_cond
     else:
-        lam0 = np.asarray(init_weights, dtype=float)
-        if lam0.shape != (pool.size,) or np.any(lam0 < 0) or lam0.sum() <= 0:
-            raise ArgumentError("init_weights must be nonnegative with positive sum")
         p0 = (lam0 / lam0.sum()) @ ms.rows(np.arange(pool.size))
         eta0 = pool.cond(c.block_sums(p0), c.block_sums(p0 * xi.values))
 
@@ -550,7 +551,7 @@ def brute_force_mmse(
 
 
 def verify_saddle(
-    ms: MeasureSet,
+    ms: MeasureSet | TreeModel,
     xi: RandomVariable,
     c: PartitionAlgebra,
     result: EstimatorResult,
@@ -563,8 +564,8 @@ def verify_saddle(
     leaves uncharged adds 0 to the inner minimum whatever eta is there, so it
     is skipped; for a measurable xi, its own conditional mean, it is 0
     exactly, not the square of a rounding (which overflows at large scales).
-    max_over_P comes from the weight matrix, not the solver's support query.
-    The tolerance is SADDLE_TOL * (1 + alpha). The result is solve_mmse's:
+    max_over_P is support((xi - eta_hat)^2); P_hat is read off the rows it
+    charges. The tolerance is SADDLE_TOL * (1 + alpha). The result is solve_mmse's:
     one with no P_hat to audit (the oracle's) is an ArgumentError, and the
     set, xi, c and eta_hat must share one space. Like solve_mmse, it refuses
     a non-measurable xi out of binary64's range (_refuse_out_of_range).
@@ -572,14 +573,17 @@ def verify_saddle(
     check_same_space(ms, xi, c, result.eta_hat)
     if result.p_hat is None:
         raise ArgumentError("result has no p_hat to audit; verify_saddle takes solve_mmse's")
+    charged = _charged_rows(ms, result.p_hat.lam)
+    if charged is None:
+        raise ArgumentError(f"p_hat has {len(result.p_hat)} weights, not one per generator")
     measurable = is_measurable(xi, c)
     if not measurable:
         _refuse_out_of_range(xi)
     x = xi.values
     d = x - result.eta_hat.values
     sq = d * d
-    max_over_p = float(np.max(ms.weights_matrix @ sq))
-    p = mix(ms, result.p_hat).weights
+    max_over_p = ms.support(sq)[0]
+    p = Measure(ms.space, charged[0] @ charged[1]).weights
     value_at_saddle = float(np.dot(p, sq))
     cond = x if measurable else np.nan_to_num(c.conditional_means(p, x, c.block_sums(p)))[c.labels]
     r = x - cond
@@ -596,18 +600,27 @@ def verify_saddle(
     )
 
 
-def _centered_moments(ms, xi, c, eta_tilde, name):
-    """d = xi - eta_tilde and u[k, B] = E_{g_k}[d 1_B] / M, M = bound(xi) (1 for
-    xi = 0): the unit-free linear coefficients of rho[(xi - eta_tilde) eta]."""
+def _charged_rows(ms, witness):
+    """(lam_k, rows g_k) of the generators k that a mixture lam over all of
+    them charges; None without a witness or one weight per generator."""
+    lam = np.asarray(() if witness is None else witness, dtype=float)
+    if lam.shape != (ms.num_generators(),):
+        return None
+    ks = lam.nonzero()[0]
+    return lam[ks], ms.rows(ks)
+
+
+def _deviation(ms, xi, c, eta_tilde, name):
+    """d = xi - eta_tilde and M = bound(xi) (1 for xi = 0): u[k, B] = E_{g_k}[d 1_B]
+    / M, the unit-free linear coefficients of rho[(xi - eta_tilde) eta]."""
     if not is_measurable(eta_tilde, c):
         raise ArgumentError(f"{name} must be measurable w.r.t. the partition")
     check_same_space(ms, xi, c)
-    d = xi.values - eta_tilde.values
-    return d, c.block_sums(ms.weights_matrix * d) / (xi.bound or 1.0)
+    return xi.values - eta_tilde.values, xi.bound or 1.0
 
 
 def kernel_member(
-    ms: MeasureSet,
+    ms: MeasureSet | TreeModel,
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta_tilde: RandomVariable,
@@ -624,15 +637,17 @@ def kernel_member(
     witness, optional, is a mixture lam over the generators, such as the
     solver's P_hat (for eta_tilde = eta_hat, the conditional mean under P_hat,
     lam @ u = 0). It proves membership without an LP when the residual the
-    simplex's phase 1 would leave at lam, with u rebuilt here from the weight
-    rows, is at most HULL_TOL (simplexlp.hull_witness). Without a witness, or
-    when it fails, membership is one linear feasibility problem, decided by
+    simplex's phase 1 would leave at lam, on the rows lam charges, is at most
+    HULL_TOL (simplexlp.hull_witness). Without a witness, or when it fails,
+    membership is one linear feasibility problem over every row, decided by
     the in-repo simplex with HULL_TOL as its phase-1 residual.
     """
-    _, u = _centered_moments(ms, xi, c, eta_tilde, "eta_tilde")
-    if hull_witness(witness, u) is not None:
+    d, M = _deviation(ms, xi, c, eta_tilde, "eta_tilde")
+    charged = _charged_rows(ms, witness)
+    if charged is not None and hull_witness(charged[0], c.block_sums(charged[1] * d) / M):
         return True
-    member, _, _ = hull_membership(u, np.zeros(c.num_blocks))
+    every = ms.rows(np.arange(ms.num_generators()))
+    member, _, _ = hull_membership(c.block_sums(every * d) / M, np.zeros(c.num_blocks))
     return member
 
 
@@ -644,7 +659,7 @@ class NsReport(NamedTuple):
 
 
 def ns_condition(
-    ms: MeasureSet,
+    ms: MeasureSet | TreeModel,
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta_hat: RandomVariable,
@@ -662,7 +677,7 @@ def ns_condition(
     holds when the certified lower bound is within NS_TOL * M^2 of rho_sq
     (NS_TOL = 1e-6, a constant of this module). The box needs no normal-cone
     term: where eta_hat touches +-M, |xi| <= M makes every u_k one-signed on
-    that block.
+    that block. rho_sq and the active set are support and near_ties of d^2.
 
     witness, optional, is a mixture lam over all the generators, such as the
     solver's P_hat. The bound holds for any simplex weights, so when lam
@@ -674,27 +689,25 @@ def ns_condition(
     The threshold and the bound are formed in units of 4^e, M = f 2^e
     (math.frexp), as M^2 overflows from M = 1.34e154 while R^2 need not; the
     bits are those in the units of xi wherever M^2 and the products are
-    normal. Where a term of the bound (an a_k, or the bound itself) lies
-    outside binary64's range in the units of xi, as at an offset of 1e160 on
-    an R of 1.5e150, it is refused (GuardRefusalError).
+    normal. Where a term of the bound (any a_k, by support(+-d xi), or the
+    bound itself) lies outside binary64's range in the units of xi, as at an
+    offset of 1e160 on an R of 1.5e150, it is refused (GuardRefusalError).
     """
     if not is_measurable(xi, c):
         _refuse_out_of_range(xi)
-    d, u = _centered_moments(ms, xi, c, eta_hat, "eta_hat")
-    W = ms.weights_matrix
-    f, e = math.frexp(xi.bound or 1.0)  # M = f 2^e; below, values in units of 4^e
+    d, M = _deviation(ms, xi, c, eta_hat, "eta_hat")
+    f, e = math.frexp(M)  # M = f 2^e; below, values in units of 4^e
     tol = NS_TOL * f * f
-    r = W @ (d * d)
-    rho_sq = float(np.max(r))
-    rho_unit = math.ldexp(rho_sq, -2 * e)
-    active = np.flatnonzero(np.ldexp(r, -2 * e) >= rho_unit - tol)
+    sq = np.square(np.ldexp(d, -e))
+    rho_unit = ms.support(sq)[0]
+    rho_sq = math.ldexp(rho_unit, 2 * e)
+    active = list(ms.near_ties(sq, tol))
     dx = np.ldexp(d, -e) * np.ldexp(xi.values, -e)
 
-    def report(mu, rows):
+    def report(mu, rows, u):
         # mu @ a - M^2 |mu @ u|_1 in units of 4^e, with u in units of M
-        a = W[rows] @ dx
-        lower = float(mu @ a - f * f * np.abs(mu @ u[rows]).sum())
-        top = max(float(np.abs(a).max()), abs(lower))
+        lower = float(mu @ (rows @ dx) - f * f * np.abs(mu @ u).sum())
+        top = max(ms.support(dx)[0], ms.support(-dx)[0], abs(lower))  # max_k |a_k|, |lower|
         if top > 0.0 and math.frexp(top)[1] + 2 * e > sys.float_info.max_exp:
             raise GuardRefusalError(
                 f"xi has max|xi| = {xi.bound:.3e}: a term of the NS lower bound overflows binary64"
@@ -704,15 +717,18 @@ def ns_condition(
             lower_bound=math.ldexp(lower, 2 * e), rho_sq=rho_sq, holds=holds, active=len(active)
         )
 
-    lam = hull_witness(witness, u)
-    if lam is not None:
-        rep = report(lam, slice(None))
-        if rep.holds:
+    charged = _charged_rows(ms, witness)
+    if charged is not None:
+        u = c.block_sums(charged[1] * d) / M
+        rep = hull_witness(charged[0], u) and report(*charged, u)
+        if rep and rep.holds:
             return rep
-    member, mu, _ = hull_membership(u[active], np.zeros(c.num_blocks))
+    rows = ms.rows(active)
+    u = c.block_sums(rows * d) / M
+    member, mu, _ = hull_membership(u, np.zeros(c.num_blocks))
     if not member:
         return NsReport(lower_bound=-math.inf, rho_sq=rho_sq, holds=False, active=len(active))
-    return report(mu, active)
+    return report(mu, rows, u)
 
 
 class OptimalityEntry(NamedTuple):
@@ -770,6 +786,11 @@ def penalized_value(
     TreeModel is taken at its level partitions. Like solve_mmse, it refuses
     a non-measurable xi out of binary64's range.
     """
+    return _penalized(ms, xi, c, eta, lambda: conditional_envelopes(ms, xi, c)[1])
+
+
+def _penalized(ms, xi, c, eta, upper):
+    """penalized_value, with upper() the upper conditional envelope of xi."""
     if not is_measurable(xi, c):
         _refuse_out_of_range(xi)
     # strictly comparable: proper, and the reference charges every point
@@ -779,8 +800,7 @@ def penalized_value(
         )
     if not is_measurable(eta, c):
         raise ArgumentError("eta must be measurable w.r.t. the partition")
-    _, upper = conditional_envelopes(ms, xi, c)
-    if np.all(eta.values >= upper.values - VALUE_TOL * xi.unit):  # both C-measurable
+    if np.all(eta.values >= upper().values - VALUE_TOL * xi.unit):  # both C-measurable
         diff = xi - eta
         return rho(ms, diff * diff).value
     return math.inf
@@ -806,7 +826,7 @@ def minimax_gap(
     ess_sup_is_mmse holds when the gap is at most VALUE_TOL * xi.unit^2.
     """
     _, upper = conditional_envelopes(ms, xi, c)
-    minimax = penalized_value(ms, xi, c, upper)
+    minimax = _penalized(ms, xi, c, upper, lambda: upper)
     maximin = solve_mmse(ms, xi, c).alpha
     gap = minimax - maximin
     return MinimaxGapReport(

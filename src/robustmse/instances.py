@@ -12,7 +12,6 @@ shortest repr reads back bit for bit.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from types import MappingProxyType
@@ -213,25 +212,33 @@ def _generator_row(row, i, space) -> list[float]:
     return weights
 
 
-def _plain_matrix(gens_doc, n) -> bool:
-    """Is every row a list of n entries, each an int or a float (exact types)?"""
-    return all(type(row) is list and len(row) == n for row in gens_doc) and set(
-        map(type, itertools.chain.from_iterable(gens_doc))
-    ) <= _PLAIN_NUMBERS
+def _plain_rows(gens_doc, n) -> np.ndarray | None:
+    """The rows in one numpy conversion if each is n numbers of the exact types
+    int and float, else None. numpy reads a JSON bool among numbers as 1 or
+    0, so only rows holding a 0 or 1 have their entries' types checked."""
+    try:
+        rows = np.array(gens_doc)
+    except ValueError:  # rows of different lengths
+        return None
+    # not strings, bools alone, or an integer beyond int64 (an object array)
+    if rows.dtype.kind not in "fi" or rows.shape != (len(gens_doc), n):
+        return None
+    hiding = ((rows == 0) | (rows == 1)).any(axis=1).nonzero()[0].tolist()
+    plain = all(set(map(type, gens_doc[i])) <= _PLAIN_NUMBERS for i in hiding)
+    return rows if plain and all(type(row) is list for row in gens_doc) else None
 
 
 def _parse_generators(gens_doc, space) -> MeasureSet:
     """Validate the whole matrix at once; on failure, walk the rows in order
-    so the error names the first faulty row as a per-row check would. Rows of
-    plain numbers go to numpy in one conversion; any other row (decimal
-    strings, a wrong length) takes the per-row walk first. An integer beyond
-    the largest float makes numpy raise OverflowError; the walk names it."""
+    so the error names the first faulty row as a per-row check would. Any
+    matrix but plain numbers (decimal strings, a wrong length, an integer
+    beyond the largest float) takes the per-row walk first."""
     try:
-        if _plain_matrix(gens_doc, space.n):
-            return MeasureSet.from_matrix(space, gens_doc)
-        rows = [_generator_row(row, i, space) for i, row in enumerate(gens_doc)]
+        rows = _plain_rows(gens_doc, space.n)
+        if rows is None:
+            rows = [_generator_row(row, i, space) for i, row in enumerate(gens_doc)]
         return MeasureSet.from_matrix(space, rows)
-    except (RobustMseError, OverflowError):
+    except RobustMseError:
         for i, row in enumerate(gens_doc):
             weights = _generator_row(row, i, space)
             try:

@@ -198,16 +198,12 @@ def hull_membership(points, target):
     return res.status == "optimal", mu, res.residual
 
 
-def hull_witness(witness, points):
-    """witness as simplex weights lam that put 0 in the hull of the rows of
-    points, or None. lam qualifies when it has one entry per row, lam >= 0,
-    and sum_B |lam @ points_B| + |sum lam - 1| <= HULL_TOL: the residual the
-    simplex's phase 1 would leave at lam."""
-    if witness is None:
-        return None
-    lam = np.asarray(witness, dtype=float)
-    ok = lam.shape == (len(points),) and np.all(lam >= 0.0)
-    return lam if ok and np.abs(lam @ points).sum() + abs(lam.sum() - 1.0) <= HULL_TOL else None
+def hull_witness(lam, points) -> bool:
+    """Do weights lam on the rows of points put 0 in their hull: lam >= 0 and
+    sum_B |lam @ points_B| + |sum lam - 1| <= HULL_TOL, the residual the
+    simplex's phase 1 would leave at lam?"""
+    residual = np.abs(lam @ points).sum() + abs(lam.sum() - 1.0)
+    return bool(np.all(lam >= 0.0) and residual <= HULL_TOL)
 
 
 def column_certifies(b, fit):

@@ -346,6 +346,91 @@ class TestNumberArrays:
         assert str(err.value) == message
 
 
+class TestGeneratorConversion:
+    """The generator matrix goes to numpy in one conversion when it is plain
+    numbers; numpy reads a JSON true or false as 1 or 0, so a row holding a
+    0 or a 1 has its entries' types checked, and everything else takes the
+    per-row walk with its messages."""
+
+    QUARTER = [0.25, 0.25, 0.25, 0.25]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.125, 0.375, True, 0.25], "generators[1][2]: expected a number, got a boolean"),
+            ([0.0, 0.0, True, 0.0], "generators[1][2]: expected a number, got a boolean"),
+            ([0.5, 0.5, False, 0.0], "generators[1][2]: expected a number, got a boolean"),
+            ([True, False, False, False], "generators[1][0]: expected a number, got a boolean"),
+            (["0.125", "0.375", "0.25", "0.2"], "generators[1]: weights sum to np.float64(0.95), not 1"),
+            ([0.125, 0.375, 0.5], "generators[1]: expected 4 weights, got 3"),
+            ([0.125, 0.375, 0.25, 0.25, 0], "generators[1]: expected 4 weights, got 5"),
+            ([0.125, [0.375], 0.25, 0.25], "generators[1][1]: expected a number, got list"),
+            ([0.125, 0.375, 10**400, 0.25], "generators[1][2]: number too large for a float"),
+            ([2**70, 0.375, 0.25, 0.25], "generators[1]: weights sum to np.float64(1.1805916207174113e+21), not 1"),
+            ("0.25", "generators[1]: expected an array"),
+        ],
+    )
+    def test_refusals_name_the_entry(self, row, message, tmp_path, capsys):
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(dict(EXAMPLE_4, generators=[self.QUARTER, row])))
+        assert main(["solve", str(file), "--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == f"robustmse: invalid input: {message}\n"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ([[1, 0, 0, 0], [0, 0, 1, 0]], None),
+            ([[1, 0, 0, 0], [0, 1, 1, 0]], "generators[1]: weights sum to np.float64(2.0), not 1"),
+            ([[1, 0, 0, 0], [0, 0, True, 0]], "generators[1][2]: expected a number, got a boolean"),
+        ],
+    )
+    def test_integer_matrix(self, gens, message):
+        # an all-integer matrix converts to an integer array; its 0/1 rows
+        # are type-checked, so a bool is still named
+        if message is None:
+            inst = parse_instance(dict(EXAMPLE_4, generators=gens))
+            assert inst.measure_set.weights_matrix.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+            assert inst.measure_set.weights_matrix.dtype == np.float64
+            return
+        with pytest.raises(ValidationError) as err:
+            parse_instance(dict(EXAMPLE_4, generators=gens))
+        assert str(err.value) == message
+
+    def test_rows_must_be_lists(self):
+        # a library caller's tuple row is refused as before, not converted
+        with pytest.raises(ValidationError, match=r"generators\[0\]: expected an array"):
+            parse_instance(dict(EXAMPLE_4, generators=[(0.25, 0.25, 0.25, 0.25)]))
+
+    def test_plain_rows_skip_the_walk(self, monkeypatch):
+        # plain numbers, zeros and ones among them, never reach the per-row walk
+        def walk(*args):
+            raise AssertionError("per-row walk")
+
+        monkeypatch.setattr(robustmse.instances, "_generator_row", walk)
+        gens = [[0.0, 1.0, 0.0, 0.0], [0.125, 0.375, 0.25, 0.25], [1, 0, 0, 0]]
+        inst = parse_instance(json.loads(json.dumps(dict(EXAMPLE_4, generators=gens))))
+        assert inst.measure_set.weights_matrix.tolist() == [[float(w) for w in r] for r in gens]
+
+    def test_decimal_string_spelling_shares_the_digest(self):
+        # K = 300 rows of 115 points as JSON numbers and as their shortest
+        # decimal strings parse to the same binary64 matrix
+        rng = np.random.default_rng(4101)
+        K, n = 300, 115
+        weights = rng.dirichlet(np.ones(n), size=K)
+        doc = {
+            "version": "1",
+            "omega": [f"w{i}" for i in range(n)],
+            "xi": (rng.integers(-32, 33, size=n) / 16).tolist(),
+            "partition": [list(range(0, 60)), list(range(60, n))],
+        }
+        plain = parse_instance(json.loads(json.dumps(dict(doc, generators=weights.tolist()))))
+        spelled = [[repr(w) for w in row] for row in weights.tolist()]
+        strings = parse_instance(json.loads(json.dumps(dict(doc, generators=spelled))))
+        assert np.array_equal(plain.measure_set.weights_matrix, strings.measure_set.weights_matrix)
+        assert instance_digest(plain) == instance_digest(strings)
+
+
 EXAMPLE_4 = {
     "version": "1",
     "omega": ["a", "b", "c", "d"],

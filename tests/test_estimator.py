@@ -154,9 +154,18 @@ class TestSolveMmse:
         assert any("non-unique" in w for w in res.warnings)
 
     def test_bad_init_rejected(self, two_point):
-        _, ms, xi, triv = two_point
+        space, ms, xi, triv = two_point
         with pytest.raises(ArgumentError):
             solve_mmse(ms, xi, triv, init_weights=[-1.0, 2.0])
+        # also a non-finite weight, and on a measurable xi, which is its own
+        # estimator and returns before the weights are read
+        disc = PartitionAlgebra.discrete(space)
+        bad = ([-1.0, 2.0], [1.0], [0.5, 0.25, 0.25], [0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0])
+        for init in bad:
+            for c in (triv, disc):
+                with pytest.raises(ArgumentError, match="init_weights"):
+                    solve_mmse(ms, xi, c, init_weights=init)
+        assert solve_mmse(ms, xi, disc, init_weights=[0.0, 1.0]).eta_hat == xi
 
 
 class TestBruteForce:
@@ -365,15 +374,15 @@ class TestVerifySaddle:
         res = solve_mmse(single, xi, c)
         assert verify_saddle(single, xi, c, res).passed
 
-    def test_max_side_does_not_ask_the_support_query(self, monkeypatch):
-        # the solver picks its generators through MeasureSet.support; the
-        # certificate takes its maximum from the weight matrix itself
+    def test_max_side_is_the_support_query(self):
+        # the certificate takes its maximum from the set's support query,
+        # which on an explicit set is the largest entry of the weight matrix
+        # times (xi - eta_hat)^2, bit for bit
         ms, xi, c = random_instance(rng_from_seed(26))
         res = solve_mmse(ms, xi, c)
-        monkeypatch.setattr(MeasureSet, "support", lambda self, v: (0.0, 0))
         cert = verify_saddle(ms, xi, c, res)
         sq = (xi.values - res.eta_hat.values) ** 2
-        assert cert.max_over_P == np.max(ms.weights_matrix @ sq) > 0.0
+        assert cert.max_over_P == ms.support(sq)[0] == np.max(ms.weights_matrix @ sq) > 0.0
 
 
     def test_refuses_another_space_and_a_result_without_p_hat(self):
@@ -752,6 +761,36 @@ class TestMinimaxGap:
             rep = minimax_gap(single, xi, c)
             assert abs(rep.gap) <= 1e-8
             assert rep.ess_sup_is_mmse
+
+    def test_one_envelope_same_bits(self, monkeypatch):
+        # minimax_gap forms the upper envelope once and penalizes it at
+        # itself: its minimax is penalized_value at that envelope and its
+        # maximin solve_mmse's alpha, bit for bit, on the acceptance sets
+        real = robustmse.estimator.conditional_envelopes
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        rng = rng_from_seed(6021)
+        pinned = 0
+        for _ in range(200):
+            ms, xi, c = random_instance(rng, max_points=6, max_blocks=3, max_generators=5)
+            try:
+                want = (penalized_value(ms, xi, c, real(ms, xi, c)[1]), solve_mmse(ms, xi, c).alpha)
+            except PropernessError:
+                with pytest.raises(PropernessError):
+                    minimax_gap(ms, xi, c)
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(robustmse.estimator, "conditional_envelopes", counting)
+                calls.clear()
+                rep = minimax_gap(ms, xi, c)
+            assert len(calls) == 1
+            assert (rep.minimax, rep.maximin) == want
+            pinned += 1
+        assert pinned >= 100
 
     def test_measurable_input_closes_gap(self, two_point):
         space, ms, _, _ = two_point

@@ -476,6 +476,8 @@ class TestTreePenalized:
                     assert math.isfinite(want) == finite
                     assert penalized_value(tm, x, part, eta) == pytest.approx(want, abs=tol)
                 got, want = minimax_gap(tm, x, part), minimax_gap(ms, x, part)
+                upper = conditional_envelopes(tm, x, part)[1]
+                assert got.minimax == penalized_value(tm, x, part, upper)  # bit for bit
                 assert got.minimax == pytest.approx(want.minimax, abs=tol)
                 assert got.maximin == pytest.approx(want.maximin, abs=tol)
                 assert got.gap == pytest.approx(want.gap, abs=tol)
@@ -537,6 +539,11 @@ class TestTreeSolve:
         x = RandomVariable(tm.space, rng.normal(size=tm.num_leaves))
         with pytest.raises(ArgumentError, match="init_weights"):
             solve_mmse(tm, x, tm.level_partition(0), init_weights=np.ones(len(ms) - 1))
+        # also for a measurable xi, which returns before any weight is read
+        part = tm.level_partition(tm.depth)
+        for init in (np.ones(len(ms) - 1), -np.ones(len(ms))):
+            with pytest.raises(ArgumentError, match="init_weights"):
+                solve_mmse(tm, x, part, init_weights=init)
 
     def test_refused_like_the_corner_set(self):
         tm = TreeModel.drift_bound(5)

@@ -19,9 +19,9 @@ constants SADDLE_TOL, MAX_ADDITIONS and NS_TOL and take no `tol` or `cfg`,
 no command takes a `--tol` flag, and the value verdicts apply VALUE_TOL and
 take no `tol`.
 
-The set is read through its queries: `sublinear` and `brute_force_mmse`
-never read `weights_matrix`, in `estimator` only the three certificates
-(verify_saddle, _centered_moments, ns_condition) do, neither `estimator`
+The set is read through its queries: `sublinear` and `estimator` never
+read `weights_matrix` (the certificates read the witness's rows, and their
+hull_membership fallbacks every row, through `rows`), neither `estimator`
 nor `cli` branches on the kind of set (isinstance of MeasureSet or
 TreeModel), and `cmd_oracle` reads no `inst.tree`. The envelopes have one
 path, the set's `envelopes` query (tree_envelopes, _conditional_means and
@@ -31,8 +31,9 @@ below).
 The package exports what it computes with: `__all__` lists exactly the names
 `__init__` imports, and helpers that nothing used (truncate, block_project,
 reference_measure, density with AbsoluteContinuityError, Measure.mass,
-measures.is_proper, now the set's query) and kernel_interval's stability
-flag are gone."""
+measures.is_proper, now the set's query, the certificates' whole-matrix
+_centered_moments and the parse's _plain_matrix pass) and kernel_interval's
+stability flag are gone."""
 
 import ast
 import inspect
@@ -279,6 +280,8 @@ def test_all_lists_exactly_the_imported_names():
         ("stability", "_upper_envelope"),
         # properness is the set's query, MeasureSet.is_proper
         ("measures", "is_proper"),
+        # the matrix passes of the certificates and of the generator parse
+        ("estimator", "_centered_moments"), ("instances", "_plain_matrix"),
     ],
 )
 def test_unused_helpers_are_gone(module, name):
@@ -332,11 +335,6 @@ def other(ms):
     assert _attribute_reads(tree, "weights_matrix") == [3, 7]
 
 
-# the certificates that need every generator's row; every other entry point
-# of the estimator asks the set its queries, so it takes any kind of set
-CERTIFICATES = {"verify_saddle", "_centered_moments", "ns_condition"}
-
-
 def _weights_matrix_readers(tree):
     """The top-level functions and classes (by name, "<module>" outside them)
     that read weights_matrix."""
@@ -346,9 +344,11 @@ def _weights_matrix_readers(tree):
     }
 
 
-def test_only_the_certificates_read_the_weights_matrix():
+def test_estimator_reads_no_weights_matrix():
+    # every entry point of the estimator, the certificates and their LP
+    # fallbacks included, asks the set its queries, so it takes any kind of set
     path = Path(robustmse.__file__).parent / "estimator.py"
-    assert _weights_matrix_readers(ast.parse(path.read_text())) <= CERTIFICATES
+    assert _weights_matrix_readers(ast.parse(path.read_text())) == set()
 
 
 def test_the_check_sees_who_reads_the_weights_matrix():

@@ -1,0 +1,201 @@
+"""The certificates of `solve` read the witness's rows and the set's maxima.
+
+Given the solver's P_hat as witness, verify_saddle, kernel_member and
+ns_condition read the rows of the generators P_hat charges through
+`rows`, and their maxima through `support` and `near_ties`; only their LP
+fallbacks read every row. Here they are checked against a reference that
+reads the whole weight matrix, written below as the certificates were
+stated before: rho_sq within the rounding of a K-row maximum, the active
+count and all three verdicts exactly, on the acceptance sets, on tree corner
+sets at every level, and at xi + 1e4. A set that answers only the queries
+shows which rows each certificate asks for."""
+
+import math
+
+import numpy as np
+import pytest
+
+from robustmse import (
+    MeasureSet,
+    RandomVariable,
+    TreeModel,
+    kernel_member,
+    ns_condition,
+    solve_mmse,
+    tree_measure_set,
+    verify_saddle,
+)
+from robustmse.estimator import NS_TOL, SADDLE_TOL
+from robustmse.randgen import random_instance, rng_from_seed
+from robustmse.simplexlp import HULL_TOL, hull_membership
+from robustmse.spaces import is_measurable
+
+EPS = np.finfo(float).eps
+
+
+def reference(ms, xi, c, res):
+    """(rho_sq, active, saddle verdict, kernel verdict, NS verdict) from the
+    whole weight matrix W, in the units of xi, with P_hat's weights lam."""
+    W, x, lam = ms.weights_matrix, xi.values, res.p_hat.lam
+    d = x - res.eta_hat.values
+    sq = d * d
+    M = xi.bound or 1.0
+    # saddle: max over the generators, and the inner minimum under P_hat
+    p = lam @ W
+    p = p / p.sum()
+    at_saddle = p @ sq
+    mass, first = c.block_sums(p), c.block_sums(p * x)
+    cond = np.divide(first, mass, out=np.zeros_like(first), where=mass > 0)
+    inner = x if is_measurable(xi, c) else cond[c.labels]
+    tol = SADDLE_TOL * (1.0 + abs(res.alpha))
+    saddle = (sq @ W.T).max() <= at_saddle + tol and at_saddle <= p @ (x - inner) ** 2 + tol
+    # kernel: lam's phase-1 residual on every u_k, else the hull LP on all of them
+    u = c.block_sums(W * d) / M
+    fits = np.abs(lam @ u).sum() + abs(lam.sum() - 1.0) <= HULL_TOL
+    kernel = fits or hull_membership(u, np.zeros(c.num_blocks))[0]
+    # NS: the bound mu @ a - M^2 |mu @ u|_1 at lam, else on the active generators
+    r = W @ sq
+    rho_sq = r.max()
+    active = np.flatnonzero(r >= rho_sq - NS_TOL * M * M)
+    a = W @ (d * x)
+
+    def proves(mu, rows):
+        return rho_sq - (mu @ a[rows] - M * M * np.abs(mu @ u[rows]).sum()) <= NS_TOL * M * M
+
+    ns = fits and proves(lam, slice(None))
+    if not ns:
+        member, mu, _ = hull_membership(u[active], np.zeros(c.num_blocks))
+        ns = member and proves(mu, active)
+    return rho_sq, len(active), saddle, kernel, ns
+
+
+def certify(ms, xi, c, res):
+    witness = res.p_hat.lam
+    cert = verify_saddle(ms, xi, c, res)
+    ns = ns_condition(ms, xi, c, res.eta_hat, witness=witness)
+    return ns.rho_sq, ns.active, cert.passed, kernel_member(ms, xi, c, res.eta_hat, witness), ns.holds
+
+
+def acceptance_sets():
+    """The 200 instances of tests/test_acceptance.py's criteria 2, 3, 5 and 6."""
+    rng = rng_from_seed(6021)
+    return [random_instance(rng, max_points=6, max_blocks=3, max_generators=5) for _ in range(200)]
+
+
+def corner_sets():
+    """Corner sets of drift-bound and per-node trees of depths 2 and 3, at
+    every level partition, with dyadic leaf values."""
+    rng = rng_from_seed(4103)
+    out = []
+    for depth in (2, 3):
+        nodes = 2**depth - 1
+        lo = rng.integers(1, 8, size=nodes) / 16
+        trees = [TreeModel.drift_bound(depth), TreeModel(depth, lo, lo + rng.integers(1, 8, size=nodes) / 16)]
+        for tm in trees:
+            ms = tree_measure_set(tm)
+            for level in range(depth + 1):
+                x = RandomVariable(tm.space, rng.integers(-32, 33, size=tm.num_leaves) / 16)
+                out.append((ms, x, tm.level_partition(level)))
+    return out
+
+
+CORPORA = {"acceptance": acceptance_sets, "corners": corner_sets}
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_against_the_full_matrix(corpus, offset):
+    verdicts = set()
+    for ms, xi, c in CORPORA[corpus]():
+        xi = RandomVariable(xi.space, xi.values + offset)
+        res = solve_mmse(ms, xi, c)
+        if not res.converged:
+            continue
+        got, want = certify(ms, xi, c, res), reference(ms, xi, c, res)
+        # a maximum of K sums of n products, each rounded
+        assert got[0] == pytest.approx(want[0], rel=0, abs=4 * len(xi.values) * EPS * want[0])
+        assert got[1:] == want[1:]
+        verdicts.add(got[2:])
+    assert (True, True, True) in verdicts
+
+
+class QueriesOnly:
+    """A set that answers the queries of an explicit set, has no weight
+    matrix, and records the generators each `rows` call asks for."""
+
+    def __init__(self, ms: MeasureSet):
+        self.ms, self.space, self.asked = ms, ms.space, []
+
+    def num_generators(self):
+        return self.ms.num_generators()
+
+    def support(self, v):
+        return self.ms.support(v)
+
+    def near_ties(self, v, tie_tol):
+        return self.ms.near_ties(v, tie_tol)
+
+    def rows(self, ks):
+        self.asked.append(np.asarray(ks).tolist())
+        return self.ms.rows(ks)
+
+
+def test_each_certificate_reads_the_witness_rows():
+    checked = 0
+    for ms, xi, c in acceptance_sets()[:60]:
+        res = solve_mmse(ms, xi, c)
+        charged = np.flatnonzero(res.p_hat.lam).tolist()
+        spy = QueriesOnly(ms)
+        cert = verify_saddle(spy, xi, c, res)
+        assert spy.asked == [charged]
+        want = verify_saddle(ms, xi, c, res)
+        assert cert == want
+        spy.asked.clear()
+        assert kernel_member(spy, xi, c, res.eta_hat, witness=res.p_hat.lam)
+        assert spy.asked == [charged]  # the witness proved it: no LP, no other row
+        spy.asked.clear()
+        ns = ns_condition(spy, xi, c, res.eta_hat, witness=res.p_hat.lam)
+        if ns.holds and spy.asked == [charged]:
+            checked += 1
+        assert ns == ns_condition(ms, xi, c, res.eta_hat, witness=res.p_hat.lam)
+    assert checked >= 50
+
+
+def test_fallbacks_read_every_row():
+    # without a witness the kernel's LP runs on every generator's row, and
+    # the NS hull test on the active generators' rows
+    ms, xi, c = acceptance_sets()[0]
+    res = solve_mmse(ms, xi, c)
+    spy = QueriesOnly(ms)
+    assert kernel_member(spy, xi, c, res.eta_hat)
+    assert spy.asked == [list(range(len(ms)))]
+    spy.asked.clear()
+    ns = ns_condition(spy, xi, c, res.eta_hat)
+    r = ms.weights_matrix @ (xi.values - res.eta_hat.values) ** 2
+    active = np.flatnonzero(r >= r.max() - NS_TOL * xi.bound**2).tolist()
+    assert spy.asked == [active] and ns.active == len(active)
+
+
+def test_a_tree_certifies_as_its_corner_set():
+    # one certificate path for every set kind: on a TreeModel the rows are its
+    # corners' leaf laws and the maxima its sup recursion
+    rng = rng_from_seed(4104)
+    for depth in (2, 3):
+        tm = TreeModel.drift_bound(depth)
+        ms = tree_measure_set(tm)
+        for level in range(depth):
+            c = tm.level_partition(level)
+            xi = RandomVariable(tm.space, rng.integers(-32, 33, size=tm.num_leaves) / 16)
+            res = solve_mmse(ms, xi, c)
+            got, want = certify(tm, xi, c, res), certify(ms, xi, c, res)
+            assert got[0] == pytest.approx(want[0], rel=1e-12)
+            assert got[1:] == want[1:]
+
+
+def test_a_wrong_length_witness_is_no_witness():
+    ms, xi, c = acceptance_sets()[1]
+    res = solve_mmse(ms, xi, c)
+    short = res.p_hat.lam[:-1]
+    assert kernel_member(ms, xi, c, res.eta_hat, witness=short) == kernel_member(ms, xi, c, res.eta_hat)
+    assert ns_condition(ms, xi, c, res.eta_hat, witness=short) == ns_condition(ms, xi, c, res.eta_hat)
+    assert math.isfinite(ns_condition(ms, xi, c, res.eta_hat).rho_sq)
