@@ -75,8 +75,7 @@ def cmd_rho(inst: Instance) -> tuple[dict, int]:
 
 
 def cmd_solve(inst: Instance) -> tuple[dict, int]:
-    ms, xi = inst.generators(), inst.xi
-    algebra = inst.conditioning()
+    ms, xi, algebra = inst.measures(), inst.xi, inst.conditioning()
     res = solve_mmse(ms, xi, algebra)
     payload = {"estimator": estimator_result_dict(res)}
     if not res.converged:
@@ -125,7 +124,7 @@ def cmd_oracle(inst: Instance) -> tuple[dict, int]:
 def cmd_stability(inst: Instance) -> tuple[dict, int]:
     if inst.kind != "filtration":
         raise ValidationError("filtration", "stability command needs a filtration instance")
-    ms, xi, f = inst.generators(), inst.xi, inst.filtration
+    ms, xi, f = inst.measure_set, inst.xi, inst.filtration
     report = is_stable(ms, f)
     grid = [
         {"sigma": sigma, "tau": tau, "equal": rec.equal, "max_abs_gap": rec.max_abs_gap}

@@ -16,15 +16,15 @@ endpoint at every node. TreeModel answers the corner set's queries that way,
 under the names a MeasureSet answers them from its weight matrix
 (num_generators, support, near_ties, rows, mean_row, envelopes), in O(2^T)
 per query, and is_proper, which always holds; so rho, the envelopes, the
-estimator, its oracle, penalized_value and minimax_gap take either kind of
-set and never enumerate the corners. tree_measure_set builds the corner
-matrix for solve's certificates, which need every generator.
+estimator with its certificates, its oracle, penalized_value and minimax_gap
+take either kind of set and never enumerate the corners. tree_measure_set,
+which does, is the reference the tests compare with; no module calls it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,11 +34,21 @@ from .estimator import EstimatorResult, solve_mmse
 from .measures import MeasureSet
 from .spaces import Immutable, PartitionAlgebra, RandomVariable, SampleSpace
 
-# corner matrix of tree_measure_set: 2^24 float64 entries = 128 MiB; building
-# it takes about five times that at its peak. The same bound caps every tree
-# request, since the estimator's p_hat is dense over the corners
+# corners x leaves: 2^24 float64 entries (128 MiB) as a corner matrix. No
+# request builds one, but p_hat is dense over the corners, and near_ties can
+# list them all, and rows can read them all for kernel_member's LP fallback
 MAX_CORNER_ENTRIES = 2 ** 24
 DEFAULT_DT = 0.25  # a tree's time step when none is given
+
+
+@cache
+def _paths(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(node, move) at each depth d (rows) of the path to each leaf j (columns):
+    node 2^d - 1 + (j >> (depth - d)), and bit depth - 1 - d of j, 0 = up."""
+    d, leaves = np.arange(depth)[:, None], np.arange(2 ** depth)
+    nodes, moves = (1 << d) - 1 + (leaves >> (depth - d)), (leaves >> (depth - 1 - d)) & 1
+    nodes.flags.writeable = moves.flags.writeable = False
+    return nodes, moves
 
 
 class TreeModel(Immutable):
@@ -112,25 +122,16 @@ class TreeModel(Immutable):
     # --- the corner set, queried without enumerating it -------------------
 
     @cached_property
-    def free(self) -> np.ndarray:
-        """Nodes with q_lo < q_hi; each doubles the number of corners."""
-        free = self.q_lo != self.q_hi
-        free.flags.writeable = False
-        return free
-
-    @cached_property
-    def _bits(self) -> np.ndarray:
-        """The value of the corner-index bit each node reads (0 at a fixed node)."""
-        bits = (1 << (np.cumsum(self.free[::-1])[::-1] - self.free)) * self.free
-        bits.flags.writeable = False
-        return bits
+    def _free_from(self) -> list[int]:
+        """How many free nodes (q_lo < q_hi) have id u or more, u = 0 .. num_internal."""
+        return np.cumsum((self.q_lo != self.q_hi)[::-1])[::-1].tolist() + [0]
 
     def num_generators(self) -> int:
         """The number of corners, the set's generators; GuardRefusalError,
         before anything is allocated, when the corner matrix would exceed
         MAX_CORNER_ENTRIES float64 entries. With every node free that admits
         depth 4 (2^15 corners) and refuses depth 5 (2^31 corners)."""
-        num_corners = 2 ** int(self.free.sum())
+        num_corners = 2 ** self._free_from[0]
         if num_corners * self.num_leaves > MAX_CORNER_ENTRIES:
             raise GuardRefusalError(
                 f"{num_corners} corners x {self.num_leaves} leaves exceed the limit of "
@@ -139,67 +140,63 @@ class TreeModel(Immutable):
         return num_corners
 
     def _leaf_products(self, corners) -> np.ndarray:
-        """Leaf probabilities of the given corners, one row each.
-
-        The bits of a corner's index, read from the highest, choose q_hi at
-        the free nodes in id order.
-        """
-        high = np.asarray(corners, dtype=np.int64)[:, None, None] & self._bits[:, None]
-        return self._path_products(np.where(high, self._moves[1], self._moves[0]))
+        """Leaf probabilities of corners, one row each: the moves along each
+        path, multiplied from the root down. The bits of a corner's index,
+        read from the highest, choose q_hi at the free nodes in id order."""
+        bits, lo, hi = self._path_moves
+        high = (np.asarray(corners, dtype=np.int64)[:, None] & bits).astype(bool)
+        return np.multiply.reduce(np.where(high, hi, lo), axis=0)
 
     @cached_property
-    def _moves(self) -> np.ndarray:
-        """(up, down) probabilities of each node at q_lo (row 0) and q_hi (row 1)."""
-        q = np.array([self.q_lo, self.q_hi])
-        moves = np.array([q, 1.0 - q]).transpose(1, 2, 0)
-        moves.flags.writeable = False
-        return moves
-
-    def _path_products(self, moves: np.ndarray) -> np.ndarray:
-        """Leaf probabilities for rows of (up, down) probabilities per node: the
-        products along each path, filled in level by level."""
-        probs = moves[:, 0]
-        for d in range(1, self.depth):
-            nodes = moves[:, 2 ** d - 1 : 2 ** (d + 1) - 1]
-            probs = (probs[:, :, None] * nodes).reshape(len(moves), -1)
-        return probs
+    def _path_moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Along each path (_paths), shape (depth, 1, leaves): the index bit each
+        node reads (0 if fixed), and the move's probability at q_lo and q_hi."""
+        nodes, moves = _paths(self.depth)
+        free_from = np.array(self._free_from)
+        bits = (free_from[:-1] - free_from[1:]) << free_from[1:]
+        q = np.array([self.q_lo, self.q_hi])[:, nodes]
+        tables = (bits[nodes][:, None], *np.where(moves, 1.0 - q, q)[:, :, None])
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
     def rows(self, ks) -> np.ndarray:
         """Leaf laws of corners ks: those rows of tree_measure_set(self).weights_matrix,
         bit for bit (the same products, divided by their sums as a MeasureSet's are)."""
         probs = self._leaf_products(ks)
-        return probs / probs.sum(axis=1, keepdims=True)
+        return probs / np.add.reduce(probs, axis=1, keepdims=True)
 
     def is_proper(self) -> bool:
         """Always: 0 < q_lo <= q_hi < 1 at every node, so every corner charges every leaf."""
         return True
 
     def mean_row(self) -> np.ndarray:
-        """Leaf law of the uniform mixture of the corners: the midpoint tree,
-        since under it each node is at q_lo or q_hi with probability 1/2,
-        independently of the others."""
-        up = (self.q_lo + self.q_hi) / 2.0
-        probs = self._path_products(np.array([up, 1.0 - up]).T[None])[0]
+        """Leaf law of the uniform mixture of the corners: the midpoint tree, as
+        each node is at q_lo or q_hi with probability 1/2, independently."""
+        nodes, moves = _paths(self.depth)
+        up = ((self.q_lo + self.q_hi) / 2.0)[nodes]
+        probs = np.multiply.reduce(np.where(moves, 1.0 - up, up), axis=0)
         return probs / probs.sum()
 
     @cached_property
-    def _levels(self) -> list[tuple]:
-        """Per level, deepest first: the two endpoints q_lo, q_hi of its nodes
-        (rows), and their down probabilities."""
-        at = [slice(2 ** d - 1, 2 ** (d + 1) - 1) for d in range(self.depth - 1, -1, -1)]
-        return [(self._moves[:, nodes, 0], self._moves[:, nodes, 1]) for nodes in at]
+    def _nodes(self) -> list[tuple[float, float, float, float]]:
+        """Per internal node, as Python floats: q_lo, 1 - q_lo, q_hi, 1 - q_hi."""
+        return [(a, 1.0 - a, b, 1.0 - b) for a, b in zip(self.q_lo.tolist(), self.q_hi.tolist())]
 
-    def _sweep(self, v, pick):
-        """Backward recursion on leaf values v: the value y of every node,
-        and at each internal node the values of its two endpoints over the
-        children's y, row 0 for q_lo and row 1 for q_hi; y = pick(row 0, row 1)."""
-        ys, ends = [np.asarray(v, dtype=float)], []
-        for q, down in self._levels:
-            e = q * ys[-1][0::2]
-            e += down * ys[-1][1::2]
-            ys.append(pick(e[0], e[1]))
-            ends.append(e)
-        return np.concatenate(ys[::-1]), np.concatenate(ends[::-1], axis=1)
+    def _sweep(self, v, pick) -> tuple[list[float], list[tuple[float, float]]]:
+        """Backward recursion on leaf values v: y at every node, and at each
+        internal node the values (a, b) of its q_lo and q_hi endpoints over the
+        children's y; y = pick(a, b), pick being max or min (a on a tie). Node
+        by node over Python floats, which beats level-wide arrays to depth 5."""
+        nodes = self._nodes
+        y = [0.0] * len(nodes) + np.asarray(v, dtype=float).tolist()
+        ends = [(0.0, 0.0)] * len(nodes)
+        for u in range(len(nodes) - 1, -1, -1):
+            q, down, q_hi, down_hi = nodes[u]
+            up_y, down_y = y[2 * u + 1], y[2 * u + 2]
+            a, b = ends[u] = q * up_y + down * down_y, q_hi * up_y + down_hi * down_y
+            y[u] = pick(a, b)
+        return y, ends
 
     def support(self, v) -> tuple[float, int]:
         """max over corners c of E_c[v], and the smallest corner attaining it.
@@ -209,43 +206,52 @@ class TreeModel(Immutable):
         strictly better, so ties go to q_lo, the 0 bit, and the corner read
         off the choices is the smallest maximizing index.
         """
-        y, (a, b) = self._sweep(v, np.maximum)
-        return float(y[0]), int((b > a) @ self._bits)
+        y, ends = self._sweep(v, max)
+        return y[0], sum((b > a) << bit for (a, b), bit in zip(ends, self._free_from[1:]))
 
     def near_ties(self, v, tie_tol: float) -> tuple[int, ...]:
-        """Every corner c with max_c' E_c'[v] - E_c[v] <= tie_tol, in index order.
-
-        The answer can be every corner, so the corner count is checked first
-        (num_generators).
+        """Every corner c with max_c' E_c'[v] - E_c[v] <= tie_tol, in index order;
+        the answer can be every corner, so the corner count is checked first.
 
         With y the recursion's values and Q(u, c_u) the value of c's endpoint
-        at node u over the children's y, the shortfall of c is
-        sum over nodes u of reach_c(u) * (y(u) - Q(u, c_u)), reach_c(u) being
-        the probability under c of passing through u. Every term is >= 0, so
-        the walk extends partial corners node by node in id order, the bit
-        order of the index with q_lo first, and drops one as soon as its
-        partial sum exceeds tie_tol.
+        at u over the children's y, c falls short by the sum over nodes u of
+        reach_c(u) * (y(u) - Q(u, c_u)), reach_c(u) being the probability under
+        c of passing through u. Every term is >= 0, so the walk extends partial
+        corners node by node in id order, depth first with q_lo before q_hi
+        (the bit order of the index), and drops one whose partial sum exceeds
+        tie_tol. A later term is at most its node's larger shortfall (reach
+        <= 1), so a partial total within cut[u], tie_tol less the sum of those
+        from node u on and a margin for the rounding of the rest of the sums,
+        keeps every completion within tie_tol: they are listed at once.
         """
         self.num_generators()
-        y, ends = self._sweep(v, np.maximum)
-        nodes = self.num_internal
-        shortfall = (y[:nodes] - ends).T
-        q = self._moves[:, :, 0].T  # (nodes, 2): q_lo, q_hi
-        index = np.zeros(1, dtype=np.int64)
-        total = np.zeros(1)
-        reach = np.ones((1, nodes))
-        for u, width in enumerate((self.free + 1).tolist()):
-            # the partial corners times the width choices at u, row by row
-            grown = (total[:, None] + reach[:, u, None] * shortfall[u, :width]).ravel()
-            kept = (grown <= tie_tol).nonzero()[0]
-            parent, choice = np.divmod(kept, width)
-            index = index[parent] * width + choice
-            total, reach = grown[kept], reach[parent]
-            if 2 * u + 1 < nodes:
-                p = q[u, choice]
-                reach[:, 2 * u + 1] = reach[:, u] * p
-                reach[:, 2 * u + 2] = reach[:, u] * (1.0 - p)
-        return tuple(index.tolist())
+        y, ends = self._sweep(v, max)
+        nodes, free_from = self._nodes, self._free_from
+        cut, tail = [0.0] * (len(nodes) + 1), 0.0
+        for u in range(len(nodes), -1, -1):  # with no node left, cut is tie_tol
+            margin = 4 * (len(nodes) - u) * math.ulp(1.0)
+            cut[u] = tie_tol * (1.0 - margin) - tail * (1.0 + margin)
+            tail += y[u - 1] - min(ends[u - 1]) if u else 0.0
+        # reach[u] is set when u's parent chooses, and holds until the walk returns there
+        reach, found, stack = [1.0] * len(nodes), [], []
+
+        def extend(u, index, total):  # a partial corner chosen before node u
+            if total <= cut[u]:
+                found.extend(range(index, index + (1 << free_from[u])))
+            else:  # its choices at u, q_hi (1) below q_lo (0) on the stack
+                choices = range(free_from[u] - free_from[u + 1], -1, -1)
+                stack.extend((u, c, index, total) for c in choices)
+
+        extend(0, 0, 0.0)
+        while stack:
+            u, c, index, total = stack.pop()
+            total += reach[u] * (y[u] - ends[u][c])
+            if total <= tie_tol:
+                if 2 * u + 1 < len(nodes):
+                    q, down = nodes[u][2 * c : 2 * c + 2]
+                    reach[2 * u + 1], reach[2 * u + 2] = reach[u] * q, reach[u] * down
+                extend(u + 1, index | c << free_from[u + 1], total)
+        return tuple(found)
 
     def envelopes(self, v, algebras) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per level partition (else ArgumentError), the smallest and largest
@@ -256,22 +262,18 @@ class TreeModel(Immutable):
         if any(lv > self.depth or not np.array_equal(c.labels, leaves >> (self.depth - lv))
                for c, lv in zip(algebras, levels)):
             raise ArgumentError("a tree's envelopes are taken at its level partitions only")
-        (lower, _), (upper, _) = (self._sweep(v, pick) for pick in (np.minimum, np.maximum))
+        lower, upper = (np.array(self._sweep(v, pick)[0]) for pick in (min, max))
         return [(_level(lower, lv), _level(upper, lv)) for lv in levels]
 
 
 def tree_measure_set(tm: TreeModel) -> MeasureSet:
-    """All corner measures: each node independently at q_lo or q_hi.
-
-    A node with q_lo == q_hi contributes one choice, so a tree with m
-    non-degenerate nodes has 2^m corners (a fully degenerate tree yields a
-    single generator), in itertools.product order over the nodes: the bits of
-    a corner's index, read from the highest, choose q_hi at the non-degenerate
-    nodes in id order. The (2^m, 2^T) corner matrix is filled level by level
-    and refused by TreeModel.num_generators before anything is allocated;
-    corners are never subsampled, which would silently change the represented
-    set. Only the commands that need every generator build it; the corner
-    set's other queries are TreeModel's.
+    """All corner measures (each node independently at q_lo or q_hi) as one
+    MeasureSet: the reference that the tests and tools/solve_identity.py
+    compare TreeModel's queries with; no command builds it. A node with
+    q_lo == q_hi gives one choice, so m non-degenerate nodes give 2^m
+    corners, indexed as TreeModel indexes them (its rows(ks) are these rows
+    bit for bit), refused by num_generators before anything is allocated and
+    never subsampled, which would change the represented set.
     """
     return MeasureSet.from_matrix(tm.space, tm._leaf_products(np.arange(tm.num_generators())))
 
@@ -322,7 +324,7 @@ def g_expectation(tm: TreeModel, xi_leaf, direction: str = "sup") -> GExpResult:
     xi_leaf = _leaf_array(tm, xi_leaf)
     if direction not in ("sup", "inf"):
         raise ArgumentError("direction must be 'sup' or 'inf'")
-    y, _ = tm._sweep(xi_leaf, np.maximum if direction == "sup" else np.minimum)
+    y = np.array(tm._sweep(xi_leaf, max if direction == "sup" else min)[0])
     z = (y[1::2] - y[2::2]) / (2.0 * math.sqrt(tm.dt))
     return GExpResult(y=y, z=z)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ArgumentError, RobustMseError, ValidationError
-from .gexp import DEFAULT_DT, TreeModel, tree_measure_set
+from .gexp import DEFAULT_DT, TreeModel
 from .measures import Measure, MeasureSet
 from .spaces import Filtration, PartitionAlgebra, RandomVariable, SampleSpace
 
@@ -116,9 +116,6 @@ class Instance(NamedTuple):
     def measures(self) -> MeasureSet | TreeModel:
         """The set as its queries see it: a tree stands for its corner set."""
         return self.tree if self.measure_set is None else self.measure_set
-
-    def generators(self) -> MeasureSet:
-        return tree_measure_set(self.tree) if self.measure_set is None else self.measure_set
 
 
 def parse_instance(doc: Any) -> Instance:

@@ -39,7 +39,7 @@ def _checked_rows(space: SampleSpace, rows: np.ndarray) -> np.ndarray:
     totals = rows.sum(axis=1, keepdims=True)
     if abs(totals - 1.0).max() > SIMPLEX_TOL:
         worst = totals.flat[abs(totals - 1.0).argmax()]
-        raise ArgumentError(f"weights sum to {worst!r}, not 1")
+        raise ArgumentError(f"weights sum to {float(worst)!r}, not 1")
     rows /= totals  # exact, bit for bit, on rows that sum to 1
     rows.flags.writeable = False
     return rows
@@ -175,7 +175,7 @@ class MixtureWeights(Immutable):
             raise ArgumentError("mixture weights must be finite and nonnegative")
         total = lam.sum()
         if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ArgumentError(f"mixture weights sum to {total!r}, not 1")
+            raise ArgumentError(f"mixture weights sum to {float(total)!r}, not 1")
         np.maximum(lam, 0.0, out=lam)
         lam /= lam.sum()
         lam.flags.writeable = False

@@ -325,14 +325,14 @@ class TestNumberArrays:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ({1: [0.25, 0.375, 0.25, 0.25]}, "generators[1]: weights sum to np.float64(1.125), not 1"),
+            ({1: [0.25, 0.375, 0.25, 0.25]}, "generators[1]: weights sum to 1.125, not 1"),
             ({2: [0.5, 0.5, 0.125, -0.125]}, "generators[2]: measure weights must be nonnegative numbers"),
             ({0: [float("nan"), 0.5, 0.25, 0.25]}, "generators[0]: measure weights must be nonnegative numbers"),
             ({1: [0.5, 0.5]}, "generators[1]: expected 4 weights, got 2"),
             ({2: []}, "generators[2]: expected 4 weights, got 0"),
             ({1: 7}, "generators[1]: expected an array"),
             # two faulty rows: the first one is named, whatever its fault
-            ({0: [0.5] * 4, 1: [0.125, "x", 0.25, 0.25]}, "generators[0]: weights sum to np.float64(2.0), not 1"),
+            ({0: [0.5] * 4, 1: [0.125, "x", 0.25, 0.25]}, "generators[0]: weights sum to 2.0, not 1"),
             ({0: [0.25, None, 0.25, 0.25], 1: [1, 1, 1, 1]}, "generators[0][1]: expected a number, got NoneType"),
         ],
     )
@@ -361,12 +361,12 @@ class TestGeneratorConversion:
             ([0.0, 0.0, True, 0.0], "generators[1][2]: expected a number, got a boolean"),
             ([0.5, 0.5, False, 0.0], "generators[1][2]: expected a number, got a boolean"),
             ([True, False, False, False], "generators[1][0]: expected a number, got a boolean"),
-            (["0.125", "0.375", "0.25", "0.2"], "generators[1]: weights sum to np.float64(0.95), not 1"),
+            (["0.125", "0.375", "0.25", "0.2"], "generators[1]: weights sum to 0.95, not 1"),
             ([0.125, 0.375, 0.5], "generators[1]: expected 4 weights, got 3"),
             ([0.125, 0.375, 0.25, 0.25, 0], "generators[1]: expected 4 weights, got 5"),
             ([0.125, [0.375], 0.25, 0.25], "generators[1][1]: expected a number, got list"),
             ([0.125, 0.375, 10**400, 0.25], "generators[1][2]: number too large for a float"),
-            ([2**70, 0.375, 0.25, 0.25], "generators[1]: weights sum to np.float64(1.1805916207174113e+21), not 1"),
+            ([2**70, 0.375, 0.25, 0.25], "generators[1]: weights sum to 1.1805916207174113e+21, not 1"),
             ("0.25", "generators[1]: expected an array"),
         ],
     )
@@ -381,7 +381,7 @@ class TestGeneratorConversion:
         "gens, message",
         [
             ([[1, 0, 0, 0], [0, 0, 1, 0]], None),
-            ([[1, 0, 0, 0], [0, 1, 1, 0]], "generators[1]: weights sum to np.float64(2.0), not 1"),
+            ([[1, 0, 0, 0], [0, 1, 1, 0]], "generators[1]: weights sum to 2.0, not 1"),
             ([[1, 0, 0, 0], [0, 0, True, 0]], "generators[1][2]: expected a number, got a boolean"),
         ],
     )
@@ -1173,9 +1173,10 @@ class TestGexpCommand:
         assert code == 2
         assert "tree.depth" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["gexp", "rho"])
+    @pytest.mark.parametrize("command", ["gexp", "rho", "solve"])
     def test_builds_no_corner_set(self, tmp_path, monkeypatch, command):
-        # both commands query the tree's corner set through its support oracle
+        # every command queries the tree's corner set through its recursions;
+        # tree_measure_set lives in gexp alone, where the spy replaces it
         calls = []
         build = robustmse.gexp.tree_measure_set
 
@@ -1183,8 +1184,7 @@ class TestGexpCommand:
             calls.append(tm.depth)
             return build(tm)
 
-        for module in (robustmse.gexp, robustmse.instances):
-            monkeypatch.setattr(module, "tree_measure_set", counted)
+        monkeypatch.setattr(robustmse.gexp, "tree_measure_set", counted)
         path = tmp_path / "t2.json"
         path.write_text(json.dumps(self.tree_doc(2, leaves=[1, 0, 0, 0])))
         code, doc = run([command, str(path)], tmp_path)
@@ -1192,8 +1192,14 @@ class TestGexpCommand:
         assert calls == []
         if command == "gexp":
             assert doc["result"]["representation"]["abs_gap"] < 1e-10
-        else:
+        elif command == "rho":
             assert doc["result"]["rho"]["value"] == 0.5625
+        else:
+            result = doc["result"]
+            assert result["saddle_certificate"]["passed"] is True
+            assert result["kernel_member"] is True
+            assert result["ns_condition"]["holds"] is True
+            assert len(result["estimator"]["p_hat"]) == 8
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     @pytest.mark.parametrize("per_node", [False, True], ids=["drift", "per-node"])
@@ -1206,7 +1212,7 @@ class TestGexpCommand:
             calls.append(tm.depth)
             return build(tm)
 
-        monkeypatch.setattr(robustmse.instances, "tree_measure_set", counted)
+        monkeypatch.setattr(robustmse.gexp, "tree_measure_set", counted)
         rng = np.random.default_rng(3930 + depth)
         lo, hi = 0.25, 0.75
         if per_node:
@@ -1221,6 +1227,31 @@ class TestGexpCommand:
             code, out = run(["oracle", str(path)], tmp_path)
             assert (code, out["result"]["agree"]) == (0, True)
         assert calls == []
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("per_node", [False, True], ids=["drift", "per-node"])
+    def test_solve_and_gexp_write_one_estimator(self, tmp_path, depth, per_node):
+        # both commands solve on the TreeModel, so at every level below the
+        # leaves they write one estimator: the same eta_hat bits, saddle gap
+        # and iteration count
+        rng = np.random.default_rng(4200 + depth)
+        lo, hi = 0.25, 0.75
+        if per_node:
+            nodes = 2**depth - 1
+            lo = (rng.integers(2, 8, nodes) / 16).tolist()
+            hi = (rng.integers(9, 15, nodes) / 16).tolist()
+        leaves = rng.normal(size=2**depth).tolist()
+        for level in range(depth):
+            path = tmp_path / f"level{level}.json"
+            path.write_text(json.dumps(dict(self.tree_doc(depth, lo, hi, leaves), options={"level": level})))
+            (code_s, solve), (code_g, gexp) = (
+                run([command, str(path)], tmp_path, f"{command}.json") for command in ("solve", "gexp")
+            )
+            assert code_s == code_g == 0
+            est, cmp = solve["result"]["estimator"], gexp["result"]["comparison"]
+            assert [x.hex() for x in est["eta_hat"]] == [x.hex() for x in cmp["mmse"]]
+            assert est["saddle_gap"].hex() == cmp["saddle_gap"].hex()
+            assert est["iterations"] == cmp["iterations"]
 
     def test_depth_four_rho_and_gexp(self, tmp_path):
         leaves = [((7 * i) % 11 - 5) / 4 for i in range(16)]

@@ -428,6 +428,63 @@ class TestCornerOracle:
                     assert upper.values == pytest.approx(want_upper.values, abs=1e-12 * x.bound)
 
 
+def level_sweep(tm, v, pick):
+    """The backward recursion level by level on arrays: y at every node, and
+    the values of the q_lo and q_hi endpoints (rows) at every internal node."""
+    ys, ends = [np.asarray(v, dtype=float)], []
+    for d in range(tm.depth - 1, -1, -1):
+        nodes = slice(2 ** d - 1, 2 ** (d + 1) - 1)
+        q = np.array([tm.q_lo[nodes], tm.q_hi[nodes]])
+        e = q * ys[-1][0::2]
+        e += (1.0 - q) * ys[-1][1::2]
+        ys.append(pick(e[0], e[1]))
+        ends.append(e)
+    return np.concatenate(ys[::-1]), np.concatenate(ends[::-1], axis=1)
+
+
+def breadth_first_ties(tm, v, tie_tol):
+    """near_ties as one array walk over the nodes, every partial corner at once."""
+    y, ends = level_sweep(tm, v, np.maximum)
+    nodes = tm.num_internal
+    shortfall = (y[:nodes] - ends).T
+    q = np.array([tm.q_lo, tm.q_hi]).T
+    index, total, reach = np.zeros(1, dtype=np.int64), np.zeros(1), np.ones((1, nodes))
+    for u, width in enumerate(((tm.q_lo != tm.q_hi) + 1).tolist()):
+        grown = (total[:, None] + reach[:, u, None] * shortfall[u, :width]).ravel()
+        kept = (grown <= tie_tol).nonzero()[0]
+        parent, choice = np.divmod(kept, width)
+        index = index[parent] * width + choice
+        total, reach = grown[kept], reach[parent]
+        if 2 * u + 1 < nodes:
+            p = q[u, choice]
+            reach[:, 2 * u + 1] = reach[:, u] * p
+            reach[:, 2 * u + 2] = reach[:, u] * (1.0 - p)
+    return tuple(index.tolist())
+
+
+class TestNodeWalk:
+    """The recursion and the near_ties walk run node by node over Python
+    floats; their level-wide array forms above are the reference, bit for bit."""
+
+    @pytest.mark.parametrize("make_tree", ORACLE_TREES)
+    def test_same_bits_as_the_array_forms(self, make_tree):
+        tm = make_tree()
+        free = tm.q_lo != tm.q_hi
+        bits = (1 << (np.cumsum(free[::-1])[::-1] - free)) * free
+        zeros = np.zeros(tm.num_leaves)
+        # at 1 + 1e-12 noise every corner ties within 1e-9 but not exactly
+        near = 1.0 + rng_from_seed(95).normal(size=tm.num_leaves) * 1e-12
+        for v in leaf_samples(tm, 94 + tm.depth) + [zeros, -zeros, near]:
+            for direction, pick in (("sup", np.maximum), ("inf", np.minimum)):
+                y, _ = level_sweep(tm, v, pick)
+                assert g_expectation(tm, v, direction).y.tobytes() == y.tobytes()
+            y, (a, b) = level_sweep(tm, v, np.maximum)
+            value, k = tm.support(v)
+            assert (value.hex(), k) == (float(y[0]).hex(), int((b > a) @ bits))
+            for tol in (0.0, 1e-9, 1e-3, 0.3, 10.0):
+                assert tm.near_ties(v, tol) == breadth_first_ties(tm, v, tol)
+
+
 class TestTreeOracle:
     """brute_force_mmse on a TreeModel against brute_force_mmse on its corner set."""
 

@@ -28,6 +28,9 @@ path, the set's `envelopes` query (tree_envelopes, _conditional_means and
 the recursivity grid's _upper_envelope are gone, checked with the helpers
 below).
 
+No module builds a tree's corner matrix: none calls tree_measure_set, which
+gexp keeps as the tests' reference, and Instance has no generators().
+
 The package exports what it computes with: `__all__` lists exactly the names
 `__init__` imports, and helpers that nothing used (truncate, block_project,
 reference_measure, density with AbsoluteContinuityError, Measure.mass,
@@ -45,6 +48,7 @@ import robustmse
 from robustmse.cli import build_parser
 from robustmse.estimator import ns_condition, optimality_ineq, solve_mmse, verify_saddle
 from robustmse.gexp import compare_gexp_mmse
+from robustmse.instances import Instance
 from robustmse.measures import Measure
 from robustmse.simplexlp import first_outside, hull_membership, solve_lp
 from robustmse.stability import KernelInterval, is_stable, kernel_interval, recursivity_check
@@ -291,6 +295,40 @@ def test_unused_helpers_are_gone(module, name):
 
 def test_measure_has_no_mass_method():
     assert not hasattr(Measure, "mass")
+
+
+def test_instance_has_no_generators_method():
+    # every command reads the set through Instance.measures(), or, for the
+    # filtration-only stability command, Instance.measure_set
+    assert not hasattr(Instance, "generators")
+
+
+def _calls_of(tree, name):
+    """Lines that call a function or method named name."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_builds_the_corner_matrix(path):
+    # a tree is solved, certified and queried on its TreeModel;
+    # tree_measure_set stays in gexp as the tests' reference
+    assert _calls_of(ast.parse(path.read_text()), "tree_measure_set") == []
+
+
+def test_the_check_sees_a_corner_matrix_build():
+    source = """
+from .gexp import tree_measure_set
+from . import gexp
+
+def generators(inst):
+    if inst.tree is not None:
+        return tree_measure_set(inst.tree)
+    return gexp.tree_measure_set(inst.tree), tree_measure_set
+"""
+    assert _calls_of(ast.parse(source), "tree_measure_set") == [7, 8]
 
 
 def test_kernel_interval_returns_the_band_alone():
