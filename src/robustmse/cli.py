@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import GuardRefusalError, NonconvergenceError, RobustMseError, ValidationError
-from .estimator import brute_force_mmse, kernel_member, ns_condition, solve_mmse, verify_saddle
+from .estimator import brute_force_mmse, certify, solve_mmse
 from .gexp import compare_gexp_mmse
 from .instances import (
     DEFAULT_LEVEL,
@@ -80,9 +80,7 @@ def cmd_solve(inst: Instance) -> tuple[dict, int]:
     payload = {"estimator": estimator_result_dict(res)}
     if not res.converged:
         return payload, EXIT_NONCONVERGENCE
-    cert = verify_saddle(ms, xi, algebra, res)
-    member = kernel_member(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam)
-    ns = ns_condition(ms, xi, algebra, res.eta_hat, witness=res.p_hat.lam)
+    cert, member, ns = certify(ms, xi, algebra, res)
     payload["saddle_certificate"] = cert._asdict()
     payload["kernel_member"] = member
     payload["ns_condition"] = dict(ns._asdict(), lower_bound=json_inf(ns.lower_bound))
@@ -264,9 +262,9 @@ def main(argv=None) -> int:
             digest = instance_digest(inst)
             payload, code = _COMMANDS[args.command](inst)
         text = dump_result(build_result(digest, args.command, payload, time.perf_counter() - start))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        if args.out:  # UTF-8 (ASCII, as JSON escapes the rest) with LF ends, in one write
+            with open(args.out, "wb") as fh:
+                fh.write(text.encode())
         else:
             sys.stdout.write(text)
     except GuardRefusalError as exc:

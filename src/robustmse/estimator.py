@@ -99,7 +99,10 @@ class _Pool:
     its rows of block masses and first moments E_g[xi 1_B], the queries it
     puts to the measure set (solve_mmse), and the counts of the solve's work
     (SolveTrace). Residuals are taken over the weight rows at xi - eta:
-    expanded second moments cancel once xi has a large offset."""
+    expanded second moments cancel once xi has a large offset.
+
+    weights, mass and first are the filled rows of buffers that double when
+    full, so adding a generator copies no earlier row."""
 
     def __init__(self, ms: MeasureSet | TreeModel, xi: RandomVariable, c: PartitionAlgebra):
         check_same_space(ms, xi, c)
@@ -109,8 +112,9 @@ class _Pool:
         self.reference_cond = c.block_sums(mean * self.x) / c.charged_masses(mean)
         self.ids: list[int] = []  # generator of each pooled row
         self._index: dict[int, int] = {}
-        self.weights = np.empty((0, len(self.x)))
-        self.mass = self.first = np.empty((0, c.num_blocks))
+        widths = (len(self.x), c.num_blocks, c.num_blocks)
+        self._buffers = tuple(np.empty((8, width)) for width in widths)
+        self.weights, self.mass, self.first = (b[:0] for b in self._buffers)
         self.counts = dict.fromkeys(SolveTrace._fields, 0)
 
     def add(self, k: int) -> int:
@@ -119,10 +123,12 @@ class _Pool:
         if row is None:
             row = self._index[k] = len(self.ids)
             self.ids.append(k)
-            w = self.rows([k])
-            self.weights = np.concatenate((self.weights, w))
-            self.mass = np.concatenate((self.mass, self.c.block_sums(w)))
-            self.first = np.concatenate((self.first, self.c.block_sums(w * self.x)))
+            if row == len(self._buffers[0]):
+                self._buffers = tuple(np.concatenate((b, np.empty_like(b))) for b in self._buffers)
+            weights, mass, first = self._buffers
+            weights[row] = w = self.rows([k])[0]
+            mass[row], first[row] = self.c.block_sums(np.array((w, w * self.x)))
+            self.weights, self.mass, self.first = (b[: row + 1] for b in self._buffers)
         return row
 
     def cond(self, mass: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -570,6 +576,13 @@ def verify_saddle(
     set, xi, c and eta_hat must share one space. Like solve_mmse, it refuses
     a non-measurable xi out of binary64's range (_refuse_out_of_range).
     """
+    charged, measurable = _audited(ms, xi, c, result)
+    return _saddle(ms, xi, c, result, charged, measurable)
+
+
+def _audited(ms, xi, c, result):
+    """verify_saddle's checks of its arguments; then the rows that the result's
+    P_hat charges (_charged_rows) and whether xi is C-measurable."""
     check_same_space(ms, xi, c, result.eta_hat)
     if result.p_hat is None:
         raise ArgumentError("result has no p_hat to audit; verify_saddle takes solve_mmse's")
@@ -579,6 +592,11 @@ def verify_saddle(
     measurable = is_measurable(xi, c)
     if not measurable:
         _refuse_out_of_range(xi)
+    return charged, measurable
+
+
+def _saddle(ms, xi, c, result, charged, measurable) -> Certificate:
+    """verify_saddle's certificate, from what _audited returns."""
     x = xi.values
     d = x - result.eta_hat.values
     sq = d * d
@@ -619,6 +637,16 @@ def _deviation(ms, xi, c, eta_tilde, name):
     return xi.values - eta_tilde.values, xi.bound or 1.0
 
 
+def _witness_test(c, charged, d, M):
+    """(u of the charged generators, whether their weights pass the hull
+    residual test on it: simplexlp.hull_witness), or (None, False) without
+    charged rows. kernel_member and ns_condition both accept a witness so."""
+    if charged is None:
+        return None, False
+    u = c.block_sums(charged[1] * d) / M
+    return u, hull_witness(charged[0], u)
+
+
 def kernel_member(
     ms: MeasureSet | TreeModel,
     xi: RandomVariable,
@@ -643,8 +671,12 @@ def kernel_member(
     the in-repo simplex with HULL_TOL as its phase-1 residual.
     """
     d, M = _deviation(ms, xi, c, eta_tilde, "eta_tilde")
-    charged = _charged_rows(ms, witness)
-    if charged is not None and hull_witness(charged[0], c.block_sums(charged[1] * d) / M):
+    return _kernel(ms, c, d, M, _witness_test(c, _charged_rows(ms, witness), d, M)[1])
+
+
+def _kernel(ms, c, d, M, fits) -> bool:
+    """kernel_member's verdict, given whether the witness passed _witness_test."""
+    if fits:
         return True
     every = ms.rows(np.arange(ms.num_generators()))
     member, _, _ = hull_membership(c.block_sums(every * d) / M, np.zeros(c.num_blocks))
@@ -696,6 +728,13 @@ def ns_condition(
     if not is_measurable(xi, c):
         _refuse_out_of_range(xi)
     d, M = _deviation(ms, xi, c, eta_hat, "eta_hat")
+    charged = _charged_rows(ms, witness)
+    return _ns(ms, xi, c, d, M, charged, *_witness_test(c, charged, d, M))
+
+
+def _ns(ms, xi, c, d, M, charged, u, fits) -> NsReport:
+    """ns_condition's report, from _deviation's d and M, the witness's charged
+    rows and their _witness_test."""
     f, e = math.frexp(M)  # M = f 2^e; below, values in units of 4^e
     tol = NS_TOL * f * f
     sq = np.square(np.ldexp(d, -e))
@@ -717,11 +756,9 @@ def ns_condition(
             lower_bound=math.ldexp(lower, 2 * e), rho_sq=rho_sq, holds=holds, active=len(active)
         )
 
-    charged = _charged_rows(ms, witness)
-    if charged is not None:
-        u = c.block_sums(charged[1] * d) / M
-        rep = hull_witness(charged[0], u) and report(*charged, u)
-        if rep and rep.holds:
+    if fits:
+        rep = report(*charged, u)
+        if rep.holds:
             return rep
     rows = ms.rows(active)
     u = c.block_sums(rows * d) / M
@@ -729,6 +766,25 @@ def ns_condition(
     if not member:
         return NsReport(lower_bound=-math.inf, rho_sq=rho_sq, holds=False, active=len(active))
     return report(mu, rows, u)
+
+
+def certify(
+    ms: MeasureSet | TreeModel,
+    xi: RandomVariable,
+    c: PartitionAlgebra,
+    result: EstimatorResult,
+) -> tuple[Certificate, bool, NsReport]:
+    """verify_saddle(result), then kernel_member and ns_condition at eta_hat
+    with P_hat as witness, in one pass and with the same bits: the rows P_hat
+    charges are read once, u and the witness test are formed once for both
+    hull checks, and xi's measurability and range are checked once. It
+    refuses what verify_saddle refuses, and a result whose eta_hat is not
+    C-measurable (an ArgumentError, as from the other two)."""
+    charged, measurable = _audited(ms, xi, c, result)
+    cert = _saddle(ms, xi, c, result, charged, measurable)
+    d, M = _deviation(ms, xi, c, result.eta_hat, "eta_hat")
+    u, fits = _witness_test(c, charged, d, M)
+    return cert, _kernel(ms, c, d, M, fits), _ns(ms, xi, c, d, M, charged, u, fits)
 
 
 class OptimalityEntry(NamedTuple):

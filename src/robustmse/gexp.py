@@ -51,6 +51,22 @@ def _paths(depth: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, moves
 
 
+# What the depth alone fixes is built once per depth, as _paths is: the
+# leaf-path labels and the level partitions are immutable, so every tree of
+# one depth shares them, and a request does not rebuild them.
+@cache
+def _space(depth: int) -> SampleSpace:
+    """The depth-`depth` leaf paths, "u" for an up move and "d" for a down one."""
+    paths = (format(leaf, f"0{depth}b") for leaf in range(2**depth))
+    return SampleSpace(tuple(p.replace("0", "u").replace("1", "d") for p in paths))
+
+
+@cache
+def _level_partition(depth: int, level: int) -> PartitionAlgebra:
+    size = 2 ** (depth - level)
+    return PartitionAlgebra(_space(depth), [range(b, b + size) for b in range(0, 2**depth, size)])
+
+
 class TreeModel(Immutable):
     """Non-recombining binary tree; nodes carry an up-move probability interval.
 
@@ -70,13 +86,12 @@ class TreeModel(Immutable):
             raise ArgumentError("tree depth must be at least 1")
         if not 0 < dt < math.inf:
             raise ArgumentError("dt must be positive and finite")
-        nodes = 2 ** depth - 1
-        q_lo = np.broadcast_to(np.asarray(q_lo, dtype=float), (nodes,)).copy()
-        q_hi = np.broadcast_to(np.asarray(q_hi, dtype=float), (nodes,)).copy()
+        bounds = np.empty((2, 2 ** depth - 1))  # q_lo and q_hi, each broadcast over the nodes
+        bounds[0], bounds[1] = np.asarray(q_lo, dtype=float), np.asarray(q_hi, dtype=float)
+        bounds.flags.writeable = False  # and so its rows
+        q_lo, q_hi = bounds
         if not ((0 < q_lo) & (q_lo <= q_hi) & (q_hi < 1)).all():  # also refuses NaN
             raise ArgumentError("need 0 < q_lo <= q_hi < 1 at every node")
-        q_lo.flags.writeable = False
-        q_hi.flags.writeable = False
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "q_lo", q_lo)
         object.__setattr__(self, "q_hi", q_hi)
@@ -102,29 +117,28 @@ class TreeModel(Immutable):
     def num_internal(self) -> int:
         return 2 ** self.depth - 1
 
-    @cached_property
+    @property
     def space(self) -> SampleSpace:
-        labels = []
-        for leaf in range(self.num_leaves):
-            bits = format(leaf, f"0{self.depth}b")
-            labels.append(bits.replace("0", "u").replace("1", "d"))
-        return SampleSpace(tuple(labels))
+        """The leaves labeled by their paths; one object per depth (_space)."""
+        return _space(self.depth)
 
     def level_partition(self, level: int) -> PartitionAlgebra:
         """Leaves grouped by their first `level` moves: in the heap order, runs
-        of 2^(depth - level) consecutive leaves."""
+        of 2^(depth - level) consecutive leaves. One object per depth and
+        level (_level_partition)."""
         if not 0 <= level <= self.depth:
             raise ArgumentError(f"level must lie in 0..{self.depth}")
-        size = 2 ** (self.depth - level)
-        runs = [range(b, b + size) for b in range(0, self.num_leaves, size)]
-        return PartitionAlgebra(self.space, runs)
+        return _level_partition(self.depth, level)
 
     # --- the corner set, queried without enumerating it -------------------
 
     @cached_property
     def _free_from(self) -> list[int]:
         """How many free nodes (q_lo < q_hi) have id u or more, u = 0 .. num_internal."""
-        return np.cumsum((self.q_lo != self.q_hi)[::-1])[::-1].tolist() + [0]
+        counts = [0]
+        for q_lo, _, q_hi, _ in reversed(self._nodes):
+            counts.append(counts[-1] + (q_lo != q_hi))
+        return counts[::-1]
 
     def num_generators(self) -> int:
         """The number of corners, the set's generators; GuardRefusalError,
@@ -152,8 +166,8 @@ class TreeModel(Immutable):
         """Along each path (_paths), shape (depth, 1, leaves): the index bit each
         node reads (0 if fixed), and the move's probability at q_lo and q_hi."""
         nodes, moves = _paths(self.depth)
-        free_from = np.array(self._free_from)
-        bits = (free_from[:-1] - free_from[1:]) << free_from[1:]
+        free_from = self._free_from
+        bits = np.array([(a - b) << b for a, b in zip(free_from, free_from[1:])])
         q = np.array([self.q_lo, self.q_hi])[:, nodes]
         tables = (bits[nodes][:, None], *np.where(moves, 1.0 - q, q)[:, :, None])
         for table in tables:
@@ -207,7 +221,12 @@ class TreeModel(Immutable):
         off the choices is the smallest maximizing index.
         """
         y, ends = self._sweep(v, max)
-        return y[0], sum((b > a) << bit for (a, b), bit in zip(ends, self._free_from[1:]))
+        return y[0], self._corner(ends)
+
+    def _corner(self, ends) -> int:
+        """The index of the corner taking q_hi exactly where a sup sweep's
+        endpoint values (a, b) have b > a."""
+        return sum((b > a) << bit for (a, b), bit in zip(ends, self._free_from[1:]))
 
     def near_ties(self, v, tie_tol: float) -> tuple[int, ...]:
         """Every corner c with max_c' E_c'[v] - E_c[v] <= tie_tol, in index order;
@@ -324,9 +343,13 @@ def g_expectation(tm: TreeModel, xi_leaf, direction: str = "sup") -> GExpResult:
     xi_leaf = _leaf_array(tm, xi_leaf)
     if direction not in ("sup", "inf"):
         raise ArgumentError("direction must be 'sup' or 'inf'")
-    y = np.array(tm._sweep(xi_leaf, max if direction == "sup" else min)[0])
-    z = (y[1::2] - y[2::2]) / (2.0 * math.sqrt(tm.dt))
-    return GExpResult(y=y, z=z)
+    return _recursion(tm, tm._sweep(xi_leaf, max if direction == "sup" else min)[0])
+
+
+def _recursion(tm: TreeModel, y) -> GExpResult:
+    """The GExpResult of a sweep's node values y."""
+    y = np.array(y)
+    return GExpResult(y=y, z=(y[1::2] - y[2::2]) / (2.0 * math.sqrt(tm.dt)))
 
 
 class GexpCompareReport(NamedTuple):
@@ -349,20 +372,20 @@ def compare_gexp_mmse(
     sup-norm difference and the full estimator result for auditing. The
     estimator is solve_mmse on the tree's corner set, which it queries
     through the tree's support oracle instead of a corner matrix, under the
-    solver's own constants (SADDLE_TOL, MAX_ADDITIONS). rho_root is E_c[xi]
-    at the corner c that TreeModel.support(xi) returns, read off that
-    corner's leaf law: it must equal the recursion's root, by a separate
-    computation.
+    solver's own constants (SADDLE_TOL, MAX_ADDITIONS). One sup sweep gives
+    the recursion and the corner c that TreeModel.support(xi) returns; rho_root
+    is E_c[xi], read off that corner's leaf law: it must equal the
+    recursion's root, by a separate computation.
     """
     if not 0 <= level < tm.depth:
         raise ArgumentError(f"comparison level must lie in 0..{tm.depth - 1}")
     xi = RandomVariable(tm.space, xi_leaf)
     part = tm.level_partition(level)
-    gres = g_expectation(tm, xi_leaf)
+    y, ends = tm._sweep(xi.values, max)
+    gres, best = _recursion(tm, y), tm._corner(ends)
     gexp_cond = part.broadcast(gres.level_values(level))
     est = solve_mmse(tm, xi, part)
     sup_diff = float(np.max(np.abs(gexp_cond.values - est.eta_hat.values)))
-    _, best = tm.support(xi.values)
     return GexpCompareReport(
         recursion=gres,
         gexp_cond=gexp_cond,

@@ -336,11 +336,16 @@ def _variable(space, values, path) -> RandomVariable:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError("$", f"invalid JSON: {exc}") from None
+    """The instance in the file at path: its bytes, decoded as UTF-8 (a byte
+    order mark is refused as invalid JSON, an invalid byte raises
+    UnicodeDecodeError), parsed as JSON. No newline is translated, so a
+    JSON error's position counts every character of the file, CRs included."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError("$", f"invalid JSON: {exc}") from None
     return parse_instance(doc)
 
 

@@ -725,6 +725,76 @@ class TestUnusablePaths:
         assert not out.parent.exists()
 
 
+class TestBytes:
+    """Instance files are read as bytes and decoded as UTF-8 once; result
+    files are written as bytes, UTF-8 (here ASCII) with one LF at the end."""
+
+    WALL = re.compile(rb'"wall_time_s":[^,}]+')
+
+    def result(self, tmp_path, text, name, command="solve"):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.encode("utf-8"))
+        out = tmp_path / f"{name}-out.json"
+        assert main([command, str(path), "--out", str(out)]) == 0
+        return self.WALL.sub(b"", out.read_bytes())
+
+    def test_crlf_line_ends_solve_as_lf(self, tmp_path):
+        lf = json.dumps(FOUR_POINT, indent=2)
+        assert "\n" in lf
+        for command in ("solve", "rho", "oracle"):
+            crlf = self.result(tmp_path, lf.replace("\n", "\r\n"), "crlf", command)
+            assert crlf == self.result(tmp_path, lf, "lf", command)
+
+    def test_non_ascii_labels(self, tmp_path):
+        labels = ["\u03c9\u2081", "caf\u00e9", "\u6a39", "\U0001f332"]
+        raw = json.dumps(dict(FOUR_POINT, omega=labels), ensure_ascii=False)
+        escaped = json.dumps(dict(FOUR_POINT, omega=labels))
+        assert escaped.isascii() and not raw.isascii()
+        got = self.result(tmp_path, raw, "raw")
+        assert got == self.result(tmp_path, escaped, "escaped")
+        assert got.isascii()
+        digest = instance_digest(parse_instance(json.loads(raw)))
+        assert f'"instance_digest":"{digest}"'.encode() in got
+
+    def test_byte_order_mark_refused(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(EXAMPLE).encode())
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "robustmse: invalid input: $: invalid JSON: Unexpected UTF-8 BOM "
+            "(decode using utf-8-sig): line 1 column 1 (char 0)\n"
+        )
+
+    def test_invalid_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(dict(EXAMPLE, omega=["caf\u00e9", "w2"]), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("robustmse: invalid input: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1 and not (tmp_path / "r.json").exists()
+
+    def test_json_error_position_counts_carriage_returns(self, tmp_path, capsys):
+        # the file's characters as they are: each CR of a CRLF counts
+        path = tmp_path / "cut.json"
+        path.write_bytes(b'{\r\n  "version": "1",\r\n  "omega": ["w1"\r\n')
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "robustmse: invalid input: $: invalid JSON: "
+            "Expecting ',' delimiter: line 4 column 1 (char 40)\n"
+        )
+
+    def test_result_ends_in_one_lf(self, example_file, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(TREE_2))
+        for args in (["solve", example_file], ["gexp", str(tree)], ["tcsearch", "--trials", "3"]):
+            out = tmp_path / "r.json"
+            assert main(args + ["--out", str(out)]) == 0
+            data = out.read_bytes()
+            assert data.endswith(b"}\n") and data.count(b"\n") == 1 and b"\r" not in data
+            assert data.isascii()
+
+
 class TestRhoCommand:
     def test_example(self, example_file, tmp_path):
         code, doc = run(["rho", example_file], tmp_path)

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from robustmse import (
     GuardRefusalError,
     PartitionAlgebra,
     RandomVariable,
+    SampleSpace,
     TreeModel,
     brute_force_mmse,
     compare_gexp_mmse,
@@ -148,6 +151,34 @@ class TestTreeModel:
                     groups.setdefault(leaf >> (depth - level), []).append(leaf)
                 expected = tuple(tuple(g) for g in groups.values())
                 assert tm.level_partition(level).blocks == expected, (depth, level)
+
+    def test_depth_fixed_structure_is_shared(self):
+        # the leaf space and the level partitions depend on the depth alone:
+        # trees of one depth share each as one object, equal to a fresh build
+        for depth in (1, 2, 3, 4):
+            a, b = TreeModel.drift_bound(depth), per_node_tree(depth, 90 + depth)
+            assert a.space is b.space
+            paths = [format(j, f"0{depth}b") for j in range(2**depth)]
+            labels = ["".join("ud"[int(bit)] for bit in path) for path in paths]
+            assert a.space == SampleSpace(labels)
+            for level in range(depth + 1):
+                part = a.level_partition(level)
+                assert part is b.level_partition(level)
+                size = 2 ** (depth - level)
+                runs = [range(j, j + size) for j in range(0, 2**depth, size)]
+                fresh = PartitionAlgebra(SampleSpace(labels), runs)
+                assert part == fresh and part.blocks == fresh.blocks
+                assert np.array_equal(part.labels, fresh.labels)
+                assert np.array_equal(part.first, fresh.first)
+
+    def test_shared_structure_survives_copies(self):
+        tm = per_node_tree(3, 93)
+        for twin in (pickle.loads(pickle.dumps(tm)), copy.deepcopy(tm)):
+            assert twin == tm and twin is not tm
+            assert twin.space is tm.space
+            assert all(twin.level_partition(lv) is tm.level_partition(lv) for lv in range(4))
+            v = np.arange(tm.num_leaves, dtype=float)
+            assert twin.support(v) == tm.support(v)
 
 
 class TestTreeMeasureSet:
@@ -655,6 +686,33 @@ class TestCompareAgainstCornerSet:
             assert rep.rho_root == pytest.approx(root, abs=1e-12 * np.max(np.abs(v)))
             differs += rep.rho_root != root
         assert differs > 0
+
+    def test_one_sweep_besides_the_solve(self, monkeypatch):
+        # the recursion, its root and the maximizing corner come from one sup
+        # sweep; every other sweep is the solver's own
+        rng = rng_from_seed(97)
+        cases = []
+        for tm in (TreeModel.drift_bound(3), per_node_tree(3, 210)):
+            v = rng.normal(size=tm.num_leaves)
+            rho_root = tm.rows([tm.support(v)[1]])[0] @ v
+            cases.append((tm, v, g_expectation(tm, v).y.tolist(), rho_root))
+        sweeps = []
+        sweep = TreeModel._sweep
+
+        def counted(tm, v, pick):
+            sweeps.append(pick)
+            return sweep(tm, v, pick)
+
+        monkeypatch.setattr(TreeModel, "_sweep", counted)
+        for tm, v, y, rho_root in cases:
+            for level in range(tm.depth):
+                sweeps.clear()
+                solve_mmse(tm, RandomVariable(tm.space, v), tm.level_partition(level))
+                alone = len(sweeps)
+                sweeps.clear()
+                rep = compare_gexp_mmse(tm, v, level)
+                assert len(sweeps) == alone + 1 and sweeps[0] is max
+                assert rep.recursion.y.tolist() == y and rep.rho_root == rho_root
 
     def test_traced_solve_is_the_estimators(self, monkeypatch):
         # gexp's solve goes through estimator.solve_mmse, by module attribute

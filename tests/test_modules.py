@@ -46,7 +46,7 @@ import pytest
 
 import robustmse
 from robustmse.cli import build_parser
-from robustmse.estimator import ns_condition, optimality_ineq, solve_mmse, verify_saddle
+from robustmse.estimator import certify, ns_condition, optimality_ineq, solve_mmse, verify_saddle
 from robustmse.gexp import compare_gexp_mmse
 from robustmse.instances import Instance
 from robustmse.measures import Measure
@@ -251,7 +251,8 @@ def test_value_verdicts_take_no_tolerance(fn):
 
 
 @pytest.mark.parametrize(
-    "fn", [solve_mmse, verify_saddle, ns_condition, compare_gexp_mmse], ids=lambda f: f.__name__
+    "fn", [solve_mmse, verify_saddle, ns_condition, certify, compare_gexp_mmse],
+    ids=lambda f: f.__name__,
 )
 def test_solver_and_certificates_take_no_settings(fn):
     assert not {"tol", "cfg"} & set(inspect.signature(fn).parameters)

@@ -8,15 +8,18 @@ reads the whole weight matrix, written below as the certificates were
 stated before: rho_sq within the rounding of a K-row maximum, the active
 count and all three verdicts exactly, on the acceptance sets, on tree corner
 sets at every level, and at xi + 1e4. A set that answers only the queries
-shows which rows each certificate asks for."""
+shows which rows each certificate asks for. `certify`, the one pass that
+`solve` runs, gives the three certificates' bits and reads those rows once."""
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from robustmse import (
     MeasureSet,
+    MixtureWeights,
     RandomVariable,
     TreeModel,
     kernel_member,
@@ -25,9 +28,12 @@ from robustmse import (
     tree_measure_set,
     verify_saddle,
 )
+from robustmse.cli import cmd_solve
 from robustmse.estimator import NS_TOL, SADDLE_TOL
+from robustmse.estimator import certify as certify_in_one_pass
+from robustmse.instances import Instance
 from robustmse.randgen import random_instance, rng_from_seed
-from robustmse.simplexlp import HULL_TOL, hull_membership
+from robustmse.simplexlp import HULL_TOL, hull_membership, hull_witness
 from robustmse.spaces import is_measurable
 
 EPS = np.finfo(float).eps
@@ -139,6 +145,12 @@ class QueriesOnly:
         self.asked.append(np.asarray(ks).tolist())
         return self.ms.rows(ks)
 
+    def mean_row(self):
+        return self.ms.mean_row()
+
+    def is_proper(self):
+        return self.ms.is_proper()
+
 
 def test_each_certificate_reads_the_witness_rows():
     checked = 0
@@ -199,3 +211,78 @@ def test_a_wrong_length_witness_is_no_witness():
     assert kernel_member(ms, xi, c, res.eta_hat, witness=short) == kernel_member(ms, xi, c, res.eta_hat)
     assert ns_condition(ms, xi, c, res.eta_hat, witness=short) == ns_condition(ms, xi, c, res.eta_hat)
     assert math.isfinite(ns_condition(ms, xi, c, res.eta_hat).rho_sq)
+
+
+def tree_cases():
+    """Drift-bound and per-node TreeModels of depths 2-4 at every level, with
+    dyadic leaf values."""
+    rng = rng_from_seed(4105)
+    out = []
+    for depth in (2, 3, 4):
+        nodes = 2**depth - 1
+        lo = rng.integers(1, 8, size=nodes) / 16
+        hi = lo + rng.integers(1, 8, size=nodes) / 16
+        for tm in (TreeModel.drift_bound(depth), TreeModel(depth, lo, hi)):
+            for level in range(depth + 1):
+                x = RandomVariable(tm.space, rng.integers(-32, 33, size=tm.num_leaves) / 16)
+                out.append((tm, x, tm.level_partition(level)))
+    return out
+
+
+def bits(report):
+    """A certificate's fields, each float by its bits."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in report)
+
+
+ONE_PASS = {"acceptance": acceptance_sets, "trees": tree_cases}
+
+
+@pytest.mark.parametrize("corpus", sorted(ONE_PASS))
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_one_pass_gives_the_three_certificates(corpus, offset):
+    # at P_hat, and at the uniform mixture, which the witness tests can fail,
+    # so that the LP fallbacks run too
+    fallbacks = 0
+    for ms, xi, c in ONE_PASS[corpus]():
+        xi = RandomVariable(xi.space, xi.values + offset)
+        res = solve_mmse(ms, xi, c)
+        if not res.converged:
+            continue
+        k = ms.num_generators()
+        for r in (res, res._replace(p_hat=MixtureWeights(np.full(k, 1.0 / k)))):
+            cert, member, ns = certify_in_one_pass(ms, xi, c, r)
+            witness = r.p_hat.lam
+            assert bits(cert) == bits(verify_saddle(ms, xi, c, r))
+            assert member is kernel_member(ms, xi, c, r.eta_hat, witness=witness)
+            assert bits(ns) == bits(ns_condition(ms, xi, c, r.eta_hat, witness=witness))
+            u = c.block_sums(ms.rows(np.arange(k)) * (xi.values - r.eta_hat.values))
+            fallbacks += not hull_witness(witness, u / (xi.bound or 1.0))
+    assert fallbacks > 0
+
+
+def solve_request(ms, xi, c):
+    """A solve request on ms, as cmd_solve takes it."""
+    return Instance(space=ms.space, measure_set=ms, xi=xi, partition=c, filtration=None,
+                    tree=None, options=MappingProxyType({}))
+
+
+@pytest.mark.parametrize("corpus", sorted(ONE_PASS))
+def test_solve_reads_the_charged_rows_once(corpus):
+    # beyond what the solve reads, cmd_solve asks `rows` once, for the
+    # generators P_hat charges: every corner at a tree's leaf level
+    cases = ONE_PASS[corpus]()
+    cases = cases[:40] if corpus == "acceptance" else cases
+    leaf_level = 0
+    for ms, xi, c in cases:
+        solving = QueriesOnly(ms)
+        res = solve_mmse(solving, xi, c)
+        if not res.converged:
+            continue
+        spy = QueriesOnly(ms)
+        _, code = cmd_solve(solve_request(spy, xi, c))
+        assert code == 0
+        assert spy.asked == solving.asked + [np.flatnonzero(res.p_hat.lam).tolist()]
+        if c.num_blocks == xi.space.n and xi.space.n == 16:
+            assert spy.asked == [list(range(ms.num_generators()))]
+            leaf_level += 1
+    assert leaf_level == (2 if corpus == "trees" else 0)
