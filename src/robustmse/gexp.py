@@ -87,7 +87,13 @@ class TreeModel(Immutable):
         if not 0 < dt < math.inf:
             raise ArgumentError("dt must be positive and finite")
         bounds = np.empty((2, 2 ** depth - 1))  # q_lo and q_hi, each broadcast over the nodes
-        bounds[0], bounds[1] = np.asarray(q_lo, dtype=float), np.asarray(q_hi, dtype=float)
+        for row, name, q in zip(bounds, ("q_lo", "q_hi"), (q_lo, q_hi)):
+            try:
+                row[...] = np.asarray(q, dtype=float)
+            except (TypeError, ValueError, OverflowError):  # not floats, or the wrong count
+                raise ArgumentError(
+                    f"{name} must be one number or {len(row)} numbers, one per internal node"
+                ) from None
         bounds.flags.writeable = False  # and so its rows
         q_lo, q_hi = bounds
         if not ((0 < q_lo) & (q_lo <= q_hi) & (q_hi < 1)).all():  # also refuses NaN
@@ -328,22 +334,15 @@ def _level(nodes: np.ndarray, level: int) -> np.ndarray:
     return nodes[2**level - 1 : 2 ** (level + 1) - 1]
 
 
-def _leaf_array(tm: TreeModel, xi_leaf) -> np.ndarray:
+def g_expectation(tm: TreeModel, xi_leaf) -> GExpResult:
+    """The sup recursion from the leaf values. The inf recursion is the tree's
+    lower envelope (TreeModel.envelopes), and it equals -g_expectation(tm, -xi_leaf)."""
     xi_leaf = np.asarray(xi_leaf, dtype=float)
     if xi_leaf.shape != (tm.num_leaves,):
         raise ArgumentError(f"expected {tm.num_leaves} leaf values")
     if not np.isfinite(xi_leaf).all():
         raise ArgumentError("leaf values must be finite")
-    return xi_leaf
-
-
-def g_expectation(tm: TreeModel, xi_leaf, direction: str = "sup") -> GExpResult:
-    """Backward recursion from the leaf values; direction "inf" flips the
-    endpoint selection (used for the negation identity)."""
-    xi_leaf = _leaf_array(tm, xi_leaf)
-    if direction not in ("sup", "inf"):
-        raise ArgumentError("direction must be 'sup' or 'inf'")
-    return _recursion(tm, tm._sweep(xi_leaf, max if direction == "sup" else min)[0])
+    return _recursion(tm, tm._sweep(xi_leaf, max)[0])
 
 
 def _recursion(tm: TreeModel, y) -> GExpResult:

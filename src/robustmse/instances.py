@@ -30,6 +30,7 @@ DIGEST_VERSION = "2"
 DEFAULT_LEVEL = 0  # the tree level a tree instance conditions on without options.level
 
 _KNOWN_OPTIONS = {"level"}
+_CHAINS = ("eta_fine", "eta_chain", "eta_direct")  # a tcsearch counterexample's estimators
 
 
 def _validate_options(options) -> MappingProxyType:
@@ -143,6 +144,8 @@ def parse_instance(doc: Any) -> Instance:
     )
 
     options = _validate_options(doc.get("options", {}))
+    only_filtration = "chains" not in doc or "filtration" in doc
+    _require(only_filtration, "chains", "only a filtration instance takes chains")
 
     if "tree" in doc:
         return _parse_tree_instance(doc, options)
@@ -187,6 +190,8 @@ def parse_instance(doc: Any) -> Instance:
             filtration = Filtration(levels)
         except ArgumentError as exc:  # a level that does not refine the one before
             raise ValidationError("filtration", str(exc)) from None
+        if "chains" in doc:
+            _check_chains(doc["chains"], space)
 
     return Instance(
         space=space,
@@ -197,6 +202,18 @@ def parse_instance(doc: Any) -> Instance:
         tree=None,
         options=options,
     )
+
+
+def _check_chains(chains, space) -> None:
+    """The three estimators that a tcsearch counterexample carries, each n
+    finite numbers; checked, not kept (the replay recomputes them)."""
+    _require(isinstance(chains, dict), "chains", "expected an object")
+    _require(set(chains) == set(_CHAINS), "chains", f"expected exactly the fields {list(_CHAINS)}")
+    for key in _CHAINS:
+        path = f"chains.{key}"
+        vals = _num_list(chains[key], path)
+        _require(len(vals) == space.n, path, f"expected {space.n} values, got {len(vals)}")
+        _variable(space, vals, path)
 
 
 def _generator_row(row, i, space) -> list[float]:

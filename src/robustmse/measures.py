@@ -147,17 +147,12 @@ class MeasureSet(Immutable):
         return bool(W[:, W.any(axis=0)].all())
 
     def envelopes(self, v, algebras) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per algebra, the smallest and the largest conditional mean of v on
-        each block over the generators that charge it, from one table each."""
-        means = (self.conditional_means(v, c) for c in algebras)
-        return [(np.fmin.reduce(m, axis=0), np.fmax.reduce(m, axis=0)) for m in means]
-
-    def conditional_means(self, v, c: PartitionAlgebra) -> np.ndarray:
-        """The (K, B) table of E_g[v | block] that envelopes reduce (a TreeModel
-        has none), one per row of a stack v of shape (..., n), at one table of
-        charged masses (PartitionAlgebra.conditional_means)."""
-        W = self.weights_matrix
-        return c.conditional_means(W, np.asarray(v)[..., None, :], c.charged_masses(W))
+        """Per algebra, the smallest and the largest conditional mean of v, or
+        of each row of a stack v (..., n), on each block over the generators
+        that charge it: one table of means per algebra, reduced over them."""
+        W, v = self.weights_matrix, np.asarray(v)[..., None, :]
+        means = (c.conditional_means(W, v, c.charged_masses(W)) for c in algebras)
+        return [(np.fmin.reduce(m, axis=-2), np.fmax.reduce(m, axis=-2)) for m in means]
 
 
 class MixtureWeights(Immutable):

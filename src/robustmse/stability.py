@@ -163,28 +163,25 @@ def recursivity_check(
         )
     check_same_space(ms, xi, f.levels[0])
     sigma, tau = f.levels[sigma_level], f.levels[tau_level]
-    lhs, rhs = _upper(ms, np.stack((xi.values, _upper(ms, xi.values, tau))), sigma)
+    ((_, upper),) = ms.envelopes(xi.values, [tau])
+    ((_, (lhs, rhs)),) = ms.envelopes(np.stack((xi.values, upper[tau.labels])), [sigma])
     return _recursivity(lhs, rhs, VALUE_TOL * xi.unit)
 
 
 def recursivity_grid(ms: MeasureSet, f: Filtration, xi: RandomVariable):
     """`recursivity_check` for every 0 <= sigma <= tau, keyed (sigma, tau) in
-    that order, bit for bit: each level's upper envelope of xi once, then at
-    each level sigma the rhs of every pair (sigma, tau) from one table of means."""
+    that order, bit for bit: xi's upper envelopes at every level from one
+    envelopes call, then at each sigma theirs at tau >= sigma from one more."""
     check_same_space(ms, xi, f.levels[0])
-    ups, bound = [_upper(ms, xi.values, level) for level in f.levels], VALUE_TOL * xi.unit
-    rhs = [_upper(ms, np.stack(ups[s:]), level) for s, level in enumerate(f.levels)]
-    return {(s, t): _recursivity(ups[s], rhs[s][t - s], bound)
-            for s in range(len(ups)) for t in range(s, len(ups))}
-
-
-def _upper(ms, values, level):
-    """Per row of values, its upper envelope at level, per point, from the set's means."""
-    return np.fmax.reduce(ms.conditional_means(values, level), axis=-2)[..., level.labels]
+    uppers = [upper for _, upper in ms.envelopes(xi.values, f.levels)]
+    on_points, bound = [u[c.labels] for u, c in zip(uppers, f.levels)], VALUE_TOL * xi.unit
+    rhs = [ms.envelopes(np.stack(on_points[s:]), [c])[0][1] for s, c in enumerate(f.levels)]
+    return {(s, t): _recursivity(uppers[s], rhs[s][t - s], bound)
+            for s in range(len(uppers)) for t in range(s, len(uppers))}
 
 
 def _recursivity(lhs, rhs, bound):
-    """The pair verdict on two per-point envelope arrays: equal within bound."""
+    """The pair verdict on two envelopes, per block of one level: equal within bound."""
     gap = float(np.abs(lhs - rhs).max())
     return RecursivityReport(equal=gap <= bound, max_abs_gap=gap)
 

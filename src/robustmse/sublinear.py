@@ -40,32 +40,31 @@ def rho(ms: MeasureSet | TreeModel, x: RandomVariable) -> RhoValue:
     return RhoValue(value, best, ms.near_ties(x.values, VALUE_TOL * x.unit))
 
 
-def ess_sup_conditional(ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra) -> RandomVariable:
-    """Blockwise max of conditional means over generators charging the block.
-
-    Equals the blockwise essential supremum over the full hull: on a block the
-    hull's conditional mean is a weighted average of generator conditionals, so
-    the extremes are attained at generators (zero-mass generators contribute
-    no conditional value there and are excluded exactly, not approximately).
-    """
-    check_same_space(ms, x, c)
-    return c.broadcast(np.fmax.reduce(ms.conditional_means(x.values, c), axis=0))
-
-
-def ess_inf_conditional(ms: MeasureSet, x: RandomVariable, c: PartitionAlgebra) -> RandomVariable:
-    """Mirror of ess_sup_conditional with min."""
-    check_same_space(ms, x, c)
-    return c.broadcast(np.fmin.reduce(ms.conditional_means(x.values, c), axis=0))
-
-
 def conditional_envelopes(
     ms: MeasureSet | TreeModel, x: RandomVariable, c: PartitionAlgebra
 ) -> tuple[RandomVariable, RandomVariable]:
     """(ess_inf_conditional, ess_sup_conditional) from the set's envelopes
-    query, which a TreeModel answers at its level partitions only."""
+    query, which a TreeModel answers at its level partitions only: per block,
+    the blockwise essential inf and sup over the full hull, since the hull's
+    conditional mean on a block is a weighted average of the conditional means
+    of the generators charging it (the others are excluded exactly)."""
     check_same_space(ms, x, c)
     ((lower, upper),) = ms.envelopes(x.values, [c])
     return c.broadcast(lower), c.broadcast(upper)
+
+
+def ess_sup_conditional(
+    ms: MeasureSet | TreeModel, x: RandomVariable, c: PartitionAlgebra
+) -> RandomVariable:
+    """The upper conditional envelope, blockwise max of the generators' conditional means."""
+    return conditional_envelopes(ms, x, c)[1]
+
+
+def ess_inf_conditional(
+    ms: MeasureSet | TreeModel, x: RandomVariable, c: PartitionAlgebra
+) -> RandomVariable:
+    """The lower conditional envelope, blockwise min of the generators' conditional means."""
+    return conditional_envelopes(ms, x, c)[0]
 
 
 def holder_bound(

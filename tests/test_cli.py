@@ -1600,3 +1600,69 @@ class TestValidationNamesTheField:
         assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err.startswith(f"robustmse: invalid input: {field}: ")
         assert not (tmp_path / "r.json").exists()
+
+
+@pytest.fixture(scope="module")
+def counterexample(tmp_path_factory):
+    """The counterexample of `tcsearch --seed 20250801 --trials 50`, chains included."""
+    out = tmp_path_factory.mktemp("tcsearch") / "hit.json"
+    assert main(["tcsearch", "--seed", "20250801", "--trials", "50", "--out", str(out)]) == 0
+    return json.loads(out.read_text())["result"]["counterexample"]
+
+
+def with_chains(doc, chains):
+    out = {k: v for k, v in doc.items() if k != "chains"}
+    return out if chains is None else dict(out, chains=chains)
+
+
+class TestChains:
+    """A counterexample's `chains` are checked on parse, never ignored: only a
+    filtration instance takes them, as an object of exactly eta_fine,
+    eta_chain and eta_direct, each n numbers. They are not part of the
+    instance, so they move no digest."""
+
+    def test_counterexample_parses_and_replays(self, counterexample, tmp_path):
+        inst = parse_instance(counterexample)
+        plain = parse_instance(with_chains(counterexample, None))
+        assert instance_digest(inst) == instance_digest(plain)
+        chain, direct, _ = replay_counterexample(inst.measure_set, inst.xi, inst.filtration)
+        assert chain.values.tolist() == counterexample["chains"]["eta_chain"]
+        assert direct.values.tolist() == counterexample["chains"]["eta_direct"]
+        path = tmp_path / "hit.json"
+        path.write_text(json.dumps(counterexample))
+        code, _ = run(["stability", str(path)], tmp_path)
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda c: dict(c, eta_chain=c["eta_chain"][:-1]), "chains.eta_chain"),
+            (lambda c: dict(c, eta_fine=c["eta_fine"] + [0.0]), "chains.eta_fine"),
+            (lambda c: dict(c, eta_direct=["x"] + c["eta_direct"][1:]), "chains.eta_direct[0]"),
+            (lambda c: dict(c, eta_direct=["nan"] + c["eta_direct"][1:]), "chains.eta_direct"),
+            (lambda c: dict(c, eta_fine=1.0), "chains.eta_fine"),
+            (lambda c: {k: v for k, v in c.items() if k != "eta_fine"}, "chains"),
+            (lambda c: dict(c, eta_extra=c["eta_fine"]), "chains"),
+            (lambda c: "garbage", "chains"),
+            (lambda c: [c["eta_fine"], c["eta_chain"], c["eta_direct"]], "chains"),
+        ],
+        ids=["chain-one-short", "fine-one-long", "a-string", "a-nan", "a-number",
+             "a-field-missing", "a-field-more", "a-string-object", "an-array"],
+    )
+    def test_bad_chains_exit_2_naming_the_entry(self, counterexample, tmp_path, capsys, edit,
+                                                field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(with_chains(counterexample, edit(counterexample["chains"]))))
+        assert main(["stability", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"robustmse: invalid input: {field}: ") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("doc", [EXAMPLE, TREE_2], ids=["partition", "tree"])
+    @pytest.mark.parametrize("chains", ["garbage", {"eta_fine": [1.0, 2.0]}])
+    def test_only_a_filtration_instance_takes_chains(self, doc, chains, tmp_path, capsys):
+        path = tmp_path / "chains.json"
+        path.write_text(json.dumps(dict(doc, chains=chains)))
+        assert main(["rho", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == "robustmse: invalid input: chains: only a filtration instance takes chains\n"

@@ -28,6 +28,13 @@ from robustmse import gexp
 from robustmse.randgen import rng_from_seed, random_variable
 
 
+def lower_recursion(tm, v):
+    """The inf recursion's value at every node, level by level: the tree's
+    lower envelope of v at each of its level partitions."""
+    levels = [tm.level_partition(level) for level in range(tm.depth + 1)]
+    return np.concatenate([lower for lower, _ in tm.envelopes(v, levels)])
+
+
 def reference_corners(tm):
     """Corner matrix built one corner at a time, in itertools.product order.
 
@@ -102,6 +109,19 @@ class TestTreeModel:
     def test_depth_positive(self):
         with pytest.raises(ArgumentError):
             TreeModel(0, 0.25, 0.75)
+
+    @pytest.mark.parametrize(
+        "q_lo, q_hi, name",
+        [
+            ([0.2, 0.3], 0.7, "q_lo"), ("a", 0.7, "q_lo"), ([0.2, "a", 0.2], 0.7, "q_lo"),
+            (0.2, [0.7] * 4, "q_hi"), (0.2, {"q": 0.7}, "q_hi"), (0.2, 10**400, "q_hi"),
+        ],
+        ids=["two-of-three", "a-string", "a-string-entry", "four-of-three", "an-object", "huge"],
+    )
+    def test_bounds_are_one_number_or_one_per_node(self, q_lo, q_hi, name):
+        # a library error that names the count, not numpy's bare ValueError
+        with pytest.raises(ArgumentError, match=rf"^{name} must be one number or 3 numbers"):
+            TreeModel(2, q_lo, q_hi)
 
     def test_interval_open(self):
         with pytest.raises(ArgumentError):
@@ -304,8 +324,7 @@ class TestGExpectation:
         rng = rng_from_seed(44)
         xi = rng.integers(-32, 33, size=4) / 16
         sup_of_neg = g_expectation(tm, -xi)
-        inf_of_pos = g_expectation(tm, xi, direction="inf")
-        assert sup_of_neg.y == pytest.approx(-inf_of_pos.y, abs=1e-14)
+        assert sup_of_neg.y == pytest.approx(-lower_recursion(tm, xi), abs=1e-14)
 
     def test_estimator_negation_is_symmetric(self):
         tm = TreeModel.drift_bound(2)
@@ -506,10 +525,10 @@ class TestNodeWalk:
         # at 1 + 1e-12 noise every corner ties within 1e-9 but not exactly
         near = 1.0 + rng_from_seed(95).normal(size=tm.num_leaves) * 1e-12
         for v in leaf_samples(tm, 94 + tm.depth) + [zeros, -zeros, near]:
-            for direction, pick in (("sup", np.maximum), ("inf", np.minimum)):
-                y, _ = level_sweep(tm, v, pick)
-                assert g_expectation(tm, v, direction).y.tobytes() == y.tobytes()
+            y, _ = level_sweep(tm, v, np.minimum)
+            assert lower_recursion(tm, v).tobytes() == y.tobytes()
             y, (a, b) = level_sweep(tm, v, np.maximum)
+            assert g_expectation(tm, v).y.tobytes() == y.tobytes()
             value, k = tm.support(v)
             assert (value.hex(), k) == (float(y[0]).hex(), int((b > a) @ bits))
             for tol in (0.0, 1e-9, 1e-3, 0.3, 10.0):
@@ -729,10 +748,6 @@ class TestCompareAgainstCornerSet:
 
 
 class TestArgumentsRefused:
-    def test_direction(self):
-        with pytest.raises(ArgumentError, match="direction"):
-            g_expectation(TreeModel.drift_bound(2), [1.0, 0.0, 0.0, 0.0], "max")
-
     def test_level_beyond_depth(self):
         with pytest.raises(ArgumentError, match=r"0\.\.2"):
             TreeModel.drift_bound(2).level_partition(3)

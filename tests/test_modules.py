@@ -24,9 +24,12 @@ read `weights_matrix` (the certificates read the witness's rows, and their
 hull_membership fallbacks every row, through `rows`), neither `estimator`
 nor `cli` branches on the kind of set (isinstance of MeasureSet or
 TreeModel), and `cmd_oracle` reads no `inst.tree`. The envelopes have one
-path, the set's `envelopes` query (tree_envelopes, _conditional_means and
-the recursivity grid's _upper_envelope are gone, checked with the helpers
-below).
+path, the set's `envelopes` query (tree_envelopes, _conditional_means, the
+recursivity grid's _upper_envelope and _upper are gone, checked with the
+helpers below): MeasureSet has no conditional_means, `sublinear` and
+`stability` name no conditional_means and call no np.fmax or np.fmin, and
+g_expectation takes (tm, xi_leaf) alone, as the inf recursion is the
+tree's lower envelope.
 
 No module builds a tree's corner matrix: none calls tree_measure_set, which
 gexp keeps as the tests' reference, and Instance has no generators().
@@ -47,9 +50,9 @@ import pytest
 import robustmse
 from robustmse.cli import build_parser
 from robustmse.estimator import certify, ns_condition, optimality_ineq, solve_mmse, verify_saddle
-from robustmse.gexp import compare_gexp_mmse
+from robustmse.gexp import compare_gexp_mmse, g_expectation
 from robustmse.instances import Instance
-from robustmse.measures import Measure
+from robustmse.measures import Measure, MeasureSet
 from robustmse.simplexlp import first_outside, hull_membership, solve_lp
 from robustmse.stability import KernelInterval, is_stable, kernel_interval, recursivity_check
 
@@ -282,7 +285,7 @@ def test_all_lists_exactly_the_imported_names():
         ("measures", "density"), ("errors", "AbsoluteContinuityError"),
         # the envelopes' other paths, replaced by the set's envelopes query
         ("gexp", "tree_envelopes"), ("sublinear", "_conditional_means"),
-        ("stability", "_upper_envelope"),
+        ("stability", "_upper_envelope"), ("stability", "_upper"),
         # properness is the set's query, MeasureSet.is_proper
         ("measures", "is_proper"),
         # the matrix passes of the certificates and of the generator parse
@@ -460,3 +463,99 @@ def cmd_gexp(inst):
     return inst.tree
 """
     assert _attribute_reads(ast.parse(source), "tree", "cmd_oracle") == [4]
+
+
+def _methods(tree, cls):
+    """The names of the functions defined in the body of the class named cls."""
+    return sorted(
+        f.name
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == cls
+        for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+    )
+
+
+def test_measure_set_has_no_conditional_means():
+    # its envelopes query forms each algebra's table of means and reduces it
+    path = Path(robustmse.__file__).parent / "measures.py"
+    assert "conditional_means" not in _methods(ast.parse(path.read_text()), "MeasureSet")
+    assert not hasattr(MeasureSet, "conditional_means")
+
+
+def test_the_check_sees_a_method():
+    source = """
+class MeasureSet(Immutable):
+    def envelopes(self, v, algebras):
+        return []
+
+    def conditional_means(self, v, c):
+        return c
+
+class Other:
+    def support(self, v):
+        return v
+"""
+    assert _methods(ast.parse(source), "MeasureSet") == ["conditional_means", "envelopes"]
+
+
+ENVELOPE_REDUCTIONS = {"conditional_means", "fmax", "fmin"}
+
+
+def _envelope_reductions(tree):
+    """(line, name) of each name, attribute or import named conditional_means,
+    fmax or fmin."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {(node.lineno, a.name) for a in node.names if a.name in ENVELOPE_REDUCTIONS}
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in ENVELOPE_REDUCTIONS:
+            found.add((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", ["sublinear", "stability"])
+def test_envelopes_are_reduced_in_the_query_alone(module):
+    # the essential sup and inf, the band and the recursivity grid read the
+    # set's envelopes; no table of conditional means is reduced outside it
+    path = Path(robustmse.__file__).parent / f"{module}.py"
+    assert _envelope_reductions(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_a_reduction_outside_the_query():
+    source = """
+from numpy import fmin
+
+def upper(ms, v, c):
+    return np.fmax.reduce(ms.conditional_means(v, c), axis=0)
+
+def lower(a, b):
+    return fmin(a, b)
+"""
+    assert _envelope_reductions(ast.parse(source)) == [
+        (2, "fmin"), (5, "conditional_means"), (5, "fmax"), (8, "fmin"),
+    ]
+
+
+def _parameters(tree, function):
+    """The parameter names of the top-level function named function, in order."""
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    a = node.args
+    params = (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+    return [p.arg for p in params if p is not None]
+
+
+def test_g_expectation_takes_no_direction():
+    # the inf recursion is the tree's lower envelope, and equals -g(-xi)
+    path = Path(robustmse.__file__).parent / "gexp.py"
+    assert _parameters(ast.parse(path.read_text()), "g_expectation") == ["tm", "xi_leaf"]
+    assert list(inspect.signature(g_expectation).parameters) == ["tm", "xi_leaf"]
+
+
+def test_the_check_sees_a_parameter():
+    source = """
+def g_expectation(tm, xi_leaf, direction="sup", *rest, pick=max, **more):
+    return tm
+"""
+    assert _parameters(ast.parse(source), "g_expectation") == [
+        "tm", "xi_leaf", "direction", "rest", "pick", "more",
+    ]

@@ -3,9 +3,10 @@
 rho, the envelopes, the dual solver, the ellipsoid oracle, penalized_value
 and minimax_gap read a set only through num_generators(), support(v),
 near_ties(v, tie_tol), rows(ks), mean_row(), envelopes(v, algebras) and
-is_proper(). Each kind of set answers them its own way: a MeasureSet from
-its weight matrix, a TreeModel by its recursions. Here every answer is
-checked against brute force over the set's own rows,
+is_proper(); ess_sup_conditional, ess_inf_conditional, conditional_envelopes
+and kernel_interval read envelopes alone. Each kind of set answers them its
+own way: a MeasureSet from its weight matrix, a TreeModel by its recursions.
+Here every answer is checked against brute force over the set's own rows,
 rows(range(num_generators())), which for a tree are its corner matrix bit
 for bit. A new kind of set joins by adding a factory to SETS.
 """
@@ -17,8 +18,13 @@ from robustmse import (
     ArgumentError,
     MeasureSet,
     PartitionAlgebra,
+    RandomVariable,
     SampleSpace,
     TreeModel,
+    conditional_envelopes,
+    ess_inf_conditional,
+    ess_sup_conditional,
+    kernel_interval,
 )
 from robustmse.randgen import random_instance, random_partition, rng_from_seed
 
@@ -128,6 +134,40 @@ def test_set_answers_its_queries_as_brute_force_over_its_rows(make_set):
             assert upper == pytest.approx(want_upper, abs=slack)
 
 
+@pytest.mark.parametrize("make_set", SETS)
+def test_envelope_readings_are_brute_force_over_its_rows(make_set):
+    # the essential sup and inf, the envelope pair and the kernel band all
+    # read the set's envelopes query, so they take either kind of set
+    s, algebras = make_set()
+    rows = s.rows(np.arange(s.num_generators()))
+    for v in probes(s.space.n, 7):
+        x = RandomVariable(s.space, v)
+        slack = 1e-12 * np.abs(v).max()
+        for c in algebras:
+            want_lower, want_upper = (c.broadcast(w).values for w in brute_envelopes(rows, v, c))
+            inf, sup = ess_inf_conditional(s, x, c), ess_sup_conditional(s, x, c)
+            assert inf.values == pytest.approx(want_lower, abs=slack)
+            assert sup.values == pytest.approx(want_upper, abs=slack)
+            assert conditional_envelopes(s, x, c) == (inf, sup)
+            assert tuple(kernel_interval(s, x, c)) == (inf, sup)
+
+
+@pytest.mark.parametrize("make_set", [p for p in SETS if not p.id.startswith("tree-")])
+def test_envelopes_of_a_stack_are_those_of_each_row(make_set):
+    s, algebras = make_set()
+    n = s.space.n
+    stack = np.array(probes(n, 11))
+    single = [s.envelopes(v, algebras) for v in stack]
+    for shape in ((len(stack), n), (len(stack), 1, n)):
+        stacked = s.envelopes(stack.reshape(shape), algebras)
+        for c, (lowers, uppers) in zip(algebras, stacked):
+            assert lowers.shape == uppers.shape == (*shape[:-1], c.num_blocks)
+        for i, envelopes in enumerate(single):
+            for (lower, upper), (lowers, uppers) in zip(envelopes, stacked):
+                assert lowers.reshape(len(stack), -1)[i].tobytes() == lower.tobytes()
+                assert uppers.reshape(len(stack), -1)[i].tobytes() == upper.tobytes()
+
+
 def brute_is_proper(rows):
     """Every generator charges every point that some generator charges."""
     K, n = rows.shape
@@ -161,3 +201,8 @@ def test_tree_refuses_envelopes_off_its_level_partitions(make_tree):
         c = PartitionAlgebra(tm.space, blocks)
         with pytest.raises(ArgumentError, match="level partitions"):
             tm.envelopes(v, [tm.level_partition(0), c])
+        x = RandomVariable(tm.space, v)
+        for reading in (ess_sup_conditional, ess_inf_conditional, conditional_envelopes,
+                        kernel_interval):
+            with pytest.raises(ArgumentError, match="level partitions"):
+                reading(tm, x, c)

@@ -33,7 +33,8 @@ from robustmse.stability import recursivity_grid
 
 def upper_one_at_a_time(ms, values, level):
     """The upper envelope of one value vector at level, per point."""
-    return np.fmax.reduce(ms.conditional_means(values, level), axis=0)[level.labels]
+    ((_, upper),) = ms.envelopes(values, [level])
+    return upper[level.labels]
 
 
 @pytest.fixture

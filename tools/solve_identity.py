@@ -23,8 +23,9 @@ Families:
   xi * 2^20, xi * 2^-20, xi + 1e4, xi * 1e6 and xi * 1e-6;
 - orders, cvar, zeros: the three families of sets that are not proper,
   which tests/test_not_proper.py reads from not_proper_corpus;
-- queries: support, near_ties, rows and mean_row of every tree above, on
-  the TreeModel and on its corner matrix;
+- queries: support, near_ties, rows, mean_row and the envelopes at every
+  level partition of every tree above, on the TreeModel and on its corner
+  matrix;
 - oracle: brute_force_mmse (the ellipsoid oracle) on every explicit-set
   instance of random, orders, cvar and zeros, keyed by that family and case.
 
@@ -206,8 +207,8 @@ def records():
     for name, tm, leaves in trees():
         ms = tree_measure_set(tm)
         xi = RandomVariable(tm.space, leaves)
-        for level in range(tm.depth + 1):
-            c = tm.level_partition(level)
+        levels = [tm.level_partition(level) for level in range(tm.depth + 1)]
+        for level, c in enumerate(levels):
             yield "trees", f"{name} level {level} tree", solve_record(tm, xi, c)
             yield "trees", f"{name} level {level} corners", solve_record(ms, xi, c)
         probes = {"xi": leaves, "xi^2": leaves * leaves, "zero": np.zeros(tm.num_leaves),
@@ -219,6 +220,8 @@ def records():
                 rec[f"support {label}"] = [top.hex(), k]
                 for tol in TIE_TOLS:
                     rec[f"near_ties {label} {tol!r}"] = list(s.near_ties(v, tol))
+                envelopes = s.envelopes(v, levels)
+                rec[f"envelopes {label}"] = [[_hex(lo), _hex(hi)] for lo, hi in envelopes]
             yield "queries", f"{name} {kind}", rec
     for family, case, (ms, xi, c) in explicit_instances():
         yield family, case, solve_record(ms, xi, c)
