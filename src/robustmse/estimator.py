@@ -19,6 +19,14 @@ zero. By Caratheodory the optimal mixture needs at most one generator more
 than there are blocks, and the P_hat returned for a non-measurable xi has no
 more (a measurable xi is its own estimator, with the uniform mixture).
 
+That dual ascent runs on a set whose generators couple its blocks (a
+MeasureSet). A set whose blocks do not interact solves them apart: the set
+query block_solve answers None or the blocks' solutions, and solve_mmse
+builds the same EstimatorResult from either. A TreeModel conditioned at a
+level is such a set (gexp.TreeModel.block_solve): its corners choose each
+block's subtree apart, so alpha is the sup recursion of the blocks' own
+minima, each a convex problem in one variable.
+
 The remaining operations certify or characterize a candidate estimator:
 saddle verification, kernel membership, the product-form optimality
 equation, and the penalized problem whose solution is the upper conditional
@@ -105,8 +113,6 @@ class _Pool:
     full, so adding a generator copies no earlier row."""
 
     def __init__(self, ms: MeasureSet | TreeModel, xi: RandomVariable, c: PartitionAlgebra):
-        check_same_space(ms, xi, c)
-        self.size = ms.num_generators()  # on a tree, the corner-count guard: p_hat is dense
         self.support, self.rows, mean = ms.support, ms.rows, ms.mean_row()
         self.xi, self.x, self.c = xi, xi.values, c
         self.reference_cond = c.block_sums(mean * self.x) / c.charged_masses(mean)
@@ -383,60 +389,66 @@ def solve_mmse(
     """Minimize the worst-case mean square error over C-measurable estimators.
 
     ms is a MeasureSet or a TreeModel, which stands for its corner set
-    (tree_measure_set) without enumerating it. The solver keeps a pool of the
-    generators it has added (weight row, block masses, first moments) and
-    asks the set, through the queries both kinds answer, only for
-    num_generators(), support(v) (the largest E_g[v] and the smallest
-    generator index reaching it), rows(ks), mean_row() (the row of the
-    uniform mixture of the generators) and is_proper() (if not, a warning
-    says eta_hat may be non-unique). Residuals come from the pooled rows at
-    xi - eta, so the estimator commutes with a shift:
-    eta_hat(xi + a) = eta_hat(xi) + a with the same alpha.
+    (tree_measure_set) without enumerating it. The set is asked, through the
+    queries both kinds answer, is_proper() (if not, a warning says eta_hat
+    may be non-unique), num_generators(), and, for a non-measurable xi,
+    block_solve(xi, c, p0, MAX_ADDITIONS), whose answer chooses the one
+    solver of that kind of set. A TreeModel, at its level partitions only,
+    answers with its blocks' solutions (TreeModel.block_solve); iterations
+    counts the corners it added (SolveTrace.additions, its other counts 0).
 
-    Maximize the dual phi by simplicial decomposition, starting from the
-    generator with the largest residual at init_weights, one nonnegative
-    weight per generator (per corner of a tree, whose rows it reads), or at
-    the uniform mixture by default, and read the estimator off the optimal
-    mixture as eta_hat = E_{P_hat}[xi | C]. Each iteration adds one
-    generator and re-solves on the hull of the active ones; MAX_ADDITIONS
-    caps these additions, and EstimatorResult.iterations counts them. The run
-    has converged when the saddle gap is at most SADDLE_TOL * (1 + alpha), the
-    same relative test verify_saddle applies, so the status does not depend
-    on the units of xi. Nonconvergence is reported as an explicit status
-    (converged=False, last iterate and gap retained), never as a silent best
-    effort. p_hat has one weight per generator (per corner for a tree).
-    EstimatorResult.trace counts the solve's work (SolveTrace). A
-    non-measurable xi whose squared residuals leave the normal range of
-    binary64 is refused (GuardRefusalError, _refuse_out_of_range).
+    A MeasureSet answers None, and the dual phi is maximized by simplicial
+    decomposition. The solver keeps a pool of the generators it has added
+    (weight row, block masses, first moments) and asks the set for support(v)
+    (the largest E_g[v] and the smallest generator index reaching it),
+    rows(ks) and mean_row() (the row of the uniform mixture of the
+    generators). Residuals come from the pooled rows at xi - eta, so the
+    estimator commutes with a shift: eta_hat(xi + a) = eta_hat(xi) + a with
+    the same alpha. It starts from the generator with the largest residual at
+    E_{p0}[xi | C] and reads the estimator off the optimal mixture as eta_hat
+    = E_{P_hat}[xi | C]. Each iteration adds one generator and re-solves on
+    the hull of the active ones; iterations counts these additions, and
+    EstimatorResult.trace the solve's work (SolveTrace).
+
+    p0 is the leaf law of init_weights, one nonnegative weight per generator
+    (per corner of a tree, whose rows it reads), or None: then the dual
+    starts at the uniform mixture's conditional mean, a tree's blocks at
+    their midpoints. MAX_ADDITIONS caps the additions on both paths. The
+    run has converged when the saddle gap alpha - phi is at most
+    SADDLE_TOL * (1 + alpha), the same relative test verify_saddle applies,
+    so the status does not depend on the units of xi. Nonconvergence is
+    reported as an explicit status (converged=False, last iterate and gap
+    retained), never as a silent best effort. p_hat has one weight per
+    generator (per corner for a tree). A non-measurable xi whose squared
+    residuals leave the normal range of binary64 is refused
+    (GuardRefusalError, _refuse_out_of_range).
     """
     warn: list[str] = []
     if not ms.is_proper():
         warn.append("measure set is not proper; solution may be non-unique")
-    pool = _Pool(ms, xi, c)
+    check_same_space(ms, xi, c)
+    size = ms.num_generators()  # on a tree, the corner-count guard: p_hat is dense
     if init_weights is not None:
         lam0 = np.asarray(init_weights, dtype=float)
-        if lam0.shape != (pool.size,) or not (np.all(lam0 >= 0) and 0 < lam0.sum() < math.inf):
+        if lam0.shape != (size,) or not (np.all(lam0 >= 0) and 0 < lam0.sum() < math.inf):
             raise ArgumentError("init_weights must be finite and nonnegative with positive sum")
 
     if is_measurable(xi, c):
         return EstimatorResult(
-            eta_hat=xi, p_hat=MixtureWeights(np.full(pool.size, 1.0 / pool.size)), alpha=0.0,
+            eta_hat=xi, p_hat=MixtureWeights(np.full(size, 1.0 / size)), alpha=0.0,
             saddle_gap=0.0, iterations=0, solver=SOLVER_SADDLE, warnings=tuple(warn),
             trace=SolveTrace(),
         )
     _refuse_out_of_range(xi)
+    p0 = None if init_weights is None else (lam0 / lam0.sum()) @ ms.rows(np.arange(size))
 
-    if init_weights is None:
-        eta0 = pool.reference_cond
+    solved = ms.block_solve(xi.values, c, p0, MAX_ADDITIONS)
+    if solved is None:
+        eta, alpha, phi, charged, counts = _dual_solve(ms, xi, c, p0)
     else:
-        p0 = (lam0 / lam0.sum()) @ ms.rows(np.arange(pool.size))
-        eta0 = pool.cond(c.block_sums(p0), c.block_sums(p0 * xi.values))
-
-    # P_hat charges every block of a proper set; on a set that is not, a
-    # block it leaves uncharged keeps reference_cond, one of the values that
-    # minimize there (eta_hat need not be unique)
-    s, w, eta, phi, alpha = _simplicial_decomposition(pool, eta0)
-    iters = pool.counts["additions"]
+        eta, alpha, phi, charged, additions = solved
+        counts = {"additions": additions}
+    iters = counts["additions"]
     # the mathematical gap is nonnegative; the dot product may round a hair
     # above the max when the residuals are all but equal
     gap = max(0.0, alpha - phi)
@@ -446,14 +458,31 @@ def solve_mmse(
             f"saddle iteration stopped at gap {gap:.3e} > tol {SADDLE_TOL:.1e} "
             f"after {iters} iterations"
         )
-    p_hat = np.zeros(pool.size)
-    p_hat[[pool.ids[i] for i in s]] = w
+    p_hat = np.zeros(size)
+    p_hat[list(charged)] = list(charged.values())
 
     return EstimatorResult(
         eta_hat=c.broadcast(eta), p_hat=MixtureWeights(p_hat), alpha=alpha, saddle_gap=gap,
         iterations=iters, solver=SOLVER_SADDLE, converged=converged, warnings=tuple(warn),
-        trace=SolveTrace(**pool.counts),
+        trace=SolveTrace(**counts),
     )
+
+
+def _dual_solve(ms, xi, c, p0):
+    """solve_mmse on a set whose generators couple its blocks: simplicial
+    decomposition from the generator with the largest residual at
+    E_{p0}[xi | C], or at the uniform mixture without p0. Returns (eta per
+    block, alpha, phi, {generator: weight} of P_hat, the SolveTrace counts)."""
+    pool = _Pool(ms, xi, c)
+    if p0 is None:
+        eta0 = pool.reference_cond
+    else:
+        eta0 = pool.cond(c.block_sums(p0), c.block_sums(p0 * xi.values))
+    # P_hat charges every block of a proper set; on a set that is not, a
+    # block it leaves uncharged keeps reference_cond, one of the values that
+    # minimize there (eta_hat need not be unique)
+    s, w, eta, phi, alpha = _simplicial_decomposition(pool, eta0)
+    return eta, alpha, phi, dict(zip([pool.ids[i] for i in s], w.tolist())), pool.counts
 
 
 MAX_BRUTE_BLOCKS = 16  # steps grow as B^2: 16 blocks take 3,000-5,500 (0.1 s at K = 300)

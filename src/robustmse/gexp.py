@@ -19,11 +19,18 @@ per query, and is_proper, which always holds; so rho, the envelopes, the
 estimator with its certificates, its oracle, penalized_value and minimax_gap
 take either kind of set and never enumerate the corners. tree_measure_set,
 which does, is the reference the tests compare with; no module calls it.
+
+The estimator is the one query a tree answers otherwise than its corner set
+would: block_solve, where a MeasureSet answers None. At a level partition
+the blocks' subtrees are chosen apart, so the minimum worst-case error is
+the sup recursion of each block's own minimum, a convex problem in one
+variable solved by cutting planes on Python floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -39,6 +46,7 @@ from .spaces import Immutable, PartitionAlgebra, RandomVariable, SampleSpace
 # list them all, and rows can read them all for kernel_member's LP fallback
 MAX_CORNER_ENTRIES = 2 ** 24
 DEFAULT_DT = 0.25  # a tree's time step when none is given
+_EPS = sys.float_info.epsilon  # of binary64
 
 
 @cache
@@ -203,13 +211,33 @@ class TreeModel(Immutable):
         """Per internal node, as Python floats: q_lo, 1 - q_lo, q_hi, 1 - q_hi."""
         return [(a, 1.0 - a, b, 1.0 - b) for a, b in zip(self.q_lo.tolist(), self.q_hi.tolist())]
 
+    def _leaves(self, v) -> list[float]:
+        """v as Python floats, one per leaf: the check of every query that
+        takes leaf values, which refuses any other shape (ArgumentError)."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.num_leaves,):
+            raise ArgumentError(
+                f"expected a vector of 2^{self.depth} = {self.num_leaves} leaf values, "
+                f"got shape {v.shape}"
+            )
+        return v.tolist()
+
+    def _level_of(self, c: PartitionAlgebra) -> int:
+        """The level whose partition c is (ArgumentError for any other partition):
+        level l puts leaf i in block i >> (depth - l)."""
+        level = c.num_blocks.bit_length() - 1
+        leaves = np.arange(self.num_leaves)
+        if level > self.depth or not np.array_equal(c.labels, leaves >> (self.depth - level)):
+            raise ArgumentError("a tree is conditioned at its level partitions only")
+        return level
+
     def _sweep(self, v, pick) -> tuple[list[float], list[tuple[float, float]]]:
         """Backward recursion on leaf values v: y at every node, and at each
         internal node the values (a, b) of its q_lo and q_hi endpoints over the
         children's y; y = pick(a, b), pick being max or min (a on a tie). Node
         by node over Python floats, which beats level-wide arrays to depth 5."""
         nodes = self._nodes
-        y = [0.0] * len(nodes) + np.asarray(v, dtype=float).tolist()
+        y = [0.0] * len(nodes) + self._leaves(v)
         ends = [(0.0, 0.0)] * len(nodes)
         for u in range(len(nodes) - 1, -1, -1):
             q, down, q_hi, down_hi = nodes[u]
@@ -282,13 +310,128 @@ class TreeModel(Immutable):
         """Per level partition (else ArgumentError), the smallest and largest
         conditional mean of v per block over the corners: one inf and one sup
         sweep, read at the blocks' nodes (a subtree's choices are its own)."""
-        levels = [c.num_blocks.bit_length() - 1 for c in algebras]
-        leaves = np.arange(self.num_leaves)  # level l puts leaf i in block i >> (depth - l)
-        if any(lv > self.depth or not np.array_equal(c.labels, leaves >> (self.depth - lv))
-               for c, lv in zip(algebras, levels)):
-            raise ArgumentError("a tree's envelopes are taken at its level partitions only")
+        levels = [self._level_of(c) for c in algebras]
         lower, upper = (np.array(self._sweep(v, pick)[0]) for pick in (min, max))
         return [(_level(lower, lv), _level(upper, lv)) for lv in levels]
+
+    def block_solve(self, x, c, p0, cap) -> tuple[list[float], float, float, dict[int, float], int]:
+        """The estimator at c, a level partition (else ArgumentError), block
+        by block; a MeasureSet answers None, as its generators couple its
+        blocks. Returns (eta per block, alpha, phi, {corner: weight} of P_hat,
+        corners added), from which solve_mmse builds its result.
+
+        The corners choose each block B's subtree apart from every other node
+        (the set is rectangular), so F(eta) is the sup recursion above the
+        level of f_B(eta_B) = max over B's subtree corners c of
+        E_c[(xi - eta_B)^2 | B] = (eta_B - m_c)^2 + v_c, with m_c and v_c
+        xi's conditional mean and variance under c. The recursion increases
+        in each f_B, so min F is the recursion of the blocks' own minima
+        (Epstein & Schneider 2003). Each f_B is minimized by cutting planes in
+        units centred on the block's midpoint: the model is the larger of two
+        parabolas, minimized at a vertex or where they cross (_master), and a
+        sweep there (_corner_sweep) gives f_B and the worst corner's parabola,
+        which replaces the old one not on the minimum's far side. The two
+        corners' mixture at the model's minimum has mean eta_B and variance
+        the model's value: an exact two-corner master (von Hohenbalken 1977).
+        A block stops when the sweep's corner is one of the two, or its value
+        is within the rounding of the model: both are sums of terms up to
+        4 R_B^2 (|d|, |e| <= R_B), formed in fewer than 8 (h + 2) rounded
+        steps over a subtree of height h, so they differ by less than
+        32 (h + 2) eps R_B^2. At most cap corners are added over all blocks.
+        A block's first point is E_{p0}[xi | B], or its midpoint without p0.
+
+        Above the level the recursion takes q_hi only where strictly better,
+        which fixes P_hat there, and phi is E_P_hat of the blocks' mixture
+        variances. Below, the blocks' mixtures are coupled comonotonically:
+        at t in [0, 1) block B takes its first corner where t < lam_B, which
+        gives at most one corner more than blocks.
+        """
+        level = self._level_of(c)
+        nodes, bit, x = self._nodes, self._free_from[1:], self._leaves(x)
+        height, first = self.depth - level, 2**level - 1
+        size = 2**height
+        p0 = None if p0 is None else p0.tolist()
+        d, eta, alphas, variances, picks, used = [], [], [], [], [], 0
+        for start in range(0, len(x), size):
+            block = x[start : start + size]
+            hi, lo = max(block), min(block)
+            half, centre = hi / 2.0 - lo / 2.0, lo / 2.0 + hi / 2.0
+            d += [v - centre for v in block]
+            e = 0.0 if p0 is None else (
+                sum(p * v for p, v in zip(p0[start : start + size], d[start:]))
+                / sum(p0[start : start + size]))
+            tol = 32 * (height + 2) * _EPS * half * half
+            node = first + start // size
+
+            def sweep(e):
+                f, m, k = _corner_sweep(nodes, bit, d, node, e)
+                return f, (m, f - (m - e) ** 2, k)  # the corner's parabola: m, v, index bits
+
+            lines = [sweep(e)[1]]
+            while True:
+                e, lam = _master(lines)
+                f, line = sweep(e)
+                model = max((e - m) ** 2 + v for m, v, _ in lines)
+                if f - model <= tol or line[2] in [k for *_, k in lines] or used == cap:
+                    break
+                used += 1
+                active = [old for old, w in zip(lines, (lam, 1.0 - lam)) if w > 0.0]
+                lines = [min(active) if line[0] > e else max(active), line]
+            (m1, v1, k1), (m2, v2, k2) = lines[0], lines[-1]
+            eta.append(centre + e)
+            alphas.append(f)
+            variances.append(lam * v1 + (1.0 - lam) * v2 + lam * (1.0 - lam) * (m1 - m2) ** 2)
+            picks.append((lam, k1, k2))
+        # the sup recursion above level l, and phi along its choices
+        y, phi, above = [0.0] * first + alphas, [0.0] * first + variances, 0
+        for u in range(first - 1, -1, -1):
+            q, down, q_hi, down_hi = nodes[u]
+            up_y, down_y = y[2 * u + 1], y[2 * u + 2]
+            y[u], b = q * up_y + down * down_y, q_hi * up_y + down_hi * down_y
+            if b > y[u]:
+                y[u], q, down, above = b, q_hi, down_hi, above | 1 << bit[u]
+            phi[u] = q * phi[2 * u + 1] + down * phi[2 * u + 2]
+        cuts = [0.0, *sorted({lam for lam, _, _ in picks if 0.0 < lam < 1.0}), 1.0]
+        mixture: dict[int, float] = {}
+        for t, t_next in zip(cuts, cuts[1:]):
+            k = above | sum(k1 if t < lam else k2 for lam, k1, k2 in picks)
+            mixture[k] = mixture.get(k, 0.0) + (t_next - t)
+        return eta, y[0], phi[0], mixture, used
+
+
+def _corner_sweep(nodes, bit, d, u, e) -> tuple[float, float, int]:
+    """At node u, over its subtree's corners c, the largest E_c[(d - e)^2 | u],
+    with that corner's E_c[d | u] and the index bits of its q_hi choices:
+    a recursion of its own, taking q_hi only where it is strictly better,
+    as TreeModel.support does. d holds the leaf values."""
+    if u >= len(nodes):
+        r = d[u - len(nodes)] - e
+        return r * r, d[u - len(nodes)], 0
+    f_up, m_up, k_up = _corner_sweep(nodes, bit, d, 2 * u + 1, e)
+    f_down, m_down, k_down = _corner_sweep(nodes, bit, d, 2 * u + 2, e)
+    q, down, q_hi, down_hi = nodes[u]
+    a, b = q * f_up + down * f_down, q_hi * f_up + down_hi * f_down
+    if b > a:
+        return b, q_hi * m_up + down_hi * m_down, k_up | k_down | 1 << bit[u]
+    return a, q * m_up + down * m_down, k_up | k_down
+
+
+def _master(lines) -> tuple[float, float]:
+    """The minimizer e of max_i (e - m_i)^2 + v_i over one or two lines (m, v,
+    bits), and the weight lam of the first at e (1 - lam of the second).
+    With D(e) the first less the second, D(m1) = dv - dm and D(m2) = dv + dm
+    (dv = v1 - v2, dm = (m1 - m2)^2): the first's vertex if D(m1) >= 0, the
+    second's if D(m2) <= 0, else the crossing, where lam = D(m2) / (D(m2) -
+    D(m1)) puts the mixture's mean at e. Parallel lines (m1 == m2) have
+    D(m1) == D(m2), so they never cross."""
+    (m1, v1, _), (m2, v2, _) = lines[0], lines[-1]
+    dv, dm = v1 - v2, (m1 - m2) ** 2
+    if dv >= dm:  # one line gives dv == dm == 0
+        return m1, 1.0
+    if dv <= -dm:
+        return m2, 0.0
+    lam = (dv + dm) / (2.0 * dm)
+    return m2 + lam * (m1 - m2), lam
 
 
 def tree_measure_set(tm: TreeModel) -> MeasureSet:
@@ -369,9 +512,10 @@ def compare_gexp_mmse(
 
     The two disagree in general; the report carries the recursion, the
     sup-norm difference and the full estimator result for auditing. The
-    estimator is solve_mmse on the tree's corner set, which it queries
-    through the tree's support oracle instead of a corner matrix, under the
-    solver's own constants (SADDLE_TOL, MAX_ADDITIONS). One sup sweep gives
+    estimator is solve_mmse on the tree, which solves it block by block
+    (TreeModel.block_solve: at the level, each block's one-variable minimax,
+    composed by the same sup recursion) instead of on a corner matrix, under
+    the solver's own constants (SADDLE_TOL, MAX_ADDITIONS). One sup sweep gives
     the recursion and the corner c that TreeModel.support(xi) returns; rho_root
     is E_c[xi], read off that corner's leaf law: it must equal the
     recursion's root, by a separate computation.

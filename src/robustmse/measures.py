@@ -141,10 +141,21 @@ class MeasureSet(Immutable):
 
         On a finite hull this is mutual equivalence of all elements with the
         reference measure: no generator may kill a point another one charges.
+        Weights are nonnegative, so that holds when every column whose least
+        weight is 0 is 0 throughout: one reduction over the matrix, and a copy
+        of those columns alone. The verdict is computed once per set.
         """
-        # weights are nonnegative: nonzero means positive
+        return self._proper
+
+    @cached_property
+    def _proper(self) -> bool:
         W = self.weights_matrix
-        return bool(W[:, W.any(axis=0)].all())
+        return not W[:, W.min(axis=0) == 0.0].any()
+
+    def block_solve(self, x, c, p0, cap) -> None:
+        """None: the generators couple the blocks, so solve_mmse runs its dual
+        ascent (TreeModel.block_solve answers with the blocks' solutions)."""
+        return None
 
     def envelopes(self, v, algebras) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per algebra, the smallest and the largest conditional mean of v, or

@@ -884,16 +884,20 @@ def test_face_ascent_drops_residue_weight():
     assert phi(s_out, w_out) > phi(s, w) + 1e-10
 
 
-# Two tree solves that a stop rule of an exactly closed gap sends into line
-# searches of 30 halvings (90 and 93 evaluations of phi); with the gap closed
-# at the rounding of phi, every step takes its first evaluation. The third
-# reaches a face where a just-added generator at weight 0 blocks the Newton
-# step, and it leaves without a line search (stuck_drops). Whether a solve
+# Two solves of a tree's corner set that a stop rule of an exactly closed
+# gap sends into line searches of 30 halvings (90 and 93 evaluations of
+# phi); with the gap closed at the rounding of phi, every step takes its
+# first evaluation. The third reaches a face where a just-added generator
+# at weight 0 blocks the Newton step, and it leaves without a line search
+# (stuck_drops). Whether a solve
 # takes a branch turns on the last bits of its sums, so these inputs, and
 # those of EXPLICIT_REPRODUCERS, are found anew when the summation order
 # changes; they were chosen to give the same trace and alpha under
 # OPENBLAS_CORETYPE=Prescott as on the default kernel. Each entry pins the
-# trace and alpha, a hex float, on both paths.
+# trace and alpha, a hex float, of the dual solve on the corner set, then
+# those of the block solve on the TreeModel (TreeModel.block_solve), which
+# counts only the corners it adds and runs on Python floats, so its bits are
+# the same on every kernel.
 REPRODUCERS = {
     "per-node depth 3": (
         TreeModel(
@@ -905,6 +909,8 @@ REPRODUCERS = {
         2,
         SolveTrace(additions=5, newton_steps=18, line_evals=18),
         "0x1.1ba6000000001p+0",
+        SolveTrace(additions=4),
+        "0x1.1ba6000000000p+0",
     ),
     "drift-bound depth 2": (
         TreeModel.drift_bound(2),
@@ -912,6 +918,8 @@ REPRODUCERS = {
         0,
         SolveTrace(additions=1, newton_steps=2, line_evals=2),
         "0x1.32ab5f34e47efp+0",
+        SolveTrace(additions=1),
+        "0x1.32ab5f34e47f0p+0",
     ),
     "blocked at weight 0": (
         TreeModel.drift_bound(3),
@@ -919,6 +927,8 @@ REPRODUCERS = {
         1,
         SolveTrace(additions=5, newton_steps=13, line_evals=13, stuck_drops=1),
         "0x1.7683f3958ef4ap+0",
+        SolveTrace(additions=3),
+        "0x1.7683f3958ef44p+0",
     ),
 }
 
@@ -964,7 +974,8 @@ class TestSolveTrace:
     @pytest.mark.parametrize("name", list(REPRODUCERS))
     @pytest.mark.parametrize("path", ["tree", "corner set"])
     def test_reproducer_counts(self, name, path):
-        tm, leaves, level, want, alpha = REPRODUCERS[name]
+        tm, leaves, level, *pins = REPRODUCERS[name]
+        want, alpha = pins[2:] if path == "tree" else pins[:2]
         xi, c = RandomVariable(tm.space, leaves), tm.level_partition(level)
         ms = tree_measure_set(tm)
         res = solve_mmse(tm if path == "tree" else ms, xi, c)

@@ -72,6 +72,18 @@ def test_every_solve_is_right_or_says_it_stopped(family):
     assert outcomes["converged"] >= CONVERGED_AT_LEAST[family], (family, outcomes)
 
 
+@pytest.mark.parametrize("family", list(SIZES))
+def test_properness_as_the_matrix_copy_gave_it(family):
+    # is_proper reads the columns' least weights; the rule it replaced copied the
+    # charged columns and asked that every entry there be positive
+    verdicts = set()
+    for ms, _, _ in corpus(family):
+        W = ms.weights_matrix
+        verdicts.add(ms.is_proper())
+        assert ms.is_proper() is bool(W[:, W.any(axis=0)].all())
+    assert False in verdicts
+
+
 def test_reproducer_through_the_cli(tmp_path):
     doc = {
         "version": "1",

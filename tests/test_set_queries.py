@@ -2,10 +2,12 @@
 
 rho, the envelopes, the dual solver, the ellipsoid oracle, penalized_value
 and minimax_gap read a set only through num_generators(), support(v),
-near_ties(v, tie_tol), rows(ks), mean_row(), envelopes(v, algebras) and
-is_proper(); ess_sup_conditional, ess_inf_conditional, conditional_envelopes
-and kernel_interval read envelopes alone. Each kind of set answers them its
-own way: a MeasureSet from its weight matrix, a TreeModel by its recursions.
+near_ties(v, tie_tol), rows(ks), mean_row(), envelopes(v, algebras),
+is_proper() and block_solve(v, c, p0, cap), whose answer (None, or the
+blocks' solutions) chooses the solver; ess_sup_conditional,
+ess_inf_conditional, conditional_envelopes and kernel_interval read
+envelopes alone. Each kind of set answers them its own way: a MeasureSet
+from its weight matrix, a TreeModel by its recursions.
 Here every answer is checked against brute force over the set's own rows,
 rows(range(num_generators())), which for a tree are its corner matrix bit
 for bit. A new kind of set joins by adding a factory to SETS.
@@ -166,6 +168,35 @@ def test_envelopes_of_a_stack_are_those_of_each_row(make_set):
             for (lower, upper), (lowers, uppers) in zip(envelopes, stacked):
                 assert lowers.reshape(len(stack), -1)[i].tobytes() == lower.tobytes()
                 assert uppers.reshape(len(stack), -1)[i].tobytes() == upper.tobytes()
+
+
+@pytest.mark.parametrize("make_set", SETS)
+def test_set_answers_block_solve_as_brute_force_over_its_rows(make_set):
+    # a tree solves at each level partition block by block, and its answer
+    # holds over its own rows: alpha is the largest E_g[(v - eta)^2], and the
+    # mixture, on at most one generator more than blocks, has conditional
+    # means eta and phi as its blocks' variance. A set whose generators
+    # couple its blocks answers None
+    s, algebras = make_set()
+    rows = s.rows(np.arange(s.num_generators()))
+    for v in probes(s.space.n, 13):
+        R = RandomVariable(s.space, v).unit
+        for c in algebras:
+            got = s.block_solve(v, c, None, 10_000)
+            if not isinstance(s, TreeModel):
+                assert got is None
+                continue
+            eta, alpha, phi, mixture, _ = got
+            d = v - np.asarray(eta)[c.labels]
+            assert alpha == pytest.approx(np.max(rows @ (d * d)), abs=1e-12 * R * R)
+            assert len(mixture) <= c.num_blocks + 1
+            lam = np.zeros(len(rows))
+            lam[list(mixture)] = list(mixture.values())
+            assert lam.sum() == pytest.approx(1.0, abs=1e-15)
+            p = lam @ rows
+            off = c.block_sums(p * d) / c.block_sums(p)
+            assert np.all(np.abs(off) <= 1e-12 * R + np.spacing(np.abs(eta)))
+            assert phi == pytest.approx(p @ (d * d), abs=1e-12 * R * R)
 
 
 def brute_is_proper(rows):
