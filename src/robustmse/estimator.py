@@ -38,18 +38,15 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ArgumentError, GuardRefusalError, PropernessError
-from .measures import Measure, MeasureSet, MixtureWeights
+from .measures import Measure, MixtureWeights, SetQueries
 from .simplexlp import hull_membership, hull_witness
 from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space, is_measurable
 from .sublinear import conditional_envelopes, rho
-
-if TYPE_CHECKING:
-    from .gexp import TreeModel
 
 SOLVER_SADDLE = "saddle_iteration"
 SOLVER_BRUTE = "brute_force"
@@ -112,7 +109,7 @@ class _Pool:
     weights, mass and first are the filled rows of buffers that double when
     full, so adding a generator copies no earlier row."""
 
-    def __init__(self, ms: MeasureSet | TreeModel, xi: RandomVariable, c: PartitionAlgebra):
+    def __init__(self, ms: SetQueries, xi: RandomVariable, c: PartitionAlgebra):
         self.support, self.rows, mean = ms.support, ms.rows, ms.mean_row()
         self.xi, self.x, self.c = xi, xi.values, c
         self.reference_cond = c.block_sums(mean * self.x) / c.charged_masses(mean)
@@ -381,34 +378,30 @@ def _refuse_out_of_range(xi: RandomVariable) -> None:
 
 
 def solve_mmse(
-    ms: MeasureSet | TreeModel,
+    ms: SetQueries,
     xi: RandomVariable,
     c: PartitionAlgebra,
     init_weights=None,
 ) -> EstimatorResult:
     """Minimize the worst-case mean square error over C-measurable estimators.
 
-    ms is a MeasureSet or a TreeModel, which stands for its corner set
-    (tree_measure_set) without enumerating it. The set is asked, through the
-    queries both kinds answer, is_proper() (if not, a warning says eta_hat
-    may be non-unique), num_generators(), and, for a non-measurable xi,
-    block_solve(xi, c, p0, MAX_ADDITIONS), whose answer chooses the one
-    solver of that kind of set. A TreeModel, at its level partitions only,
-    answers with its blocks' solutions (TreeModel.block_solve); iterations
-    counts the corners it added (SolveTrace.additions, its other counts 0).
+    ms is read through its queries (SetQueries). If not is_proper(), a
+    warning says eta_hat may be non-unique. For a non-measurable xi the
+    answer of block_solve(xi, c, p0, MAX_ADDITIONS) chooses the solver. A
+    TreeModel, at its level partitions only, answers with its blocks'
+    solutions; iterations counts the corners it added
+    (SolveTrace.additions, its other counts 0).
 
-    A MeasureSet answers None, and the dual phi is maximized by simplicial
-    decomposition. The solver keeps a pool of the generators it has added
-    (weight row, block masses, first moments) and asks the set for support(v)
-    (the largest E_g[v] and the smallest generator index reaching it),
-    rows(ks) and mean_row() (the row of the uniform mixture of the
-    generators). Residuals come from the pooled rows at xi - eta, so the
-    estimator commutes with a shift: eta_hat(xi + a) = eta_hat(xi) + a with
-    the same alpha. It starts from the generator with the largest residual at
-    E_{p0}[xi | C] and reads the estimator off the optimal mixture as eta_hat
-    = E_{P_hat}[xi | C]. Each iteration adds one generator and re-solves on
-    the hull of the active ones; iterations counts these additions, and
-    EstimatorResult.trace the solve's work (SolveTrace).
+    A set that answers None, such as a MeasureSet, has its dual phi
+    maximized by simplicial decomposition over a pool of the generators
+    added (weight row, block masses, first moments). Residuals come from the
+    pooled rows at xi - eta, so the estimator commutes with a shift:
+    eta_hat(xi + a) = eta_hat(xi) + a with the same alpha. It starts from
+    the generator with the largest residual at E_{p0}[xi | C] and reads the
+    estimator off the optimal mixture as eta_hat = E_{P_hat}[xi | C]. Each
+    iteration adds one generator and re-solves on the hull of the active
+    ones; iterations counts these additions, and EstimatorResult.trace the
+    solve's work (SolveTrace).
 
     p0 is the leaf law of init_weights, one nonnegative weight per generator
     (per corner of a tree, whose rows it reads), or None: then the dual
@@ -491,7 +484,7 @@ _ELLIPSOID_TOL = 1e-13  # certified suboptimality, relative to R^2 (half the ran
 
 
 def brute_force_mmse(
-    ms: MeasureSet | TreeModel,
+    ms: SetQueries,
     xi: RandomVariable,
     c: PartitionAlgebra,
 ) -> EstimatorResult:
@@ -516,8 +509,6 @@ def brute_force_mmse(
     is capped at 1/2: a shallower cut still keeps the minimizer. The run has
     converged exactly when saddle_gap, that certified gap, is at most
     1e-13 * R^2; iterations counts the cuts, at most MAX_ELLIPSOID_STEPS.
-    The set is read through its queries alone (support, rows, envelopes),
-    so ms may be a TreeModel, conditioned at one of its level partitions.
 
     The run is in units of 2^e, R = f 2^e with 1/2 <= f < 1 (math.frexp):
     on (xi - m) 2^-e, where g'P g, of order R^4, neither underflows nor
@@ -586,7 +577,7 @@ def brute_force_mmse(
 
 
 def verify_saddle(
-    ms: MeasureSet | TreeModel,
+    ms: SetQueries,
     xi: RandomVariable,
     c: PartitionAlgebra,
     result: EstimatorResult,
@@ -677,7 +668,7 @@ def _witness_test(c, charged, d, M):
 
 
 def kernel_member(
-    ms: MeasureSet | TreeModel,
+    ms: SetQueries,
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta_tilde: RandomVariable,
@@ -720,7 +711,7 @@ class NsReport(NamedTuple):
 
 
 def ns_condition(
-    ms: MeasureSet | TreeModel,
+    ms: SetQueries,
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta_hat: RandomVariable,
@@ -738,7 +729,7 @@ def ns_condition(
     holds when the certified lower bound is within NS_TOL * M^2 of rho_sq
     (NS_TOL = 1e-6, a constant of this module). The box needs no normal-cone
     term: where eta_hat touches +-M, |xi| <= M makes every u_k one-signed on
-    that block. rho_sq and the active set are support and near_ties of d^2.
+    that block. rho_sq and the active set come from extremes of d^2.
 
     witness, optional, is a mixture lam over all the generators, such as the
     solver's P_hat. The bound holds for any simplex weights, so when lam
@@ -750,7 +741,7 @@ def ns_condition(
     The threshold and the bound are formed in units of 4^e, M = f 2^e
     (math.frexp), as M^2 overflows from M = 1.34e154 while R^2 need not; the
     bits are those in the units of xi wherever M^2 and the products are
-    normal. Where a term of the bound (any a_k, by support(+-d xi), or the
+    normal. Where a term of the bound (any a_k, by extremes of d xi, or the
     bound itself) lies outside binary64's range in the units of xi, as at an
     offset of 1e160 on an R of 1.5e150, it is refused (GuardRefusalError).
     """
@@ -767,15 +758,16 @@ def _ns(ms, xi, c, d, M, charged, u, fits) -> NsReport:
     f, e = math.frexp(M)  # M = f 2^e; below, values in units of 4^e
     tol = NS_TOL * f * f
     sq = np.square(np.ldexp(d, -e))
-    rho_unit = ms.support(sq)[0]
+    rho_unit, _, active, _ = ms.extremes(sq, tol)
     rho_sq = math.ldexp(rho_unit, 2 * e)
-    active = list(ms.near_ties(sq, tol))
     dx = np.ldexp(d, -e) * np.ldexp(xi.values, -e)
+    # the largest and the least a_k, from one product
+    a_top, _, _, a_bottom = ms.extremes(dx, -math.inf)
 
     def report(mu, rows, u):
         # mu @ a - M^2 |mu @ u|_1 in units of 4^e, with u in units of M
         lower = float(mu @ (rows @ dx) - f * f * np.abs(mu @ u).sum())
-        top = max(ms.support(dx)[0], ms.support(-dx)[0], abs(lower))  # max_k |a_k|, |lower|
+        top = max(a_top, -a_bottom, abs(lower))  # max_k |a_k|, |lower|
         if top > 0.0 and math.frexp(top)[1] + 2 * e > sys.float_info.max_exp:
             raise GuardRefusalError(
                 f"xi has max|xi| = {xi.bound:.3e}: a term of the NS lower bound overflows binary64"
@@ -798,7 +790,7 @@ def _ns(ms, xi, c, d, M, charged, u, fits) -> NsReport:
 
 
 def certify(
-    ms: MeasureSet | TreeModel,
+    ms: SetQueries,
     xi: RandomVariable,
     c: PartitionAlgebra,
     result: EstimatorResult,
@@ -830,7 +822,7 @@ class OptimalityReport(NamedTuple):
 
 
 def optimality_ineq(
-    ms: MeasureSet | TreeModel,
+    ms: SetQueries,
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta_hat: RandomVariable,
@@ -856,7 +848,7 @@ def optimality_ineq(
 
 
 def penalized_value(
-    ms: MeasureSet | TreeModel,
+    ms: SetQueries,
     xi: RandomVariable,
     c: PartitionAlgebra,
     eta: RandomVariable,
@@ -867,9 +859,8 @@ def penalized_value(
     (the penalty direction is then nonpositive and zero is optimal, giving
     rho[(xi-eta)^2]); otherwise unbounded: mass on a violating block grows the
     value past any real number. eta may lie VALUE_TOL * xi.unit below the
-    envelope, which is rounded. The set is read through its queries, so a
-    TreeModel is taken at its level partitions. Like solve_mmse, it refuses
-    a non-measurable xi out of binary64's range.
+    envelope, which is rounded. Like solve_mmse, it refuses a non-measurable
+    xi out of binary64's range.
     """
     return _penalized(ms, xi, c, eta, lambda: conditional_envelopes(ms, xi, c)[1])
 
@@ -899,7 +890,7 @@ class MinimaxGapReport(NamedTuple):
 
 
 def minimax_gap(
-    ms: MeasureSet | TreeModel,
+    ms: SetQueries,
     xi: RandomVariable,
     c: PartitionAlgebra,
 ) -> MinimaxGapReport:

@@ -12,13 +12,10 @@ The same tree induces a rectangular measure set (all corner choices of the
 node probabilities). A rectangular set is a recursive multiple-prior set
 (Epstein & Schneider 2003), so the largest expectation over its 2^m corners
 is the recursion's root, attained at the corner that takes the maximizing
-endpoint at every node. TreeModel answers the corner set's queries that way,
-under the names a MeasureSet answers them from its weight matrix
-(num_generators, support, near_ties, rows, mean_row, envelopes), in O(2^T)
-per query, and is_proper, which always holds; so rho, the envelopes, the
-estimator with its certificates, its oracle, penalized_value and minimax_gap
-take either kind of set and never enumerate the corners. tree_measure_set,
-which does, is the reference the tests compare with; no module calls it.
+endpoint at every node. TreeModel answers the corner set's queries
+(measures.SetQueries) that way, in O(2^T) per query, so no reader of the set
+enumerates the corners. tree_measure_set, which does, is the reference the
+tests compare with; no module calls it.
 
 The estimator is the one query a tree answers otherwise than its corner set
 would: block_solve, where a MeasureSet answers None. At a level partition
@@ -38,12 +35,12 @@ import numpy as np
 
 from .errors import ArgumentError, GuardRefusalError
 from .estimator import EstimatorResult, solve_mmse
-from .measures import MeasureSet
+from .measures import BlockSolution, MeasureSet
 from .spaces import Immutable, PartitionAlgebra, RandomVariable, SampleSpace
 
 # corners x leaves: 2^24 float64 entries (128 MiB) as a corner matrix. No
-# request builds one, but p_hat is dense over the corners, and near_ties can
-# list them all, and rows can read them all for kernel_member's LP fallback
+# request builds one, but p_hat is dense over the corners, and extremes can
+# list them all as ties, and rows can read them all for kernel_member's LP fallback
 MAX_CORNER_ENTRIES = 2 ** 24
 DEFAULT_DT = 0.25  # a tree's time step when none is given
 _EPS = sys.float_info.epsilon  # of binary64
@@ -224,12 +221,15 @@ class TreeModel(Immutable):
 
     def _level_of(self, c: PartitionAlgebra) -> int:
         """The level whose partition c is (ArgumentError for any other partition):
-        level l puts leaf i in block i >> (depth - l)."""
-        level = c.num_blocks.bit_length() - 1
-        leaves = np.arange(self.num_leaves)
-        if level > self.depth or not np.array_equal(c.labels, leaves >> (self.depth - level)):
-            raise ArgumentError("a tree is conditioned at its level partitions only")
-        return level
+        level l puts leaf i in block i >> (depth - l). The cached partition of
+        that level, which every command passes, is recognized by identity."""
+        level, depth = c.num_blocks.bit_length() - 1, self.depth
+        if level <= depth and (
+            c is _level_partition(depth, level)
+            or np.array_equal(c.labels, np.arange(self.num_leaves) >> (depth - level))
+        ):
+            return level
+        raise ArgumentError("a tree is conditioned at its level partitions only")
 
     def _sweep(self, v, pick) -> tuple[list[float], list[tuple[float, float]]]:
         """Backward recursion on leaf values v: y at every node, and at each
@@ -262,9 +262,17 @@ class TreeModel(Immutable):
         endpoint values (a, b) have b > a."""
         return sum((b > a) << bit for (a, b), bit in zip(ends, self._free_from[1:]))
 
-    def near_ties(self, v, tie_tol: float) -> tuple[int, ...]:
-        """Every corner c with max_c' E_c'[v] - E_c[v] <= tie_tol, in index order;
-        the answer can be every corner, so the corner count is checked first.
+    def extremes(self, v, tie_tol: float) -> tuple[float, int, tuple[int, ...], float]:
+        """support's answer and the near ties from one sup sweep and its walk
+        (_ties), and the minimum from one inf sweep. The ties can be every
+        corner, so the corner count is checked first."""
+        self.num_generators()
+        y, ends = self._sweep(v, max)
+        return y[0], self._corner(ends), self._ties(y, ends, tie_tol), self._sweep(v, min)[0][0]
+
+    def _ties(self, y, ends, tie_tol: float) -> tuple[int, ...]:
+        """Every corner c with max_c' E_c'[v] - E_c[v] <= tie_tol, in index
+        order, from a sup sweep's node values y and endpoint values ends.
 
         With y the recursion's values and Q(u, c_u) the value of c's endpoint
         at u over the children's y, c falls short by the sum over nodes u of
@@ -277,8 +285,6 @@ class TreeModel(Immutable):
         from node u on and a margin for the rounding of the rest of the sums,
         keeps every completion within tie_tol: they are listed at once.
         """
-        self.num_generators()
-        y, ends = self._sweep(v, max)
         nodes, free_from = self._nodes, self._free_from
         cut, tail = [0.0] * (len(nodes) + 1), 0.0
         for u in range(len(nodes), -1, -1):  # with no node left, cut is tie_tol
@@ -314,11 +320,9 @@ class TreeModel(Immutable):
         lower, upper = (np.array(self._sweep(v, pick)[0]) for pick in (min, max))
         return [(_level(lower, lv), _level(upper, lv)) for lv in levels]
 
-    def block_solve(self, x, c, p0, cap) -> tuple[list[float], float, float, dict[int, float], int]:
+    def block_solve(self, x, c, p0, cap) -> BlockSolution:
         """The estimator at c, a level partition (else ArgumentError), block
-        by block; a MeasureSet answers None, as its generators couple its
-        blocks. Returns (eta per block, alpha, phi, {corner: weight} of P_hat,
-        corners added), from which solve_mmse builds its result.
+        by block, with P_hat's weights by corner and the corners added.
 
         The corners choose each block B's subtree apart from every other node
         (the set is rectangular), so F(eta) is the sup recursion above the

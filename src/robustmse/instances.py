@@ -22,7 +22,7 @@ import numpy as np
 from ._version import __version__
 from .errors import ArgumentError, RobustMseError, ValidationError
 from .gexp import DEFAULT_DT, TreeModel
-from .measures import Measure, MeasureSet
+from .measures import Measure, MeasureSet, SetQueries
 from .spaces import Filtration, PartitionAlgebra, RandomVariable, SampleSpace
 
 FORMAT_VERSION = "1"
@@ -114,7 +114,7 @@ class Instance(NamedTuple):
             return [self.tree.level_partition(lv) for lv in range(self.tree.depth + 1)]
         return [self.partition] if self.filtration is None else list(self.filtration.levels)
 
-    def measures(self) -> MeasureSet | TreeModel:
+    def measures(self) -> SetQueries:
         """The set as its queries see it: a tree stands for its corner set."""
         return self.tree if self.measure_set is None else self.measure_set
 

@@ -3,11 +3,14 @@
 A MeasureSet lists finitely many generator measures; the set it represents is
 their convex hull. Every functional this package maximizes over the set is
 linear in the measure, so the sup over the hull is attained at a generator.
+SetQueries names the queries through which the package reads a set, which
+every kind of set answers its own way.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Protocol
 
 import numpy as np
 
@@ -67,6 +70,53 @@ class Measure(Immutable):
         return m
 
 
+BlockSolution = tuple[list[float], float, float, dict[int, float], int]
+
+
+class SetQueries(Protocol):
+    """A measure set as the package reads it: the convex hull of
+    num_generators() generators on space, through these queries alone. rho,
+    the envelopes, the estimator with its oracle and certificates,
+    penalized_value and minimax_gap take any object that answers them. A
+    value vector v has shape (n,), n = space.n; another shape is an
+    ArgumentError that names the one expected. A MeasureSet answers from its
+    weight matrix, a gexp.TreeModel for its corner set by recursion."""
+
+    @property
+    def space(self) -> SampleSpace: ...
+
+    def num_generators(self) -> int:
+        """K, the number of generators (on a tree, the corner-count guard)."""
+
+    def support(self, v) -> tuple[float, int]:
+        """max over generators g of E_g[v], and the smallest index attaining it."""
+
+    def extremes(self, v, tie_tol: float) -> tuple[float, int, tuple[int, ...], float]:
+        """(top, index, ties, bottom): support(v), every generator g with
+        top - E_g[v] <= tie_tol in index order (none at tie_tol = -inf), and
+        min over generators g of E_g[v]."""
+
+    def rows(self, ks) -> np.ndarray:
+        """The (len(ks), n) weight rows of generators ks."""
+
+    def mean_row(self) -> np.ndarray:
+        """The (n,) weight row of the uniform mixture of the generators."""
+
+    def envelopes(self, v, algebras) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per algebra, the smallest and the largest conditional mean of v on
+        each block over the generators that charge it. A MeasureSet also takes
+        a stack (..., n) of vectors; a TreeModel takes one vector, at its
+        level partitions only."""
+
+    def is_proper(self) -> bool:
+        """Whether every generator charges every point that some generator charges."""
+
+    def block_solve(self, x, c, p0, cap) -> BlockSolution | None:
+        """The estimator at c block by block, x of shape (n,): (eta per block,
+        alpha, phi, {generator: weight} of P_hat, generators added), or None
+        where the generators couple the blocks (solve_mmse's dual ascent)."""
+
+
 class MeasureSet(Immutable):
     """A nonempty generator list whose convex hull is the represented set.
 
@@ -111,40 +161,41 @@ class MeasureSet(Immutable):
     def __len__(self):
         return len(self.weights_matrix)
 
-    # the set's queries; a TreeModel answers the same ones by recursion
+    # the set's queries (SetQueries)
 
     def num_generators(self) -> int:
         return len(self.weights_matrix)
 
+    def _products(self, v) -> np.ndarray:
+        """E_g[v] for every generator g: v must have shape (n,), else ArgumentError."""
+        v, W = np.asarray(v), self.weights_matrix
+        if v.shape != W.shape[1:]:
+            raise ArgumentError(f"expected a vector of {W.shape[1]} values, got shape {v.shape}")
+        return W @ v
+
     def support(self, v) -> tuple[float, int]:
-        """max over generators g of E_g[v], and the smallest index attaining it."""
-        top = self.weights_matrix @ v
+        top = self._products(v)
         k = int(top.argmax())  # argmax returns the smallest maximizing index
         return float(top[k]), k
 
-    def near_ties(self, v, tie_tol: float) -> tuple[int, ...]:
-        """Every generator g with max_g' E_g'[v] - E_g[v] <= tie_tol, in index order."""
-        top = self.weights_matrix @ v
-        return tuple((top >= top.max() - tie_tol).nonzero()[0].tolist())
+    def extremes(self, v, tie_tol: float) -> tuple[float, int, tuple[int, ...], float]:
+        """support's answer, the near ties and the minimum, from one product."""
+        top = self._products(v)
+        k = int(top.argmax())
+        ties = (top >= top[k] - tie_tol).nonzero()[0]
+        return float(top[k]), k, tuple(ties.tolist()), float(top.min())
 
     def rows(self, ks) -> np.ndarray:
-        """The weight rows of generators ks."""
-        return self.weights_matrix[ks]
+        return self.weights_matrix[np.asarray(ks, dtype=np.intp)]  # a tuple of ks too
 
     def mean_row(self) -> np.ndarray:
-        """The weight row of the uniform mixture of the generators."""
         return self.weights_matrix.mean(axis=0)
 
     def is_proper(self) -> bool:
-        """True iff every generator charges every point charged by the reference,
-        the uniform mixture of the generators (mean_row).
-
-        On a finite hull this is mutual equivalence of all elements with the
-        reference measure: no generator may kill a point another one charges.
-        Weights are nonnegative, so that holds when every column whose least
-        weight is 0 is 0 throughout: one reduction over the matrix, and a copy
-        of those columns alone. The verdict is computed once per set.
-        """
+        """Then every element of the hull is equivalent to the uniform mixture
+        (mean_row). Weights are nonnegative, so every column whose least weight
+        is 0 must be 0 throughout: one reduction, and a copy of those columns
+        alone, once per set."""
         return self._proper
 
     @cached_property
@@ -153,15 +204,19 @@ class MeasureSet(Immutable):
         return not W[:, W.min(axis=0) == 0.0].any()
 
     def block_solve(self, x, c, p0, cap) -> None:
-        """None: the generators couple the blocks, so solve_mmse runs its dual
-        ascent (TreeModel.block_solve answers with the blocks' solutions)."""
+        """None: the generators couple the blocks, so solve_mmse runs its dual ascent."""
         return None
 
     def envelopes(self, v, algebras) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per algebra, the smallest and the largest conditional mean of v, or
         of each row of a stack v (..., n), on each block over the generators
         that charge it: one table of means per algebra, reduced over them."""
-        W, v = self.weights_matrix, np.asarray(v)[..., None, :]
+        W, v = self.weights_matrix, np.asarray(v)
+        if v.shape[-1:] != W.shape[1:]:
+            raise ArgumentError(
+                f"expected values of shape (..., {W.shape[1]}), got shape {v.shape}"
+            )
+        v = v[..., None, :]
         means = (c.conditional_means(W, v, c.charged_masses(W)) for c in algebras)
         return [(np.fmin.reduce(m, axis=-2), np.fmax.reduce(m, axis=-2)) for m in means]
 

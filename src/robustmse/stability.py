@@ -9,22 +9,19 @@ level can leave the hull while every whole-level pasting stays inside.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ArgumentError, PastingDegeneracyError, PropernessError
 from .estimator import solve_mmse
-from .measures import Measure, MeasureSet
+from .measures import Measure, MeasureSet, SetQueries
 from .randgen import random_measure_set, random_two_level_filtration, random_variable, rng_from_seed
 from . import simplexlp
 from .spaces import (
     VALUE_TOL, Filtration, PartitionAlgebra, RandomVariable, SampleSpace, check_same_space
 )
 from .sublinear import conditional_envelopes
-
-if TYPE_CHECKING:
-    from .gexp import TreeModel
 
 
 class PastedMeasure(NamedTuple):
@@ -134,7 +131,7 @@ class KernelInterval(NamedTuple):
 
 
 def kernel_interval(
-    ms: MeasureSet | TreeModel, xi: RandomVariable, c: PartitionAlgebra
+    ms: SetQueries, xi: RandomVariable, c: PartitionAlgebra
 ) -> KernelInterval:
     """The band between the conditional envelopes (on a tree, at a level partition).
 

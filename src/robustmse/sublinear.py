@@ -2,22 +2,19 @@
 
 rho(x) = max over generators of E_g[x]; since the integrand is linear in the
 measure, the hull adds nothing and the max over generators equals the sup
-over the whole represented set. rho and conditional_envelopes ask a set
-only its queries, which a TreeModel answers for its corner set by recursion.
+over the whole represented set. Every function here reads the set through
+its queries (measures.SetQueries) alone.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ArgumentError
-from .measures import MeasureSet
+from .measures import SetQueries
 from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space
-
-if TYPE_CHECKING:
-    from .gexp import TreeModel
 
 
 class RhoValue(NamedTuple):
@@ -26,22 +23,20 @@ class RhoValue(NamedTuple):
     ties: tuple[int, ...]
 
 
-def rho(ms: MeasureSet | TreeModel, x: RandomVariable) -> RhoValue:
+def rho(ms: SetQueries, x: RandomVariable) -> RhoValue:
     """Maximum expectation over the generators, with deterministic tie-breaking.
 
     argmax_generator is the smallest maximizing index; ties lists every index
-    attaining the max within VALUE_TOL * x.unit. The set answers both
-    (support, and near_ties, which takes any absolute slack): a MeasureSet
-    from its weight matrix, a TreeModel for its corner set by recursion, with
-    corners indexed as in tree_measure_set.
+    attaining the max within VALUE_TOL * x.unit. All three come from one
+    extremes query (a tree's corners indexed as in tree_measure_set).
     """
     check_same_space(ms, x)
-    value, best = ms.support(x.values)
-    return RhoValue(value, best, ms.near_ties(x.values, VALUE_TOL * x.unit))
+    value, best, ties, _ = ms.extremes(x.values, VALUE_TOL * x.unit)
+    return RhoValue(value, best, ties)
 
 
 def conditional_envelopes(
-    ms: MeasureSet | TreeModel, x: RandomVariable, c: PartitionAlgebra
+    ms: SetQueries, x: RandomVariable, c: PartitionAlgebra
 ) -> tuple[RandomVariable, RandomVariable]:
     """(ess_inf_conditional, ess_sup_conditional) from the set's envelopes
     query, which a TreeModel answers at its level partitions only: per block,
@@ -54,21 +49,21 @@ def conditional_envelopes(
 
 
 def ess_sup_conditional(
-    ms: MeasureSet | TreeModel, x: RandomVariable, c: PartitionAlgebra
+    ms: SetQueries, x: RandomVariable, c: PartitionAlgebra
 ) -> RandomVariable:
     """The upper conditional envelope, blockwise max of the generators' conditional means."""
     return conditional_envelopes(ms, x, c)[1]
 
 
 def ess_inf_conditional(
-    ms: MeasureSet | TreeModel, x: RandomVariable, c: PartitionAlgebra
+    ms: SetQueries, x: RandomVariable, c: PartitionAlgebra
 ) -> RandomVariable:
     """The lower conditional envelope, blockwise min of the generators' conditional means."""
     return conditional_envelopes(ms, x, c)[0]
 
 
 def holder_bound(
-    ms: MeasureSet,
+    ms: SetQueries,
     x1: RandomVariable,
     x2: RandomVariable,
     p: float,
@@ -107,7 +102,7 @@ class AxiomReport(NamedTuple):
 
 
 def axiom_suite(
-    ms: MeasureSet,
+    ms: SetQueries,
     samples,
     scalars=(0.0, 0.5, 1.0, 2.0),
 ) -> AxiomReport:

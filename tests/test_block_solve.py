@@ -201,7 +201,7 @@ def test_a_tree_is_solved_at_its_level_partitions_only():
 
 QUERIES = {
     "support": lambda tm, v: tm.support(v),
-    "near_ties": lambda tm, v: tm.near_ties(v, 0.0),
+    "extremes": lambda tm, v: tm.extremes(v, 0.0),
     "envelopes": lambda tm, v: tm.envelopes(v, [tm.level_partition(1)]),
     "block_solve": lambda tm, v: tm.block_solve(v, tm.level_partition(1), None, 10),
 }

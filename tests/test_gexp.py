@@ -440,7 +440,7 @@ class TestCornerOracle:
             M = x.bound
             # wide slacks reach corners whose shortfall sits deep in the tree
             for tol in (1e-9, 1e-3 * M, 0.05 * M, 0.3 * M):
-                assert tm.near_ties(v, tol) == ms.near_ties(v, tol)
+                assert tm.extremes(v, tol)[2] == ms.extremes(v, tol)[2]
             want, got = rho(ms, x), rho(tm, x)
             assert got.ties == want.ties
             assert got.value == pytest.approx(want.value, abs=1e-12 * M)
@@ -493,7 +493,7 @@ def level_sweep(tm, v, pick):
 
 
 def breadth_first_ties(tm, v, tie_tol):
-    """near_ties as one array walk over the nodes, every partial corner at once."""
+    """The ties of extremes as one array walk over the nodes, every partial corner at once."""
     y, ends = level_sweep(tm, v, np.maximum)
     nodes = tm.num_internal
     shortfall = (y[:nodes] - ends).T
@@ -513,7 +513,7 @@ def breadth_first_ties(tm, v, tie_tol):
 
 
 class TestNodeWalk:
-    """The recursion and the near_ties walk run node by node over Python
+    """The recursion and the walk of the ties run node by node over Python
     floats; their level-wide array forms above are the reference, bit for bit."""
 
     @pytest.mark.parametrize("make_tree", ORACLE_TREES)
@@ -525,14 +525,16 @@ class TestNodeWalk:
         # at 1 + 1e-12 noise every corner ties within 1e-9 but not exactly
         near = 1.0 + rng_from_seed(95).normal(size=tm.num_leaves) * 1e-12
         for v in leaf_samples(tm, 94 + tm.depth) + [zeros, -zeros, near]:
-            y, _ = level_sweep(tm, v, np.minimum)
-            assert lower_recursion(tm, v).tobytes() == y.tobytes()
+            low, _ = level_sweep(tm, v, np.minimum)
+            assert lower_recursion(tm, v).tobytes() == low.tobytes()
             y, (a, b) = level_sweep(tm, v, np.maximum)
             assert g_expectation(tm, v).y.tobytes() == y.tobytes()
             value, k = tm.support(v)
             assert (value.hex(), k) == (float(y[0]).hex(), int((b > a) @ bits))
-            for tol in (0.0, 1e-9, 1e-3, 0.3, 10.0):
-                assert tm.near_ties(v, tol) == breadth_first_ties(tm, v, tol)
+            for tol in (-math.inf, 0.0, 1e-9, 1e-3, 0.3, 10.0):
+                top, index, ties, bottom = tm.extremes(v, tol)
+                assert (top.hex(), index, bottom.hex()) == (value.hex(), k, float(low[0]).hex())
+                assert ties == breadth_first_ties(tm, v, tol)
 
 
 class TestTreeOracle:

@@ -1,7 +1,10 @@
 """The package's module graph is one-way: every import runs when its module
-is loaded, none inside a function body, so no module imports at call time
-one that imports it. Imports under `if TYPE_CHECKING:` (annotations only)
-are allowed.
+is loaded, none inside a function body or under `if TYPE_CHECKING:`, so no
+module imports at call time one that imports it.
+
+A set is read through one protocol, measures.SetQueries: no annotation names
+the union `MeasureSet | TreeModel`, and the protocol's members are the
+queries that tests/test_set_queries.py checks on every kind of set.
 
 Block arithmetic has one owner: only `spaces` (PartitionAlgebra) reads the
 incidence matrix or refuses a block that nothing charges.
@@ -55,20 +58,16 @@ from robustmse.instances import Instance
 from robustmse.measures import Measure, MeasureSet
 from robustmse.simplexlp import first_outside, hull_membership, solve_lp
 from robustmse.stability import KernelInterval, is_stable, kernel_interval, recursivity_check
+from test_set_queries import QUERIES
 
 MODULES = sorted(Path(robustmse.__file__).parent.glob("*.py"))
 
 
 def _call_time_imports(tree):
-    """(line, function name) of each import inside a function body, outside
-    `if TYPE_CHECKING:`."""
+    """(line, function name) of each import inside a function body."""
     found = []
 
     def visit(node, function):
-        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
-            for child in node.orelse:
-                visit(child, function)
-            return
         if isinstance(node, (ast.Import, ast.ImportFrom)) and function is not None:
             found.append((node.lineno, function))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -107,17 +106,86 @@ def test_no_import_inside_a_function(path):
 
 def test_the_check_sees_a_call_time_import():
     source = """
+from .sublinear import rho
+
+def f():
+    if rho is None:
+        from .gexp import TreeModel
+    from .stability import is_stable
+    return is_stable
+"""
+    assert _call_time_imports(ast.parse(source)) == [(6, "f"), (7, "f")]
+
+
+def _type_checking_imports(tree):
+    """Lines of the imports under `if TYPE_CHECKING:` or `if typing.TYPE_CHECKING:`."""
+    return sorted(
+        child.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and getattr(node.test, "id", getattr(node.test, "attr", None)) == "TYPE_CHECKING"
+        for child in ast.walk(node)
+        if isinstance(child, (ast.Import, ast.ImportFrom))
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_import_under_type_checking(path):
+    # an annotation names SetQueries, which measures defines, not a set kind
+    # that a module could import only for its annotations
+    assert _type_checking_imports(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_a_type_checking_import():
+    source = """
+import typing
 from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .gexp import TreeModel
 
 def f():
-    if TYPE_CHECKING:
-        from .gexp import TreeModel
-    from .stability import is_stable
-    return is_stable
+    if typing.TYPE_CHECKING:
+        import numpy as np
+    return 1
 """
-    assert _call_time_imports(ast.parse(source)) == [(9, "f")]
+    assert _type_checking_imports(ast.parse(source)) == [5, 9]
+
+
+def _set_unions(tree):
+    """Lines of the annotations (of parameters, returns and assignments) that
+    join MeasureSet and TreeModel in a union."""
+    found = set()
+    for node in ast.walk(tree):
+        notes = [getattr(node, "annotation", None), getattr(node, "returns", None)]
+        for note in filter(None, notes):
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(note)}
+            union = any(isinstance(getattr(n, "op", None), ast.BitOr) for n in ast.walk(note))
+            if union and {"MeasureSet", "TreeModel"} <= names:
+                found.add(note.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_annotation_joins_the_set_kinds(path):
+    # a function that reads a set through its queries takes a SetQueries
+    assert _set_unions(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_a_union_of_set_kinds():
+    source = """
+def f(ms: MeasureSet | TreeModel, other: MeasureSet | None, *rest: gexp.TreeModel | m.MeasureSet):
+    kind: TreeModel | int | MeasureSet = ms
+    return kind
+
+def g(ms: SetQueries) -> MeasureSet | TreeModel:
+    return ms
+"""
+    assert _set_unions(ast.parse(source)) == [2, 3, 6]
+
+
+def test_set_queries_are_the_queries_the_conformance_test_checks():
+    path = Path(robustmse.__file__).parent / "measures.py"
+    assert _methods(ast.parse(path.read_text()), "SetQueries") == sorted(QUERIES)
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "spaces"], ids=lambda p: p.stem)

@@ -216,7 +216,7 @@ def _fill_caches(obj):
         obj.generators, obj.support(np.ones(obj.space.n))
     if isinstance(obj, TreeModel):
         v = np.arange(obj.num_leaves, dtype=float)
-        obj.support(v), obj.near_ties(v, 0.5), obj.space
+        obj.support(v), obj.extremes(v, 0.5), obj.space
 
 
 @pytest.mark.parametrize("name", VALUE_TYPES)

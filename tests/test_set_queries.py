@@ -1,20 +1,21 @@
 """One conformance test of the set queries, which every kind of set passes.
 
-rho, the envelopes, the dual solver, the ellipsoid oracle, penalized_value
-and minimax_gap read a set only through num_generators(), support(v),
-near_ties(v, tie_tol), rows(ks), mean_row(), envelopes(v, algebras),
-is_proper() and block_solve(v, c, p0, cap), whose answer (None, or the
-blocks' solutions) chooses the solver; ess_sup_conditional,
-ess_inf_conditional, conditional_envelopes and kernel_interval read
-envelopes alone. Each kind of set answers them its own way: a MeasureSet
-from its weight matrix, a TreeModel by its recursions.
-Here every answer is checked against brute force over the set's own rows,
-rows(range(num_generators())), which for a tree are its corner matrix bit
-for bit. A new kind of set joins by adding a factory to SETS.
+The package reads a set only through the queries of measures.SetQueries,
+listed in QUERIES. Each kind of set answers them its own way: a MeasureSet
+from its weight matrix, a TreeModel by its recursions, and QueriesOnly (of
+tests/test_witness_certificates.py) by asking a MeasureSet, which makes it
+the template of a new kind. Here every answer is checked against brute
+force over the set's own rows, rows(range(num_generators())), which for a
+tree are its corner matrix bit for bit, and every value query refuses
+values of another shape. A new kind of set joins by adding a factory to
+SETS.
 """
+
+import math
 
 import numpy as np
 import pytest
+from test_witness_certificates import QueriesOnly
 
 from robustmse import (
     ArgumentError,
@@ -51,6 +52,12 @@ def uncharged_set(seed):
     return ms, [random_partition(rng, space, 2), PartitionAlgebra.discrete(space)]
 
 
+def queries_only(seed):
+    """An explicit set behind QueriesOnly, at the explicit set's algebras."""
+    ms, algebras = explicit_set(seed)
+    return QueriesOnly(ms), algebras
+
+
 def tree(make):
     tm = make()
     return tm, [tm.level_partition(level) for level in range(tm.depth + 1)]
@@ -78,7 +85,12 @@ SETS = (
     [pytest.param(lambda s=s: explicit_set(s), id=f"explicit-{s}") for s in range(3901, 3906)]
     + [pytest.param(lambda s=s: uncharged_set(s), id=f"uncharged-{s}") for s in range(3906, 3911)]
     + [pytest.param(lambda make=p.values[0]: tree(make), id=f"tree-{p.id}") for p in TREES]
+    + [pytest.param(lambda s=s: queries_only(s), id=f"queries-only-{s}") for s in (3901, 3902)]
 )
+
+# the members of measures.SetQueries, each checked below
+QUERIES = ("space", "num_generators", "support", "extremes", "rows", "mean_row", "envelopes",
+           "is_proper", "block_solve")
 
 
 def probes(n, seed):
@@ -110,6 +122,8 @@ def test_set_answers_its_queries_as_brute_force_over_its_rows(make_set):
     K = s.num_generators()
     rows = s.rows(np.arange(K))
     assert rows.shape == (K, s.space.n)
+    for ks in (tuple(range(K)), list(range(K))[::-1], [K - 1]):  # any sequence of indices
+        assert s.rows(ks).tobytes() == rows[list(ks)].tobytes()
     assert np.allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
     assert s.mean_row() == pytest.approx(rows.mean(axis=0), abs=1e-15)
     for v in probes(s.space.n, K):
@@ -122,12 +136,16 @@ def test_set_answers_its_queries_as_brute_force_over_its_rows(make_set):
             assert k == near[0]
         else:
             assert k in near
-        for tie_tol in (0.0, 1e-9 * np.abs(v).max(), 1.0 / 16):
-            got = s.near_ties(v, tie_tol)
-            assert list(got) == sorted(set(got))
+        for tie_tol in (-math.inf, 0.0, 1e-9 * np.abs(v).max(), 1.0 / 16):
+            high, index, ties, low = s.extremes(v, tie_tol)
+            assert (high, index) == (value, k)  # support's answer
+            assert low == pytest.approx(top.min(), abs=slack)
+            assert list(ties) == sorted(set(ties))
             inner = set(np.flatnonzero(top >= top.max() - tie_tol + slack).tolist())
             outer = set(np.flatnonzero(top >= top.max() - tie_tol - slack).tolist())
-            assert inner <= set(got) <= outer
+            assert inner <= set(ties) <= outer
+            if tie_tol == -math.inf:
+                assert ties == ()
         envelopes = s.envelopes(v, algebras)
         assert len(envelopes) == len(algebras)
         for c, (lower, upper) in zip(algebras, envelopes):
@@ -199,6 +217,29 @@ def test_set_answers_block_solve_as_brute_force_over_its_rows(make_set):
             assert phi == pytest.approx(p @ (d * d), abs=1e-12 * R * R)
 
 
+@pytest.mark.parametrize("make_set", SETS)
+def test_value_queries_refuse_values_of_another_shape(make_set):
+    # support and extremes take one vector (n,), envelopes a vector or, on a
+    # set that serves one, a stack (..., n); anything else is named
+    s, algebras = make_set()
+    n = s.space.n
+    for query in (s.support, lambda v: s.extremes(v, 0.0)):
+        query(np.arange(float(n)))  # the right shape answers
+        for shape in ((n - 1,), (n + 1,), (2, n)):
+            with pytest.raises(ArgumentError, match=rf"expected .*\b{n}\b.*got shape"):
+                query(np.arange(float(math.prod(shape))).reshape(shape))
+    for shape in ((n + 1,), ()):
+        with pytest.raises(ArgumentError, match=rf"expected .*\b{n}\b.*got shape"):
+            s.envelopes(np.ones(shape), algebras)
+
+
+@pytest.mark.parametrize("make_set", SETS)
+def test_set_answers_every_query(make_set):
+    s, _ = make_set()
+    assert [q for q in QUERIES if not hasattr(s, q)] == []
+    assert s.space.n == len(s.mean_row())
+
+
 def brute_is_proper(rows):
     """Every generator charges every point that some generator charges."""
     K, n = rows.shape
@@ -237,3 +278,28 @@ def test_tree_refuses_envelopes_off_its_level_partitions(make_tree):
                         kernel_interval):
             with pytest.raises(ArgumentError, match="level partitions"):
                 reading(tm, x, c)
+
+
+@pytest.mark.parametrize("make_tree", TREES)
+def test_tree_takes_a_level_partition_built_apart(make_tree, monkeypatch):
+    # the cached level partition that every command passes is recognized by
+    # identity; an equal partition built apart passes the comparison of its
+    # labels, with the same answers
+    tm = make_tree()
+    n = tm.num_leaves
+    v = np.arange(n, dtype=float)
+    for level in range(tm.depth + 1):
+        cached, size = tm.level_partition(level), 2 ** (tm.depth - level)
+        apart = PartitionAlgebra(tm.space, [range(b, b + size) for b in range(0, n, size)])
+        assert apart is not cached and apart == cached
+        envelopes = [[a.tobytes() for a in tm.envelopes(v, [c])[0]] for c in (apart, cached)]
+        assert envelopes[0] == envelopes[1]
+        assert tm.block_solve(v, apart, None, 10) == tm.block_solve(v, cached, None, 10)
+        with monkeypatch.context() as patch:
+            def compare(*args):
+                raise AssertionError("labels compared")
+
+            patch.setattr(np, "array_equal", compare)
+            tm.envelopes(v, [cached])
+            with pytest.raises(AssertionError, match="labels compared"):
+                tm.envelopes(v, [apart])

@@ -2,14 +2,16 @@
 
 Given the solver's P_hat as witness, verify_saddle, kernel_member and
 ns_condition read the rows of the generators P_hat charges through
-`rows`, and their maxima through `support` and `near_ties`; only their LP
+`rows`, and their maxima through `support` and `extremes`; only their LP
 fallbacks read every row. Here they are checked against a reference that
 reads the whole weight matrix, written below as the certificates were
 stated before: rho_sq within the rounding of a K-row maximum, the active
 count and all three verdicts exactly, on the acceptance sets, on tree corner
 sets at every level, and at xi + 1e4. A set that answers only the queries
-shows which rows each certificate asks for. `certify`, the one pass that
-`solve` runs, gives the three certificates' bits and reads those rows once."""
+(SetQueries) shows which rows each certificate asks for, and how many
+products with the set it forms. `certify`, the one pass that `solve` runs,
+gives the three certificates' bits, reads those rows once and forms three
+products."""
 
 import math
 from types import MappingProxyType
@@ -18,12 +20,12 @@ import numpy as np
 import pytest
 
 from robustmse import (
-    MeasureSet,
     MixtureWeights,
     RandomVariable,
     TreeModel,
     kernel_member,
     ns_condition,
+    rho,
     solve_mmse,
     tree_measure_set,
     verify_saddle,
@@ -126,20 +128,28 @@ def test_against_the_full_matrix(corpus, offset):
 
 
 class QueriesOnly:
-    """A set that answers the queries of an explicit set, has no weight
-    matrix, and records the generators each `rows` call asks for."""
+    """A set that answers exactly the queries of measures.SetQueries by asking
+    another set, and has no weight matrix: the template of a new kind of set.
+    It records the generators each `rows` call asks for (asked) and the name
+    of each query of values (products): support, extremes and envelopes."""
 
-    def __init__(self, ms: MeasureSet):
-        self.ms, self.space, self.asked = ms, ms.space, []
+    def __init__(self, ms):
+        self.ms, self.space, self.asked, self.products = ms, ms.space, [], []
 
     def num_generators(self):
         return self.ms.num_generators()
 
     def support(self, v):
+        self.products.append("support")
         return self.ms.support(v)
 
-    def near_ties(self, v, tie_tol):
-        return self.ms.near_ties(v, tie_tol)
+    def extremes(self, v, tie_tol):
+        self.products.append("extremes")
+        return self.ms.extremes(v, tie_tol)
+
+    def envelopes(self, v, algebras):
+        self.products.append("envelopes")
+        return self.ms.envelopes(v, algebras)
 
     def rows(self, ks):
         self.asked.append(np.asarray(ks).tolist())
@@ -174,6 +184,32 @@ def test_each_certificate_reads_the_witness_rows():
             checked += 1
         assert ns == ns_condition(ms, xi, c, res.eta_hat, witness=res.p_hat.lam)
     assert checked >= 50
+
+
+def test_certify_forms_three_products_and_rho_one():
+    # certify: support of the squared deviation for the saddle, extremes of it
+    # in units of 4^e (rho_sq and the active set), and extremes of d xi (its
+    # largest and least a_k); rho: one extremes query
+    for ms, xi, c in acceptance_sets()[:20]:
+        res = solve_mmse(ms, xi, c)
+        spy = QueriesOnly(ms)
+        certify_in_one_pass(spy, xi, c, res)
+        assert spy.products == ["support", "extremes", "extremes"]
+        spy.products.clear()
+        rho(spy, xi)
+        assert spy.products == ["extremes"]
+
+
+def test_a_set_of_queries_alone_solves_and_certifies_with_the_same_bits():
+    for ms, xi, c in acceptance_sets()[:60]:
+        spy = QueriesOnly(ms)
+        got, want = solve_mmse(spy, xi, c), solve_mmse(ms, xi, c)
+        assert got.eta_hat.values.tobytes() == want.eta_hat.values.tobytes()
+        assert got.p_hat.lam.tobytes() == want.p_hat.lam.tobytes()
+        assert bits(got[2:]) == bits(want[2:])
+        cert, member, ns = certify_in_one_pass(spy, xi, c, got)
+        want_cert, want_member, want_ns = certify_in_one_pass(ms, xi, c, want)
+        assert (bits(cert), member, bits(ns)) == (bits(want_cert), want_member, bits(want_ns))
 
 
 def test_fallbacks_read_every_row():

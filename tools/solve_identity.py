@@ -1,4 +1,4 @@
-"""Bit-identity probe of the dual solver, the ellipsoid oracle and the tree's set queries.
+"""Bit-identity probe of the solvers, the certificates, the oracle and the tree's set queries.
 
 Solves a fixed, seeded corpus and prints one JSON line per result, every
 float in hex (float.hex) and the solver's SolveTrace included, then one line
@@ -23,9 +23,12 @@ Families:
   xi * 2^20, xi * 2^-20, xi + 1e4, xi * 1e6 and xi * 1e-6;
 - orders, cvar, zeros: the three families of sets that are not proper,
   which tests/test_not_proper.py reads from not_proper_corpus;
-- queries: support, near_ties, rows, mean_row and the envelopes at every
-  level partition of every tree above, on the TreeModel and on its corner
-  matrix;
+- queries: support, the ties of extremes (under "near_ties" keys), rows,
+  mean_row and the envelopes at every level partition of every tree above,
+  on the TreeModel and on its corner matrix;
+- certificates: certify (saddle certificate, kernel verdict, NS report) on
+  every converged solve of trees and of the explicit-set families, keyed by
+  the solve's family and case;
 - oracle: brute_force_mmse (the ellipsoid oracle) on every explicit-set
   instance of random, orders, cvar and zeros, keyed by that family and case.
 
@@ -55,6 +58,7 @@ from robustmse import (  # noqa: E402
     solve_mmse,
     tree_measure_set,
 )
+from robustmse.estimator import certify  # noqa: E402
 from robustmse.randgen import random_instance, random_partition, rng_from_seed  # noqa: E402
 
 TREES_PER_KIND = 16  # per depth and kind (drift-bound, dyadic per-node, uniform per-node)
@@ -162,12 +166,13 @@ def trees():
             yield f"uniform d{depth} #{i}", TreeModel(depth, lo, hi), rng.normal(0.0, 1.0, leaves)
 
 
-def solve_record(ms, xi, c):
+def solved(ms, xi, c):
+    """The solve's record, and certify's record if the solve converged (else None)."""
     try:
         res = solve_mmse(ms, xi, c)
     except Exception as err:  # a refusal is a result too
-        return {"error": f"{type(err).__name__}: {err}"}
-    return {
+        return {"error": f"{type(err).__name__}: {err}"}, None
+    rec = {
         "eta_hat": _hex(res.eta_hat.values),
         "p_hat": _hex(res.p_hat.lam),
         "alpha": res.alpha.hex(),
@@ -177,6 +182,33 @@ def solve_record(ms, xi, c):
         "warnings": list(res.warnings),
         "trace": res.trace._asdict(),
     }
+    return rec, certificate_record(ms, xi, c, res) if res.converged else None
+
+
+def certificate_record(ms, xi, c, res):
+    try:
+        cert, member, ns = certify(ms, xi, c, res)
+    except Exception as err:  # a refusal is a result too
+        return {"error": f"{type(err).__name__}: {err}"}
+    return {
+        "max_over_P": cert.max_over_P.hex(),
+        "value_at_saddle": cert.value_at_saddle.hex(),
+        "min_over_eta": cert.min_over_eta.hex(),
+        "passed": bool(cert.passed),
+        "kernel_member": bool(member),
+        "lower_bound": ns.lower_bound.hex(),
+        "rho_sq": ns.rho_sq.hex(),
+        "holds": bool(ns.holds),
+        "active": ns.active,
+    }
+
+
+def solve_records(family, case, ms, xi, c):
+    """(family, case, record) of one solve, then of its certificates."""
+    rec, certificates = solved(ms, xi, c)
+    yield family, case, rec
+    if certificates is not None:
+        yield "certificates", f"{family} {case}", certificates
 
 
 def oracle_record(ms, xi, c):
@@ -209,8 +241,8 @@ def records():
         xi = RandomVariable(tm.space, leaves)
         levels = [tm.level_partition(level) for level in range(tm.depth + 1)]
         for level, c in enumerate(levels):
-            yield "trees", f"{name} level {level} tree", solve_record(tm, xi, c)
-            yield "trees", f"{name} level {level} corners", solve_record(ms, xi, c)
+            yield from solve_records("trees", f"{name} level {level} tree", tm, xi, c)
+            yield from solve_records("trees", f"{name} level {level} corners", ms, xi, c)
         probes = {"xi": leaves, "xi^2": leaves * leaves, "zero": np.zeros(tm.num_leaves),
                   "pairs": np.repeat(leaves[::2], 2)}
         for kind, s in (("tree", tm), ("corners", ms)):
@@ -219,12 +251,12 @@ def records():
                 top, k = s.support(v)
                 rec[f"support {label}"] = [top.hex(), k]
                 for tol in TIE_TOLS:
-                    rec[f"near_ties {label} {tol!r}"] = list(s.near_ties(v, tol))
+                    rec[f"near_ties {label} {tol!r}"] = list(s.extremes(v, tol)[2])
                 envelopes = s.envelopes(v, levels)
                 rec[f"envelopes {label}"] = [[_hex(lo), _hex(hi)] for lo, hi in envelopes]
             yield "queries", f"{name} {kind}", rec
     for family, case, (ms, xi, c) in explicit_instances():
-        yield family, case, solve_record(ms, xi, c)
+        yield from solve_records(family, case, ms, xi, c)
     for family, case, (ms, xi, c) in explicit_instances():
         yield "oracle", f"{family} {case}", oracle_record(ms, xi, c)
 
