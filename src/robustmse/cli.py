@@ -213,6 +213,17 @@ def cmd_gexp(inst: Instance) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
+# tcsearch's options, each with the type its value is read by (None: the
+# string as given) and its help. build_parser declares them and _read_argv
+# reads them from here, so the two readers take the same options; neither
+# sets a default, so an option not given is None.
+_TCSEARCH_OPTIONS = {
+    "--out": (None, "write the result file here instead of stdout"),
+    "--seed": (int, None),
+    "--trials": (int, None),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on the first call and reused by every
@@ -234,9 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("oracle", "ellipsoid oracle cross-check")
     command("stability", "pasting stability and recursivity")
     tcs = sub.add_parser("tcsearch", help="search for a time-consistency failure")
-    tcs.add_argument("--out", help="write the result file here instead of stdout")
-    tcs.add_argument("--seed", type=int, default=None)
-    tcs.add_argument("--trials", type=int, default=None)
+    for flag, (kind, summary) in _TCSEARCH_OPTIONS.items():
+        tcs.add_argument(flag, type=kind, help=summary)
     command("gexp", "tree recursion versus the estimator")
     return parser
 
@@ -250,8 +260,46 @@ _COMMANDS = {
 }
 
 
+def _read_argv(argv: list) -> argparse.Namespace | None:
+    """The Namespace that build_parser().parse_args(argv) gives, read without
+    argparse where argv has a shape the commands take: `<command> <instance>
+    [--out P]`, or `tcsearch` with any of its options (_TCSEARCH_OPTIONS)
+    in any order (of a repeat the last counts), each value read by its type
+    as argparse reads it. Anything else is None, for argparse: help, every
+    usage error, `--out=P`, an abbreviation, and any value that starts with
+    a '-', which argparse may read as an option."""
+    if not argv or not all(type(a) is str for a in argv):
+        return None
+    command, rest = argv[0], argv[1:]
+    if command == "tcsearch":
+        found = {flag[2:]: None for flag in _TCSEARCH_OPTIONS}
+        if len(rest) % 2:
+            return None
+        for flag, value in zip(rest[::2], rest[1::2]):
+            if flag not in _TCSEARCH_OPTIONS or value[:1] == "-":
+                return None
+            kind = _TCSEARCH_OPTIONS[flag][0]
+            if kind is not None:
+                try:
+                    value = kind(value)
+                except ValueError:  # argparse words the usage error
+                    return None
+            found[flag[2:]] = value
+        return argparse.Namespace(command=command, **found)
+    if command not in _COMMANDS or len(rest) not in (1, 3) or rest[0][:1] == "-":
+        return None
+    if len(rest) == 1:
+        return argparse.Namespace(command=command, instance=rest[0], out=None)
+    if rest[1] != "--out" or rest[2][:1] == "-":
+        return None
+    return argparse.Namespace(command=command, instance=rest[0], out=rest[2])
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         if args.command == "tcsearch":

@@ -623,7 +623,12 @@ def _saddle(ms, xi, c, result, charged, measurable) -> Certificate:
     max_over_p = ms.support(sq)[0]
     p = Measure(ms.space, charged[0] @ charged[1]).weights
     value_at_saddle = float(np.dot(p, sq))
-    cond = x if measurable else np.nan_to_num(c.conditional_means(p, x, c.block_sums(p)))[c.labels]
+    cond = x
+    if not measurable:
+        means = c.conditional_means(p, x, c.block_sums(p))
+        if not np.isfinite(means).all():  # NaN on a block P_hat leaves uncharged
+            means = np.nan_to_num(means)
+        cond = means[c.labels]
     r = x - cond
     min_over_eta = float(np.dot(p, r * r))
     tol = SADDLE_TOL * (1.0 + abs(result.alpha))
@@ -648,12 +653,13 @@ def _charged_rows(ms, witness):
     return lam[ks], ms.rows(ks)
 
 
-def _deviation(ms, xi, c, eta_tilde, name):
+def _deviation(xi, c, eta_tilde, name):
     """d = xi - eta_tilde and M = bound(xi) (1 for xi = 0): u[k, B] = E_{g_k}[d 1_B]
-    / M, the unit-free linear coefficients of rho[(xi - eta_tilde) eta]."""
+    / M, the unit-free linear coefficients of rho[(xi - eta_tilde) eta]. The
+    caller has checked that xi and c share the set's space; eta_tilde must be
+    C-measurable (else ArgumentError)."""
     if not is_measurable(eta_tilde, c):
         raise ArgumentError(f"{name} must be measurable w.r.t. the partition")
-    check_same_space(ms, xi, c)
     return xi.values - eta_tilde.values, xi.bound or 1.0
 
 
@@ -690,7 +696,8 @@ def kernel_member(
     membership is one linear feasibility problem over every row, decided by
     the in-repo simplex with HULL_TOL as its phase-1 residual.
     """
-    d, M = _deviation(ms, xi, c, eta_tilde, "eta_tilde")
+    check_same_space(ms, xi, c)
+    d, M = _deviation(xi, c, eta_tilde, "eta_tilde")
     return _kernel(ms, c, d, M, _witness_test(c, _charged_rows(ms, witness), d, M)[1])
 
 
@@ -745,9 +752,10 @@ def ns_condition(
     bound itself) lies outside binary64's range in the units of xi, as at an
     offset of 1e160 on an R of 1.5e150, it is refused (GuardRefusalError).
     """
+    check_same_space(ms, xi, c)
     if not is_measurable(xi, c):
         _refuse_out_of_range(xi)
-    d, M = _deviation(ms, xi, c, eta_hat, "eta_hat")
+    d, M = _deviation(xi, c, eta_hat, "eta_hat")
     charged = _charged_rows(ms, witness)
     return _ns(ms, xi, c, d, M, charged, *_witness_test(c, charged, d, M))
 
@@ -757,10 +765,11 @@ def _ns(ms, xi, c, d, M, charged, u, fits) -> NsReport:
     rows and their _witness_test."""
     f, e = math.frexp(M)  # M = f 2^e; below, values in units of 4^e
     tol = NS_TOL * f * f
-    sq = np.square(np.ldexp(d, -e))
+    d_unit = np.ldexp(d, -e)
+    sq = np.square(d_unit)
     rho_unit, _, active, _ = ms.extremes(sq, tol)
     rho_sq = math.ldexp(rho_unit, 2 * e)
-    dx = np.ldexp(d, -e) * np.ldexp(xi.values, -e)
+    dx = d_unit * np.ldexp(xi.values, -e)
     # the largest and the least a_k, from one product
     a_top, _, _, a_bottom = ms.extremes(dx, -math.inf)
 
@@ -803,7 +812,7 @@ def certify(
     C-measurable (an ArgumentError, as from the other two)."""
     charged, measurable = _audited(ms, xi, c, result)
     cert = _saddle(ms, xi, c, result, charged, measurable)
-    d, M = _deviation(ms, xi, c, result.eta_hat, "eta_hat")
+    d, M = _deviation(xi, c, result.eta_hat, "eta_hat")
     u, fits = _witness_test(c, charged, d, M)
     return cert, _kernel(ms, c, d, M, fits), _ns(ms, xi, c, d, M, charged, u, fits)
 

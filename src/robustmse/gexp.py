@@ -155,11 +155,14 @@ class TreeModel(Immutable):
         """The number of corners, the set's generators; GuardRefusalError,
         before anything is allocated, when the corner matrix would exceed
         MAX_CORNER_ENTRIES float64 entries. With every node free that admits
-        depth 4 (2^15 corners) and refuses depth 5 (2^31 corners)."""
-        num_corners = 2 ** self._free_from[0]
+        depth 4 (2^15 corners) and refuses depth 5 (2^31 corners). The count
+        is written as a power of 2: from depth 14 its decimal digits pass
+        int's string-conversion limit."""
+        free = self._free_from[0]
+        num_corners = 2**free
         if num_corners * self.num_leaves > MAX_CORNER_ENTRIES:
             raise GuardRefusalError(
-                f"{num_corners} corners x {self.num_leaves} leaves exceed the limit of "
+                f"2^{free} corners x {self.num_leaves} leaves exceed the limit of "
                 f"{MAX_CORNER_ENTRIES} corner-matrix entries (128 MiB)"
             )
         return num_corners
@@ -284,7 +287,10 @@ class TreeModel(Immutable):
         <= 1), so a partial total within cut[u], tie_tol less the sum of those
         from node u on and a margin for the rounding of the rest of the sums,
         keeps every completion within tie_tol: they are listed at once.
+        No corner is within tie_tol = -inf, so that lists none without a walk.
         """
+        if tie_tol == -math.inf:
+            return ()
         nodes, free_from = self._nodes, self._free_from
         cut, tail = [0.0] * (len(nodes) + 1), 0.0
         for u in range(len(nodes), -1, -1):  # with no node left, cut is tie_tol

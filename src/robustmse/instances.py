@@ -11,6 +11,7 @@ shortest repr reads back bit for bit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -316,14 +317,14 @@ def _parse_tree_instance(doc, options) -> Instance:
             _require(
                 len(vals) == nodes, f"tree.{key}", f"expected {nodes} per-node values"
             )
-            return vals
+            return tuple(vals)
         return _num(v, f"tree.{key}")
 
     q_lo, q_hi = interval("q_lo"), interval("q_hi")
     dt = _num(tree_doc.get("dt", DEFAULT_DT), "tree.dt")
     _require(0 < dt < math.inf, "tree.dt", "expected a finite number > 0")
     try:
-        tree = TreeModel(depth, q_lo, q_hi, dt)
+        tree = _tree(depth, q_lo, q_hi, dt)
     except Exception as exc:
         raise ValidationError("tree", str(exc)) from None
 
@@ -345,6 +346,19 @@ def _parse_tree_instance(doc, options) -> Instance:
     )
 
 
+# The tree that instances built last, kept for the next request: a TreeModel
+# is immutable, so the requests on one tree share it, and with it the node
+# tables it caches (_nodes, _free_from, _path_moves). The key is the tree as
+# parsed, each bound one float or a tuple of one per node; bounds that
+# TreeModel refuses leave nothing in the table. One entry: the requests that
+# name a tree come one after another (perfbench's `trees` sends rho, then
+# gexp and solve per level, tree by tree), so a larger table would find no
+# more of them, and a deep tree is held no longer than until the next one.
+@functools.lru_cache(maxsize=1)
+def _tree(depth: int, q_lo, q_hi, dt: float) -> TreeModel:
+    return TreeModel(depth, q_lo, q_hi, dt)
+
+
 def _variable(space, values, path) -> RandomVariable:
     try:
         return RandomVariable(space, values)
@@ -356,12 +370,14 @@ def load_instance(path) -> Instance:
     """The instance in the file at path: its bytes, decoded as UTF-8 (a byte
     order mark is refused as invalid JSON, an invalid byte raises
     UnicodeDecodeError), parsed as JSON. No newline is translated, so a
-    JSON error's position counts every character of the file, CRs included."""
+    JSON error's position counts every character of the file, CRs included.
+    Arrays or objects nested past the interpreter's recursion limit are
+    refused as invalid JSON too."""
     with open(path, "rb", buffering=0) as fh:
         text = fh.read().decode("utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError("$", f"invalid JSON: {exc}") from None
     return parse_instance(doc)
 

@@ -784,6 +784,18 @@ class TestBytes:
             "Expecting ',' delimiter: line 4 column 1 (char 40)\n"
         )
 
+    @pytest.mark.parametrize("opening", ["[", '{"a":'])
+    def test_deeply_nested_json_is_invalid_json(self, tmp_path, capsys, opening):
+        # nesting past the recursion limit is refused as the file's JSON, with
+        # one stderr line, not a traceback and exit 1 (a certificate failure)
+        path = tmp_path / "deep.json"
+        closing = "]" if opening == "[" else "}"
+        path.write_text(opening * 100_000 + closing * 100_000)
+        assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("robustmse: invalid input: $: invalid JSON: maximum recursion depth")
+        assert err.count("\n") == 1 and not (tmp_path / "r.json").exists()
+
     def test_result_ends_in_one_lf(self, example_file, tmp_path):
         tree = tmp_path / "tree.json"
         tree.write_text(json.dumps(TREE_2))
@@ -1517,6 +1529,138 @@ class TestParserReuse:
         assert results[0][1] != results[1][1]
         assert results[2][1]["result"]["trials"] == 50
         assert results[3][1]["result"]["trials"] == 1000
+
+
+def without_wall_time(text: str) -> str:
+    return re.sub(r'"wall_time_s":[^,}]*', '"wall_time_s":null', text)
+
+
+# argv for TestArgvReading, run from a directory holding inst.json (a
+# partition instance) and tree.json: each command with and without --out, and
+# the shapes that only argparse reads or refuses
+ARGV_CORPUS = [
+    *([cmd, inst, *out] for cmd, inst in [
+        ("rho", "inst.json"), ("solve", "inst.json"), ("oracle", "inst.json"),
+        ("stability", "inst.json"), ("gexp", "tree.json"), ("solve", "tree.json"),
+    ] for out in ([], ["--out", "r.json"])),
+    ["solve", "--out=r.json", "inst.json"],
+    ["solve", "inst.json", "--out=r.json"],
+    ["solve", "--out", "r.json", "inst.json"],
+    ["solve", "inst.json", "--ou", "r.json"],
+    ["solve", "--", "inst.json"],
+    ["solve", "inst.json", "--", "--out", "r.json"],
+    ["solve", "inst.json", "--out", "-r.json"],
+    ["solve", "-inst.json"],
+    ["solve", "inst.json", "--out", ""],
+    ["solve", "inst.json", "--out"],
+    ["solve", "inst.json", "--out", "r.json", "--out", "s.json"],
+    ["solve", "inst.json", "--tol", "1e-6"],
+    ["solve", "inst.json", "other.json"],
+    ["solve", "missing.json"],
+    ["solve"],
+    ["solv", "inst.json"],
+    ["tcsearch", "inst.json"],
+    ["tcsearch", "--seed", "7", "--trials", "3"],
+    ["tcsearch", "--trials", "3", "--out", "r.json", "--seed", "7"],
+    ["tcsearch", "--seed", "7", "--trials", "3", "--seed", "8"],
+    ["tcsearch", "--seed=7", "--trials", "3"],
+    ["tcsearch", "--se", "7", "--trials", "3"],
+    ["tcsearch", "--seed", "-7", "--trials", "3"],
+    ["tcsearch", "--seed", " 7 ", "--trials", "+3"],
+    ["tcsearch", "--seed", "1_0", "--trials", "3"],
+    ["tcsearch", "--seed", "x", "--trials", "3"],
+    ["tcsearch", "--seed", "7.0", "--trials", "3"],
+    ["tcsearch", "--seed", "", "--trials", "3"],
+    ["tcsearch", "--trials"],
+    ["tcsearch", "--trials", "3", "--tol", "1"],
+    ["tcsearch", "--", "--trials", "3"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["solve", "-h"],
+    ["tcsearch", "--help"],
+    ["solve", "inst.json", "-h"],
+    ["--version"],
+]
+
+
+class TestArgvReading:
+    """main() reads the common argv shapes without argparse (cli._read_argv)
+    and leaves every other one to it, with the same outcome either way."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        (tmp_path / "inst.json").write_text(json.dumps(EXAMPLE))
+        (tmp_path / "tree.json").write_text(json.dumps(TREE_2))
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @staticmethod
+    def outcome(argv, workdir, capsys):
+        """Exit code, stdout, stderr and result files of main(argv), the
+        wall_time_s value blanked; the result files are removed."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        files = {}
+        for path in sorted(workdir.iterdir()):
+            if path.name not in ("inst.json", "tree.json"):
+                files[path.name] = without_wall_time(path.read_text())
+                path.unlink()
+        return code, without_wall_time(out), err, files
+
+    @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+    def test_namespace_is_argparse_or_deferred(self, argv):
+        args = robustmse.cli._read_argv(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    def test_the_common_shapes_skip_argparse(self):
+        read = [argv for argv in ARGV_CORPUS if robustmse.cli._read_argv(argv) is not None]
+        assert read == [
+            *ARGV_CORPUS[:12],
+            ["solve", "inst.json", "--out", ""],
+            ["solve", "missing.json"],
+            ["tcsearch", "--seed", "7", "--trials", "3"],
+            ["tcsearch", "--trials", "3", "--out", "r.json", "--seed", "7"],
+            ["tcsearch", "--seed", "7", "--trials", "3", "--seed", "8"],
+            ["tcsearch", "--seed", " 7 ", "--trials", "+3"],
+            ["tcsearch", "--seed", "1_0", "--trials", "3"],
+        ]
+
+    @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+    def test_same_outcome_as_argparse_alone(self, argv, workdir, capsys, monkeypatch):
+        got = self.outcome(argv, workdir, capsys)
+        monkeypatch.setattr(robustmse.cli, "_read_argv", lambda argv: None)
+        assert got == self.outcome(argv, workdir, capsys)
+
+
+class TestTreeTable:
+    """instances builds each distinct tree once per process, and keeps the
+    last one; tests/test_request_order.py checks that sharing a tree changes no
+    result."""
+
+    DOC = {"tree": {"depth": 2, "q_lo": [0.25, 0.125, 0.375], "q_hi": 0.75, "dt": 0.25},
+           "xi": [1, 0, 0, 0]}
+
+    def test_one_tree_per_key(self):
+        first = parse_instance(self.DOC)
+        again = parse_instance(dict(self.DOC, xi=[4, 3, 2, 1], options={"level": 1}))
+        assert again.tree is first.tree
+        other = parse_instance({"tree": dict(self.DOC["tree"], dt=0.5), "xi": [1, 0, 0, 0]})
+        assert other.tree is not first.tree and other.tree != first.tree
+
+    def test_refusals_not_kept(self):
+        table = robustmse.instances._tree
+        misses = table.cache_info().misses
+        with pytest.raises(ValidationError):
+            parse_instance({"tree": dict(self.DOC["tree"], q_hi=0.1), "xi": [1, 0, 0, 0]})
+        assert table.cache_info().misses == misses + 1
+        with pytest.raises(ValidationError):  # tried again, not served from the table
+            parse_instance({"tree": dict(self.DOC["tree"], q_hi=0.1), "xi": [1, 0, 0, 0]})
+        assert table.cache_info().misses == misses + 2
 
 
 class TestOutputAndConditioning:

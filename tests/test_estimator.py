@@ -399,6 +399,12 @@ class TestVerifySaddle:
         for wrong in (elsewhere, five):
             with pytest.raises(StructuralError, match="different sample spaces"):
                 verify_saddle(wrong, xi, c, res)
+            # and so do the other certificates, alone and in one pass
+            for check in (kernel_member, ns_condition):
+                with pytest.raises(StructuralError, match="different sample spaces"):
+                    check(wrong, xi, c, res.eta_hat)
+            with pytest.raises(StructuralError, match="different sample spaces"):
+                robustmse.estimator.certify(wrong, xi, c, res)
         # the oracle's result has no P_hat to audit
         with pytest.raises(ArgumentError, match="no p_hat"):
             verify_saddle(ms, xi, c, brute_force_mmse(ms, xi, c))

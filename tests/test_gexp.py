@@ -234,6 +234,12 @@ class TestTreeMeasureSet:
         with pytest.raises(GuardRefusalError):
             tree_measure_set(TreeModel.drift_bound(5))
 
+    def test_refusal_names_the_count_as_a_power_of_two(self):
+        # 2^16383 corners has more decimal digits than int's string
+        # conversion allows: the refusal must not fail in its own message
+        with pytest.raises(GuardRefusalError, match=r"^2\^16383 corners x 16384 leaves exceed"):
+            TreeModel.drift_bound(14).num_generators()
+
     def test_depth_five_with_fifteen_free_nodes(self):
         rng = rng_from_seed(47)
         q_lo = np.full(31, 0.5)
