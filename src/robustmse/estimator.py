@@ -149,7 +149,7 @@ class _Pool:
         d = self.x - eta[self.c.labels]
         sq = d * d
         r = self.weights @ sq
-        top, k = self.support(sq)
+        top, k, _ = self.support(sq, -math.inf)
         row = self._index.get(k)
         # a generator already in the pool is valued from its pooled row, like
         # the residuals it is compared with
@@ -536,7 +536,7 @@ def brute_force_mmse(
     steps = 0
     while True:
         dev = x - centre[labels]
-        rk, k = ms.support(dev * dev)
+        rk, k, _ = ms.support(dev * dev, -math.inf)
         if rk < best_val:
             best, best_val = centre, rk
         g = -2.0 * c.block_sums(ms.rows([k])[0] * dev)
@@ -590,7 +590,7 @@ def verify_saddle(
     leaves uncharged adds 0 to the inner minimum whatever eta is there, so it
     is skipped; for a measurable xi, its own conditional mean, it is 0
     exactly, not the square of a rounding (which overflows at large scales).
-    max_over_P is support((xi - eta_hat)^2); P_hat is read off the rows it
+    max_over_P is support((xi - eta_hat)^2, -inf); P_hat is read off the rows it
     charges. The tolerance is SADDLE_TOL * (1 + alpha). The result is solve_mmse's:
     one with no P_hat to audit (the oracle's) is an ArgumentError, and the
     set, xi, c and eta_hat must share one space. Like solve_mmse, it refuses
@@ -620,7 +620,7 @@ def _saddle(ms, xi, c, result, charged, measurable) -> Certificate:
     x = xi.values
     d = x - result.eta_hat.values
     sq = d * d
-    max_over_p = ms.support(sq)[0]
+    max_over_p = ms.support(sq, -math.inf)[0]
     p = Measure(ms.space, charged[0] @ charged[1]).weights
     value_at_saddle = float(np.dot(p, sq))
     cond = x
@@ -736,7 +736,7 @@ def ns_condition(
     holds when the certified lower bound is within NS_TOL * M^2 of rho_sq
     (NS_TOL = 1e-6, a constant of this module). The box needs no normal-cone
     term: where eta_hat touches +-M, |xi| <= M makes every u_k one-signed on
-    that block. rho_sq and the active set come from extremes of d^2.
+    that block. rho_sq and the active set come from support(d^2, NS_TOL * M^2).
 
     witness, optional, is a mixture lam over all the generators, such as the
     solver's P_hat. The bound holds for any simplex weights, so when lam
@@ -748,7 +748,7 @@ def ns_condition(
     The threshold and the bound are formed in units of 4^e, M = f 2^e
     (math.frexp), as M^2 overflows from M = 1.34e154 while R^2 need not; the
     bits are those in the units of xi wherever M^2 and the products are
-    normal. Where a term of the bound (any a_k, by extremes of d xi, or the
+    normal. Where a term of the bound (any a_k, by support of +-d xi, or the
     bound itself) lies outside binary64's range in the units of xi, as at an
     offset of 1e160 on an R of 1.5e150, it is refused (GuardRefusalError).
     """
@@ -767,16 +767,16 @@ def _ns(ms, xi, c, d, M, charged, u, fits) -> NsReport:
     tol = NS_TOL * f * f
     d_unit = np.ldexp(d, -e)
     sq = np.square(d_unit)
-    rho_unit, _, active, _ = ms.extremes(sq, tol)
+    rho_unit, _, active = ms.support(sq, tol)
     rho_sq = math.ldexp(rho_unit, 2 * e)
     dx = d_unit * np.ldexp(xi.values, -e)
-    # the largest and the least a_k, from one product
-    a_top, _, _, a_bottom = ms.extremes(dx, -math.inf)
+    # max_k |a_k| from the largest a_k and the largest -a_k, which is minus the least
+    a_max = max(ms.support(dx, -math.inf)[0], ms.support(-dx, -math.inf)[0])
 
     def report(mu, rows, u):
         # mu @ a - M^2 |mu @ u|_1 in units of 4^e, with u in units of M
         lower = float(mu @ (rows @ dx) - f * f * np.abs(mu @ u).sum())
-        top = max(a_top, -a_bottom, abs(lower))  # max_k |a_k|, |lower|
+        top = max(a_max, abs(lower))
         if top > 0.0 and math.frexp(top)[1] + 2 * e > sys.float_info.max_exp:
             raise GuardRefusalError(
                 f"xi has max|xi| = {xi.bound:.3e}: a term of the NS lower bound overflows binary64"

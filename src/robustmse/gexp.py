@@ -36,11 +36,11 @@ import numpy as np
 from .errors import ArgumentError, GuardRefusalError
 from .estimator import EstimatorResult, solve_mmse
 from .measures import BlockSolution, MeasureSet
-from .spaces import Immutable, PartitionAlgebra, RandomVariable, SampleSpace
+from .spaces import Immutable, PartitionAlgebra, RandomVariable, SampleSpace, as_int
 
-# corners x leaves: 2^24 float64 entries (128 MiB) as a corner matrix. No
-# request builds one, but p_hat is dense over the corners, and extremes can
-# list them all as ties, and rows can read them all for kernel_member's LP fallback
+# corners x leaves: 2^24, 128 MiB as a float64 corner matrix. No request builds
+# one, but p_hat's weights, the ties support lists and the rows a hull-test
+# fallback reads (kernel_member's and ns_condition's LP) are dense over the corners
 MAX_CORNER_ENTRIES = 2 ** 24
 DEFAULT_DT = 0.25  # a tree's time step when none is given
 _EPS = sys.float_info.epsilon  # of binary64
@@ -86,7 +86,7 @@ class TreeModel(Immutable):
     dt: float
 
     def __init__(self, depth, q_lo, q_hi, dt=DEFAULT_DT):
-        depth = int(depth)
+        depth = as_int(depth, "tree depth")
         if depth < 1:
             raise ArgumentError("tree depth must be at least 1")
         if not 0 < dt < math.inf:
@@ -153,17 +153,18 @@ class TreeModel(Immutable):
 
     def num_generators(self) -> int:
         """The number of corners, the set's generators; GuardRefusalError,
-        before anything is allocated, when the corner matrix would exceed
-        MAX_CORNER_ENTRIES float64 entries. With every node free that admits
-        depth 4 (2^15 corners) and refuses depth 5 (2^31 corners). The count
-        is written as a power of 2: from depth 14 its decimal digits pass
-        int's string-conversion limit."""
+        before anything is allocated, when corners x leaves exceeds
+        MAX_CORNER_ENTRIES (what stays dense over the corners, named in the
+        message). With every node free that admits depth 4 (2^15 corners) and
+        refuses depth 5 (2^31 corners). The count is written as a power of 2:
+        from depth 14 its decimal digits pass int's string-conversion limit."""
         free = self._free_from[0]
         num_corners = 2**free
         if num_corners * self.num_leaves > MAX_CORNER_ENTRIES:
             raise GuardRefusalError(
                 f"2^{free} corners x {self.num_leaves} leaves exceed the limit of "
-                f"{MAX_CORNER_ENTRIES} corner-matrix entries (128 MiB)"
+                f"{MAX_CORNER_ENTRIES}: p_hat's weights, the listed ties and the rows "
+                "a hull-test fallback reads are dense over the corners"
             )
         return num_corners
 
@@ -249,29 +250,23 @@ class TreeModel(Immutable):
             y[u] = pick(a, b)
         return y, ends
 
-    def support(self, v) -> tuple[float, int]:
-        """max over corners c of E_c[v], and the smallest corner attaining it.
-
-        The sup recursion is that maximum: the choices below a node do not
-        depend on those elsewhere. Each node takes q_hi only where it is
-        strictly better, so ties go to q_lo, the 0 bit, and the corner read
-        off the choices is the smallest maximizing index.
-        """
+    def support(self, v, tie_tol: float) -> tuple[float, int, tuple[int, ...]]:
+        """max over corners c of E_c[v], the smallest corner attaining it, and
+        the near ties (_ties), from one sup sweep. The sup recursion is that
+        maximum: the choices below a node do not depend on those elsewhere.
+        Each node takes q_hi only where it is strictly better, so ties go to
+        q_lo, the 0 bit, and the corner read off the choices is the smallest
+        maximizing index. The ties can be every corner, so the corner count
+        is checked first, unless tie_tol = -inf, which lists none."""
+        if tie_tol != -math.inf:
+            self.num_generators()
         y, ends = self._sweep(v, max)
-        return y[0], self._corner(ends)
+        return y[0], self._corner(ends), self._ties(y, ends, tie_tol)
 
     def _corner(self, ends) -> int:
         """The index of the corner taking q_hi exactly where a sup sweep's
         endpoint values (a, b) have b > a."""
         return sum((b > a) << bit for (a, b), bit in zip(ends, self._free_from[1:]))
-
-    def extremes(self, v, tie_tol: float) -> tuple[float, int, tuple[int, ...], float]:
-        """support's answer and the near ties from one sup sweep and its walk
-        (_ties), and the minimum from one inf sweep. The ties can be every
-        corner, so the corner count is checked first."""
-        self.num_generators()
-        y, ends = self._sweep(v, max)
-        return y[0], self._corner(ends), self._ties(y, ends, tie_tol), self._sweep(v, min)[0][0]
 
     def _ties(self, y, ends, tie_tol: float) -> tuple[int, ...]:
         """Every corner c with max_c' E_c'[v] - E_c[v] <= tie_tol, in index
@@ -526,7 +521,7 @@ def compare_gexp_mmse(
     (TreeModel.block_solve: at the level, each block's one-variable minimax,
     composed by the same sup recursion) instead of on a corner matrix, under
     the solver's own constants (SADDLE_TOL, MAX_ADDITIONS). One sup sweep gives
-    the recursion and the corner c that TreeModel.support(xi) returns; rho_root
+    the recursion and the corner c that TreeModel.support(xi, -inf) returns; rho_root
     is E_c[xi], read off that corner's leaf law: it must equal the
     recursion's root, by a separate computation.
     """

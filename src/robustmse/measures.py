@@ -88,13 +88,11 @@ class SetQueries(Protocol):
     def num_generators(self) -> int:
         """K, the number of generators (on a tree, the corner-count guard)."""
 
-    def support(self, v) -> tuple[float, int]:
-        """max over generators g of E_g[v], and the smallest index attaining it."""
-
-    def extremes(self, v, tie_tol: float) -> tuple[float, int, tuple[int, ...], float]:
-        """(top, index, ties, bottom): support(v), every generator g with
-        top - E_g[v] <= tie_tol in index order (none at tie_tol = -inf), and
-        min over generators g of E_g[v]."""
+    def support(self, v, tie_tol: float) -> tuple[float, int, tuple[int, ...]]:
+        """(top, index, ties): max over generators g of E_g[v], the smallest
+        index attaining it, and every generator g with top - E_g[v] <= tie_tol
+        in index order (none at tie_tol = -inf). The least E_g[v] is
+        -support(-v, -inf)[0]."""
 
     def rows(self, ks) -> np.ndarray:
         """The (len(ks), n) weight rows of generators ks."""
@@ -173,17 +171,12 @@ class MeasureSet(Immutable):
             raise ArgumentError(f"expected a vector of {W.shape[1]} values, got shape {v.shape}")
         return W @ v
 
-    def support(self, v) -> tuple[float, int]:
+    def support(self, v, tie_tol: float) -> tuple[float, int, tuple[int, ...]]:
         top = self._products(v)
         k = int(top.argmax())  # argmax returns the smallest maximizing index
-        return float(top[k]), k
-
-    def extremes(self, v, tie_tol: float) -> tuple[float, int, tuple[int, ...], float]:
-        """support's answer, the near ties and the minimum, from one product."""
-        top = self._products(v)
-        k = int(top.argmax())
-        ties = (top >= top[k] - tie_tol).nonzero()[0]
-        return float(top[k]), k, tuple(ties.tolist()), float(top.min())
+        if tie_tol == -np.inf:
+            return float(top[k]), k, ()
+        return float(top[k]), k, tuple((top >= top[k] - tie_tol).nonzero()[0].tolist())
 
     def rows(self, ks) -> np.ndarray:
         return self.weights_matrix[np.asarray(ks, dtype=np.intp)]  # a tuple of ks too

@@ -51,8 +51,7 @@ def random_partition(rng, space, num_blocks) -> PartitionAlgebra:
     perm = rng.permutation(n)
     # num_blocks-1 cut points split the shuffled indices into nonempty runs
     cuts = np.sort(rng.choice(np.arange(1, n), size=num_blocks - 1, replace=False))
-    blocks = np.split(perm, cuts)
-    return PartitionAlgebra(space, [tuple(int(i) for i in b) for b in blocks])
+    return PartitionAlgebra(space, np.split(perm, cuts))
 
 
 def split_partition(rng, partition) -> PartitionAlgebra:

@@ -19,6 +19,7 @@ derived from x are compared in units of RandomVariable.unit, under VALUE_TOL.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +27,14 @@ import numpy as np
 from .errors import ArgumentError, StructuralError, ZeroMassBlockError
 
 VALUE_TOL = 1e-9  # relative slack of a value comparison, in units of RandomVariable.unit
+
+
+def as_int(value, name: str) -> int:
+    """value, an int or a numpy integer, as an int: a bool, a float or anything
+    else is an ArgumentError naming `name`, where int() would truncate it."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -172,7 +181,7 @@ class PartitionAlgebra(Immutable):
         canon = []
         seen: set[int] = set()
         for b in blocks:
-            b = tuple(sorted(int(i) for i in b))
+            b = tuple(sorted(as_int(i, "a block index") for i in b))
             if len(b) == 0:
                 raise ArgumentError("partition blocks must be nonempty")
             if len(set(b)) != len(b):

@@ -19,7 +19,7 @@ from .measures import Measure, MeasureSet, SetQueries
 from .randgen import random_measure_set, random_two_level_filtration, random_variable, rng_from_seed
 from . import simplexlp
 from .spaces import (
-    VALUE_TOL, Filtration, PartitionAlgebra, RandomVariable, SampleSpace, check_same_space
+    VALUE_TOL, Filtration, PartitionAlgebra, RandomVariable, SampleSpace, as_int, check_same_space
 )
 from .sublinear import conditional_envelopes
 
@@ -215,6 +215,7 @@ def mmse_time_consistency_search(
     TCSEARCH_GAP. Returns None when no trial hits, which is a report, not a
     proof of consistency.
     """
+    seed, trials = as_int(seed, "seed"), as_int(trials, "trials")
     if trials < 1:
         raise ArgumentError("trials must be at least 1")
     if seed < 0:

@@ -28,11 +28,10 @@ def rho(ms: SetQueries, x: RandomVariable) -> RhoValue:
 
     argmax_generator is the smallest maximizing index; ties lists every index
     attaining the max within VALUE_TOL * x.unit. All three come from one
-    extremes query (a tree's corners indexed as in tree_measure_set).
+    support query (a tree's corners indexed as in tree_measure_set).
     """
     check_same_space(ms, x)
-    value, best, ties, _ = ms.extremes(x.values, VALUE_TOL * x.unit)
-    return RhoValue(value, best, ties)
+    return RhoValue(*ms.support(x.values, VALUE_TOL * x.unit))
 
 
 def conditional_envelopes(

@@ -200,8 +200,8 @@ def test_a_tree_is_solved_at_its_level_partitions_only():
 # --- every tree query refuses leaf values of another shape -------------------
 
 QUERIES = {
-    "support": lambda tm, v: tm.support(v),
-    "extremes": lambda tm, v: tm.extremes(v, 0.0),
+    "support": lambda tm, v: tm.support(v, -math.inf),
+    "ties": lambda tm, v: tm.support(v, 0.0),
     "envelopes": lambda tm, v: tm.envelopes(v, [tm.level_partition(1)]),
     "block_solve": lambda tm, v: tm.block_solve(v, tm.level_partition(1), None, 10),
 }

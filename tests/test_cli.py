@@ -926,9 +926,10 @@ class TestLargeBound:
     M = 1.34e154, and refuses where a term of the bound itself overflows."""
 
     @staticmethod
-    def solve(tmp_path, xi, partition):
+    def solve(tmp_path, xi, partition, generators=FOUR_POINT["generators"]):
         path = tmp_path / "large.json"
-        path.write_text(json.dumps(dict(FOUR_POINT, xi=xi, partition=partition)))
+        doc = dict(FOUR_POINT, xi=xi, partition=partition, generators=generators)
+        path.write_text(json.dumps(doc))
         out = tmp_path / "large-solve.json"
         code = main(["solve", str(path), "--out", str(out)])
         return code, out.read_text() if out.exists() else None
@@ -956,6 +957,15 @@ class TestLargeBound:
         assert self.solve(tmp_path, xi, [[0, 1], [2, 3]]) == (4, None)
         err = capsys.readouterr().err
         assert "robustmse: refused: " in err and "NS lower bound" in err and "Traceback" not in err
+
+    def test_guard_reads_the_generators_products_not_each_point(self, tmp_path):
+        # every (xi - eta_hat) xi is about +-1e310 here, but one generator
+        # averages them to about 1e300: the guard reads max_k |a_k|, so the
+        # set answers
+        xi = [1e160 - 1e150, 1e160 + 1e150] * 2
+        code, text = self.solve(tmp_path, xi, [[0, 1], [2, 3]], [[0.25] * 4])
+        assert code == 0
+        assert json.loads(text)["result"]["ns_condition"]["holds"] is True
 
 
 class TestMeasurableAtScale:
@@ -1351,7 +1361,7 @@ class TestGexpCommand:
         path = tmp_path / "d5.json"
         path.write_text(json.dumps(self.tree_doc(5)))
         assert main(["rho", str(path)]) == 4
-        assert "corner-matrix entries" in capsys.readouterr().err
+        assert "dense over the corners" in capsys.readouterr().err
 
     def test_full_depth_five_oracle_refused_before_it_runs(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -1359,7 +1369,7 @@ class TestGexpCommand:
         path = tmp_path / "d5.json"
         path.write_text(json.dumps(dict(self.tree_doc(5), options={"level": 4})))
         assert main(["oracle", str(path)]) == 4
-        assert "corner-matrix entries" in capsys.readouterr().err
+        assert "dense over the corners" in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("command", ["rho", "gexp", "solve", "oracle"])

@@ -382,7 +382,8 @@ class TestVerifySaddle:
         res = solve_mmse(ms, xi, c)
         cert = verify_saddle(ms, xi, c, res)
         sq = (xi.values - res.eta_hat.values) ** 2
-        assert cert.max_over_P == ms.support(sq)[0] == np.max(ms.weights_matrix @ sq) > 0.0
+        top = ms.support(sq, -math.inf)[0]
+        assert cert.max_over_P == top == np.max(ms.weights_matrix @ sq) > 0.0
 
 
     def test_refuses_another_space_and_a_result_without_p_hat(self):

@@ -14,6 +14,7 @@ from robustmse import (
     SampleSpace,
     TreeModel,
     brute_force_mmse,
+    certify,
     compare_gexp_mmse,
     conditional_envelopes,
     g_expectation,
@@ -110,6 +111,16 @@ class TestTreeModel:
         with pytest.raises(ArgumentError):
             TreeModel(0, 0.25, 0.75)
 
+    @pytest.mark.parametrize("depth", [2.7, 2.0, True, "2"])
+    def test_depth_is_an_integer_not_truncated(self, depth):
+        # 2.7 used to build depth 2, and True depth 1
+        with pytest.raises(ArgumentError, match="tree depth must be an integer"):
+            TreeModel(depth, 0.25, 0.75)
+
+    def test_depth_may_be_a_numpy_integer(self):
+        tm = TreeModel(np.int64(2), 0.25, 0.75)
+        assert type(tm.depth) is int and tm == TreeModel(2, 0.25, 0.75)
+
     @pytest.mark.parametrize(
         "q_lo, q_hi, name",
         [
@@ -198,7 +209,7 @@ class TestTreeModel:
             assert twin.space is tm.space
             assert all(twin.level_partition(lv) is tm.level_partition(lv) for lv in range(4))
             v = np.arange(tm.num_leaves, dtype=float)
-            assert twin.support(v) == tm.support(v)
+            assert twin.support(v, 0.5) == tm.support(v, 0.5)
 
 
 class TestTreeMeasureSet:
@@ -417,7 +428,7 @@ class TestCornerOracle:
         for v in leaf_samples(tm, 90 + tm.depth):
             vals = W @ v
             M = np.max(np.abs(v))
-            value, k = tm.support(v)
+            value, k, _ = tm.support(v, -math.inf)
             assert value == pytest.approx(vals.max(), abs=1e-12 * M)
             assert vals[k] >= vals.max() - 1e-12 * M
             if is_exact(tm, v):
@@ -446,7 +457,7 @@ class TestCornerOracle:
             M = x.bound
             # wide slacks reach corners whose shortfall sits deep in the tree
             for tol in (1e-9, 1e-3 * M, 0.05 * M, 0.3 * M):
-                assert tm.extremes(v, tol)[2] == ms.extremes(v, tol)[2]
+                assert tm.support(v, tol)[2] == ms.support(v, tol)[2]
             want, got = rho(ms, x), rho(tm, x)
             assert got.ties == want.ties
             assert got.value == pytest.approx(want.value, abs=1e-12 * M)
@@ -461,8 +472,19 @@ class TestCornerOracle:
 
     def test_refused_like_the_corner_set(self):
         tm = TreeModel.drift_bound(5)
-        with pytest.raises(GuardRefusalError, match="corner-matrix entries"):
+        with pytest.raises(GuardRefusalError, match="dense over the corners"):
             rho(tm, RandomVariable(tm.space, np.zeros(32)))
+
+    def test_support_without_ties_needs_no_corner_count(self):
+        # depth 5 with every node free: 2^31 corners. The maximum and its
+        # corner are one sweep; ties could be every corner, so they are refused
+        tm = TreeModel.drift_bound(5)
+        v = np.arange(32.0)
+        value, k, ties = tm.support(v, -math.inf)
+        assert value == g_expectation(tm, v).root_value and ties == ()
+        assert 0 <= k < 2**31 and tm.rows([k])[0] @ v == pytest.approx(value, rel=1e-12)
+        with pytest.raises(GuardRefusalError, match="dense over the corners"):
+            tm.support(v, 1e-9)
 
     @pytest.mark.parametrize("make_tree", ORACLE_TREES)
     def test_envelopes_against_corner_matrix(self, make_tree):
@@ -499,7 +521,7 @@ def level_sweep(tm, v, pick):
 
 
 def breadth_first_ties(tm, v, tie_tol):
-    """The ties of extremes as one array walk over the nodes, every partial corner at once."""
+    """The ties of support as one array walk over the nodes, every partial corner at once."""
     y, ends = level_sweep(tm, v, np.maximum)
     nodes = tm.num_internal
     shortfall = (y[:nodes] - ends).T
@@ -535,11 +557,13 @@ class TestNodeWalk:
             assert lower_recursion(tm, v).tobytes() == low.tobytes()
             y, (a, b) = level_sweep(tm, v, np.maximum)
             assert g_expectation(tm, v).y.tobytes() == y.tobytes()
-            value, k = tm.support(v)
+            value, k, _ = tm.support(v, -math.inf)
             assert (value.hex(), k) == (float(y[0]).hex(), int((b > a) @ bits))
+            # the least corner value is minus the largest of -v, bit for bit
+            assert (-tm.support(-v, -math.inf)[0]).hex() == float(low[0]).hex()
             for tol in (-math.inf, 0.0, 1e-9, 1e-3, 0.3, 10.0):
-                top, index, ties, bottom = tm.extremes(v, tol)
-                assert (top.hex(), index, bottom.hex()) == (value.hex(), k, float(low[0]).hex())
+                top, index, ties = tm.support(v, tol)
+                assert (top.hex(), index) == (value.hex(), k)
                 assert ties == breadth_first_ties(tm, v, tol)
 
 
@@ -663,7 +687,7 @@ class TestTreeSolve:
     def test_refused_like_the_corner_set(self):
         tm = TreeModel.drift_bound(5)
         x = RandomVariable(tm.space, np.arange(32.0))
-        with pytest.raises(GuardRefusalError, match="corner-matrix entries"):
+        with pytest.raises(GuardRefusalError, match="dense over the corners"):
             solve_mmse(tm, x, tm.level_partition(4))
 
     @pytest.mark.parametrize("as_tree", [False, True], ids=["corner-set", "tree"])
@@ -708,7 +732,7 @@ class TestCompareAgainstCornerSet:
             tm = per_node_tree(3, 200 + i)
             v = rng.normal(size=tm.num_leaves) * 3.0
             rep = compare_gexp_mmse(tm, v, 1)
-            root, best = tm.support(v)
+            root, best, _ = tm.support(v, -math.inf)
             assert rep.rho_root == float(tm.rows([best])[0] @ v)
             assert rep.rho_root == pytest.approx(root, abs=1e-12 * np.max(np.abs(v)))
             differs += rep.rho_root != root
@@ -721,7 +745,7 @@ class TestCompareAgainstCornerSet:
         cases = []
         for tm in (TreeModel.drift_bound(3), per_node_tree(3, 210)):
             v = rng.normal(size=tm.num_leaves)
-            rho_root = tm.rows([tm.support(v)[1]])[0] @ v
+            rho_root = tm.rows([tm.support(v, -math.inf)[1]])[0] @ v
             cases.append((tm, v, g_expectation(tm, v).y.tolist(), rho_root))
         sweeps = []
         sweep = TreeModel._sweep
@@ -740,6 +764,28 @@ class TestCompareAgainstCornerSet:
                 rep = compare_gexp_mmse(tm, v, level)
                 assert len(sweeps) == alone + 1 and sweeps[0] is max
                 assert rep.recursion.y.tolist() == y and rep.rho_root == rho_root
+
+    def test_certify_sweeps_four_times_and_rho_once(self, monkeypatch):
+        # certify asks support four times, one sup sweep each: the saddle's
+        # maximum, rho_sq with its ties, and the largest a_k and -a_k of the
+        # NS guard; rho asks it once. No inf sweep runs
+        tm = per_node_tree(3, 211)
+        x = RandomVariable(tm.space, rng_from_seed(98).normal(size=tm.num_leaves))
+        c = tm.level_partition(1)
+        res = solve_mmse(tm, x, c)
+        sweeps = []
+        sweep = TreeModel._sweep
+
+        def counted(tm, v, pick):
+            sweeps.append(pick)
+            return sweep(tm, v, pick)
+
+        monkeypatch.setattr(TreeModel, "_sweep", counted)
+        certify(tm, x, c, res)
+        assert sweeps == [max] * 4
+        sweeps.clear()
+        rho(tm, x)
+        assert sweeps == [max]
 
     def test_traced_solve_is_the_estimators(self, monkeypatch):
         # gexp's solve goes through estimator.solve_mmse, by module attribute

@@ -213,10 +213,10 @@ def _fill_caches(obj):
     if isinstance(obj, RandomVariable):
         obj.unit
     if isinstance(obj, MeasureSet):
-        obj.generators, obj.support(np.ones(obj.space.n))
+        obj.generators, obj.support(np.ones(obj.space.n), 0.5)
     if isinstance(obj, TreeModel):
         v = np.arange(obj.num_leaves, dtype=float)
-        obj.support(v), obj.extremes(v, 0.5), obj.space
+        obj.support(v, 0.5), obj.space
 
 
 @pytest.mark.parametrize("name", VALUE_TYPES)

@@ -89,8 +89,8 @@ SETS = (
 )
 
 # the members of measures.SetQueries, each checked below
-QUERIES = ("space", "num_generators", "support", "extremes", "rows", "mean_row", "envelopes",
-           "is_proper", "block_solve")
+QUERIES = ("space", "num_generators", "support", "rows", "mean_row", "envelopes", "is_proper",
+           "block_solve")
 
 
 def probes(n, seed):
@@ -129,17 +129,18 @@ def test_set_answers_its_queries_as_brute_force_over_its_rows(make_set):
     for v in probes(s.space.n, K):
         top = rows @ v
         slack = 1e-12 * np.abs(v).max()  # the rounding of one expectation, with room
-        value, k = s.support(v)
+        value, k, _ = s.support(v, -math.inf)
         assert value == pytest.approx(top.max(), abs=slack)
         near = np.flatnonzero(top >= top.max() - slack)
         if len(near) == 1:
             assert k == near[0]
         else:
             assert k in near
+        # the least E_g[v], which ns_condition's guard reads this way
+        assert -s.support(-v, -math.inf)[0] == pytest.approx(top.min(), abs=slack)
         for tie_tol in (-math.inf, 0.0, 1e-9 * np.abs(v).max(), 1.0 / 16):
-            high, index, ties, low = s.extremes(v, tie_tol)
-            assert (high, index) == (value, k)  # support's answer
-            assert low == pytest.approx(top.min(), abs=slack)
+            high, index, ties = s.support(v, tie_tol)
+            assert (high, index) == (value, k)  # the tie_tol moves only the ties
             assert list(ties) == sorted(set(ties))
             inner = set(np.flatnonzero(top >= top.max() - tie_tol + slack).tolist())
             outer = set(np.flatnonzero(top >= top.max() - tie_tol - slack).tolist())
@@ -219,11 +220,11 @@ def test_set_answers_block_solve_as_brute_force_over_its_rows(make_set):
 
 @pytest.mark.parametrize("make_set", SETS)
 def test_value_queries_refuse_values_of_another_shape(make_set):
-    # support and extremes take one vector (n,), envelopes a vector or, on a
-    # set that serves one, a stack (..., n); anything else is named
+    # support takes one vector (n,), envelopes a vector or, on a set that
+    # serves one, a stack (..., n); anything else is named
     s, algebras = make_set()
     n = s.space.n
-    for query in (s.support, lambda v: s.extremes(v, 0.0)):
+    for query in (lambda v: s.support(v, -math.inf), lambda v: s.support(v, 0.0)):
         query(np.arange(float(n)))  # the right shape answers
         for shape in ((n - 1,), (n + 1,), (2, n)):
             with pytest.raises(ArgumentError, match=rf"expected .*\b{n}\b.*got shape"):

@@ -82,6 +82,14 @@ class TestPartitionAlgebra:
         with pytest.raises(ArgumentError):
             PartitionAlgebra(space(2), [(0, 1), ()])
 
+    def test_indices_are_integers_not_truncated(self):
+        # (0.7, 1.2) used to read as the block (0, 1)
+        for blocks in ([(0.7, 1.2), (2,)], [(0, 1), (2.0,)], [(False, True), (2,)]):
+            with pytest.raises(ArgumentError, match="block index must be an integer"):
+                PartitionAlgebra(space(3), blocks)
+        c = PartitionAlgebra(space(3), [np.array([1, 0]), (np.int32(2),)])
+        assert c.blocks == ((0, 1), (2,)) and all(type(i) is int for b in c.blocks for i in b)
+
     def test_equality_is_structural(self):
         a = PartitionAlgebra(space(4), [(0, 1), (2, 3)])
         b = PartitionAlgebra(space(4), [(3, 2), (1, 0)])

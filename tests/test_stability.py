@@ -504,6 +504,20 @@ class TestTimeConsistencySearch:
         with pytest.raises(ArgumentError):
             mmse_time_consistency_search(seed=-1, trials=1)
 
+    @pytest.mark.parametrize(
+        "seed, trials, name",
+        [(1.9, 1, "seed"), (True, 1, "seed"), (1, 2.5, "trials"), (1, True, "trials")],
+    )
+    def test_seed_and_trials_are_integers_not_truncated(self, seed, trials, name):
+        # seed=1.9 used to run seed 1, and trials=2.5 raised a bare TypeError
+        with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+            mmse_time_consistency_search(seed=seed, trials=trials)
+
+    def test_numpy_integers_are_integers(self):
+        want = mmse_time_consistency_search(seed=20250801, trials=50)
+        got = mmse_time_consistency_search(seed=np.int64(20250801), trials=np.int32(50))
+        assert got.gap == want.gap and got.trial_index == want.trial_index
+
     def test_seeded_search_finds_counterexample(self):
         hit = mmse_time_consistency_search(seed=20250801, trials=50)
         assert hit is not None

@@ -2,7 +2,7 @@
 
 Given the solver's P_hat as witness, verify_saddle, kernel_member and
 ns_condition read the rows of the generators P_hat charges through
-`rows`, and their maxima through `support` and `extremes`; only their LP
+`rows`, and their maxima through `support`; only their LP
 fallbacks read every row. Here they are checked against a reference that
 reads the whole weight matrix, written below as the certificates were
 stated before: rho_sq within the rounding of a K-row maximum, the active
@@ -131,7 +131,7 @@ class QueriesOnly:
     """A set that answers exactly the queries of measures.SetQueries by asking
     another set, and has no weight matrix: the template of a new kind of set.
     It records the generators each `rows` call asks for (asked) and the name
-    of each query of values (products): support, extremes and envelopes."""
+    of each query of values (products): support and envelopes."""
 
     def __init__(self, ms):
         self.ms, self.space, self.asked, self.products = ms, ms.space, [], []
@@ -139,13 +139,9 @@ class QueriesOnly:
     def num_generators(self):
         return self.ms.num_generators()
 
-    def support(self, v):
+    def support(self, v, tie_tol):
         self.products.append("support")
-        return self.ms.support(v)
-
-    def extremes(self, v, tie_tol):
-        self.products.append("extremes")
-        return self.ms.extremes(v, tie_tol)
+        return self.ms.support(v, tie_tol)
 
     def envelopes(self, v, algebras):
         self.products.append("envelopes")
@@ -186,18 +182,18 @@ def test_each_certificate_reads_the_witness_rows():
     assert checked >= 50
 
 
-def test_certify_forms_three_products_and_rho_one():
-    # certify: support of the squared deviation for the saddle, extremes of it
-    # in units of 4^e (rho_sq and the active set), and extremes of d xi (its
-    # largest and least a_k); rho: one extremes query
+def test_certify_forms_four_products_and_rho_one():
+    # certify: support of the squared deviation for the saddle, of it in
+    # units of 4^e with its ties (rho_sq and the active set), and of d xi and
+    # -d xi (the largest a_k and minus the least); rho: one support query
     for ms, xi, c in acceptance_sets()[:20]:
         res = solve_mmse(ms, xi, c)
         spy = QueriesOnly(ms)
         certify_in_one_pass(spy, xi, c, res)
-        assert spy.products == ["support", "extremes", "extremes"]
+        assert spy.products == ["support"] * 4
         spy.products.clear()
         rho(spy, xi)
-        assert spy.products == ["extremes"]
+        assert spy.products == ["support"]
 
 
 def test_a_set_of_queries_alone_solves_and_certifies_with_the_same_bits():

@@ -23,7 +23,7 @@ Families:
   xi * 2^20, xi * 2^-20, xi + 1e4, xi * 1e6 and xi * 1e-6;
 - orders, cvar, zeros: the three families of sets that are not proper,
   which tests/test_not_proper.py reads from not_proper_corpus;
-- queries: support, the ties of extremes (under "near_ties" keys), rows,
+- queries: support, with its ties at each tie_tol (under "near_ties" keys), rows,
   mean_row and the envelopes at every level partition of every tree above,
   on the TreeModel and on its corner matrix;
 - certificates: certify (saddle certificate, kernel verdict, NS report) on
@@ -248,10 +248,10 @@ def records():
         for kind, s in (("tree", tm), ("corners", ms)):
             rec = query_record(s)
             for label, v in probes.items():
-                top, k = s.support(v)
+                top, k, _ = s.support(v, -np.inf)
                 rec[f"support {label}"] = [top.hex(), k]
                 for tol in TIE_TOLS:
-                    rec[f"near_ties {label} {tol!r}"] = list(s.extremes(v, tol)[2])
+                    rec[f"near_ties {label} {tol!r}"] = list(s.support(v, tol)[2])
                 envelopes = s.envelopes(v, levels)
                 rec[f"envelopes {label}"] = [[_hex(lo), _hex(hi)] for lo, hi in envelopes]
             yield "queries", f"{name} {kind}", rec
