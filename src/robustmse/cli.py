@@ -36,6 +36,7 @@ from .instances import (
     json_inf,
     load_instance,
 )
+from .spaces import VALUE_TOL
 from .stability import (
     DEFAULT_TCSEARCH_SEED,
     DEFAULT_TCSEARCH_TRIALS,
@@ -43,7 +44,6 @@ from .stability import (
     mmse_time_consistency_search,
     recursivity_grid,
 )
-from .sublinear import rho
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -55,13 +55,10 @@ EXIT_GUARD = 4
 def cmd_rho(inst: Instance) -> tuple[dict, int]:
     # a tree's recursions answer for its corner set, which is never built
     ms, xi, levels = inst.measures(), inst.xi, inst.levels()
-    value = rho(ms, xi)
+    # the argmax and every generator within VALUE_TOL * R of the max: one query
+    value, argmax, ties = ms.support(xi.values, VALUE_TOL * xi.unit)
     payload = {
-        "rho": {
-            "value": value.value,
-            "argmax_generator": value.argmax_generator,
-            "ties": list(value.ties),
-        },
+        "rho": {"value": value, "argmax_generator": argmax, "ties": list(ties)},
         "envelopes": [
             {
                 "blocks": [list(b) for b in algebra.blocks],

@@ -845,12 +845,12 @@ def optimality_ineq(
     if not is_measurable(eta_hat, c):
         raise ArgumentError("eta_hat must be measurable w.r.t. the partition")
     resid = xi - eta_hat
-    base = rho(ms, resid * resid).value
+    base = rho(ms, resid * resid)
     entries = []
     for i, eta in enumerate(eta_list):
         if not is_measurable(eta, c):
             raise ArgumentError(f"eta_list[{i}] is not measurable w.r.t. the partition")
-        lhs = rho(ms, (xi - eta) * resid).value
+        lhs = rho(ms, (xi - eta) * resid)
         margin = lhs - base
         entries.append(OptimalityEntry(margin=margin, ok=margin >= -VALUE_TOL * xi.unit**2))
     return OptimalityReport(entries=tuple(entries))
@@ -887,7 +887,7 @@ def _penalized(ms, xi, c, eta, upper):
         raise ArgumentError("eta must be measurable w.r.t. the partition")
     if np.all(eta.values >= upper().values - VALUE_TOL * xi.unit):  # both C-measurable
         diff = xi - eta
-        return rho(ms, diff * diff).value
+        return rho(ms, diff * diff)
     return math.inf
 
 

@@ -137,6 +137,7 @@ class TreeModel(Immutable):
         """Leaves grouped by their first `level` moves: in the heap order, runs
         of 2^(depth - level) consecutive leaves. One object per depth and
         level (_level_partition)."""
+        level = as_int(level, "level")
         if not 0 <= level <= self.depth:
             raise ArgumentError(f"level must lie in 0..{self.depth}")
         return _level_partition(self.depth, level)
@@ -477,6 +478,7 @@ class GExpResult(NamedTuple):
 
 
 def _level(nodes: np.ndarray, level: int) -> np.ndarray:
+    level = as_int(level, "level")
     if not 0 <= level < len(nodes).bit_length():  # nodes: 2^L - 1 values, level by level
         raise ArgumentError(f"level {level} out of range 0..{len(nodes).bit_length() - 1}")
     return nodes[2**level - 1 : 2 ** (level + 1) - 1]
@@ -525,6 +527,7 @@ def compare_gexp_mmse(
     is E_c[xi], read off that corner's leaf law: it must equal the
     recursion's root, by a separate computation.
     """
+    level = as_int(level, "comparison level")
     if not 0 <= level < tm.depth:
         raise ArgumentError(f"comparison level must lie in 0..{tm.depth - 1}")
     xi = RandomVariable(tm.space, xi_leaf)

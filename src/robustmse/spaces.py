@@ -107,7 +107,7 @@ class SampleSpace(Immutable):
 
     @classmethod
     def of_size(cls, n: int) -> "SampleSpace":
-        return cls(tuple(f"w{i}" for i in range(n)))
+        return cls(tuple(f"w{i}" for i in range(as_int(n, "sample space size"))))
 
 
 class RandomVariable(Immutable):

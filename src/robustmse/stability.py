@@ -49,6 +49,7 @@ def paste(q0: Measure, q: Measure, f: Filtration, level: int) -> PastedMeasure:
     by q is a degeneracy (the conditional law to splice does not exist there).
     """
     check_same_space(q0, q, f.levels[0])
+    level = as_int(level, "switch level")
     if not 0 <= level < len(f.levels):
         raise ArgumentError(f"level {level} out of range 0..{len(f.levels) - 1}")
     algebra = f.levels[level]
@@ -154,6 +155,7 @@ def recursivity_check(
     through tau, equal within VALUE_TOL * xi.unit. They agree on a stable set;
     `is_stable` passing is not enough, since it pastes whole generators at
     whole levels only."""
+    sigma_level, tau_level = as_int(sigma_level, "sigma level"), as_int(tau_level, "tau level")
     if not 0 <= sigma_level <= tau_level < len(f.levels):
         raise ArgumentError(
             f"need 0 <= sigma <= tau < {len(f.levels)}, got ({sigma_level}, {tau_level})"

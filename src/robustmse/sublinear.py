@@ -2,8 +2,10 @@
 
 rho(x) = max over generators of E_g[x]; since the integrand is linear in the
 measure, the hull adds nothing and the max over generators equals the sup
-over the whole represented set. Every function here reads the set through
-its queries (measures.SetQueries) alone.
+over the whole represented set. rho is that number alone, from a support
+query that lists no ties; the argmax and the near ties the `rho` command
+reports come from its own query (cli.cmd_rho). Every function here reads the
+set through its queries (measures.SetQueries) alone.
 """
 
 from __future__ import annotations
@@ -17,21 +19,11 @@ from .measures import SetQueries
 from .spaces import VALUE_TOL, PartitionAlgebra, RandomVariable, check_same_space
 
 
-class RhoValue(NamedTuple):
-    value: float
-    argmax_generator: int
-    ties: tuple[int, ...]
-
-
-def rho(ms: SetQueries, x: RandomVariable) -> RhoValue:
-    """Maximum expectation over the generators, with deterministic tie-breaking.
-
-    argmax_generator is the smallest maximizing index; ties lists every index
-    attaining the max within VALUE_TOL * x.unit. All three come from one
-    support query (a tree's corners indexed as in tree_measure_set).
-    """
+def rho(ms: SetQueries, x: RandomVariable) -> float:
+    """The largest expectation of x over the generators: one support query
+    that lists no ties, so on a tree one sup sweep, whatever its corner count."""
     check_same_space(ms, x)
-    return RhoValue(*ms.support(x.values, VALUE_TOL * x.unit))
+    return ms.support(x.values, -np.inf)[0]
 
 
 def conditional_envelopes(
@@ -77,9 +69,9 @@ def holder_bound(
     if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise ArgumentError(f"exponents p={p}, q={q} are not conjugate")
     check_same_space(ms, x1, x2)
-    lhs = rho(ms, RandomVariable(ms.space, np.abs(x1.values * x2.values))).value
-    rp = rho(ms, RandomVariable(ms.space, np.abs(x1.values) ** p)).value
-    rq = rho(ms, RandomVariable(ms.space, np.abs(x2.values) ** q)).value
+    lhs = rho(ms, RandomVariable(ms.space, np.abs(x1.values * x2.values)))
+    rp = rho(ms, RandomVariable(ms.space, np.abs(x1.values) ** p))
+    rq = rho(ms, RandomVariable(ms.space, np.abs(x2.values) ** q))
     rhs = rp ** (1.0 / p) * rq ** (1.0 / q)
     return lhs, rhs
 
@@ -124,24 +116,24 @@ def axiom_suite(
 
     for c in scalars:
         const = RandomVariable(ms.space, np.full(ms.space.n, float(c)))
-        v = rho(ms, const).value
+        v = rho(ms, const)
         check("constant_preserving", f"rho({c}) = {v}", v, c, const.unit, two_sided=True)
 
-    values = [rho(ms, x).value for x in samples]
+    values = [rho(ms, x) for x in samples]
     for i, (x, rx) in enumerate(zip(samples, values)):
         for j in range(i + 1, len(samples)):
             y, ry = samples[j], values[j]
             upper = RandomVariable(ms.space, np.maximum(x.values, y.values))
-            ru = rho(ms, upper).value
+            ru = rho(ms, upper)
             check("monotonicity", f"samples ({i}, max({i},{j}))", rx, ru, max(x.unit, upper.unit))
             check("monotonicity", f"samples ({j}, max({i},{j}))", ry, ru, max(y.unit, upper.unit))
             total = x + y
             unit = max(x.unit, y.unit, total.unit)
-            check("subadditivity", f"samples ({i},{j})", rho(ms, total).value, rx + ry, unit)
+            check("subadditivity", f"samples ({i},{j})", rho(ms, total), rx + ry, unit)
         for lam in scalars:
             if lam < 0:
                 continue
-            rl, unit = rho(ms, x * lam).value, max(1.0, lam) * x.unit
+            rl, unit = rho(ms, x * lam), max(1.0, lam) * x.unit
             detail = f"sample {i}, lambda={lam}"
             check("positive_homogeneity", detail, rl, lam * rx, unit, two_sided=True)
 

@@ -20,6 +20,7 @@ import robustmse.simplexlp
 from robustmse import Measure, RandomVariable, replay_counterexample
 from robustmse.cli import build_parser, main
 from robustmse.errors import ValidationError
+from robustmse.spaces import VALUE_TOL
 from robustmse.instances import (
     _canonical_json,
     canonical_dict,
@@ -815,6 +816,23 @@ class TestRhoCommand:
         env = doc["result"]["envelopes"][0]
         assert env["ess_sup"] == [6.5, 6.5]
         assert env["ess_inf"] == [3.5, 3.5]
+
+    @pytest.mark.parametrize("kind", ["explicit", "tree"])
+    def test_one_support_query_at_the_value_tolerance(self, tmp_path, monkeypatch, kind):
+        # value, argmax_generator and ties come from one query, with the
+        # ties within VALUE_TOL * R of the maximum (here R = 4)
+        leaves = [2, 8, 0, 3]
+        if kind == "tree":
+            tree = {"depth": 2, "q_lo": 0.25, "q_hi": 0.75, "dt": 0.25, "leaf_values": leaves}
+            cls, doc = robustmse.gexp.TreeModel, {"version": "1", "tree": tree}
+        else:
+            cls, doc = robustmse.measures.MeasureSet, dict(FOUR_POINT, xi=leaves)
+        calls, support = [], cls.support
+        monkeypatch.setattr(cls, "support", lambda s, v, tol: calls.append(tol) or support(s, v, tol))
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["rho", str(path)], tmp_path)
+        assert code == 0 and calls == [VALUE_TOL * 4]
 
     def test_constant_instance(self, tmp_path):
         doc = dict(EXAMPLE, xi=[3, 3])

@@ -127,7 +127,7 @@ class TestSolveMmse:
             ms, xi, c = random_instance(rng)
             res = solve_mmse(ms, xi, c)
             diff = xi - res.eta_hat
-            assert res.alpha == pytest.approx(rho(ms, diff * diff).value, abs=1e-10)
+            assert res.alpha == pytest.approx(rho(ms, diff * diff), abs=1e-10)
 
     def test_nonconvergence_is_reported(self, monkeypatch):
         # interior saddle: it needs both generators, so a solve capped before

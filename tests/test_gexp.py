@@ -13,13 +13,16 @@ from robustmse import (
     RandomVariable,
     SampleSpace,
     TreeModel,
+    axiom_suite,
     brute_force_mmse,
     certify,
     compare_gexp_mmse,
     conditional_envelopes,
     g_expectation,
+    holder_bound,
     minimax_gap,
     mix,
+    optimality_ineq,
     penalized_value,
     rho,
     solve_mmse,
@@ -27,6 +30,7 @@ from robustmse import (
 )
 from robustmse import gexp
 from robustmse.randgen import rng_from_seed, random_variable
+from robustmse.spaces import VALUE_TOL
 
 
 def lower_recursion(tm, v):
@@ -263,7 +267,7 @@ class TestTreeMeasureSet:
         for _ in range(3):
             xi = random_variable(rng, ms.space)
             root = g_expectation(tm, xi.values).root_value
-            assert rho(ms, xi).value == pytest.approx(root, abs=1e-10)
+            assert rho(ms, xi) == pytest.approx(root, abs=1e-10)
 
     def test_guard_counts_matrix_entries(self, monkeypatch):
         tm = TreeModel.drift_bound(2)  # 8 corners x 4 leaves
@@ -323,7 +327,7 @@ class TestGExpectation:
             for _ in range(5):
                 xi = random_variable(rng, ms.space)
                 res = g_expectation(tm, xi.values)
-                assert abs(res.root_value - rho(ms, xi).value) < 1e-10
+                assert abs(res.root_value - rho(ms, xi)) < 1e-10
 
     def test_recursion_is_time_consistent(self):
         tm = TreeModel.drift_bound(3)
@@ -378,7 +382,7 @@ class TestCompare:
         xi = np.arange(8.0) % 3
         rep = compare_gexp_mmse(tm, xi, 1)
         ms = tree_measure_set(tm)
-        assert rep.rho_root == rho(ms, RandomVariable(ms.space, xi)).value
+        assert rep.rho_root == rho(ms, RandomVariable(ms.space, xi))
         assert rep.rho_root == pytest.approx(g_expectation(tm, xi).root_value, abs=1e-12)
 
     def test_level_range(self):
@@ -401,7 +405,7 @@ def test_corner_attainment():
             [q0 * q1, q0 * (1 - q1), (1 - q0) * q2, (1 - q0) * (1 - q2)]
         )
         corner_values.append(float(probs @ xi.values))
-    assert best.value == pytest.approx(max(corner_values), abs=1e-12)
+    assert best == pytest.approx(max(corner_values), abs=1e-12)
 
 
 def is_exact(tm, v):
@@ -458,22 +462,27 @@ class TestCornerOracle:
             # wide slacks reach corners whose shortfall sits deep in the tree
             for tol in (1e-9, 1e-3 * M, 0.05 * M, 0.3 * M):
                 assert tm.support(v, tol)[2] == ms.support(v, tol)[2]
-            want, got = rho(ms, x), rho(tm, x)
-            assert got.ties == want.ties
-            assert got.value == pytest.approx(want.value, abs=1e-12 * M)
+            # the rho command's query: its value, argmax and ties
+            want, got = ms.support(v, VALUE_TOL * x.unit), tm.support(v, VALUE_TOL * x.unit)
+            assert got[2] == want[2]
+            assert got[0] == pytest.approx(want[0], abs=1e-12 * M)
+            assert (rho(ms, x), rho(tm, x)) == (want[0], got[0])
             if is_exact(tm, v):
                 assert got == want
 
     def test_every_corner_ties_on_a_constant(self):
         tm = TreeModel.drift_bound(4)
-        got = rho(tm, RandomVariable(tm.space, np.full(16, -1.5)))
-        assert got.ties == tuple(range(2 ** 15))
-        assert got.argmax_generator == 0 and got.value == -1.5
+        x = RandomVariable(tm.space, np.full(16, -1.5))
+        assert tm.support(x.values, VALUE_TOL * x.unit) == (-1.5, 0, tuple(range(2 ** 15)))
+        assert rho(tm, x) == -1.5
 
     def test_refused_like_the_corner_set(self):
+        # the rho command's query lists ties, which could be all 2^31 corners
         tm = TreeModel.drift_bound(5)
+        x = RandomVariable(tm.space, np.zeros(32))
         with pytest.raises(GuardRefusalError, match="dense over the corners"):
-            rho(tm, RandomVariable(tm.space, np.zeros(32)))
+            tm.support(x.values, VALUE_TOL * x.unit)
+        assert rho(tm, x) == 0.0
 
     def test_support_without_ties_needs_no_corner_count(self):
         # depth 5 with every node free: 2^31 corners. The maximum and its
@@ -485,6 +494,33 @@ class TestCornerOracle:
         assert 0 <= k < 2**31 and tm.rows([k])[0] @ v == pytest.approx(value, rel=1e-12)
         with pytest.raises(GuardRefusalError, match="dense over the corners"):
             tm.support(v, 1e-9)
+
+    def test_value_readers_answer_past_the_guard(self):
+        # rho and what reads only its value need the maximum alone, one sup
+        # sweep each, on 2^31 corners; minimax_gap's solve writes p_hat with a
+        # weight per corner, so it is refused
+        tm = TreeModel.drift_bound(5)
+        x = RandomVariable(tm.space, np.arange(32.0))
+        y = RandomVariable(tm.space, (np.arange(32.0) * 7) % 11 - 5)
+
+        def root(v):
+            return g_expectation(tm, v).root_value
+
+        assert rho(tm, x) == root(x.values) == 23.25
+        assert holder_bound(tm, x, y, 2.0, 2.0) == (
+            root(np.abs(x.values * y.values)), root(x.values**2) ** 0.5 * root(y.values**2) ** 0.5
+        )
+        report = axiom_suite(tm, [x, y])
+        assert report.ok and report.checks == 15
+        c = tm.level_partition(3)
+        lower, upper = conditional_envelopes(tm, x, c)
+        resid = (x - upper).values
+        margins = [e.margin for e in optimality_ineq(tm, x, c, upper, [lower, upper]).entries]
+        assert margins == [root((x - eta).values * resid) - root(resid * resid) for eta in (lower, upper)]
+        assert penalized_value(tm, x, c, upper) == root(resid * resid)
+        assert penalized_value(tm, x, c, lower) == math.inf
+        with pytest.raises(GuardRefusalError, match="dense over the corners"):
+            minimax_gap(tm, x, c)
 
     @pytest.mark.parametrize("make_tree", ORACLE_TREES)
     def test_envelopes_against_corner_matrix(self, make_tree):
@@ -721,7 +757,7 @@ class TestCompareAgainstCornerSet:
             assert abs(rep.estimator.alpha - want.alpha) <= 1e-9 * x.bound ** 2
             assert rep.rho_root == pytest.approx(root, abs=1e-12 * x.bound)
             if is_exact(tm, v):
-                assert rep.rho_root == rho(ms, x).value == root
+                assert rep.rho_root == rho(ms, x) == root
 
     def test_rho_root_is_a_separate_computation(self):
         # rho_root is E_c[xi] read off corner c's leaf law, not the recursion's
@@ -801,10 +837,40 @@ class TestCompareAgainstCornerSet:
         assert calls == ["TreeModel"]
 
 
+NOT_INTEGERS = [
+    pytest.param(1.0, id="float"), pytest.param(True, id="bool"),
+    pytest.param(np.float64(1.0), id="float64"), pytest.param("1", id="str"),
+]
+
+
 class TestArgumentsRefused:
     def test_level_beyond_depth(self):
         with pytest.raises(ArgumentError, match=r"0\.\.2"):
             TreeModel.drift_bound(2).level_partition(3)
+
+    @pytest.mark.parametrize("level", NOT_INTEGERS)
+    def test_partition_level_is_an_integer(self, level):
+        # 1.0 raised a bare TypeError and True read as level 1; np.float64(1.0)
+        # did both, as the partition cache matches a key equal to a cached 1
+        tm = TreeModel.drift_bound(2)
+        assert tm.level_partition(np.int64(1)) is tm.level_partition(1)
+        with pytest.raises(ArgumentError, match="level must be an integer"):
+            tm.level_partition(level)
+
+    @pytest.mark.parametrize("level", NOT_INTEGERS)
+    def test_comparison_level_is_an_integer(self, level):
+        tm, v = TreeModel.drift_bound(2), [1.0, 0.0, 0.0, 0.0]
+        assert compare_gexp_mmse(tm, v, np.int32(1)).gexp_cond == compare_gexp_mmse(tm, v, 1).gexp_cond
+        with pytest.raises(ArgumentError, match="comparison level must be an integer"):
+            compare_gexp_mmse(tm, v, level)
+
+    @pytest.mark.parametrize("level", NOT_INTEGERS)
+    def test_result_level_is_an_integer(self, level):
+        res = g_expectation(TreeModel.drift_bound(2), [1.0, 0.0, 0.0, 0.0])
+        for query in (res.level_values, res.level_z):
+            assert np.array_equal(query(np.int64(1)), query(1))
+            with pytest.raises(ArgumentError, match="level must be an integer"):
+                query(level)
 
     def test_result_level_out_of_range(self):
         res = g_expectation(TreeModel.drift_bound(2), [1.0, 0.0, 0.0, 0.0])

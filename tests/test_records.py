@@ -1,7 +1,7 @@
 """The package's records and value types, built without dataclasses.
 
 Importing the package and its command line loads no `dataclasses` module, and
-each of the 27 types keeps its immutability, equality and hashing: records
+each of the 26 types keeps its immutability, equality and hashing: records
 (NamedTuples) and value types (through spaces.Immutable) compare and hash
 by their fields, a GExpResult and an LpResult by identity.
 """
@@ -37,7 +37,6 @@ from robustmse import (
     optimality_ineq,
     paste,
     recursivity_check,
-    rho,
     solve_mmse,
     verify_saddle,
 )
@@ -59,7 +58,7 @@ def test_import_loads_no_dataclasses():
 
 
 def build():
-    """One instance of each of the 27 types, keyed by type name; every call
+    """One instance of each of the 26 types, keyed by type name; every call
     builds new objects from the same data."""
     space = SampleSpace(("uu", "ud", "du", "dd"))
     g0, g1 = Measure(space, [0.4, 0.1, 0.2, 0.3]), Measure(space, [0.1, 0.4, 0.3, 0.2])
@@ -82,7 +81,7 @@ def build():
         is_stable(ms, f), kernel_interval(ms, xi, halves),
         recursivity_check(ms, f, xi, 0, 1),
         TcCounterexample(ms, xi, f, res.eta_hat, res.eta_hat, res.eta_hat, 0.0, 0),
-        rho(ms, xi), AxiomViolation("monotonicity", "samples (0, 1)", 1.0, 0.5),
+        AxiomViolation("monotonicity", "samples (0, 1)", 1.0, 0.5),
         axiom_suite(ms, [xi]),
     ]
     return {type(o).__name__: o for o in objs}
@@ -95,7 +94,7 @@ UNHASHABLE = {"Instance"}
 
 
 def test_every_type_built():
-    assert len(NAMES) == 27
+    assert len(NAMES) == 26
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -32,6 +32,13 @@ class TestSampleSpace:
     def test_size(self):
         assert space(3).n == 3
 
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_size_is_an_integer(self, n):
+        # 2.0 raised a bare TypeError, and True built a one-point space
+        assert SampleSpace.of_size(np.int64(2)) == space(2)
+        with pytest.raises(ArgumentError, match="sample space size must be an integer"):
+            SampleSpace.of_size(n)
+
 
 class TestRandomVariable:
     def test_bound_is_max_abs_value(self):

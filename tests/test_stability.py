@@ -66,6 +66,16 @@ class TestPaste:
         for level in range(3):
             assert paste(q, q, f, level).result == q
 
+    @pytest.mark.parametrize("level", [1.0, True, "1"])
+    def test_level_is_an_integer(self, four_point, level):
+        # 1.0 raised a bare TypeError, and True pasted at level 1
+        space, f = four_point
+        q0 = Measure(space, [5 / 16, 3 / 16, 6 / 16, 2 / 16])
+        q = Measure(space, [1 / 16, 7 / 16, 4 / 16, 4 / 16])
+        assert paste(q0, q, f, np.int64(1)) == paste(q0, q, f, 1)
+        with pytest.raises(ArgumentError, match="switch level must be an integer"):
+            paste(q0, q, f, level)
+
     def test_level_zero_keeps_tail(self, four_point):
         space, f = four_point
         q0 = Measure(space, [5 / 16, 3 / 16, 6 / 16, 2 / 16])
@@ -487,6 +497,18 @@ class TestRecursivity:
         calls.clear()
         recursivity_check(ms, f, xi, 1, 3)
         assert calls == [f.levels[3], f.levels[1]]
+
+    @pytest.mark.parametrize(
+        "sigma, tau, name",
+        [(0, 1.0, "tau"), (0, True, "tau"), (0.0, 1, "sigma"), (True, 1, "sigma")],
+    )
+    def test_levels_are_integers(self, diagonal_pair, sigma, tau, name):
+        # a float level raised a bare TypeError, and True read as level 1
+        space, f, ms = diagonal_pair
+        xi = RandomVariable(space, [1.0, 0.0, 0.0, 1.0])
+        assert recursivity_check(ms, f, xi, np.int64(0), np.int32(1)) == recursivity_check(ms, f, xi, 0, 1)
+        with pytest.raises(ArgumentError, match=f"{name} level must be an integer"):
+            recursivity_check(ms, f, xi, sigma, tau)
 
     def test_level_order_enforced(self, diagonal_pair):
         space, f, ms = diagonal_pair

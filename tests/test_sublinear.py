@@ -19,6 +19,7 @@ from robustmse import (
     rho,
 )
 from robustmse.randgen import rng_from_seed, random_instance, random_variable
+from robustmse.spaces import VALUE_TOL
 from robustmse.sublinear import AxiomViolation
 
 
@@ -26,30 +27,31 @@ class TestRho:
     def test_example_value(self, two_point):
         _, ms, xi, _ = two_point
         out = rho(ms, xi)
-        assert out.value == 6.5
-        assert out.argmax_generator == 0
-        assert out.ties == (0,)
+        assert out == 6.5 and type(out) is float
+        # the argmax and ties the rho command reports, from the set's own query
+        assert ms.support(xi.values, VALUE_TOL * xi.unit) == (6.5, 0, (0,))
 
     def test_constant_preserving(self, two_point):
         space, ms, _, _ = two_point
-        assert rho(ms, RandomVariable(space, [4.0, 4.0])).value == pytest.approx(4.0)
+        assert rho(ms, RandomVariable(space, [4.0, 4.0])) == pytest.approx(4.0)
 
     def test_negated_example(self, two_point):
         space, ms, _, _ = two_point
         # max of E1 = -6.5, E2 = -3.5 over the two generators
-        out = rho(ms, RandomVariable(space, [-2.0, -8.0]))
-        assert out.value == pytest.approx(-3.5)
-        assert out.argmax_generator == 1
+        x = RandomVariable(space, [-2.0, -8.0])
+        assert rho(ms, x) == pytest.approx(-3.5)
+        assert ms.support(x.values, VALUE_TOL * x.unit)[1] == 1
 
     def test_argmax_consistency(self):
         rng = rng_from_seed(7)
         for _ in range(50):
             ms, xi, _ = random_instance(rng)
-            out = rho(ms, xi)
+            value, argmax, ties = ms.support(xi.values, VALUE_TOL * xi.unit)
+            assert rho(ms, xi) == value
             vals = [float(g.weights @ xi.values) for g in ms.generators]
-            assert out.value == pytest.approx(vals[out.argmax_generator], abs=1e-12)
-            for k in out.ties:
-                assert vals[k] >= out.value - 1e-9
+            assert value == pytest.approx(vals[argmax], abs=1e-12)
+            for k in ties:
+                assert vals[k] >= value - 1e-9
 
     def test_hull_invariance(self):
         # mixing existing generators into the list never changes rho
@@ -59,7 +61,7 @@ class TestRho:
             w = rng.dirichlet(np.ones(len(ms)))
             extra = mix(ms, MixtureWeights(w))
             bigger = MeasureSet(list(ms.generators) + [extra])
-            assert rho(bigger, xi).value == pytest.approx(rho(ms, xi).value, abs=1e-12)
+            assert rho(bigger, xi) == pytest.approx(rho(ms, xi), abs=1e-12)
 
     def test_monotone_chain(self):
         rng = rng_from_seed(9)
@@ -68,7 +70,7 @@ class TestRho:
         for _ in range(4):
             bump = rng.integers(0, 3, size=xi.space.n) / 16
             chain.append(chain[-1] + RandomVariable(xi.space, bump))
-        values = [rho(ms, x).value for x in chain]
+        values = [rho(ms, x) for x in chain]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -174,12 +176,12 @@ class TestAxiomSuite:
         space, ms, xi, _ = two_point
         report = axiom_suite(ms, [xi], scalars=(0.0,))
         assert report.ok
-        assert rho(ms, xi * 0.0).value == 0.0
+        assert rho(ms, xi * 0.0) == 0.0
 
     def test_monotone_pair(self, two_point):
         space, ms, xi, _ = two_point
         higher = xi + 1.0
-        assert rho(ms, xi).value <= rho(ms, higher).value
+        assert rho(ms, xi) <= rho(ms, higher)
 
 
 class TestAxiomViolations:

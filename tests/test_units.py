@@ -7,12 +7,14 @@ each verdict where it was.
 """
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from robustmse import (
     MeasureSet,
+    PartitionAlgebra,
     RandomVariable,
     SampleSpace,
     TreeModel,
@@ -25,6 +27,8 @@ from robustmse import (
     solve_mmse,
     tree_measure_set,
 )
+from robustmse.cli import cmd_rho
+from robustmse.instances import Instance
 from robustmse.randgen import (
     random_instance,
     random_measure_set,
@@ -59,6 +63,21 @@ def tree_sets():
         yield tm, tree_measure_set(tm)
 
 
+def command_rho(ms, x):
+    """The rho command's report (value, argmax_generator, ties) on a
+    MeasureSet, with the trivial partition, or on a TreeModel."""
+    if isinstance(ms, TreeModel):
+        inst = Instance(x.space, None, x, None, None, ms, MappingProxyType({}))
+    else:
+        inst = Instance(x.space, ms, x, PartitionAlgebra.trivial(x.space), None, None, MappingProxyType({}))
+    out = cmd_rho(inst)[0]["rho"]
+    return out["value"], out["argmax_generator"], tuple(out["ties"])
+
+
+def command_ties(ms, x):
+    return command_rho(ms, x)[2]
+
+
 class TestTies:
     @pytest.mark.parametrize("s", SCALES)
     def test_explicit_sets(self, s):
@@ -66,9 +85,9 @@ class TestTies:
         tied = 0
         for _ in range(100):
             ms, xi, _ = random_instance(rng)
-            want = rho(ms, xi).ties
+            want = command_ties(ms, xi)
             tied += len(want) > 1
-            assert rho(ms, xi * s).ties == want
+            assert command_ties(ms, xi * s) == want
         assert tied > 0
 
     @pytest.mark.parametrize("s", SCALES)
@@ -79,9 +98,9 @@ class TestTies:
             samples += [random_variable(rng, ms.space).values for _ in range(20)]
             for v in samples:
                 x = RandomVariable(ms.space, v)
-                want = rho(ms, x).ties
-                assert rho(ms, x * s).ties == want
-                assert rho(tm, x * s).ties == want
+                want = command_ties(ms, x)
+                assert command_ties(ms, x * s) == want
+                assert command_ties(tm, x * s) == want
 
     @pytest.mark.parametrize("s", SCALES)
     def test_reported_reproducer(self, s):
@@ -89,7 +108,7 @@ class TestTies:
         # (0, 1, 2, 3, 4) on its corner set
         tm = TreeModel.drift_bound(2)
         x = RandomVariable(tm.space, [0.0, 1.0, 2.0, 3.0]) * s
-        assert rho(tm, x).ties == rho(tree_measure_set(tm), x).ties == (0,)
+        assert command_ties(tm, x) == command_ties(tree_measure_set(tm), x) == (0,)
 
 
 def two_level_sets(count=200):
@@ -130,8 +149,7 @@ def test_a_range_past_the_largest_float_moves_no_verdict():
     # for rho and every recursivity pair would read equal
     space = SampleSpace.of_size(2)
     pair = MeasureSet.from_matrix(space, [[0.25, 0.75], [0.75, 0.25]])
-    top = rho(pair, RandomVariable(space, [1e308, -1e308]))
-    assert (top.argmax_generator, top.ties) == (1, (1,))
+    assert command_rho(pair, RandomVariable(space, [1e308, -1e308]))[1:] == (1, (1,))
     scaled = 0
     for ms, f, xi in two_level_sets():
         big = past_the_largest_float(xi)
@@ -139,8 +157,7 @@ def test_a_range_past_the_largest_float_moves_no_verdict():
             continue
         scaled += 1
         assert math.isfinite(big.unit)
-        want, got = rho(ms, xi), rho(ms, big)
-        assert (got.argmax_generator, got.ties) == (want.argmax_generator, want.ties)
+        assert command_rho(ms, big)[1:] == command_rho(ms, xi)[1:]
         assert recursivity_flags(ms, f, big) == recursivity_flags(ms, f, xi)
     assert scaled >= 100
 
@@ -195,8 +212,8 @@ class TestAxioms:
         report = axiom_suite(ms, [x, y], scalars=())
         assert [v.axiom for v in report.violations] == ["subadditivity"]
         assert report.violations[0] == AxiomViolation(
-            "subadditivity", "samples (0,1)", rho(ms, total).value + 1e-6 * total.unit,
-            rho(ms, x).value + rho(ms, y).value,
+            "subadditivity", "samples (0,1)", rho(ms, total) + 1e-6 * total.unit,
+            rho(ms, x) + rho(ms, y),
         )
 
 
