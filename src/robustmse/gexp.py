@@ -15,13 +15,15 @@ is the recursion's root, attained at the corner that takes the maximizing
 endpoint at every node. TreeModel answers the corner set's queries
 (measures.SetQueries) that way, in O(2^T) per query, so no reader of the set
 enumerates the corners. tree_measure_set, which does, is the reference the
-tests compare with; no module calls it.
+tests compare with; no module calls it. Every leaf law (rows, mean_row, the
+reference) is one product of per-node up-probabilities along the paths.
 
 The estimator is the one query a tree answers otherwise than its corner set
 would: block_solve, where a MeasureSet answers None. At a level partition
 the blocks' subtrees are chosen apart, so the minimum worst-case error is
 the sup recursion of each block's own minimum, a convex problem in one
-variable solved by cutting planes on Python floats.
+variable solved by cutting planes on Python floats, with a recursion of its
+own (_subtree_sweep), apart from the _sweep that the certificates read.
 """
 
 from __future__ import annotations
@@ -47,13 +49,14 @@ _EPS = sys.float_info.epsilon  # of binary64
 
 
 @cache
-def _paths(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """(node, move) at each depth d (rows) of the path to each leaf j (columns):
-    node 2^d - 1 + (j >> (depth - d)), and bit depth - 1 - d of j, 0 = up."""
+def _paths(depth: int) -> np.ndarray:
+    """The row of [up; 1 - up] by which leaf j's path (columns) moves at depth d (rows):
+    node 2^d - 1 + (j >> (depth - d)), in the second half where bit depth - 1 - d of j is 1."""
     d, leaves = np.arange(depth)[:, None], np.arange(2 ** depth)
     nodes, moves = (1 << d) - 1 + (leaves >> (depth - d)), (leaves >> (depth - 1 - d)) & 1
-    nodes.flags.writeable = moves.flags.writeable = False
-    return nodes, moves
+    columns = nodes + moves * (2**depth - 1)
+    columns.flags.writeable = False
+    return columns
 
 
 # What the depth alone fixes is built once per depth, as _paths is: the
@@ -169,32 +172,31 @@ class TreeModel(Immutable):
             )
         return num_corners
 
-    def _leaf_products(self, corners) -> np.ndarray:
-        """Leaf probabilities of corners, one row each: the moves along each
-        path, multiplied from the root down. The bits of a corner's index,
-        read from the highest, choose q_hi at the free nodes in id order."""
-        bits, lo, hi = self._path_moves
-        high = (np.asarray(corners, dtype=np.int64)[:, None] & bits).astype(bool)
-        return np.multiply.reduce(np.where(high, hi, lo), axis=0)
-
-    @cached_property
-    def _path_moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Along each path (_paths), shape (depth, 1, leaves): the index bit each
-        node reads (0 if fixed), and the move's probability at q_lo and q_hi."""
-        nodes, moves = _paths(self.depth)
-        free_from = self._free_from
-        bits = np.array([(a - b) << b for a, b in zip(free_from, free_from[1:])])
-        q = np.array([self.q_lo, self.q_hi])[:, nodes]
-        tables = (bits[nodes][:, None], *np.where(moves, 1.0 - q, q)[:, :, None])
-        for table in tables:
-            table.flags.writeable = False
-        return tables
-
     def rows(self, ks) -> np.ndarray:
         """Leaf laws of corners ks: those rows of tree_measure_set(self).weights_matrix,
         bit for bit (the same products, divided by their sums as a MeasureSet's are)."""
-        probs = self._leaf_products(ks)
+        probs = self._corner_products(ks)
         return probs / np.add.reduce(probs, axis=1, keepdims=True)
+
+    def _corner_products(self, ks) -> np.ndarray:
+        """The leaf laws of corners ks before their sums are divided out. Node u takes
+        q_hi where bit _free_from[u + 1] of the corner's index is set, as _corner reads
+        it; an index is a Python int of any size, in 0..2^m - 1 for m free nodes."""
+        m = self._free_from[0]
+        ks = [k if type(k) is int else as_int(k, "corner index") for k in np.asarray(ks).tolist()]
+        if ks and not 0 <= min(ks) <= max(ks) < 1 << m:
+            raise ArgumentError(f"corner indices lie in 0..2^{m} - 1")
+        size = m // 8 + 1  # bytes per index: bits 0..m, and bit m is 0
+        raw = np.frombuffer(b"".join([k.to_bytes(size, "little") for k in ks]), np.uint8)
+        bits = np.unpackbits(raw, bitorder="little").reshape(len(ks), 8 * size)
+        return self._leaf_law(np.where(bits[:, self._free_from[1:]], self.q_hi, self.q_lo))
+
+    def _leaf_law(self, up) -> np.ndarray:
+        """Each leaf's probability under up-probabilities up, (nodes,) or (rows, nodes), from
+        the root down, in C order (which fixes the order, so the bits, of rows' sums)."""
+        up = up.T  # nodes first, so that the product runs over whole planes
+        moves = np.concatenate([up, 1.0 - up])[_paths(self.depth)]
+        return np.ascontiguousarray(np.multiply.reduce(moves, axis=0).T)
 
     def is_proper(self) -> bool:
         """Always: 0 < q_lo <= q_hi < 1 at every node, so every corner charges every leaf."""
@@ -203,9 +205,7 @@ class TreeModel(Immutable):
     def mean_row(self) -> np.ndarray:
         """Leaf law of the uniform mixture of the corners: the midpoint tree, as
         each node is at q_lo or q_hi with probability 1/2, independently."""
-        nodes, moves = _paths(self.depth)
-        up = ((self.q_lo + self.q_hi) / 2.0)[nodes]
-        probs = np.multiply.reduce(np.where(moves, 1.0 - up, up), axis=0)
+        probs = self._leaf_law((self.q_lo + self.q_hi) / 2.0)
         return probs / probs.sum()
 
     @cached_property
@@ -335,7 +335,7 @@ class TreeModel(Immutable):
         (Epstein & Schneider 2003). Each f_B is minimized by cutting planes in
         units centred on the block's midpoint: the model is the larger of two
         parabolas, minimized at a vertex or where they cross (_master), and a
-        sweep there (_corner_sweep) gives f_B and the worst corner's parabola,
+        sweep there (_subtree_sweep) gives f_B and the worst corner's parabola,
         which replaces the old one not on the minimum's far side. The two
         corners' mixture at the model's minimum has mean eta_B and variance
         the model's value: an exact two-corner master (von Hohenbalken 1977).
@@ -346,32 +346,31 @@ class TreeModel(Immutable):
         32 (h + 2) eps R_B^2. At most cap corners are added over all blocks.
         A block's first point is E_{p0}[xi | B], or its midpoint without p0.
 
-        Above the level the recursion takes q_hi only where strictly better,
-        which fixes P_hat there, and phi is E_P_hat of the blocks' mixture
-        variances. Below, the blocks' mixtures are coupled comonotonically:
-        at t in [0, 1) block B takes its first corner where t < lam_B, which
-        gives at most one corner more than blocks.
+        Above the level the same recursion, from the blocks' alpha_B, takes
+        q_hi only where strictly better, which fixes P_hat there, and carries
+        phi, E_P_hat of the blocks' mixture variances. Below, the blocks'
+        mixtures are coupled comonotonically (_mixture), which gives at most
+        one corner more than blocks.
         """
         level = self._level_of(c)
         nodes, bit, x = self._nodes, self._free_from[1:], self._leaves(x)
         height, first = self.depth - level, 2**level - 1
         size = 2**height
         p0 = None if p0 is None else p0.tolist()
-        d, eta, alphas, variances, picks, used = [], [], [], [], [], 0
+        eta, alphas, variances, picks, used = [], [], [], [], 0
         for start in range(0, len(x), size):
             block = x[start : start + size]
             hi, lo = max(block), min(block)
             half, centre = hi / 2.0 - lo / 2.0, lo / 2.0 + hi / 2.0
-            d += [v - centre for v in block]
-            e = 0.0 if p0 is None else (
-                sum(p * v for p, v in zip(p0[start : start + size], d[start:]))
-                / sum(p0[start : start + size]))
+            d = [v - centre for v in block]
+            w = None if p0 is None else p0[start : start + size]
+            e = 0.0 if w is None else sum(p * v for p, v in zip(w, d)) / sum(w)
             tol = 32 * (height + 2) * _EPS * half * half
-            node = first + start // size
+            node, base = first + start // size, len(nodes) + start
 
-            def sweep(e):
-                f, m, k = _corner_sweep(nodes, bit, d, node, e)
-                return f, (m, f - (m - e) ** 2, k)  # the corner's parabola: m, v, index bits
+            def sweep(e):  # f_B(e) and the worst corner's parabola: m, v, index bits
+                f, m, k = _subtree_sweep(nodes, bit, base, [(v - e) * (v - e) for v in d], d, node)
+                return f, (m, f - (m - e) ** 2, k)
 
             lines = [sweep(e)[1]]
             while True:
@@ -388,38 +387,39 @@ class TreeModel(Immutable):
             alphas.append(f)
             variances.append(lam * v1 + (1.0 - lam) * v2 + lam * (1.0 - lam) * (m1 - m2) ** 2)
             picks.append((lam, k1, k2))
-        # the sup recursion above level l, and phi along its choices
-        y, phi, above = [0.0] * first + alphas, [0.0] * first + variances, 0
-        for u in range(first - 1, -1, -1):
-            q, down, q_hi, down_hi = nodes[u]
-            up_y, down_y = y[2 * u + 1], y[2 * u + 2]
-            y[u], b = q * up_y + down * down_y, q_hi * up_y + down_hi * down_y
-            if b > y[u]:
-                y[u], q, down, above = b, q_hi, down_hi, above | 1 << bit[u]
-            phi[u] = q * phi[2 * u + 1] + down * phi[2 * u + 2]
-        cuts = [0.0, *sorted({lam for lam, _, _ in picks if 0.0 < lam < 1.0}), 1.0]
-        mixture: dict[int, float] = {}
-        for t, t_next in zip(cuts, cuts[1:]):
-            k = above | sum(k1 if t < lam else k2 for lam, k1, k2 in picks)
-            mixture[k] = mixture.get(k, 0.0) + (t_next - t)
-        return eta, y[0], phi[0], mixture, used
+        alpha, phi, above = _subtree_sweep(nodes, bit, first, alphas, variances, 0)
+        return eta, alpha, phi, _mixture(above, picks), used
 
 
-def _corner_sweep(nodes, bit, d, u, e) -> tuple[float, float, int]:
-    """At node u, over its subtree's corners c, the largest E_c[(d - e)^2 | u],
-    with that corner's E_c[d | u] and the index bits of its q_hi choices:
-    a recursion of its own, taking q_hi only where it is strictly better,
-    as TreeModel.support does. d holds the leaf values."""
-    if u >= len(nodes):
-        r = d[u - len(nodes)] - e
-        return r * r, d[u - len(nodes)], 0
-    f_up, m_up, k_up = _corner_sweep(nodes, bit, d, 2 * u + 1, e)
-    f_down, m_down, k_down = _corner_sweep(nodes, bit, d, 2 * u + 2, e)
+def _subtree_sweep(nodes, bit, base, y, carry, u) -> tuple[float, float, int]:
+    """The sup recursion from the values y at ids >= base (y[i] at id base + i) up to
+    node u < base: the largest value over u's subtree's corners, that corner's carry and
+    the index bits of its q_hi choices, each taken only where strictly better. y and carry
+    are a block's squared residuals and leaf values, or the blocks' alpha_B and variances."""
+    if u >= base:
+        return y[u - base], carry[u - base], 0
+    f_up, m_up, k_up = _subtree_sweep(nodes, bit, base, y, carry, 2 * u + 1)
+    f_down, m_down, k_down = _subtree_sweep(nodes, bit, base, y, carry, 2 * u + 2)
     q, down, q_hi, down_hi = nodes[u]
     a, b = q * f_up + down * f_down, q_hi * f_up + down_hi * f_down
     if b > a:
         return b, q_hi * m_up + down_hi * m_down, k_up | k_down | 1 << bit[u]
     return a, q * m_up + down * m_down, k_up | k_down
+
+
+def _mixture(above, picks) -> dict[int, float]:
+    """P_hat's weights by corner, in the order of t in [0, 1): the bits above the level,
+    and block B's corner k1 where t < lam_B, else k2 (its mixture (lam, k1, k2)). At each
+    cut, a lam in (0, 1) in sorted order, its blocks swap k1 for k2 by XOR (disjoint bits)."""
+    k = above | sum(k1 if 0.0 < lam else k2 for lam, k1, k2 in picks)
+    mixture, t = {}, 0.0
+    for lam, swap in sorted((lam, k1 ^ k2) for lam, k1, k2 in picks if 0.0 < lam < 1.0):
+        if lam > t:
+            mixture[k] = mixture.get(k, 0.0) + (lam - t)
+            t = lam
+        k ^= swap
+    mixture[k] = mixture.get(k, 0.0) + (1.0 - t)
+    return mixture
 
 
 def _master(lines) -> tuple[float, float]:
@@ -449,7 +449,7 @@ def tree_measure_set(tm: TreeModel) -> MeasureSet:
     bit for bit), refused by num_generators before anything is allocated and
     never subsampled, which would change the represented set.
     """
-    return MeasureSet.from_matrix(tm.space, tm._leaf_products(np.arange(tm.num_generators())))
+    return MeasureSet.from_matrix(tm.space, tm._corner_products(range(tm.num_generators())))
 
 
 class GExpResult(NamedTuple):

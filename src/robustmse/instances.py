@@ -348,12 +348,12 @@ def _parse_tree_instance(doc, options) -> Instance:
 
 # The tree that instances built last, kept for the next request: a TreeModel
 # is immutable, so the requests on one tree share it, and with it the node
-# tables it caches (_nodes, _free_from, _path_moves). The key is the tree as
-# parsed, each bound one float or a tuple of one per node; bounds that
-# TreeModel refuses leave nothing in the table. One entry: the requests that
-# name a tree come one after another (perfbench's `trees` sends rho, then
-# gexp and solve per level, tree by tree), so a larger table would find no
-# more of them, and a deep tree is held no longer than until the next one.
+# tables it caches (_nodes, _free_from). The key is the tree as parsed, each
+# bound one float or a tuple of one per node; bounds that TreeModel refuses
+# leave nothing in the table. One entry: the requests that name a tree come
+# one after another (perfbench's `trees` sends rho, then gexp and solve per
+# level, tree by tree), so a larger table would find no more of them, and a
+# deep tree is held no longer than until the next one.
 @functools.lru_cache(maxsize=1)
 def _tree(depth: int, q_lo, q_hi, dt: float) -> TreeModel:
     return TreeModel(depth, q_lo, q_hi, dt)

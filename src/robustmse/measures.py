@@ -91,8 +91,9 @@ class SetQueries(Protocol):
     def support(self, v, tie_tol: float) -> tuple[float, int, tuple[int, ...]]:
         """(top, index, ties): max over generators g of E_g[v], the smallest
         index attaining it, and every generator g with top - E_g[v] <= tie_tol
-        in index order (none at tie_tol = -inf). The least E_g[v] is
-        -support(-v, -inf)[0]."""
+        in index order (none at tie_tol = -inf). The least E_g[v] is -support(-v, -inf)[0]
+        but for a zero's sign (+0.0 against -0.0 at q = 1/2 with leaves (1, -1)), so a
+        tree's envelopes run an inf sweep of their own."""
 
     def rows(self, ks) -> np.ndarray:
         """The (len(ks), n) weight rows of generators ks."""

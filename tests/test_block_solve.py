@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import robustmse
+from robustmse import gexp
 from robustmse import (
     ArgumentError,
     PartitionAlgebra,
@@ -143,6 +144,85 @@ def test_the_path_is_the_sets_answer():
     lam = res.p_hat.lam
     assert dict(zip(np.flatnonzero(lam).tolist(), lam[lam > 0.0].tolist())) == pytest.approx(
         mixture, abs=1e-15)
+
+
+def quadratic_mixture(above, picks):
+    """P_hat's weights by corner, each block's corner chosen afresh at every
+    cut t: the O(B^2) build that gexp._mixture replaces."""
+    cuts = [0.0, *sorted({lam for lam, _, _ in picks if 0.0 < lam < 1.0}), 1.0]
+    mixture = {}
+    for t, t_next in zip(cuts, cuts[1:]):
+        k = above | sum(k1 if t < lam else k2 for lam, k1, k2 in picks)
+        mixture[k] = mixture.get(k, 0.0) + (t_next - t)
+    return mixture
+
+
+def test_mixture_is_the_quadratic_build(monkeypatch):
+    # the same weights in the same order: block_solve's mixtures at every
+    # level of trees of depth 1 to 12, and picks with tied lam, lam 0 and 1,
+    # and a block whose two corners are one
+    picks = [(0.5, 1, 2), (0.25, 4, 8), (0.5, 16, 32), (0.0, 64, 128), (1.0, 256, 512),
+             (0.75, 1024, 1024)]
+    calls = [(4096, picks), (0, picks[3:5]), (0, [])]
+    mixture = gexp._mixture
+
+    def recorded(above, picks):
+        calls.append((above, picks))
+        return mixture(above, picks)
+
+    monkeypatch.setattr(gexp, "_mixture", recorded)
+    cap = robustmse.estimator.MAX_ADDITIONS
+    for depth in range(1, 13):
+        for make in (drift, per_node):
+            tm = make(depth, 4630 + depth)
+            v = leaf_values("normal", tm.num_leaves, 4630 + depth)
+            for level in range(depth + 1):
+                tm.block_solve(v, tm.level_partition(level), None, cap)
+    assert len(calls) == 3 + 2 * sum(range(2, 14))
+    for above, picks in calls:
+        assert list(mixture(above, picks).items()) == list(quadratic_mixture(above, picks).items())
+
+
+def test_rows_read_corner_indices_of_any_size():
+    # depth 7: 127 free nodes, so the index of support's corner passes 2^63
+    tm = drift(7, 0)
+    x = RandomVariable(tm.space, leaf_values("normal", tm.num_leaves, 4631))
+    top, k, _ = tm.support(x.values, -math.inf)
+    assert k.bit_length() > 63
+    assert abs(tm.rows([k])[0] @ x.values - top) <= 1e-12 * x.unit
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_rows_refuse_an_index_that_is_no_corner(depth):
+    tm = per_node(depth, 4632 + depth, 0.2)
+    m = tm.num_generators().bit_length() - 1
+    assert tm.rows([0, 2**m - 1]).shape == (2, tm.num_leaves)
+    assert tm.rows([]).shape == (0, tm.num_leaves)
+    for k in (2**m, -1, 2**70):
+        with pytest.raises(ArgumentError, match=rf"corner indices lie in 0..2\^{m} - 1"):
+            tm.rows([0, k])
+    for k in (1.0, True, "1"):
+        with pytest.raises(ArgumentError, match="corner index must be an integer"):
+            tm.rows([k])
+
+
+def test_the_solve_runs_none_of_the_certificates_recursion(monkeypatch):
+    # support, envelopes and g_expectation, which the certificates read, run
+    # TreeModel._sweep; block_solve runs a recursion of its own (ROADMAP aim 3)
+    sweeps, sweep = [], TreeModel._sweep
+
+    def counted(tm, v, pick):
+        sweeps.append(pick)
+        return sweep(tm, v, pick)
+
+    monkeypatch.setattr(TreeModel, "_sweep", counted)
+    for depth in (1, 2, 3, 4):
+        for make in KINDS.values():
+            tm = make(depth, 4634 + depth)
+            x = RandomVariable(tm.space, leaf_values("normal", tm.num_leaves, 4634 + depth))
+            for level in range(depth + 1):
+                assert solve_mmse(tm, x, tm.level_partition(level)).converged
+    assert sweeps == []
 
 
 def test_start_changes_the_path_not_the_answer():

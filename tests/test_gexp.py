@@ -542,10 +542,12 @@ class TestCornerOracle:
                     assert upper.values == pytest.approx(want_upper.values, abs=1e-12 * x.bound)
 
 
-def level_sweep(tm, v, pick):
+def level_sweep(tm, v, pick, carry=None):
     """The backward recursion level by level on arrays: y at every node, and
-    the values of the q_lo and q_hi endpoints (rows) at every internal node."""
-    ys, ends = [np.asarray(v, dtype=float)], []
+    the values of the q_lo and q_hi endpoints (rows) at every internal node.
+    With a carry row beside the leaf values v, also the carry at every node,
+    taken along q_hi where its endpoint is strictly the larger, else along q_lo."""
+    ys, ends, carried = [np.asarray(v, dtype=float)], [], [np.asarray(carry, dtype=float)]
     for d in range(tm.depth - 1, -1, -1):
         nodes = slice(2 ** d - 1, 2 ** (d + 1) - 1)
         q = np.array([tm.q_lo[nodes], tm.q_hi[nodes]])
@@ -553,7 +555,11 @@ def level_sweep(tm, v, pick):
         e += (1.0 - q) * ys[-1][1::2]
         ys.append(pick(e[0], e[1]))
         ends.append(e)
-    return np.concatenate(ys[::-1]), np.concatenate(ends[::-1], axis=1)
+        if carry is not None:
+            q = np.where(e[1] > e[0], q[1], q[0])
+            carried.append(q * carried[-1][0::2] + (1.0 - q) * carried[-1][1::2])
+    y, ends = np.concatenate(ys[::-1]), np.concatenate(ends[::-1], axis=1)
+    return (y, ends) if carry is None else (y, ends, np.concatenate(carried[::-1]))
 
 
 def breadth_first_ties(tm, v, tie_tol):
@@ -601,6 +607,39 @@ class TestNodeWalk:
                 top, index, ties = tm.support(v, tol)
                 assert (top.hex(), index) == (value.hex(), k)
                 assert ties == breadth_first_ties(tm, v, tol)
+
+    @pytest.mark.parametrize("make_tree", ORACLE_TREES)
+    def test_the_solvers_recursion_against_the_array_form(self, make_tree):
+        # block_solve's one recursion, _subtree_sweep, is the sup recursion
+        # with a carried row: from the leaves to each block's node, and from
+        # each level's nodes to the root, bit for bit, with the index bits of
+        # the nodes that take q_hi
+        tm = make_tree()
+        nodes, bit, depth = tm._nodes, tm._free_from[1:], tm.depth
+        rng = rng_from_seed(96 + depth)
+        zeros = np.zeros(tm.num_leaves)
+        for v in leaf_samples(tm, 95 + depth) + [zeros, -zeros]:
+            carry = rng.normal(size=tm.num_leaves)
+            y, (a, b), carried = level_sweep(tm, v, np.maximum, carry)
+            y, carried = y.tolist(), carried.tolist()
+
+            def want(u, below):  # at node u, over the internal nodes w < below of its subtree
+                height = depth + 1 - (u + 1).bit_length()
+                rows = (range((u + 1 << j) - 1, (u + 2 << j) - 1) for j in range(height))
+                k = sum(1 << bit[w] for row in rows for w in row if w < below and b[w] > a[w])
+                return y[u].hex(), carried[u].hex(), k
+
+            for level in range(depth + 1):
+                first, size = 2**level - 1, 2 ** (depth - level)
+                for u in range(first, 2 * first + 1):
+                    start = (u - first) * size
+                    block = slice(start, start + size)
+                    got = gexp._subtree_sweep(nodes, bit, tm.num_internal + start,
+                                              v[block].tolist(), carry[block].tolist(), u)
+                    assert (got[0].hex(), got[1].hex(), got[2]) == want(u, tm.num_internal)
+                got = gexp._subtree_sweep(nodes, bit, first, y[first : 2 * first + 1],
+                                          carried[first : 2 * first + 1], 0)
+                assert (got[0].hex(), got[1].hex(), got[2]) == want(0, first)
 
 
 class TestTreeOracle:

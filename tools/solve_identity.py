@@ -31,6 +31,10 @@ Families:
   the solve's family and case;
 - oracle: brute_force_mmse (the ellipsoid oracle) on every explicit-set
   instance of random, orders, cvar and zeros, keyed by that family and case.
+- deep: TreeModel.block_solve, called directly, on drift-bound and
+  per-node trees of depth 5 to 10 at every level: eta, alpha and phi, the
+  mixture P_hat as (index in hex, weight) pairs in its order, and the
+  corners added.
 
 Uses only the standard library, numpy and the package.
 """
@@ -58,7 +62,7 @@ from robustmse import (  # noqa: E402
     solve_mmse,
     tree_measure_set,
 )
-from robustmse.estimator import certify  # noqa: E402
+from robustmse.estimator import MAX_ADDITIONS, certify  # noqa: E402
 from robustmse.randgen import random_instance, random_partition, rng_from_seed  # noqa: E402
 
 TREES_PER_KIND = 16  # per depth and kind (drift-bound, dyadic per-node, uniform per-node)
@@ -166,6 +170,36 @@ def trees():
             yield f"uniform d{depth} #{i}", TreeModel(depth, lo, hi), rng.normal(0.0, 1.0, leaves)
 
 
+def deep_trees():
+    """(name, TreeModel, leaf values) of depth 5 to 10, seeded: a drift-bound
+    tree with dyadic and with normal values, and per-node trees with dyadic
+    intervals and values and with intervals and values that are not dyadic."""
+    rng = rng_from_seed(2929)
+    for depth in range(5, 11):
+        nodes, leaves = 2**depth - 1, 2**depth
+        tm = TreeModel.drift_bound(depth)
+        yield f"drift d{depth} dyadic", tm, rng.integers(-32, 33, leaves) / 16
+        yield f"drift d{depth} normal", tm, rng.normal(0.0, 1.0, leaves)
+        lo = rng.integers(1, 8, nodes) / 16
+        hi = np.where(rng.random(nodes) < 0.2, lo, rng.integers(8, 16, nodes) / 16)
+        yield f"per-node d{depth}", TreeModel(depth, lo, hi), rng.integers(-32, 33, leaves) / 16
+        lo = rng.uniform(0.05, 0.5, nodes)
+        hi = np.where(rng.random(nodes) < 0.2, lo, lo + rng.uniform(0.0, 0.45, nodes))
+        yield f"uniform d{depth}", TreeModel(depth, lo, hi), rng.normal(0.0, 1.0, leaves)
+
+
+def block_record(tm, values, level):
+    eta, alpha, phi, mixture, added = tm.block_solve(
+        values, tm.level_partition(level), None, MAX_ADDITIONS)
+    return {
+        "eta": _hex(eta),
+        "alpha": alpha.hex(),
+        "phi": phi.hex(),
+        "mixture": [[hex(k), w.hex()] for k, w in mixture.items()],
+        "additions": added,
+    }
+
+
 def solved(ms, xi, c):
     """The solve's record, and certify's record if the solve converged (else None)."""
     try:
@@ -259,6 +293,9 @@ def records():
         yield from solve_records(family, case, ms, xi, c)
     for family, case, (ms, xi, c) in explicit_instances():
         yield "oracle", f"{family} {case}", oracle_record(ms, xi, c)
+    for name, tm, values in deep_trees():
+        for level in range(tm.depth + 1):
+            yield "deep", f"{name} level {level}", block_record(tm, values, level)
 
 
 def explicit_instances():
