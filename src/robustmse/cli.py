@@ -10,6 +10,12 @@ instances produce a byte-identical result file apart from the wall_time_s
 field, on one BLAS kernel. Another kernel may change the floats,
 `iterations`, the SolveTrace counts and the iteration count in a stop
 warning, not a verdict.
+
+Calls of main() in one process share what a request leaves for the next:
+the parser, the per-depth tree tables, the tree built last, and the
+instance file read last with its Instance, digest and estimate
+(instances.load_instance and instances.kept). Each is immutable once made,
+so no result depends on what ran before it.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import GuardRefusalError, NonconvergenceError, RobustMseError, ValidationError
-from .estimator import brute_force_mmse, certify, solve_mmse
-from .gexp import compare_gexp_mmse
+from .estimator import EstimatorResult, brute_force_mmse, certify, solve_mmse
+from .gexp import gexp_comparison
 from .instances import (
     DEFAULT_LEVEL,
     Instance,
@@ -34,6 +40,7 @@ from .instances import (
     estimator_result_dict,
     instance_digest,
     json_inf,
+    kept,
     load_instance,
 )
 from .spaces import VALUE_TOL
@@ -71,9 +78,17 @@ def cmd_rho(inst: Instance) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
+def _estimate(inst: Instance) -> EstimatorResult:
+    """solve_mmse on the instance's set, variable and conditioning, which
+    solve, oracle and gexp all read: solved once for the instance that
+    load_instance returned last (instances.kept), so a request on the file
+    that the request before it read does not solve it again."""
+    return kept(inst, "estimate", lambda: solve_mmse(inst.measures(), inst.xi, inst.conditioning()))
+
+
 def cmd_solve(inst: Instance) -> tuple[dict, int]:
     ms, xi, algebra = inst.measures(), inst.xi, inst.conditioning()
-    res = solve_mmse(ms, xi, algebra)
+    res = _estimate(inst)
     payload = {"estimator": estimator_result_dict(res)}
     if not res.converged:
         return payload, EXIT_NONCONVERGENCE
@@ -89,7 +104,7 @@ def cmd_oracle(inst: Instance) -> tuple[dict, int]:
     ms, xi, algebra = inst.measures(), inst.xi, inst.conditioning()
     ms.num_generators()  # on a tree, solve_mmse's corner-count guard: refuse before the ellipsoid
     brute = brute_force_mmse(ms, xi, algebra)
-    solved = solve_mmse(ms, xi, algebra)
+    solved = _estimate(inst)
     alpha_diff = abs(brute.alpha - solved.alpha)
     eta_diff = float(np.max(np.abs(brute.eta_hat.values - solved.eta_hat.values)))
     # alpha and eta scale as R^2 and R, and a shift of xi moves neither alpha nor R
@@ -182,7 +197,7 @@ def cmd_gexp(inst: Instance) -> tuple[dict, int]:
     level = inst.options.get("level", DEFAULT_LEVEL)
     if level == tm.depth:  # rho and solve take 0..depth; the comparison stops above the leaves
         raise ValidationError("options.level", f"gexp needs an integer in 0..{tm.depth - 1}")
-    cmp_report = compare_gexp_mmse(tm, xi.values, level)
+    cmp_report = gexp_comparison(tm, xi, level, _estimate(inst))
     res = cmp_report.recursion
     root_rho = cmp_report.rho_root
     est = cmp_report.estimator

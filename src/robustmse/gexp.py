@@ -522,20 +522,28 @@ def compare_gexp_mmse(
     estimator is solve_mmse on the tree, which solves it block by block
     (TreeModel.block_solve: at the level, each block's one-variable minimax,
     composed by the same sup recursion) instead of on a corner matrix, under
-    the solver's own constants (SADDLE_TOL, MAX_ADDITIONS). One sup sweep gives
-    the recursion and the corner c that TreeModel.support(xi, -inf) returns; rho_root
-    is E_c[xi], read off that corner's leaf law: it must equal the
-    recursion's root, by a separate computation.
+    the solver's own constants (SADDLE_TOL, MAX_ADDITIONS). The rest of the
+    report is gexp_comparison's.
     """
-    level = as_int(level, "comparison level")
-    if not 0 <= level < tm.depth:
-        raise ArgumentError(f"comparison level must lie in 0..{tm.depth - 1}")
+    level = _comparison_level(tm, level)
     xi = RandomVariable(tm.space, xi_leaf)
-    part = tm.level_partition(level)
+    return gexp_comparison(tm, xi, level, solve_mmse(tm, xi, tm.level_partition(level)))
+
+
+def gexp_comparison(
+    tm: TreeModel, xi: RandomVariable, level: int, est: EstimatorResult
+) -> GexpCompareReport:
+    """compare_gexp_mmse's report, with est, solve_mmse(tm, xi,
+    tm.level_partition(level)), solved already: a caller that holds the
+    estimate does not solve it again. One sup sweep gives the recursion and
+    the corner c that TreeModel.support(xi, -inf) returns; rho_root is
+    E_c[xi], read off that corner's leaf law: it must equal the recursion's
+    root, by a separate computation.
+    """
+    level = _comparison_level(tm, level)
     y, ends = tm._sweep(xi.values, max)
     gres, best = _recursion(tm, y), tm._corner(ends)
-    gexp_cond = part.broadcast(gres.level_values(level))
-    est = solve_mmse(tm, xi, part)
+    gexp_cond = tm.level_partition(level).broadcast(gres.level_values(level))
     sup_diff = float(np.max(np.abs(gexp_cond.values - est.eta_hat.values)))
     return GexpCompareReport(
         recursion=gres,
@@ -545,3 +553,10 @@ def compare_gexp_mmse(
         estimator=est,
         rho_root=float(tm.rows([best])[0] @ xi.values),
     )
+
+
+def _comparison_level(tm: TreeModel, level) -> int:
+    level = as_int(level, "comparison level")
+    if not 0 <= level < tm.depth:
+        raise ArgumentError(f"comparison level must lie in 0..{tm.depth - 1}")
+    return level

@@ -6,7 +6,9 @@ options stanza. Parsing accepts numbers written as JSON numbers or as decimal
 strings. Canonicalization produces a plain-number document. A SHA-256 digest
 of the instance as parsed into binary64 pairs results with their instances.
 Every file the package writes is compact JSON with sorted keys; a float's
-shortest repr reads back bit for bit.
+shortest repr reads back bit for bit. load_instance keeps the file it read
+last: bytes equal to it return the same Instance, and what `kept` computed
+from that instance (its digest, the command line's estimate) goes with it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 from types import MappingProxyType
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -366,20 +369,52 @@ def _variable(space, values, path) -> RandomVariable:
         raise ValidationError(path, str(exc)) from None
 
 
+# The file that load_instance read last: {"bytes": its bytes, "instance": the
+# Instance parsed from them, "kept": what `kept` computed from that instance,
+# by name}, or empty. The key is the content, not the path, so a file
+# rewritten in place is parsed again, and the requests that read one file
+# one after another (perfbench's `trees` sends gexp then solve on each level's
+# file, `enumerated` solve then oracle) share one parse and what it derives.
+# One entry, dropped before other bytes are parsed: one instance is held at a
+# time, and a file that is refused leaves nothing.
+_loaded: dict = {}
+
+
 def load_instance(path) -> Instance:
     """The instance in the file at path: its bytes, decoded as UTF-8 (a byte
     order mark is refused as invalid JSON, an invalid byte raises
     UnicodeDecodeError), parsed as JSON. No newline is translated, so a
     JSON error's position counts every character of the file, CRs included.
     Arrays or objects nested past the interpreter's recursion limit are
-    refused as invalid JSON too."""
+    refused as invalid JSON too. Bytes equal to those read last return the
+    Instance parsed from them then, the same immutable object."""
     with open(path, "rb", buffering=0) as fh:
-        text = fh.read().decode("utf-8")
+        if len(_loaded.get("bytes", b"")) != os.fstat(fh.fileno()).st_size:
+            _loaded.clear()  # another file: not held beside its bytes
+        data = fh.read()
+    if _loaded.get("bytes") == data:
+        return _loaded["instance"]
+    _loaded.clear()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError("$", f"invalid JSON: {exc}") from None
-    return parse_instance(doc)
+    inst = parse_instance(doc)
+    _loaded.update(bytes=data, instance=inst, kept={})
+    return inst
+
+
+def kept(inst: Instance, name: str, compute: Callable[[], Any]) -> Any:
+    """compute(), computed once for the instance that load_instance returned
+    last and kept under name until load_instance parses other bytes; for any
+    other instance, computed at every call. A compute that raises keeps
+    nothing."""
+    if _loaded.get("instance") is not inst:
+        return compute()
+    values = _loaded["kept"]
+    if name not in values:
+        values[name] = compute()
+    return values[name]
 
 
 # --- canonical form, digest, serialization -------------------------------
@@ -429,7 +464,13 @@ def instance_digest(inst: Instance) -> str:
     C order: `weights_matrix` then `xi`, or a tree's `q_lo`, `q_hi` then leaf
     values. The header ends where its JSON object does and the shapes fix
     the byte counts, so two instances share a digest exactly when they share
-    a canonical form (the bytes keep the sign of a zero, as a repr does)."""
+    a canonical form (the bytes keep the sign of a zero, as a repr does).
+
+    Computed once for the instance that load_instance returned last (`kept`)."""
+    return kept(inst, "digest", lambda: _digest(inst))
+
+
+def _digest(inst: Instance) -> str:
     if inst.tree is not None:
         header = {"tree": {"depth": inst.tree.depth, "dt": inst.tree.dt}}
         arrays = {"q_lo": inst.tree.q_lo, "q_hi": inst.tree.q_hi, "leaf_values": inst.xi.values}

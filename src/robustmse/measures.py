@@ -20,6 +20,7 @@ from .spaces import (
     PartitionAlgebra,
     RandomVariable,
     SampleSpace,
+    as_int,
     check_same_space,
 )
 
@@ -180,7 +181,15 @@ class MeasureSet(Immutable):
         return float(top[k]), k, tuple((top >= top[k] - tie_tol).nonzero()[0].tolist())
 
     def rows(self, ks) -> np.ndarray:
-        return self.weights_matrix[np.asarray(ks, dtype=np.intp)]  # a tuple of ks too
+        """Rows ks of the weight matrix, ks any sequence of generator indices,
+        each an integer in 0..K - 1 (else ArgumentError): an integer array is
+        checked by its least and largest entry, anything else index by index."""
+        ks, K = np.asarray(ks), len(self.weights_matrix)
+        if ks.dtype.kind not in "iu":  # bools, floats, strings, integers past int64
+            ks = np.array([as_int(k, "generator index") for k in ks.tolist()], dtype=object)
+        if ks.size and not 0 <= ks.min() <= ks.max() < K:
+            raise ArgumentError(f"generator indices lie in 0..{K - 1}")
+        return self.weights_matrix[ks.astype(np.intp, copy=False)]
 
     def mean_row(self) -> np.ndarray:
         return self.weights_matrix.mean(axis=0)

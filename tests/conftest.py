@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import robustmse.instances
 import robustmse.sublinear as sublinear
 from robustmse import Measure, MeasureSet, PartitionAlgebra, RandomVariable, SampleSpace
 
@@ -32,3 +33,20 @@ def break_rho(monkeypatch):
         monkeypatch.setattr(sublinear, "rho", rho)
 
     return install
+
+
+@pytest.fixture
+def fresh_tables():
+    """The tables that main() keeps from one request to the next, empty when
+    the test starts and again when it ends: the last instance file read, with
+    its digest and estimate (instances._loaded), and the last tree built
+    (instances._tree). A test that patches the solver or its constants then
+    reads no estimate solved before it and leaves none to the tests after it."""
+
+    def clear():
+        robustmse.instances._loaded.clear()
+        robustmse.instances._tree.cache_clear()
+
+    clear()
+    yield
+    clear()

@@ -241,6 +241,7 @@ def test_start_changes_the_path_not_the_answer():
             assert got.alpha == pytest.approx(plain.alpha, abs=1e-12 * x.unit**2)
 
 
+@pytest.mark.usefixtures("fresh_tables")
 def test_cap_stops_the_blocks(monkeypatch):
     # the additions of all blocks count against MAX_ADDITIONS; a capped solve
     # reports its gap and the stop warning, never a converged status

@@ -600,6 +600,7 @@ class TestSolveCommand:
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
 
+    @pytest.mark.usefixtures("fresh_tables")
     def test_certificate_failure_exit_code(self, tmp_path, monkeypatch):
         # a zero tolerance on the product equation cannot be met in floats:
         # here the certified bound lies 1.3e-16 * bound(xi)^2 below rho_sq,
@@ -1038,6 +1039,7 @@ class TestOracleCommand:
             assert out["result"]["agree"] is True
 
     @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.usefixtures("fresh_tables")
     def test_wrong_alpha_caught_on_a_shifted_copy(self, tmp_path, monkeypatch, shift):
         # agreement is judged in units of R, half the range of xi (3 here):
         # in units of max|xi| a shift of 1e6 would accept any alpha within 1e6
@@ -1054,6 +1056,7 @@ class TestOracleCommand:
         assert code == 1
         assert doc["result"]["agree"] is False
 
+    @pytest.mark.usefixtures("fresh_tables")
     def test_oracle_step_cap_exit_code(self, example_file, tmp_path, monkeypatch):
         monkeypatch.setattr(robustmse.estimator, "MAX_ELLIPSOID_STEPS", 1)
         code, doc = run(["oracle", example_file], tmp_path)
@@ -1125,6 +1128,7 @@ class TestUnchargedBlock:
         assert 0.0 <= res["brute_force"]["saddle_gap"] <= 1e-13 * 1.25**2  # R = 1.25
 
     @pytest.mark.parametrize("eta_c, agree", [(-0.5, True), (1.0, True), (2.0, False)])
+    @pytest.mark.usefixtures("fresh_tables")
     def test_oracle_judges_by_value(self, path, tmp_path, monkeypatch, eta_c, agree):
         # moving eta on the uncharged block keeps F = 1 while |eta_c| <= 1
         solve = robustmse.cli.solve_mmse
@@ -1249,6 +1253,7 @@ class TestGexpCommand:
         assert 0.0 <= cmp["saddle_gap"] <= 1e-8 * (1 + 9.0)
         assert cmp["iterations"] >= 1
 
+    @pytest.mark.usefixtures("fresh_tables")
     def test_nonconvergence_reported_in_comparison(self, tmp_path, monkeypatch):
         monkeypatch.setattr(robustmse.estimator, "MAX_ADDITIONS", 0)
         doc = dict(self.tree_doc(2, leaves=[1, 0, 0, 0]), options={"level": 1})

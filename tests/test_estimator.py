@@ -129,6 +129,7 @@ class TestSolveMmse:
             diff = xi - res.eta_hat
             assert res.alpha == pytest.approx(rho(ms, diff * diff), abs=1e-10)
 
+    @pytest.mark.usefixtures("fresh_tables")
     def test_nonconvergence_is_reported(self, monkeypatch):
         # interior saddle: it needs both generators, so a solve capped before
         # its first generator addition must end in an explicit status
@@ -278,6 +279,7 @@ class TestBruteForce:
             assert res.converged and res.p_hat is None, i
             assert 0.0 <= res.saddle_gap <= 1e-13 * xi.unit**2, i
 
+    @pytest.mark.usefixtures("fresh_tables")
     def test_step_cap_reports_nonconvergence(self, two_point, monkeypatch):
         _, ms, xi, triv = two_point
         monkeypatch.setattr(robustmse.estimator, "MAX_ELLIPSOID_STEPS", 1)
@@ -655,6 +657,7 @@ class TestNsCondition:
         assert rep.lower_bound <= 6.75
         assert exact_box_infimum(ms, xi, triv, eta) == pytest.approx(6.75, abs=1e-8)
 
+    @pytest.mark.usefixtures("fresh_tables")
     def test_lower_bound_is_valid(self, monkeypatch):
         # a wide active set makes the hull test pass away from eta_hat too
         finite_off_solution = 0

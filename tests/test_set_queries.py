@@ -235,6 +235,23 @@ def test_value_queries_refuse_values_of_another_shape(make_set):
 
 
 @pytest.mark.parametrize("make_set", SETS)
+def test_rows_refuse_an_index_that_is_no_generator(make_set):
+    # an index outside 0..K - 1 is not read from the end of the list nor past
+    # it, and one that is not an integer is not read as one (1.0, True and
+    # "1" are not row 1), in a list or in an integer array
+    s, _ = make_set()
+    K, n = s.num_generators(), s.space.n
+    assert s.rows([]).shape == (0, n)
+    assert s.rows(np.array([K - 1, 0])).shape == (2, n)
+    for ks in ([0, -1], [K], [0, 2**70], np.array([-1]), np.array([K]), np.array([K], np.uint64)):
+        with pytest.raises(ArgumentError, match="indices lie in 0"):
+            s.rows(ks)
+    for k in (1.0, True, "1", np.float64(0.0)):
+        with pytest.raises(ArgumentError, match="index must be an integer"):
+            s.rows([k])
+
+
+@pytest.mark.parametrize("make_set", SETS)
 def test_set_answers_every_query(make_set):
     s, _ = make_set()
     assert [q for q in QUERIES if not hasattr(s, q)] == []
