@@ -102,9 +102,8 @@ def cmd_solve(inst: Instance) -> tuple[dict, int]:
 
 def cmd_oracle(inst: Instance) -> tuple[dict, int]:
     ms, xi, algebra = inst.measures(), inst.xi, inst.conditioning()
-    ms.num_generators()  # on a tree, solve_mmse's corner-count guard: refuse before the ellipsoid
-    brute = brute_force_mmse(ms, xi, algebra)
     solved = _estimate(inst)
+    brute = brute_force_mmse(ms, xi, algebra)
     alpha_diff = abs(brute.alpha - solved.alpha)
     eta_diff = float(np.max(np.abs(brute.eta_hat.values - solved.eta_hat.values)))
     # alpha and eta scale as R^2 and R, and a shift of xi moves neither alpha nor R

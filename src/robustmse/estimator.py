@@ -57,7 +57,7 @@ _SHIFT = 1e-12  # Hessian shift of the face steps, in units of the residual scal
 _EPS = sys.float_info.epsilon  # of binary64
 
 SADDLE_TOL = 1e-8  # saddle gap of a converged solve and of verify_saddle, relative to 1 + alpha
-MAX_ADDITIONS = 10_000  # generator additions of one dual solve
+MAX_ADDITIONS = 10_000  # generator additions of one dual solve, or of one block of a tree
 NS_TOL = 1e-6  # ns_condition's active set and verdict, relative to bound(xi)^2
 
 
@@ -188,9 +188,11 @@ def _face_ascent(pool, s, w, scale):
     generators and their weights, at most one more than the charged blocks.
 
     A step makes few numpy calls on arrays of at most B + 2 entries: the KKT
-    system is one (n+1)^2 buffer, the block mask and the re-slicing of the
-    face run only when a block is uncharged or a weight reaches 0, and the
-    Caratheodory size is tested before its matrix is built.
+    system is one (n+1)^2 buffer, the block mask runs only when a block's
+    mass is below eps (a block whose Hessian terms u^2 / d are not finite,
+    0 / 0 or an overflow, counts as uncharged), the re-slicing of the face
+    only when a weight reaches 0, and the Caratheodory size is tested before
+    its matrix is built.
     """
     x, c, labels, counts = pool.x, pool.c, pool.c.labels, pool.counts
     # the face's rows of block masses, first moments and weights, sliced
@@ -225,8 +227,12 @@ def _face_ascent(pool, s, w, scale):
         n = len(s)
         d, dev = moments
         u = c.block_sums(rows * dev)
-        if not d[d.argmin()] > 0.0:  # a block the face leaves uncharged adds nothing
-            live = d > 0.0
+        if not d[d.argmin()] >= _EPS:  # a block of mass 0, or at rounding level
+            # counts as uncharged where a Hessian term u^2 / d is not finite:
+            # 0 / 0 on a block the face leaves uncharged, or an overflow over
+            # a subnormal mass
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                live = np.isfinite(u * (u / d)).all(axis=0)
             u, d = u[:, live], d[live]
         # the KKT system in one buffer: the Hessian, bordered by ones
         kkt = np.ones((n + 1, n + 1))
@@ -387,9 +393,9 @@ def solve_mmse(
 
     ms is read through its queries (SetQueries). If not is_proper(), a
     warning says eta_hat may be non-unique. For a non-measurable xi the
-    answer of block_solve(xi, c, p0, MAX_ADDITIONS) chooses the solver. A
-    TreeModel, at its level partitions only, answers with its blocks'
-    solutions; iterations counts the corners it added
+    answer of block_solve(xi, c, p0) chooses the solver. A TreeModel, at
+    its level partitions only, answers with its blocks' solutions;
+    iterations counts the corners it added over all blocks
     (SolveTrace.additions, its other counts 0).
 
     A set that answers None, such as a MeasureSet, has its dual phi
@@ -406,7 +412,8 @@ def solve_mmse(
     p0 is the leaf law of init_weights, one nonnegative weight per generator
     (per corner of a tree, whose rows it reads), or None: then the dual
     starts at the uniform mixture's conditional mean, a tree's blocks at
-    their midpoints. MAX_ADDITIONS caps the additions on both paths. The
+    their midpoints. MAX_ADDITIONS caps the additions of one minimax
+    subproblem: the whole dual solve, or one block of a tree. The
     run has converged when the saddle gap alpha - phi is at most
     SADDLE_TOL * (1 + alpha), the same relative test verify_saddle applies,
     so the status does not depend on the units of xi. Nonconvergence is
@@ -435,7 +442,7 @@ def solve_mmse(
     _refuse_out_of_range(xi)
     p0 = None if init_weights is None else (lam0 / lam0.sum()) @ ms.rows(np.arange(size))
 
-    solved = ms.block_solve(xi.values, c, p0, MAX_ADDITIONS)
+    solved = ms.block_solve(xi.values, c, p0)
     if solved is None:
         eta, alpha, phi, charged, counts = _dual_solve(ms, xi, c, p0)
     else:

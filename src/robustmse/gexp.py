@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import estimator
 from .errors import ArgumentError, GuardRefusalError
 from .estimator import EstimatorResult, solve_mmse
 from .measures import BlockSolution, MeasureSet
@@ -322,7 +323,7 @@ class TreeModel(Immutable):
         lower, upper = (np.array(self._sweep(v, pick)[0]) for pick in (min, max))
         return [(_level(lower, lv), _level(upper, lv)) for lv in levels]
 
-    def block_solve(self, x, c, p0, cap) -> BlockSolution:
+    def block_solve(self, x, c, p0) -> BlockSolution:
         """The estimator at c, a level partition (else ArgumentError), block
         by block, with P_hat's weights by corner and the corners added.
 
@@ -343,8 +344,10 @@ class TreeModel(Immutable):
         is within the rounding of the model: both are sums of terms up to
         4 R_B^2 (|d|, |e| <= R_B), formed in fewer than 8 (h + 2) rounded
         steps over a subtree of height h, so they differ by less than
-        32 (h + 2) eps R_B^2. At most cap corners are added over all blocks.
-        A block's first point is E_{p0}[xi | B], or its midpoint without p0.
+        32 (h + 2) eps R_B^2, or once it has added estimator.MAX_ADDITIONS
+        corners (read at call time): the cap is per block, so a solve adds at
+        most MAX_ADDITIONS times the blocks. A block's first point is
+        E_{p0}[xi | B], or its midpoint without p0.
 
         Above the level the same recursion, from the blocks' alpha_B, takes
         q_hi only where strictly better, which fixes P_hat there, and carries
@@ -357,6 +360,7 @@ class TreeModel(Immutable):
         height, first = self.depth - level, 2**level - 1
         size = 2**height
         p0 = None if p0 is None else p0.tolist()
+        cap = estimator.MAX_ADDITIONS
         eta, alphas, variances, picks, used = [], [], [], [], 0
         for start in range(0, len(x), size):
             block = x[start : start + size]
@@ -372,14 +376,14 @@ class TreeModel(Immutable):
                 f, m, k = _subtree_sweep(nodes, bit, base, [(v - e) * (v - e) for v in d], d, node)
                 return f, (m, f - (m - e) ** 2, k)
 
-            lines = [sweep(e)[1]]
+            lines, added = [sweep(e)[1]], 0
             while True:
                 e, lam = _master(lines)
                 f, line = sweep(e)
                 model = max((e - m) ** 2 + v for m, v, _ in lines)
-                if f - model <= tol or line[2] in [k for *_, k in lines] or used == cap:
+                if f - model <= tol or line[2] in [k for *_, k in lines] or added == cap:
                     break
-                used += 1
+                added += 1
                 active = [old for old, w in zip(lines, (lam, 1.0 - lam)) if w > 0.0]
                 lines = [min(active) if line[0] > e else max(active), line]
             (m1, v1, k1), (m2, v2, k2) = lines[0], lines[-1]
@@ -387,6 +391,7 @@ class TreeModel(Immutable):
             alphas.append(f)
             variances.append(lam * v1 + (1.0 - lam) * v2 + lam * (1.0 - lam) * (m1 - m2) ** 2)
             picks.append((lam, k1, k2))
+            used += added
         alpha, phi, above = _subtree_sweep(nodes, bit, first, alphas, variances, 0)
         return eta, alpha, phi, _mixture(above, picks), used
 

@@ -111,10 +111,12 @@ class SetQueries(Protocol):
     def is_proper(self) -> bool:
         """Whether every generator charges every point that some generator charges."""
 
-    def block_solve(self, x, c, p0, cap) -> BlockSolution | None:
+    def block_solve(self, x, c, p0) -> BlockSolution | None:
         """The estimator at c block by block, x of shape (n,): (eta per block,
         alpha, phi, {generator: weight} of P_hat, generators added), or None
-        where the generators couple the blocks (solve_mmse's dual ascent)."""
+        where the generators couple the blocks (solve_mmse's dual ascent).
+        Each block is its own minimax subproblem, and estimator.MAX_ADDITIONS,
+        read at call time, caps the generators added to each."""
 
 
 class MeasureSet(Immutable):
@@ -206,7 +208,7 @@ class MeasureSet(Immutable):
         W = self.weights_matrix
         return not W[:, W.min(axis=0) == 0.0].any()
 
-    def block_solve(self, x, c, p0, cap) -> None:
+    def block_solve(self, x, c, p0) -> None:
         """None: the generators couple the blocks, so solve_mmse runs its dual ascent."""
         return None
 

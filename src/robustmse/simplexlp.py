@@ -210,8 +210,10 @@ def column_certifies(b, fit):
     """Is the phase-1 mass the hull LP for b = [p; 1] leaves at the largest
     theta with theta * fit <= b, fit a column [g_k; 1], at most HULL_TOL? It
     bounds the phase-1 optimum, so True means "member"; a NaN (fit == 0)
-    certifies nothing. The last axis runs over the LP's rows; the rest broadcast."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    certifies nothing. A ratio that overflows (a subnormal weight in fit) is
+    +inf, never the minimum: the last row's ratio is 1. The last axis runs
+    over the LP's rows; the rest broadcast."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         theta = (b / fit).min(axis=-1)
         return b.sum(axis=-1) - theta * fit.sum(axis=-1) <= HULL_TOL
 

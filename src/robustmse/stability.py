@@ -32,11 +32,13 @@ class PastedMeasure(NamedTuple):
 
 
 def _splice(base, tail, weights):
-    """Pasted weights: each tail row in weights, rescaled at every point from
-    the tail's mass of its block to the base's (0 where the base's is 0), then
-    divided by its sum as Measure divides it. The last axis is the space."""
-    scale = np.zeros(np.broadcast_shapes(np.shape(base), np.shape(tail)))
-    out = np.divide(base, tail, out=scale, where=base > 0.0) * weights
+    """Pasted weights: at every point, the tail row's conditional law on its
+    block (weights / tail, at most 1) times the base's mass of that block (0
+    where the base's is 0), then divided by its sum as Measure divides it.
+    The quotient is bounded, so a subnormal tail mass cannot overflow it, as
+    base / tail would. The last axis is the space."""
+    law = np.zeros(np.broadcast_shapes(np.shape(base), np.shape(tail)))
+    out = np.divide(weights, tail, out=law, where=base > 0.0) * base
     out /= out.sum(axis=-1, keepdims=True)
     return out
 

@@ -136,8 +136,8 @@ def test_the_path_is_the_sets_answer():
     ms = tree_measure_set(tm)
     x = RandomVariable(tm.space, leaf_values("normal", 8, 4620))
     c = tm.level_partition(1)
-    assert ms.block_solve(x.values, c, None, 10) is None
-    eta, alpha, phi, mixture, added = tm.block_solve(x.values, c, None, 10)
+    assert ms.block_solve(x.values, c, None) is None
+    eta, alpha, phi, mixture, added = tm.block_solve(x.values, c, None)
     res = solve_mmse(tm, x, c)
     assert res.eta_hat == c.broadcast(eta) and res.alpha == alpha
     assert res.saddle_gap == max(0.0, alpha - phi) and res.iterations == added
@@ -171,13 +171,12 @@ def test_mixture_is_the_quadratic_build(monkeypatch):
         return mixture(above, picks)
 
     monkeypatch.setattr(gexp, "_mixture", recorded)
-    cap = robustmse.estimator.MAX_ADDITIONS
     for depth in range(1, 13):
         for make in (drift, per_node):
             tm = make(depth, 4630 + depth)
             v = leaf_values("normal", tm.num_leaves, 4630 + depth)
             for level in range(depth + 1):
-                tm.block_solve(v, tm.level_partition(level), None, cap)
+                tm.block_solve(v, tm.level_partition(level), None)
     assert len(calls) == 3 + 2 * sum(range(2, 14))
     for above, picks in calls:
         assert list(mixture(above, picks).items()) == list(quadratic_mixture(above, picks).items())
@@ -241,22 +240,46 @@ def test_start_changes_the_path_not_the_answer():
             assert got.alpha == pytest.approx(plain.alpha, abs=1e-12 * x.unit**2)
 
 
+def subtree(tm, level, b):
+    """Block b of tm's level partition as a tree of its own: its subtree's nodes."""
+    ids = [2 ** (level + j) - 1 + (b << j) + i for j in range(tm.depth - level) for i in range(2**j)]
+    return TreeModel(tm.depth - level, tm.q_lo[ids], tm.q_hi[ids])
+
+
 @pytest.mark.usefixtures("fresh_tables")
 def test_cap_stops_the_blocks(monkeypatch):
-    # the additions of all blocks count against MAX_ADDITIONS; a capped solve
-    # reports its gap and the stop warning, never a converged status
+    # MAX_ADDITIONS caps the additions of each block, which adds what its
+    # subtree adds alone; iterations is their sum. A capped block leaves the
+    # solve with its gap and the stop warning, never a converged status
     tm = per_node(3, 4622)
     x = RandomVariable(tm.space, leaf_values("normal", 8, 4622))
     c = tm.level_partition(1)
+    alone = []
+    for b in (0, 1):
+        sub = subtree(tm, 1, b)
+        x_b = RandomVariable(sub.space, x.values[4 * b : 4 * b + 4])
+        alone.append(solve_mmse(sub, x_b, sub.level_partition(0)).iterations)
     full = solve_mmse(tm, x, c)
-    assert full.iterations >= 2
-    for cap in range(full.iterations):
+    assert full.converged and full.iterations == sum(alone) and max(alone) >= 2
+    for cap in range(max(alone)):
         monkeypatch.setattr(robustmse.estimator, "MAX_ADDITIONS", cap)
         res = solve_mmse(tm, x, c)
-        assert res.iterations == cap and not res.converged
+        assert res.iterations == sum(min(a, cap) for a in alone) and not res.converged
         assert res.saddle_gap > 1e-8 * (1.0 + res.alpha)
         assert "stopped at gap" in res.warnings[-1]
         assert res.alpha >= full.alpha - 1e-12 * x.unit**2
+
+
+@pytest.mark.parametrize("level", [13, 14, 15])
+def test_deep_tree_converges_at_every_block(level):
+    # past the corner-count guard, called directly: a depth-16 tree's 8,192 to
+    # 32,768 blocks add 14,193 to 32,768 corners in all, more than
+    # MAX_ADDITIONS, and each block within its own cap closes its gap
+    tm = TreeModel.drift_bound(16)
+    v = np.random.default_rng(0).normal(size=2**16)
+    eta, alpha, phi, mixture, added = tm.block_solve(v, tm.level_partition(level), None)
+    assert added > robustmse.estimator.MAX_ADDITIONS
+    assert alpha - phi <= robustmse.estimator.SADDLE_TOL * (1.0 + alpha)
 
 
 def test_constant_blocks_cost_no_addition():
@@ -284,7 +307,7 @@ QUERIES = {
     "support": lambda tm, v: tm.support(v, -math.inf),
     "ties": lambda tm, v: tm.support(v, 0.0),
     "envelopes": lambda tm, v: tm.envelopes(v, [tm.level_partition(1)]),
-    "block_solve": lambda tm, v: tm.block_solve(v, tm.level_partition(1), None, 10),
+    "block_solve": lambda tm, v: tm.block_solve(v, tm.level_partition(1), None),
 }
 
 

@@ -21,6 +21,7 @@ from robustmse import (
     PastingDegeneracyError,
     RandomVariable,
     SampleSpace,
+    StructuralError,
     ZeroMassBlockError,
     brute_force_mmse,
     conditional_envelopes,
@@ -197,10 +198,14 @@ class TestLayout:
         ref = np.stack([a[..., list(b)].sum(axis=-1) for b in c.blocks], axis=-1)
         assert_close(c.block_sums(a), ref)
         assert_close(c.block_sums(a[0, 0]), ref[0, 0])
+        with pytest.raises(StructuralError, match=f"expected {c.space.n} values per row"):
+            c.block_sums(a[..., 1:])
 
     def test_broadcast(self, c):
         vals = rng_from_seed(2403).normal(size=c.num_blocks)
         assert np.array_equal(c.broadcast(vals).values, ref_broadcast(c, vals))
+        with pytest.raises(StructuralError, match=f"expected {c.num_blocks} block values"):
+            c.broadcast(np.append(vals, 0.0))
 
     def test_is_measurable(self, c):
         rng = rng_from_seed(2404)

@@ -11,6 +11,7 @@ from robustmse import (
     GuardRefusalError,
     Measure,
     MeasureSet,
+    MixtureWeights,
     PartitionAlgebra,
     PropernessError,
     RandomVariable,
@@ -408,9 +409,12 @@ class TestVerifySaddle:
                     check(wrong, xi, c, res.eta_hat)
             with pytest.raises(StructuralError, match="different sample spaces"):
                 robustmse.estimator.certify(wrong, xi, c, res)
-        # the oracle's result has no P_hat to audit
+        # the oracle's result has no P_hat to audit, and a P_hat of another
+        # length is no mixture of these generators
         with pytest.raises(ArgumentError, match="no p_hat"):
             verify_saddle(ms, xi, c, brute_force_mmse(ms, xi, c))
+        with pytest.raises(ArgumentError, match="p_hat has 3 weights, not one per generator"):
+            verify_saddle(ms, xi, c, res._replace(p_hat=MixtureWeights([0.5, 0.25, 0.25])))
 
 
 class TestKernel:
@@ -1066,6 +1070,26 @@ def test_degenerate_face_ends_without_a_warning(name):
     else:
         assert res.saddle_gap > 1e-8 * (1.0 + res.alpha)
     assert res.converged or name != "start residual of 0"
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+def test_caratheodory_step_goes_uphill(monkeypatch, order):
+    # three generators on one block, more than one above the charged blocks:
+    # the step moves along the one direction v (up to sign) with v @ u = 0 and
+    # sum(v) = 0, v ~ (1, 1, -2) here, which keeps eta = 0 and so r = (3/4,
+    # 3/4, 1/4); uphill in phi = w @ r it empties g3 and ends at (1/2, 1/2),
+    # where downhill would end at g3 alone. No Newton step runs first
+    monkeypatch.setattr(robustmse.estimator, "_FACE_STEPS", 0)
+    space = SampleSpace.of_size(3)
+    rows = np.array([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5], [0.125, 0.75, 0.125]])
+    ms = MeasureSet.from_matrix(space, rows[list(order)])
+    xi = RandomVariable(space, [-1.0, 0.0, 1.0])
+    pool = robustmse.estimator._Pool(ms, xi, PartitionAlgebra.trivial(space))
+    s = np.array([pool.add(k) for k in range(3)])
+    w = np.array([0.25, 0.25, 0.5])[list(order)]
+    got, lam = robustmse.estimator._face_ascent(pool, s, w, 1.0)
+    assert sorted(order[k] for k in got.tolist()) == [0, 1]
+    assert lam == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 class TestRefusedInputs:

@@ -108,6 +108,7 @@ class TestMeasureSetMatrix:
             ([float("nan"), 0.5], ArgumentError),
             ([0.4, 0.5], ArgumentError),
             ([0.5, 0.25, 0.25], StructuralError),
+            ([[0.5, 0.5]], StructuralError),
         ],
     )
     def test_bad_rows_raise_like_measure(self, row, error):
@@ -126,6 +127,8 @@ class TestMeasureSetMatrix:
             MeasureSet.from_matrix(s, [0.5, 0.5])
         with pytest.raises(ArgumentError):
             MeasureSet.from_matrix(s, np.empty((0, 2)))
+        with pytest.raises(ArgumentError, match="at least one generator"):
+            MeasureSet([])
 
     def test_duplicate_rows_accepted(self):
         rows = [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]]
@@ -203,6 +206,8 @@ class TestMixAndReference:
     def test_off_simplex_rejected(self):
         with pytest.raises(ArgumentError):
             MixtureWeights([0.7, 0.7])
+        with pytest.raises(ArgumentError, match="nonempty vector"):
+            MixtureWeights([])
 
     @pytest.mark.parametrize(
         "lam",

@@ -103,3 +103,25 @@ def test_reproducer_through_the_cli(tmp_path):
     assert result["brute_force"]["alpha"] == pytest.approx(1.0, abs=1e-9)
     assert result["agree"] is True
 
+
+def test_subnormal_block_mass_through_the_cli(tmp_path):
+    # the second generator charges block {2} with 5e-324: the face step counts
+    # it as uncharged, where its Hessian term overflowed (a numpy warning, an
+    # error here) and the solve stopped at alpha 0.1188 with gap 0.027
+    doc = {
+        "version": "1",
+        "omega": ["a", "b", "c"],
+        "generators": [[0, 0.625, 0.375], [0.625, 0.375, 5e-324]],
+        "xi": [0.875, 1.5, -2.75],
+        "partition": [[0, 1], [2]],
+    }
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    for cmd in ("solve", "oracle"):
+        out = tmp_path / f"{cmd}.json"
+        assert cli_main([cmd, str(tmp_path / "in.json"), "--out", str(out)]) == 0, cmd
+    solve = json.loads((tmp_path / "solve.json").read_text())["result"]
+    assert solve["estimator"]["converged"] is True
+    assert solve["estimator"]["alpha"] == pytest.approx(0.09161304791439363, abs=1e-12)
+    assert solve["saddle_certificate"]["passed"] and solve["kernel_member"]
+    assert solve["ns_condition"]["holds"]
+    assert json.loads((tmp_path / "oracle.json").read_text())["result"]["agree"] is True

@@ -105,6 +105,8 @@ def test_assignment_refused(name):
         setattr(obj, first, getattr(obj, first))
     with pytest.raises(AttributeError):
         obj.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(obj, first)
 
 
 def test_value_type_repr_leaves_arrays_out():
@@ -120,6 +122,9 @@ def test_equality_and_hashing(name):
     a, b = build()[name], build()[name]
     assert a == a
     assert (a == b) is (name not in BY_IDENTITY)
+    # a value type of another class is never equal
+    other = build()["RandomVariable" if name == "SampleSpace" else "SampleSpace"]
+    assert a != other and other != a
     if name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(a)

@@ -201,7 +201,7 @@ def test_set_answers_block_solve_as_brute_force_over_its_rows(make_set):
     for v in probes(s.space.n, 13):
         R = RandomVariable(s.space, v).unit
         for c in algebras:
-            got = s.block_solve(v, c, None, 10_000)
+            got = s.block_solve(v, c, None)
             if not isinstance(s, TreeModel):
                 assert got is None
                 continue
@@ -312,7 +312,7 @@ def test_tree_takes_a_level_partition_built_apart(make_tree, monkeypatch):
         assert apart is not cached and apart == cached
         envelopes = [[a.tobytes() for a in tm.envelopes(v, [c])[0]] for c in (apart, cached)]
         assert envelopes[0] == envelopes[1]
-        assert tm.block_solve(v, apart, None, 10) == tm.block_solve(v, cached, None, 10)
+        assert tm.block_solve(v, apart, None) == tm.block_solve(v, cached, None)
         with monkeypatch.context() as patch:
             def compare(*args):
                 raise AssertionError("labels compared")

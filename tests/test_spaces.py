@@ -80,6 +80,8 @@ class TestPartitionAlgebra:
     def test_overlap_rejected(self):
         with pytest.raises(ArgumentError):
             PartitionAlgebra(space(3), [(0, 1), (1, 2)])
+        with pytest.raises(ArgumentError, match="repeated index inside block"):
+            PartitionAlgebra(space(3), [(0, 0, 1), (2,)])
 
     def test_cover_required(self):
         with pytest.raises(ArgumentError):
@@ -153,6 +155,8 @@ class TestRefineCheck:
     def test_single_level_vacuous(self):
         f = Filtration([PartitionAlgebra.trivial(space(2))])
         assert len(f.levels) == 1
+        with pytest.raises(ArgumentError, match="at least one level"):
+            Filtration([])
 
 
 finite_vals = st.lists(

@@ -130,6 +130,21 @@ class TestIsStable:
         assert report.witness.switch_level == 1
         assert report.witness_residual > 1e-3  # no spurious witnesses
 
+    def test_subnormal_tail_mass_names_the_first_witness(self):
+        # g1's mass of block {2} is 1e-320: the splice forms g1's conditional
+        # law there (at most 1) times g0's mass, where base / tail overflowed,
+        # and the NaN pasting passed as a member. Every warning is an error here
+        space = SampleSpace(("a", "b", "c"))
+        ms = MeasureSet.from_matrix(space, [[0.5, 0.25, 0.25], [0.25, 0.75, 1e-320]])
+        f = Filtration([PartitionAlgebra(space, blocks) for blocks in
+                        ([[0, 1, 2]], [[0, 1], [2]], [[0], [1], [2]])])
+        report = is_stable(ms, f)
+        assert not report.stable
+        assert (report.pastings_checked, report.hull_tests) == (2, 1)
+        w = report.witness
+        assert (w.base, w.tail, w.switch_level) == (ms.generators[0], ms.generators[1], 1)
+        assert w.result.weights.tolist() == [0.1875, 0.5625, 0.25]
+
     def test_single_generator_stable(self, four_point):
         space, f = four_point
         ms = MeasureSet([Measure(space, [5 / 16, 3 / 16, 6 / 16, 2 / 16])])

@@ -157,8 +157,8 @@ class QueriesOnly:
     def is_proper(self):
         return self.ms.is_proper()
 
-    def block_solve(self, x, c, p0, cap):
-        return self.ms.block_solve(x, c, p0, cap)
+    def block_solve(self, x, c, p0):
+        return self.ms.block_solve(x, c, p0)
 
 
 def test_each_certificate_reads_the_witness_rows():

@@ -62,7 +62,7 @@ from robustmse import (  # noqa: E402
     solve_mmse,
     tree_measure_set,
 )
-from robustmse.estimator import MAX_ADDITIONS, certify  # noqa: E402
+from robustmse.estimator import certify  # noqa: E402
 from robustmse.randgen import random_instance, random_partition, rng_from_seed  # noqa: E402
 
 TREES_PER_KIND = 16  # per depth and kind (drift-bound, dyadic per-node, uniform per-node)
@@ -189,8 +189,7 @@ def deep_trees():
 
 
 def block_record(tm, values, level):
-    eta, alpha, phi, mixture, added = tm.block_solve(
-        values, tm.level_partition(level), None, MAX_ADDITIONS)
+    eta, alpha, phi, mixture, added = tm.block_solve(values, tm.level_partition(level), None)
     return {
         "eta": _hex(eta),
         "alpha": alpha.hex(),
